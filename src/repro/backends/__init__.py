@@ -67,7 +67,6 @@ from repro.backends.registry import (
 from repro.backends.router import BackendRouter, NoCapableBackendError
 from repro.backends.tiers import (
     CacheTier,
-    RemoteCacheTier,
     SQLiteCacheTier,
     TieredCache,
     cache_key_token,
@@ -93,7 +92,6 @@ __all__ = [
     "VariantCache",
     "CacheTier",
     "SQLiteCacheTier",
-    "RemoteCacheTier",
     "TieredCache",
     "cache_key_token",
     "approx_result_bytes",

@@ -240,8 +240,8 @@ class ExtendedStabilizerBackend(Backend):
 class LegacyBackendAdapter(Backend):
     """Wraps a bare duck-typed simulator (``probabilities`` + ``sample``).
 
-    This is what keeps the original ``nonclifford_backend=`` extension
-    point working: any object exposing the old informal protocol becomes a
+    This is what lets ``ExecutionPlan.with_backend`` accept a bare
+    simulator: any object exposing the old informal protocol becomes a
     routable backend with permissive capabilities.
     """
 

@@ -15,8 +15,8 @@ the extended stabilizer for wide diagonal-non-Clifford fragments, the §XI
 extension points.
 
 Explicit overrides are preserved: a forced backend
-(``ExecutionConfig(backend="mps")`` or the legacy ``nonclifford_backend=``)
-short-circuits scoring for every circuit it can handle, and a plan-level
+(``ExecutionConfig(backend="mps")``) short-circuits scoring for every
+circuit it can handle, and a plan-level
 ``ExecutionPlan.with_backend(i, name)`` pins a single fragment.
 """
 

@@ -6,7 +6,7 @@ simulation work within one process.  The distributed execution service
 sweeps from many clients share work — the cache keys are already content
 hashes (variant fingerprint + backend token + evaluation mode), so any
 key-value store is a valid tier.  This module defines the tier contract
-and three implementations:
+and two implementations:
 
 * :class:`CacheTier` — the structural protocol every tier satisfies
   (``get`` / ``put`` / ``stats`` / ``clear`` / ``__contains__`` /
@@ -14,10 +14,6 @@ and three implementations:
 * :class:`SQLiteCacheTier` — a file-backed store (pickled values keyed
   by a SHA-256 token of the cache key) that survives coordinator
   restarts and can be shared by processes on one host;
-* :class:`RemoteCacheTier` — a client-side handle onto the
-  coordinator-hosted tier, speaking ``cache_get`` / ``cache_put`` over
-  the service wire protocol, so even *client-side* ``SuperSim`` runs can
-  share the fleet's cache;
 * :class:`TieredCache` — a small front/back composition (e.g. in-memory
   LRU in front of SQLite) with promote-on-hit.
 
@@ -37,7 +33,6 @@ from repro.backends.cache import VariantCache, approx_result_bytes
 __all__ = [
     "CacheTier",
     "SQLiteCacheTier",
-    "RemoteCacheTier",
     "TieredCache",
     "cache_key_token",
 ]
@@ -50,9 +45,9 @@ class CacheTier(Protocol):
     ``get`` returns the cached value or ``None`` (counting a hit or
     miss); ``put`` stores unconditionally; ``stats`` reports at least
     ``hits`` / ``misses`` / ``entries``.  :class:`VariantCache`,
-    :class:`SQLiteCacheTier`, :class:`RemoteCacheTier` and
-    :class:`TieredCache` all conform, so anywhere ``SuperSim`` or
-    ``FragmentEvaluator`` accepts a cache instance, any tier works.
+    :class:`SQLiteCacheTier` and :class:`TieredCache` all conform, so
+    anywhere ``SuperSim`` or ``FragmentEvaluator`` accepts a cache
+    instance, any tier works.
     """
 
     def get(self, key: tuple): ...
@@ -198,81 +193,6 @@ class SQLiteCacheTier:
 
     def __repr__(self) -> str:
         return f"SQLiteCacheTier({self.path!r}, {len(self)} entries)"
-
-
-class RemoteCacheTier:
-    """A client-side handle onto the coordinator-hosted cache tier.
-
-    Speaks ``cache_get`` / ``cache_put`` over a dedicated service
-    connection (a :class:`~repro.service.protocol.Transport`), so a
-    *local* ``SuperSim`` — not just service-executed runs — can share
-    the fleet's variant cache: pass an instance as
-    ``ExecutionConfig(cache=RemoteCacheTier(address))``.
-
-    Not picklable (it owns a socket); share one per process, not across
-    workers.  All calls serialise on an internal lock — the wire
-    protocol is strictly request/response per connection.
-    """
-
-    def __init__(self, address_or_transport):
-        from repro.service.protocol import Transport, connect
-
-        if isinstance(address_or_transport, Transport):
-            self._transport = address_or_transport
-        else:
-            self._transport = connect(address_or_transport)
-            self._transport.send({"type": "hello", "role": "cache"})
-            welcome = self._transport.recv()
-            if not welcome or welcome.get("type") != "welcome":
-                raise ConnectionError(
-                    f"coordinator refused cache handshake: {welcome!r}"
-                )
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def _roundtrip(self, message: dict) -> dict:
-        with self._lock:
-            self._transport.send(message)
-            reply = self._transport.recv()
-        if reply is None:
-            raise ConnectionError("coordinator closed the cache connection")
-        return reply
-
-    def get(self, key: tuple):
-        reply = self._roundtrip({"type": "cache_get", "key": key})
-        value = reply.get("value")
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
-
-    def put(self, key: tuple, value) -> None:
-        self._roundtrip({"type": "cache_put", "key": key, "value": value})
-
-    def __contains__(self, key: tuple) -> bool:
-        return bool(
-            self._roundtrip({"type": "cache_contains", "key": key}).get("found")
-        )
-
-    def __len__(self) -> int:
-        return int(self.stats().get("entries", 0))
-
-    def clear(self) -> None:
-        self._roundtrip({"type": "cache_clear"})
-
-    def stats(self) -> dict:
-        stats = dict(self._roundtrip({"type": "cache_stats"}).get("stats", {}))
-        stats["remote_hits"] = self.hits
-        stats["remote_misses"] = self.misses
-        return stats
-
-    def close(self) -> None:
-        self._transport.close()
-
-    def __repr__(self) -> str:
-        return f"RemoteCacheTier({self._transport!r})"
 
 
 class TieredCache:

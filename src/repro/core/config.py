@@ -25,9 +25,7 @@ All three are immutable; derive variations with :func:`dataclasses.replace`
     base = SamplingConfig(shots=4000, seed=7)
     snapped = replace(base, snap_clifford=True)
 
-``SuperSim`` accepts them directly — ``SuperSim(sampling=base)`` — and the
-old flat kwargs remain available as a deprecation shim that maps onto
-these objects.
+``SuperSim`` accepts them directly — ``SuperSim(sampling=base)``.
 """
 
 from __future__ import annotations
@@ -126,9 +124,6 @@ class ExecutionConfig(_Replaceable):
     router:
         A custom :class:`~repro.backends.router.BackendRouter`; the
         default scores every built-in backend's cost model.
-    nonclifford_backend:
-        Legacy §XI extension point: force a backend for non-Clifford
-        fragments only (duck-typed simulators are adapted automatically).
     cache:
         Variant caching across runs: ``True`` (default) builds a private
         :class:`~repro.backends.cache.VariantCache`, or pass a shared
@@ -191,7 +186,6 @@ class ExecutionConfig(_Replaceable):
 
     backend: Any = None
     router: Any = None
-    nonclifford_backend: Any = None
     cache: Any = True
     pool: str | None = None
     parallel: int = 1
@@ -295,77 +289,3 @@ class ReconstructionConfig(_Replaceable):
             raise ValueError("max_dense_bits must be at least 1")
         if self.window is not None:
             object.__setattr__(self, "window", tuple(int(q) for q in self.window))
-
-
-#: legacy SuperSim kwarg -> (config attribute name, target config)
-LEGACY_KWARG_MAP: dict[str, tuple[str, str]] = {
-    "strategy": ("cut", "strategy"),
-    "max_cuts": ("cut", "max_cuts"),
-    "shots": ("sampling", "shots"),
-    "clifford_shots": ("sampling", "clifford_shots"),
-    "snap_clifford": ("sampling", "snap_clifford"),
-    "tomography": ("sampling", "tomography"),
-    "noise": ("sampling", "noise"),
-    "rng": ("sampling", "seed"),
-    "backend": ("execution", "backend"),
-    "router": ("execution", "router"),
-    "nonclifford_backend": ("execution", "nonclifford_backend"),
-    "cache": ("execution", "cache"),
-    "pool": ("execution", "pool"),
-    "parallel": ("execution", "parallel"),
-    "statevector_max_qubits": ("execution", "statevector_max_qubits"),
-    "prune_zeros": ("execution", "prune_zeros"),
-}
-
-
-def configs_from_legacy_kwargs(
-    kwargs: dict[str, Any],
-    cut: CutConfig | None = None,
-    sampling: SamplingConfig | None = None,
-    execution: ExecutionConfig | None = None,
-) -> tuple[CutConfig, SamplingConfig, ExecutionConfig, list[str]]:
-    """Map flat legacy kwargs onto the three config objects.
-
-    Returns the merged configs plus the list of legacy kwarg names that
-    were actually used (for the caller's single deprecation warning).
-    Unknown kwargs raise ``TypeError`` like any normal signature mismatch.
-    Legacy kwargs may not override a config object supplied alongside them
-    — mixing the two styles for one concern is ambiguous and raises.
-    """
-    for value, expected, hint in (
-        (cut, CutConfig, "CutConfig"),
-        (sampling, SamplingConfig, "SamplingConfig"),
-        (execution, ExecutionConfig, "ExecutionConfig"),
-    ):
-        if value is not None and not isinstance(value, expected):
-            # catches pre-pipeline positional calls like SuperSim(4000),
-            # where the old leading `shots` argument lands on `cut`
-            raise TypeError(
-                f"expected a {hint} instance, got {value!r}; the flat "
-                f"positional signature is gone — pass "
-                f"{hint}(...) or keyword-only legacy kwargs "
-                "(e.g. shots=4000)"
-            )
-    unknown = [k for k in kwargs if k not in LEGACY_KWARG_MAP]
-    if unknown:
-        raise TypeError(
-            f"unexpected keyword argument(s): {', '.join(sorted(unknown))}"
-        )
-    used = sorted(kwargs)
-    updates: dict[str, dict[str, Any]] = {"cut": {}, "sampling": {}, "execution": {}}
-    for key, value in kwargs.items():
-        target, attr = LEGACY_KWARG_MAP[key]
-        updates[target][attr] = value
-    provided = {"cut": cut, "sampling": sampling, "execution": execution}
-    for target, fields in updates.items():
-        if fields and provided[target] is not None:
-            raise TypeError(
-                f"cannot mix the {target}= config object with legacy "
-                f"kwarg(s) {sorted(fields)}; set them on the config instead"
-            )
-    cut = cut if cut is not None else CutConfig(**updates["cut"])
-    sampling = sampling if sampling is not None else SamplingConfig(**updates["sampling"])
-    execution = (
-        execution if execution is not None else ExecutionConfig(**updates["execution"])
-    )
-    return cut, sampling, execution, used

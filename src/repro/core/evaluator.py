@@ -23,17 +23,18 @@ Per-job seeds are derived from the evaluator's root seed *and* the variant
 fingerprint, never from submission order, so sampled results are
 reproducible bit-for-bit at any parallelism.
 
-Execution is fault tolerant: every job is submitted individually through
-the :class:`_JobScheduler`, which retries transient backend failures with
-capped exponential backoff, enforces per-job soft deadlines derived from
-the calibrated cost model, self-heals a broken process pool (rebuilding it
-and resubmitting the in-flight jobs, quarantining a job only after it was
-in flight across ``max_job_crashes`` crashes), and — under
-``failure_policy="degrade"`` — walks the router's cost-ordered fallback
-chain.  A retried or fallen-back job reuses its fingerprint-derived seed,
-so a run that survived faults is bit-for-bit identical to a clean one;
-the survived faults are tallied in the evaluator's
-:class:`~repro.errors.FaultReport`.
+Execution is fault tolerant.  *What happens* when a job's backend raises,
+overruns its soft deadline (derived from the calibrated cost model) or
+loses its worker is decided by one :class:`~repro.core.lifecycle.JobLifecycle`
+per job — retry with capped backoff, quarantine, degrade-mode fallback,
+typed error.  This module keeps only the *mechanics* of carrying those
+decisions out locally: the serial loop sleeps and re-runs; the
+:class:`_JobScheduler` resubmits futures, abandons or kills overdue work
+and rebuilds a broken process pool; and the local fallback is the
+next-cheapest capable backend in the router's ranking.  A retried or
+fallen-back job reuses its fingerprint-derived seed, so a run that
+survived faults is bit-for-bit identical to a clean one; the survived
+faults are tallied in the evaluator's :class:`~repro.errors.FaultReport`.
 """
 
 from __future__ import annotations
@@ -49,13 +50,9 @@ from repro.backends.base import Backend, CircuitFeatures
 from repro.backends.cache import VariantCache, circuit_fingerprint
 from repro.backends.router import BackendRouter
 from repro.core.fragments import Fragment
+from repro.core.lifecycle import FaultPolicy, JobLifecycle
 from repro.core.variants import all_variants, variant_circuit
-from repro.errors import (
-    BackendExecutionError,
-    FaultReport,
-    JobTimeoutError,
-    WorkerCrashError,
-)
+from repro.errors import FaultReport
 
 
 class VariantData:
@@ -238,13 +235,13 @@ def _is_simulated_crash(exc: BaseException) -> bool:
 
 
 class SharedExecutorPool:
-    """A rebuildable executor handle shared across batch runs.
+    """A rebuildable thread- or process-pool handle.
 
-    ``SuperSim.sweep`` / ``run_many`` used to hand evaluators a raw
-    executor; the fault-tolerant scheduler needs to *replace* a broken
-    process pool mid-run, so the shared handle owns the executor and
-    exposes :meth:`rebuild`.  Raw executors are still accepted everywhere
-    a handle is — they just cannot self-heal across batch points.
+    The scheduler must be able to *replace* a broken or hung process pool
+    mid-run, so it never holds a bare executor: every parallel batch runs
+    on one of these handles — its own for a single run, or the one
+    ``SuperSim.sweep`` / ``run_many`` keeps alive across batch points
+    (which therefore self-heals across points too).
     """
 
     def __init__(self, kind: str, workers: int):
@@ -284,47 +281,24 @@ class SharedExecutorPool:
         )
 
 
-class _JobState:
-    """Mutable per-job fault bookkeeping, scheduler side.
-
-    ``failures`` counts raised exceptions and soft-timeouts on the job's
-    *current* backend (reset on a degrade-mode fallback); ``crashes``
-    counts worker crashes the job was in flight for; ``tried`` lists the
-    backend names already attempted, so fallback never revisits one.
-    """
-
-    __slots__ = ("job", "failures", "crashes", "tried")
-
-    def __init__(self, job: _Job):
-        self.job = job
-        self.failures = 0
-        self.crashes = 0
-        self.tried = [job.backend.name]
-
-
 class _JobScheduler:
-    """Futures-based per-job engine implementing the failure policy.
+    """Local runner: carries out each job's lifecycle decisions.
 
-    Replaces the fire-and-forget ``executor.map`` batch.  Jobs are
-    submitted individually with in-flight submissions bounded by the
-    worker count (so a soft deadline measures *run* time, not queue
-    time); completions, failures and deadline misses are handled per job:
-
-    * ``failure_policy="raise"`` — fail fast with a contextful
-      :class:`~repro.errors.ReproError` subclass;
-    * ``"retry"`` — capped exponential backoff up to ``max_retries``
-      per job, then raise;
-    * ``"degrade"`` — like retry, but an exhausted job falls back to the
-      next-cheapest capable backend in the router's cost ordering (its
-      result is kept out of the cross-run cache).
+    The failure *policy* lives in :mod:`repro.core.lifecycle`; this class
+    is the mechanics of obeying it in-process.  :meth:`run_serial` runs
+    jobs inline, sleeping out backoffs.  :meth:`run_parallel` submits
+    jobs individually to a :class:`SharedExecutorPool`, with in-flight
+    submissions bounded by the worker count (so a soft deadline measures
+    *run* time, not queue time), and per completed, failed or overdue
+    future asks the job's lifecycle what to do next.
 
     A ``BrokenProcessPool`` triggers self-healing: finished results are
-    harvested, the pool is rebuilt (through the shared handle's
-    ``rebuild()`` when one is in use), and every unfinished in-flight job
-    is charged one crash and resubmitted — attribution is heuristic, so a
-    job is quarantined as poison only after ``max_job_crashes`` crashes
-    with it in flight.  Determinism is untouched throughout: resubmitted
-    jobs reuse their fingerprint-derived seeds.
+    harvested, the pool is rebuilt, and every unfinished in-flight job is
+    charged one crash and resubmitted.  An overdue process-pool job can
+    only be killed by rebuilding the pool too (bystanders resubmit for
+    free); an overdue thread job is abandoned.  :meth:`fall_back` is the
+    local degrade-mode fallback.  Determinism is untouched throughout:
+    resubmitted jobs reuse their fingerprint-derived seeds.
     """
 
     def __init__(
@@ -333,55 +307,28 @@ class _JobScheduler:
         jobs: list[_Job],
         pool: str,
         workers: int,
-        shared=None,
+        shared: SharedExecutorPool | None = None,
     ):
         self.ev = ev
         self.jobs = jobs
         self.pool = pool
         self.workers = max(1, int(workers))
-        self.shared = shared  # SharedExecutorPool (or raw executor) or None
-        self.own_executor = shared is None
-        self.executor = None
+        self.handle = shared  # run_parallel builds a private one if None
+        self.own_handle = shared is None
         self.results: dict[tuple, VariantData] = {}
         self.degraded: set[tuple] = set()
-        self.states = {job.key: _JobState(job) for job in jobs}
+        self.lifecycles = {
+            job.key: JobLifecycle(job, ev.policy, ev.faults.events) for job in jobs
+        }
+        self.tried: dict[tuple, set[str]] = {}  # job key -> backend names
         self.pending: list[tuple[float, int, _Job]] = []  # (ready, seq, job)
         self.inflight: dict = {}  # future -> (job, deadline | None)
         self._seq = 0
 
-    # -- policy ---------------------------------------------------------------
-
-    @property
-    def policy(self) -> str:
-        return self.ev.failure_policy
-
-    def _record(self, kind: str, job: _Job, detail: str = "") -> None:
-        self.ev.faults.record(
-            kind,
-            fragment_index=job.fragment_index,
-            backend=job.backend.name,
-            attempt=job.attempt,
-            detail=detail,
-        )
-
-    def _context(self, state: _JobState) -> dict:
-        return {
-            "fragment_index": state.job.fragment_index,
-            "backend": state.job.backend.name,
-            "attempts": state.failures + state.crashes,
-        }
-
-    def _backoff(self, n: int) -> float:
-        base = self.ev.retry_backoff
-        if base <= 0:
-            return 0.0
-        return min(self.ev.retry_backoff_cap, base * (2.0 ** (n - 1)))
-
-    def _next_fallback(self, state: _JobState):
-        """The cheapest capable backend not yet tried, or ``None``."""
-        job = state.job
-        if job.features is None:
-            return None
+    def fall_back(self, lifecycle: JobLifecycle, reason: str) -> bool:
+        """Move the job to the cheapest capable backend not yet tried."""
+        job = lifecycle.job
+        tried = self.tried.setdefault(job.key, {job.backend.name})
         try:
             ranked = self.ev.router.ranked(
                 job.features,
@@ -389,122 +336,39 @@ class _JobScheduler:
                 noisy=job.noise is not None,
             )
         except Exception:
-            return None
-        for cand in ranked:
-            if cand.name not in state.tried:
-                return cand
-        return None
-
-    def _fall_back(self, state: _JobState, reason: str) -> bool:
-        """Swap the job onto the next capable backend (degrade mode)."""
-        cand = self._next_fallback(state)
+            return False
+        cand = next((b for b in ranked if b.name not in tried), None)
         if cand is None:
             return False
-        job = state.job
-        self._record(
-            "fallback", job, detail=f"{job.backend.name} -> {cand.name} after {reason}"
-        )
-        state.tried.append(cand.name)
+        lifecycle.fell_back(f"{job.backend.name} -> {cand.name} after {reason}")
+        tried.add(cand.name)
         job.backend = cand
         job.affine = bool(
             cand.capabilities.affine and job.is_clifford and job.noise is None
         )
-        state.failures = 0
-        state.crashes = 0
         # the value will come from a different backend than the cache key
         # names: usable for this run, but never stored cross-run
         self.degraded.add(job.key)
         return True
 
-    def _handle_failure(self, state: _JobState, exc: BaseException) -> float:
-        """Policy decision after a raised backend exception.
-
-        Returns the backoff delay before resubmission, or raises when the
-        policy says the run is over.
-        """
-        job = state.job
-        if self.policy == "raise":
-            raise BackendExecutionError(
-                f"backend raised while simulating a variant: {exc!r}",
-                **self._context(state),
-            ) from exc
-        state.failures += 1
-        detail = f"{type(exc).__name__}: {exc}"
-        if state.failures <= self.ev.max_retries:
-            self._record("retry", job, detail=detail)
-            return self._backoff(state.failures)
-        if self.policy == "degrade" and self._fall_back(state, detail):
-            return 0.0
-        raise BackendExecutionError(
-            f"retries exhausted: {exc!r}", **self._context(state)
-        ) from exc
-
-    def _handle_timeout(self, state: _JobState) -> float:
-        """Policy decision after a job exceeded its soft deadline."""
-        job = state.job
-        if self.policy == "raise":
-            raise JobTimeoutError(
-                "variant exceeded its soft deadline",
-                timeout=job.timeout,
-                **self._context(state),
-            )
-        state.failures += 1
-        if state.failures <= self.ev.max_retries:
-            self._record(
-                "timeout", job, detail=f"soft deadline {job.timeout:.3g}s exceeded"
-            )
-            return self._backoff(state.failures)
-        if self.policy == "degrade" and self._fall_back(state, "repeated soft-timeouts"):
-            return 0.0
-        raise JobTimeoutError(
-            "soft deadline exceeded and retries exhausted",
-            timeout=job.timeout,
-            **self._context(state),
-        )
-
-    def _handle_crash(self, state: _JobState, detail: str) -> float:
-        """Policy decision after a worker crashed with this job in flight."""
-        job = state.job
-        if self.policy == "raise":
-            raise WorkerCrashError(
-                f"worker crashed with this job in flight ({detail})",
-                **self._context(state),
-            )
-        state.crashes += 1
-        self._record("crash", job, detail=detail)
-        if state.crashes <= self.ev.max_job_crashes:
-            return self._backoff(state.crashes)
-        self._record(
-            "quarantine",
-            job,
-            detail=f"{state.crashes} crashes with this job in flight",
-        )
-        if self.policy == "degrade" and self._fall_back(
-            state, f"{state.crashes} worker crashes"
-        ):
-            return 0.0
-        raise WorkerCrashError(
-            f"job quarantined after {state.crashes} worker crashes ({detail})",
-            **self._context(state),
-        )
+    def _on_exception(self, job: _Job, exc: BaseException) -> float | None:
+        lifecycle = self.lifecycles[job.key]
+        if _is_simulated_crash(exc):
+            return lifecycle.on_crash(f"{type(exc).__name__}: {exc}", self.fall_back)
+        return lifecycle.on_error(exc, self.fall_back)
 
     # -- serial path ----------------------------------------------------------
 
     def run_serial(self) -> dict[tuple, VariantData]:
         for job in self.jobs:
-            state = self.states[job.key]
+            lifecycle = self.lifecycles[job.key]
             while True:
-                job.attempt = state.failures + state.crashes
+                job.attempt = lifecycle.attempt
                 start = time.monotonic()
                 try:
                     value = _execute_job(job)
                 except Exception as exc:
-                    if _is_simulated_crash(exc):
-                        delay = self._handle_crash(
-                            state, f"{type(exc).__name__}: {exc}"
-                        )
-                    else:
-                        delay = self._handle_failure(state, exc)
+                    delay = self._on_exception(job, exc)
                     if delay:
                         time.sleep(delay)
                     continue
@@ -512,13 +376,10 @@ class _JobScheduler:
                 if job.timeout is not None and elapsed > job.timeout:
                     # serial execution cannot interrupt a running job; the
                     # result exists, so keep it and record the miss
-                    self._record(
+                    lifecycle.record(
                         "timeout",
-                        job,
-                        detail=(
-                            f"completed late: {elapsed:.3g}s > "
-                            f"{job.timeout:.3g}s soft deadline (serial)"
-                        ),
+                        f"completed late: {elapsed:.3g}s > "
+                        f"{job.timeout:.3g}s soft deadline (serial)",
                     )
                 self.results[job.key] = value
                 break
@@ -526,25 +387,15 @@ class _JobScheduler:
 
     # -- parallel path --------------------------------------------------------
 
-    def _make_executor(self):
-        if self.pool == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.workers)
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _push(self, job: _Job, delay: float = 0.0) -> None:
+    def _push(self, job: _Job, delay: float | None = None) -> None:
         self._seq += 1
-        ready = time.monotonic() + delay if delay > 0 else 0.0
+        ready = time.monotonic() + delay if delay else 0.0
         heapq.heappush(self.pending, (ready, self._seq, job))
 
     def _submit(self, job: _Job, now: float) -> None:
-        state = self.states[job.key]
-        job.attempt = state.failures + state.crashes
+        job.attempt = self.lifecycles[job.key].attempt
         job.in_process = self.pool == "process"
-        fut = self.executor.submit(_execute_job, job)
+        fut = self.handle.executor.submit(_execute_job, job)
         deadline = None if job.timeout is None else now + job.timeout
         self.inflight[fut] = (job, deadline)
 
@@ -588,28 +439,12 @@ class _JobScheduler:
             survivors.append(job)
         self.inflight.clear()
         self.ev.faults.record("pool_rebuild", detail=detail)
-        if self.shared is not None:
-            rebuild = getattr(self.shared, "rebuild", None)
-            if rebuild is not None:
-                self.executor = rebuild()
-            else:
-                # a raw shared executor cannot be replaced: finish this
-                # batch on a private pool instead
-                self.own_executor = True
-                self.shared = None
-                self.executor = self._make_executor()
-        else:
-            try:
-                self.executor.shutdown(wait=False, cancel_futures=True)
-            except Exception:
-                pass
-            self.executor = self._make_executor()
+        self.handle.rebuild()
         for job in survivors:
+            delay = None
             if penalize:
-                delay = self._handle_crash(self.states[job.key], detail)
-                self._push(job, delay)
-            else:
-                self._push(job)
+                delay = self.lifecycles[job.key].on_crash(detail, self.fall_back)
+            self._push(job, delay)
 
     def _sweep_deadlines(self) -> None:
         now = time.monotonic()
@@ -623,8 +458,7 @@ class _JobScheduler:
         for fut, job in expired:
             self.inflight.pop(fut, None)
             fut.cancel()  # thread futures survive this; it is best-effort
-            delay = self._handle_timeout(self.states[job.key])
-            self._push(job, delay)
+            self._push(job, self.lifecycles[job.key].on_timeout(self.fall_back))
         if self.pool == "process":
             # a hung process worker cannot be interrupted from here: the
             # only way to reclaim it is to rebuild the whole pool (the
@@ -638,20 +472,15 @@ class _JobScheduler:
         for fut in list(self.inflight):
             fut.cancel()
         self.inflight.clear()
-        if self.own_executor and self.executor is not None:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-            self.executor = None
-        elif self.shared is not None and getattr(self.executor, "_broken", False):
+        if self.own_handle:
+            self.handle.shutdown(wait=False)
+        elif getattr(self.handle.executor, "_broken", False):
             # leave the shared pool usable for the caller's next batch point
-            rebuild = getattr(self.shared, "rebuild", None)
-            if rebuild is not None:
-                rebuild()
+            self.handle.rebuild()
 
     def run_parallel(self) -> dict[tuple, VariantData]:
-        if self.shared is not None:
-            self.executor = getattr(self.shared, "executor", self.shared)
-        else:
-            self.executor = self._make_executor()
+        if self.own_handle:
+            self.handle = SharedExecutorPool(self.pool, self.workers)
         for job in self.jobs:
             self._push(job)
         try:
@@ -673,7 +502,6 @@ class _JobScheduler:
                     if entry is None:
                         continue
                     job, deadline = entry
-                    state = self.states[job.key]
                     try:
                         value = fut.result()
                     except CancelledError:
@@ -689,22 +517,15 @@ class _JobScheduler:
                         )
                         break
                     except Exception as exc:
-                        if _is_simulated_crash(exc):
-                            delay = self._handle_crash(
-                                state, f"{type(exc).__name__}: {exc}"
-                            )
-                        else:
-                            delay = self._handle_failure(state, exc)
-                        self._push(job, delay)
+                        self._push(job, self._on_exception(job, exc))
                         continue
                     self.results[job.key] = value
                 self._sweep_deadlines()
         except BaseException:
             self._abort_cleanup()
             raise
-        finally:
-            if self.own_executor and self.executor is not None:
-                self.executor.shutdown(wait=True)
+        if self.own_handle:
+            self.handle.shutdown()
         return self.results
 
 
@@ -721,9 +542,6 @@ class FragmentEvaluator:
 
     * ``backend`` (string name or :class:`~repro.backends.base.Backend`)
       forces that backend for every fragment it can handle;
-    * ``nonclifford_backend`` — the original §XI extension point — forces a
-      backend for non-Clifford fragments only (any object with
-      ``probabilities``/``sample`` is adapted automatically);
     * otherwise the ``router`` picks the cheapest capable backend.
 
     ``noise`` (§IV-A, noisy QEC studies) applies a
@@ -744,7 +562,6 @@ class FragmentEvaluator:
         clifford_shots: int | None = None,
         rng: np.random.Generator | int | None = None,
         statevector_max_qubits: int = 20,
-        nonclifford_backend=None,
         noise=None,
         parallel: int = 1,
         backend: str | Backend | None = None,
@@ -752,8 +569,7 @@ class FragmentEvaluator:
         cache: VariantCache | None = None,
         pool: str | None = None,
         assignments: dict[int, Backend] | None = None,
-        executor=None,
-        executor_kind: str | None = None,
+        executor: SharedExecutorPool | None = None,
         failure_policy: str = "raise",
         max_retries: int = 3,
         retry_backoff: float = 0.05,
@@ -764,7 +580,7 @@ class FragmentEvaluator:
         max_job_crashes: int = 3,
         chaos=None,
     ):
-        from repro.backends import as_backend, get_backend
+        from repro.backends import get_backend
 
         self.shots = shots
         self.clifford_shots = clifford_shots if clifford_shots is not None else shots
@@ -777,19 +593,16 @@ class FragmentEvaluator:
                 f"pool must be 'thread', 'process' or None, got {pool!r}"
             )
         self.pool = pool
-        if failure_policy not in ("raise", "retry", "degrade"):
-            raise ValueError(
-                "failure_policy must be 'raise', 'retry' or 'degrade', "
-                f"got {failure_policy!r}"
-            )
-        self.failure_policy = failure_policy
-        self.max_retries = max(0, int(max_retries))
-        self.retry_backoff = float(retry_backoff)
-        self.retry_backoff_cap = float(retry_backoff_cap)
+        self.policy = FaultPolicy(
+            failure_policy=failure_policy,
+            max_retries=max(0, int(max_retries)),
+            retry_backoff=float(retry_backoff),
+            retry_backoff_cap=float(retry_backoff_cap),
+            max_job_crashes=max(1, int(max_job_crashes)),
+        )
         self.job_timeout = job_timeout
         self.timeout_safety = float(timeout_safety)
         self.min_job_timeout = float(min_job_timeout)
-        self.max_job_crashes = max(1, int(max_job_crashes))
         self.chaos = chaos
         #: faults survived across this evaluator's evaluate_all calls
         self.faults = FaultReport()
@@ -800,12 +613,8 @@ class FragmentEvaluator:
             router = BackendRouter(default_backend_pool(statevector_max_qubits))
         self.router = router
         self.forced = get_backend(backend) if backend is not None else None
-        self.nonclifford_backend = (
-            as_backend(nonclifford_backend) if nonclifford_backend is not None else None
-        )
         self.assignments = dict(assignments) if assignments else {}
         self.executor = executor
-        self.executor_kind = executor_kind
         self.last_stats: dict = {}
         if noise is not None and shots is None:
             raise ValueError("noisy fragment evaluation requires finite shots")
@@ -817,8 +626,7 @@ class FragmentEvaluator:
         execution=None,
         cache: VariantCache | None = None,
         assignments: dict[int, Backend] | None = None,
-        executor=None,
-        executor_kind: str | None = None,
+        executor: SharedExecutorPool | None = None,
     ) -> "FragmentEvaluator":
         """Build an evaluator from typed config objects.
 
@@ -839,7 +647,6 @@ class FragmentEvaluator:
             clifford_shots=sampling.clifford_shots,
             rng=sampling.seed,
             statevector_max_qubits=execution.statevector_max_qubits,
-            nonclifford_backend=execution.nonclifford_backend,
             noise=sampling.noise,
             parallel=execution.parallel,
             backend=execution.backend,
@@ -848,7 +655,6 @@ class FragmentEvaluator:
             pool=execution.pool,
             assignments=assignments,
             executor=executor,
-            executor_kind=executor_kind,
             failure_policy=execution.failure_policy,
             max_retries=execution.max_retries,
             retry_backoff=execution.retry_backoff,
@@ -888,8 +694,6 @@ class FragmentEvaluator:
             features, exact=exact
         ):
             return self.forced, False
-        if not fragment.is_clifford and self.nonclifford_backend is not None:
-            return self.nonclifford_backend, False
         return self.router.select(features, exact=exact), False
 
     def _job_timeout(
@@ -988,8 +792,7 @@ class FragmentEvaluator:
         the root seed and the variant fingerprint, so results are
         bit-for-bit identical at any worker count.  Numpy-kernel backends
         keep the thread pool (and stay serial unless ``parallel`` > 1).
-        Execution goes through the :class:`_JobScheduler`, which owns the
-        retry / timeout / crash-healing / fallback policy.
+        Execution goes through the :class:`_JobScheduler`.
         """
         if not jobs:
             self._last_degraded = set()
@@ -1018,36 +821,19 @@ class FragmentEvaluator:
             if method == "fork":
                 workers = os.cpu_count() or 1
         workers = min(workers, len(jobs))
-        handle = self.executor
-        kind = self.executor_kind
-        if handle is not None and hasattr(handle, "rebuild"):
-            # a SharedExecutorPool-style rebuildable handle
-            kind = getattr(handle, "kind", kind)
-        shared = (
-            handle is not None
-            and len(jobs) > 1
-            and (kind is None or kind == pool)
-        )
-        self.last_stats["pool"] = kind or pool if shared else pool
-        if shared:
-            # a long-lived executor shared across runs (sweep batches);
-            # only taken when its kind matches the jobs' resolved pool, so
-            # process-preferring backends never silently land on threads.
-            # The in-flight bound follows the shared pool's actual width.
-            workers = (
-                getattr(handle, "workers", None)
-                or getattr(handle, "_max_workers", None)
-                or max(workers, 1)
-            )
+        # a long-lived pool shared across runs (sweep batches) is only
+        # taken when its kind matches the jobs' resolved pool, so
+        # process-preferring backends never silently land on threads; the
+        # in-flight bound then follows the shared pool's actual width
+        shared = self.executor
+        if shared is not None and (len(jobs) < 2 or shared.kind != pool):
+            shared = None
+        if shared is not None:
+            workers = shared.workers
+        self.last_stats["pool"] = pool
         self.last_stats["workers"] = workers
-        scheduler = _JobScheduler(
-            self,
-            jobs,
-            pool=pool,
-            workers=workers,
-            shared=handle if shared else None,
-        )
-        if shared or (workers > 1 and len(jobs) > 1):
+        scheduler = _JobScheduler(self, jobs, pool, workers, shared)
+        if shared is not None or (workers > 1 and len(jobs) > 1):
             values = scheduler.run_parallel()
         else:
             values = scheduler.run_serial()

@@ -27,9 +27,6 @@ loose kwargs (:class:`~repro.core.config.CutConfig`,
         execution=ExecutionConfig(backend="mps", parallel=4),
     )
 
-The old flat kwargs (``SuperSim(shots=4000, backend="mps")``) still work
-as a deprecation shim that maps onto the configs and warns once.
-
 Parameter sweeps — the dominant VQE/QAOA workload (§VII) — batch through
 :meth:`SuperSim.sweep` / :meth:`SuperSim.run_many`: planning artifacts
 (cut locations), the content-addressed variant cache and the worker pool
@@ -56,7 +53,6 @@ from repro.core.config import (
     ExecutionConfig,
     ReconstructionConfig,
     SamplingConfig,
-    configs_from_legacy_kwargs,
 )
 from repro.core.cutter import plan_cuts
 from repro.core.evaluator import FragmentEvaluator, SharedExecutorPool
@@ -191,11 +187,6 @@ class SuperSim:
         output width fits ``max_dense_bits`` and switches to recursive
         beyond, so wide circuits return top-k answers instead of dying in
         a ``2**width`` allocation.
-    **legacy_kwargs:
-        The pre-pipeline flat kwargs (``shots=``, ``backend=``, ``rng=``,
-        ...) are still accepted and mapped onto the configs; using any of
-        them emits a single :class:`DeprecationWarning` naming the new
-        home of each.
     """
 
     name = "supersim"
@@ -206,33 +197,27 @@ class SuperSim:
         sampling: SamplingConfig | None = None,
         execution: ExecutionConfig | None = None,
         reconstruction: ReconstructionConfig | None = None,
-        **legacy_kwargs,
     ):
-        cut, sampling, execution, legacy_used = configs_from_legacy_kwargs(
-            legacy_kwargs, cut=cut, sampling=sampling, execution=execution
-        )
-        if reconstruction is None:
-            reconstruction = ReconstructionConfig()
-        elif not isinstance(reconstruction, ReconstructionConfig):
-            raise TypeError(
-                f"expected a ReconstructionConfig instance, got {reconstruction!r}"
-            )
-        if legacy_used:
-            warnings.warn(
-                f"SuperSim({', '.join(f'{k}=' for k in legacy_used)}) uses "
-                "legacy flat kwargs; pass CutConfig/SamplingConfig/"
-                "ExecutionConfig objects instead (see repro.core.config)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self.cut_config = cut
-        self.sampling = sampling
-        self.execution = execution
-        self.reconstruction = reconstruction
-        self.variant_cache: VariantCache | None = resolve_cache(execution.cache)
+        configs = []
+        for value, expected in (
+            (cut, CutConfig),
+            (sampling, SamplingConfig),
+            (execution, ExecutionConfig),
+            (reconstruction, ReconstructionConfig),
+        ):
+            if value is None:
+                value = expected()
+            elif not isinstance(value, expected):
+                # e.g. a positional SuperSim(4000) landing on ``cut``: fail
+                # here, not deep inside run() with an AttributeError
+                raise TypeError(
+                    f"expected a {expected.__name__} instance, got {value!r}"
+                )
+            configs.append(value)
+        self.cut_config, self.sampling, self.execution, self.reconstruction = configs
+        self.variant_cache: VariantCache | None = resolve_cache(self.execution.cache)
         #: executor shared across batch points while a sweep is active
-        self._batch_executor = None
-        self._batch_executor_kind: str | None = None
+        self._batch_executor: SharedExecutorPool | None = None
         self._default_router = None
         #: override for where deduplicated variant jobs execute — the
         #: service coordinator injects its dispatcher here (see
@@ -240,68 +225,6 @@ class SuperSim:
         self._job_runner = None
         #: resources adopted for deterministic shutdown via close()
         self._owned_resources: list = []
-
-    # -- legacy attribute surface (read-only views onto the configs) ---------
-
-    @property
-    def shots(self):
-        return self.sampling.shots
-
-    @property
-    def clifford_shots(self):
-        return self.sampling.clifford_shots
-
-    @property
-    def snap_clifford(self):
-        return self.sampling.snap_clifford
-
-    @property
-    def tomography(self):
-        return self.sampling.tomography
-
-    @property
-    def noise(self):
-        return self.sampling.noise
-
-    @property
-    def rng(self):
-        return self.sampling.seed
-
-    @property
-    def strategy(self):
-        return self.cut_config.strategy
-
-    @property
-    def max_cuts(self):
-        return self.cut_config.max_cuts
-
-    @property
-    def prune_zeros(self):
-        return self.execution.prune_zeros
-
-    @property
-    def backend(self):
-        return self.execution.backend
-
-    @property
-    def router(self):
-        return self.execution.router
-
-    @property
-    def nonclifford_backend(self):
-        return self.execution.nonclifford_backend
-
-    @property
-    def pool(self):
-        return self.execution.pool
-
-    @property
-    def parallel(self):
-        return self.execution.parallel
-
-    @property
-    def statevector_max_qubits(self):
-        return self.execution.statevector_max_qubits
 
     # -- pipeline pieces ------------------------------------------------------
 
@@ -333,7 +256,6 @@ class SuperSim:
             cache=self.variant_cache,
             assignments=assignments,
             executor=self._batch_executor,
-            executor_kind=self._batch_executor_kind,
         )
 
     # -- plan stage -----------------------------------------------------------
@@ -501,17 +423,6 @@ class SuperSim:
         demotions_before = len(_kernels.demotions())
         assignments = {f.index: b for f, b in zip(cc.fragments, plan._backends)}
 
-        def collect_faults(evaluator) -> FaultReport:
-            # the evaluator's ledger plus any kernel-tier demotions that
-            # happened anywhere in this run (evaluate through reconstruct)
-            faults = FaultReport()
-            faults.extend(evaluator.faults)
-            for kname, tier, err in _kernels.demotions()[demotions_before:]:
-                faults.record(
-                    "kernel_demotion", detail=f"kernel {kname} [{tier}]: {err}"
-                )
-            return faults
-
         start = time.perf_counter()
         evaluator = self._evaluator(assignments=assignments)
         fragment_data = evaluator.evaluate_all(
@@ -520,7 +431,6 @@ class SuperSim:
         timings["evaluate"] = time.perf_counter() - start
         timings["cache_hits"] = float(evaluator.last_stats.get("cache_hits", 0))
         timings["cache_misses"] = float(evaluator.last_stats.get("cache_misses", 0))
-        backend_usage = dict(evaluator.last_stats.get("backends", {}))
 
         rc = self.reconstruction
         mode = self._resolve_reconstruction_mode(plan.keep_qubits)
@@ -550,79 +460,74 @@ class SuperSim:
                 raw.values_array[positive],
                 assume_sorted=True,
             )
-            for name, secs in _kernels.timings_since(kernel_snapshot).items():
-                timings[f"kernel.{name}"] = secs
-            return SuperSimResult(
-                distribution=cleaned,
-                cut_circuit=cc,
-                stats=stats,
-                timings=timings,
-                raw_distribution=raw,
-                backend_usage=backend_usage,
-                kernel_tier=_kernels.active_tier(),
-                faults=collect_faults(evaluator),
-            )
-
-        if mode == "windowed":
-            window = rc.window
-            if window is None:
-                window = tuple(plan.keep_qubits[: rc.qubit_limit])
-            unknown = [q for q in window if q not in set(plan.keep_qubits)]
-            if unknown:
-                raise ValueError(
-                    f"window qubits {unknown} are not in keep_qubits"
-                )
-            target_qubits = list(window)
         else:
-            # guard BEFORE tomography: on wide circuits the per-fragment
-            # dense tensors (2**kept_bits per variant) blow up first,
-            # long before the final accumulator would
-            check_dense_width(len(plan.keep_qubits), rc.max_dense_bits)
-            target_qubits = list(plan.keep_qubits)
+            if mode == "windowed":
+                window = rc.window
+                if window is None:
+                    window = tuple(plan.keep_qubits[: rc.qubit_limit])
+                unknown = [q for q in window if q not in set(plan.keep_qubits)]
+                if unknown:
+                    raise ValueError(
+                        f"window qubits {unknown} are not in keep_qubits"
+                    )
+                target_qubits = list(window)
+            else:
+                # guard BEFORE tomography: on wide circuits the per-fragment
+                # dense tensors (2**kept_bits per variant) blow up first,
+                # long before the final accumulator would
+                check_dense_width(len(plan.keep_qubits), rc.max_dense_bits)
+                target_qubits = list(plan.keep_qubits)
 
-        start = time.perf_counter()
-        keep_set = set(target_qubits)
-        kept_locals: list[list[int]] = []
-        for fragment in cc.fragments:
-            kept_locals.append(
-                [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
+            start = time.perf_counter()
+            keep_set = set(target_qubits)
+            kept_locals: list[list[int]] = []
+            for fragment in cc.fragments:
+                kept_locals.append(
+                    [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
+                )
+            tensors = [
+                build_fragment_tensor(
+                    data,
+                    kept,
+                    snap_clifford=self.sampling.snap_clifford,
+                    project=self.sampling.tomography
+                    and self.sampling.shots is not None,
+                )
+                for data, kept in zip(fragment_data, kept_locals)
+            ]
+            timings["tomography"] = time.perf_counter() - start
+
+            start = time.perf_counter()
+            raw, stats = reconstruct_distribution(
+                cc,
+                tensors,
+                kept_locals,
+                target_qubits,
+                prune_zeros=self.execution.prune_zeros,
+                max_dense_bits=rc.max_dense_bits,
             )
-        tensors = [
-            build_fragment_tensor(
-                data,
-                kept,
-                snap_clifford=self.sampling.snap_clifford,
-                project=self.sampling.tomography and self.sampling.shots is not None,
-            )
-            for data, kept in zip(fragment_data, kept_locals)
-        ]
-        timings["tomography"] = time.perf_counter() - start
+            if mode == "windowed":
+                stats.mode = "windowed"
+            timings["reconstruct"] = time.perf_counter() - start
+            cleaned = raw.clipped() if len(raw) else raw
 
-        start = time.perf_counter()
-        raw, stats = reconstruct_distribution(
-            cc,
-            tensors,
-            kept_locals,
-            target_qubits,
-            prune_zeros=self.execution.prune_zeros,
-            max_dense_bits=rc.max_dense_bits,
-        )
-        if mode == "windowed":
-            stats.mode = "windowed"
-        timings["reconstruct"] = time.perf_counter() - start
-
-        cleaned = raw.clipped() if len(raw) else raw
         for name, secs in _kernels.timings_since(kernel_snapshot).items():
             timings[f"kernel.{name}"] = secs
+        # the evaluator's ledger plus any kernel-tier demotions that
+        # happened anywhere in this run (evaluate through reconstruct)
+        faults = FaultReport()
+        faults.extend(evaluator.faults)
+        for kname, tier, err in _kernels.demotions()[demotions_before:]:
+            faults.record("kernel_demotion", detail=f"kernel {kname} [{tier}]: {err}")
         return SuperSimResult(
             distribution=cleaned,
             cut_circuit=cc,
             stats=stats,
             timings=timings,
             raw_distribution=raw,
-            backend_usage=backend_usage,
+            backend_usage=dict(evaluator.last_stats.get("backends", {})),
             kernel_tier=_kernels.active_tier(),
-            faults=collect_faults(evaluator),
+            faults=faults,
         )
 
     # -- main entry points --------------------------------------------------------
@@ -826,12 +731,10 @@ class SuperSim:
         def pool():
             handle = SharedExecutorPool(kind, self.execution.parallel)
             self._batch_executor = handle
-            self._batch_executor_kind = kind
             try:
                 yield handle
             finally:
                 self._batch_executor = None
-                self._batch_executor_kind = None
                 handle.shutdown()
 
         return pool()
@@ -842,9 +745,9 @@ class SuperSim:
         """Register a resource for deterministic shutdown via :meth:`close`.
 
         Anything with a ``close()`` or ``shutdown()`` method qualifies —
-        a :class:`~repro.service.client.ServiceClient`, a remote cache
-        tier, an externally-managed executor pool.  Resources close in
-        reverse adoption order; adoption is idempotent per object.
+        a :class:`~repro.service.client.ServiceClient`, a cache tier, an
+        externally-managed executor pool.  Resources close in reverse
+        adoption order; adoption is idempotent per object.
         """
         if not any(r is resource for r in self._owned_resources):
             self._owned_resources.append(resource)
@@ -861,8 +764,7 @@ class SuperSim:
         """
         handle = self._batch_executor
         self._batch_executor = None
-        self._batch_executor_kind = None
-        if handle is not None and hasattr(handle, "shutdown"):
+        if handle is not None:
             handle.shutdown()
         while self._owned_resources:
             resource = self._owned_resources.pop()

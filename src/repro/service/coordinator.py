@@ -21,21 +21,23 @@ while the engine's own pipeline stays intact end to end:
    free credit — at most ``min(worker slots, max_inflight_per_worker)``
    of a worker's jobs are ever in flight, which is the back-pressure
    that keeps one wide request from burying the fleet.
-3. **Fault mapping.**  A worker disconnect charges each of its in-flight
-   jobs one "crash" (the engine's heuristic attribution — innocent
-   bystanders are requeued, a job that outlives
-   ``max_job_crashes`` worker losses is quarantined); soft deadlines
-   become "timeout" events with redispatch (first result wins, late
-   duplicates are dropped); with no live workers at all the coordinator
-   degrades to local execution and records "fallback".  All of it lands
-   in the request's ``SuperSimResult.faults`` — the same ledger local
-   runs use.
+3. **Fault mapping.**  Every queued job *is* a
+   :class:`~repro.core.lifecycle.JobLifecycle` — the same failure policy
+   local runs obey — and the coordinator only reports what it observed
+   and carries out the answer (:meth:`Coordinator._apply`).  A worker
+   disconnect is ``on_crash`` for each of its in-flight jobs, an overdue
+   soft deadline ``on_timeout`` (first result wins, late duplicates are
+   dropped), a worker that spent its retry budget ``on_error``; a
+   returned delay becomes a backoff before the job is requeued, and the
+   degrade-mode fallback the lifecycle may accept is execution on the
+   coordinator's own CPU.  With no live workers at all the coordinator
+   *is* the fleet and runs jobs locally, recording "fallback".  All of
+   it lands in the request's ``SuperSimResult.faults`` — the same ledger
+   local runs use.
 4. **Shared cache.**  Every request's engine is pointed at the
    coordinator's cache tier (any
    :class:`~repro.backends.tiers.CacheTier`), so concurrent sweeps from
-   different clients deduplicate simulation work; the tier is also
-   served directly over ``cache_get`` / ``cache_put`` for
-   :class:`~repro.backends.tiers.RemoteCacheTier` clients.
+   different clients deduplicate simulation work.
 
 5. **Resilience.**  With ``--journal-db`` the coordinator journals every
    accepted request, completed reply, idempotency key and quota level to
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import dataclasses
 import heapq
 import itertools
@@ -74,14 +77,8 @@ import uuid
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.backends.cache import resolve_cache
-from repro.errors import (
-    BackendExecutionError,
-    FaultEvent,
-    FaultReport,
-    JobTimeoutError,
-    ServiceError,
-    WorkerCrashError,
-)
+from repro.core.lifecycle import FaultPolicy, JobLifecycle
+from repro.errors import FaultReport, ReproError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.journal import CoordinatorJournal
 from repro.service.protocol import read_message, write_message
@@ -119,66 +116,31 @@ class _WorkerHandle:
         self.last_seen = now
 
 
-class _PendingJob:
-    """One variant job in the coordinator's queue or in flight."""
+class _PendingJob(JobLifecycle):
+    """One variant job in the coordinator's queue or in flight: its
+    failure lifecycle plus the dispatch bookkeeping around it."""
 
-    __slots__ = (
-        "jid",
-        "job",
-        "ctx",
-        "future",
-        "events",
-        "failures",
-        "crashes",
-        "worker",
-        "deadline",
-    )
+    __slots__ = ("jid", "ctx", "future", "worker", "deadline")
 
     def __init__(self, jid: int, job, ctx, future):
+        super().__init__(job, ctx.policy, [])
         self.jid = jid
-        self.job = job
         self.ctx = ctx
         self.future = future
-        self.events: list[FaultEvent] = []
-        self.failures = 0
-        self.crashes = 0
         self.worker: int | None = None  # wid currently responsible
         self.deadline: float | None = None
-
-    def record(self, kind: str, detail: str = "") -> None:
-        self.events.append(
-            FaultEvent(
-                kind=kind,
-                fragment_index=self.job.fragment_index,
-                backend=self.job.backend.name,
-                attempt=self.job.attempt,
-                detail=detail,
-            )
-        )
 
 
 class _RequestContext:
     """Everything one admitted request carries through execution."""
 
-    __slots__ = ("tenant", "priority", "execution")
+    __slots__ = ("tenant", "priority", "execution", "policy")
 
     def __init__(self, tenant: str, priority: int, execution):
         self.tenant = tenant
         self.priority = int(priority)
         self.execution = execution
-
-    @property
-    def policy(self) -> str:
-        return self.execution.failure_policy
-
-    def worker_policy(self) -> dict:
-        """The retry budget shipped to workers with each job."""
-        retries = 0 if self.policy == "raise" else self.execution.max_retries
-        return {
-            "max_retries": retries,
-            "retry_backoff": self.execution.retry_backoff,
-            "retry_backoff_cap": self.execution.retry_backoff_cap,
-        }
+        self.policy = FaultPolicy.of(execution)
 
 
 class Coordinator:
@@ -556,8 +518,7 @@ class Coordinator:
         pending = self._jobs.pop(jid, None)
         if pending is None:
             return  # late duplicate after a timeout redispatch: first wins
-        pending.failures += int(message.get("failures", 0))
-        pending.events.extend(message.get("faults", ()))
+        pending.absorb(message.get("faults", ()))
         self.counters["jobs_completed"] += 1
         if not pending.future.done():
             pending.future.set_result(message["value"])
@@ -566,34 +527,17 @@ class Coordinator:
         jid = message["jid"]
         handle.inflight.discard(jid)
         self._kick.set()
-        pending = self._jobs.pop(jid, None)
-        if pending is None:
-            return
-        pending.failures += int(message.get("failures", 1))
-        pending.events.extend(message.get("faults", ()))
-        cause = message.get("exception")
-        if pending.ctx.policy == "degrade":
-            # the worker exhausted its retry budget on the assigned
-            # backend; last resort is the coordinator's own CPU
-            pending.record(
-                "fallback",
-                detail=(
-                    f"worker {handle.name} exhausted retries "
-                    f"({message.get('error', '?')}); re-running on coordinator"
-                ),
-            )
-            self._spawn(self._run_local(pending))
-            return
-        exc = BackendExecutionError(
-            f"worker-side execution failed: {message.get('error', '?')}",
-            fragment_index=pending.job.fragment_index,
-            backend=pending.job.backend.name,
-            attempts=pending.failures + pending.crashes,
+        pending = self._jobs.get(jid)
+        if pending is None or pending.worker != handle.wid:
+            return  # an attempt already written off (timeout redispatch)
+        pending.worker = None
+        pending.deadline = None
+        # the worker spent its whole retry budget: absorb the survived
+        # attempts, then the final failure is the lifecycle's to decide
+        pending.absorb(message.get("faults", ()))
+        self._apply(
+            pending, pending.on_error, message["exception"], self._fall_back_local
         )
-        if isinstance(cause, BaseException):
-            exc.__cause__ = cause
-        if not pending.future.done():
-            pending.future.set_exception(exc)
 
     def _on_worker_lost(self, handle: _WorkerHandle) -> None:
         if not handle.alive:
@@ -610,64 +554,45 @@ class Coordinator:
                 continue
             pending.worker = None
             pending.deadline = None
-            pending.crashes += 1
-            pending.record(
-                "crash",
-                detail=(
-                    f"worker {handle.name} disconnected with this job in "
-                    f"flight"
-                ),
+            self._apply(
+                pending,
+                pending.on_crash,
+                f"worker {handle.name} disconnected",
+                self._fall_back_local,
             )
-            self._after_crash(pending, f"worker {handle.name} lost")
         handle.inflight.clear()
         self._kick.set()
 
-    def _after_crash(self, pending: _PendingJob, detail: str) -> None:
-        """Apply the crash policy to one charged job (engine semantics)."""
-        ctx = pending.ctx
-        if ctx.policy == "raise":
-            if not pending.future.done():
-                pending.future.set_exception(
-                    WorkerCrashError(
-                        f"worker crashed with this job in flight ({detail})",
-                        fragment_index=pending.job.fragment_index,
-                        backend=pending.job.backend.name,
-                        attempts=pending.failures + pending.crashes,
-                    )
-                )
+    def _apply(self, pending: _PendingJob, decide, *args) -> None:
+        """Carry out one lifecycle decision for a job no worker holds.
+
+        ``decide(*args)`` is one of ``pending.on_*``.  A returned delay
+        is the backoff before the job rejoins the queue; ``None`` means
+        :meth:`_fall_back_local` took the job; a raised engine error
+        fails the job's future (and with it the batch).
+        """
+        try:
+            delay = decide(*args)
+        except ReproError as exc:
             self._jobs.pop(pending.jid, None)
+            if not pending.future.done():
+                pending.future.set_exception(exc)
             return
-        if pending.crashes <= ctx.execution.max_job_crashes:
-            self._requeue(pending)
-            return
-        pending.record(
-            "quarantine",
-            detail=f"{pending.crashes} worker losses with this job in flight",
-        )
-        if ctx.policy == "degrade":
-            pending.record(
-                "fallback", detail="quarantined job re-running on coordinator"
-            )
-            self._spawn(self._run_local(pending))
-            return
-        if not pending.future.done():
-            pending.future.set_exception(
-                WorkerCrashError(
-                    f"job quarantined after {pending.crashes} worker losses "
-                    f"({detail})",
-                    fragment_index=pending.job.fragment_index,
-                    backend=pending.job.backend.name,
-                    attempts=pending.failures + pending.crashes,
-                )
-            )
-        self._jobs.pop(pending.jid, None)
+        if delay is not None:
+            self.loop.call_later(delay, self._requeue, pending)
+
+    def _fall_back_local(self, pending: _PendingJob, reason: str) -> bool:
+        """The service's degrade-mode fallback: the coordinator's own CPU."""
+        pending.fell_back(f"re-running on coordinator after {reason}")
+        self._spawn(self._run_local(pending))
+        return True
 
     # -- dispatch ------------------------------------------------------------
 
     def _requeue(self, pending: _PendingJob) -> None:
         # known prior failures feed the attempt counter, so a chaos
         # schedule bounded by fail_attempts converges on redispatch
-        pending.job.attempt = pending.failures + pending.crashes
+        pending.job.attempt = pending.attempt
         self.counters["jobs_requeued"] += 1
         heapq.heappush(
             self._queue, (pending.ctx.priority, next(self._seq), pending.jid)
@@ -697,10 +622,7 @@ class Coordinator:
                 pending = self._jobs.get(jid)
                 if pending is None or pending.worker is not None:
                     continue
-                pending.record(
-                    "fallback",
-                    detail="no live workers; executing on coordinator",
-                )
+                pending.fell_back("no live workers; executing on coordinator")
                 self._spawn(self._run_local(pending))
                 continue
             handle = self._pick_worker()
@@ -727,14 +649,15 @@ class Coordinator:
                         "type": "job",
                         "jid": pending.jid,
                         "job": pending.job,
-                        "policy": pending.ctx.worker_policy(),
+                        "policy": pending.policy,
                     },
                 )
         except (ConnectionError, OSError):
             self._on_worker_lost(handle)
 
     async def _deadline_loop(self) -> None:
-        """Soft-deadline monitor: redispatch overdue jobs (first result wins)."""
+        """Soft-deadline monitor: take overdue jobs back from their worker
+        (first result wins if it still answers) and ask the lifecycle."""
         while not self._stopping.is_set():
             await asyncio.sleep(0.05)
             now = self.loop.time()
@@ -746,43 +669,7 @@ class Coordinator:
                     handle.inflight.discard(pending.jid)
                 pending.worker = None
                 pending.deadline = None
-                ctx = pending.ctx
-                if ctx.policy == "raise":
-                    self._jobs.pop(pending.jid, None)
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            JobTimeoutError(
-                                "variant exceeded its soft deadline on a "
-                                "worker",
-                                timeout=pending.job.timeout,
-                                fragment_index=pending.job.fragment_index,
-                                backend=pending.job.backend.name,
-                            )
-                        )
-                    continue
-                pending.failures += 1
-                pending.record(
-                    "timeout",
-                    detail=(
-                        f"soft deadline {pending.job.timeout:.3g}s exceeded "
-                        f"on worker; redispatching"
-                    ),
-                )
-                if pending.failures <= ctx.execution.max_retries:
-                    self._requeue(pending)
-                else:
-                    self._jobs.pop(pending.jid, None)
-                    if not pending.future.done():
-                        pending.future.set_exception(
-                            JobTimeoutError(
-                                "soft deadline exceeded and retries "
-                                "exhausted",
-                                timeout=pending.job.timeout,
-                                fragment_index=pending.job.fragment_index,
-                                backend=pending.job.backend.name,
-                                attempts=pending.failures + pending.crashes,
-                            )
-                        )
+                self._apply(pending, pending.on_timeout, self._fall_back_local)
 
     # -- liveness & garbage collection ----------------------------------------
 
@@ -851,53 +738,27 @@ class Coordinator:
 
     # -- local (degraded) execution -----------------------------------------
 
-    def _execute_local(self, pending: _PendingJob):
-        from repro.core.evaluator import _execute_job
+    async def _run_local(self, pending: _PendingJob) -> None:
+        """Run one job on a request thread, through the same retry loop a
+        worker would apply; its outcome folds back into the lifecycle."""
+        from repro.service.worker import _execute_with_retries
 
-        ctx = pending.ctx
+        self.counters["jobs_local"] += 1
         job = pending.job
         job.in_process = False  # a chaos crash must not kill the coordinator
-        retries = 0 if ctx.policy == "raise" else ctx.execution.max_retries
-        local_failures = 0
-        while True:
-            job.attempt = pending.failures + pending.crashes
-            try:
-                return _execute_job(job)
-            except Exception as exc:
-                pending.failures += 1
-                local_failures += 1
-                if local_failures > retries:
-                    raise
-                pending.record(
-                    "retry",
-                    detail=f"{type(exc).__name__}: {exc} (coordinator-local)",
-                )
-                backoff = ctx.execution.retry_backoff
-                if backoff > 0:
-                    time.sleep(
-                        min(
-                            ctx.execution.retry_backoff_cap,
-                            backoff * (2.0 ** (local_failures - 1)),
-                        )
-                    )
-
-    async def _run_local(self, pending: _PendingJob) -> None:
-        self.counters["jobs_local"] += 1
+        job.attempt = pending.attempt
+        events: list = []
+        failure = None
         try:
             value = await self.loop.run_in_executor(
-                self._executor, self._execute_local, pending
+                self._executor, _execute_with_retries, job, pending.policy, events
             )
         except Exception as exc:
-            self._jobs.pop(pending.jid, None)
-            if not pending.future.done():
-                pending.future.set_exception(
-                    BackendExecutionError(
-                        f"coordinator-local execution failed: {exc!r}",
-                        fragment_index=pending.job.fragment_index,
-                        backend=pending.job.backend.name,
-                        attempts=pending.failures + pending.crashes,
-                    )
-                )
+            failure = exc.__cause__ or exc
+        pending.absorb(events)
+        if failure is not None:
+            # the last resort failed too: no further fallback is offered
+            self._apply(pending, pending.on_error, failure)
             return
         self._jobs.pop(pending.jid, None)
         self.counters["jobs_completed"] += 1
@@ -995,15 +856,23 @@ class Coordinator:
             "cost": cost,
         }
 
-    def _execute_run(self, msg: dict) -> dict:
+    @contextlib.contextmanager
+    def _planned(self, msg: dict):
+        """One request's ``(context, plan)``; its engine (and any
+        coordinator-local pools it built) is released on exit."""
         ctx = self._make_ctx(msg)
         sim = self._build_sim(msg, ctx)
         try:
-            plan = sim.plan(
+            yield ctx, sim.plan(
                 msg["circuit"],
                 keep_qubits=msg.get("keep_qubits"),
                 cuts=msg.get("cuts"),
             )
+        finally:
+            sim.close()
+
+    def _execute_run(self, msg: dict) -> dict:
+        with self._planned(msg) as (ctx, plan):
             estimate = plan.estimate()
             rejection = self._admit(
                 ctx, estimate, key=msg.get("idempotency")
@@ -1011,8 +880,6 @@ class Coordinator:
             if rejection is not None:
                 return rejection
             result = plan.execute()
-        finally:
-            sim.close()  # release any coordinator-local pools per request
         self.counters["completed"] += 1
         return {
             "type": "result",
@@ -1021,17 +888,8 @@ class Coordinator:
         }
 
     def _execute_estimate(self, msg: dict) -> dict:
-        ctx = self._make_ctx(msg)
-        sim = self._build_sim(msg, ctx)
-        try:
-            plan = sim.plan(
-                msg["circuit"],
-                keep_qubits=msg.get("keep_qubits"),
-                cuts=msg.get("cuts"),
-            )
+        with self._planned(msg) as (_ctx, plan):
             return {"type": "estimate", "estimate": plan.estimate().to_dict()}
-        finally:
-            sim.close()
 
     def _execute_sweep(self, msg: dict, send) -> bool:
         """Returns True when the sweep was admitted and ran (False =
@@ -1089,15 +947,31 @@ class Coordinator:
                 raise
             except Exception as exc:
                 self.counters["errors"] += 1
-                await self._send(writer, lock, {
-                    "type": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exception": exc,
-                })
+                await self._send(writer, lock, self._error_reply(exc))
 
     async def _send(self, writer, lock, message: dict) -> None:
         async with lock:
             await write_message(writer, message)
+
+    @staticmethod
+    def _error_reply(exc: BaseException) -> dict:
+        return {
+            "type": "error",
+            "error": f"{type(exc).__name__}: {exc}",
+            "exception": exc,
+        }
+
+    async def _in_request_thread(self, fn, *args):
+        """Run one request on the request pool, counted as active while it
+        runs; an exception it raises comes back as an error reply."""
+        self._active_requests += 1
+        try:
+            return await self.loop.run_in_executor(self._executor, fn, *args)
+        except Exception as exc:
+            self.counters["errors"] += 1
+            return self._error_reply(exc)
+        finally:
+            self._active_requests -= 1
 
     def _thread_sender(self, writer, lock):
         """A sync callable request threads use to stream replies out."""
@@ -1150,21 +1024,9 @@ class Coordinator:
         future = self.loop.create_future() if key is not None else None
         if future is not None:
             self._idem_futures[key] = future
-        self._active_requests += 1
         try:
-            try:
-                reply = await self.loop.run_in_executor(
-                    self._executor, self._execute_run, message
-                )
-            except Exception as exc:
-                self.counters["errors"] += 1
-                reply = {
-                    "type": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exception": exc,
-                }
+            reply = await self._in_request_thread(self._execute_run, message)
         finally:
-            self._active_requests -= 1
             if key is not None:
                 self._idem_futures.pop(key, None)
         if reply.get("type") == "rejected":
@@ -1203,24 +1065,14 @@ class Coordinator:
                 None, idempotency=message.get("idempotency"),
             )
         send = self._thread_sender(writer, lock)
-        self._active_requests += 1
-        try:
-            try:
-                admitted = await self.loop.run_in_executor(
-                    self._executor, self._execute_sweep, message, send
-                )
-            except Exception as exc:
-                self.counters["errors"] += 1
-                if self.journal is not None:
-                    self.journal.abandon(ticket)
-                await self._send(writer, lock, {
-                    "type": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exception": exc,
-                })
-                return
-        finally:
-            self._active_requests -= 1
+        admitted = await self._in_request_thread(
+            self._execute_sweep, message, send
+        )
+        if isinstance(admitted, dict):  # the sweep raised: an error reply
+            if self.journal is not None:
+                self.journal.abandon(ticket)
+            await self._send(writer, lock, admitted)
+            return
         if self.journal is not None:
             if admitted:
                 self.journal.record_reply(ticket, None)
@@ -1229,21 +1081,7 @@ class Coordinator:
 
     async def _complete_submit(self, ticket: str, message: dict,
                                key: str | None = None) -> None:
-        self._active_requests += 1
-        try:
-            try:
-                reply = await self.loop.run_in_executor(
-                    self._executor, self._execute_run, message
-                )
-            except Exception as exc:
-                self.counters["errors"] += 1
-                reply = {
-                    "type": "error",
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exception": exc,
-                }
-        finally:
-            self._active_requests -= 1
+        reply = await self._in_request_thread(self._execute_run, message)
         self._tickets[ticket] = reply
         self._ticket_done[ticket] = time.monotonic()
         if reply.get("type") == "rejected" and key is not None:
@@ -1320,28 +1158,6 @@ class Coordinator:
     async def _msg_shutdown(self, message, writer, lock) -> None:
         await self._send(writer, lock, {"type": "bye"})
         self._stopping.set()
-
-    # -- cache tier service --------------------------------------------------
-
-    async def _msg_cache_get(self, message, writer, lock) -> None:
-        value = None
-        if self.cache is not None:
-            value = self.cache.get(tuple(message["key"]))
-        await self._send(writer, lock, {"type": "cache_value", "value": value})
-
-    async def _msg_cache_put(self, message, writer, lock) -> None:
-        if self.cache is not None:
-            self.cache.put(tuple(message["key"]), message["value"])
-        await self._send(writer, lock, {"type": "cache_ok"})
-
-    async def _msg_cache_contains(self, message, writer, lock) -> None:
-        found = self.cache is not None and tuple(message["key"]) in self.cache
-        await self._send(writer, lock, {"type": "cache_found", "found": found})
-
-    async def _msg_cache_clear(self, message, writer, lock) -> None:
-        if self.cache is not None:
-            self.cache.clear()
-        await self._send(writer, lock, {"type": "cache_ok"})
 
     async def _msg_cache_stats(self, message, writer, lock) -> None:
         stats = self.cache.stats() if self.cache is not None else {}

@@ -21,9 +21,9 @@ malicious peer cannot make the receiver allocate unbounded memory.
 Transports come in two flavours sharing the same frame format:
 
 * :class:`TcpTransport` — a blocking socket wrapper for the synchronous
-  sides (client, worker, remote cache tier).  ``send`` and ``recv`` each
-  take their own lock, so one thread may stream results out while
-  another reads commands.
+  sides (client, worker).  ``send`` and ``recv`` each take their own
+  lock, so one thread may stream results out while another reads
+  commands.
 * :func:`read_message` / :func:`write_message` — asyncio-stream helpers
   for the coordinator's event loop.
 
@@ -123,9 +123,9 @@ class Transport(Protocol):
     ``send`` writes one message dict; ``recv`` blocks for the next one,
     returning ``None`` on orderly EOF (peer closed); ``close`` tears the
     channel down.  The TCP implementation below is the only one shipped,
-    but everything above the framing — client, worker, remote cache
-    tier — types against this protocol, so an in-process loopback or a
-    TLS wrapper slot in without touching them.
+    but everything above the framing — client, worker — types against
+    this protocol, so an in-process loopback or a TLS wrapper slot in
+    without touching them.
     """
 
     def send(self, message: dict) -> None: ...

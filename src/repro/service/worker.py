@@ -8,14 +8,15 @@ loops: receive a pickled engine :class:`~repro.core.evaluator._Job`,
 execute it through the same module-level ``_execute_job`` the local
 pools use, send the :class:`~repro.core.evaluator.VariantData` back.
 
-The one policy fragment that *does* live here is exception retry: a
-transient backend failure is cheapest to retry where the job already is,
-so the worker retries locally up to the budget shipped with the job
-(same capped exponential backoff as the local scheduler) and reports the
-survived attempts as ``FaultEvent("retry")`` records alongside the
-result.  Everything else — crash accounting, quarantine, timeouts,
-degrade fallbacks — is the coordinator's job, because only it can see a
-worker die.
+A transient backend failure is cheapest to retry where the job already
+is, so :func:`_execute_with_retries` drives a
+:class:`~repro.core.lifecycle.JobLifecycle` under the ``retry_only()``
+view of the :class:`~repro.core.lifecycle.FaultPolicy` shipped with the
+job — the same budget and backoff every runner applies — and the worker
+reports the survived attempts as ``FaultEvent("retry")`` records
+alongside the result.  Everything else — crash accounting, quarantine,
+timeouts, degrade fallbacks — the coordinator decides (through the same
+lifecycle class), because only it can see a worker die.
 
 A worker outlives its coordinator: on connection loss it rejoins with
 jittered exponential backoff (see :func:`run_worker`), answering the
@@ -42,48 +43,35 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.errors import ConnectionLostError, FaultEvent
+from repro.core.lifecycle import FaultPolicy, JobLifecycle
+from repro.errors import ConnectionLostError
 from repro.service.protocol import Transport, backoff_delay, connect
 
 __all__ = ["run_worker", "main"]
 
 
-def _execute_with_retries(job, policy: dict):
-    """Run one job with worker-local exception retries.
+def _execute_with_retries(job, policy: FaultPolicy, events: list):
+    """Run one job, retrying raised exceptions where the job already is.
 
-    Returns ``(value, fault_events, failures)``; raises the last
-    exception once the shipped retry budget is exhausted (the
-    coordinator turns that into a policy decision).  A chaos-simulated
-    crash is never caught here — with ``in_process=True`` it is an
-    ``os._exit`` and the process is already gone.
+    Survived attempts are appended to ``events`` as ``"retry"`` faults,
+    one per failure, for the dispatcher to absorb.  Once
+    ``policy.retry_only()`` is spent the lifecycle's
+    :class:`~repro.errors.BackendExecutionError` propagates, chained to
+    the backend's last exception.  A chaos-simulated crash is
+    never caught here — with ``in_process=True`` it is an ``os._exit``
+    and the process is already gone.
     """
     from repro.core.evaluator import _execute_job
 
-    max_retries = int(policy.get("max_retries", 0))
-    backoff = float(policy.get("retry_backoff", 0.0))
-    backoff_cap = float(policy.get("retry_backoff_cap", 0.0))
-    base_attempt = job.attempt
-    events: list[FaultEvent] = []
-    failures = 0
+    lifecycle = JobLifecycle(job, policy.retry_only(), events)
     while True:
-        job.attempt = base_attempt + failures
+        job.attempt = lifecycle.attempt
         try:
-            return _execute_job(job), events, failures
+            return _execute_job(job)
         except Exception as exc:
-            failures += 1
-            if failures > max_retries:
-                raise
-            events.append(
-                FaultEvent(
-                    kind="retry",
-                    fragment_index=job.fragment_index,
-                    backend=job.backend.name,
-                    attempt=job.attempt,
-                    detail=f"{type(exc).__name__}: {exc} (worker-local)",
-                )
-            )
-            if backoff > 0:
-                time.sleep(min(backoff_cap, backoff * (2.0 ** (failures - 1))))
+            delay = lifecycle.on_error(exc)
+            if delay:
+                time.sleep(delay)
 
 
 def _serve_session(transport: Transport, name: str, slots: int) -> str:
@@ -113,19 +101,21 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
     def handle(jid, job, policy):
         job.in_process = True  # a chaos crash here is a real os._exit
         started = time.monotonic()
+        events: list = []
         try:
-            value, events, failures = _execute_with_retries(job, policy)
+            value = _execute_with_retries(job, policy, events)
         except Exception as exc:
             if stop.is_set():
                 return
+            cause = exc.__cause__ or exc  # the backend's own exception
             transport.send(
                 {
                     "type": "job_error",
                     "jid": jid,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "exception": exc,
+                    "error": f"{type(cause).__name__}: {cause}",
+                    "exception": cause,
                     "traceback": traceback.format_exc(),
-                    "failures": int(policy.get("max_retries", 0)) + 1,
+                    "faults": events,
                     "worker": name,
                 }
             )
@@ -138,7 +128,6 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
                 "jid": jid,
                 "value": value,
                 "faults": events,
-                "failures": failures,
                 "elapsed": time.monotonic() - started,
                 "worker": name,
             }
@@ -164,7 +153,7 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
                     handle,
                     message["jid"],
                     message["job"],
-                    message.get("policy", {}),
+                    message["policy"],
                 )
                 continue
             # unknown message: protocol drift — say so rather than hang

@@ -353,14 +353,16 @@ class TestSuperSimIntegration:
         data = FragmentEvaluator(clifford_shots=50).evaluate(fragment)
         assert all(isinstance(v, AffineVariantData) for v in data.results.values())
 
-    def test_legacy_nonclifford_backend_still_works(self):
+    def test_bare_simulator_pinned_to_nonclifford_fragments(self):
         from repro.mps import MPSSimulator
 
         c = near_clifford(11)
         expected = SV.probabilities(c)
-        result = SuperSim(
-            execution=ExecutionConfig(nonclifford_backend=MPSSimulator())
-        ).run(c)
+        plan = SuperSim().plan(c)
+        for fragment in plan.cut_circuit.fragments:
+            if not fragment.is_clifford:
+                plan = plan.with_backend(fragment.index, MPSSimulator())
+        result = plan.execute()
         assert hellinger_fidelity(expected, result.distribution) > 1 - 1e-9
         assert "mps" in result.backend_usage
         assert "stabilizer" in result.backend_usage

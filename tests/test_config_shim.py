@@ -1,14 +1,9 @@
-"""Typed configs and the legacy-kwarg deprecation shim.
-
-The flat ``SuperSim(shots=..., backend=...)`` kwargs must keep working —
-mapped onto :class:`CutConfig` / :class:`SamplingConfig` /
-:class:`ExecutionConfig` with exactly one :class:`DeprecationWarning` —
-while the new config objects are the primary surface, validated and
+"""Typed configs: :class:`CutConfig` / :class:`SamplingConfig` /
+:class:`ExecutionConfig` are the configuration surface — validated,
 immutable, and threaded through the evaluator and the apps layer.
 """
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -30,79 +25,6 @@ SV = StatevectorSimulator()
 def near_clifford(seed=0, n=4):
     rng = np.random.default_rng(seed)
     return inject_t_gates(random_clifford_circuit(n, 4, rng), 1, rng)
-
-
-class TestLegacyShim:
-    def test_legacy_kwargs_warn_once_and_map(self):
-        with pytest.warns(DeprecationWarning) as record:
-            sim = SuperSim(shots=500, rng=3, backend="mps", max_cuts=8)
-        assert len(record) == 1  # one warning, not one per kwarg
-        message = str(record[0].message)
-        for name in ("shots", "rng", "backend", "max_cuts"):
-            assert name in message
-        assert sim.sampling.shots == 500
-        assert sim.sampling.seed == 3
-        assert sim.execution.backend == "mps"
-        assert sim.cut_config.max_cuts == 8
-
-    def test_new_api_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            SuperSim(
-                cut=CutConfig(max_cuts=8),
-                sampling=SamplingConfig(shots=500, seed=3),
-                execution=ExecutionConfig(backend="mps"),
-            )
-            SuperSim()
-
-    def test_legacy_and_new_results_agree(self):
-        c = near_clifford(21)
-        with pytest.warns(DeprecationWarning):
-            legacy = SuperSim(shots=400, rng=9).run(c)
-        modern = SuperSim(sampling=SamplingConfig(shots=400, seed=9)).run(c)
-        assert legacy.distribution.probs == modern.distribution.probs
-
-    def test_unknown_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="bogus"):
-            SuperSim(bogus=1)
-
-    def test_positional_legacy_call_rejected_immediately(self):
-        # the pre-pipeline signature was SuperSim(shots, ...); a stale
-        # positional call must fail at construction with a clear message,
-        # not deep inside run() with an AttributeError
-        with pytest.raises(TypeError, match="CutConfig"):
-            SuperSim(4000)
-        with pytest.raises(TypeError, match="SamplingConfig"):
-            SuperSim(sampling=4000)
-
-    def test_mixing_config_and_legacy_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="cannot mix"):
-            SuperSim(sampling=SamplingConfig(shots=10), shots=20)
-
-    def test_legacy_attribute_surface_preserved(self):
-        with pytest.warns(DeprecationWarning):
-            sim = SuperSim(
-                shots=100,
-                clifford_shots=10,
-                snap_clifford=True,
-                tomography=True,
-                strategy=CutStrategy.GREEDY_MERGE,
-                max_cuts=6,
-                prune_zeros=False,
-                rng=1,
-                parallel=2,
-                pool="thread",
-            )
-        assert sim.shots == 100
-        assert sim.clifford_shots == 10
-        assert sim.snap_clifford is True
-        assert sim.tomography is True
-        assert sim.strategy is CutStrategy.GREEDY_MERGE
-        assert sim.max_cuts == 6
-        assert sim.prune_zeros is False
-        assert sim.rng == 1
-        assert sim.parallel == 2
-        assert sim.pool == "thread"
 
 
 class TestConfigObjects:
@@ -128,6 +50,17 @@ class TestConfigObjects:
             ExecutionConfig(parallel=0)
         with pytest.raises(ValueError):
             CutConfig(max_cuts=-1)
+
+    def test_supersim_rejects_non_config_arguments(self):
+        # a stale positional call (the pre-pipeline signature was
+        # SuperSim(shots, ...)) must fail at construction with a clear
+        # message, not deep inside run() with an AttributeError
+        with pytest.raises(TypeError, match="CutConfig"):
+            SuperSim(4000)
+        with pytest.raises(TypeError, match="SamplingConfig"):
+            SuperSim(sampling=4000)
+        with pytest.raises(TypeError, match="shots"):
+            SuperSim(shots=4000)  # the flat-kwarg shim is gone
 
     def test_cut_config_accepts_strategy_string(self):
         assert CutConfig(strategy="greedy_merge").strategy is CutStrategy.GREEDY_MERGE

@@ -22,12 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends import (
-    RemoteCacheTier,
-    SQLiteCacheTier,
-    TieredCache,
-    VariantCache,
-)
+from repro.backends import SQLiteCacheTier, TieredCache, VariantCache
 from repro.backends.tiers import CacheTier, cache_key_token
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
@@ -38,10 +33,19 @@ from repro.core import (
     SuperSim,
 )
 from repro.core.plan import CostEstimate
-from repro.errors import QuotaExceededError
-from repro.service import Coordinator, ServiceClient
+from repro.errors import (
+    BackendExecutionError,
+    JobTimeoutError,
+    QuotaExceededError,
+)
+from repro.service import Coordinator, ServiceClient, run_worker
 from repro.service.admission import AdmissionController, TokenBucket
-from repro.service.protocol import TcpTransport, encode_frame, parse_address
+from repro.service.protocol import (
+    TcpTransport,
+    connect,
+    encode_frame,
+    parse_address,
+)
 from repro.testing import ChaosSchedule
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -244,21 +248,6 @@ def test_tiered_cache_promotes_and_conforms():
     assert cache_key_token(("a", 1)) != cache_key_token(("a", 2))
 
 
-def test_remote_cache_tier(fleet):
-    tier = RemoteCacheTier(fleet.address)
-    try:
-        key = ("remote-test-fp", ("token",), None, "exact")
-        assert tier.get(key) is None
-        tier.put(key, {"payload": [1, 2, 3]})
-        assert key in tier
-        assert tier.get(key) == {"payload": [1, 2, 3]}
-        stats = tier.stats()
-        assert stats["remote_hits"] == 1 and stats["remote_misses"] == 1
-        assert stats["entries"] >= 1
-    finally:
-        tier.close()
-
-
 # -- bit-identity: service == local ------------------------------------------
 
 
@@ -398,6 +387,143 @@ def test_no_workers_degrades_to_local_with_fallback_events():
     assert result.faults.fallbacks >= 1
     details = [e.detail for e in result.faults.of_kind("fallback")]
     assert any("no live workers" in d for d in details)
+
+
+# -- one failure policy, local and service -----------------------------------
+
+
+def test_retry_fault_ledger_matches_local(fleet):
+    # the same lifecycle decides locally and in the service, so a seeded
+    # chaos run leaves the same ledger behind in both
+    chaos = ChaosSchedule(exception_rate=0.3, fail_attempts=2)
+    execution = ExecutionConfig(
+        failure_policy="retry", chaos=chaos, retry_backoff=0.0
+    )
+    sampling = SamplingConfig(shots=300, seed=4)
+    circuit = rotated_chain(0.3)
+    local = SuperSim(sampling=sampling, execution=execution).run(circuit)
+    with fleet.client(sampling=sampling, execution=execution) as client:
+        remote = client.run(circuit)
+    assert remote.distribution.probs == local.distribution.probs
+    assert remote.faults.summary() == local.faults.summary() == {"retry": 6}
+
+
+def test_degrade_falls_back_to_coordinator_after_timeouts_exhaust(fleet):
+    # every statevector job overruns its soft deadline on both of its
+    # allowed attempts; degrade must then run it on the coordinator, as a
+    # local degrade run falls back to the next backend — not raise
+    chaos = ChaosSchedule(
+        delay_rate=1.0,
+        delay_seconds=0.6,
+        fail_attempts=2,
+        only_backends=("statevector",),
+    )
+    execution = ExecutionConfig(
+        failure_policy="degrade", job_timeout=0.2, max_retries=1, chaos=chaos
+    )
+    sampling = SamplingConfig(shots=300, seed=21)  # not in the shared cache
+    circuit = rotated_chain(0.3)
+    clean = SuperSim(sampling=sampling).run(circuit)
+    with fleet.client(sampling=sampling, execution=execution) as client:
+        result = client.run(circuit)
+    assert result.distribution.probs == clean.distribution.probs
+    assert result.faults.timeouts >= 1
+    fallbacks = result.faults.of_kind("fallback")
+    assert fallbacks
+    assert all("repeated soft-timeouts" in e.detail for e in fallbacks)
+
+
+def test_raise_mode_timeout_carries_job_context(fleet):
+    chaos = ChaosSchedule(delay_rate=1.0, delay_seconds=0.6)
+    execution = ExecutionConfig(job_timeout=0.2, chaos=chaos)
+    with fleet.client(execution=execution) as client:
+        with pytest.raises(JobTimeoutError) as info:
+            client.run(rotated_chain(0.123))  # an angle no other test caches
+    err = info.value
+    assert err.attempts == 1
+    assert err.fragment_index is not None and err.backend is not None
+
+
+def test_failed_local_fallback_ends_through_the_lifecycle():
+    # no workers: jobs run on the coordinator, whose retries fail too —
+    # the error is the policy's own, with the attempts it really made
+    chaos = ChaosSchedule(exception_rate=1.0, fail_attempts=10**9)
+    execution = ExecutionConfig(
+        failure_policy="degrade", max_retries=1, retry_backoff=0.0, chaos=chaos
+    )
+    with Fleet(n_workers=0) as fleet:
+        with fleet.client(execution=execution) as client:
+            with pytest.raises(
+                BackendExecutionError, match="retries exhausted"
+            ) as info:
+                client.run(rotated_chain(0.3))
+    assert info.value.attempts == 2
+
+
+class ArrivalLog:
+    """A worker transport noting when each job frame arrives."""
+
+    def __init__(self, address: str):
+        self.inner = connect(address)
+        self.arrivals: list[tuple[int, float]] = []
+
+    def send(self, message: dict) -> None:
+        self.inner.send(message)
+
+    def recv(self):
+        message = self.inner.recv()
+        if message and message.get("type") == "job":
+            self.arrivals.append((message["jid"], time.monotonic()))
+        return message
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+def test_crash_requeue_waits_out_the_policy_backoff():
+    backoff = 0.6
+    execution = ExecutionConfig(
+        failure_policy="retry", retry_backoff=backoff, retry_backoff_cap=backoff
+    )
+    circuit = rotated_chain(0.3)
+    clean = SuperSim().run(circuit)
+    outcome = {}
+    with Fleet(n_workers=0) as fleet:
+        # a worker that takes one job and dies with it...
+        doomed = connect(fleet.address)
+        doomed.send({"type": "hello", "role": "worker", "name": "doomed", "slots": 1})
+        assert doomed.recv()["type"] == "welcome"
+        wait_for_workers(fleet.address, 1)
+
+        def run_client():
+            with fleet.client(execution=execution) as client:
+                outcome["result"] = client.run(circuit)
+
+        client_thread = threading.Thread(target=run_client)
+        client_thread.start()
+        message = doomed.recv()
+        while message["type"] != "job":
+            message = doomed.recv()
+        # ...and an in-process one that survives to finish the batch
+        survivor = ArrivalLog(fleet.address)
+        worker_thread = threading.Thread(
+            target=run_worker,
+            args=(fleet.address,),
+            kwargs={"slots": 1, "name": "survivor", "transport": survivor},
+        )
+        worker_thread.start()
+        wait_for_workers(fleet.address, 2)
+        doomed.close()
+        lost_at = time.monotonic()
+        client_thread.join(timeout=60)
+        assert not client_thread.is_alive()
+    worker_thread.join(timeout=10)
+    assert not worker_thread.is_alive()
+    result = outcome["result"]
+    assert result.distribution.probs == clean.distribution.probs
+    assert result.faults.crashes == 1
+    redispatched_at = dict(survivor.arrivals)[message["jid"]]
+    assert redispatched_at - lost_at >= backoff - 0.05
 
 
 # -- shared cache across clients ---------------------------------------------

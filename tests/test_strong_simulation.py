@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import hellinger_fidelity
 from repro.circuits import Circuit, gates, inject_t_gates, random_clifford_circuit
-from repro.core import ExecutionConfig, SamplingConfig, SuperSim
+from repro.core import SamplingConfig, SuperSim
 from repro.mps import MPSSimulator
 from repro.stabilizer import NoiseModel, PauliChannel
 from repro.statevector import StatevectorSimulator
@@ -56,24 +56,30 @@ class TestStrongSimulation:
             )
 
 
+def pin_nonclifford(plan, simulator):
+    """The plan with every non-Clifford fragment pinned to ``simulator``."""
+    for fragment in plan.cut_circuit.fragments:
+        if not fragment.is_clifford:
+            plan = plan.with_backend(fragment.index, simulator)
+    return plan
+
+
 class TestPluggableBackends:
     def test_mps_as_nonclifford_backend(self):
         rng = np.random.default_rng(9)
         circuit = inject_t_gates(random_clifford_circuit(4, 4, rng), 1, rng)
-        sim = SuperSim(execution=ExecutionConfig(nonclifford_backend=MPSSimulator()))
         expected = SV.probabilities(circuit)
-        got = sim.run(circuit).distribution
+        plan = pin_nonclifford(SuperSim().plan(circuit), MPSSimulator())
+        got = plan.execute().distribution
         assert hellinger_fidelity(expected, got) > 1 - 1e-8
 
     def test_mps_backend_sampled(self):
         rng = np.random.default_rng(10)
         circuit = inject_t_gates(random_clifford_circuit(3, 3, rng), 1, rng)
-        sim = SuperSim(
-            sampling=SamplingConfig(shots=4000, seed=1),
-            execution=ExecutionConfig(nonclifford_backend=MPSSimulator()),
-        )
+        sim = SuperSim(sampling=SamplingConfig(shots=4000, seed=1))
         expected = SV.probabilities(circuit)
-        got = sim.run(circuit).distribution
+        plan = pin_nonclifford(sim.plan(circuit), MPSSimulator())
+        got = plan.execute().distribution
         assert hellinger_fidelity(expected, got) > 0.95
 
 
