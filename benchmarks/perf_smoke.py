@@ -479,6 +479,77 @@ def bench_path_cache() -> dict:
     }
 
 
+def bench_variant_sharing() -> dict:
+    """Per-fragment work happens once per fragment — gated on counts.
+
+    One sampled evaluation of a 100q 1-T HWEA: every variant of a Clifford
+    fragment shares the fragment's compiled and evolved body, so the layer
+    compiler and the ``apply_layers`` kernel run once per Clifford
+    *fragment*, not once per stabilizer job; and all 100 single-qubit
+    windows' tensors come out of one pass per fragment, equal to the
+    per-window builds.  Counts are exact, so the gate is safe on shared
+    runners.
+    """
+    from repro.apps.hwea import HWEA
+    from repro.core import SamplingConfig
+    from repro.core.tomography import build_window_tensors
+    from repro.stabilizer import tableau as tableau_module
+
+    circuit = (
+        HWEA(100, 5).near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
+    ).measure_all()
+    sim = SuperSim(sampling=SamplingConfig(shots=1000, seed=0))
+    fragments = sim.cut(circuit).fragments
+    body_ops = sorted(len(f.circuit.ops) for f in fragments if f.is_clifford)
+
+    compiled: list[int] = []
+    real_compile = tableau_module._compile_ops
+
+    def counting_compile(ops):
+        compiled.append(len(ops))
+        return real_compile(ops)
+
+    evaluator = sim._evaluator()
+    layers_before = rk.counters_snapshot()["apply_layers"][0]
+    tableau_module._compile_ops = counting_compile
+    try:
+        start = time.perf_counter()
+        data = evaluator.evaluate_all(fragments)
+        evaluate_seconds = time.perf_counter() - start
+    finally:
+        tableau_module._compile_ops = real_compile
+    apply_layers_calls = rk.counters_snapshot()["apply_layers"][0] - layers_before
+
+    tensors_equal = True
+    start = time.perf_counter()
+    batched = [
+        build_window_tensors(d, [[lq] for _oq, lq in d.fragment.circuit_outputs])
+        for d in data
+    ]
+    batched_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    for d, tensors in zip(data, batched):
+        for (_oq, lq), tensor in zip(d.fragment.circuit_outputs, tensors):
+            if not np.array_equal(tensor, build_fragment_tensor(d, [lq])):
+                tensors_equal = False
+    per_window_seconds = time.perf_counter() - start
+    return {
+        "workload": (
+            "100q 1-T HWEA, 1000 shots: one evaluate_all + 100 single-qubit "
+            "window tensors per fragment"
+        ),
+        "clifford_fragments": len(body_ops),
+        "stabilizer_jobs": evaluator.last_stats["backends"].get("stabilizer", 0),
+        "compile_calls": len(compiled),
+        "body_compiles": sorted(n for n in compiled if n in body_ops) == body_ops,
+        "apply_layers_calls": apply_layers_calls,
+        "tensors_equal": tensors_equal,
+        "evaluate_seconds": evaluate_seconds,
+        "batched_tensor_seconds": batched_seconds,
+        "per_window_tensor_seconds": per_window_seconds,
+    }
+
+
 # the array-native data plane samples the 200q affine form at ~1.3M
 # shots/s on a quiet machine (the dict-based seed managed ~41k); the CI
 # floor is the 10x acceptance level (~600k nominal) with the 0.7 noise
@@ -504,6 +575,7 @@ def main() -> int:
         "streaming_reconstruction": bench_streaming_reconstruction(),
         "kernel_tiers": bench_kernel_tiers(),
         "einsum_path_cache": bench_path_cache(),
+        "variant_sharing": bench_variant_sharing(),
     }
     # atomic write: CI reads the artifact even if a later run is killed
     # mid-write, so stage to a tmp file and os.replace into place
@@ -584,6 +656,22 @@ def main() -> int:
             "einsum path cache warm speedup only "
             f"{cache['speedup']:.2f}x (< 1.05x)"
         )
+    sharing = results["variant_sharing"]
+    if not (
+        sharing["body_compiles"]
+        and sharing["compile_calls"] == sharing["clifford_fragments"]
+        and sharing["apply_layers_calls"] == sharing["clifford_fragments"]
+        and sharing["stabilizer_jobs"] > sharing["clifford_fragments"]
+    ):
+        failures.append(
+            "variants no longer share their fragment's body: "
+            f"{sharing['compile_calls']} compiles and "
+            f"{sharing['apply_layers_calls']} apply_layers calls for "
+            f"{sharing['clifford_fragments']} Clifford fragment(s), "
+            f"{sharing['stabilizer_jobs']} stabilizer jobs"
+        )
+    if not sharing["tensors_equal"]:
+        failures.append("batched window tensors differ from per-window builds")
     tiers = results["kernel_tiers"]
     for tier, entry in tiers.items():
         if entry.get("parity") not in ("reference", "ok"):

@@ -16,7 +16,6 @@ Qubit layout for distance ``d`` with ``r`` rounds:
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.circuits import gates
@@ -79,6 +78,10 @@ def match_defects(
     """
     if not defects:
         return []
+    # imported where it is used: networkx costs every importer of
+    # repro.apps ~14 MiB of resident memory and ~0.1 s
+    import networkx as nx
+
     graph = nx.Graph()
     big = 10 * (distance + len(defects))
     for a_idx, a in enumerate(defects):

@@ -61,20 +61,42 @@ def approx_result_bytes(value, _depth: int = 2) -> int:
     return total
 
 
+def _op_bytes(ops) -> bytes:
+    """The fingerprint's byte stream for a run of operations."""
+    parts = []
+    for op in ops:
+        gate = op.gate
+        parts.append(gate.name.encode())
+        parts.append(struct.pack(f"<{len(gate.params)}d", *gate.params))
+        parts.append(struct.pack(f"<{len(op.qubits)}q", *op.qubits))
+        parts.append(b";")
+    return b"".join(parts)
+
+
 def circuit_fingerprint(circuit: Circuit) -> str:
     """A content hash of a circuit's exact structure.
 
     Covers width, every operation (gate name, float parameters at full
     precision, wires) and the measured-qubit set — everything that affects
-    simulation output.
+    simulation output.  A circuit that embeds a shared body (the variants
+    of one fragment, see :meth:`Circuit.shared_body`) serialises that body
+    once, on the body object; the hashed byte stream, hence the digest, is
+    the same as for the op list spelled out.
     """
     h = hashlib.sha256()
     h.update(struct.pack("<q", circuit.n_qubits))
-    for op in circuit.ops:
-        h.update(op.gate.name.encode())
-        h.update(struct.pack(f"<{len(op.gate.params)}d", *op.gate.params))
-        h.update(struct.pack(f"<{len(op.qubits)}q", *op.qubits))
-        h.update(b";")
+    shared = circuit.shared_body()
+    if shared is None:
+        h.update(_op_bytes(circuit.ops))
+    else:
+        body, start, stop = shared
+        derived = body.derived()
+        body_bytes = derived.get("op_bytes")
+        if body_bytes is None:
+            body_bytes = derived["op_bytes"] = _op_bytes(body.ops)
+        h.update(_op_bytes(circuit.ops[:start]))
+        h.update(body_bytes)
+        h.update(_op_bytes(circuit.ops[stop:]))
     h.update(b"|m")
     measured = circuit.measured_qubits
     h.update(struct.pack(f"<{len(measured)}q", *measured))

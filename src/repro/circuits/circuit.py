@@ -5,15 +5,30 @@ qubits ``0 .. n-1``, plus an optional set of *terminally measured* qubits
 (computational basis).  Terminal-only measurement matches the circuit-cutting
 model of the paper: circuit outputs are always measured in the Z basis, and
 mid-circuit measurement never occurs inside fragments.
+
+Two pieces of bookkeeping let work that depends only on an op list be done
+once.  :meth:`Circuit.derived` is a scratch dict for values computed from
+``ops`` (compiled layers, hash bytes, an evolved tableau), emptied by any
+mutation of ``ops``.  :meth:`Circuit.embed` appends another circuit's ops
+and records that the slice *is* that circuit; :meth:`Circuit.shared_body`
+answers it back while it still holds, so the variants of a fragment can
+share what was derived from the fragment's body.  Both re-validate by
+element identity (Operations are immutable) and neither is pickled.
 """
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.circuits.gates import Gate
+
+
+def _same_objects(a: list, b: list) -> bool:
+    """Element-by-element identity of two lists."""
+    return len(a) == len(b) and all(map(is_, a, b))
 
 
 class Operation:
@@ -47,6 +62,11 @@ class Operation:
 class Circuit:
     """An n-qubit circuit: gate operations plus terminal measurements."""
 
+    # class-level defaults: instances unpickled without these attributes
+    # (see ``__getstate__``) read them as "nothing derived, no body"
+    _derived: "tuple[list[Operation], dict] | None" = None
+    _body: "tuple[Circuit, int] | None" = None
+
     def __init__(self, n_qubits: int, operations: Iterable[Operation] = ()):
         if n_qubits < 0:
             raise ValueError("n_qubits must be non-negative")
@@ -77,6 +97,61 @@ class Circuit:
             self._check(op)
             self.ops.append(op)
         return self
+
+    def embed(self, body: "Circuit") -> "Circuit":
+        """Append every op of ``body`` and remember the slice is ``body``.
+
+        ``body`` has this circuit's width, so its ops were range-checked
+        when they entered it and are appended as they are.  See
+        :meth:`shared_body`.
+        """
+        if body.n_qubits != self.n_qubits:
+            raise ValueError("qubit count mismatch")
+        self._body = (body, len(self.ops))
+        self.ops.extend(body.ops)
+        return self
+
+    # -- shared derived work ---------------------------------------------------
+
+    def derived(self) -> dict:
+        """Scratch space for values computed from ``ops`` alone.
+
+        Holds a snapshot of the op list next to the values and
+        re-validates it by element identity on every call: Operations are
+        immutable and the snapshot keeps the old objects alive, so any
+        mutation of ``ops`` — append, insert, in-place replacement —
+        hands back a fresh, empty dict.  Store finished values with one
+        assignment; concurrent callers may then compute a value twice but
+        never see it half-built.
+        """
+        held = self._derived
+        if held is None or not _same_objects(held[0], self.ops):
+            held = self._derived = (list(self.ops), {})
+        return held[1]
+
+    def shared_body(self) -> "tuple[Circuit, int, int] | None":
+        """``(body, start, stop)`` while ``ops[start:stop]`` *is* ``body.ops``.
+
+        Answers for the circuit last passed to :meth:`embed`, object for
+        object; ``None`` for a circuit that embedded nothing, and after
+        any mutation of either op list that breaks the correspondence
+        (ops appended after ``stop`` do not).
+        """
+        if self._body is None:
+            return None
+        body, start = self._body
+        stop = start + len(body.ops)
+        if _same_objects(self.ops[start:stop], body.ops):
+            return body, start, stop
+        return None
+
+    def __getstate__(self) -> dict:
+        # what was derived from the ops is rebuilt on demand, and a body is
+        # shared only between circuits of one process: neither travels
+        state = self.__dict__.copy()
+        state.pop("_derived", None)
+        state.pop("_body", None)
+        return state
 
     def measure(self, qubits: Sequence[int]) -> "Circuit":
         """Mark qubits as terminally measured (computational basis)."""

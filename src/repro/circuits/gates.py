@@ -16,6 +16,7 @@ matrix index (big-endian), matching :meth:`PauliString.to_matrix`.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Sequence
 
@@ -255,7 +256,17 @@ ONE_QUBIT_CLIFFORD_GATES = (I, X, Y, Z, H, S, SDG, SX, SXDG)
 
 
 def _pow_gate(name: str, t: float) -> Gate:
-    t = float(t)
+    # keyed on the exponent's exact bits: 0.0 == -0.0 as floats, but the
+    # two print, pickle and fingerprint differently
+    return _build_pow_gate(name, float(t).hex())
+
+
+@functools.lru_cache(maxsize=4096)
+def _build_pow_gate(name: str, t_hex: str) -> Gate:
+    """One immutable gate per (family, exponent): ansatz circuits ask for
+    the same few exponents thousands of times, and building a gate costs a
+    matrix product plus a unitarity check."""
+    t = float.fromhex(t_hex)
     w = cmath.exp(1j * math.pi * t)
     if name == "ZP":
         matrix = np.diag([1, w]).astype(complex)

@@ -65,6 +65,21 @@ class VariantData:
     def joint(self, cols: list[int]) -> Distribution:
         raise NotImplementedError
 
+    def joint_tables(self, windows: list, tail: list[int]) -> np.ndarray:
+        """``P(window = x, tail = m)`` for several equal-width windows.
+
+        Shape ``(len(windows), 2**width, 2**len(tail))``: one dense table
+        per window over its own columns (rows) and the ``tail`` columns
+        every window shares (the fragment's measured cut qubits).
+        """
+        width = len(windows[0])
+        shape = (2**width, 2 ** len(tail))
+        tables = np.zeros((len(windows),) + shape)
+        for table, cols in zip(tables, windows):
+            dist = self.joint(list(cols) + tail)
+            table.reshape(-1)[dist.keys_array.astype(np.intp)] = dist.values_array
+        return tables
+
     def probability_at(self, cols: list[int], bits) -> float:
         """Point query: P(selected columns == bits)."""
         dist = self.joint(cols)
@@ -110,6 +125,32 @@ class SampledVariantData(VariantData):
 
     def joint(self, cols: list[int]) -> Distribution:
         return Distribution.from_bit_rows(self.bits[:, cols])
+
+    def joint_tables(self, windows: list, tail: list[int]) -> np.ndarray:
+        # one pass over the shots for all windows: integer histograms,
+        # divided by the shot count once (as ``joint`` does per window)
+        bits = self.bits
+        shots = bits.shape[0]
+        width = len(windows[0])
+        n_tail = 2 ** len(tail)
+        tail_key = self._keys(tail).astype(np.intp)
+        if width == 1:
+            # a single-bit window is the number of ones in its column:
+            # count every column at once, per value of the tail key
+            cols = [w[0] for w in windows]
+            totals = np.bincount(tail_key, minlength=n_tail)
+            ones = np.empty((len(cols), n_tail), dtype=np.intp)
+            for m in range(n_tail):
+                ones[:, m] = np.count_nonzero(bits[tail_key == m], axis=0)[cols]
+            counts = np.stack([totals - ones, ones], axis=1)
+        else:
+            counts = np.empty((len(windows), 2**width, n_tail), dtype=np.intp)
+            for table, cols in zip(counts, windows):
+                key = (self._keys(list(cols)).astype(np.intp) << len(tail)) | tail_key
+                table[...] = np.bincount(key, minlength=table.size).reshape(
+                    table.shape
+                )
+        return counts / shots
 
     def probability_at(self, cols: list[int], bits) -> float:
         target = 0

@@ -69,6 +69,7 @@ from repro.core.reconstruction import (
 from repro.core.tomography import (
     build_conditioned_fragment_tensor,
     build_fragment_tensor,
+    build_window_tensors,
 )
 
 #: the four pipeline stages always present in SuperSimResult.timings
@@ -836,11 +837,13 @@ class SuperSim:
         """Exact marginals over several qubit windows, one evaluation pass.
 
         ``windows`` is an iterable of qubit-index sequences (each defines
-        the bit order of its marginal).  Fragments are evaluated once;
-        each window gets its own narrow tomography + contraction — the
-        windowed engine — so no object larger than ``4^k · 2**len(window)``
-        is built at *any* circuit width.  This is the primitive QAOA edge
-        scoring and per-qubit readout ride on.
+        the bit order of its marginal).  Fragments are evaluated once and
+        each fragment's tensors for all windows are built in one pass over
+        its variants (:func:`~repro.core.tomography.build_window_tensors`);
+        each window then gets its own narrow contraction — the windowed
+        engine — so no object larger than ``4^k · 2**len(window)`` per
+        window is built at *any* circuit width.  This is the primitive
+        QAOA edge scoring and per-qubit readout ride on.
         """
         windows = [list(w) for w in windows]
         for window in windows:
@@ -852,26 +855,30 @@ class SuperSim:
             cc.fragments, job_runner=self._job_runner
         )
         project = self.sampling.tomography and self.sampling.shots is not None
-        out: list[Distribution] = []
-        for window in windows:
-            keep_set = set(window)
-            kept_locals = [
+        window_sets = [set(window) for window in windows]
+        # kept_locals[f][w]: fragment f's local qubits inside window w
+        kept_locals = [
+            [
                 [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-                for fragment in cc.fragments
+                for keep_set in window_sets
             ]
-            tensors = [
-                build_fragment_tensor(
-                    data,
-                    kept,
-                    snap_clifford=self.sampling.snap_clifford,
-                    project=project,
-                )
-                for data, kept in zip(fragment_data, kept_locals)
-            ]
+            for fragment in cc.fragments
+        ]
+        tensors = [
+            build_window_tensors(
+                data,
+                kept,
+                snap_clifford=self.sampling.snap_clifford,
+                project=project,
+            )
+            for data, kept in zip(fragment_data, kept_locals)
+        ]
+        out: list[Distribution] = []
+        for w, window in enumerate(windows):
             dist, _ = reconstruct_distribution(
                 cc,
-                tensors,
-                kept_locals,
+                [of_fragment[w] for of_fragment in tensors],
+                [of_fragment[w] for of_fragment in kept_locals],
                 window,
                 prune_zeros=self.execution.prune_zeros,
             )

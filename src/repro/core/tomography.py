@@ -12,6 +12,13 @@ at each quantum input (via the prepared-state decomposition in
 the matching measurement basis.  ``x`` ranges over the *kept* circuit-output
 bits of the fragment.
 
+:func:`build_window_tensors` is the dense builder: it takes *all* the
+windows a caller wants from one fragment (``marginal_probabilities`` asks
+for hundreds) and visits every variant once — sampled variants histogram
+all windows in one pass over their shots (:meth:`VariantData.joint_tables`)
+and identical windows are built once.  :func:`build_fragment_tensor` is its
+one-window call.
+
 Two refinements live here as well:
 
 * **Clifford expectation snapping** (paper §IX): a stabilizer state's Pauli
@@ -75,29 +82,6 @@ def _split_signed_keys(dist, qo: int, signs_mask: list[int]):
     return x_key, sign, probs
 
 
-def _signed_vectors(
-    dist, n_kept: int, qo: int, signs_mask: list[int], need_weight: bool
-):
-    """(vec, weight) over kept outcomes, sign-weighted by measured Paulis.
-
-    Dense accumulator over all ``2^n_kept`` kept outcomes, filled with one
-    ``np.bincount`` per accumulator.  ``weight`` (the unsigned mass, used
-    only by Clifford snapping) is skipped unless requested.  Falls back to
-    ``None`` when keys exceed one word (callers keep the loop then).
-    """
-    if n_kept + qo > 62:
-        return None
-    split = _split_signed_keys(dist, qo, signs_mask)
-    if split is None:  # pragma: no cover - joint width checked above
-        return None
-    x_key, sign, probs = split
-    vec = np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
-    weight = None
-    if need_weight:
-        weight = np.bincount(x_key, weights=probs, minlength=2**n_kept)
-    return vec, weight
-
-
 def _snap_vector(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """Vectorised {-1, 0, +1} snapping of conditional expectations."""
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -116,6 +100,88 @@ def _contract_prep_axes(raw: np.ndarray, qi: int) -> np.ndarray:
     return tensor
 
 
+def _signed_sum(tables: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """``sum_m tables[..., m] * signs[m]``, accumulated in ascending ``m``."""
+    total = np.zeros(tables.shape[:-1])
+    for m, sign in enumerate(signs):
+        total += tables[..., m] * sign
+    return total
+
+
+#: output Paulis estimated from each measurement basis (Z data also gives I)
+_PAULIS_OF_BASIS = tuple(
+    tuple(p for p in range(4) if BASIS_FOR_PAULI[p] == basis) for basis in range(3)
+)
+
+
+def build_window_tensors(
+    data: FragmentData,
+    windows,
+    snap_clifford: bool = False,
+    project: bool = False,
+) -> list[np.ndarray]:
+    """One fragment tensor per window, every variant visited once.
+
+    Element ``i`` has shape ``(4,)*qi + (4,)*qo + (2**len(windows[i]),)``:
+    ``windows[i]`` lists the fragment-local circuit-output qubits whose
+    bits that tensor keeps (order defines the bit order of its last axis).
+    Identical windows — above all the empty one, for a fragment that holds
+    none of the requested qubits — are built once and share one array.
+
+    Each variant hands over ``P(window, measured cut qubits)`` for all
+    windows of one width at a time (:meth:`VariantData.joint_tables`; for
+    sampled data a single pass over the shots), and every output Pauli its
+    basis estimates is a signed sum over the measured bits in ascending
+    order — the arithmetic, hence the result, of building each window
+    alone.  Working memory is one variant's ``windows x 2**width x
+    2**qo`` table per width.
+    """
+    fragment = data.fragment
+    qi = len(fragment.quantum_inputs)
+    qo = len(fragment.quantum_outputs)
+    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
+    snap = snap_clifford and fragment.is_clifford
+    windows = [tuple(window) for window in windows]
+
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for window in dict.fromkeys(windows):
+        groups.setdefault(len(window), []).append(window)
+    # raw[width][window, s_combo..., P_out combo..., kept outcome]
+    raw = {
+        width: np.zeros((len(group),) + (4,) * (qi + qo) + (2**width,))
+        for width, group in groups.items()
+    }
+    m_bits = np.arange(2**qo)
+    for preps in itertools.product(range(4), repeat=qi):
+        for bases in itertools.product(range(3), repeat=qo):
+            variant = data.variant(preps, bases)
+            # (P_out combo, sign of every measured outcome m under it)
+            signed = []
+            for pauli_out in itertools.product(*(_PAULIS_OF_BASIS[b] for b in bases)):
+                parity = np.zeros(2**qo, dtype=np.int64)
+                for j, p in enumerate(pauli_out):
+                    if p != 0:
+                        parity ^= (m_bits >> (qo - 1 - j)) & 1
+                signed.append((pauli_out, 1.0 - 2.0 * parity))
+            for width, group in groups.items():
+                tables = variant.joint_tables(group, out_cols)
+                weight = _signed_sum(tables, np.ones(2**qo)) if snap else None
+                for pauli_out, signs in signed:
+                    vec = _signed_sum(tables, signs)
+                    if snap and any(pauli_out):
+                        vec = _snap_vector(vec, weight)
+                    raw[width][(slice(None),) + preps + pauli_out] = vec
+
+    built = {}
+    for width, group in groups.items():
+        for window, window_raw in zip(group, raw[width]):
+            tensor = _contract_prep_axes(window_raw, qi)
+            if project and (qi or qo):
+                tensor = project_physical(tensor, qi, qo)
+            built[window] = tensor
+    return [built[window] for window in windows]
+
+
 def build_fragment_tensor(
     data: FragmentData,
     keep_locals: list[int],
@@ -126,49 +192,9 @@ def build_fragment_tensor(
 
     ``keep_locals`` are the fragment-local circuit-output qubits whose bits
     the caller wants to keep (order defines the bit order of the last axis).
+    The one-window call of :func:`build_window_tensors`.
     """
-    fragment = data.fragment
-    qi = len(fragment.quantum_inputs)
-    qo = len(fragment.quantum_outputs)
-    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
-    keep_cols = list(keep_locals)
-    n_kept = len(keep_cols)
-    snap = snap_clifford and fragment.is_clifford
-
-    # E[s_combo][P_out combo] -> vector over kept bits
-    raw = np.zeros((4,) * qi + (4,) * qo + (2**n_kept,))
-    for preps in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            dist = data.variant(preps, bases).joint(keep_cols + out_cols)
-            signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
-            need_weight = bool(snap and signs_mask)
-            pair = _signed_vectors(dist, n_kept, qo, signs_mask, need_weight)
-            if pair is not None:
-                vec, weight = pair
-            else:  # pragma: no cover - >62-bit dense keys cannot exist
-                vec = np.zeros(2**n_kept)
-                weight = np.zeros(2**n_kept)
-                for outcome, prob in dist:
-                    bits = dist.bits(outcome)
-                    x_key = 0
-                    for b in bits[:n_kept]:
-                        x_key = (x_key << 1) | b
-                    m_bits = bits[n_kept:]
-                    sign = 1.0
-                    for j in signs_mask:
-                        if m_bits[j]:
-                            sign = -sign
-                    vec[x_key] += prob * sign
-                    weight[x_key] += prob
-            if snap and signs_mask:
-                vec = _snap_vector(vec, weight)
-            raw[preps + pauli_out] = vec
-
-    tensor = _contract_prep_axes(raw, qi)
-    if project and (qi or qo):
-        tensor = project_physical(tensor, qi, qo)
-    return tensor
+    return build_window_tensors(data, [keep_locals], snap_clifford, project)[0]
 
 
 def _conditioned_signed_vector(
@@ -181,9 +207,10 @@ def _conditioned_signed_vector(
 ):
     """(vec, weight) over kept outcomes of a (kept + fixed + measured) joint.
 
-    Like :func:`_signed_vectors` but the ``len(fixed_bits)`` middle bits
-    of each outcome must match ``fixed_bits`` for the outcome to count —
-    the conditioning primitive of dynamic-definition reconstruction.  The
+    A sign-weighted sum over the measured Pauli bits in which the
+    ``len(fixed_bits)`` middle bits of each outcome must match
+    ``fixed_bits`` for the outcome to count — the conditioning primitive
+    of dynamic-definition reconstruction.  The
     joint's *support* is what is iterated (bounded by the fragment width,
     the paper's premise), never ``2**fragment_outputs``; only the
     ``2**n_kept`` window accumulator is dense.

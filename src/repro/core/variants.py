@@ -16,6 +16,15 @@ into the Pauli-indexed fragment tensors consumed by reconstruction:
     Z = r(|0>) - r(|1>)
     X = 2 r(|+>)  - r(|0>) - r(|1>)
     Y = 2 r(|+i>) - r(|0>) - r(|1>)
+
+All variants of a fragment are one body — ``fragment.circuit`` — between at
+most two single-qubit gates per cut at each end.  :func:`variant_circuit`
+still returns a full, self-contained :class:`Circuit`, but builds it with
+:meth:`Circuit.embed`, so the circuit knows which slice of its ops *is* the
+fragment's body.  Fingerprinting, layer compilation and the stabilizer
+simulator read that through :meth:`Circuit.shared_body` and keep what they
+derive from the body on the body object: it is hashed, compiled and
+simulated once per fragment, not once per variant.
 """
 
 from __future__ import annotations
@@ -85,7 +94,7 @@ def variant_circuit(
     for (cut, lq), prep in zip(fragment.quantum_inputs, preps):
         for op_gates in _PREP_OPS[prep]:
             circuit.append(op_gates[0], lq)
-    circuit.extend(fragment.circuit.ops)
+    circuit.embed(fragment.circuit)
     for (cut, lq), basis in zip(fragment.quantum_outputs, bases):
         for op_gates in _BASIS_OPS[basis]:
             circuit.append(op_gates[0], lq)

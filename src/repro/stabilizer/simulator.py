@@ -9,7 +9,11 @@ from repro.circuits.circuit import Circuit
 from repro.paulis.pauli import PauliString
 from repro.stabilizer.frames import FrameSampler
 from repro.stabilizer.noise import NoiseModel
-from repro.stabilizer.tableau import AffineOutcomeDistribution, Tableau
+from repro.stabilizer.tableau import (
+    PREPEND_GATES,
+    AffineOutcomeDistribution,
+    Tableau,
+)
 
 
 class StabilizerSimulator:
@@ -29,7 +33,32 @@ class StabilizerSimulator:
     name = "stabilizer"
 
     def run(self, circuit: Circuit) -> Tableau:
-        """Evolve |0...0> through the circuit; returns the final tableau."""
+        """Evolve |0...0> through the circuit; returns the final tableau.
+
+        A circuit around a shared body (:meth:`Circuit.shared_body` — the
+        variants of one fragment) evolves the body once: its tableau is
+        kept, read-only, on the body object, and each circuit copies it,
+        composes its state-preparation gates in front
+        (:meth:`Tableau.prepend`) and applies its trailing gates.  Prefix
+        gates ``prepend`` does not know fall back to plain evolution.
+        """
+        shared = circuit.shared_body()
+        if shared is not None:
+            body, start, stop = shared
+            prefix = circuit.ops[:start]
+            if all(op.gate.name in PREPEND_GATES for op in prefix):
+                derived = body.derived()
+                evolved = derived.get("tableau")
+                if evolved is None:
+                    evolved = Tableau(body.n_qubits)
+                    evolved.apply_circuit(body)
+                    derived["tableau"] = evolved
+                tableau = evolved.copy()
+                for op in reversed(prefix):
+                    tableau.prepend(op.gate.name, op.qubits[0])
+                for op in circuit.ops[stop:]:
+                    tableau.apply_operation(op.gate, op.qubits)
+                return tableau
         tableau = Tableau(circuit.n_qubits)
         tableau.apply_circuit(circuit)
         return tableau

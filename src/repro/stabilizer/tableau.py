@@ -20,8 +20,18 @@ qubits commute, so this is bit-for-bit equivalent to program order).
 form (64 rows of a column per word — the layout gate columns want),
 applies every fused layer in one vectorized call there, and transposes
 back; Python dispatch is paid per *layer*, not per gate, and the compiled
-layers are cached on the circuit object (revalidated by op-list identity,
-so any mutation recompiles).
+layers are kept in the circuit's :meth:`~repro.circuits.circuit.Circuit.derived`
+space (revalidated by op-list identity, so any mutation recompiles).  A
+circuit that embeds a shared body — the variants of one fragment — compiles
+as ``layers(prefix) + layers(body) + layers(suffix)`` with the body's layers
+compiled once on the body; gates on a wire keep their order, so the evolved
+tableau is bit-identical.
+
+**Prepending.**  The tableau of ``U`` holds ``U X_q U†`` and ``U Z_q U†``
+for every qubit, so the tableau of ``U·g`` for a single-qubit Clifford
+``g`` is a recombination of two of its own rows (:meth:`Tableau.prepend`):
+a fragment's body is evolved once and each variant's state preparation is
+composed *in front of* a copy, ``O(n/64)`` words instead of a re-simulation.
 
 The original byte-per-bit, per-op-dispatch implementation is kept in
 :mod:`repro.stabilizer._reference` as the oracle for the equivalence
@@ -53,6 +63,8 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 # gate names the packed engine applies natively (every other Clifford gate
 # goes through Gate.stabilizer_decomposition into H/S/CX)
 _NATIVE_GATES = frozenset({"H", "S", "CX", "X", "Y", "Z"})
+#: single-qubit gates :meth:`Tableau.prepend` composes in front of a tableau
+PREPEND_GATES = frozenset({"X", "H", "S"})
 
 
 def _pack_bits(bits: np.ndarray, n_words: int | None = None) -> np.ndarray:
@@ -128,21 +140,26 @@ def _compile_ops(ops) -> list[tuple[str, np.ndarray]]:
 def compile_clifford_layers(circuit: Circuit) -> list[tuple[str, np.ndarray]]:
     """Fused-gate layers of a Clifford circuit, cached on the circuit.
 
-    The cache stores a snapshot of the op list and revalidates by element
-    identity: Operations are immutable, and the snapshot keeps the old
-    objects alive, so any mutation of ``circuit.ops`` — append, insert,
-    or in-place replacement — is detected and triggers recompilation.
+    The cache is the circuit's :meth:`Circuit.derived` space, so any
+    mutation of ``circuit.ops`` — append, insert, or in-place replacement
+    — is detected and triggers recompilation.  Around a shared body
+    (:meth:`Circuit.shared_body`) only the ops before and after it are
+    compiled here; the body's layers come from the body's own cache.
     """
-    ops = circuit.ops
-    cached = getattr(circuit, "_clifford_layers", None)
-    if (
-        cached is not None
-        and len(cached[0]) == len(ops)
-        and all(a is b for a, b in zip(cached[0], ops))
-    ):
-        return cached[1]
-    layers = _compile_ops(ops)
-    circuit._clifford_layers = (list(ops), layers)
+    derived = circuit.derived()
+    layers = derived.get("clifford_layers")
+    if layers is None:
+        shared = circuit.shared_body()
+        if shared is None:
+            layers = _compile_ops(circuit.ops)
+        else:
+            body, start, stop = shared
+            layers = (
+                _compile_ops(circuit.ops[:start])
+                + compile_clifford_layers(body)
+                + _compile_ops(circuit.ops[stop:])
+            )
+        derived["clifford_layers"] = layers
     return layers
 
 
@@ -553,6 +570,50 @@ class Tableau:
                     self.s(sub_qubits[0])
                 else:
                     self.cx(*sub_qubits)
+
+    def prepend(self, name: str, q: int) -> None:
+        """Turn the tableau of ``U`` into the tableau of ``U·g``, ``g`` on ``q``.
+
+        ``g`` is one of :data:`PREPEND_GATES` — what the tomographic
+        preparations |1>, |+>, |+i> are made of.  Only the generator pair
+        of ``q`` changes, to ``U (g P g†) U†`` for ``P = X_q, Z_q``:
+
+        * ``X``: ``Z -> -Z`` — flip the stabilizer's sign;
+        * ``H``: ``X <-> Z`` — swap the two rows;
+        * ``S``: ``X -> Y = iXZ`` — the destabilizer becomes ``i`` times
+          its product with the stabilizer, phase-exactly (the rows
+          anticommute, so the product is Hermitian again).
+
+        The result equals evolving ``g`` then ``U`` from scratch on ``x``,
+        ``z`` and ``sign``, destabilizer rows included.  Only meaningful
+        on a tableau evolved by gates alone; raises ``ValueError`` for any
+        other gate name (callers fall back to re-simulation).
+        """
+        if self.n_symbols:
+            raise ValueError("cannot prepend after symbolic collapse")
+        d, s = q, self.n + q
+        if name == "X":
+            self.sign[s] ^= True
+        elif name == "H":
+            for arr in (self.x, self.z, self.sign):
+                arr[[d, s]] = arr[[s, d]]
+        elif name == "S":
+            xd, zd, xs, zs = self.x[d], self.z[d], self.x[s], self.z[s]
+            x, z = xd ^ xs, zd ^ zs
+            # i * R_d * R_s as a power of i, R = (-1)^sign i^(x.z) X^x Z^z;
+            # reordering Z^zd X^xs costs (-1)^(zd.xs)
+            power = (
+                1
+                + int(np.bitwise_count(xd & zd).sum())
+                + int(np.bitwise_count(xs & zs).sum())
+                + 2 * int(np.bitwise_count(zd & xs).sum())
+                + 2 * (int(self.sign[d]) + int(self.sign[s]))
+                - int(np.bitwise_count(x & z).sum())
+            )
+            self.x[d], self.z[d] = x, z
+            self.sign[d] = bool((power >> 1) & 1)
+        else:
+            raise ValueError(f"cannot prepend gate {name!r}")
 
     def apply_circuit(self, circuit: Circuit) -> None:
         """Apply a Clifford circuit as fused word-parallel gate layers.

@@ -1,0 +1,444 @@
+"""Per-fragment work is done once — and changes no result.
+
+The variants of a fragment share one hashed, compiled and simulated body
+(``Circuit.embed`` / ``shared_body`` / ``derived``, ``Tableau.prepend``),
+and ``build_window_tensors`` builds every window's tensor in one pass over
+a fragment's variants.  Each test pins one equivalence that rests on.
+"""
+
+import itertools
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import Distribution
+from repro.apps.hwea import HWEA
+from repro.backends.cache import circuit_fingerprint
+from repro.circuits import Circuit, gates
+from repro.circuits.circuit import Operation
+from repro.core import ExecutionConfig, SamplingConfig, SuperSim
+from repro.core.evaluator import (
+    DenseVariantData,
+    FragmentData,
+    SampledVariantData,
+    VariantData,
+)
+from repro.core.fragments import Fragment
+from repro.core.tomography import build_fragment_tensor, build_window_tensors
+from repro.core.variants import all_variants, variant_circuit
+from repro.stabilizer import StabilizerSimulator
+from repro.stabilizer import tableau as tableau_module
+from repro.stabilizer.tableau import Tableau, compile_clifford_layers
+
+STAB = StabilizerSimulator()
+
+#: gate sequences preparing |0>, |1>, |+>, |+i> (as in repro.core.variants)
+_PREPS = ((), (gates.X,), (gates.H,), (gates.H, gates.S))
+
+
+def same_tableau(a: Tableau, b: Tableau) -> bool:
+    return (
+        np.array_equal(a.x, b.x)
+        and np.array_equal(a.z, b.z)
+        and np.array_equal(a.sign, b.sign)
+    )
+
+
+def clifford_fragment(n=6, qi=1, qo=1, seed=0) -> Fragment:
+    """A Clifford fragment: inputs on the first wires, outputs on the last."""
+    rng = np.random.default_rng(seed)
+    body = Circuit(n)
+    for _ in range(5 * n):
+        kind = int(rng.integers(5))
+        if kind == 4 and n > 1:
+            a, b = rng.choice(n, size=2, replace=False)
+            body.append(gates.CX, int(a), int(b))
+        else:
+            gate = (gates.H, gates.S, gates.SDG, gates.X, gates.YPow(0.5))[kind]
+            body.append(gate, int(rng.integers(n)))
+    return Fragment(
+        index=0,
+        circuit=body,
+        quantum_inputs=[(cut, cut) for cut in range(qi)],
+        quantum_outputs=[(qi + j, n - 1 - j) for j in range(qo)],
+        circuit_outputs=[(q, q) for q in range(n - qo)],
+    )
+
+
+def plain_copy(circuit: Circuit) -> Circuit:
+    """The same op list in a circuit that knows nothing about a body."""
+    return Circuit(circuit.n_qubits, circuit.ops).measure(circuit.measured_qubits)
+
+
+# -- Tableau.prepend -----------------------------------------------------------
+
+
+@st.composite
+def bodies_and_preparations(draw):
+    n = draw(st.integers(2, 70))
+    body = Circuit(n)
+    for _ in range(draw(st.integers(0, 40))):
+        if draw(st.booleans()):
+            a = draw(st.integers(0, n - 1))
+            b = draw(st.integers(0, n - 2))
+            body.append(gates.CX, a, b + (b >= a))
+        else:
+            gate = draw(st.sampled_from([gates.H, gates.S, gates.SDG, gates.X]))
+            body.append(gate, draw(st.integers(0, n - 1)))
+    qubits = draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
+    )
+    return body, qubits
+
+
+class TestPrepend:
+    @settings(max_examples=40, deadline=None)
+    @given(bodies_and_preparations())
+    def test_prepend_equals_resimulation(self, case):
+        """copy + prepend == evolving prefix + body from |0..0>, on x, z and
+        sign, destabilizer rows included, for every preparation."""
+        body, qubits = case
+        evolved = Tableau(body.n_qubits)
+        evolved.apply_circuit(body)
+        pristine = evolved.copy()
+        for preps in itertools.product(range(4), repeat=len(qubits)):
+            prefix = Circuit(body.n_qubits)
+            for q, prep in zip(qubits, preps):
+                for gate in _PREPS[prep]:
+                    prefix.append(gate, q)
+            got = evolved.copy()
+            for op in reversed(prefix.ops):
+                got.prepend(op.gate.name, op.qubits[0])
+            expected = Tableau(body.n_qubits)
+            expected.apply_circuit(prefix + body)
+            assert same_tableau(got, expected), (preps, qubits)
+        assert same_tableau(evolved, pristine), "the shared tableau was mutated"
+
+    def test_unknown_gate_and_collapsed_tableau_are_refused(self):
+        with pytest.raises(ValueError):
+            Tableau(2).prepend("SDG", 0)
+        collapsed = Tableau(1)
+        collapsed.h(0)
+        collapsed.measurement_distribution((0,))  # random outcome: one symbol
+        with pytest.raises(ValueError):
+            collapsed.prepend("X", 0)
+
+
+# -- a variant and its spelled-out op list -----------------------------------------
+
+
+class TestVariantEqualsPlainCircuit:
+    @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 1), (2, 1), (0, 2)])
+    def test_fingerprint_layers_and_affine_form(self, qi, qo):
+        fragment = clifford_fragment(7, qi, qo, seed=qi * 3 + qo)
+        for preps, bases in all_variants(fragment):
+            variant = variant_circuit(fragment, preps, bases)
+            body, start, stop = variant.shared_body()
+            assert body is fragment.circuit
+            assert variant.ops[start:stop] == fragment.circuit.ops
+            plain = plain_copy(variant)
+            assert plain.shared_body() is None
+            assert circuit_fingerprint(variant) == circuit_fingerprint(plain)
+            via_layers, reference = Tableau(7), Tableau(7)
+            via_layers.apply_circuit(variant)
+            reference.apply_circuit(plain)
+            assert same_tableau(via_layers, reference)
+            assert same_tableau(STAB.run(variant), reference)
+            ours = STAB.affine_distribution(variant)
+            theirs = STAB.affine_distribution(plain)
+            assert np.array_equal(ours.A, theirs.A)
+            assert np.array_equal(ours.b, theirs.b)
+
+    def test_body_is_compiled_and_evolved_once_per_fragment(self, monkeypatch):
+        fragment = clifford_fragment(8, 1, 1)
+        body_len = len(fragment.circuit.ops)
+        compiled = []
+        real = tableau_module._compile_ops
+
+        def counting(ops):
+            compiled.append(len(ops))
+            return real(ops)
+
+        monkeypatch.setattr(tableau_module, "_compile_ops", counting)
+        from repro import kernels
+
+        before = kernels.counters_snapshot()["apply_layers"][0]
+        variants = [variant_circuit(fragment, p, b) for p, b in all_variants(fragment)]
+        for variant in variants:
+            STAB.affine_distribution(variant)
+        assert kernels.counters_snapshot()["apply_layers"][0] - before == 1
+        for variant in variants:
+            compile_clifford_layers(variant)
+        assert compiled.count(body_len) == 1
+        assert max(n for n in compiled if n != body_len) <= 2
+
+    def test_compiled_layers_stay_cached_on_the_variant(self):
+        fragment = clifford_fragment(5, 1, 1)
+        variant = variant_circuit(fragment, (3,), (2,))
+        assert compile_clifford_layers(variant) is compile_clifford_layers(variant)
+
+    def test_non_prependable_prefix_falls_back(self):
+        body = clifford_fragment(4, 0, 0).circuit
+        circuit = Circuit(4).append(gates.SDG, 1).append(gates.CX, 0, 2)
+        circuit.embed(body).append(gates.H, 3).measure_all()
+        assert circuit.shared_body() is not None
+        expected = Tableau(4)
+        expected.apply_circuit(plain_copy(circuit))
+        assert same_tableau(STAB.run(circuit), expected)
+        assert circuit_fingerprint(circuit) == circuit_fingerprint(plain_copy(circuit))
+
+    def test_embed_checks_width(self):
+        with pytest.raises(ValueError):
+            Circuit(3).embed(Circuit(2))
+
+
+# -- mutation ---------------------------------------------------------------------
+
+
+class TestMutationDropsTheBody:
+    def variant_and_twin(self):
+        fragment = clifford_fragment(6, 1, 1, seed=5)
+        variant = variant_circuit(fragment, (3,), (1,))
+        # warm every cache the body carries
+        circuit_fingerprint(variant)
+        STAB.affine_distribution(variant)
+        compile_clifford_layers(variant)
+        return fragment, variant, plain_copy(variant)
+
+    def assert_still_right(self, variant, twin):
+        assert variant.shared_body() is None
+        assert circuit_fingerprint(variant) == circuit_fingerprint(twin)
+        ours = STAB.affine_distribution(variant)
+        theirs = STAB.affine_distribution(twin)
+        assert np.array_equal(ours.A, theirs.A) and np.array_equal(ours.b, theirs.b)
+
+    def test_body_append(self):
+        fragment, variant, twin = self.variant_and_twin()
+        fragment.circuit.append(gates.H, 0)
+        self.assert_still_right(variant, twin)
+
+    def test_body_in_place_replacement(self):
+        fragment, variant, twin = self.variant_and_twin()
+        fragment.circuit.ops[3] = Operation(gates.S, (2,))
+        self.assert_still_right(variant, twin)
+        # a variant built now sees the new body, not what the old one cached
+        fresh = variant_circuit(fragment, (3,), (1,))
+        assert fresh.shared_body() is not None
+        expected = STAB.affine_distribution(plain_copy(fresh))
+        got = STAB.affine_distribution(fresh)
+        assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
+        assert circuit_fingerprint(fresh) == circuit_fingerprint(plain_copy(fresh))
+
+    def test_variant_mutated_inside_the_body(self):
+        _fragment, variant, _twin = self.variant_and_twin()
+        _body, start, _stop = variant.shared_body()
+        variant.ops[start + 1] = Operation(gates.X, (0,))
+        self.assert_still_right(variant, plain_copy(variant))
+
+    def test_ops_appended_after_the_body_keep_it(self):
+        _fragment, variant, _twin = self.variant_and_twin()
+        variant.append(gates.S, 2)
+        assert variant.shared_body() is not None
+        twin = plain_copy(variant)
+        assert circuit_fingerprint(variant) == circuit_fingerprint(twin)
+        assert same_tableau(STAB.run(variant), STAB.run(twin))
+
+    def test_derived_space_is_emptied_by_mutation(self):
+        circuit = Circuit(2).append(gates.H, 0)
+        circuit.derived()["x"] = 1
+        assert circuit.derived() == {"x": 1}
+        circuit.append(gates.CX, 0, 1)
+        assert circuit.derived() == {}
+        circuit.derived()["x"] = 2
+        circuit.ops[0] = Operation(gates.S, (0,))
+        assert circuit.derived() == {}
+
+
+# -- derived caches do not travel ------------------------------------------------------
+
+
+class TestPickling:
+    def test_simulating_a_variant_does_not_grow_its_pickle(self):
+        fragment = clifford_fragment(9, 1, 1, seed=2)
+        variant = variant_circuit(fragment, (2,), (2,))
+        cold = len(pickle.dumps(variant))
+        expected = STAB.affine_distribution(variant)
+        circuit_fingerprint(variant)
+        Tableau(9).apply_circuit(variant)
+        assert fragment.circuit.derived() and variant.derived()
+        assert len(pickle.dumps(variant)) == cold
+        assert len(pickle.dumps(fragment.circuit)) == len(
+            pickle.dumps(fragment.circuit.copy())
+        )
+        clone = pickle.loads(pickle.dumps(variant))
+        assert clone.shared_body() is None and clone.derived() == {}
+        assert clone.ops == variant.ops
+        assert clone.measured_qubits == variant.measured_qubits
+        assert circuit_fingerprint(clone) == circuit_fingerprint(variant)
+        got = STAB.affine_distribution(clone)
+        assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
+
+
+# -- thread pools share the body ---------------------------------------------------------
+
+
+def test_threads_sharing_one_body_agree_with_serial_results():
+    fragment = clifford_fragment(40, 1, 1, seed=9)
+    specs = list(all_variants(fragment)) * 3
+    expected = {
+        spec: STAB.affine_distribution(plain_copy(variant_circuit(fragment, *spec)))
+        for spec in set(specs)
+    }
+    results, errors = {}, []
+    barrier = threading.Barrier(len(specs))
+
+    def work(slot, spec):
+        try:
+            variant = variant_circuit(fragment, *spec)
+            barrier.wait(timeout=30)
+            results[slot] = (circuit_fingerprint(variant), STAB.affine_distribution(variant))
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(slot, spec))
+            for slot, spec in enumerate(specs)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(results) == len(specs)
+    for slot, spec in enumerate(specs):
+        fingerprint, affine = results[slot]
+        assert fingerprint == circuit_fingerprint(
+            plain_copy(variant_circuit(fragment, *spec))
+        )
+        assert np.array_equal(affine.A, expected[spec].A)
+        assert np.array_equal(affine.b, expected[spec].b)
+
+
+# -- batched tomography ---------------------------------------------------------------
+
+
+class JointOnly(VariantData):
+    """Sampled data behind the per-window ``joint`` interface alone."""
+
+    def __init__(self, sampled: SampledVariantData):
+        self.sampled = sampled
+
+    def joint(self, cols):
+        return self.sampled.joint(cols)
+
+
+def sampled_fragment_data(qi, qo, shots, seed, n=9):
+    rng = np.random.default_rng(seed)
+    fragment = clifford_fragment(n, qi, qo, seed)
+    bias = rng.uniform(0.2, 0.8, size=n)
+    results = {
+        spec: SampledVariantData(rng.random((shots, n)) < bias)
+        for spec in all_variants(fragment)
+    }
+    return FragmentData(fragment, results)
+
+
+#: widths 0, 1, 2 and 5, a repeated window, a permuted one, out of order
+WINDOWS = [[], [3], [0, 4], [3], [1, 2, 0, 5, 4], [], [4, 0], [2], [5, 1, 3, 0, 2]]
+
+
+class TestBuildWindowTensors:
+    @pytest.mark.parametrize("qi,qo", list(itertools.product(range(3), repeat=2)))
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_one_pass_equals_per_window_builds(self, qi, qo, snap):
+        """Odd shot count: division and summation order must match exactly."""
+        data = sampled_fragment_data(qi, qo, shots=777, seed=10 * qi + qo)
+        one_by_one = FragmentData(
+            data.fragment, {k: JointOnly(v) for k, v in data.results.items()}
+        )
+        windows = [w for w in WINDOWS if all(q < 9 - qo for q in w)]
+        batched = build_window_tensors(data, windows, snap_clifford=snap)
+        assert len(batched) == len(windows)
+        for window, tensor in zip(windows, batched):
+            assert tensor.shape == (4,) * (qi + qo) + (2 ** len(window),)
+            alone = build_fragment_tensor(one_by_one, window, snap_clifford=snap)
+            assert np.array_equal(tensor, alone), window
+            assert np.array_equal(
+                tensor, build_fragment_tensor(data, window, snap_clifford=snap)
+            )
+
+    @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("snap", [False, True])
+    def test_sampled_equals_dense_wrapping(self, qi, qo, snap):
+        """Power-of-two shots: marginalising probabilities is exact too."""
+        data = sampled_fragment_data(qi, qo, shots=512, seed=7 * qi + qo)
+        dense = FragmentData(
+            data.fragment,
+            {
+                k: DenseVariantData(Distribution.from_bit_rows(v.bits))
+                for k, v in data.results.items()
+            },
+        )
+        windows = [w for w in WINDOWS if all(q < 9 - qo for q in w)]
+        for project in (False, True):
+            got = build_window_tensors(data, windows, snap, project)
+            expected = build_window_tensors(dense, windows, snap, project)
+            for window, a, b in zip(windows, got, expected):
+                assert np.array_equal(a, b), (window, project)
+
+    def test_identical_windows_share_one_tensor(self):
+        data = sampled_fragment_data(1, 1, shots=64, seed=1)
+        tensors = build_window_tensors(data, [[], [2], [], [2]])
+        assert tensors[0] is tensors[2] and tensors[1] is tensors[3]
+
+    def test_sampled_variants_are_visited_without_joint(self, monkeypatch):
+        def refuse(self, cols):
+            raise AssertionError("per-window joint() on sampled data")
+
+        monkeypatch.setattr(SampledVariantData, "joint", refuse)
+        data = sampled_fragment_data(1, 1, shots=100, seed=3)
+        build_window_tensors(data, [[0], [1], [0, 1], []])
+
+
+# -- end to end: seeded marginals at any parallelism ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def hwea30():
+    rng = np.random.default_rng(4)
+    return HWEA(30, 3).near_clifford_instance(num_t=1, rng=rng).measure_all()
+
+
+def test_seeded_marginals_identical_across_pools(hwea30):
+    sampling = SamplingConfig(shots=600, seed=11)
+    windows = [[3], [3, 17], [29], [17]]
+    runs = []
+    for execution in (
+        ExecutionConfig(parallel=1),
+        ExecutionConfig(parallel=3, pool="thread"),
+        ExecutionConfig(parallel=2, pool="process"),
+    ):
+        with SuperSim(sampling=sampling, execution=execution) as sim:
+            singles = sim.single_qubit_marginals(hwea30)
+            joint = sim.marginal_probabilities(hwea30, windows)
+        runs.append((singles, joint))
+    base_singles, base_joint = runs[0]
+    assert np.allclose(base_singles.sum(axis=1), 1.0)
+    for singles, joint in runs[1:]:
+        assert np.array_equal(singles, base_singles)
+        for a, b in zip(joint, base_joint):
+            assert np.array_equal(a.keys_array, b.keys_array)
+            assert np.array_equal(a.values_array, b.values_array)
+    # windows [3] and [17] of the joint call are rows of the single-qubit table
+    assert base_joint[0][1] == base_singles[3, 1]
+    assert base_joint[3][1] == base_singles[17, 1]

@@ -45,6 +45,37 @@ class TestCliffordDetection:
         assert gates.ZZPow(t).is_clifford
 
 
+class TestPowGateMemo:
+    """``_pow_gate`` hands out one immutable gate per (family, exponent)."""
+
+    @pytest.mark.parametrize("factory", [gates.ZPow, gates.XPow, gates.YPow,
+                                         gates.ZZPow, gates.CZPow],
+                             ids=lambda f: f.__name__)
+    def test_same_exponent_same_object(self, factory):
+        assert factory(0.5) is factory(0.5)
+        assert factory(1) is factory(1.0)
+        assert factory(0.3) is not factory(0.30000000000000004)
+        assert factory(0.3) != factory(0.7)
+        assert factory(0.3).params == (0.3,) and factory(0.7).params == (0.7,)
+
+    def test_families_do_not_collide(self):
+        assert gates.ZPow(0.5) is not gates.XPow(0.5)
+        assert gates.ZPow(0.5).name == "ZP" and gates.XPow(0.5).name == "XP"
+
+    def test_signed_zero_keeps_its_parameter_bytes(self):
+        # 0.0 == -0.0, but the two fingerprint differently
+        assert str(gates.ZPow(0.0).params[0]) == "0.0"
+        assert str(gates.ZPow(-0.0).params[0]) == "-0.0"
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.5, 0.25, 0.1])
+    def test_memoised_gate_equals_a_fresh_one(self, t):
+        for factory in (gates.ZPow, gates.XPow, gates.YPow):
+            memo = factory(t)
+            fresh = gates.Gate(memo.name, memo.matrix, memo.params)
+            assert memo.is_clifford == fresh.is_clifford
+            assert not memo.matrix.flags.writeable
+
+
 class TestMatrices:
     def test_zpow_quarter_is_t(self):
         assert np.allclose(gates.ZPow(0.25).matrix, gates.T.matrix)
