@@ -247,7 +247,9 @@ def bench_streaming_reconstruction() -> dict:
     fragment tensors *before* contracting, so peak accumulator memory is
     ``2^8`` entries instead of ``2^21``.  A 61-qubit recursive run rides
     along as the dense-infeasible demonstration: top-k reconstruction
-    with peak memory bounded by ``2^qubit_limit``.
+    with peak memory bounded by ``2^qubit_limit``, and
+    :func:`_recursive_61q_counts` adds the counts its per-level tomography
+    is gated on.
     """
     circuit, cuts = _chain_workload(blocks=5, width=5, depth=6, seed=1)
     cc = cut_circuit(circuit, cuts)
@@ -311,6 +313,91 @@ def bench_streaming_reconstruction() -> dict:
         "recursive_61q_windows": wide_result.reconstruction_windows,
         "recursive_61q_peak_entries": wide_result.stats.peak_window_entries,
         "recursive_61q_covered": wide_result.covered_probability,
+        **_recursive_61q_counts(),
+    }
+
+
+def _recursive_61q_counts() -> dict:
+    """Counts, not seconds, of a 61q recursive reconstruction.
+
+    The ledger's ``wide61_recursive`` shape (two ``XPow(1/4)`` in a GHZ
+    chain plus an even-pair CX layer: one 61q Clifford fragment with 144
+    variants).  Per level, conditioned tomography must visit each variant
+    of a fragment exactly once — one ``conditioned_tables`` call, for exact
+    Clifford data one GF(2) elimination — however many bins the frontier
+    holds; and once the reconstruction has returned, the tensor builder
+    may still hold less than one window tensor.
+    """
+    import tracemalloc
+    from unittest import mock
+
+    from repro.core import evaluator, supersim
+    from repro.core.reconstruction import reconstruct_dynamic
+    from repro.stabilizer import tableau
+
+    qubit_limit, top_k = 12, 64
+    wide = Circuit(61).append(gates.H, 0)
+    for q in range(60):
+        wide.append(gates.CX, q, q + 1)
+    for q in (27, 33):
+        wide.append(gates.XPow(0.25), q)
+    for q in range(0, 60, 2):
+        wide.append(gates.CX, q, q + 1)
+    sim = SuperSim()
+    cc = sim.cut(wide.measure_all())
+    data = sim._evaluator().evaluate_all(cc.fragments)
+
+    counts = {"levels": 0, "variants": 0, "visits": 0, "bases": 0, "eliminations": 0}
+    level_builder = supersim.build_conditioned_window_tensors
+    visit = evaluator.AffineVariantData.conditioned_tables
+    column_basis = tableau._gf2_column_basis
+
+    def counted_level(fragment_data, *args, **kwargs):
+        counts["levels"] += 1
+        counts["variants"] += fragment_data.num_variants
+        return level_builder(fragment_data, *args, **kwargs)
+
+    def counted_visit(self, *args):
+        counts["visits"] += 1
+        bases = counts["bases"]
+        tables = visit(self, *args)
+        counts["eliminations"] += counts["bases"] - bases
+        return tables
+
+    def counted_basis(matrix):
+        counts["bases"] += 1
+        return column_basis(matrix)
+
+    with (
+        mock.patch.object(supersim, "build_conditioned_window_tensors", counted_level),
+        mock.patch.object(
+            evaluator.AffineVariantData, "conditioned_tables", counted_visit
+        ),
+        mock.patch.object(tableau, "_gf2_column_basis", counted_basis),
+    ):
+        builder = sim._dynamic_tensor_builder(cc, data)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _, stats = reconstruct_dynamic(
+                cc, builder, list(range(61)), qubit_limit=qubit_limit, top_k=top_k
+            )
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    window_tensor = max(
+        8 * 4 ** (len(f.quantum_inputs) + len(f.quantum_outputs)) * 2**qubit_limit
+        for f in cc.fragments
+    )
+    return {
+        "recursive_61q_conditioned_levels": counts["levels"],
+        "recursive_61q_level_variants": counts["variants"],
+        "recursive_61q_variant_visits": counts["visits"],
+        "recursive_61q_eliminations": counts["eliminations"],
+        "recursive_61q_windows_refined": stats.windows,
+        "recursive_61q_window_tensor_bytes": window_tensor,
+        "recursive_61q_retained_bytes": retained - before,
+        "recursive_61q_peak_bytes": peak - before,
     }
 
 
@@ -641,6 +728,30 @@ def main() -> int:
         failures.append(
             "61q recursive peak window "
             f"{streaming['recursive_61q_peak_entries']} entries > 2^16"
+        )
+    # counts, not seconds: exact on any runner
+    if not (
+        streaming["recursive_61q_conditioned_levels"] > 0
+        and streaming["recursive_61q_variant_visits"]
+        == streaming["recursive_61q_eliminations"]
+        == streaming["recursive_61q_level_variants"]
+    ):
+        failures.append(
+            "61q recursive tomography no longer visits each variant once per "
+            f"level: {streaming['recursive_61q_variant_visits']} visits, "
+            f"{streaming['recursive_61q_eliminations']} eliminations for "
+            f"{streaming['recursive_61q_level_variants']} variant-levels "
+            f"({streaming['recursive_61q_windows_refined']} windows)"
+        )
+    if (
+        streaming["recursive_61q_retained_bytes"]
+        > streaming["recursive_61q_window_tensor_bytes"]
+    ):
+        failures.append(
+            "61q recursive tensor builder retains "
+            f"{streaming['recursive_61q_retained_bytes']} bytes after the "
+            "reconstruction (> one window tensor, "
+            f"{streaming['recursive_61q_window_tensor_bytes']})"
         )
     cache = results["einsum_path_cache"]
     if cache["warm_cache_misses"] != 0:

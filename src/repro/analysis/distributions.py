@@ -134,6 +134,8 @@ def chunked_keys_to_ints(keys: np.ndarray, n_bits: int) -> list[int]:
 
 def ints_to_chunked_keys(outcomes: Iterable[int], n_bits: int) -> np.ndarray:
     """``(rows, chunks)`` chunked key array of an iterable of outcomes."""
+    if n_bits <= CHUNK_BITS:
+        return np.array(list(outcomes), dtype=np.uint64).reshape(-1, 1)
     widths = _chunk_widths(n_bits)
     shifts = np.cumsum([0] + widths[::-1][:-1])[::-1]  # shift of each chunk
     outcomes = list(outcomes)

@@ -35,13 +35,13 @@ from repro.core.config import (
 from repro.core.cutter import Cut, CutStrategy, cut_circuit, find_cuts, plan_cuts
 from repro.core.fragments import CutCircuit, Fragment
 from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
-from repro.core.reconstruction import ReconstructionMemoryError
 from repro.core.supersim import SuperSim, SuperSimResult
 from repro.errors import (
     BackendExecutionError,
     FaultEvent,
     FaultReport,
     JobTimeoutError,
+    ReconstructionMemoryError,
     ReproError,
     WorkerCrashError,
 )

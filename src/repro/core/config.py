@@ -261,7 +261,7 @@ class ReconstructionConfig(_Replaceable):
         indices, output bit order).
     max_dense_bits:
         Output-width guard: dense reconstruction beyond this raises
-        :class:`~repro.core.reconstruction.ReconstructionMemoryError`,
+        :class:`~repro.errors.ReconstructionMemoryError`,
         and ``mode="auto"`` switches to recursive above it.
     """
 

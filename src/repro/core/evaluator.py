@@ -80,6 +80,29 @@ class VariantData:
             table.reshape(-1)[dist.keys_array.astype(np.intp)] = dist.values_array
         return tables
 
+    def conditioned_tables(
+        self, keep: list[int], fixed: list[int], fixed_rows: np.ndarray, tail: list[int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``P(keep = x, fixed = row, tail = m)`` for every row of ``fixed_rows``.
+
+        The conditioned twin of :meth:`joint_tables`: one table per row of
+        the ``(bins, len(fixed))`` bit matrix, sparse because a bin's
+        support is small whatever the window width — a ``(keys, probs)``
+        pair with ``keys = x << len(tail) | m`` (``int64``, unique, in no
+        particular order).  This default takes one joint over all the
+        columns and cuts it up by the fixed bits, which lead its sorted
+        keys.
+        """
+        dist = self.joint(list(fixed) + list(keep) + list(tail))
+        bits = dist.bit_matrix()
+        fixed_keys = pack_bit_rows(bits[:, : len(fixed)])
+        keys = pack_bit_rows(bits[:, len(fixed) :]).astype(np.int64)
+        wanted = pack_bit_rows(fixed_rows)
+        starts = np.searchsorted(fixed_keys, wanted, side="left")
+        stops = np.searchsorted(fixed_keys, wanted, side="right")
+        probs = dist.values_array
+        return [(keys[a:b], probs[a:b]) for a, b in zip(starts, stops)]
+
     def probability_at(self, cols: list[int], bits) -> float:
         """Point query: P(selected columns == bits)."""
         dist = self.joint(cols)
@@ -97,6 +120,12 @@ class AffineVariantData(VariantData):
 
     def joint(self, cols: list[int]) -> Distribution:
         return self.affine.marginal_distribution(cols)
+
+    def conditioned_tables(self, keep, fixed, fixed_rows, tail):
+        # algebraic: nothing wider than keep + tail is ever enumerated
+        return self.affine.conditioned_marginals(
+            fixed, fixed_rows, list(keep) + list(tail)
+        )
 
     def probability_at(self, cols: list[int], bits) -> float:
         # avoids enumerating the (possibly huge) marginal support

@@ -40,6 +40,13 @@ definition"):
   into the heaviest bins (conditioning the fragment tensors on the bits
   defined so far), and return a calibrated top-k :class:`Distribution`
   whose peak memory is ``O(4^k · 2^qubit_limit)`` at any output width.
+  It works level by level: all bins of a level pin the same qubits, so
+  the driver hands its tensor callback the level's whole frontier at once
+  (``tensor_builder(window, fixed_qubits, fixed_rows)``) and pulls the
+  bins' tensors from the returned iterator one at a time, contracting
+  and dropping each before asking for the next.  What a level costs to
+  prepare — one visit per fragment variant — is the callback's business;
+  the driver never holds more than one bin's tensors.
 """
 
 from __future__ import annotations
@@ -52,6 +59,7 @@ import numpy as np
 from repro import kernels as _kernels
 from repro.analysis.distributions import Distribution
 from repro.core.fragments import CutCircuit
+from repro.errors import ReconstructionMemoryError
 
 _ONE = np.uint64(1)
 
@@ -73,15 +81,6 @@ DEFAULT_MAX_DENSE_BITS = 26
 #: only used to rank dense vs recursive cost in estimates, so the
 #: absolute scale matters less than both modes sharing it
 _SECONDS_PER_TERM_ENTRY = 2e-9
-
-
-class ReconstructionMemoryError(MemoryError):
-    """Dense reconstruction refused: the output accumulator would not fit.
-
-    Raised *before* allocation, naming the width and the escape hatches,
-    instead of letting ``np.zeros(2**total_bits)`` die with an opaque
-    ``MemoryError`` (or freeze the machine in swap).
-    """
 
 
 def check_dense_width(total_bits: int, max_dense_bits: int | None) -> None:
@@ -641,12 +640,15 @@ def reconstruct_dynamic(
     outcomes are calibrated — no renormalisation hides the truncated
     mass, which ``stats.covered_probability`` reports.
 
-    ``tensor_builder(window, fixed)`` must return ``(tensors,
-    kept_locals)`` for the given window of original qubits with the
-    ``{original_qubit: bit}`` assignments in ``fixed`` pinned — see
-    :meth:`SuperSim.marginal_probabilities`'s builder.  Building tensors
-    per (window, bin) keeps tomography memory bounded by the fragment
-    supports rather than ``2**total_bits``.
+    ``tensor_builder(window, fixed_qubits, fixed_rows)`` is called once
+    per level with the window's original qubits, the qubits every earlier
+    window defined, and a ``(bins, len(fixed_qubits))`` bit matrix — one
+    row per frontier bin, heaviest first.  It must return an iterable
+    that yields, in row order, ``(tensors, kept_locals)`` for the window
+    with that row's bits pinned (see ``SuperSim._dynamic_tensor_builder``).
+    The driver consumes it lazily, one bin at a time, so a builder that
+    yields as it goes keeps tomography memory at one bin's tensors rather
+    than a level's — let alone ``2**total_bits``.
 
     ``recursion_depth`` caps the number of window levels; when it stops
     short of the full width the result is a (coarse) distribution over
@@ -670,15 +672,24 @@ def reconstruct_dynamic(
 
     k = cut_circuit.num_cuts
     stats = ReconstructionStats(terms_total=4**k, mode="recursive")
-    # frontier bins: (prefix_key over defined-so-far bits, fixed bit
-    # assignments, exact joint probability of the bin)
-    frontier: list[tuple[int, dict[int, int], float]] = [(0, {}, 1.0)]
+    # frontier bins: (prefix key over the bits defined so far, exact joint
+    # probability of the bin)
+    frontier: list[tuple[int, float]] = [(0, 1.0)]
+    fixed_qubits: list[int] = []
     for level, window in enumerate(windows):
         final = level == len(windows) - 1
         width = len(window)
-        candidates: list[tuple[int, dict[int, int], float]] = []
-        for prefix, fixed, _prob in frontier:
-            tensors, kept_locals = tensor_builder(window, fixed)
+        n_fixed = len(fixed_qubits)
+        fixed_rows = np.array(
+            [
+                [(prefix >> (n_fixed - 1 - j)) & 1 for j in range(n_fixed)]
+                for prefix, _prob in frontier
+            ],
+            dtype=bool,
+        )
+        candidates: list[tuple[int, float]] = []
+        level_tensors = tensor_builder(window, fixed_qubits, fixed_rows)
+        for (prefix, _prob), (tensors, kept_locals) in zip(frontier, level_tensors):
             dist, sub = reconstruct_distribution(
                 cut_circuit,
                 tensors,
@@ -694,21 +705,18 @@ def reconstruct_dynamic(
             stats.path_cache_hits += sub.path_cache_hits
             stats.path_cache_misses += sub.path_cache_misses
             for key, prob in zip(dist.key_ints(), dist.values_array.tolist()):
-                if not final and prob <= refine_threshold:
-                    continue
-                new_fixed = dict(fixed)
-                for j, q in enumerate(window):
-                    new_fixed[q] = (key >> (width - 1 - j)) & 1
-                candidates.append(((prefix << width) | key, new_fixed, prob))
+                if final or prob > refine_threshold:
+                    candidates.append(((prefix << width) | key, prob))
         # heaviest bins first; ties broken by outcome key so seeded runs
         # are bit-for-bit reproducible at any parallelism
-        candidates.sort(key=lambda c: (-c[2], c[0]))
+        candidates.sort(key=lambda c: (-c[1], c[0]))
         frontier = candidates[:top_k]
+        fixed_qubits = fixed_qubits + window
         if not frontier:
             break
     stats.refinements = max(stats.windows - 1, 0)
 
-    probs = {prefix: prob for prefix, _fixed, prob in frontier}
+    probs = dict(frontier)
     stats.covered_probability = float(sum(probs.values()))
     return Distribution(len(defined), probs), stats
 

@@ -37,6 +37,7 @@ re-simulated.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -67,7 +68,8 @@ from repro.core.reconstruction import (
     reconstruct_dynamic,
 )
 from repro.core.tomography import (
-    build_conditioned_fragment_tensor,
+    build_conditioned_fragment_tensor,  # noqa: F401 - the ledger wraps it here
+    build_conditioned_window_tensors,
     build_fragment_tensor,
     build_window_tensors,
 )
@@ -360,50 +362,57 @@ class SuperSim:
         return mode
 
     def _dynamic_tensor_builder(self, cc: CutCircuit, fragment_data):
-        """The (window, fixed) -> (tensors, kept_locals) callback of
+        """The per-level tensor callback of
         :func:`~repro.core.reconstruction.reconstruct_dynamic`.
 
-        Tensors are built per window/bin from the already-evaluated
-        fragment data — never over all kept bits at once, so tomography
-        memory follows the window, not the circuit width.  Bins at the
-        same level share conditioned tensors for every fragment whose
-        fixed bits agree, so results are memoised per
-        ``(fragment, window, fixed)``.
+        ``build(window, fixed_qubits, fixed_rows)`` yields ``(tensors,
+        kept_locals)`` once per frontier bin (row of ``fixed_rows``), built
+        from the already-evaluated fragment data — never over all kept
+        bits at once, so tomography memory follows the window, not the
+        circuit width.  A fragment holding some of the fixed qubits streams
+        its conditioned tensors, every variant visited once for the whole
+        level (:func:`build_conditioned_window_tensors`); one holding none
+        has a single tensor for the level.  Only a tensor that can come
+        back at a later level is kept across levels — that of a fragment
+        with no kept or fixed qubits yet, ``4**(qi+qo)`` numbers.
         """
         project = self.sampling.tomography and self.sampling.shots is not None
         snap = self.sampling.snap_clifford
-        memo: dict[tuple, np.ndarray] = {}
+        untouched: dict[int, np.ndarray] = {}
 
-        def build(window, fixed):
+        def build(window, fixed_qubits, fixed_rows):
             window_set = set(window)
-            tensors = []
+            column = {q: j for j, q in enumerate(fixed_qubits)}
+            streams = []
             kept_locals = []
             for fragment, data in zip(cc.fragments, fragment_data):
                 kept = [lq for oq, lq in fragment.circuit_outputs if oq in window_set]
-                fixed_locals = {
-                    lq: fixed[oq]
+                pinned = [
+                    (lq, column[oq])
                     for oq, lq in fragment.circuit_outputs
-                    if oq in fixed
-                }
-                key = (
-                    fragment.index,
-                    tuple(kept),
-                    tuple(sorted(fixed_locals.items())),
-                )
-                tensor = memo.get(key)
-                if tensor is None:
-                    if fixed_locals:
-                        tensor = build_conditioned_fragment_tensor(
-                            data, kept, fixed_locals, snap_clifford=snap
-                        )
-                    else:
+                    if oq in column
+                ]
+                if pinned:
+                    stream = build_conditioned_window_tensors(
+                        data,
+                        kept,
+                        [lq for lq, _ in pinned],
+                        fixed_rows[:, [j for _, j in pinned]],
+                        snap_clifford=snap,
+                    )
+                else:
+                    tensor = None if kept else untouched.get(fragment.index)
+                    if tensor is None:
                         tensor = build_fragment_tensor(
                             data, kept, snap_clifford=snap, project=project
                         )
-                    memo[key] = tensor
-                tensors.append(tensor)
+                        if not kept:
+                            untouched[fragment.index] = tensor
+                    stream = itertools.repeat(tensor)
+                streams.append(stream)
                 kept_locals.append(kept)
-            return tensors, kept_locals
+            for _ in range(len(fixed_rows)):
+                yield [next(stream) for stream in streams], kept_locals
 
         return build
 

@@ -19,6 +19,16 @@ all windows in one pass over their shots (:meth:`VariantData.joint_tables`)
 and identical windows are built once.  :func:`build_fragment_tensor` is its
 one-window call.
 
+:func:`build_conditioned_window_tensors` is its conditioned twin, the
+tomography of one *level* of recursive reconstruction: one window, one set
+of pinned columns, and every frontier bin's assignment to them.  It too
+visits every variant once (:meth:`VariantData.conditioned_tables` — for an
+exact Clifford variant one GF(2) elimination that answers all the bins,
+enumerating nothing wider than the window plus the cut qubits; otherwise
+one joint cut up by the pinned bits), keeps only the bins' sparse tables,
+and yields the dense tensors one bin at a time, assembled on each bin's
+support.  :func:`build_conditioned_fragment_tensor` is its one-bin call.
+
 Two refinements live here as well:
 
 * **Clifford expectation snapping** (paper §IX): a stabilizer state's Pauli
@@ -38,7 +48,7 @@ import itertools
 import numpy as np
 
 from repro.core.evaluator import FragmentData
-from repro.core.variants import BASIS_FOR_PAULI, PREP_COEFFICIENTS
+from repro.core.variants import BASIS_FOR_PAULI, PREP_COEFFICIENTS, all_variants
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -114,6 +124,21 @@ _PAULIS_OF_BASIS = tuple(
 )
 
 
+def _signed_paulis(bases: tuple[int, ...]) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """``(P_out combo, sign of every measured outcome m under it)`` pairs:
+    every output-Pauli combination the basis choice ``bases`` estimates."""
+    qo = len(bases)
+    m_bits = np.arange(2**qo)
+    signed = []
+    for pauli_out in itertools.product(*(_PAULIS_OF_BASIS[b] for b in bases)):
+        parity = np.zeros(2**qo, dtype=np.int64)
+        for j, p in enumerate(pauli_out):
+            if p != 0:
+                parity ^= (m_bits >> (qo - 1 - j)) & 1
+        signed.append((pauli_out, 1.0 - 2.0 * parity))
+    return signed
+
+
 def build_window_tensors(
     data: FragmentData,
     windows,
@@ -151,26 +176,17 @@ def build_window_tensors(
         width: np.zeros((len(group),) + (4,) * (qi + qo) + (2**width,))
         for width, group in groups.items()
     }
-    m_bits = np.arange(2**qo)
-    for preps in itertools.product(range(4), repeat=qi):
-        for bases in itertools.product(range(3), repeat=qo):
-            variant = data.variant(preps, bases)
-            # (P_out combo, sign of every measured outcome m under it)
-            signed = []
-            for pauli_out in itertools.product(*(_PAULIS_OF_BASIS[b] for b in bases)):
-                parity = np.zeros(2**qo, dtype=np.int64)
-                for j, p in enumerate(pauli_out):
-                    if p != 0:
-                        parity ^= (m_bits >> (qo - 1 - j)) & 1
-                signed.append((pauli_out, 1.0 - 2.0 * parity))
-            for width, group in groups.items():
-                tables = variant.joint_tables(group, out_cols)
-                weight = _signed_sum(tables, np.ones(2**qo)) if snap else None
-                for pauli_out, signs in signed:
-                    vec = _signed_sum(tables, signs)
-                    if snap and any(pauli_out):
-                        vec = _snap_vector(vec, weight)
-                    raw[width][(slice(None),) + preps + pauli_out] = vec
+    for preps, bases in all_variants(fragment):
+        variant = data.variant(preps, bases)
+        signed = _signed_paulis(bases)
+        for width, group in groups.items():
+            tables = variant.joint_tables(group, out_cols)
+            weight = _signed_sum(tables, np.ones(2**qo)) if snap else None
+            for pauli_out, signs in signed:
+                vec = _signed_sum(tables, signs)
+                if snap and any(pauli_out):
+                    vec = _snap_vector(vec, weight)
+                raw[width][(slice(None),) + preps + pauli_out] = vec
 
     built = {}
     for width, group in groups.items():
@@ -197,71 +213,75 @@ def build_fragment_tensor(
     return build_window_tensors(data, [keep_locals], snap_clifford, project)[0]
 
 
-def _conditioned_signed_vector(
-    dist,
-    n_kept: int,
-    fixed_bits: list[int],
-    qo: int,
-    signs_mask: list[int],
-    need_weight: bool,
+def build_conditioned_window_tensors(
+    data: FragmentData,
+    keep_locals: list[int],
+    fixed_cols: list[int],
+    fixed_rows: np.ndarray,
+    snap_clifford: bool = False,
 ):
-    """(vec, weight) over kept outcomes of a (kept + fixed + measured) joint.
+    """Yield :func:`build_fragment_tensor` with ``fixed_cols`` pinned, per bin.
 
-    A sign-weighted sum over the measured Pauli bits in which the
-    ``len(fixed_bits)`` middle bits of each outcome must match
-    ``fixed_bits`` for the outcome to count — the conditioning primitive
-    of dynamic-definition reconstruction.  The
-    joint's *support* is what is iterated (bounded by the fragment width,
-    the paper's premise), never ``2**fragment_outputs``; only the
-    ``2**n_kept`` window accumulator is dense.
+    ``fixed_rows`` is a ``(bins, len(fixed_cols))`` bit matrix: each row
+    pins the fragment-local circuit-output qubits ``fixed_cols`` to one
+    assignment, and the tensor yielded for it accumulates only outcomes
+    matching that assignment, so contracting these tensors gives the joint
+    probabilities ``P(fixed, window)`` — what one level of the recursive
+    dynamic-definition driver needs for its whole frontier.  Shape contract
+    per tensor is unchanged: ``(4,)*qi + (4,)*qo + (2**len(keep_locals),)``.
+
+    Every variant is visited once, before the first tensor is yielded
+    (:meth:`VariantData.conditioned_tables`: all bins' sparse
+    ``P(window, bin, measured cut qubits)`` tables from one elimination or
+    one joint).  Each bin is then assembled on the union of its variants'
+    supports — signed sums over the measured bits in ascending order, the
+    preparation contraction — and only scattered into a dense tensor at
+    the end.  Between yields the generator holds the sparse tables alone:
+    tensors are the consumer's to keep or drop.
     """
-    nf = len(fixed_bits)
-    probs = dist.values_array
-    if dist.n_bits <= 62 and not dist.chunked:
-        outcomes = dist.keys_array.astype(np.int64)
-        x_key = outcomes >> (nf + qo)
-        if nf:
-            fixed_key = 0
-            for bit in fixed_bits:
-                fixed_key = (fixed_key << 1) | bit
-            match = ((outcomes >> qo) & ((1 << nf) - 1)) == fixed_key
-            outcomes = outcomes[match]
-            probs = probs[match]
-            x_key = x_key[match]
-        sign = np.ones(len(probs))
-        if signs_mask:
-            m_bits = outcomes & ((1 << qo) - 1)
-            parity = np.zeros(len(probs), dtype=np.int64)
-            for j in signs_mask:
-                parity ^= (m_bits >> (qo - 1 - j)) & 1
-            sign = 1.0 - 2.0 * parity
-        x_key = x_key.astype(np.int64)
-    else:
-        # >62-bit joints: work off the sparse support's bit matrix
-        bits = dist.bit_matrix()
-        if nf:
-            target = np.asarray(fixed_bits, dtype=bool)
-            match = (bits[:, n_kept : n_kept + nf] == target).all(axis=1)
-            bits = bits[match]
-            probs = probs[match]
-        from repro.analysis.distributions import pack_bit_rows
+    fragment = data.fragment
+    qi = len(fragment.quantum_inputs)
+    qo = len(fragment.quantum_outputs)
+    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
+    keep_cols = list(keep_locals)
+    fixed_cols = list(fixed_cols)
+    fixed_rows = np.asarray(fixed_rows, dtype=bool)
+    snap = snap_clifford and fragment.is_clifford
 
-        if n_kept:
-            x_key = pack_bit_rows(bits[:, :n_kept]).astype(np.int64)
-        else:
-            x_key = np.zeros(len(probs), dtype=np.int64)
-        sign = np.ones(len(probs))
-        if signs_mask:
-            m_block = bits[:, n_kept + nf :]
-            parity = np.zeros(len(probs), dtype=np.int64)
-            for j in signs_mask:
-                parity ^= m_block[:, j].astype(np.int64)
-            sign = 1.0 - 2.0 * parity
-    vec = np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
-    weight = None
-    if need_weight:
-        weight = np.bincount(x_key, weights=probs, minlength=2**n_kept)
-    return vec, weight
+    tables = [
+        data.variant(preps, bases).conditioned_tables(
+            keep_cols, fixed_cols, fixed_rows, out_cols
+        )
+        for preps, bases in all_variants(fragment)
+    ]
+    signed = {
+        bases: _signed_paulis(bases)
+        for bases in itertools.product(range(3), repeat=qo)
+    }
+    every_prep = (slice(None),) * qi
+    for bin_index in range(len(fixed_rows)):
+        keys = np.concatenate([table[bin_index][0] for table in tables])
+        probs = np.concatenate([table[bin_index][1] for table in tables])
+        owner = np.repeat(
+            np.arange(len(tables)), [len(table[bin_index][0]) for table in tables]
+        )
+        support, column = np.unique(keys >> qo, return_inverse=True)
+        # compact[s_combo..., basis combo..., support outcome, measured m]
+        compact = np.zeros((len(tables), len(support), 2**qo))
+        compact[owner, column, keys & (2**qo - 1)] = probs
+        compact = compact.reshape((4,) * qi + (3,) * qo + compact.shape[1:])
+        raw = np.zeros((4,) * (qi + qo) + (len(support),))
+        for bases, paulis in signed.items():
+            block = compact[every_prep + bases]
+            weight = _signed_sum(block, np.ones(2**qo)) if snap else None
+            for pauli_out, signs in paulis:
+                vec = _signed_sum(block, signs)
+                if snap and any(pauli_out):
+                    vec = _snap_vector(vec, weight)
+                raw[every_prep + pauli_out] = vec
+        tensor = np.zeros((4,) * (qi + qo) + (2 ** len(keep_cols),))
+        tensor[..., support] = _contract_prep_axes(raw, qi)
+        yield tensor
 
 
 def build_conditioned_fragment_tensor(
@@ -273,38 +293,15 @@ def build_conditioned_fragment_tensor(
     """:func:`build_fragment_tensor` with some output bits pinned.
 
     ``fixed_locals`` maps fragment-local circuit-output qubits to bit
-    values; each tensor entry accumulates only outcomes matching them, so
-    contracting these tensors yields joint probabilities
-    ``P(fixed, window)`` — exactly what the recursive dynamic-definition
-    driver needs to refine one bin.  Shape contract is unchanged:
-    ``(4,)*qi + (4,)*qo + (2**len(keep_locals),)``.
+    values.  The one-bin call of :func:`build_conditioned_window_tensors`.
     """
-    fragment = data.fragment
-    qi = len(fragment.quantum_inputs)
-    qo = len(fragment.quantum_outputs)
-    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
-    keep_cols = list(keep_locals)
     fixed_cols = sorted(fixed_locals)
-    fixed_bits = [int(fixed_locals[c]) for c in fixed_cols]
-    n_kept = len(keep_cols)
-    snap = snap_clifford and fragment.is_clifford
-
-    raw = np.zeros((4,) * qi + (4,) * qo + (2**n_kept,))
-    for preps in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            dist = data.variant(preps, bases).joint(
-                keep_cols + fixed_cols + out_cols
-            )
-            signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
-            need_weight = bool(snap and signs_mask)
-            vec, weight = _conditioned_signed_vector(
-                dist, n_kept, fixed_bits, qo, signs_mask, need_weight
-            )
-            if snap and signs_mask:
-                vec = _snap_vector(vec, weight)
-            raw[preps + pauli_out] = vec
-    return _contract_prep_axes(raw, qi)
+    row = [[int(fixed_locals[c]) for c in fixed_cols]]
+    return next(
+        build_conditioned_window_tensors(
+            data, keep_locals, fixed_cols, row, snap_clifford
+        )
+    )
 
 
 class SparseKeyedVector:

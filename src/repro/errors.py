@@ -13,7 +13,9 @@ hierarchy here attaches that context:
   :class:`~repro.core.config.ExecutionConfig`) too many times;
 * :class:`WorkerCrashError` — a worker process died (segfault, OOM kill,
   ``BrokenProcessPool``) with this job in flight too many times, so the
-  job was quarantined as poison.
+  job was quarantined as poison;
+* :class:`ReconstructionMemoryError` — an outcome table or accumulator
+  the request needs would not fit; raised before anything is allocated.
 
 Alongside the exceptions, :class:`FaultReport` is the ledger of every
 fault the engine *survived*: retries, timeouts, worker crashes, pool
@@ -114,6 +116,16 @@ class WorkerCrashError(ReproError):
     semantics: jobs in flight on a lost worker are charged one crash and
     redistributed, and only a job that outlives ``max_job_crashes``
     worker losses raises this.
+    """
+
+
+class ReconstructionMemoryError(ReproError, MemoryError):
+    """Refused up front: an outcome enumeration or accumulator would not fit.
+
+    Raised *before* allocation, naming the width and the escape hatches,
+    instead of letting ``np.zeros(2**total_bits)`` die with an opaque
+    ``MemoryError`` (or freeze the machine in swap).  Subclasses
+    :class:`MemoryError`, so ``except MemoryError`` handlers keep working.
     """
 
 

@@ -52,8 +52,15 @@ import sys
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.analysis.distributions import Distribution
+from repro.analysis.distributions import (
+    CHUNK_BITS,
+    Distribution,
+    ints_to_chunked_keys,
+    pack_bit_rows,
+    pack_bit_rows_chunked,
+)
 from repro.circuits.circuit import Circuit
+from repro.errors import ReconstructionMemoryError
 from repro.paulis.pauli import PauliString
 
 _ONE = np.uint64(1)
@@ -219,36 +226,66 @@ def _gf2_matmul_bool(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _kernels.gf2_matmul(a, b)
 
 
-def _enumerate_affine_image(
-    matrix: np.ndarray, offset: np.ndarray, weight: float
-) -> Distribution:
-    """Distribution of ``{mask @ matrix + offset : mask in F_2^k}``.
+#: rank of the widest affine image anything here enumerates (2^24 outcomes)
+MAX_ENUMERATED_RANK = 24
 
-    ``matrix`` is ``(k, m)`` uint8 (GF(2) generators as rows), ``offset``
-    ``(m,)`` bool; every image point carries ``weight``.  Enumeration is
-    vectorised in blocks: each block of masks becomes one GF(2) matmul and
-    one packed-key accumulation, so no per-outcome Python loop survives.
+
+def _bits_key(bits: np.ndarray) -> int:
+    """A bit vector as a Python integer, first bit most significant."""
+    return int(pack_bit_rows(np.asarray(bits, dtype=bool)[None, :])[0])
+
+
+def _gf2_column_basis(matrix: np.ndarray) -> list[int]:
+    """Reduced echelon basis of a 0/1 matrix's column space, as integers.
+
+    The one GF(2) elimination of this module.  A column is read big-endian
+    (row 0 is its most significant bit), so a vector's *leading* bit is
+    the first row it touches.  The basis comes back ordered by leading
+    row, first row first, and fully reduced: no vector has a bit at
+    another's leading position.  Its length is the rank; clearing a
+    target's leading bits in order leaves zero iff the target is in the
+    span; the vectors leading inside the first ``r`` rows are what
+    conditioning on those rows needs.  Duplicate and zero columns —
+    nearly all of a wide fragment's — drop out before the elimination.
     """
-    from repro.analysis.distributions import (
-        CHUNK_BITS,
-        pack_bit_rows,
-        pack_bit_rows_chunked,
-    )
+    by_lead: dict[int, int] = {}
+    for vec in set(pack_bit_rows(matrix.T).tolist()):
+        while vec:
+            lead = vec.bit_length()
+            pivot = by_lead.get(lead)
+            if pivot is None:
+                by_lead[lead] = vec
+                break
+            vec ^= pivot
+    basis: list[int] = []
+    # lowest lead first: whatever reduces a vector is itself reduced already
+    for lead in sorted(by_lead):
+        vec = by_lead[lead]
+        for other in basis:
+            if (vec >> (other.bit_length() - 1)) & 1:
+                vec ^= other
+        basis.append(vec)
+    return basis[::-1]
 
-    k, m = matrix.shape
-    pack = pack_bit_rows if m <= CHUNK_BITS else pack_bit_rows_chunked
-    block = 1 << min(k, 16)
-    key_blocks = []
-    mask_bits = np.arange(k - 1, -1, -1, dtype=np.uint64)
-    for start in range(0, 1 << k, block):
-        masks = np.arange(start, start + block, dtype=np.uint64)
-        f = ((masks[:, None] >> mask_bits[None, :]) & np.uint64(1)).astype(np.uint8)
-        bits = _gf2_matmul_bool(f, matrix) ^ offset
-        key_blocks.append(pack(bits))
-    keys = np.concatenate(key_blocks, axis=0)
-    return Distribution.from_arrays(
-        m, keys, np.full(len(keys), weight), dedupe=True
-    )
+
+def _check_enumerable(rank: int, limit: int, what: str) -> None:
+    """Refuse, before allocating, to enumerate more than ``2^limit`` outcomes."""
+    if rank > limit:
+        raise ReconstructionMemoryError(
+            f"{what} has 2^{rank} outcomes, too many to enumerate (limit "
+            f"2^{limit}); ask for fewer bits at a time (a smaller window, "
+            "ReconstructionConfig(qubit_limit=...)) or for point probabilities"
+        )
+
+
+def _affine_keys(basis: list[int], offset: int, n_bits: int) -> np.ndarray:
+    """Packed keys of ``offset ^ span(basis)``: 1-D ``uint64`` up to 62 bits,
+    chunked 2-D beyond (the layouts :class:`Distribution` stores).  Each
+    basis vector doubles the set: ``S -> S ∪ (S ^ v)``."""
+    keys = ints_to_chunked_keys([offset], n_bits)
+    for vec in ints_to_chunked_keys(basis, n_bits):
+        keys = np.concatenate([keys, keys ^ vec])
+    return keys[:, 0] if n_bits <= CHUNK_BITS else keys
 
 
 class AffineOutcomeDistribution:
@@ -359,71 +396,32 @@ class AffineOutcomeDistribution:
         k = self.n_free
         if k > max_free:
             raise ValueError(f"support of 2^{k} outcomes is too large to enumerate")
-        return _enumerate_affine_image(
-            self.A.T.astype(np.uint8), self.b, 2.0**-k
-        )
+        return self.marginal_distribution(range(self.n_bits), max_rank=max_free)
 
     def probability_of(self, outcome_bits: np.ndarray) -> float:
         """Exact probability of one outcome (0 or ``2^-k``)."""
-        target = np.asarray(outcome_bits, dtype=bool) ^ self.b
-        # solve A f = target over GF(2)
-        A = self.A.astype(np.uint8).copy()
-        t = target.astype(np.uint8).copy()
-        m, k = A.shape
-        row = 0
-        for col in range(k):
-            pivots = np.flatnonzero(A[row:, col]) + row
-            if len(pivots) == 0:
-                continue
-            p = pivots[0]
-            A[[row, p]] = A[[p, row]]
-            t[[row, p]] = t[[p, row]]
-            mask = A[:, col].astype(bool).copy()
-            mask[row] = False
-            A[mask] ^= A[row]
-            t[mask] ^= t[row]
-            row += 1
-            if row == m:
-                break
-        # consistency: rows of A that are all-zero must have t == 0
-        zero_rows = ~A.any(axis=1)
-        if t[zero_rows].any():
-            return 0.0
-        return 2.0 ** -self.n_free
+        return self.probability_of_partial(range(self.n_bits), outcome_bits)
 
-    def marginal_distribution(self, rows: list[int]) -> Distribution:
+    def marginal_distribution(
+        self, rows: list[int], max_rank: int = MAX_ENUMERATED_RANK
+    ) -> Distribution:
         """Exact marginal over the selected output bits (in the given order).
 
         The projection of a uniform affine distribution onto a subset of
         coordinates is again uniform over an affine subspace (linear maps
         have equal-size fibers), so only ``2^rank`` outcomes need
-        enumerating — independent of the number of free bits.
+        enumerating — independent of the number of free bits.  A rank past
+        ``max_rank`` raises :class:`~repro.errors.ReconstructionMemoryError`
+        before anything is enumerated.
         """
-        sub_a = self.A[rows].astype(np.uint8)
-        sub_b = self.b[rows]
-        m = len(rows)
-        # column-reduce to a basis of the column space
-        basis: list[np.ndarray] = []
-        work = sub_a.T.copy()  # rows of `work` are columns of sub_a
-        pivot_cols: list[int] = []
-        for row in work:
-            r = row.copy()
-            for piv, col in zip(basis, pivot_cols):
-                if r[col]:
-                    r ^= piv
-            nz = np.flatnonzero(r)
-            if len(nz):
-                basis.append(r)
-                pivot_cols.append(int(nz[0]))
+        rows = list(rows)
+        basis = _gf2_column_basis(self.A[rows])
         rank = len(basis)
-        if rank > 24:
-            raise ValueError(f"marginal support 2^{rank} is too large")
-        generators = (
-            np.array(basis, dtype=np.uint8)
-            if basis
-            else np.zeros((0, m), dtype=np.uint8)
+        _check_enumerable(rank, max_rank, f"the marginal over {len(rows)} bits")
+        keys = _affine_keys(basis, _bits_key(self.b[rows]), len(rows))
+        return Distribution.from_arrays(
+            len(rows), keys, np.full(len(keys), 2.0**-rank)
         )
-        return _enumerate_affine_image(generators, sub_b, 2.0**-rank)
 
     def probability_of_partial(self, rows: list[int], bits) -> float:
         """Probability that the selected output bits take the given values.
@@ -432,32 +430,55 @@ class AffineOutcomeDistribution:
         of the total number of outcomes, which is what makes strong
         simulation of wide Clifford fragments cheap.
         """
-        sub_a = self.A[rows].astype(np.uint8)
-        target = (np.asarray(bits, dtype=bool) ^ self.b[rows]).astype(np.uint8)
-        m = len(rows)
-        rank = 0
-        row_i = 0
-        a = sub_a.copy()
-        t = target.copy()
-        for col in range(a.shape[1]):
-            pivots = np.flatnonzero(a[row_i:, col]) + row_i
-            if len(pivots) == 0:
-                continue
-            p = int(pivots[0])
-            a[[row_i, p]] = a[[p, row_i]]
-            t[[row_i, p]] = t[[p, row_i]]
-            mask = a[:, col].astype(bool).copy()
-            mask[row_i] = False
-            a[mask] ^= a[row_i]
-            t[mask] ^= t[row_i]
-            rank += 1
-            row_i += 1
-            if row_i == m:
-                break
-        zero_rows = ~a.any(axis=1)
-        if t[zero_rows].any():
-            return 0.0
-        return 2.0**-rank
+        rows = list(rows)
+        basis = _gf2_column_basis(self.A[rows])
+        target = _bits_key(np.asarray(bits, dtype=bool) ^ self.b[rows])
+        for vec in basis:
+            if (target >> (vec.bit_length() - 1)) & 1:
+                target ^= vec
+        return 0.0 if target else 2.0 ** -len(basis)
+
+    def conditioned_marginals(
+        self, fixed: list[int], fixed_bits: np.ndarray, rows: list[int]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``P(fixed = v, rows = ·)`` for every row ``v`` of ``fixed_bits``.
+
+        One sparse ``(keys, probs)`` pair per ``v``: the packed ``int64``
+        outcomes over ``rows`` (at most 62, first row most significant)
+        that occur together with ``v`` and their joint probabilities — both
+        empty when ``v`` cannot occur.  One elimination of ``A[fixed +
+        rows]`` answers every ``v``: the basis vectors leading inside the
+        fixed rows decide whether ``v`` is reachable and how it shifts the
+        remaining bits; the others touch ``rows`` only and span the
+        outcomes seen with any reachable ``v``, so nothing wider than
+        ``rows`` is enumerated, and that only once.
+        """
+        fixed, rows = list(fixed), list(rows)
+        n_fixed, n_rows = len(fixed), len(rows)
+        basis = _gf2_column_basis(self.A[fixed + rows])
+        deciding = [vec for vec in basis if vec >> n_rows]
+        free = basis[len(deciding) :]
+        _check_enumerable(
+            len(free), MAX_ENUMERATED_RANK, f"the conditioned marginal over {n_rows} bits"
+        )
+        target = np.asarray(fixed_bits, dtype=bool) ^ self.b[fixed]
+        # reduced basis: a solution's coordinates are the target's bits at
+        # the leading rows; it is one iff it reproduces every other bit too
+        chosen = target[:, [n_fixed + n_rows - vec.bit_length() for vec in deciding]]
+        upper = ints_to_chunked_keys([vec >> n_rows for vec in deciding], n_fixed)
+        lower = np.array([vec & ((1 << n_rows) - 1) for vec in deciding], dtype=np.int64)
+        reached = np.bitwise_xor.reduce(
+            np.where(chosen[:, :, None], upper, np.uint64(0)), axis=1
+        )
+        reachable = (reached == pack_bit_rows_chunked(target)).all(axis=1)
+        offsets = np.bitwise_xor.reduce(np.where(chosen, lower, np.int64(0)), axis=1)
+        span = _affine_keys(free, _bits_key(self.b[rows]), n_rows).astype(np.int64)
+        probs = np.full(len(span), 2.0 ** -len(basis))
+        nothing = (span[:0], probs[:0])
+        return [
+            (span ^ offset, probs) if ok else nothing
+            for ok, offset in zip(reachable.tolist(), offsets)
+        ]
 
     def single_bit_marginals(self) -> np.ndarray:
         """(m, 2) per-bit marginals: 50/50 where A has support, else point."""

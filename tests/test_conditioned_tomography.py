@@ -1,0 +1,426 @@
+"""Per-level conditioned tomography against its slow twin.
+
+The recursive engine builds every frontier bin's conditioned tensors from
+one visit per variant (:func:`build_conditioned_window_tensors`).  The
+algorithm it replaced — one ``joint`` per bin per Pauli combination,
+enumerate-then-filter on the fixed bits — lives on here as the oracle,
+and the new builder must reproduce it over random Clifford fragments.
+The regressions further down pin what the rewrite was for: cost that
+follows the window rather than the fragment's entropy, memory that
+follows one level rather than the whole recursion, typed refusals, and
+pool-independent results.
+"""
+
+import itertools
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.distributions import pack_bit_rows
+from repro.circuits import Circuit, gates
+from repro.core import (
+    ExecutionConfig,
+    ReconstructionConfig,
+    ReconstructionMemoryError,
+    SamplingConfig,
+    SuperSim,
+)
+from repro.core.evaluator import (
+    AffineVariantData,
+    DenseVariantData,
+    FragmentData,
+    SampledVariantData,
+)
+from repro.core.fragments import Fragment
+from repro.core.tomography import (
+    _contract_prep_axes,
+    _snap_vector,
+    build_conditioned_fragment_tensor,
+    build_conditioned_window_tensors,
+)
+from repro.core.variants import BASIS_FOR_PAULI, all_variants, variant_circuit
+from repro.errors import ReproError
+from repro.stabilizer import StabilizerSimulator
+from repro.stabilizer.tableau import AffineOutcomeDistribution
+
+EXACT = SuperSim()
+
+
+# -- the oracle: the per-bin, per-Pauli-combination builder this PR replaced --
+
+
+def _oracle_signed_vector(dist, n_kept, fixed_bits, qo, signs_mask, need_weight):
+    """(vec, weight) over kept outcomes of a (kept + fixed + measured) joint,
+    counting only outcomes whose middle bits equal ``fixed_bits``."""
+    nf = len(fixed_bits)
+    probs = dist.values_array
+    if dist.n_bits <= 62 and not dist.chunked:
+        outcomes = dist.keys_array.astype(np.int64)
+        x_key = outcomes >> (nf + qo)
+        if nf:
+            fixed_key = 0
+            for bit in fixed_bits:
+                fixed_key = (fixed_key << 1) | bit
+            match = ((outcomes >> qo) & ((1 << nf) - 1)) == fixed_key
+            outcomes = outcomes[match]
+            probs = probs[match]
+            x_key = x_key[match]
+        sign = np.ones(len(probs))
+        if signs_mask:
+            m_bits = outcomes & ((1 << qo) - 1)
+            parity = np.zeros(len(probs), dtype=np.int64)
+            for j in signs_mask:
+                parity ^= (m_bits >> (qo - 1 - j)) & 1
+            sign = 1.0 - 2.0 * parity
+        x_key = x_key.astype(np.int64)
+    else:
+        bits = dist.bit_matrix()
+        if nf:
+            target = np.asarray(fixed_bits, dtype=bool)
+            match = (bits[:, n_kept : n_kept + nf] == target).all(axis=1)
+            bits = bits[match]
+            probs = probs[match]
+        if n_kept:
+            x_key = pack_bit_rows(bits[:, :n_kept]).astype(np.int64)
+        else:
+            x_key = np.zeros(len(probs), dtype=np.int64)
+        sign = np.ones(len(probs))
+        if signs_mask:
+            m_block = bits[:, n_kept + nf :]
+            parity = np.zeros(len(probs), dtype=np.int64)
+            for j in signs_mask:
+                parity ^= m_block[:, j].astype(np.int64)
+            sign = 1.0 - 2.0 * parity
+    vec = np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
+    weight = None
+    if need_weight:
+        weight = np.bincount(x_key, weights=probs, minlength=2**n_kept)
+    return vec, weight
+
+
+def oracle_conditioned_tensor(data, keep_locals, fixed_locals, snap_clifford=False):
+    fragment = data.fragment
+    qi = len(fragment.quantum_inputs)
+    qo = len(fragment.quantum_outputs)
+    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
+    keep_cols = list(keep_locals)
+    fixed_cols = sorted(fixed_locals)
+    fixed_bits = [int(fixed_locals[c]) for c in fixed_cols]
+    n_kept = len(keep_cols)
+    snap = snap_clifford and fragment.is_clifford
+
+    raw = np.zeros((4,) * qi + (4,) * qo + (2**n_kept,))
+    for preps in itertools.product(range(4), repeat=qi):
+        for pauli_out in itertools.product(range(4), repeat=qo):
+            bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
+            dist = data.variant(preps, bases).joint(keep_cols + fixed_cols + out_cols)
+            signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
+            need_weight = bool(snap and signs_mask)
+            vec, weight = _oracle_signed_vector(
+                dist, n_kept, fixed_bits, qo, signs_mask, need_weight
+            )
+            if snap and signs_mask:
+                vec = _snap_vector(vec, weight)
+            raw[preps + pauli_out] = vec
+    return _contract_prep_axes(raw, qi)
+
+
+# -- random Clifford fragments ------------------------------------------------
+
+
+def _random_fragment(rng, n, qi, qo, n_h):
+    """A Clifford fragment of ``n`` qubits whose outcomes have at most
+    ``n_h`` bits of entropy (so the oracle can enumerate them)."""
+    circuit = Circuit(n)
+    for q in rng.choice(n, size=min(n_h, n), replace=False):
+        circuit.append(gates.H, int(q))
+    for _ in range(3 * n):
+        kind = int(rng.integers(0, 4))
+        a = int(rng.integers(0, n))
+        if kind == 0 and n > 1:
+            b = int(rng.integers(0, n - 1))
+            circuit.append(gates.CX, a, b + (b >= a))
+        elif kind == 1:
+            circuit.append(gates.S, a)
+        elif kind == 2:
+            circuit.append(gates.X, a)
+        else:
+            circuit.append(gates.Z, a)
+    order = [int(q) for q in rng.permutation(n)]
+    q_out = order[:qo]
+    q_in = [int(q) for q in rng.choice(n, size=qi, replace=False)]
+    return Fragment(
+        index=0,
+        circuit=circuit,
+        circuit_inputs=[q for q in range(n) if q not in q_in],
+        quantum_inputs=[(10 + j, q) for j, q in enumerate(q_in)],
+        quantum_outputs=[(20 + j, q) for j, q in enumerate(q_out)],
+        circuit_outputs=[(q, q) for q in sorted(order[qo:])],
+    )
+
+
+def _fragment_data(fragment, kind, rng):
+    sim = StabilizerSimulator()
+    results = {}
+    for preps, bases in all_variants(fragment):
+        affine = sim.affine_distribution(variant_circuit(fragment, preps, bases))
+        if kind == "affine":
+            results[preps, bases] = AffineVariantData(affine)
+        elif kind == "dense":
+            results[preps, bases] = DenseVariantData(affine.to_distribution())
+        else:
+            results[preps, bases] = SampledVariantData(affine.sample_bits(300, rng))
+    return FragmentData(fragment, results)
+
+
+def _frontier(data, fixed_cols, rng):
+    """Bins worth asking for: rows that occur (taken from a variant's
+    support), a duplicate, and a random row that mostly does not occur."""
+    variant = next(iter(data.results.values()))
+    seen = variant.joint(fixed_cols).bit_matrix()
+    rows = [seen[int(rng.integers(0, len(seen)))] for _ in range(3)]
+    rows.append(rows[0])
+    rows.append(rng.integers(0, 2, size=len(fixed_cols)).astype(bool))
+    return np.array(rows, dtype=bool).reshape(len(rows), len(fixed_cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    qi=st.integers(0, 2),
+    qo=st.integers(0, 2),
+    width=st.sampled_from([0, 1, 5, 12]),
+    n_fixed=st.sampled_from([0, 1, 7, 30, 48, 60]),
+    kind=st.sampled_from(["affine", "dense", "sampled"]),
+    snap=st.booleans(),
+)
+def test_level_builder_equals_the_per_bin_oracle(
+    seed, qi, qo, width, n_fixed, kind, snap
+):
+    rng = np.random.default_rng(seed)
+    n = max(qi, qo + width + n_fixed + int(rng.integers(1, 4)))
+    fragment = _random_fragment(rng, n, qi, qo, n_h=int(rng.integers(0, 7)))
+    data = _fragment_data(fragment, kind, rng)
+    outputs = [int(q) for q in rng.permutation([lq for _oq, lq in fragment.circuit_outputs])]
+    keep = outputs[:width]
+    fixed_cols = outputs[width : width + n_fixed]
+    rows = _frontier(data, fixed_cols, rng)
+
+    tensors = list(
+        build_conditioned_window_tensors(data, keep, fixed_cols, rows, snap)
+    )
+    assert len(tensors) == len(rows)
+    one_bin = build_conditioned_fragment_tensor(
+        data, keep, dict(zip(fixed_cols, rows[1].tolist())), snap
+    )
+    for row, tensor in zip(rows, tensors):
+        want = oracle_conditioned_tensor(
+            data, keep, dict(zip(fixed_cols, row.tolist())), snap
+        )
+        assert tensor.shape == (4,) * (qi + qo) + (2**width,)
+        if kind == "sampled":
+            np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)
+        else:
+            assert np.array_equal(tensor, want)
+    assert np.array_equal(tensors[0], tensors[3])  # the duplicate bin
+    assert np.array_equal(one_bin, tensors[1])  # the frontier of one
+
+
+@pytest.mark.parametrize("kind", ["affine", "dense", "sampled"])
+def test_an_assignment_that_cannot_occur_gives_the_zero_tensor(kind):
+    # qubit 2 is never touched: it reads 0 in every variant
+    circuit = Circuit(4).append(gates.H, 0).append(gates.CX, 0, 1)
+    fragment = Fragment(
+        index=0,
+        circuit=circuit,
+        circuit_inputs=[0, 2, 3],
+        quantum_inputs=[(0, 1)],
+        quantum_outputs=[(1, 3)],
+        circuit_outputs=[(0, 0), (1, 1), (2, 2)],
+    )
+    data = _fragment_data(fragment, kind, np.random.default_rng(0))
+    possible, impossible = build_conditioned_window_tensors(
+        data, [0], [1, 2], [[0, 0], [0, 1]]
+    )
+    assert np.abs(possible).max() > 0
+    assert impossible.shape == (4, 4, 2)
+    assert not impossible.any()
+
+
+# -- cost follows the window, not the fragment's entropy ----------------------
+
+
+def _high_entropy(n):
+    """H everywhere + CX chain: every one of the ``2**n`` outcomes occurs."""
+    circuit = Circuit(n)
+    for q in range(n):
+        circuit.append(gates.H, q)
+    for q in range(n - 1):
+        circuit.append(gates.CX, q, q + 1)
+    circuit.append(gates.XPow(0.25), n // 2)
+    for q in range(0, n - 1, 2):
+        circuit.append(gates.CX, q, q + 1)
+    return circuit.measure_all()
+
+
+def _recursive(top_k=4, **overrides):
+    return SuperSim(
+        reconstruction=ReconstructionConfig(
+            mode="recursive", qubit_limit=8, top_k=top_k, **overrides
+        ),
+        # a 2**-40 bin is below the default zero threshold
+        execution=ExecutionConfig(prune_zeros=False),
+    )
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_high_entropy_recursive_bins_equal_the_dense_ones(n):
+    circuit = _high_entropy(n)
+    result = _recursive().run(circuit)
+    dense = SuperSim(reconstruction=ReconstructionConfig(mode="full")).run(circuit)
+    assert len(result.distribution) == 4
+    for outcome, prob in result.distribution:
+        assert prob == pytest.approx(dense.distribution[outcome], abs=1e-12)
+    assert result.covered_probability == pytest.approx(
+        result.distribution.total(), abs=1e-15
+    )
+
+
+@pytest.mark.parametrize("n", [30, 40])
+def test_high_entropy_recursive_finishes_in_seconds(n):
+    circuit = _high_entropy(n)
+    start = time.perf_counter()
+    result = _recursive().run(circuit)
+    assert time.perf_counter() - start < 10.0
+    assert len(result.distribution) == 4
+    assert result.covered_probability == pytest.approx(
+        result.distribution.total(), abs=1e-18
+    )
+    # every bin is the exact joint probability of its 30/40 bits ...
+    for outcome, prob in result.distribution:
+        bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
+        assert prob == pytest.approx(EXACT.probability_of(circuit, bits), rel=1e-9)
+    # ... and the coarse level is the exact first-window marginal
+    coarse = _recursive(top_k=256, recursion_depth=1).run(circuit).raw_distribution
+    windowed = SuperSim(
+        reconstruction=ReconstructionConfig(mode="windowed", qubit_limit=8)
+    ).run(circuit)
+    assert coarse.n_bits == 8
+    for outcome, prob in windowed.distribution:
+        assert coarse[outcome] == pytest.approx(prob, abs=1e-12)
+    for outcome, _prob in result.distribution:
+        assert windowed.distribution[outcome >> (n - 8)] > 0
+
+
+def test_over_limit_enumerations_are_refused_typed_and_at_once():
+    uniform = AffineOutcomeDistribution(np.eye(30, dtype=bool), np.zeros(30, dtype=bool))
+    start = time.perf_counter()
+    with pytest.raises(ReconstructionMemoryError, match="2\\^30"):
+        uniform.marginal_distribution(list(range(30)))
+    with pytest.raises(ReconstructionMemoryError):
+        uniform.conditioned_marginals([0, 1], [[0, 1]], list(range(2, 30)))
+    with pytest.raises(ReconstructionMemoryError):
+        AffineVariantData(uniform).joint(list(range(26)))
+    assert time.perf_counter() - start < 1.0
+    assert issubclass(ReconstructionMemoryError, MemoryError)
+    assert issubclass(ReconstructionMemoryError, ReproError)
+    # conditioning itself has no such wall: 28 pinned bits, 2 enumerated
+    ((keys, probs),) = uniform.conditioned_marginals(
+        list(range(28)), [[1] * 28], [28, 29]
+    )
+    assert sorted(keys.tolist()) == [0, 1, 2, 3]
+    assert probs.tolist() == [2.0**-30] * 4
+
+
+# -- memory follows one level, not top_k x levels -----------------------------
+
+
+def _wide61():
+    circuit = Circuit(61).append(gates.H, 0)
+    for q in range(60):
+        circuit.append(gates.CX, q, q + 1)
+    for q in (27, 33):
+        circuit.append(gates.XPow(0.25), q)
+    for q in range(0, 60, 2):
+        circuit.append(gates.CX, q, q + 1)
+    return circuit.measure_all()
+
+
+def _traced_peak(circuit, qubit_limit, top_k):
+    """(peak bytes allocated during reconstruction, bytes of the largest
+    window tensor, windows contracted)."""
+    from repro.core.reconstruction import reconstruct_dynamic
+
+    sim = SuperSim()
+    cc = sim.cut(circuit)
+    data = sim._evaluator().evaluate_all(cc.fragments)
+    builder = sim._dynamic_tensor_builder(cc, data)
+    window_tensor = max(
+        8 * 4 ** (len(f.quantum_inputs) + len(f.quantum_outputs)) * 2**qubit_limit
+        for f in cc.fragments
+    )
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dist, stats = reconstruct_dynamic(
+            cc, builder, list(range(61)), qubit_limit=qubit_limit, top_k=top_k
+        )
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, after - before, window_tensor, stats.windows
+
+
+def test_recursive_peak_allocation_is_a_few_window_tensors():
+    circuit = _wide61()
+    narrow_peak, narrow_kept, tensor, narrow_windows = _traced_peak(circuit, 10, 1)
+    wide_peak, wide_kept, _, wide_windows = _traced_peak(circuit, 10, 64)
+    # a beam of 1 vs all 8 outcomes, over 7 levels: 4x the tensors built ...
+    assert wide_windows >= 4 * narrow_windows
+    # ... at the same peak: one tensor being built, one being contracted,
+    # and the contraction's own temporaries
+    assert narrow_peak < 6 * tensor
+    assert wide_peak < 6 * tensor
+    # and nothing window-sized outlives the reconstruction
+    assert narrow_kept < tensor / 4
+    assert wide_kept < tensor / 4
+
+
+# -- one answer under every pool ----------------------------------------------
+
+
+def _pool_results(circuit, sampling, reconstruction):
+    results = []
+    for parallel, pool in ((1, "thread"), (2, "thread"), (2, "process")):
+        sim = SuperSim(
+            sampling=sampling,
+            reconstruction=reconstruction,
+            execution=ExecutionConfig(parallel=parallel, pool=pool),
+        )
+        results.append(sim.run(circuit))
+        sim.close()
+    return results
+
+
+@pytest.mark.parametrize(
+    "sampling",
+    [SamplingConfig(), SamplingConfig(shots=2000, seed=5, snap_clifford=True)],
+    ids=["exact", "sampled"],
+)
+def test_61q_recursive_is_bit_identical_under_every_pool(sampling):
+    reconstruction = ReconstructionConfig(qubit_limit=12, top_k=8)
+    serial, threads, processes = _pool_results(_wide61(), sampling, reconstruction)
+    assert serial.reconstruction_mode == "recursive"
+    for other in (threads, processes):
+        assert np.array_equal(
+            serial.raw_distribution.keys_array, other.raw_distribution.keys_array
+        )
+        assert np.array_equal(
+            serial.raw_distribution.values_array, other.raw_distribution.values_array
+        )
+        assert serial.covered_probability == other.covered_probability
