@@ -58,6 +58,31 @@ def _best(fn, repeats: int) -> float:
     return best
 
 
+def _counting_measure_symbolic(calls: list):
+    """``mock.patch`` context counting ``Tableau.measure_symbolic`` calls."""
+    from unittest import mock
+
+    real = Tableau.measure_symbolic
+
+    def counted(self, q):
+        calls.append(q)
+        return real(self, q)
+
+    return mock.patch.object(Tableau, "measure_symbolic", counted)
+
+
+def _shared_sweep_bound(fragments) -> int:
+    """``measure_symbolic`` calls a cold evaluation may make: per Clifford
+    fragment one sweep of the wires that are not cut per preparation, plus
+    the cut wires of every variant."""
+    total = 0
+    for f in fragments:
+        if f.is_clifford:
+            qi, qo = len(f.quantum_inputs), len(f.quantum_outputs)
+            total += 4**qi * (f.n_qubits - qo) + f.num_variants * qo
+    return total
+
+
 def bench_tableau() -> dict:
     """200-qubit Clifford apply_circuit + full measurement sweep."""
     circuit = random_clifford_circuit(TABLEAU_QUBITS, TABLEAU_DEPTH, rng=0)
@@ -326,7 +351,8 @@ def _recursive_61q_counts() -> dict:
     of a fragment exactly once — one ``conditioned_tables`` call, for exact
     Clifford data one GF(2) elimination — however many bins the frontier
     holds; and once the reconstruction has returned, the tensor builder
-    may still hold less than one window tensor.
+    may still hold less than one window tensor.  The evaluation in front
+    of it may measure no more wires than :func:`_shared_sweep_bound`.
     """
     import tracemalloc
     from unittest import mock
@@ -345,7 +371,9 @@ def _recursive_61q_counts() -> dict:
         wide.append(gates.CX, q, q + 1)
     sim = SuperSim()
     cc = sim.cut(wide.measure_all())
-    data = sim._evaluator().evaluate_all(cc.fragments)
+    measurements: list[int] = []
+    with _counting_measure_symbolic(measurements):
+        data = sim._evaluator().evaluate_all(cc.fragments)
 
     counts = {"levels": 0, "variants": 0, "visits": 0, "bases": 0, "eliminations": 0}
     level_builder = supersim.build_conditioned_window_tensors
@@ -398,6 +426,8 @@ def _recursive_61q_counts() -> dict:
         "recursive_61q_window_tensor_bytes": window_tensor,
         "recursive_61q_retained_bytes": retained - before,
         "recursive_61q_peak_bytes": peak - before,
+        "recursive_61q_measure_symbolic_calls": len(measurements),
+        "recursive_61q_measure_symbolic_bound": _shared_sweep_bound(cc.fragments),
     }
 
 
@@ -574,8 +604,10 @@ def bench_variant_sharing() -> dict:
     compiler and the ``apply_layers`` kernel run once per Clifford
     *fragment*, not once per stabilizer job; and all 100 single-qubit
     windows' tensors come out of one pass per fragment, equal to the
-    per-window builds.  Counts are exact, so the gate is safe on shared
-    runners.
+    per-window builds.  The variants of one preparation also share the
+    symbolic measurement of every wire that is not cut, so
+    ``Tableau.measure_symbolic`` runs at most :func:`_shared_sweep_bound`
+    times.  Counts are exact, so the gate is safe on shared runners.
     """
     from repro.apps.hwea import HWEA
     from repro.core import SamplingConfig
@@ -597,12 +629,14 @@ def bench_variant_sharing() -> dict:
         return real_compile(ops)
 
     evaluator = sim._evaluator()
+    measurements: list[int] = []
     layers_before = rk.counters_snapshot()["apply_layers"][0]
     tableau_module._compile_ops = counting_compile
     try:
-        start = time.perf_counter()
-        data = evaluator.evaluate_all(fragments)
-        evaluate_seconds = time.perf_counter() - start
+        with _counting_measure_symbolic(measurements):
+            start = time.perf_counter()
+            data = evaluator.evaluate_all(fragments)
+            evaluate_seconds = time.perf_counter() - start
     finally:
         tableau_module._compile_ops = real_compile
     apply_layers_calls = rk.counters_snapshot()["apply_layers"][0] - layers_before
@@ -630,6 +664,8 @@ def bench_variant_sharing() -> dict:
         "compile_calls": len(compiled),
         "body_compiles": sorted(n for n in compiled if n in body_ops) == body_ops,
         "apply_layers_calls": apply_layers_calls,
+        "measure_symbolic_calls": len(measurements),
+        "measure_symbolic_bound": _shared_sweep_bound(fragments),
         "tensors_equal": tensors_equal,
         "evaluate_seconds": evaluate_seconds,
         "batched_tensor_seconds": batched_seconds,
@@ -781,6 +817,23 @@ def main() -> int:
             f"{sharing['clifford_fragments']} Clifford fragment(s), "
             f"{sharing['stabilizer_jobs']} stabilizer jobs"
         )
+    for label, calls, bound in (
+        (
+            "variant_sharing",
+            sharing["measure_symbolic_calls"],
+            sharing["measure_symbolic_bound"],
+        ),
+        (
+            "recursive_61q",
+            streaming["recursive_61q_measure_symbolic_calls"],
+            streaming["recursive_61q_measure_symbolic_bound"],
+        ),
+    ):
+        if calls > bound:
+            failures.append(
+                f"{label}: {calls} measure_symbolic calls, more than one sweep "
+                f"per preparation plus the cut wires of every variant ({bound})"
+            )
     if not sharing["tensors_equal"]:
         failures.append("batched window tensors differ from per-window builds")
     tiers = results["kernel_tiers"]

@@ -8,12 +8,14 @@ mid-circuit measurement never occurs inside fragments.
 
 Two pieces of bookkeeping let work that depends only on an op list be done
 once.  :meth:`Circuit.derived` is a scratch dict for values computed from
-``ops`` (compiled layers, hash bytes, an evolved tableau), emptied by any
-mutation of ``ops``.  :meth:`Circuit.embed` appends another circuit's ops
-and records that the slice *is* that circuit; :meth:`Circuit.shared_body`
-answers it back while it still holds, so the variants of a fragment can
-share what was derived from the fragment's body.  Both re-validate by
-element identity (Operations are immutable) and neither is pickled.
+``ops`` (Clifford-ness, compiled layers, hash bytes, an evolved tableau),
+emptied by any mutation of ``ops``.  :meth:`Circuit.embed` appends another
+circuit's ops and records that the slice *is* that circuit;
+:meth:`Circuit.shared_body` answers it back while it still holds, so the
+variants of a fragment can share what was derived from the fragment's body
+(and, through :meth:`Circuit.measured_last`, what was measured on the wires
+they agree on).  Both re-validate by element identity (Operations are
+immutable) and neither is pickled.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class Circuit:
     # class-level defaults: instances unpickled without these attributes
     # (see ``__getstate__``) read them as "nothing derived, no body"
     _derived: "tuple[list[Operation], dict] | None" = None
-    _body: "tuple[Circuit, int] | None" = None
+    _body: "tuple[Circuit, int, frozenset] | None" = None
 
     def __init__(self, n_qubits: int, operations: Iterable[Operation] = ()):
         if n_qubits < 0:
@@ -98,16 +100,21 @@ class Circuit:
             self.ops.append(op)
         return self
 
-    def embed(self, body: "Circuit") -> "Circuit":
+    def embed(self, body: "Circuit", measured_last: Iterable[int] = ()) -> "Circuit":
         """Append every op of ``body`` and remember the slice is ``body``.
 
         ``body`` has this circuit's width, so its ops were range-checked
         when they entered it and are appended as they are.  See
         :meth:`shared_body`.
+
+        ``measured_last`` is a statement about *all* the circuits built
+        around ``body``, made by whoever builds them: after the body they
+        differ on these wires only.  A simulator may then measure every
+        other wire once for all of them (:meth:`measured_last`).
         """
         if body.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
-        self._body = (body, len(self.ops))
+        self._body = (body, len(self.ops), frozenset(measured_last))
         self.ops.extend(body.ops)
         return self
 
@@ -139,11 +146,19 @@ class Circuit:
         """
         if self._body is None:
             return None
-        body, start = self._body
+        body, start, _late = self._body
         stop = start + len(body.ops)
         if _same_objects(self.ops[start:stop], body.ops):
             return body, start, stop
         return None
+
+    def measured_last(self) -> frozenset:
+        """The wires :meth:`embed` was told to leave for last.
+
+        Only means something while :meth:`shared_body` answers; travels
+        with that link and is dropped with it.
+        """
+        return frozenset() if self._body is None else self._body[2]
 
     def __getstate__(self) -> dict:
         # what was derived from the ops is rebuilt on demand, and a body is
@@ -194,7 +209,12 @@ class Circuit:
     @property
     def is_clifford(self) -> bool:
         """True when every gate in the circuit is a Clifford gate."""
-        return all(op.gate.is_clifford for op in self.ops)
+        derived = self.derived()
+        value = derived.get("is_clifford")
+        if value is None:
+            value = all(op.gate.is_clifford for op in self.ops)
+            derived["is_clifford"] = value
+        return value
 
     @property
     def non_clifford_indices(self) -> list[int]:

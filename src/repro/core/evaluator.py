@@ -811,17 +811,16 @@ class FragmentEvaluator:
             backend, noisy = self._backend_for(fragment)
             features = CircuitFeatures.from_circuit(fragment.circuit)
             timeout = self._job_timeout(backend, features, noisy)
+            is_clifford = fragment.is_clifford
             if self.shots is None:
                 # exact mode is exact for every fragment; clifford_shots
                 # only rebalances *sampled* evaluation
                 eff_shots = None
-            elif fragment.is_clifford:
+            elif is_clifford:
                 eff_shots = self.clifford_shots
             else:
                 eff_shots = self.shots
-            use_affine = (
-                backend.capabilities.affine and fragment.is_clifford and not noisy
-            )
+            use_affine = backend.capabilities.affine and is_clifford and not noisy
             noise = self.noise if noisy else None
             backend_key = backend.cache_token()
             for preps, bases in all_variants(fragment):
@@ -846,7 +845,7 @@ class FragmentEvaluator:
                         use_affine,
                         fragment_index=index,
                         features=features,
-                        is_clifford=fragment.is_clifford,
+                        is_clifford=is_clifford,
                         timeout=timeout,
                         chaos=self.chaos,
                     )

@@ -378,6 +378,7 @@ class SuperSim:
         """
         project = self.sampling.tomography and self.sampling.shots is not None
         snap = self.sampling.snap_clifford
+        max_dense_bits = self.reconstruction.max_dense_bits
         untouched: dict[int, np.ndarray] = {}
 
         def build(window, fixed_qubits, fixed_rows):
@@ -399,12 +400,17 @@ class SuperSim:
                         [lq for lq, _ in pinned],
                         fixed_rows[:, [j for _, j in pinned]],
                         snap_clifford=snap,
+                        max_dense_bits=max_dense_bits,
                     )
                 else:
                     tensor = None if kept else untouched.get(fragment.index)
                     if tensor is None:
                         tensor = build_fragment_tensor(
-                            data, kept, snap_clifford=snap, project=project
+                            data,
+                            kept,
+                            snap_clifford=snap,
+                            project=project,
+                            max_dense_bits=max_dense_bits,
                         )
                         if not kept:
                             untouched[fragment.index] = tensor
@@ -502,6 +508,7 @@ class SuperSim:
                     snap_clifford=self.sampling.snap_clifford,
                     project=self.sampling.tomography
                     and self.sampling.shots is not None,
+                    max_dense_bits=rc.max_dense_bits,
                 )
                 for data, kept in zip(fragment_data, kept_locals)
             ]
@@ -879,6 +886,7 @@ class SuperSim:
                 kept,
                 snap_clifford=self.sampling.snap_clifford,
                 project=project,
+                max_dense_bits=self.reconstruction.max_dense_bits,
             )
             for data, kept in zip(fragment_data, kept_locals)
         ]

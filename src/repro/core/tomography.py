@@ -48,7 +48,9 @@ import itertools
 import numpy as np
 
 from repro.core.evaluator import FragmentData
+from repro.core.reconstruction import DEFAULT_MAX_DENSE_BITS
 from repro.core.variants import BASIS_FOR_PAULI, PREP_COEFFICIENTS, all_variants
+from repro.errors import ReconstructionMemoryError
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -139,11 +141,31 @@ def _signed_paulis(bases: tuple[int, ...]) -> list[tuple[tuple[int, ...], np.nda
     return signed
 
 
+def _check_tensor_entries(
+    fragment, count: int, width: int, max_dense_bits: int | None
+) -> None:
+    """Refuse, before allocating, ``count`` dense tensors over ``width`` kept
+    bits that together hold more than ``2**max_dense_bits`` entries — the
+    limit :func:`~repro.core.reconstruction.check_dense_width` puts on the
+    output accumulator."""
+    cuts = len(fragment.quantum_inputs) + len(fragment.quantum_outputs)
+    entries = count * 4**cuts * 2**width
+    if max_dense_bits is not None and entries > 2**max_dense_bits:
+        raise ReconstructionMemoryError(
+            f"fragment {fragment.index}: {count} tensor(s) over {width} kept "
+            f"bits and {cuts} cut wire(s) need {entries} entries (limit: "
+            f"2**{max_dense_bits}); ask for a narrower window "
+            "(ReconstructionConfig(qubit_limit=...)) or raise max_dense_bits "
+            "explicitly if you really have the memory"
+        )
+
+
 def build_window_tensors(
     data: FragmentData,
     windows,
     snap_clifford: bool = False,
     project: bool = False,
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> list[np.ndarray]:
     """One fragment tensor per window, every variant visited once.
 
@@ -160,6 +182,11 @@ def build_window_tensors(
     order — the arithmetic, hence the result, of building each window
     alone.  Working memory is one variant's ``windows x 2**width x
     2**qo`` table per width.
+
+    The tensors of one width are allocated together, ``windows x
+    4**(qi+qo) x 2**width`` entries; more than ``2**max_dense_bits`` of
+    them raise :class:`~repro.errors.ReconstructionMemoryError` before
+    anything is allocated (``None`` lifts the limit).
     """
     fragment = data.fragment
     qi = len(fragment.quantum_inputs)
@@ -171,6 +198,8 @@ def build_window_tensors(
     groups: dict[int, list[tuple[int, ...]]] = {}
     for window in dict.fromkeys(windows):
         groups.setdefault(len(window), []).append(window)
+    for width, group in groups.items():
+        _check_tensor_entries(fragment, len(group), width, max_dense_bits)
     # raw[width][window, s_combo..., P_out combo..., kept outcome]
     raw = {
         width: np.zeros((len(group),) + (4,) * (qi + qo) + (2**width,))
@@ -203,6 +232,7 @@ def build_fragment_tensor(
     keep_locals: list[int],
     snap_clifford: bool = False,
     project: bool = False,
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> np.ndarray:
     """Tensor of shape ``(4,)*qi + (4,)*qo + (2**len(keep_locals),)``.
 
@@ -210,7 +240,9 @@ def build_fragment_tensor(
     the caller wants to keep (order defines the bit order of the last axis).
     The one-window call of :func:`build_window_tensors`.
     """
-    return build_window_tensors(data, [keep_locals], snap_clifford, project)[0]
+    return build_window_tensors(
+        data, [keep_locals], snap_clifford, project, max_dense_bits
+    )[0]
 
 
 def build_conditioned_window_tensors(
@@ -219,6 +251,7 @@ def build_conditioned_window_tensors(
     fixed_cols: list[int],
     fixed_rows: np.ndarray,
     snap_clifford: bool = False,
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ):
     """Yield :func:`build_fragment_tensor` with ``fixed_cols`` pinned, per bin.
 
@@ -237,13 +270,15 @@ def build_conditioned_window_tensors(
     supports — signed sums over the measured bits in ascending order, the
     preparation contraction — and only scattered into a dense tensor at
     the end.  Between yields the generator holds the sparse tables alone:
-    tensors are the consumer's to keep or drop.
+    tensors are the consumer's to keep or drop — one at a time is what
+    ``max_dense_bits`` is checked against, as in :func:`build_window_tensors`.
     """
     fragment = data.fragment
     qi = len(fragment.quantum_inputs)
     qo = len(fragment.quantum_outputs)
     out_cols = [lq for _cut, lq in fragment.quantum_outputs]
     keep_cols = list(keep_locals)
+    _check_tensor_entries(fragment, 1, len(keep_cols), max_dense_bits)
     fixed_cols = list(fixed_cols)
     fixed_rows = np.asarray(fixed_rows, dtype=bool)
     snap = snap_clifford and fragment.is_clifford

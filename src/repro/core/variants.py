@@ -25,6 +25,17 @@ fragment's body.  Fingerprinting, layer compilation and the stabilizer
 simulator read that through :meth:`Circuit.shared_body` and keep what they
 derive from the body on the body object: it is hashed, compiled and
 simulated once per fragment, not once per variant.
+
+The embedding also declares the fragment's quantum-output wires as
+``measured_last`` — for every variant alike, Z-basis ones included: past
+the body, variants differ on those wires only.  The stabilizer simulator
+therefore measures all the other wires once per *preparation* and only the
+cut wires per variant (a Clifford fragment costs one evolution, ``4^qi``
+measurement sweeps and ``variants x qo`` single measurements; see
+"Measuring late" in :mod:`repro.stabilizer.tableau`).  The declaration
+lives in the same private record as the body link, so it is no option of
+a circuit and does not survive pickling: a variant shipped to a worker
+process is a plain circuit and is measured by the general sweep.
 """
 
 from __future__ import annotations
@@ -94,7 +105,10 @@ def variant_circuit(
     for (cut, lq), prep in zip(fragment.quantum_inputs, preps):
         for op_gates in _PREP_OPS[prep]:
             circuit.append(op_gates[0], lq)
-    circuit.embed(fragment.circuit)
+    circuit.embed(
+        fragment.circuit,
+        measured_last=[lq for _cut, lq in fragment.quantum_outputs],
+    )
     for (cut, lq), basis in zip(fragment.quantum_outputs, bases):
         for op_gates in _BASIS_OPS[basis]:
             circuit.append(op_gates[0], lq)

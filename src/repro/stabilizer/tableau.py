@@ -43,6 +43,38 @@ functions of those bits.  Measuring every output qubit symbolically yields
 the exact outcome distribution as an affine subspace of ``F_2^m`` (see
 :class:`AffineOutcomeDistribution`), from which sampling is O(1)-ish per
 shot and exact probabilities are available without re-running the tableau.
+
+**Measuring late.**  The ``(A, b)`` a symbolic sweep returns is a
+*canonical form*: it depends on the outcome distribution and on the order
+of the rows, not on how the sweep got there.  A random outcome opens a
+fresh symbol, so its row is a unit row with ``b = 0`` (a *pivot row*) and
+its column is zero above it; a determined outcome is an affine function of
+the pivots in front of it, and as a function of independent uniform bits
+that expression is unique.  So ``A`` is the reduced column-echelon basis
+of the support's direction space for this row order (pivot rows are unit
+rows, columns ordered by pivot row), ``b`` is the one offset that vanishes
+on the pivot rows, and which rows are pivots is itself fixed by the order:
+row ``i`` is one iff the first ``i + 1`` coordinates span more than the
+first ``i``.
+
+Measurements of different qubits commute, so a sweep may take the qubits
+in any order and repair the row order afterwards: :func:`move_outcome_row`
+moves one row up, as a permutation of rows and columns when the row does
+not overtake a pivot it depends on, and as a rank-1 update — XOR one
+column into the others the row holds, and into ``b`` — when it does and
+takes that pivot's place.  The stabilizer simulator uses this to measure
+the variants of a fragment once per *preparation* instead of once per
+variant (:meth:`repro.stabilizer.simulator.StabilizerSimulator.affine_distribution`):
+the variants of one preparation differ only by single-qubit gates on the
+cut wires, which commute with measuring every other wire, so that part of
+the sweep runs once, on the prepared tableau, and each variant measures
+its cut wires last on a copy of the collapsed tableau and moves those rows
+back.  What is shared — the body's evolved tableau for the life of the
+body's op list, the collapsed tableau and outcome rows of the last few
+preparations — sits frozen (:meth:`Tableau.freeze`) in the body's
+``derived()`` space; a sweep of a from-scratch evolution
+(:meth:`Tableau.measurement_distribution`) stays the general path and the
+oracle the shared one is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -490,6 +522,62 @@ class AffineOutcomeDistribution:
         return out
 
 
+def _moved_up(n: int, src: int, dst: int) -> np.ndarray:
+    """``0 .. n-1`` with ``src`` taken out and put back at ``dst <= src``."""
+    order = np.arange(n)
+    order[dst + 1 : src + 1] = order[dst:src]
+    order[dst] = src
+    return order
+
+
+def move_outcome_row(
+    A: np.ndarray, b: np.ndarray, src: int, dst: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome form ``(A, b)`` after row ``src`` moves up to ``dst <= src``.
+
+    Input and output are the canonical form of the module docstring's
+    "Measuring late" section — what :meth:`Tableau.measurement_distribution`
+    returns — for the row order before and after the move; the rows in
+    between shift down by one.  Three cases, by the free bits ``J`` of row
+    ``src`` and the latest pivot row ``p*`` among them (column ``j*``):
+
+    * no free bit, or ``p* < dst``: the row depends on rows that still
+      precede it — a row permutation;
+    * ``p* == src``: a pivot row stays one wherever it moves up to — a
+      row permutation, and its column moves in front of the columns whose
+      pivot rows it overtook;
+    * otherwise row ``src`` now comes before ``p*`` and takes its column:
+      substituting ``f[j*] = g + sum(f[J - j*]) + b[src]`` XORs column
+      ``j*`` into the other columns of ``J`` and, if ``b[src]`` is set,
+      into ``b``; row ``src`` is then the unit row of ``g``, row ``p*``
+      depends on it, and the column moves as above.
+
+    Works in place on ``A`` and ``b`` where it can and returns the arrays
+    to use.
+    """
+    if not 0 <= dst <= src < len(b):
+        raise ValueError(f"cannot move row {src} up to {dst}")
+    if dst == src:
+        return A, b
+    free = np.flatnonzero(A[src])
+    if free.size:
+        pivot_rows = A[:, free].argmax(axis=0)
+        latest = int(pivot_rows.argmax())
+        pivot_row, column = int(pivot_rows[latest]), int(free[latest])
+        if pivot_row >= dst:
+            if pivot_row != src:
+                replaced = A[:, column].copy()
+                A[:, np.delete(free, latest)] ^= replaced[:, None]
+                if b[src]:
+                    b ^= replaced
+            # columns are ordered by pivot row: as many precede the moved
+            # one as have their pivot in front of `dst`
+            position = int(np.count_nonzero(A[:dst].any(axis=0)))
+            A = A[:, _moved_up(A.shape[1], column, position)]
+    rows = _moved_up(len(b), src, dst)
+    return A[rows], b[rows]
+
+
 class Tableau:
     """Stabilizer state of ``n`` qubits, qubit columns packed into uint64.
 
@@ -532,6 +620,23 @@ class Tableau:
         out.sym = self.sym.copy()
         out.n_symbols = self.n_symbols
         return out
+
+    def freeze(self) -> "Tableau":
+        """Make the arrays read-only; returns self.
+
+        For a tableau that several readers share: gates and measurements
+        write in place, so one applied to it by mistake raises
+        ``ValueError`` instead of corrupting every later reader.
+        :meth:`copy` hands back writable arrays.
+        """
+        for arr in (self.x, self.z, self.sign, self.sym):
+            arr.setflags(write=False)
+        return self
+
+    def _require_writable(self) -> None:
+        # for the methods that rebind arrays instead of writing into them
+        if not self.sign.flags.writeable:
+            raise ValueError("this tableau is frozen (shared); work on a copy()")
 
     # -- gates ----------------------------------------------------------------
 
@@ -648,6 +753,7 @@ class Tableau:
         """
         if circuit.n_qubits != self.n:
             raise ValueError("circuit width does not match tableau")
+        self._require_writable()
         layers = compile_clifford_layers(circuit)
         if not layers:
             return
@@ -785,6 +891,33 @@ class Tableau:
             raise RuntimeError("deterministic outcome depends on unresolved symbols")
         return int(sign)
 
+    def measure_symbolic_rows(
+        self, qubits: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`measure_symbolic` every qubit in order, as one ``(A, b)``.
+
+        Outcome ``i`` equals ``A[i] . f XOR b[i]`` over all the symbols
+        allocated so far — by these measurements and any before them.
+        """
+        rows = []
+        consts = []
+        for q in qubits:
+            coeffs, const = self.measure_symbolic(q)
+            rows.append(coeffs)
+            consts.append(const)
+        A = np.zeros((len(qubits), self.n_symbols), dtype=bool)
+        for i, coeffs in enumerate(rows):
+            A[i, : len(coeffs)] = coeffs
+        return A, np.array(consts, dtype=bool)
+
+    def reset_symbols(self, capacity: int) -> None:
+        """Forget all symbols and make room for ``capacity`` new ones."""
+        self._require_writable()
+        self.n_symbols = 0
+        self.sym = np.zeros(
+            (2 * self.n, max(1, (capacity + 63) >> 6)), dtype=np.uint64
+        )
+
     def measurement_distribution(
         self, qubits: tuple[int, ...]
     ) -> AffineOutcomeDistribution:
@@ -792,21 +925,8 @@ class Tableau:
 
         Collapses this tableau (work on a copy if it is still needed).
         """
-        self.n_symbols = 0
-        self.sym = np.zeros(
-            (2 * self.n, max(1, (len(qubits) + 63) >> 6)), dtype=np.uint64
-        )
-        rows = []
-        consts = []
-        for q in qubits:
-            coeffs, const = self.measure_symbolic(q)
-            rows.append(coeffs)
-            consts.append(const)
-        k = self.n_symbols
-        A = np.zeros((len(qubits), k), dtype=bool)
-        for i, coeffs in enumerate(rows):
-            A[i, : len(coeffs)] = coeffs
-        return AffineOutcomeDistribution(A, np.array(consts, dtype=bool))
+        self.reset_symbols(len(qubits))
+        return AffineOutcomeDistribution(*self.measure_symbolic_rows(qubits))
 
     # -- observables ------------------------------------------------------------
 

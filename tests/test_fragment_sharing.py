@@ -3,17 +3,23 @@
 The variants of a fragment share one hashed, compiled and simulated body
 (``Circuit.embed`` / ``shared_body`` / ``derived``, ``Tableau.prepend``),
 and ``build_window_tensors`` builds every window's tensor in one pass over
-a fragment's variants.  Each test pins one equivalence that rests on.
+a fragment's variants.  The variants of one preparation also share one
+symbolic measurement sweep: the cut wires are measured last and their rows
+moved back into place (``move_outcome_row``); the sequential sweep of a
+from-scratch evolution is the oracle.  Each test pins one equivalence that
+rests on.
 """
 
 import itertools
 import pickle
 import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Distribution
@@ -21,7 +27,14 @@ from repro.apps.hwea import HWEA
 from repro.backends.cache import circuit_fingerprint
 from repro.circuits import Circuit, gates
 from repro.circuits.circuit import Operation
-from repro.core import ExecutionConfig, SamplingConfig, SuperSim
+from repro.core import (
+    ExecutionConfig,
+    ReconstructionConfig,
+    ReconstructionMemoryError,
+    SamplingConfig,
+    SuperSim,
+)
+from repro.core import evaluator as evaluator_module
 from repro.core.evaluator import (
     DenseVariantData,
     FragmentData,
@@ -29,11 +42,20 @@ from repro.core.evaluator import (
     VariantData,
 )
 from repro.core.fragments import Fragment
-from repro.core.tomography import build_fragment_tensor, build_window_tensors
+from repro.core.tomography import (
+    build_conditioned_window_tensors,
+    build_fragment_tensor,
+    build_window_tensors,
+)
 from repro.core.variants import all_variants, variant_circuit
 from repro.stabilizer import StabilizerSimulator
+from repro.stabilizer import simulator as stabilizer_simulator
 from repro.stabilizer import tableau as tableau_module
-from repro.stabilizer.tableau import Tableau, compile_clifford_layers
+from repro.stabilizer.tableau import (
+    Tableau,
+    compile_clifford_layers,
+    move_outcome_row,
+)
 
 STAB = StabilizerSimulator()
 
@@ -258,6 +280,14 @@ class TestMutationDropsTheBody:
         circuit.ops[0] = Operation(gates.S, (0,))
         assert circuit.derived() == {}
 
+    def test_is_clifford_is_remembered_until_the_ops_change(self):
+        circuit = Circuit(2).append(gates.H, 0)
+        assert circuit.is_clifford and circuit.derived()["is_clifford"] is True
+        circuit.append(gates.T, 1)
+        assert not circuit.is_clifford and circuit.derived()["is_clifford"] is False
+        circuit.ops[1] = Operation(gates.S, (1,))
+        assert circuit.is_clifford
+
 
 # -- derived caches do not travel ------------------------------------------------------
 
@@ -282,6 +312,260 @@ class TestPickling:
         assert circuit_fingerprint(clone) == circuit_fingerprint(variant)
         got = STAB.affine_distribution(clone)
         assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
+
+
+# -- measuring late: one sweep per preparation -------------------------------------------
+
+
+def sequential(circuit: Circuit):
+    """The oracle: evolve the spelled-out op list, sweep every measured wire."""
+    tableau = Tableau(circuit.n_qubits)
+    tableau.apply_circuit(plain_copy(circuit))
+    return tableau.measurement_distribution(circuit.measured_qubits)
+
+
+def assert_same_form(got, expected, context=None):
+    assert got.A.dtype == expected.A.dtype == np.bool_
+    assert got.A.shape == expected.A.shape, context
+    assert np.array_equal(got.A, expected.A), context
+    assert np.array_equal(got.b, expected.b), context
+
+
+def seeded_body(n: int, seed: int, hadamards: float = 0.0) -> Circuit:
+    """Random Clifford body; ``hadamards`` is the share of wires opened with
+    an H, so a wide body measures into more than 64 symbols."""
+    rng = np.random.default_rng(seed)
+    body = Circuit(n)
+    for q in np.flatnonzero(rng.random(n) < hadamards):
+        body.append(gates.H, int(q))
+    for _ in range(int(rng.integers(0, 4 * n + 1))):
+        kind = int(rng.integers(7))
+        if kind >= 5:
+            a, b = rng.choice(n, size=2, replace=False)
+            body.append(gates.CX, int(a), int(b))
+        else:
+            gate = (gates.H, gates.S, gates.SDG, gates.X, gates.YPow(0.5))[kind]
+            body.append(gate, int(rng.integers(n)))
+    return body
+
+
+def cut_fragment(n, ins, outs, seed, hadamards=0.0) -> Fragment:
+    """A seeded body cut on the wires ``ins`` (inputs) and ``outs`` (outputs)."""
+    return Fragment(
+        index=0,
+        circuit=seeded_body(n, seed, hadamards),
+        quantum_inputs=list(enumerate(ins)),
+        quantum_outputs=list(enumerate(outs, start=len(ins))),
+        circuit_outputs=[(q, q) for q in range(n) if q not in outs],
+    )
+
+
+@st.composite
+def cut_fragments(draw, widths, max_cuts):
+    """``(fragment, measured)``: cut wires anywhere in the order, one wire
+    possibly input and output at once; ``measured`` is ``None`` (all) or a
+    subset that may or may not hold a cut wire."""
+    n = draw(widths)
+    wires = st.integers(0, n - 1)
+    ins = draw(st.lists(wires, max_size=min(max_cuts, n), unique=True))
+    # at most 4 cuts in all: 4**3 * 3**3 variants are one explicit example
+    outs = draw(st.lists(wires, max_size=min(max_cuts, n, 4 - len(ins)), unique=True))
+    if n > 64:  # all but a few wires, so the symbols still fill a word
+        skipped = draw(st.lists(wires, max_size=3))
+        measured = [q for q in range(n) if q not in skipped] if skipped else None
+    else:
+        measured = draw(st.none() | st.lists(wires, min_size=1, unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cut_fragment(n, ins, outs, seed, hadamards=float(n > 64)), measured
+
+
+def check_every_variant(fragment, measured):
+    for spec in all_variants(fragment):
+        variant = variant_circuit(fragment, *spec)
+        if measured is not None:
+            variant.measure(measured)
+        assert variant.shared_body() is not None
+        assert_same_form(
+            STAB.affine_distribution(variant), sequential(variant), (spec, measured)
+        )
+
+
+class TestMeasuringLate:
+    @settings(max_examples=25, deadline=None)
+    @given(cut_fragments(st.integers(2, 8), max_cuts=3))
+    # first and last wire cut, one of them also an input; the cut wire
+    # left out of, and alone in, the measured subset
+    @example((cut_fragment(5, [4, 2], [0, 4], 1), None))
+    @example((cut_fragment(5, [1], [0, 3, 4], 2), [1, 2]))
+    @example((cut_fragment(4, [3], [3], 3), [3]))
+    @example((cut_fragment(4, [0, 1, 3], [3, 2, 0], 4), None))
+    def test_every_variant_equals_the_sequential_sweep(self, case):
+        check_every_variant(*case)
+
+    @settings(max_examples=5, deadline=None)
+    @given(cut_fragments(st.integers(66, 140), max_cuts=2))
+    def test_wide_fragments_past_64_symbols(self, case):
+        fragment, measured = case
+        first = variant_circuit(fragment, *next(all_variants(fragment)))
+        assume(STAB.affine_distribution(first).n_free > 64)
+        assert fragment.circuit.derived()["collapsed"]
+        check_every_variant(fragment, measured)
+
+    def test_one_sweep_per_preparation(self, monkeypatch):
+        fragment = clifford_fragment(9, 2, 2, seed=3)
+        calls = []
+        real = Tableau.measure_symbolic
+
+        def counting(self, q):
+            calls.append(q)
+            return real(self, q)
+
+        monkeypatch.setattr(Tableau, "measure_symbolic", counting)
+        variants = [variant_circuit(fragment, *spec) for spec in all_variants(fragment)]
+        for variant in variants:
+            STAB.affine_distribution(variant)
+        assert len(variants) == 144
+        assert len(calls) == 4**2 * (9 - 2) + 144 * 2
+        # a body declared without cut wires shares nothing it should not:
+        # any trailing gate sends the circuit down the general path
+        del calls[:]
+        loose = Circuit(9).embed(fragment.circuit).append(gates.H, 8).measure_all()
+        assert_same_form(STAB.affine_distribution(loose), sequential(loose))
+        assert len(calls) == 2 * 9
+
+    def test_retained_state_is_bounded(self):
+        fragment = clifford_fragment(6, 2, 1, seed=4)
+        for spec in all_variants(fragment):
+            STAB.affine_distribution(variant_circuit(fragment, *spec))
+        kept = fragment.circuit.derived()["collapsed"]
+        assert len(kept) == stabilizer_simulator.COLLAPSED_KEPT < 4**2
+
+    def test_other_prefixes_and_suffixes_take_the_general_path(self):
+        body = seeded_body(4, 7)
+        for build in (
+            lambda c: c.append(gates.SDG, 1).embed(body, [3]).append(gates.H, 3),
+            lambda c: c.embed(body, [3]).append(gates.CX, 2, 3),
+            lambda c: c.embed(body, [3]).append(gates.H, 2),
+        ):
+            circuit = build(Circuit(4)).measure_all()
+            assert circuit.shared_body() is not None
+            assert_same_form(STAB.affine_distribution(circuit), sequential(circuit))
+            assert "collapsed" not in body.derived()
+        with pytest.raises(ValueError, match="not Clifford"):
+            STAB.affine_distribution(Circuit(4).embed(body, [3]).append(gates.T, 3))
+
+    def test_a_pickled_variant_equals_the_shared_one(self):
+        fragment = clifford_fragment(7, 1, 2, seed=6)
+        for spec in all_variants(fragment):
+            variant = variant_circuit(fragment, *spec)
+            assert variant.measured_last() == {5, 6}
+            clone = pickle.loads(pickle.dumps(variant))
+            assert clone.shared_body() is None and clone.measured_last() == frozenset()
+            assert_same_form(
+                STAB.affine_distribution(clone), STAB.affine_distribution(variant), spec
+            )
+
+    # -- the three kinds of move, by hand ----------------------------------------
+
+    def test_pure_permutation_by_hand(self):
+        # rows f0, f0^1, f1: the pivot row of f1 moves to the front and takes
+        # its column along; nothing else changes
+        A = np.array([[1, 0], [1, 0], [0, 1]], dtype=bool)
+        b = np.array([0, 1, 0], dtype=bool)
+        A, b = move_outcome_row(A, b, 2, 0)
+        assert A.tolist() == [[True, False], [False, True], [False, True]]
+        assert b.tolist() == [False, False, True]
+        # a dependent row moving up, but not past the pivot it depends on
+        A = np.array([[1, 0], [0, 1], [1, 0]], dtype=bool)
+        b = np.array([0, 0, 1], dtype=bool)
+        A, b = move_outcome_row(A, b, 2, 1)
+        assert A.tolist() == [[True, False], [True, False], [False, True]]
+        assert b.tolist() == [False, True, False]
+        # through the simulator: wire 0 is the cut, measured in X on |0>
+        circuit = Circuit(2).embed(Circuit(2), [0]).append(gates.H, 0).measure_all()
+        got = STAB.affine_distribution(circuit)
+        assert got.A.tolist() == [[True], [False]] and got.b.tolist() == [False, False]
+
+    def test_re_pivot_by_hand(self):
+        # rows f0, f1, f0^f1^1, f1: the third row moves in front of both its
+        # pivots, becomes the pivot g = f0^f1^1 of the later one (f1), and
+        # every row that held f1 now reads g^f0^1
+        A = np.array([[1, 0], [0, 1], [1, 1], [0, 1]], dtype=bool)
+        b = np.array([0, 0, 1, 0], dtype=bool)
+        A, b = move_outcome_row(A, b, 2, 0)
+        assert A.tolist() == [[True, False], [False, True], [True, True], [True, True]]
+        assert b.tolist() == [False, False, True, True]
+        # through the simulator: a Bell pair with the cut wire flipped.  Wire
+        # 1 is measured first (f, pivot) and wire 0 reads f^1; in wire order
+        # wire 0 is the pivot g and wire 1 reads g^1 — a permutation of the
+        # first form would have put the constant on the wrong row
+        body = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.X, 0)
+        circuit = Circuit(2).embed(body, [0]).measure_all()
+        got = STAB.affine_distribution(circuit)
+        assert got.A.tolist() == [[True], [True]] and got.b.tolist() == [False, True]
+        assert_same_form(got, sequential(circuit))
+
+    def test_rank_zero_by_hand(self):
+        A = np.zeros((3, 0), dtype=bool)
+        b = np.array([1, 0, 1], dtype=bool)
+        A, b = move_outcome_row(A, b, 2, 0)
+        assert A.shape == (3, 0) and b.tolist() == [True, True, False]
+        body = Circuit(3).append(gates.X, 0).append(gates.CX, 0, 2)
+        circuit = Circuit(3).embed(body, [0, 1]).measure_all()
+        got = STAB.affine_distribution(circuit)
+        assert got.A.shape == (3, 0) and got.b.tolist() == [True, False, True]
+
+    def test_rows_only_move_up(self):
+        A, b = np.eye(2, dtype=bool), np.zeros(2, dtype=bool)
+        assert move_outcome_row(A, b, 1, 1)[0] is A
+        for src, dst in ((0, 1), (2, 0), (1, -1)):
+            with pytest.raises(ValueError):
+                move_outcome_row(A, b, src, dst)
+
+
+# -- what is shared is frozen ------------------------------------------------------------
+
+
+class TestSharedTableausAreFrozen:
+    def shared(self):
+        fragment = clifford_fragment(6, 1, 1, seed=8)
+        variant = variant_circuit(fragment, (2,), (1,))
+        expected = sequential(variant)
+        assert_same_form(STAB.affine_distribution(variant), expected)
+        derived = fragment.circuit.derived()
+        (collapsed, A, b), = derived["collapsed"].values()
+        return variant, expected, derived["tableau"], collapsed, A, b
+
+    def test_measuring_the_cached_object_raises(self):
+        variant, expected, evolved, collapsed, A, b = self.shared()
+        for tableau in (evolved, collapsed):
+            with pytest.raises(ValueError):
+                tableau.measurement_distribution(variant.measured_qubits)
+            with pytest.raises(ValueError):
+                tableau.h(0)
+            with pytest.raises(ValueError):
+                tableau.apply_circuit(variant)
+            with pytest.raises(ValueError):
+                tableau.reset_symbols(6)
+        with pytest.raises(ValueError):
+            evolved.prepend("X", 0)
+        random_wire = next(q for q in range(6) if sequential(variant).A[q].any())
+        with pytest.raises(ValueError):
+            evolved.measure_symbolic(random_wire)
+        with pytest.raises(ValueError):
+            A[0, 0] = True
+        with pytest.raises(ValueError):
+            b[0] = True
+        # nothing above got through
+        assert_same_form(STAB.affine_distribution(variant), expected)
+
+    def test_copies_are_writable(self):
+        _variant, _expected, evolved, collapsed, _A, _b = self.shared()
+        for tableau in (evolved, collapsed):
+            copy = tableau.copy()
+            copy.h(0)
+            copy.measurement_distribution((0, 1))
+            assert not tableau.x.flags.writeable
 
 
 # -- thread pools share the body ---------------------------------------------------------
@@ -327,6 +611,42 @@ def test_threads_sharing_one_body_agree_with_serial_results():
         )
         assert np.array_equal(affine.A, expected[spec].A)
         assert np.array_equal(affine.b, expected[spec].b)
+
+
+def test_eight_threads_asking_for_144_variants_get_the_serial_answers():
+    """More threads than cores and more preparations than collapsed
+    tableaus are kept, each thread starting somewhere else in the order:
+    sweeps are evicted and repeated under the readers' feet."""
+    fragment = clifford_fragment(20, 2, 2, seed=12)
+    specs = list(all_variants(fragment))
+    assert len(specs) == 144
+    expected = {spec: sequential(variant_circuit(fragment, *spec)) for spec in specs}
+    results, errors = {}, []
+    barrier = threading.Barrier(8)
+
+    def work(slot):
+        try:
+            barrier.wait(timeout=30)
+            for spec in specs[slot * 18 :] + specs[: slot * 18]:
+                variant = variant_circuit(fragment, *spec)
+                results[slot, spec] = STAB.affine_distribution(variant)
+        except Exception as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(results) == 8 * 144
+    for (slot, spec), affine in results.items():
+        assert_same_form(affine, expected[spec], (slot, spec))
 
 
 # -- batched tomography ---------------------------------------------------------------
@@ -409,6 +729,42 @@ class TestBuildWindowTensors:
         data = sampled_fragment_data(1, 1, shots=100, seed=3)
         build_window_tensors(data, [[0], [1], [0, 1], []])
 
+    def test_oversized_tensors_are_refused_before_allocating(self):
+        """qi + qo = 3 and a 24-bit window: 2**30 entries, 8 GiB."""
+        fragment = Fragment(
+            index=0,
+            circuit=Circuit(26),
+            quantum_inputs=[(0, 0)],
+            quantum_outputs=[(1, 24), (2, 25)],
+            circuit_outputs=[(q, q) for q in range(24)],
+        )
+        data = FragmentData(fragment, {})
+        window = list(range(24))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            for build in (
+                lambda: build_fragment_tensor(data, window),
+                lambda: build_window_tensors(data, [[0], window]),
+                lambda: next(
+                    build_conditioned_window_tensors(data, window, [], [[]])
+                ),
+            ):
+                with pytest.raises(ReconstructionMemoryError, match="2\\*\\*26"):
+                    build()
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0 and peak < 1 << 20
+        # the limit is the caller's to raise, and 2**26 entries still fit it
+        assert 16 * 4**3 * 2**16 == 2**26
+        wide = list(range(16))
+        with pytest.raises(KeyError):  # past the guard, at the first variant
+            build_window_tensors(data, [wide] * 3 + [wide[::-1]] * 13)
+        with pytest.raises(ReconstructionMemoryError):
+            build_window_tensors(data, [wide], max_dense_bits=21)
+
 
 # -- end to end: seeded marginals at any parallelism ---------------------------------------
 
@@ -419,19 +775,40 @@ def hwea30():
     return HWEA(30, 3).near_clifford_instance(num_t=1, rng=rng).measure_all()
 
 
-def test_seeded_marginals_identical_across_pools(hwea30):
+POOLS = (
+    ExecutionConfig(parallel=1),
+    ExecutionConfig(parallel=3, pool="thread"),
+    ExecutionConfig(parallel=2, pool="process"),
+)
+
+
+def defeat_sharing(monkeypatch):
+    """Every variant job gets a plain circuit: no body, nothing to share."""
+    real = evaluator_module.variant_circuit
+
+    def refuse(*_args):
+        raise AssertionError("a plain circuit reached the shared sweep")
+
+    monkeypatch.setattr(
+        evaluator_module, "variant_circuit", lambda *spec: plain_copy(real(*spec))
+    )
+    monkeypatch.setattr(stabilizer_simulator, "_collapsed", refuse)
+
+
+def test_seeded_marginals_identical_across_pools(hwea30, monkeypatch):
     sampling = SamplingConfig(shots=600, seed=11)
     windows = [[3], [3, 17], [29], [17]]
-    runs = []
-    for execution in (
-        ExecutionConfig(parallel=1),
-        ExecutionConfig(parallel=3, pool="thread"),
-        ExecutionConfig(parallel=2, pool="process"),
-    ):
+
+    def run(execution):
         with SuperSim(sampling=sampling, execution=execution) as sim:
             singles = sim.single_qubit_marginals(hwea30)
             joint = sim.marginal_probabilities(hwea30, windows)
-        runs.append((singles, joint))
+        return singles, joint
+
+    runs = [run(execution) for execution in POOLS]
+    with monkeypatch.context() as patch:
+        defeat_sharing(patch)
+        runs.append(run(POOLS[0]))
     base_singles, base_joint = runs[0]
     assert np.allclose(base_singles.sum(axis=1), 1.0)
     for singles, joint in runs[1:]:
@@ -442,3 +819,37 @@ def test_seeded_marginals_identical_across_pools(hwea30):
     # windows [3] and [17] of the joint call are rows of the single-qubit table
     assert base_joint[0][1] == base_singles[3, 1]
     assert base_joint[3][1] == base_singles[17, 1]
+
+
+def test_exact_recursive_runs_identical_across_pools_and_without_sharing(monkeypatch):
+    """The ledger's wide-chain shape at 31q: one Clifford fragment with
+    qi = qo = 2, 144 variants, every one through the shared sweeps."""
+    n = 31
+    circuit = Circuit(n).append(gates.H, 0)
+    for q in range(n - 1):
+        circuit.append(gates.CX, q, q + 1)
+    for q in (13, 18):
+        circuit.append(gates.XPow(0.25), q)
+    for q in range(0, n - 1, 2):
+        circuit.append(gates.CX, q, q + 1)
+    circuit.measure_all()
+    reconstruction = ReconstructionConfig(qubit_limit=8, top_k=16)
+
+    def run(execution):
+        with SuperSim(reconstruction=reconstruction, execution=execution) as sim:
+            return sim.run(circuit)
+
+    results = [run(execution) for execution in POOLS]
+    with monkeypatch.context() as patch:
+        defeat_sharing(patch)
+        results.append(run(POOLS[0]))
+    base = results[0]
+    assert base.stats.mode == "recursive"
+    assert max(f.num_variants for f in base.cut_circuit.fragments) == 144
+    assert base.stats.covered_probability > 1.0 - 1e-9
+    for other in results[1:]:
+        assert np.array_equal(other.distribution.keys_array, base.distribution.keys_array)
+        assert np.array_equal(
+            other.distribution.values_array, base.distribution.values_array
+        )
+        assert other.stats.covered_probability == base.stats.covered_probability
