@@ -3,8 +3,9 @@
 Times the bit-packed word-parallel tableau against the byte-per-bit
 reference (``repro.stabilizer._reference``) on a 200-qubit Clifford
 apply-circuit + full-measurement workload, and the einsum reconstruction
-against the legacy ``4^k`` assignment loop on a k=4 chain-cut benchmark,
-then writes ``BENCH_core.json`` at the repository root.  CI runs this on
+against the ``4^k`` assignment loop (the oracle in
+``repro.testing.reconstruction``) on a k=4 chain-cut benchmark, then
+writes ``BENCH_core.json`` at the repository root.  CI runs this on
 every push so the perf trajectory is visible in the artifact history.
 
 Usage::
@@ -33,13 +34,11 @@ from repro.core import SuperSim
 from repro.core.cutter import cut_circuit
 from repro.core.fragments import Cut
 from repro.core.config import ReconstructionConfig
-from repro.core.reconstruction import (
-    reconstruct_distribution,
-    reconstruct_marginal,
-)
+from repro.core.reconstruction import reconstruct_distribution
 from repro.core.tomography import build_fragment_tensor
 from repro.stabilizer._reference import ReferenceTableau
 from repro.stabilizer.tableau import Tableau
+from repro.testing.reconstruction import loop_reconstruct_distribution
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_core.json"
@@ -220,39 +219,24 @@ def _chain_workload(blocks: int, width: int, depth: int, seed: int):
 
 
 def bench_reconstruction() -> dict:
-    """k=4 chain-cut recombination: einsum contraction vs legacy loop."""
-    circuit, cuts = _chain_workload(blocks=5, width=5, depth=6, seed=1)
-    cc = cut_circuit(circuit, cuts)
+    """k=4 chain-cut recombination: einsum contraction vs the loop oracle."""
+    cc, tensors, kept_locals, keep = _recombination_workload()
     assert cc.num_cuts >= 4
-    sim = SuperSim()
-    data = sim._evaluator().evaluate_all(cc.fragments)
-    keep = list(circuit.measured_qubits)
-    keep_set = set(keep)
-    kept_locals = [
-        [lq for oq, lq in f.circuit_outputs if oq in keep_set]
-        for f in cc.fragments
-    ]
-    tensors = [
-        build_fragment_tensor(d, kl) for d, kl in zip(data, kept_locals)
-    ]
 
-    def run(method):
-        dist, _ = reconstruct_distribution(
-            cc, tensors, kept_locals, keep, prune_zeros=False, method=method
-        )
-        return dist
+    def run(reconstruct):
+        return reconstruct(cc, tensors, kept_locals, keep, prune_zeros=False)[0]
 
-    einsum_seconds = _best(lambda: run("einsum"), repeats=3)
-    loop_seconds = _best(lambda: run("loop"), repeats=1)
-    einsum_dist = run("einsum")
-    loop_dist = run("loop")
+    einsum_seconds = _best(lambda: run(reconstruct_distribution), repeats=3)
+    loop_seconds = _best(lambda: run(loop_reconstruct_distribution), repeats=1)
+    einsum_dist = run(reconstruct_distribution)
+    loop_dist = run(loop_reconstruct_distribution)
     keys = set(einsum_dist.probs) | set(loop_dist.probs)
     max_abs_diff = max(
         abs(einsum_dist[key] - loop_dist[key]) for key in keys
     )
     return {
         "workload": (
-            f"{circuit.n_qubits}q Clifford chain, k={cc.num_cuts} cuts, "
+            f"{len(keep)}q Clifford chain, k={cc.num_cuts} cuts, "
             f"{len(cc.fragments)} fragments, dense recombination"
         ),
         "einsum_seconds": einsum_seconds,
@@ -267,38 +251,31 @@ def bench_streaming_reconstruction() -> dict:
     """Windowed marginal vs dense-then-marginalize at the widest dense size.
 
     Same k=4 chain workload as ``bench_reconstruction`` (21 kept bits is
-    the widest size the dense ``4^k * 2^n`` path comfortably serves):
-    an 8-bit marginal via :func:`reconstruct_marginal` reduces the
-    fragment tensors *before* contracting, so peak accumulator memory is
-    ``2^8`` entries instead of ``2^21``.  A 61-qubit recursive run rides
-    along as the dense-infeasible demonstration: top-k reconstruction
-    with peak memory bounded by ``2^qubit_limit``, and
-    :func:`_recursive_61q_counts` adds the counts its per-level tomography
-    is gated on.
+    the widest size the dense ``4^k * 2^n`` path comfortably serves): an
+    8-bit marginal in windowed mode builds the fragment tensors over the
+    window only, so peak accumulator memory is ``2^8`` entries instead of
+    ``2^21``.  Both sides run tomography + contraction on the same
+    evaluated fragment data.  A 61-qubit recursive run rides along as the
+    dense-infeasible demonstration: top-k reconstruction with peak memory
+    bounded by ``2^qubit_limit``, and :func:`_recursive_61q_counts` adds
+    the counts its per-level tomography and its contractions are gated on.
     """
     circuit, cuts = _chain_workload(blocks=5, width=5, depth=6, seed=1)
-    cc = cut_circuit(circuit, cuts)
-    sim = SuperSim()
-    data = sim._evaluator().evaluate_all(cc.fragments)
     keep = list(circuit.measured_qubits)
-    keep_set = set(keep)
-    kept_locals = [
-        [lq for oq, lq in f.circuit_outputs if oq in keep_set]
-        for f in cc.fragments
-    ]
-    tensors = [
-        build_fragment_tensor(d, kl) for d, kl in zip(data, kept_locals)
-    ]
     window = keep[:8]
+    dense_plan = SuperSim().plan(circuit, cuts=cuts)
+    windowed_plan = SuperSim(
+        reconstruction=ReconstructionConfig(mode="windowed", window=tuple(window))
+    ).plan(circuit, cuts=cuts)
+    cc = dense_plan.cut_circuit
 
     def dense():
-        dist, stats = reconstruct_distribution(
-            cc, tensors, kept_locals, keep, prune_zeros=False
-        )
-        return dist.marginal(range(len(window))), stats
+        result = dense_plan.execute()
+        return result.distribution.marginal(range(len(window))), result.stats
 
     def windowed():
-        return reconstruct_marginal(cc, tensors, kept_locals, window)
+        result = windowed_plan.execute()
+        return result.distribution, result.stats
 
     dense_seconds = _best(lambda: dense(), repeats=3)
     windowed_seconds = _best(lambda: windowed(), repeats=3)
@@ -351,14 +328,18 @@ def _recursive_61q_counts() -> dict:
     of a fragment exactly once — one ``conditioned_tables`` call, for exact
     Clifford data one GF(2) elimination — however many bins the frontier
     holds; and once the reconstruction has returned, the tensor builder
-    may still hold less than one window tensor.  The evaluation in front
-    of it may measure no more wires than :func:`_shared_sweep_bound`.
+    may still hold less than one window tensor.  Below the top window —
+    where nothing is pinned yet — every bin is contracted on its support:
+    no operand above ``4^4 * 64`` entries (a dense ``4^4 * 2^12`` one per
+    bin before fragment tensors lived on their supports).  The evaluation
+    in front of it may measure no more wires than
+    :func:`_shared_sweep_bound`.
     """
     import tracemalloc
     from unittest import mock
 
-    from repro.core import evaluator, supersim
-    from repro.core.reconstruction import reconstruct_dynamic
+    from repro.core import evaluator, reconstruction, supersim
+    from repro.core.reconstruction import SupportTensor, reconstruct_dynamic
     from repro.stabilizer import tableau
 
     qubit_limit, top_k = 12, 64
@@ -375,10 +356,30 @@ def _recursive_61q_counts() -> dict:
     with _counting_measure_symbolic(measurements):
         data = sim._evaluator().evaluate_all(cc.fragments)
 
-    counts = {"levels": 0, "variants": 0, "visits": 0, "bases": 0, "eliminations": 0}
+    counts = dict.fromkeys(
+        (
+            "levels",
+            "variants",
+            "visits",
+            "bases",
+            "eliminations",
+            "contractions",
+            "wide_contractions",
+        ),
+        0,
+    )
     level_builder = supersim.build_conditioned_window_tensors
     visit = evaluator.AffineVariantData.conditioned_tables
     column_basis = tableau._gf2_column_basis
+    contract = reconstruction.reconstruct_distribution
+
+    def counted_contraction(cut_circuit, tensors, *args, **kwargs):
+        largest = max(
+            (t.values if isinstance(t, SupportTensor) else t).size for t in tensors
+        )
+        counts["contractions"] += 1
+        counts["wide_contractions"] += largest > 4**4 * 64
+        return contract(cut_circuit, tensors, *args, **kwargs)
 
     def counted_level(fragment_data, *args, **kwargs):
         counts["levels"] += 1
@@ -402,6 +403,9 @@ def _recursive_61q_counts() -> dict:
             evaluator.AffineVariantData, "conditioned_tables", counted_visit
         ),
         mock.patch.object(tableau, "_gf2_column_basis", counted_basis),
+        mock.patch.object(
+            reconstruction, "reconstruct_distribution", counted_contraction
+        ),
     ):
         builder = sim._dynamic_tensor_builder(cc, data)
         tracemalloc.start()
@@ -423,6 +427,9 @@ def _recursive_61q_counts() -> dict:
         "recursive_61q_variant_visits": counts["visits"],
         "recursive_61q_eliminations": counts["eliminations"],
         "recursive_61q_windows_refined": stats.windows,
+        "recursive_61q_contractions": counts["contractions"],
+        "recursive_61q_wide_contractions": counts["wide_contractions"],
+        "recursive_61q_peak_accumulator_entries": stats.peak_window_entries,
         "recursive_61q_window_tensor_bytes": window_tensor,
         "recursive_61q_retained_bytes": retained - before,
         "recursive_61q_peak_bytes": peak - before,
@@ -431,12 +438,13 @@ def _recursive_61q_counts() -> dict:
     }
 
 
-def _recombination_workload():
-    """Shared k=4 chain tensors for the tier and path-cache benches."""
+def _recombination_workload(width: int | None = None):
+    """Shared k=4 chain tensors for the recombination, tier and path-cache
+    benches, over all measured qubits or the first ``width`` of them."""
     circuit, cuts = _chain_workload(blocks=5, width=5, depth=6, seed=1)
     cc = cut_circuit(circuit, cuts)
     data = SuperSim()._evaluator().evaluate_all(cc.fragments)
-    keep = list(circuit.measured_qubits)
+    keep = list(circuit.measured_qubits)[:width]
     keep_set = set(keep)
     kept_locals = [
         [lq for oq, lq in f.circuit_outputs if oq in keep_set]
@@ -482,7 +490,7 @@ def bench_kernel_tiers() -> dict:
 
     def recon_run():
         return reconstruct_distribution(
-            cc, tensors, kept_locals, keep, prune_zeros=False, method="einsum"
+            cc, tensors, kept_locals, keep, prune_zeros=False
         )[0]
 
     def dist_run():
@@ -548,21 +556,14 @@ def bench_path_cache() -> dict:
     pre-cache behaviour), warm reuses it.
     """
     from repro.core import reconstruction as rec
-    from repro.core.reconstruction import _reduce_window_tensors
 
-    cc, tensors, kept_locals, keep = _recombination_workload()
-    window = keep[:8]
-    # reduce once up front: the recursive driver re-reduces per frontier
-    # bin, but the contraction over the reduced shapes is the part the
-    # path cache accelerates — time exactly that, repeated
-    reduced, reduced_kept = _reduce_window_tensors(
-        cc, tensors, kept_locals, window, {}
-    )
+    # build the window's tensors once up front: the recursive driver gets
+    # new ones per frontier bin, but the contraction over their shapes is
+    # the part the path cache accelerates — time exactly that, repeated
+    cc, tensors, kept_locals, window = _recombination_workload(width=8)
 
     def contract():
-        return reconstruct_distribution(
-            cc, reduced, reduced_kept, window, max_dense_bits=None
-        )
+        return reconstruct_distribution(cc, tensors, kept_locals, window)
 
     # batch contractions per timed call: a single window contraction is
     # sub-millisecond, so timer/scheduler jitter would swamp the per-call
@@ -729,7 +730,7 @@ def main() -> int:
         )
     if results["reconstruction_k4"]["speedup"] <= 1.0:
         failures.append(
-            "einsum reconstruction no faster than the legacy loop "
+            "einsum reconstruction no faster than the assignment loop "
             f"({results['reconstruction_k4']['speedup']:.2f}x)"
         )
     if results["reconstruction_k4"]["max_abs_diff"] > 1e-9:
@@ -778,6 +779,19 @@ def main() -> int:
             f"{streaming['recursive_61q_eliminations']} eliminations for "
             f"{streaming['recursive_61q_level_variants']} variant-levels "
             f"({streaming['recursive_61q_windows_refined']} windows)"
+        )
+    if not (
+        streaming["recursive_61q_contractions"]
+        == streaming["recursive_61q_windows_refined"]
+        and streaming["recursive_61q_wide_contractions"] <= 1
+    ):
+        failures.append(
+            "61q recursive bins are no longer contracted on their supports: "
+            f"{streaming['recursive_61q_wide_contractions']} of "
+            f"{streaming['recursive_61q_contractions']} contractions "
+            f"({streaming['recursive_61q_windows_refined']} windows) were "
+            "handed an operand above 4^4 * 64 entries (at most the top window "
+            "may be)"
         )
     if (
         streaming["recursive_61q_retained_bytes"]

@@ -95,11 +95,11 @@ def main() -> None:
 
     # --- accelerated kernel tier ---------------------------------------------
     # The hot loops (tableau layers, einsum recombination, distribution
-    # marginal/sample) dispatch through repro.kernels.  With numba or
-    # CuPy installed (pip install -e ".[numba]" / ".[cupy]"), set
-    # REPRO_KERNELS=auto|numpy|numba|cupy in the environment — or call
+    # marginal/sample) dispatch through repro.kernels.  With numba
+    # installed (pip install -e ".[numba]"), set
+    # REPRO_KERNELS=auto|numpy|numba in the environment — or call
     # repro.kernels.set_kernel_tier("numba") — to switch tiers at
-    # runtime.  Missing accelerators silently fall back to NumPy, and
+    # runtime.  A missing accelerator silently falls back to NumPy, and
     # every tier is bit-for-bit identical on seeded runs; the active
     # tier is recorded in result.kernel_tier and per-kernel seconds in
     # result.timings["kernel.<name>"].

@@ -1,11 +1,10 @@
 """Shim for legacy editable installs (offline environment lacks `wheel`).
 
-The accelerated kernel tiers are optional extras::
+The accelerated kernel tier is an optional extra::
 
     pip install -e ".[numba]"   # JIT CPU kernels (repro.kernels numba tier)
-    pip install -e ".[cupy]"    # GPU kernels (repro.kernels cupy tier)
 
-Without them the library runs entirely on the pure-NumPy reference
+Without it the library runs entirely on the pure-NumPy reference
 kernels; see ``REPRO_KERNELS`` in ``repro/kernels/__init__.py``.
 """
 
@@ -14,6 +13,5 @@ from setuptools import setup
 setup(
     extras_require={
         "numba": ["numba>=0.59"],
-        "cupy": ["cupy-cuda12x>=13"],
     },
 )

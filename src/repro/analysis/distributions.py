@@ -88,6 +88,49 @@ def pack_bit_rows_chunked(bits: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+def pack_keys(bits: np.ndarray) -> np.ndarray:
+    """Keys of a ``(rows, width)`` bit matrix in the layout a
+    :class:`Distribution` of that width stores: 1-D ``uint64`` up to 62
+    bits, chunked rows beyond."""
+    bits = np.asarray(bits, dtype=bool)
+    if bits.shape[1] <= CHUNK_BITS:
+        return pack_bit_rows(bits)
+    return pack_bit_rows_chunked(bits)
+
+
+def unpack_keys(
+    keys: np.ndarray, n_bits: int, positions: Iterable[int] | None = None
+) -> np.ndarray:
+    """Inverse of :func:`pack_keys`: the ``(rows, len(positions))`` bool
+    matrix of ``n_bits``-bit keys in either layout.  ``positions``
+    (default: every bit, in order) counts from the most significant bit."""
+    positions = list(range(n_bits)) if positions is None else list(positions)
+    out = np.empty((len(keys), len(positions)), dtype=bool)
+    if keys.ndim == 1:
+        for col, pos in enumerate(positions):
+            shift = np.uint64(n_bits - 1 - pos)
+            out[:, col] = (keys >> shift) & np.uint64(1)
+        return out
+    widths = _chunk_widths(n_bits)
+    for col, pos in enumerate(positions):
+        chunk = pos // CHUNK_BITS
+        shift = np.uint64(widths[chunk] - 1 - (pos - chunk * CHUNK_BITS))
+        out[:, col] = (keys[:, chunk] >> shift) & np.uint64(1)
+    return out
+
+
+def split_keys(keys: np.ndarray, n_bits: int, low: int):
+    """``(keys >> low, keys & (2**low - 1))`` of ``n_bits``-bit keys in either
+    layout: the high part comes back in the layout of its own width, the
+    low part (``low <= 62``) as plain indices."""
+    if keys.ndim == 1:
+        mask = np.uint64((1 << low) - 1)
+        return keys >> np.uint64(low), (keys & mask).astype(np.intp)
+    bits = unpack_keys(keys, n_bits)
+    high = n_bits - low
+    return pack_keys(bits[:, :high]), pack_bit_rows(bits[:, high:]).astype(np.intp)
+
+
 def enumerated_bit_rows(n: int) -> np.ndarray:
     """All ``2^n`` big-endian bit rows as a ``(2^n, n)`` bool matrix.
 
@@ -292,10 +335,7 @@ class Distribution:
         rows, width = bits.shape
         if n_bits is None:
             n_bits = width
-        if n_bits <= CHUNK_BITS:
-            keys = pack_bit_rows(bits)
-        else:
-            keys = pack_bit_rows_chunked(bits)
+        keys = pack_keys(bits)
         if weights is None:
             # integer counts divided once — exact where 1/rows weights
             # would accumulate float error
@@ -421,21 +461,7 @@ class Distribution:
         with the usual convention — position 0 is the first measured qubit,
         i.e. the most significant key bit.
         """
-        positions = (
-            list(range(self.n_bits)) if positions is None else list(positions)
-        )
-        out = np.empty((len(self._vals), len(positions)), dtype=bool)
-        if not self.chunked:
-            for col, pos in enumerate(positions):
-                shift = np.uint64(self.n_bits - 1 - pos)
-                out[:, col] = (self._keys >> shift) & np.uint64(1)
-            return out
-        widths = _chunk_widths(self.n_bits)
-        for col, pos in enumerate(positions):
-            chunk = pos // CHUNK_BITS
-            shift = np.uint64(widths[chunk] - 1 - (pos - chunk * CHUNK_BITS))
-            out[:, col] = (self._keys[:, chunk] >> shift) & np.uint64(1)
-        return out
+        return unpack_keys(self._keys, self.n_bits, positions)
 
     # -- transformations --------------------------------------------------------
 

@@ -29,7 +29,7 @@ class StabilizerBackend(Backend):
         supports_noise=True,
         affine=True,
         # packed tableau + shared data plane: every repro.kernels tier helps
-        kernel_tiers=("numpy", "numba", "cupy"),
+        kernel_tiers=("numpy", "numba"),
     )
 
     def __init__(self):

@@ -40,7 +40,7 @@ class Capabilities:
     when they are Python-bound.  ``kernel_tiers`` lists the
     :mod:`repro.kernels` tiers the backend's hot loops can exploit when
     available (``"numpy"`` always; backends built on the packed tableau
-    or the shared data plane also benefit from ``"numba"``/``"cupy"``).
+    or the shared data plane also benefit from ``"numba"``).
     """
 
     clifford_only: bool = False

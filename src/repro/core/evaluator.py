@@ -45,7 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, 
 
 import numpy as np
 
-from repro.analysis.distributions import Distribution, pack_bit_rows
+from repro.analysis.distributions import Distribution, pack_bit_rows, pack_keys
 from repro.backends.base import Backend, CircuitFeatures
 from repro.backends.cache import VariantCache, circuit_fingerprint
 from repro.backends.router import BackendRouter
@@ -88,28 +88,21 @@ class VariantData:
         The conditioned twin of :meth:`joint_tables`: one table per row of
         the ``(bins, len(fixed))`` bit matrix, sparse because a bin's
         support is small whatever the window width — a ``(keys, probs)``
-        pair with ``keys = x << len(tail) | m`` (``int64``, unique, in no
-        particular order).  This default takes one joint over all the
-        columns and cuts it up by the fixed bits, which lead its sorted
-        keys.
+        pair with ``keys = x << len(tail) | m`` (unique, in no particular
+        order; ``uint64`` up to 62 bits, chunked rows beyond — the layouts
+        of :func:`~repro.analysis.distributions.pack_keys`).  This default
+        takes one joint over all the columns and cuts it up by the fixed
+        bits, which lead its sorted keys.
         """
         dist = self.joint(list(fixed) + list(keep) + list(tail))
         bits = dist.bit_matrix()
         fixed_keys = pack_bit_rows(bits[:, : len(fixed)])
-        keys = pack_bit_rows(bits[:, len(fixed) :]).astype(np.int64)
+        keys = pack_keys(bits[:, len(fixed) :])
         wanted = pack_bit_rows(fixed_rows)
         starts = np.searchsorted(fixed_keys, wanted, side="left")
         stops = np.searchsorted(fixed_keys, wanted, side="right")
         probs = dist.values_array
         return [(keys[a:b], probs[a:b]) for a, b in zip(starts, stops)]
-
-    def probability_at(self, cols: list[int], bits) -> float:
-        """Point query: P(selected columns == bits)."""
-        dist = self.joint(cols)
-        key = 0
-        for b in bits:
-            key = (key << 1) | int(b)
-        return dist[key]
 
 
 class AffineVariantData(VariantData):
@@ -126,10 +119,6 @@ class AffineVariantData(VariantData):
         return self.affine.conditioned_marginals(
             fixed, fixed_rows, list(keep) + list(tail)
         )
-
-    def probability_at(self, cols: list[int], bits) -> float:
-        # avoids enumerating the (possibly huge) marginal support
-        return self.affine.probability_of_partial(cols, bits)
 
 
 class DenseVariantData(VariantData):
@@ -180,13 +169,6 @@ class SampledVariantData(VariantData):
                     table.shape
                 )
         return counts / shots
-
-    def probability_at(self, cols: list[int], bits) -> float:
-        target = 0
-        for b in bits:
-            target = (target << 1) | int(b)
-        matches = np.count_nonzero(self._keys(cols) == target)
-        return float(matches) / self.bits.shape[0]
 
 
 class FragmentData:

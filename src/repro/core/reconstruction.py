@@ -9,69 +9,70 @@ so the probability of outcome ``x`` of the uncut circuit is
     p(x) = 2^-k * sum_{assignments P: cuts -> Pauli}
                  prod_fragments  T_F[ P|incident ](x_F) .
 
-The sum has ``4^k`` terms, but it *is* a tensor-network contraction: each
-fragment tensor carries one size-4 axis per incident cut plus one axis
-over its kept output bits, and summing over all Pauli assignments is
-exactly contracting the shared cut axes.  The dense path therefore hands
-the whole network to ``np.einsum`` with a greedy contraction-order
-heuristic — pairwise fragment contractions instead of a ``4^k`` Python
-loop — and falls back to the legacy assignment loop only when the
-Section IX zero-term pruning would skip so many assignments that
-term-by-term evaluation is cheaper than the dense contraction.
+**One representation.**  ``T_F`` is a *fragment tensor on its support*
+(:class:`SupportTensor`): ``values`` of shape ``(4,)*qi + (4,)*qo +
+(len(support),)`` — one size-4 axis per incident cut, one axis over kept
+outcomes — plus ``support``, the sorted keys of the kept outcomes ``x_F``
+those columns belong to, in the layouts the data plane stores (``uint64``
+up to 62 kept bits, chunked rows beyond;
+:func:`~repro.analysis.distributions.pack_keys`).  Outcomes off the
+support have ``T_F = 0`` for every Pauli and are simply not there.  The
+support is *full* when it holds all ``2**kept`` keys; a dense tensor is
+that case and may be handed over as a bare array, its column index being
+its key.  A support may be empty (a pinned assignment the fragment cannot
+produce), and a fragment that keeps no qubit has the one-key support
+``[0]``.
 
-The Section IX zero-term optimization lives here: slices whose magnitude
-is (near) zero — guaranteed for many Pauli observables of stabilizer
-states — are detected fragment-wise, counted via a cheap indicator
-contraction (that count is what drives the einsum/loop choice), and near-
-zero accumulator entries are dropped before the distribution is built.
+**One contraction.**  The ``4^k`` sum happens once, in
+:func:`_dense_einsum`: summing over all Pauli assignments *is* contracting
+the shared cut axes of the fragments' ``values``, so the whole network
+goes to ``np.einsum`` with a memoized greedy pairwise order, and what comes
+back is the accumulator over the product of the supports — never over
+``2**total_bits`` unless every support is full.  The kept bits partition
+across the fragments, so an accumulator entry's outcome is its fragments'
+keys side by side, permuted into the requested qubit order; entries at or
+below ``zero_threshold`` are dropped and the rest go to
+``Distribution.from_arrays``.  When every support is full the accumulator
+already *is* the dense distribution and the permutation is a
+reshape/transpose; that is the only run-time choice, and it is read off
+the tensors.
 
-Output width is its own scale axis, independent of fragment width: the
-dense accumulator holds ``2**total_bits`` floats, so anything past ~30
-kept bits is unservable no matter how fast the contraction is.  Two
-bounded-memory engines lift that ceiling (CutQC-style "dynamic
-definition"):
+The Section IX zero-term optimization is accounting here, not a second
+engine: Pauli slices whose magnitude is (near) zero — guaranteed for many
+Pauli observables of stabilizer states — are flagged fragment-wise
+(:func:`_nonzero_masks`) and the assignments they kill counted by one
+indicator contraction (:func:`_count_survivors`) into
+``stats.terms_skipped``.  (Should a shape ever need the pruning *speed*,
+slice each cut axis to its live Pauli indices before the einsum — the
+masks already know them.)
 
-* :func:`reconstruct_marginal` — the *windowed* contraction: the exact
-  marginal over any small subset of the kept qubits, obtained by summing
-  each fragment tensor over its traced-out kept bits *before* the cut-axis
-  contraction, so no ``2**total_bits`` object ever exists;
-* :func:`reconstruct_dynamic` — the *recursive* driver: reconstruct a
-  coarse distribution over the first ``qubit_limit`` qubits, recurse only
-  into the heaviest bins (conditioning the fragment tensors on the bits
-  defined so far), and return a calibrated top-k :class:`Distribution`
-  whose peak memory is ``O(4^k · 2^qubit_limit)`` at any output width.
-  It works level by level: all bins of a level pin the same qubits, so
-  the driver hands its tensor callback the level's whole frontier at once
-  (``tensor_builder(window, fixed_qubits, fixed_rows)``) and pulls the
-  bins' tensors from the returned iterator one at a time, contracting
-  and dropping each before asking for the next.  What a level costs to
-  prepare — one visit per fragment variant — is the callback's business;
-  the driver never holds more than one bin's tensors.
+:func:`reconstruct_dynamic` is the one driver on top (CutQC-style
+"dynamic definition"): output width is its own scale axis, so it
+reconstructs a coarse distribution over the first ``qubit_limit`` qubits,
+recurses only into the heaviest bins (the fragment tensors conditioned on
+the bits defined so far — on their supports, a handful of columns each),
+and returns a calibrated top-k :class:`Distribution`.  It works level by
+level: all bins of a level pin the same qubits, so the driver hands its
+tensor callback the level's whole frontier at once
+(``tensor_builder(window, fixed_qubits, fixed_rows)``) and pulls the bins'
+tensors from the returned iterator one at a time, contracting and dropping
+each before asking for the next.  What a level costs to prepare — one
+visit per fragment variant — is the callback's business; the driver never
+holds more than one bin's tensors.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.analysis.distributions import Distribution
+from repro.analysis.distributions import Distribution, pack_keys, unpack_keys
 from repro.core.fragments import CutCircuit
 from repro.errors import ReconstructionMemoryError
-
-_ONE = np.uint64(1)
-
-# fall back to the assignment loop when fewer than 1/_LOOP_SPARSITY of the
-# 4^k terms survive zero-pruning: at that density enumerating survivors
-# beats a dense contraction that cannot exploit the zeros
-_LOOP_SPARSITY = 16
-
-# minimum buffered-entry count before the sparse path folds its term
-# buffers into their union support (bounds peak memory at ~the floor,
-# not at surviving-terms x per-term support)
-_SPARSE_COMPACT_FLOOR = 1 << 21
 
 #: widest output the dense accumulator may allocate by default
 #: (2^26 float64 ≈ 0.5 GB); callers opt out with ``max_dense_bits=None``
@@ -97,23 +98,36 @@ def check_dense_width(total_bits: int, max_dense_bits: int | None) -> None:
             f"2**{total_bits}-entry accumulator (limit: {max_dense_bits} "
             "bits); use ReconstructionConfig(mode='recursive', "
             "qubit_limit=...) for a bounded-memory top-k reconstruction, "
-            "reconstruct_marginal for exact small marginals, or raise "
-            "max_dense_bits explicitly if you really have the memory"
+            "SuperSim.marginal_probabilities for exact small marginals, or "
+            "raise max_dense_bits explicitly if you really have the memory"
         )
+
+
+class SupportTensor(NamedTuple):
+    """A fragment tensor on its support (see the module docstring)."""
+
+    #: shape ``(4,)*qi + (4,)*qo + (len(support),)``
+    values: np.ndarray
+    #: sorted kept-outcome keys: ``uint64 (m,)``, or chunked ``uint64 (m, c)``
+    support: np.ndarray
 
 
 @dataclass
 class ReconstructionStats:
     """Diagnostics of one reconstruction.
 
-    The windowed/recursive engines extend the dense counters: ``mode`` is
-    the engine that ran, ``windows`` counts window contractions (one per
-    refined bin), ``refinements`` the contractions beyond the coarse top
-    window, ``peak_window_entries`` the largest dense accumulator any
-    single contraction allocated (the memory bound: ``2**qubit_limit``,
-    never ``2**total_bits``), and ``covered_probability`` the total mass
-    of the returned outcomes (1.0 for exact full reconstructions; below
-    1.0 when recursive top-k truncation dropped light bins).
+    ``terms_total`` is ``4^k`` and ``terms_skipped`` how many of those
+    Pauli assignments §IX zero-pruning found dead (the most of any bin in
+    recursive mode).  ``mode`` is what ran (``full`` / ``windowed`` /
+    ``recursive``), ``windows`` counts contractions (one per refined bin),
+    ``refinements`` those beyond the coarse top window,
+    ``peak_window_entries`` the largest accumulator any single contraction
+    allocated — the product of its fragments' support sizes: ``2**kept
+    bits`` for dense tensors, a handful for a conditioned bin, never
+    ``2**total_bits`` of a wide output — and ``covered_probability`` the
+    total mass of the returned outcomes (1.0 for exact full
+    reconstructions; below 1.0 when recursive top-k truncation dropped
+    light bins).
     """
 
     terms_total: int = 0
@@ -185,12 +199,28 @@ def _axis_cuts(fragments) -> list[list[int]]:
     ]
 
 
+def _output_order(fragments, kept_locals, keep_qubits) -> list[int]:
+    """Where each of ``keep_qubits`` sits among the contraction's output bits.
+
+    Those run fragment by fragment — fragment 0's kept bits, fragment 1's,
+    ... — and together must be exactly the requested qubits.
+    """
+    concat_qubits: list[int] = []
+    for fragment, kl in zip(fragments, kept_locals):
+        local_to_orig = {lq: oq for oq, lq in fragment.circuit_outputs}
+        concat_qubits.extend(local_to_orig[lq] for lq in kl)
+    if sorted(concat_qubits) != sorted(keep_qubits):
+        raise ValueError("kept fragment outputs do not match requested qubits")
+    return [concat_qubits.index(q) for q in keep_qubits]
+
+
 def _nonzero_masks(
     tensors: list[np.ndarray], zero_threshold: float
 ) -> list[np.ndarray]:
     """Per fragment: boolean indicator over cut-axis combos of live slices."""
     return [
-        np.max(np.abs(tensor), axis=-1) > zero_threshold for tensor in tensors
+        np.max(np.abs(tensor), axis=-1, initial=0.0) > zero_threshold
+        for tensor in tensors
     ]
 
 
@@ -214,10 +244,11 @@ def _dense_einsum(
 ) -> np.ndarray:
     """Contract all fragment tensors over shared cut axes in one einsum.
 
-    Cut ``c`` is axis label ``c``; fragment ``f``'s kept-bit axis is label
-    ``k + f`` and survives to the output (fragment order), so the result
-    flattens to the concatenated kept-bit accumulator.  The pairwise
-    order comes from the memoized greedy ``np.einsum_path`` (see
+    Cut ``c`` is axis label ``c``; fragment ``f``'s kept-outcome axis is
+    label ``k + f`` and survives to the output (fragment order), so the
+    result flattens to the accumulator over the product of the supports,
+    fragment 0's outcome most significant.  The pairwise order comes from
+    the memoized greedy ``np.einsum_path`` (see
     :func:`_cached_einsum_path`) and the contraction itself dispatches
     through :mod:`repro.kernels` so an accelerated tier can take over.
     """
@@ -232,387 +263,90 @@ def _dense_einsum(
     return _kernels.dense_contract(operands, path).reshape(-1)
 
 
-def _dense_loop(
-    tensors: list[np.ndarray],
-    axis_cuts: list[list[int]],
-    k: int,
-    total_bits: int,
-    masks: list[np.ndarray] | None,
-) -> np.ndarray:
-    """Legacy term-by-term recombination, skipping masked-out assignments.
-
-    Kept as the sparsity fallback and as the reference implementation the
-    einsum path is property-tested against.
-    """
-    accumulator = np.zeros(2**total_bits)
-    for assignment in itertools.product(range(4), repeat=k):
-        vectors = []
-        skip = False
-        for f_index, tensor in enumerate(tensors):
-            index = tuple(assignment[c] for c in axis_cuts[f_index])
-            if masks is not None and not masks[f_index][index]:
-                skip = True
-                break
-            vectors.append(tensor[index])
-        if skip:
-            continue
-        term = vectors[0]
-        for vec in vectors[1:]:
-            term = np.multiply.outer(term, vec)
-        accumulator += term.reshape(-1)
-    return accumulator
-
-
 def reconstruct_distribution(
     cut_circuit: CutCircuit,
-    tensors: list[np.ndarray],
+    tensors: list[np.ndarray | SupportTensor],
     kept_locals: list[list[int]],
     keep_qubits: list[int],
     prune_zeros: bool = True,
     zero_threshold: float = 1e-12,
-    method: str = "auto",
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> tuple[Distribution, ReconstructionStats]:
     """Recombine fragment tensors into the distribution over ``keep_qubits``.
 
-    ``tensors[f]`` has shape ``(4,)*qi_f + (4,)*qo_f + (2**len(kept_locals[f]),)``
-    and ``kept_locals[f]`` lists fragment f's kept circuit-output qubits;
-    together they must cover ``keep_qubits`` exactly.
+    ``tensors[f]`` is fragment f's tensor over the outcomes of
+    ``kept_locals[f]``, its kept circuit-output qubits — a
+    :class:`SupportTensor`, or a bare array of shape ``(4,)*qi_f +
+    (4,)*qo_f + (2**len(kept_locals[f]),)`` when the support is full;
+    together the kept qubits must cover ``keep_qubits`` exactly.  The
+    accumulator holds one entry per combination of the fragments' support
+    keys (``stats.peak_window_entries``).
 
-    ``method`` selects the dense engine: ``"einsum"`` (tensor-network
-    contraction), ``"loop"`` (legacy ``4^k`` assignment loop), or
-    ``"auto"`` (einsum unless zero-pruning leaves under ``1/16`` of the
-    terms alive, where the loop wins).
-
-    ``max_dense_bits`` guards the ``2**total_bits`` accumulator: wider
-    requests raise :class:`ReconstructionMemoryError` up front instead of
-    dying in allocation.  Pass ``None`` to disable (the bounded-memory
-    engines do, their windows being small by construction).
+    ``max_dense_bits`` guards the ``2**total_bits`` accumulator of full
+    supports: wider requests raise :class:`ReconstructionMemoryError` up
+    front instead of dying in allocation.  Pass ``None`` to disable (the
+    recursive driver does, its windows being small by construction).
+    Callers contracting smaller supports bound their product themselves
+    (``SuperSim.sparse_probabilities(max_support=...)``).
     """
-    if method not in ("auto", "einsum", "loop"):
-        raise ValueError(f"unknown reconstruction method {method!r}")
     fragments = cut_circuit.fragments
     k = cut_circuit.num_cuts
-    total_terms = 4**k
-    stats = ReconstructionStats(terms_total=total_terms)
+    stats = ReconstructionStats(terms_total=4**k, windows=1)
     hits0, misses0 = einsum_path_cache_counters()
-
     axis_cuts = _axis_cuts(fragments)
-    kept_sizes = [len(kl) for kl in kept_locals]
-    total_bits = sum(kept_sizes)
-    check_dense_width(total_bits, max_dense_bits)
-    stats.windows = 1
-    stats.peak_window_entries = 2**total_bits
+    order = _output_order(fragments, kept_locals, keep_qubits)
+    total_bits = len(order)
 
-    masks = None
-    survivors = total_terms
+    # a bare array is values on the full support: column index = key
+    values, supports = zip(
+        *(t if isinstance(t, SupportTensor) else (t, None) for t in tensors)
+    )
+    sizes = [v.shape[-1] for v in values]
+    full = all(size == 2 ** len(kl) for size, kl in zip(sizes, kept_locals))
+    if full:
+        check_dense_width(total_bits, max_dense_bits)
+    stats.peak_window_entries = math.prod(sizes)
+
     if prune_zeros:
-        masks = _nonzero_masks(tensors, zero_threshold)
-        survivors = _count_survivors(masks, axis_cuts)
-        stats.terms_skipped = total_terms - survivors
-
-    # the loop wins in two regimes: heavy zero-pruning (it skips dead
-    # assignments outright) and star topologies where one giant fragment
-    # carries every cut axis (einsum would transpose/reduce the giant
-    # repeatedly; slicing it per assignment streams it once)
-    sizes = [t.size for t in tensors]
-    giant = max(sizes)
-    star_giant = giant >= (1 << 20) and giant * 3 >= 2 * sum(sizes)
-    if method == "loop" or (
-        method == "auto"
-        and (
-            (prune_zeros and survivors * _LOOP_SPARSITY <= total_terms)
-            or star_giant
-        )
-    ):
-        accumulator = _dense_loop(tensors, axis_cuts, k, total_bits, masks)
-    else:
-        accumulator = _dense_einsum(tensors, axis_cuts, k)
+        masks = _nonzero_masks(values, zero_threshold)
+        stats.terms_skipped = stats.terms_total - _count_survivors(masks, axis_cuts)
+    accumulator = _dense_einsum(values, axis_cuts, k)
     accumulator /= 2.0**k
 
-    # bit order of `accumulator`: fragment 0 kept bits, fragment 1 kept bits, ...
-    # reorder to the requested original-qubit order
-    concat_qubits: list[int] = []
-    for fragment, kl in zip(fragments, kept_locals):
-        local_to_orig = {lq: oq for oq, lq in fragment.circuit_outputs}
-        concat_qubits.extend(local_to_orig[lq] for lq in kl)
-    if sorted(concat_qubits) != sorted(keep_qubits):
-        raise ValueError("kept fragment outputs do not match requested qubits")
-    if total_bits:
-        tensor_view = accumulator.reshape((2,) * total_bits)
-        order = [concat_qubits.index(q) for q in keep_qubits]
-        tensor_view = np.transpose(tensor_view, order)
-        accumulator = tensor_view.reshape(-1)
-    # build the sparse Distribution directly from the surviving entries —
-    # materialising every explicit (near-)zero of the 2^n accumulator as
-    # an entry defeats the sparse representation downstream
+    # only the surviving entries become outcomes — materialising every
+    # explicit (near-)zero of the accumulator as an entry defeats the
+    # sparse representation downstream
     threshold = zero_threshold if prune_zeros else 0.0
-    nonzero = np.flatnonzero(np.abs(accumulator) > threshold)
+    if full and total_bits:
+        # every key occurs: the accumulator is the dense distribution once
+        # its bit axes are in the requested order
+        accumulator = np.transpose(
+            accumulator.reshape((2,) * total_bits), order
+        ).reshape(-1)
+    live = np.flatnonzero(np.abs(accumulator) > threshold)
+    if full:
+        keys = live.astype(np.uint64)
+    else:
+        # an entry's outcome: its fragments' support keys side by side
+        bits = np.concatenate(
+            [
+                unpack_keys(
+                    pick.astype(np.uint64) if support is None else support[pick],
+                    len(kl),
+                )
+                for support, pick, kl in zip(
+                    supports, np.unravel_index(live, sizes), kept_locals
+                )
+            ],
+            axis=1,
+        )
+        keys = pack_keys(bits[:, order])
     distribution = Distribution.from_arrays(
-        len(keep_qubits),
-        nonzero.astype(np.uint64),
-        accumulator[nonzero],
-        assume_sorted=True,
+        total_bits, keys, accumulator[live], assume_sorted=full
     )
     hits1, misses1 = einsum_path_cache_counters()
     stats.path_cache_hits = hits1 - hits0
     stats.path_cache_misses = misses1 - misses0
-    return distribution, stats
-
-
-def reconstruct_sparse_distribution(
-    cut_circuit: CutCircuit,
-    tensors: list[dict],
-    kept_locals: list[list[int]],
-    keep_qubits: list[int],
-    prune_zeros: bool = True,
-    zero_threshold: float = 1e-12,
-    max_support: int = 1_000_000,
-) -> tuple[Distribution, ReconstructionStats]:
-    """Sparse recombination: array-valued fragment tensors, any width.
-
-    ``tensors[f]`` maps Pauli combos to sparse slices — the array-backed
-    :class:`~repro.core.tomography.SparseKeyedVector` the tomography stage
-    emits (plain ``{outcome: value}`` dicts are still accepted and
-    converted) — so each assignment's cross-fragment product is an array
-    outer product and the final merge is one ``np.unique``-keyed
-    accumulation instead of a Python dict-merge per term.  Support grows
-    as the product of per-fragment supports; a guard raises when it
-    exceeds ``max_support`` (dense circuits should use marginal
-    reconstruction instead).
-    """
-    fragments = cut_circuit.fragments
-    k = cut_circuit.num_cuts
-    stats = ReconstructionStats(terms_total=4**k)
-    axis_cuts = _axis_cuts(fragments)
-    kept_sizes = [len(kl) for kl in kept_locals]
-    total_bits = sum(kept_sizes)
-    # uint64 keys cover the common case; Python-int (object) keys keep
-    # arbitrary widths working
-    use_object = total_bits > 62
-    key_dtype = object if use_object else np.uint64
-
-    frag_arrays: list[dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, float]]] = []
-    for tensor in tensors:
-        entry = {}
-        for combo, vec in tensor.items():
-            if isinstance(vec, dict):
-                keys = np.array(list(vec.keys()), dtype=key_dtype)
-                vals = np.array(list(vec.values()), dtype=np.float64)
-            else:  # SparseKeyedVector or a bare (keys, vals) pair
-                keys, vals = (
-                    (vec.keys, vec.vals) if hasattr(vec, "vals") else vec
-                )
-                vals = np.asarray(vals, dtype=np.float64)
-                if use_object:
-                    # Python-int keys: numpy int shifts would overflow
-                    keys = np.array(
-                        [int(key) for key in keys], dtype=object
-                    )
-                else:
-                    keys = np.asarray(keys).astype(np.uint64)
-            maxabs = float(np.max(np.abs(vals))) if len(vals) else 0.0
-            entry[combo] = (keys, vals, maxabs)
-        frag_arrays.append(entry)
-
-    all_keys: list[np.ndarray] = []
-    all_vals: list[np.ndarray] = []
-    buffered = 0
-    # bound peak memory: fold buffered terms into their union support
-    # whenever the raw buffers outgrow the floor (the per-term guard
-    # below only bounds individual terms, not their sum over 4^k)
-    compact_limit = _SPARSE_COMPACT_FLOOR
-
-    def _compact() -> None:
-        nonlocal all_keys, all_vals, buffered
-        keys = np.concatenate(all_keys)
-        vals = np.concatenate(all_vals)
-        unique_keys, inverse = np.unique(keys, return_inverse=True)
-        all_keys = [unique_keys]
-        all_vals = [np.bincount(inverse, weights=vals)]
-        buffered = unique_keys.size
-
-    for assignment in itertools.product(range(4), repeat=k):
-        parts = []
-        skip = False
-        for f_index, entry in enumerate(frag_arrays):
-            index = tuple(assignment[c] for c in axis_cuts[f_index])
-            keys, vals, maxabs = entry[index]
-            if prune_zeros and maxabs <= zero_threshold:
-                skip = True
-                break
-            parts.append((keys, vals, kept_sizes[f_index]))
-        if skip:
-            stats.terms_skipped += 1
-            continue
-        term_keys, term_vals, _ = parts[0]
-        for keys, vals, shift in parts[1:]:
-            if use_object:
-                term_keys = (
-                    (term_keys[:, None] * (1 << shift)) | keys[None, :]
-                ).ravel()
-            else:
-                term_keys = (
-                    (term_keys[:, None] << np.uint64(shift)) | keys[None, :]
-                ).ravel()
-            term_vals = (term_vals[:, None] * vals[None, :]).ravel()
-            if term_keys.size > max_support:
-                raise ValueError(
-                    "sparse reconstruction support exceeded max_support; "
-                    "use marginal reconstruction for dense outputs"
-                )
-        all_keys.append(term_keys)
-        all_vals.append(term_vals)
-        buffered += term_keys.size
-        if buffered > compact_limit:
-            _compact()
-    scale = 2.0**-k
-
-    # reorder concatenated fragment bits into the requested qubit order
-    concat_qubits: list[int] = []
-    for fragment, kl in zip(fragments, kept_locals):
-        local_to_orig = {lq: oq for oq, lq in fragment.circuit_outputs}
-        concat_qubits.extend(local_to_orig[lq] for lq in kl)
-    if sorted(concat_qubits) != sorted(keep_qubits):
-        raise ValueError("kept fragment outputs do not match requested qubits")
-    if not all_keys:
-        return Distribution(len(keep_qubits), {}), stats
-    keys = np.concatenate(all_keys)
-    vals = np.concatenate(all_vals)
-    source_pos = {q: i for i, q in enumerate(concat_qubits)}
-    m = len(keep_qubits)
-    if use_object:
-        out: dict[int, float] = {}
-        for key, val in zip(keys, vals):
-            new_key = 0
-            for q in keep_qubits:
-                bit = (int(key) >> (total_bits - 1 - source_pos[q])) & 1
-                new_key = (new_key << 1) | bit
-            out[new_key] = out.get(new_key, 0.0) + val * scale
-        if prune_zeros:
-            out = {kk: vv for kk, vv in out.items() if abs(vv) > zero_threshold}
-        return Distribution(m, out), stats
-    # vectorized bit permutation into the requested order
-    new_keys = np.zeros_like(keys)
-    for out_pos, q in enumerate(keep_qubits):
-        src = np.uint64(total_bits - 1 - source_pos[q])
-        dst = np.uint64(m - 1 - out_pos)
-        new_keys |= ((keys >> src) & _ONE) << dst
-    unique_keys, inverse = np.unique(new_keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=vals) * scale
-    if prune_zeros:
-        live = np.abs(sums) > zero_threshold
-    else:
-        live = sums != 0.0
-    distribution = Distribution.from_arrays(
-        m, unique_keys[live], sums[live], assume_sorted=True
-    )
-    return distribution, stats
-
-
-# -- bounded-memory engines (dynamic definition) ----------------------------
-
-
-def _reduce_window_tensors(
-    cut_circuit: CutCircuit,
-    tensors: list[np.ndarray],
-    kept_locals: list[list[int]],
-    window: list[int],
-    fixed: dict[int, int],
-) -> tuple[list[np.ndarray], list[list[int]]]:
-    """Per-fragment tensors marginalised onto ``window`` (``fixed`` pinned).
-
-    The kept output bits partition across fragments, so marginalising the
-    reconstructed distribution commutes with reducing each fragment tensor
-    independently: traced-out kept bits are summed, ``fixed`` bits are
-    sliced, and only the window bits survive on the last axis.  The
-    subsequent cut-axis contraction then never sees more than
-    ``2**len(window)`` output entries.
-    """
-    window_set = set(window)
-    new_tensors: list[np.ndarray] = []
-    new_kept: list[list[int]] = []
-    for fragment, kept, tensor in zip(
-        cut_circuit.fragments, kept_locals, tensors
-    ):
-        local_to_orig = {lq: oq for oq, lq in fragment.circuit_outputs}
-        orig = [local_to_orig[lq] for lq in kept]
-        m = len(kept)
-        head = tensor.shape[:-1]
-        t = tensor.reshape(head + (2,) * m)
-        base = len(head)
-        # reduce from the last bit axis backward so earlier axis indices
-        # stay valid as axes disappear
-        axes: list[int] = []
-        bits: list[int] = []
-        for j in range(m - 1, -1, -1):
-            q = orig[j]
-            if q in window_set:
-                continue
-            axes.append(base + j)
-            bits.append(int(fixed[q]) if q in fixed else -1)
-        if axes:
-            t = _kernels.window_reduce(t, axes, bits)
-        survivors = [j for j in range(m) if orig[j] in window_set]
-        t = t.reshape(head + (2 ** len(survivors),))
-        new_tensors.append(np.ascontiguousarray(t))
-        new_kept.append([kept[j] for j in survivors])
-    return new_tensors, new_kept
-
-
-def reconstruct_marginal(
-    cut_circuit: CutCircuit,
-    tensors: list[np.ndarray],
-    kept_locals: list[list[int]],
-    window: list[int],
-    fixed: dict[int, int] | None = None,
-    prune_zeros: bool = True,
-    zero_threshold: float = 1e-12,
-    method: str = "auto",
-) -> tuple[Distribution, ReconstructionStats]:
-    """Exact marginal over ``window`` without the full accumulator.
-
-    ``tensors`` / ``kept_locals`` are the usual full fragment tensors (as
-    fed to :func:`reconstruct_distribution`); ``window`` lists the kept
-    qubits (original indices, output bit order) to marginalise onto, and
-    ``fixed`` optionally pins other kept qubits to bit values — the
-    returned values are then joint probabilities ``P(fixed, window)``,
-    which is what the recursive driver conditions on.  Traced-out bins
-    are summed fragment-side before the contraction, so peak memory is
-    ``O(4^k · 2**len(window))`` regardless of the total kept width.
-    """
-    window = [int(q) for q in window]
-    fixed = {int(q): int(b) for q, b in (fixed or {}).items()}
-    if not window:
-        raise ValueError("window must name at least one kept qubit")
-    if len(set(window)) != len(window):
-        raise ValueError("window contains duplicate qubits")
-    overlap = set(window) & set(fixed)
-    if overlap:
-        raise ValueError(f"window and fixed qubits overlap: {sorted(overlap)}")
-    covered: set[int] = set()
-    for fragment, kept in zip(cut_circuit.fragments, kept_locals):
-        local_to_orig = {lq: oq for oq, lq in fragment.circuit_outputs}
-        covered.update(local_to_orig[lq] for lq in kept)
-    missing = (set(window) | set(fixed)) - covered
-    if missing:
-        raise ValueError(
-            f"window/fixed qubits not among kept outputs: {sorted(missing)}"
-        )
-    reduced, reduced_kept = _reduce_window_tensors(
-        cut_circuit, tensors, kept_locals, window, fixed
-    )
-    distribution, stats = reconstruct_distribution(
-        cut_circuit,
-        reduced,
-        reduced_kept,
-        window,
-        prune_zeros=prune_zeros,
-        zero_threshold=zero_threshold,
-        method=method,
-        max_dense_bits=None,
-    )
-    stats.mode = "windowed"
     return distribution, stats
 
 
@@ -645,7 +379,8 @@ def reconstruct_dynamic(
     window defined, and a ``(bins, len(fixed_qubits))`` bit matrix — one
     row per frontier bin, heaviest first.  It must return an iterable
     that yields, in row order, ``(tensors, kept_locals)`` for the window
-    with that row's bits pinned (see ``SuperSim._dynamic_tensor_builder``).
+    with that row's bits pinned — on their supports, where a pinned fragment
+    has few outcomes left (see ``SuperSim._dynamic_tensor_builder``).
     The driver consumes it lazily, one bin at a time, so a builder that
     yields as it goes keeps tomography memory at one bin's tensors rather
     than a level's — let alone ``2**total_bits``.
@@ -701,7 +436,9 @@ def reconstruct_dynamic(
             )
             stats.windows += 1
             stats.terms_skipped = max(stats.terms_skipped, sub.terms_skipped)
-            stats.peak_window_entries = max(stats.peak_window_entries, 2**width)
+            stats.peak_window_entries = max(
+                stats.peak_window_entries, sub.peak_window_entries
+            )
             stats.path_cache_hits += sub.path_cache_hits
             stats.path_cache_misses += sub.path_cache_misses
             for key, prob in zip(dist.key_ints(), dist.values_array.tolist()):

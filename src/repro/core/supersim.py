@@ -38,6 +38,7 @@ re-simulated.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -68,7 +69,7 @@ from repro.core.reconstruction import (
     reconstruct_dynamic,
 )
 from repro.core.tomography import (
-    build_conditioned_fragment_tensor,  # noqa: F401 - the ledger wraps it here
+    build_conditioned_fragment_tensor,
     build_conditioned_window_tensors,
     build_fragment_tensor,
     build_window_tensors,
@@ -89,10 +90,14 @@ class SuperSimResult:
     ``kernel.<name>`` entry per :mod:`repro.kernels` kernel that ran
     during execution (seconds spent inside that kernel, across all
     stages).  ``kernel_tier`` records the kernel tier the run dispatched
-    to (``numpy`` / ``numba`` / ``cupy``); ``backend_usage`` counts the
-    variants actually *simulated* per backend name this run (cache hits
-    and within-run duplicates excluded, so a fully cached run reports an
-    empty mapping).
+    to (``numpy`` / ``numba``); ``backend_usage`` counts the variants
+    actually *simulated* per backend name this run (cache hits and
+    within-run duplicates excluded, so a fully cached run reports an empty
+    mapping).  ``stats`` is the
+    :class:`~repro.core.reconstruction.ReconstructionStats` of the
+    recombination — in particular ``stats.peak_window_entries``, the
+    largest accumulator a contraction allocated (the product of its
+    fragment tensors' support sizes).
 
     ``faults`` is the run's :class:`~repro.errors.FaultReport` — every
     fault the engine survived on the way to this result (retries,
@@ -156,6 +161,15 @@ class SuperSimResult:
     def covered_probability(self) -> float:
         """Total mass of the returned outcomes (< 1.0 when top-k truncated)."""
         return self.stats.covered_probability
+
+
+def _kept_locals(cc: CutCircuit, qubits) -> list[list[int]]:
+    """Per fragment: its local circuit-output qubits among ``qubits``."""
+    qubits = set(qubits)
+    return [
+        [lq for oq, lq in fragment.circuit_outputs if oq in qubits]
+        for fragment in cc.fragments
+    ]
 
 
 def _call_factory(factory, params):
@@ -370,11 +384,13 @@ class SuperSim:
         from the already-evaluated fragment data — never over all kept
         bits at once, so tomography memory follows the window, not the
         circuit width.  A fragment holding some of the fixed qubits streams
-        its conditioned tensors, every variant visited once for the whole
-        level (:func:`build_conditioned_window_tensors`); one holding none
-        has a single tensor for the level.  Only a tensor that can come
-        back at a later level is kept across levels — that of a fragment
-        with no kept or fixed qubits yet, ``4**(qi+qo)`` numbers.
+        its conditioned tensors on their supports, every variant visited
+        once for the whole level (:func:`build_conditioned_window_tensors`);
+        one holding none has a single dense tensor for the level
+        (:func:`build_fragment_tensor`, which alone applies the physicality
+        projection to sampled data).  Only a tensor that can come back at a
+        later level is kept across levels — that of a fragment with no kept
+        or fixed qubits yet, ``4**(qi+qo)`` numbers.
         """
         project = self.sampling.tomography and self.sampling.shots is not None
         snap = self.sampling.snap_clifford
@@ -382,12 +398,10 @@ class SuperSim:
         untouched: dict[int, np.ndarray] = {}
 
         def build(window, fixed_qubits, fixed_rows):
-            window_set = set(window)
             column = {q: j for j, q in enumerate(fixed_qubits)}
             streams = []
-            kept_locals = []
-            for fragment, data in zip(cc.fragments, fragment_data):
-                kept = [lq for oq, lq in fragment.circuit_outputs if oq in window_set]
+            kept_locals = _kept_locals(cc, window)
+            for fragment, data, kept in zip(cc.fragments, fragment_data, kept_locals):
                 pinned = [
                     (lq, column[oq])
                     for oq, lq in fragment.circuit_outputs
@@ -416,7 +430,6 @@ class SuperSim:
                             untouched[fragment.index] = tensor
                     stream = itertools.repeat(tensor)
                 streams.append(stream)
-                kept_locals.append(kept)
             for _ in range(len(fixed_rows)):
                 yield [next(stream) for stream in streams], kept_locals
 
@@ -495,12 +508,7 @@ class SuperSim:
                 target_qubits = list(plan.keep_qubits)
 
             start = time.perf_counter()
-            keep_set = set(target_qubits)
-            kept_locals: list[list[int]] = []
-            for fragment in cc.fragments:
-                kept_locals.append(
-                    [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-                )
+            kept_locals = _kept_locals(cc, target_qubits)
             tensors = [
                 build_fragment_tensor(
                     data,
@@ -809,38 +817,44 @@ class SuperSim:
     ) -> Distribution:
         """Full-distribution reconstruction for sparse outputs at any width.
 
-        Avoids the dense ``2^n`` accumulator: fragment tensors and the
-        recombination are dictionary-valued, so cost scales with the actual
-        support of the output distribution (e.g. the repetition-code
-        benchmark at 31 qubits) rather than with ``2^n``.
+        Avoids the dense ``2^n`` accumulator: every fragment tensor is built
+        on its support (:func:`build_conditioned_fragment_tensor` with
+        nothing pinned) and the contraction runs over the product of the
+        supports, so cost scales with the actual support of the output
+        distribution (e.g. the repetition-code benchmark at 41 qubits)
+        rather than with ``2^n``.  A product above ``max_support`` raises
+        ``ValueError`` before anything is contracted (dense outputs should
+        use ``marginal_probabilities`` or recursive mode instead).
         """
-        from repro.core.reconstruction import reconstruct_sparse_distribution
-        from repro.core.tomography import build_sparse_fragment_tensor
-
         if keep_qubits is None:
             keep_qubits = list(circuit.measured_qubits)
         cc = self.cut(circuit)
         fragment_data = self._evaluator().evaluate_all(
             cc.fragments, job_runner=self._job_runner
         )
-        keep_set = set(keep_qubits)
-        kept_locals = [
-            [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-            for fragment in cc.fragments
-        ]
+        kept_locals = _kept_locals(cc, keep_qubits)
         tensors = [
-            build_sparse_fragment_tensor(
-                data, kept, snap_clifford=self.sampling.snap_clifford
+            build_conditioned_fragment_tensor(
+                data,
+                kept,
+                {},
+                snap_clifford=self.sampling.snap_clifford,
+                max_dense_bits=None,
             )
             for data, kept in zip(fragment_data, kept_locals)
         ]
-        dist, _stats = reconstruct_sparse_distribution(
+        if math.prod(len(tensor.support) for tensor in tensors) > max_support:
+            raise ValueError(
+                "sparse reconstruction support exceeded max_support; "
+                "use marginal reconstruction for dense outputs"
+            )
+        dist, _stats = reconstruct_distribution(
             cc,
             tensors,
             kept_locals,
             keep_qubits,
             prune_zeros=self.execution.prune_zeros,
-            max_support=max_support,
+            max_dense_bits=None,
         )
         return dist.clipped() if len(dist) else dist
 
@@ -871,15 +885,8 @@ class SuperSim:
             cc.fragments, job_runner=self._job_runner
         )
         project = self.sampling.tomography and self.sampling.shots is not None
-        window_sets = [set(window) for window in windows]
         # kept_locals[f][w]: fragment f's local qubits inside window w
-        kept_locals = [
-            [
-                [lq for oq, lq in fragment.circuit_outputs if oq in keep_set]
-                for keep_set in window_sets
-            ]
-            for fragment in cc.fragments
-        ]
+        kept_locals = list(zip(*(_kept_locals(cc, window) for window in windows)))
         tensors = [
             build_window_tensors(
                 data,
@@ -931,49 +938,39 @@ class SuperSim:
     def probability_of(self, circuit: Circuit, outcome_bits) -> float:
         """Strong simulation: the probability of one bitstring.
 
-        Evaluates each fragment's tensor at the fixed outcome only (point
-        queries against the affine fragment data), so the cost is ``4^k``
-        scalar products at *any* circuit width — the paper's §V-C claim that
-        single-bitstring probabilities come "to machine precision without
-        added computational overheads".
+        Each fragment's tensor is built at the fixed outcome only — every
+        kept qubit pinned, an empty window: point queries against the
+        affine fragment data, one GF(2) elimination per variant — so the
+        cost is one ``4^k`` contraction of scalars at *any* circuit width:
+        the paper's §V-C claim that single-bitstring probabilities come
+        "to machine precision without added computational overheads".
         """
-        from repro.core.tomography import fragment_tensor_at
-
         qubits = list(circuit.measured_qubits)
         outcome_bits = [int(b) for b in outcome_bits]
         if len(outcome_bits) != len(qubits):
             raise ValueError("bitstring length does not match measured qubits")
+        if any(bit not in (0, 1) for bit in outcome_bits):
+            raise ValueError(f"outcome bits must be 0 or 1, got {outcome_bits!r}")
         bit_of = dict(zip(qubits, outcome_bits))
         cc = self.cut(circuit)
         fragment_data = self._evaluator().evaluate_all(
             cc.fragments, job_runner=self._job_runner
         )
-        scalar_tensors = []
-        axis_cuts = []
-        for fragment, data in zip(cc.fragments, fragment_data):
-            fixed = {
-                lq: bit_of[oq]
-                for oq, lq in fragment.circuit_outputs
-                if oq in bit_of
-            }
-            scalar_tensors.append(
-                fragment_tensor_at(
-                    data, fixed, snap_clifford=self.sampling.snap_clifford
-                )
+        tensors = [
+            build_conditioned_fragment_tensor(
+                data,
+                [],
+                {
+                    lq: bit_of[oq]
+                    for oq, lq in data.fragment.circuit_outputs
+                    if oq in bit_of
+                },
+                snap_clifford=self.sampling.snap_clifford,
             )
-            axis_cuts.append(
-                [c for c, _ in fragment.quantum_inputs]
-                + [c for c, _ in fragment.quantum_outputs]
-            )
-        import itertools
-
-        k = cc.num_cuts
-        total = 0.0
-        for assignment in itertools.product(range(4), repeat=k):
-            term = 1.0
-            for tensor, cuts in zip(scalar_tensors, axis_cuts):
-                term *= tensor[tuple(assignment[c] for c in cuts)]
-                if term == 0.0:
-                    break
-            total += term
-        return total / 2.0**k
+            for data in fragment_data
+        ]
+        # nothing is pruned: the one entry is the answer, however small
+        point, _stats = reconstruct_distribution(
+            cc, tensors, [[] for _ in tensors], [], prune_zeros=False
+        )
+        return point[0]

@@ -9,25 +9,39 @@ fragment tomography of reference [40]) consumes, per fragment, the tensor
 where ``rho(P)`` extends the fragment channel linearly over the Pauli basis
 at each quantum input (via the prepared-state decomposition in
 :mod:`repro.core.variants`) and each quantum output Pauli is estimated from
-the matching measurement basis.  ``x`` ranges over the *kept* circuit-output
-bits of the fragment.
+the matching measurement basis.  ``x`` ranges over the outcomes of the
+*kept* circuit-output bits of the fragment, and the tensor lives on its
+*support*: the ``x`` some variant actually produced.  Every other column is
+zero for every Pauli, so it is not stored — a tensor is its ``values`` on
+the support plus the support's sorted keys
+(:class:`~repro.core.reconstruction.SupportTensor`, where the layouts and
+the contraction are described).  Two builders make it, and they share the
+arithmetic — per variant ``P(kept, measured cut qubits)``, every output
+Pauli a signed sum over the measured bits in ascending order, then the
+preparation contraction:
 
-:func:`build_window_tensors` is the dense builder: it takes *all* the
-windows a caller wants from one fragment (``marginal_probabilities`` asks
-for hundreds) and visits every variant once — sampled variants histogram
-all windows in one pass over their shots (:meth:`VariantData.joint_tables`)
-and identical windows are built once.  :func:`build_fragment_tensor` is its
-one-window call.
-
-:func:`build_conditioned_window_tensors` is its conditioned twin, the
-tomography of one *level* of recursive reconstruction: one window, one set
-of pinned columns, and every frontier bin's assignment to them.  It too
-visits every variant once (:meth:`VariantData.conditioned_tables` — for an
-exact Clifford variant one GF(2) elimination that answers all the bins,
-enumerating nothing wider than the window plus the cut qubits; otherwise
-one joint cut up by the pinned bits), keeps only the bins' sparse tables,
-and yields the dense tensors one bin at a time, assembled on each bin's
-support.  :func:`build_conditioned_fragment_tensor` is its one-bin call.
+* :func:`build_window_tensors` is the dense one, for windows narrow enough
+  that the support may as well be *full* (all ``2**width`` keys, a bare
+  array).  It takes *all* the windows a caller wants from one fragment
+  (``marginal_probabilities`` asks for hundreds) and visits every variant
+  once — sampled variants histogram all windows in one pass over their
+  shots (:meth:`VariantData.joint_tables`) and identical windows are built
+  once.  :func:`build_fragment_tensor` is its one-window call.
+* :func:`build_conditioned_window_tensors` builds on the support: one
+  window of any width, one set of pinned columns, and every assignment to
+  them a caller wants (a level of recursive reconstruction asks for its
+  whole frontier).  It too visits every variant once
+  (:meth:`VariantData.conditioned_tables` — for an exact Clifford variant
+  one GF(2) elimination that answers all the assignments, enumerating
+  nothing wider than the window plus the cut qubits; otherwise one joint
+  cut up by the pinned bits), keeps only the sparse tables, and yields one
+  tensor per assignment, its support the union of what the variants saw.
+  With no pinned column it is the sparse builder
+  (``SuperSim.sparse_probabilities``: a 41-qubit window with a handful of
+  outcomes); with every kept column pinned and an empty window it is the
+  point builder (``SuperSim.probability_of``: a support of one key, or
+  none).  :func:`build_conditioned_fragment_tensor` is its one-assignment
+  call.
 
 Two refinements live here as well:
 
@@ -36,9 +50,9 @@ Two refinements live here as well:
   per-outcome conditional expectations are snapped to the nearest of the
   three values, removing most sampling error with very few shots.
 * **Physicality projection** (the maximum-likelihood correction of [40],
-  realised as the standard eigenvalue-clipping projection): the
-  Pauli-transfer data of each kept outcome is reassembled into a Choi-like
-  operator, projected onto the PSD cone, and re-expanded.
+  realised as the standard eigenvalue-clipping projection, dense builder
+  only): the Pauli-transfer data of each kept outcome is reassembled into
+  a Choi-like operator, projected onto the PSD cone, and re-expanded.
 """
 
 from __future__ import annotations
@@ -47,8 +61,9 @@ import itertools
 
 import numpy as np
 
+from repro.analysis.distributions import split_keys
 from repro.core.evaluator import FragmentData
-from repro.core.reconstruction import DEFAULT_MAX_DENSE_BITS
+from repro.core.reconstruction import DEFAULT_MAX_DENSE_BITS, SupportTensor
 from repro.core.variants import BASIS_FOR_PAULI, PREP_COEFFICIENTS, all_variants
 from repro.errors import ReconstructionMemoryError
 
@@ -59,39 +74,6 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _PAULI_ORDER = "IXYZ"
-
-
-def _snap(value: float) -> float:
-    """Snap a conditional expectation to the nearest of {-1, 0, +1}."""
-    if value > 0.5:
-        return 1.0
-    if value < -0.5:
-        return -1.0
-    return 0.0
-
-
-def _split_signed_keys(dist, qo: int, signs_mask: list[int]):
-    """``(x_key, sign, probs)`` arrays of a joint (kept + measured) dist.
-
-    Outcome keys split into kept bits (high) and measured-Pauli bits
-    (low); the sign is the parity of the masked measurement bits.  Works
-    straight off the distribution's packed key/probability arrays — no
-    dict materialisation.  Requires single-word keys (``None`` otherwise;
-    callers keep the per-outcome loop for >62-bit joints).
-    """
-    if dist.n_bits > 62 or dist.chunked:
-        return None
-    outcomes = dist.keys_array.astype(np.int64)
-    probs = dist.values_array
-    x_key = outcomes >> qo
-    sign = np.ones(len(outcomes))
-    if signs_mask:
-        m_bits = outcomes & ((1 << qo) - 1)
-        parity = np.zeros(len(outcomes), dtype=np.int64)
-        for j in signs_mask:
-            parity ^= (m_bits >> (qo - 1 - j)) & 1
-        sign = 1.0 - 2.0 * parity
-    return x_key, sign, probs
 
 
 def _snap_vector(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -253,25 +235,33 @@ def build_conditioned_window_tensors(
     snap_clifford: bool = False,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ):
-    """Yield :func:`build_fragment_tensor` with ``fixed_cols`` pinned, per bin.
+    """Yield the fragment tensor over ``keep_locals`` with ``fixed_cols``
+    pinned, on its support, once per row of ``fixed_rows``.
 
     ``fixed_rows`` is a ``(bins, len(fixed_cols))`` bit matrix: each row
     pins the fragment-local circuit-output qubits ``fixed_cols`` to one
     assignment, and the tensor yielded for it accumulates only outcomes
     matching that assignment, so contracting these tensors gives the joint
     probabilities ``P(fixed, window)`` — what one level of the recursive
-    dynamic-definition driver needs for its whole frontier.  Shape contract
-    per tensor is unchanged: ``(4,)*qi + (4,)*qo + (2**len(keep_locals),)``.
+    dynamic-definition driver needs for its whole frontier.  Each is a
+    :class:`~repro.core.reconstruction.SupportTensor`: ``values`` of shape
+    ``(4,)*qi + (4,)*qo + (len(support),)`` over the sorted keys of the
+    window outcomes any variant saw together with the assignment — none at
+    all for an assignment that cannot occur.  Scattered into zeros at
+    ``[..., support]`` it is :func:`build_fragment_tensor` restricted to
+    the bin.
 
     Every variant is visited once, before the first tensor is yielded
     (:meth:`VariantData.conditioned_tables`: all bins' sparse
     ``P(window, bin, measured cut qubits)`` tables from one elimination or
     one joint).  Each bin is then assembled on the union of its variants'
     supports — signed sums over the measured bits in ascending order, the
-    preparation contraction — and only scattered into a dense tensor at
-    the end.  Between yields the generator holds the sparse tables alone:
-    tensors are the consumer's to keep or drop — one at a time is what
-    ``max_dense_bits`` is checked against, as in :func:`build_window_tensors`.
+    preparation contraction.  Between yields the generator holds the
+    sparse tables alone: tensors are the consumer's to keep or drop.
+    ``max_dense_bits`` bounds what one of them may hold should its support
+    be full, checked before any variant is visited as in
+    :func:`build_window_tensors`; a caller that bounds the support some
+    other way lifts it with ``None``.
     """
     fragment = data.fragment
     qi = len(fragment.quantum_inputs)
@@ -300,10 +290,11 @@ def build_conditioned_window_tensors(
         owner = np.repeat(
             np.arange(len(tables)), [len(table[bin_index][0]) for table in tables]
         )
-        support, column = np.unique(keys >> qo, return_inverse=True)
+        kept, measured = split_keys(keys, len(keep_cols) + qo, qo)
+        support, column = np.unique(kept, axis=0, return_inverse=True)
         # compact[s_combo..., basis combo..., support outcome, measured m]
         compact = np.zeros((len(tables), len(support), 2**qo))
-        compact[owner, column, keys & (2**qo - 1)] = probs
+        compact[owner, column, measured] = probs
         compact = compact.reshape((4,) * qi + (3,) * qo + compact.shape[1:])
         raw = np.zeros((4,) * (qi + qo) + (len(support),))
         for bases, paulis in signed.items():
@@ -314,9 +305,7 @@ def build_conditioned_window_tensors(
                 if snap and any(pauli_out):
                     vec = _snap_vector(vec, weight)
                 raw[every_prep + pauli_out] = vec
-        tensor = np.zeros((4,) * (qi + qo) + (2 ** len(keep_cols),))
-        tensor[..., support] = _contract_prep_axes(raw, qi)
-        yield tensor
+        yield SupportTensor(_contract_prep_axes(raw, qi), support)
 
 
 def build_conditioned_fragment_tensor(
@@ -324,198 +313,23 @@ def build_conditioned_fragment_tensor(
     keep_locals: list[int],
     fixed_locals: dict[int, int],
     snap_clifford: bool = False,
-) -> np.ndarray:
-    """:func:`build_fragment_tensor` with some output bits pinned.
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
+) -> SupportTensor:
+    """The fragment tensor over ``keep_locals`` with some output bits pinned.
 
     ``fixed_locals`` maps fragment-local circuit-output qubits to bit
-    values.  The one-bin call of :func:`build_conditioned_window_tensors`.
+    values.  The one-bin call of :func:`build_conditioned_window_tensors`:
+    with nothing pinned the whole tensor on its support, with every kept
+    qubit pinned and ``keep_locals`` empty the tensor at one outcome
+    (strong simulation, paper §V-C).
     """
     fixed_cols = sorted(fixed_locals)
     row = [[int(fixed_locals[c]) for c in fixed_cols]]
     return next(
         build_conditioned_window_tensors(
-            data, keep_locals, fixed_cols, row, snap_clifford
+            data, keep_locals, fixed_cols, row, snap_clifford, max_dense_bits
         )
     )
-
-
-class SparseKeyedVector:
-    """Key/value arrays of one sparse fragment-tensor slice.
-
-    Array-native replacement for the ``{kept_outcome: value}`` dicts the
-    sparse tomography path used to build: ``keys`` holds sorted outcome
-    keys (``int64``, or object-dtype Python ints beyond 62 bits) and
-    ``vals`` the aligned coefficients.  A small mapping-like surface
-    (iteration over keys, ``items``, ``get``) is kept for tests and
-    debugging; the reconstruction consumes the arrays directly.
-    """
-
-    __slots__ = ("keys", "vals")
-
-    def __init__(self, keys: np.ndarray, vals: np.ndarray):
-        self.keys = keys
-        self.vals = vals
-
-    def __len__(self) -> int:
-        return len(self.vals)
-
-    def __iter__(self):
-        return (int(k) for k in self.keys)
-
-    def items(self):
-        return ((int(k), float(v)) for k, v in zip(self.keys, self.vals))
-
-    def get(self, key: int, default: float = 0.0) -> float:
-        hits = np.flatnonzero(self.keys == key)
-        return float(self.vals[hits[0]]) if len(hits) else default
-
-    def __contains__(self, key: int) -> bool:
-        return bool(np.any(self.keys == key))
-
-
-def _signed_sparse_slice(dist, qo: int, signs_mask: list[int], snap: bool):
-    """``(keys, vals)`` of one variant's sign-weighted kept-outcome slice."""
-    if dist.n_bits <= 62 and not dist.chunked:
-        split = _split_signed_keys(dist, qo, signs_mask)
-        x_key, sign, probs = split
-    else:
-        # >62-bit joints: object-dtype Python-int keys, same vector algebra
-        outcomes = np.array(dist.key_ints(), dtype=object)
-        probs = dist.values_array
-        x_key = outcomes >> qo
-        sign = np.ones(len(probs))
-        if signs_mask:
-            m_bits = outcomes & ((1 << qo) - 1)
-            parity = np.zeros(len(probs), dtype=object)
-            for j in signs_mask:
-                parity ^= (m_bits >> (qo - 1 - j)) & 1
-            sign = 1.0 - 2.0 * parity.astype(np.float64)
-    unique, inverse = np.unique(x_key, return_inverse=True)
-    vals = np.bincount(inverse, weights=probs * sign, minlength=len(unique))
-    if snap and signs_mask:
-        weight = np.bincount(inverse, weights=probs, minlength=len(unique))
-        live = weight > 0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.where(live, vals / np.maximum(weight, 1e-300), 0.0)
-        snapped = np.where(ratio > 0.5, 1.0, np.where(ratio < -0.5, -1.0, 0.0))
-        return unique[live], (weight * snapped)[live]
-    return unique, vals
-
-
-def build_sparse_fragment_tensor(
-    data: FragmentData,
-    keep_locals: list[int],
-    snap_clifford: bool = False,
-) -> dict[tuple[int, ...], SparseKeyedVector]:
-    """Sparse variant of :func:`build_fragment_tensor`.
-
-    Returns ``{pauli_combo: SparseKeyedVector}`` with Pauli axes ordered
-    as quantum inputs then quantum outputs.  Used when fragments keep many
-    output bits but the output distribution has small support (e.g. the
-    repetition-code benchmark at widths where a dense ``2^n`` vector could
-    not exist).  Every slice stays in key/value array form from the
-    variant distribution through to reconstruction — no dict round trips.
-    """
-    fragment = data.fragment
-    qi = len(fragment.quantum_inputs)
-    qo = len(fragment.quantum_outputs)
-    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
-    keep_cols = list(keep_locals)
-    snap = snap_clifford and fragment.is_clifford
-
-    raw: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-    for preps in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            dist = data.variant(preps, bases).joint(keep_cols + out_cols)
-            signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
-            raw[preps + pauli_out] = _signed_sparse_slice(
-                dist, qo, signs_mask, snap
-            )
-
-    # contract prep axes with the Pauli/preparation coefficient matrix:
-    # concatenate the contributing slices' arrays and fold equal keys
-    tensor: dict[tuple[int, ...], SparseKeyedVector] = {}
-    for pauli_in in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            key_parts: list[np.ndarray] = []
-            val_parts: list[np.ndarray] = []
-            for preps in itertools.product(range(4), repeat=qi):
-                coeff = 1.0
-                for p, s in zip(pauli_in, preps):
-                    coeff *= PREP_COEFFICIENTS[p][s]
-                if coeff == 0.0:
-                    continue
-                keys, vals = raw[preps + pauli_out]
-                key_parts.append(keys)
-                val_parts.append(coeff * vals)
-            if not key_parts:
-                tensor[pauli_in + pauli_out] = SparseKeyedVector(
-                    np.empty(0, dtype=np.int64), np.empty(0)
-                )
-                continue
-            keys = np.concatenate(key_parts)
-            vals = np.concatenate(val_parts)
-            unique, inverse = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=vals, minlength=len(unique))
-            tensor[pauli_in + pauli_out] = SparseKeyedVector(unique, sums)
-    return tensor
-
-
-def fragment_tensor_at(
-    data: FragmentData,
-    fixed_bits: dict[int, int],
-    snap_clifford: bool = False,
-) -> dict[tuple[int, ...], float]:
-    """Fragment tensor evaluated at one fixed outcome of its kept qubits.
-
-    ``fixed_bits`` maps fragment-local circuit-output qubits to bit values.
-    Returns ``{pauli_combo: scalar}`` — the ingredients of strong simulation
-    (paper §V-C: "the probability to observe a particular bitstring ... can
-    be computed to machine precision"), with cost independent of the number
-    of other outcomes.
-    """
-    fragment = data.fragment
-    qi = len(fragment.quantum_inputs)
-    qo = len(fragment.quantum_outputs)
-    out_cols = [lq for _cut, lq in fragment.quantum_outputs]
-    keep_locals = sorted(fixed_bits)
-    x_bits = [int(fixed_bits[lq]) for lq in keep_locals]
-    cols = keep_locals + out_cols
-    snap = snap_clifford and fragment.is_clifford
-
-    raw: dict[tuple[int, ...], float] = {}
-    for preps in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
-            variant = data.variant(preps, bases)
-            signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
-            value = 0.0
-            weight = 0.0
-            for m in itertools.product((0, 1), repeat=qo):
-                p = variant.probability_at(cols, x_bits + list(m))
-                sign = 1.0
-                for j in signs_mask:
-                    if m[j]:
-                        sign = -sign
-                value += p * sign
-                weight += p
-            if snap and signs_mask and weight > 0:
-                value = weight * _snap(value / weight)
-            raw[preps + pauli_out] = value
-
-    result: dict[tuple[int, ...], float] = {}
-    for pauli_in in itertools.product(range(4), repeat=qi):
-        for pauli_out in itertools.product(range(4), repeat=qo):
-            total = 0.0
-            for preps in itertools.product(range(4), repeat=qi):
-                coeff = 1.0
-                for p, s in zip(pauli_in, preps):
-                    coeff *= PREP_COEFFICIENTS[p][s]
-                if coeff:
-                    total += coeff * raw[preps + pauli_out]
-            result[pauli_in + pauli_out] = total
-    return result
 
 
 def _pauli_kron(indices: tuple[int, ...], transpose_input: int = 0) -> np.ndarray:

@@ -3,9 +3,9 @@
 ``repro.kernels`` owns the performance-critical inner loops of the
 stabilizer engine, the reconstruction contraction and the distribution
 data plane.  Each kernel has a pure-NumPy reference implementation (the
-correctness oracle, always available) plus optional accelerated
-variants — numba-JIT (CPU, ``prange``-parallel) and CuPy (GPU) — probed
-at import time and selected by the active *tier*:
+correctness oracle, always available) plus an optional accelerated
+variant — numba-JIT (CPU, ``prange``-parallel) — probed at import time and
+selected by the active *tier*:
 
 >>> import repro.kernels as rk
 >>> rk.active_tier()            # what calls dispatch to right now
@@ -14,8 +14,8 @@ at import time and selected by the active *tier*:
 'numpy'
 
 The initial tier comes from the ``REPRO_KERNELS`` environment variable
-(``auto`` | ``numpy`` | ``numba`` | ``cupy``; default ``auto`` = best
-available).  Missing optional dependencies are never an error: the
+(``auto`` | ``numpy`` | ``numba``; default ``auto`` = best available).
+Missing optional dependencies are never an error: the
 requested tier silently degrades to NumPy, per kernel.
 """
 
@@ -31,7 +31,6 @@ _registry._init_from_environment()
 
 # accelerated variants self-register only when their dependency probes in
 from repro.kernels import _numba as _numba_impls  # noqa: F401
-from repro.kernels import _cupy as _cupy_impls  # noqa: F401
 
 from repro.kernels.registry import (
     TIERS,
@@ -55,7 +54,6 @@ gf2_matmul = get_kernel("gf2_matmul")
 bit_gather = get_kernel("bit_gather")
 inverse_cdf_indices = get_kernel("inverse_cdf_indices")
 dense_contract = get_kernel("dense_contract")
-window_reduce = get_kernel("window_reduce")
 
 __all__ = [
     "TIERS",
@@ -75,5 +73,4 @@ __all__ = [
     "bit_gather",
     "inverse_cdf_indices",
     "dense_contract",
-    "window_reduce",
 ]

@@ -340,6 +340,6 @@ if HAVE_NUMBA:  # pragma: no cover - needs numba
     variant("gf2_matmul", "numba")(gf2_matmul)
     variant("bit_gather", "numba")(bit_gather)
     variant("inverse_cdf_indices", "numba")(inverse_cdf_indices)
-    # dense_contract / window_reduce stay on the NumPy reference under the
-    # numba tier: einsum contraction and axis reductions already run in
-    # BLAS/C, where a JIT re-implementation has nothing to win
+    # dense_contract stays on the NumPy reference under the numba tier:
+    # einsum contraction already runs in BLAS/C, where a JIT
+    # re-implementation has nothing to win

@@ -1,9 +1,9 @@
 """Pure-NumPy reference implementations of every registered kernel.
 
 These are the always-available tier and the correctness oracle: the
-numba and CuPy variants must match them bit-for-bit on integer/bit
-kernels and within 1e-12 on float accumulation.  The bodies here are the
-hot loops that previously lived inline in ``repro.stabilizer.tableau``,
+numba variants must match them bit-for-bit on integer/bit kernels and
+within 1e-12 on float accumulation.  The bodies here are the hot loops
+that previously lived inline in ``repro.stabilizer.tableau``,
 ``repro.analysis.distributions`` and ``repro.core.reconstruction``; the
 call sites now go through the registry so an accelerated tier can take
 over at runtime.
@@ -148,18 +148,3 @@ def dense_contract(operands: list, path) -> np.ndarray:
     """
     return np.einsum(*operands, optimize=path)
 
-
-@kernel("window_reduce")
-def window_reduce(tensor: np.ndarray, axes, bits) -> np.ndarray:
-    """Sum out / pin a sequence of axes of a dense fragment tensor.
-
-    ``axes`` lists absolute axis indices in strictly descending order (so
-    earlier indices stay valid as axes disappear); ``bits[i] < 0`` sums
-    axis ``axes[i]`` out, otherwise the axis is sliced at ``bits[i]``.
-    """
-    for axis, bit in zip(axes, bits):
-        if bit < 0:
-            tensor = tensor.sum(axis=axis)
-        else:
-            tensor = np.take(tensor, int(bit), axis=axis)
-    return tensor

@@ -1,21 +1,21 @@
-"""Kernel registry with runtime tier dispatch (numpy / numba / cupy).
+"""Kernel registry with runtime tier dispatch (numpy / numba).
 
 Every hot-loop kernel is registered here under a name, with a pure-NumPy
-reference implementation that is always available and optional
-accelerated variants: numba-JIT (CPU, ``prange``-parallel) and CuPy
-(GPU).  The active *tier* decides which variant a call dispatches to:
+reference implementation that is always available and an optional
+accelerated variant: numba-JIT (CPU, ``prange``-parallel).  The active
+*tier* decides which variant a call dispatches to:
 
 * ``REPRO_KERNELS`` environment variable — ``auto`` (default, best
-  available), ``numpy``, ``numba`` or ``cupy`` — read once at import;
+  available), ``numpy`` or ``numba`` — read once at import;
 * :func:`set_kernel_tier` — the programmatic override, e.g. in tests or
   benchmarks.
 
 Optional dependencies are *detected and probed at import time* (a tier
 whose import or smoke-call fails is simply unavailable) and a requested
 tier that is unavailable silently falls back to NumPy, so the library
-never hard-requires numba or CuPy.  Per-kernel dispatch is lazy: a tier
-that has no variant of some kernel falls back to the NumPy reference for
-that kernel only.
+never hard-requires numba.  Per-kernel dispatch is lazy: a tier that has
+no variant of some kernel falls back to the NumPy reference for that
+kernel only.
 
 Every :class:`Kernel` counts calls and accumulated wall-clock seconds;
 :func:`counters_snapshot` / :func:`timings_since` let callers (the
@@ -33,7 +33,7 @@ import time
 import warnings
 
 #: recognised tier names, reference first
-TIERS = ("numpy", "numba", "cupy")
+TIERS = ("numpy", "numba")
 
 
 class Kernel:
@@ -69,12 +69,12 @@ class Kernel:
             reference = self.impls["numpy"]
             if impl is reference:
                 raise
-            # An accelerated variant faulted (JIT failure, device error,
-            # driver loss).  Re-run on the NumPy reference: if that also
-            # raises, the inputs were bad — propagate the original error
-            # and keep the variant; if it succeeds, the variant itself is
-            # broken — demote this kernel to NumPy for the rest of the
-            # process and record the demotion for fault reports.
+            # An accelerated variant faulted (e.g. a JIT failure).  Re-run
+            # on the NumPy reference: if that also raises, the inputs were
+            # bad — propagate the original error and keep the variant; if
+            # it succeeds, the variant itself is broken — demote this
+            # kernel to NumPy for the rest of the process and record the
+            # demotion for fault reports.
             try:
                 value = reference(*args, **kwargs)
             except Exception:
@@ -174,20 +174,6 @@ def _probe_numba() -> bool:
         return False
 
 
-def _probe_cupy() -> bool:
-    """Import cupy and run one tiny op on an actual device."""
-    try:
-        import cupy
-    except Exception:
-        return False
-    try:  # pragma: no cover - requires a GPU
-        if cupy.cuda.runtime.getDeviceCount() < 1:
-            return False
-        return int(cupy.asnumpy(cupy.arange(2).sum())) == 1
-    except Exception:
-        return False
-
-
 def available_tiers() -> tuple[str, ...]:
     """Tiers whose import-time probe succeeded (always includes numpy)."""
     return tuple(t for t in TIERS if _DETECTED.get(t))
@@ -196,10 +182,7 @@ def available_tiers() -> tuple[str, ...]:
 def _resolve(requested: str) -> str:
     """Map a requested tier onto an available one (numpy as fallback)."""
     if requested == "auto":
-        for candidate in ("cupy", "numba"):
-            if _DETECTED.get(candidate):
-                return candidate
-        return "numpy"
+        requested = "numba"
     return requested if _DETECTED.get(requested) else "numpy"
 
 
@@ -259,7 +242,6 @@ def timings_since(
 def _init_from_environment() -> None:
     """Probe optional tiers and honour ``REPRO_KERNELS`` (import-time)."""
     _DETECTED["numba"] = _probe_numba()
-    _DETECTED["cupy"] = _probe_cupy()
     requested = os.environ.get("REPRO_KERNELS", "auto").strip().lower()
     if requested not in TIERS and requested != "auto":
         warnings.warn(

@@ -252,8 +252,7 @@ def _gf2_matmul_bool(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Integer matmuls never hit BLAS in NumPy (they run as naive C loops),
     which made this the hot spot of batch sampling.  Dispatches through
-    :mod:`repro.kernels`: the reference tier is an exact float GEMM, the
-    cupy tier the same GEMM on device.
+    :mod:`repro.kernels`: the reference tier is an exact float GEMM.
     """
     return _kernels.gf2_matmul(a, b)
 
@@ -475,9 +474,10 @@ class AffineOutcomeDistribution:
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """``P(fixed = v, rows = ·)`` for every row ``v`` of ``fixed_bits``.
 
-        One sparse ``(keys, probs)`` pair per ``v``: the packed ``int64``
-        outcomes over ``rows`` (at most 62, first row most significant)
-        that occur together with ``v`` and their joint probabilities — both
+        One sparse ``(keys, probs)`` pair per ``v``: the packed outcomes
+        over ``rows`` (first row most significant; ``uint64`` up to 62
+        rows, chunked beyond, as :func:`_affine_keys` lays them out) that
+        occur together with ``v`` and their joint probabilities — both
         empty when ``v`` cannot occur.  One elimination of ``A[fixed +
         rows]`` answers every ``v``: the basis vectors leading inside the
         fixed rows decide whether ``v`` is reachable and how it shifts the
@@ -497,14 +497,17 @@ class AffineOutcomeDistribution:
         # reduced basis: a solution's coordinates are the target's bits at
         # the leading rows; it is one iff it reproduces every other bit too
         chosen = target[:, [n_fixed + n_rows - vec.bit_length() for vec in deciding]]
+        chosen = chosen[:, :, None]
         upper = ints_to_chunked_keys([vec >> n_rows for vec in deciding], n_fixed)
-        lower = np.array([vec & ((1 << n_rows) - 1) for vec in deciding], dtype=np.int64)
-        reached = np.bitwise_xor.reduce(
-            np.where(chosen[:, :, None], upper, np.uint64(0)), axis=1
+        lower = ints_to_chunked_keys(
+            [vec & ((1 << n_rows) - 1) for vec in deciding], n_rows
         )
+        reached = np.bitwise_xor.reduce(np.where(chosen, upper, np.uint64(0)), axis=1)
+        offsets = np.bitwise_xor.reduce(np.where(chosen, lower, np.uint64(0)), axis=1)
         reachable = (reached == pack_bit_rows_chunked(target)).all(axis=1)
-        offsets = np.bitwise_xor.reduce(np.where(chosen, lower, np.int64(0)), axis=1)
-        span = _affine_keys(free, _bits_key(self.b[rows]), n_rows).astype(np.int64)
+        span = _affine_keys(free, _bits_key(self.b[rows]), n_rows)
+        if span.ndim == 1:
+            offsets = offsets[:, 0]
         probs = np.full(len(span), 2.0 ** -len(basis))
         nothing = (span[:0], probs[:0])
         return [

@@ -6,6 +6,10 @@
 and the :class:`~repro.testing.chaos.ChaosTransport` network-fault
 wrapper) that the chaos test suite and the distributed-service
 resilience/soak tests drive against the fault-tolerant execution engine.
+
+:mod:`repro.testing.reconstruction` — the ``4^k`` assignment loop, the
+oracle the einsum recombination is property-tested and benchmarked
+against (import it explicitly; it pulls in :mod:`repro.core`).
 """
 
 from repro.testing.chaos import (

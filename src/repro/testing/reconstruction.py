@@ -1,0 +1,112 @@
+"""The ``4^k`` assignment loop: the recombination oracle.
+
+Paper §V-C as written — one term per Pauli assignment of the ``k`` cuts,
+each the outer product of the fragments' slices, dead assignments (§IX)
+skipped one by one.  Production contracts the same network in one einsum
+(:func:`repro.core.reconstruction.reconstruct_distribution`); the loop
+lives here as the reference that contraction is property-tested
+(``tests/test_packed_equivalence.py``) and benchmarked
+(``benchmarks/perf_smoke.py``) against.  It counts the assignments it
+skips itself, so ``terms_skipped`` is checked too, and it works on dense
+tensors: one on its support is scattered into zeros first
+(:func:`dense_tensor`).
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from repro.analysis.distributions import Distribution
+from repro.core.fragments import CutCircuit
+from repro.core.reconstruction import (
+    ReconstructionStats,
+    SupportTensor,
+    _axis_cuts,
+    _output_order,
+)
+
+
+def dense_tensor(tensor: np.ndarray | SupportTensor, width: int) -> np.ndarray:
+    """The ``(4,)*(qi+qo) + (2**width,)`` array a fragment tensor over
+    ``width`` kept bits stands for: a :class:`SupportTensor`'s values at its
+    support's columns, zero elsewhere (a bare array is that already)."""
+    if not isinstance(tensor, SupportTensor):
+        return tensor
+    dense = np.zeros(tensor.values.shape[:-1] + (2**width,))
+    dense[..., tensor.support] = tensor.values
+    return dense
+
+
+def _dense_loop(
+    tensors: list[np.ndarray],
+    axis_cuts: list[list[int]],
+    k: int,
+    total_bits: int,
+    masks: list[np.ndarray] | None,
+) -> tuple[np.ndarray, int]:
+    """Term-by-term recombination; returns ``(accumulator, terms skipped)``.
+
+    ``masks[f]`` flags fragment ``f``'s live Pauli slices (``None``: every
+    assignment is evaluated).
+    """
+    accumulator = np.zeros(2**total_bits)
+    skipped = 0
+    for assignment in itertools.product(range(4), repeat=k):
+        vectors = []
+        skip = False
+        for f_index, tensor in enumerate(tensors):
+            index = tuple(assignment[c] for c in axis_cuts[f_index])
+            if masks is not None and not masks[f_index][index]:
+                skip = True
+                break
+            vectors.append(tensor[index])
+        if skip:
+            skipped += 1
+            continue
+        term = vectors[0]
+        for vec in vectors[1:]:
+            term = np.multiply.outer(term, vec)
+        accumulator += term.reshape(-1)
+    return accumulator, skipped
+
+
+def loop_reconstruct_distribution(
+    cut_circuit: CutCircuit,
+    tensors: list[np.ndarray | SupportTensor],
+    kept_locals: list[list[int]],
+    keep_qubits: list[int],
+    prune_zeros: bool = True,
+    zero_threshold: float = 1e-12,
+) -> tuple[Distribution, ReconstructionStats]:
+    """:func:`~repro.core.reconstruction.reconstruct_distribution` by the
+    assignment loop over the dense ``2**total_bits`` accumulator."""
+    fragments = cut_circuit.fragments
+    k = cut_circuit.num_cuts
+    axis_cuts = _axis_cuts(fragments)
+    order = _output_order(fragments, kept_locals, keep_qubits)
+    total_bits = len(order)
+    tensors = [dense_tensor(t, len(kl)) for t, kl in zip(tensors, kept_locals)]
+    masks = None
+    if prune_zeros:
+        masks = [np.max(np.abs(t), axis=-1) > zero_threshold for t in tensors]
+    accumulator, skipped = _dense_loop(tensors, axis_cuts, k, total_bits, masks)
+    accumulator /= 2.0**k
+    stats = ReconstructionStats(
+        terms_total=4**k,
+        terms_skipped=skipped,
+        windows=1,
+        peak_window_entries=2**total_bits,
+    )
+
+    if total_bits:
+        accumulator = np.transpose(
+            accumulator.reshape((2,) * total_bits), order
+        ).reshape(-1)
+    threshold = zero_threshold if prune_zeros else 0.0
+    live = np.flatnonzero(np.abs(accumulator) > threshold)
+    distribution = Distribution.from_arrays(
+        total_bits, live.astype(np.uint64), accumulator[live], assume_sorted=True
+    )
+    return distribution, stats

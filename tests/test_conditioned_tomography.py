@@ -1,10 +1,11 @@
 """Per-level conditioned tomography against its slow twin.
 
 The recursive engine builds every frontier bin's conditioned tensors from
-one visit per variant (:func:`build_conditioned_window_tensors`).  The
-algorithm it replaced — one ``joint`` per bin per Pauli combination,
-enumerate-then-filter on the fixed bits — lives on here as the oracle,
-and the new builder must reproduce it over random Clifford fragments.
+one visit per variant (:func:`build_conditioned_window_tensors`), each on
+its support.  The algorithm it replaced — one ``joint`` per bin per Pauli
+combination, enumerate-then-filter on the fixed bits, a dense tensor per
+bin — lives on here as the oracle, and the builder's yield, scattered into
+zeros, must reproduce it over random Clifford fragments.
 The regressions further down pin what the rewrite was for: cost that
 follows the window rather than the fragment's entropy, memory that
 follows one level rather than the whole recursion, typed refusals, and
@@ -41,11 +42,13 @@ from repro.core.tomography import (
     _snap_vector,
     build_conditioned_fragment_tensor,
     build_conditioned_window_tensors,
+    build_fragment_tensor,
 )
 from repro.core.variants import BASIS_FOR_PAULI, all_variants, variant_circuit
 from repro.errors import ReproError
 from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer.tableau import AffineOutcomeDistribution
+from repro.testing.reconstruction import dense_tensor
 
 EXACT = SuperSim()
 
@@ -188,6 +191,15 @@ def _frontier(data, fixed_cols, rng):
     return np.array(rows, dtype=bool).reshape(len(rows), len(fixed_cols))
 
 
+def _scattered(tensor, width):
+    """The dense ``(4,)*(qi+qo) + (2**width,)`` array an on-support tensor
+    stands for: its values at the support's columns, zero elsewhere."""
+    values, support = tensor
+    assert values.shape[-1] == len(support)
+    assert np.all(support[:-1] < support[1:])  # sorted, unique
+    return dense_tensor(tensor, width)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -210,24 +222,52 @@ def test_level_builder_equals_the_per_bin_oracle(
     fixed_cols = outputs[width : width + n_fixed]
     rows = _frontier(data, fixed_cols, rng)
 
-    tensors = list(
-        build_conditioned_window_tensors(data, keep, fixed_cols, rows, snap)
-    )
+    tensors = [
+        _scattered(tensor, width)
+        for tensor in build_conditioned_window_tensors(
+            data, keep, fixed_cols, rows, snap
+        )
+    ]
     assert len(tensors) == len(rows)
-    one_bin = build_conditioned_fragment_tensor(
-        data, keep, dict(zip(fixed_cols, rows[1].tolist())), snap
+    one_bin = _scattered(
+        build_conditioned_fragment_tensor(
+            data, keep, dict(zip(fixed_cols, rows[1].tolist())), snap
+        ),
+        width,
     )
     for row, tensor in zip(rows, tensors):
         want = oracle_conditioned_tensor(
             data, keep, dict(zip(fixed_cols, row.tolist())), snap
         )
-        assert tensor.shape == (4,) * (qi + qo) + (2**width,)
+        assert tensor.shape == want.shape == (4,) * (qi + qo) + (2**width,)
         if kind == "sampled":
             np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)
         else:
             assert np.array_equal(tensor, want)
     assert np.array_equal(tensors[0], tensors[3])  # the duplicate bin
     assert np.array_equal(one_bin, tensors[1])  # the frontier of one
+
+
+@pytest.mark.parametrize("snap", [False, True], ids=["plain", "snap"])
+@pytest.mark.parametrize("kind", ["affine", "dense", "sampled"])
+def test_nothing_pinned_is_the_dense_builder_on_its_support(kind, snap):
+    """No pinned column: the sparse builder of ``sparse_probabilities``."""
+    sparse = 0
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        qi, qo = int(rng.integers(0, 3)), int(rng.integers(0, 3))
+        width = int(rng.integers(0, 9))
+        fragment = _random_fragment(rng, qo + width + 2, qi, qo, n_h=int(rng.integers(0, 5)))
+        data = _fragment_data(fragment, kind, rng)
+        outputs = [lq for _oq, lq in fragment.circuit_outputs]
+        keep = [int(q) for q in rng.permutation(outputs)][:width]
+        (tensor,) = build_conditioned_window_tensors(data, keep, [], [[]], snap)
+        dense = build_fragment_tensor(data, keep, snap)
+        # the same signed sums in the same order: not merely close
+        assert np.array_equal(_scattered(tensor, width), dense)
+        assert np.array_equal(tensor.values, dense[..., tensor.support])
+        sparse += len(tensor.support) < 2**width
+    assert sparse >= 3
 
 
 @pytest.mark.parametrize("kind", ["affine", "dense", "sampled"])
@@ -246,9 +286,11 @@ def test_an_assignment_that_cannot_occur_gives_the_zero_tensor(kind):
     possible, impossible = build_conditioned_window_tensors(
         data, [0], [1, 2], [[0, 0], [0, 1]]
     )
-    assert np.abs(possible).max() > 0
-    assert impossible.shape == (4, 4, 2)
-    assert not impossible.any()
+    assert np.abs(possible.values).max() > 0
+    assert len(possible.support) > 0
+    # nothing was seen with it: an empty support, the zero tensor
+    assert impossible.values.shape == (4, 4, 0) and len(impossible.support) == 0
+    assert not _scattered(impossible, 1).any()
 
 
 # -- cost follows the window, not the fragment's entropy ----------------------

@@ -24,6 +24,9 @@ from repro.analysis.distributions import (
     pack_bit_cols,
     pack_bit_rows,
     pack_bit_rows_chunked,
+    pack_keys,
+    split_keys,
+    unpack_keys,
 )
 
 
@@ -172,6 +175,30 @@ class TestPackedKeyHelpers:
         a = Distribution.from_bit_rows(bits)
         b = Distribution.from_bit_cols(np.ascontiguousarray(bits.T))
         assert a.probs == b.probs
+
+
+    @given(st.integers(0, 2**32 - 1), WIDTHS, st.integers(0, 50), st.integers(0, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_keys_unpack_and_split_in_either_layout(self, seed, n_bits, rows, low):
+        """``split_keys`` is ``(key >> low, key & mask)`` on Python ints, with
+        each part in the layout of its own width."""
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=(rows, n_bits)).astype(bool)
+        low = min(low, n_bits)
+        keys = pack_keys(bits)
+        assert keys.ndim == (1 if n_bits <= 62 else 2)
+        assert np.array_equal(unpack_keys(keys, n_bits), bits)
+        assert np.array_equal(
+            unpack_keys(keys, n_bits, [n_bits - 1, 0]), bits[:, [n_bits - 1, 0]]
+        )
+        high, index = split_keys(keys, n_bits, low)
+        ints = [int(k) for k in pack_bit_rows(bits)]
+        assert index.tolist() == [k & ((1 << low) - 1) for k in ints]
+        assert np.array_equal(high, pack_keys(bits[:, : n_bits - low]))
+        high_ints = (
+            chunked_keys_to_ints(high, n_bits - low) if high.ndim == 2 else high.tolist()
+        )
+        assert high_ints == [k >> low for k in ints]
 
 
 class TestSamplingHotLoop:

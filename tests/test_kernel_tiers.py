@@ -175,7 +175,7 @@ def test_row_mul_parity(seed, rows, words):
         assert np.array_equal(s, s_ref), tier
 
 
-# -- dense_contract / window_reduce (float accumulation: 1e-12) ---------------
+# -- dense_contract (float accumulation: 1e-12) --------------------------------
 
 
 @given(seed=seeds, k=st.integers(1, 3), kept=st.integers(1, 3))
@@ -194,26 +194,6 @@ def test_dense_contract_matches_plain_einsum(seed, k, kept):
         np.testing.assert_allclose(got, expected, atol=1e-12, err_msg=tier)
 
 
-@given(seed=seeds, m=st.integers(1, 5))
-@settings(max_examples=25, deadline=None)
-def test_window_reduce_matches_manual(seed, m):
-    rng = _rng(seed)
-    head = (4,)
-    t = rng.standard_normal(head + (2,) * m)
-    bits_spec = [int(b) for b in rng.integers(-1, 2, size=m)]
-    axes = [1 + j for j in range(m - 1, -1, -1)]
-    bits = [bits_spec[j] for j in range(m - 1, -1, -1)]
-    expected = t
-    for j in range(m - 1, -1, -1):
-        if bits_spec[j] < 0:
-            expected = expected.sum(axis=1 + j)
-        else:
-            expected = np.take(expected, bits_spec[j], axis=1 + j)
-    for tier, impl in _tier_impls("window_reduce").items():
-        got = impl(t, axes, bits)
-        np.testing.assert_allclose(got, expected, atol=1e-12, err_msg=tier)
-
-
 # -- dispatch and fallback ----------------------------------------------------
 
 
@@ -229,9 +209,7 @@ class TestDispatch:
 
     def test_missing_tier_falls_back_to_numpy(self, monkeypatch):
         monkeypatch.setitem(registry._DETECTED, "numba", False)
-        monkeypatch.setitem(registry._DETECTED, "cupy", False)
         assert rk.set_kernel_tier("numba") == "numpy"
-        assert rk.set_kernel_tier("cupy") == "numpy"
         assert rk.set_kernel_tier("auto") == "numpy"
         assert registry.active_tier() == "numpy"
         # dispatch still works end to end on the fallback
@@ -240,21 +218,30 @@ class TestDispatch:
 
     def test_auto_prefers_best_available(self, monkeypatch):
         monkeypatch.setitem(registry._DETECTED, "numba", True)
-        monkeypatch.setitem(registry._DETECTED, "cupy", False)
         assert rk.set_kernel_tier("auto") == "numba"
-        monkeypatch.setitem(registry._DETECTED, "cupy", True)
-        assert rk.set_kernel_tier("auto") == "cupy"
+        monkeypatch.setitem(registry._DETECTED, "numba", False)
+        assert rk.set_kernel_tier("auto") == "numpy"
+
+    def test_the_gpu_tier_is_gone(self, monkeypatch):
+        assert rk.TIERS == ("numpy", "numba")
+        with pytest.raises(ValueError, match="unknown kernel tier"):
+            rk.set_kernel_tier("cupy")
+        monkeypatch.setenv("REPRO_KERNELS", "cupy")
+        with pytest.warns(RuntimeWarning, match="not one of"):
+            registry._init_from_environment()
+        assert registry.get_kernel_tier() == "auto"
 
     def test_kernel_without_variant_uses_numpy_impl(self, monkeypatch):
-        # window_reduce has no numba variant: under the numba tier it must
+        # dense_contract has no numba variant: under the numba tier it must
         # dispatch to the reference implementation rather than fail
         monkeypatch.setitem(registry._DETECTED, "numba", True)
         rk.set_kernel_tier("numba")
-        entry = rk.get_kernel("window_reduce")
+        entry = rk.get_kernel("dense_contract")
         assert entry.impl_for("numba") is entry.impls["numpy"]
-        t = np.arange(8.0).reshape(2, 2, 2)
-        out = rk.window_reduce(t, [2, 1], [-1, 1])
-        np.testing.assert_allclose(out, t[:, 1, :].sum(axis=1))
+        t = np.arange(8.0).reshape(2, 4)
+        operands = [t, [0, 1], [0]]
+        path = np.einsum_path(*operands, optimize="greedy")[0]
+        np.testing.assert_allclose(rk.dense_contract(operands, path), t.sum(axis=1))
 
     def test_invalid_environment_value_warns(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNELS", "quantum")

@@ -4,8 +4,10 @@ The bit-packed word-parallel tableau must be indistinguishable from the
 byte-per-bit :class:`~repro.stabilizer._reference.ReferenceTableau` — same
 generator bits, same signs, same symbolic affine form, same measurement
 outcomes for the same rng stream — and the einsum reconstruction must
-reproduce the legacy assignment loop to machine precision on random cut
-placements.
+reproduce the ``4^k`` assignment loop (the oracle in
+:mod:`repro.testing.reconstruction`) to machine precision on random cut
+placements, in the two regimes where production used to run the loop
+itself, and on tensors that live on their supports.
 """
 
 import numpy as np
@@ -26,7 +28,10 @@ from repro.circuits import (
 from repro.core import SuperSim, cut_circuit
 from repro.core.fragments import Cut
 from repro.core.reconstruction import reconstruct_distribution
-from repro.core.tomography import build_fragment_tensor
+from repro.core.tomography import (
+    build_conditioned_fragment_tensor,
+    build_fragment_tensor,
+)
 from repro.paulis import PauliString
 from repro.stabilizer._reference import ReferenceTableau
 from repro.stabilizer.tableau import (
@@ -35,6 +40,7 @@ from repro.stabilizer.tableau import (
     _unpack_bits,
     compile_clifford_layers,
 )
+from repro.testing.reconstruction import dense_tensor, loop_reconstruct_distribution
 
 # -- packed tableau vs reference ----------------------------------------------
 
@@ -167,7 +173,7 @@ class TestLayerCompiler:
         assert tableau.stabilizers()[0] == PauliString.from_label("Z")
 
 
-# -- einsum reconstruction vs legacy loop -------------------------------------
+# -- einsum reconstruction vs the assignment-loop oracle ----------------------
 
 
 def _tensors_for(circuit, cuts=None):
@@ -208,22 +214,23 @@ def _chain_workload(blocks, width, depth, seed):
     return circuit, cuts
 
 
+def _assert_same_reconstruction(got, want):
+    (dist, stats), (loop_dist, loop_stats) = got, want
+    assert stats.terms_total == loop_stats.terms_total
+    assert stats.terms_skipped == loop_stats.terms_skipped
+    assert np.array_equal(dist.keys_array, loop_dist.keys_array)
+    np.testing.assert_allclose(
+        dist.values_array, loop_dist.values_array, rtol=0, atol=1e-9
+    )
+
+
 def _assert_reconstructions_match(cc, tensors, kept_locals, keep, prune):
-    loop_dist, loop_stats = reconstruct_distribution(
-        cc, tensors, kept_locals, keep, prune_zeros=prune, method="loop"
+    want = loop_reconstruct_distribution(
+        cc, tensors, kept_locals, keep, prune_zeros=prune
     )
-    einsum_dist, einsum_stats = reconstruct_distribution(
-        cc, tensors, kept_locals, keep, prune_zeros=prune, method="einsum"
-    )
-    auto_dist, _ = reconstruct_distribution(
-        cc, tensors, kept_locals, keep, prune_zeros=prune, method="auto"
-    )
-    assert einsum_stats.terms_total == loop_stats.terms_total
-    assert einsum_stats.terms_skipped == loop_stats.terms_skipped
-    for dist in (einsum_dist, auto_dist):
-        keys = set(dist.probs) | set(loop_dist.probs)
-        for key in keys:
-            assert abs(dist[key] - loop_dist[key]) < 1e-9
+    got = reconstruct_distribution(cc, tensors, kept_locals, keep, prune_zeros=prune)
+    _assert_same_reconstruction(got, want)
+    return got[1]
 
 
 class TestEinsumMatchesLoop:
@@ -252,6 +259,73 @@ class TestEinsumMatchesLoop:
         cc, tensors, kept_locals, keep = _tensors_for(circuit, cuts)
         assert cc.num_cuts >= 2
         _assert_reconstructions_match(cc, tensors, kept_locals, keep, prune)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_star_with_a_giant_fragment(self, prune):
+        """One fragment carries every cut axis and >= 2**20 entries (the
+        regime the deleted ``star_giant`` heuristic sent to the loop)."""
+        rng = np.random.default_rng(7)
+        circuit = random_clifford_circuit(18, 6, rng)
+        for q in (3, 11):
+            circuit.append(gates.T, q)
+        cc, tensors, kept_locals, keep = _tensors_for(circuit.measure_all())
+        sizes = [t.size for t in tensors]
+        assert cc.num_cuts == 2 and max(sizes) >= 1 << 20
+        assert 3 * max(sizes) >= 2 * sum(sizes)
+        _assert_reconstructions_match(cc, tensors, kept_locals, keep, prune)
+
+    def test_heavily_pruned_clifford_chain(self):
+        """A GHZ chain cut four times: only I and Z cross a cut, so at most
+        ``2**4`` of the ``4**4`` assignments survive (the regime the deleted
+        ``_LOOP_SPARSITY`` heuristic sent to the loop)."""
+        circuit = Circuit(10).append(gates.H, 0)
+        for q in range(9):
+            circuit.append(gates.CX, q, q + 1)
+        cuts = [Cut(q, 1) for q in (2, 4, 6, 8)]
+        cc, tensors, kept_locals, keep = _tensors_for(circuit.measure_all(), cuts)
+        stats = _assert_reconstructions_match(cc, tensors, kept_locals, keep, True)
+        survivors = stats.terms_total - stats.terms_skipped
+        assert stats.terms_total == 256 and 0 < survivors * 16 <= stats.terms_total
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_tensors_on_their_supports(self, seed, prune):
+        """Contracting on the supports equals the loop (which scatters them
+        into dense arrays first), in any requested bit order."""
+        rng = np.random.default_rng(300 + seed)
+        circuit = inject_t_gates(
+            random_clifford_circuit(int(rng.integers(4, 8)), 3, rng),
+            int(rng.integers(1, 3)),
+            rng,
+        )
+        sim = SuperSim()
+        cc = sim.cut(circuit)
+        data = sim._evaluator().evaluate_all(cc.fragments)
+        keep = [int(q) for q in rng.permutation(circuit.measured_qubits)]
+        kept_locals = [
+            [lq for oq, lq in f.circuit_outputs if oq in set(keep)]
+            for f in cc.fragments
+        ]
+        on_support = [
+            build_conditioned_fragment_tensor(d, kl, {})
+            for d, kl in zip(data, kept_locals)
+        ]
+        want = loop_reconstruct_distribution(
+            cc, on_support, kept_locals, keep, prune_zeros=prune
+        )
+        # every support full is the dense finalisation, anything less the
+        # keyed one; mixing a bare array in must not matter either
+        bare = dense_tensor(on_support[0], len(kept_locals[0]))
+        rest = int(np.prod([len(t.support) for t in on_support[1:]]))
+        for first, columns in (
+            (on_support[0], len(on_support[0].support)),
+            (bare, bare.shape[-1]),
+        ):
+            got = reconstruct_distribution(
+                cc, [first] + on_support[1:], kept_locals, keep, prune_zeros=prune
+            )
+            _assert_same_reconstruction(got, want)
+            assert got[1].peak_window_entries == columns * rest
 
     def test_distribution_has_no_explicit_near_zeros(self):
         rng = np.random.default_rng(5)
@@ -291,38 +365,3 @@ class TestPackedBitHelpers:
     def test_counts_from_bit_rows(self):
         bits = np.array([[1, 0], [1, 0], [0, 1]], dtype=bool)
         assert counts_from_bit_rows(bits) == {2: 2, 1: 1}
-
-
-class TestSparseCompaction:
-    def test_compaction_preserves_results(self, monkeypatch):
-        """The sparse path's periodic buffer fold must not change output."""
-        import repro.core.reconstruction as recon
-        from repro.core.tomography import build_sparse_fragment_tensor
-        from repro.core.reconstruction import reconstruct_sparse_distribution
-
-        rng = np.random.default_rng(9)
-        circuit = inject_t_gates(random_clifford_circuit(5, 4, rng), 1, rng)
-        sim = SuperSim()
-        cc = sim.cut(circuit)
-        data = sim._evaluator().evaluate_all(cc.fragments)
-        keep = list(circuit.measured_qubits)
-        keep_set = set(keep)
-        kept_locals = [
-            [lq for oq, lq in f.circuit_outputs if oq in keep_set]
-            for f in cc.fragments
-        ]
-        tensors = [
-            build_sparse_fragment_tensor(d, kl)
-            for d, kl in zip(data, kept_locals)
-        ]
-        baseline, _ = reconstruct_sparse_distribution(
-            cc, tensors, kept_locals, keep
-        )
-        # a floor of 2 forces a fold after nearly every surviving term
-        monkeypatch.setattr(recon, "_SPARSE_COMPACT_FLOOR", 2)
-        compacted, _ = reconstruct_sparse_distribution(
-            cc, tensors, kept_locals, keep
-        )
-        keys = set(baseline.probs) | set(compacted.probs)
-        for key in keys:
-            assert abs(baseline[key] - compacted[key]) < 1e-12

@@ -1,4 +1,4 @@
-"""Tests for the sparse (dictionary-valued) reconstruction path."""
+"""Tests for sparse reconstruction: fragment tensors on their supports."""
 
 import numpy as np
 import pytest
@@ -58,6 +58,27 @@ class TestSparseAtScale:
         assert len(dist) == 2
         assert np.isclose(dist[0], 0.5, atol=1e-9)
         assert np.isclose(dist[2**n - 1], 0.5, atol=1e-9)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exact", "sampled"])
+    @pytest.mark.parametrize("t_at", ["middle", "last"])
+    @pytest.mark.parametrize("n", [70, 100])
+    def test_ghz_with_t_past_one_key_word(self, n, t_at, sampled):
+        """More than 62 kept bits: supports and outcomes in chunked keys."""
+        c = Circuit(n).append(gates.H, 0)
+        for q in range(n - 1):
+            c.append(gates.CX, q, q + 1)
+        c.append(gates.T, n // 2 if t_at == "middle" else n - 1)
+        sim = SuperSim(sampling=SamplingConfig(shots=2000, seed=3)) if sampled else EXACT
+        dist = sim.sparse_probabilities(c)
+        assert dist.n_bits == n and dist.chunked
+        # shot noise on the cut may leave a few light cross terms as well
+        heaviest = sorted(dist, key=lambda kv: -kv[1])[:2]
+        assert sorted(outcome for outcome, _p in heaviest) == [0, 2**n - 1]
+        assert len(dist) == 2 or sampled
+        assert dist.total() == pytest.approx(1.0, abs=1e-9)
+        tolerance = 0.05 if sampled else 1e-9
+        assert dist[0] == pytest.approx(0.5, abs=tolerance)
+        assert dist[2**n - 1] == pytest.approx(0.5, abs=tolerance)
 
     def test_support_guard(self):
         rng = np.random.default_rng(3)

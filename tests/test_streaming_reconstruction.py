@@ -37,9 +37,11 @@ from repro.core.reconstruction import (
     estimate_reconstruction_cost,
     reconstruct_distribution,
     reconstruct_dynamic,
-    reconstruct_marginal,
 )
-from repro.core.tomography import build_fragment_tensor
+from repro.core.tomography import (
+    build_conditioned_fragment_tensor,
+    build_fragment_tensor,
+)
 
 EXACT = SuperSim()
 
@@ -81,10 +83,12 @@ class TestWindowedMarginal:
         window = keep[start : start + width]
         dense, _ = reconstruct_distribution(cc, tensors, kept_locals, keep)
         reference = dense.marginal(range(start, start + len(window)))
-        windowed, stats = reconstruct_marginal(cc, tensors, kept_locals, window)
-        assert stats.mode == "windowed"
-        assert stats.peak_window_entries == 2 ** len(window)
-        assert total_variation_distance(windowed, reference) < 1e-9
+        result = SuperSim(
+            reconstruction=ReconstructionConfig(mode="windowed", window=tuple(window))
+        ).run(circuit)
+        assert result.stats.mode == "windowed"
+        assert result.stats.peak_window_entries == 2 ** len(window)
+        assert total_variation_distance(result.raw_distribution, reference) < 1e-9
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -92,16 +96,24 @@ class TestWindowedMarginal:
         circuit, cc, tensors, kept_locals, keep = _cut_workload(seed)
         window = [keep[4], keep[0], keep[2]]
         dense, _ = reconstruct_distribution(cc, tensors, kept_locals, keep)
-        reference = dense.marginal([4, 0, 2])
-        windowed, _ = reconstruct_marginal(cc, tensors, kept_locals, window)
+        reference = dense.marginal([4, 0, 2]).clipped()
+        (windowed,) = EXACT.marginal_probabilities(circuit, [window])
         assert total_variation_distance(windowed, reference) < 1e-9
 
     def test_fixed_bits_give_joint_probabilities(self):
         circuit, cc, tensors, kept_locals, keep = _cut_workload(3)
         dense, _ = reconstruct_distribution(cc, tensors, kept_locals, keep)
         pair = dense.marginal([0, 1])
-        conditioned, _ = reconstruct_marginal(
-            cc, tensors, kept_locals, [keep[1]], fixed={keep[0]: 1}
+        data = EXACT._evaluator().evaluate_all(cc.fragments)
+        window_locals, pinned = [], []
+        for fragment, fragment_data in zip(cc.fragments, data):
+            local = {oq: lq for oq, lq in fragment.circuit_outputs}
+            kept = [local[keep[1]]] if keep[1] in local else []
+            fixed = {local[keep[0]]: 1} if keep[0] in local else {}
+            window_locals.append(kept)
+            pinned.append(build_conditioned_fragment_tensor(fragment_data, kept, fixed))
+        conditioned, _ = reconstruct_distribution(
+            cc, pinned, window_locals, [keep[1]]
         )
         # values are joint P(q0=1, q1=b), not conditional
         assert conditioned[0] == pytest.approx(pair[0b10], abs=1e-12)
@@ -109,16 +121,15 @@ class TestWindowedMarginal:
 
     def test_window_validation(self):
         circuit, cc, tensors, kept_locals, keep = _cut_workload(0)
-        with pytest.raises(ValueError):
-            reconstruct_marginal(cc, tensors, kept_locals, [])
-        with pytest.raises(ValueError):
-            reconstruct_marginal(cc, tensors, kept_locals, [keep[0], keep[0]])
-        with pytest.raises(ValueError):
-            reconstruct_marginal(
-                cc, tensors, kept_locals, [keep[0]], fixed={keep[0]: 1}
+        for window in ([], [keep[0], keep[0]], [10**6]):
+            with pytest.raises(ValueError):
+                EXACT.marginal_probabilities(circuit, [window])
+        for window in ((keep[0], keep[0]), (10**6,)):
+            sim = SuperSim(
+                reconstruction=ReconstructionConfig(mode="windowed", window=window)
             )
-        with pytest.raises(ValueError):
-            reconstruct_marginal(cc, tensors, kept_locals, [10**6])
+            with pytest.raises(ValueError):
+                sim.run(circuit)
 
 
 class TestRecursiveReconstruction:

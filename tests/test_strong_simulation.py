@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import hellinger_fidelity
+from repro.apps.hwea import HWEA
 from repro.circuits import Circuit, gates, inject_t_gates, random_clifford_circuit
-from repro.core import SamplingConfig, SuperSim
+from repro.core import (
+    ExecutionConfig,
+    ReconstructionConfig,
+    SamplingConfig,
+    SuperSim,
+)
 from repro.mps import MPSSimulator
 from repro.stabilizer import NoiseModel, PauliChannel
 from repro.statevector import StatevectorSimulator
@@ -43,6 +49,52 @@ class TestStrongSimulation:
         circuit = Circuit(2).append(gates.H, 0)
         with pytest.raises(ValueError):
             EXACT.probability_of(circuit, [0])
+
+    def test_non_bits_are_rejected(self):
+        circuit = Circuit(4).append(gates.H, 0).append(gates.T, 0)
+        for bits in ([0, 2, 0, 0], [0, -1, 0, 0]):
+            with pytest.raises(ValueError, match="0 or 1"):
+                EXACT.probability_of(circuit, bits)
+        assert EXACT.probability_of(circuit, [False, 0, np.int64(0), 0]) == (
+            pytest.approx(0.5, abs=1e-12)
+        )
+
+    @pytest.mark.parametrize(
+        "sampling",
+        [SamplingConfig(), SamplingConfig(shots=3000, seed=5, snap_clifford=True)],
+        ids=["exact", "sampled-snap"],
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_full_distributions_entry(self, seed, sampling):
+        """A point query is the full reconstruction read at one outcome —
+        zero entries included — whatever the fragment data is."""
+        rng = np.random.default_rng(100 + seed)
+        n = 6
+        circuit = inject_t_gates(random_clifford_circuit(n, 5, rng), 2, rng)
+        sim = SuperSim(sampling=sampling)
+        full = sim.run(circuit).raw_distribution
+        occurring = full.key_ints()
+        missing = sorted(set(range(2**n)) - set(occurring))
+        assert occurring and missing
+        for outcome in occurring[:8] + missing[:4]:
+            bits = [(outcome >> (n - 1 - i)) & 1 for i in range(n)]
+            assert sim.probability_of(circuit, bits) == pytest.approx(
+                full[outcome], abs=1e-12
+            )
+
+    def test_200_qubit_hwea_point_query(self):
+        rng = np.random.default_rng(0)
+        circuit = HWEA(200, 5).near_clifford_instance(num_t=1, rng=rng).measure_all()
+        # a beam of one walks down to an outcome that does occur and to its
+        # exact joint probability (2**-59: nothing may be pruned as zero)
+        beam = SuperSim(
+            reconstruction=ReconstructionConfig(mode="recursive", qubit_limit=8, top_k=1),
+            execution=ExecutionConfig(prune_zeros=False),
+        ).run(circuit)
+        ((outcome, prob),) = list(beam.distribution)
+        bits = [(outcome >> (199 - q)) & 1 for q in range(200)]
+        assert 0.0 < prob < 1e-30
+        assert EXACT.probability_of(circuit, bits) == pytest.approx(prob, rel=1e-9)
 
     def test_measured_subset_point_query(self):
         circuit = Circuit(3).append(gates.H, 0).append(gates.CX, 0, 1)

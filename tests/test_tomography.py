@@ -7,9 +7,9 @@ from repro.circuits import Circuit, gates
 from repro.core import cut_circuit, find_cuts
 from repro.core.evaluator import FragmentEvaluator
 from repro.core.tomography import (
-    _snap,
+    _snap_vector,
+    build_conditioned_fragment_tensor,
     build_fragment_tensor,
-    build_sparse_fragment_tensor,
     project_physical,
 )
 from repro.statevector import StatevectorSimulator
@@ -38,7 +38,10 @@ class TestSnap:
          (-0.8, -1.0), (0.51, 1.0), (-0.51, -1.0)],
     )
     def test_values(self, value, expected):
-        assert _snap(value) == expected
+        # an expectation `value` seen at weight 1/2 snaps to `expected` there
+        weight = np.array([0.5, 0.0])
+        snapped = _snap_vector(np.array([0.5 * value, 0.0]), weight)
+        assert snapped.tolist() == [0.5 * expected, 0.0]
 
 
 class TestFragmentTensor:
@@ -76,16 +79,12 @@ class TestFragmentTensor:
             fragment = frag_data.fragment
             kept = [lq for _oq, lq in fragment.circuit_outputs]
             dense = build_fragment_tensor(frag_data, kept)
-            sparse = build_sparse_fragment_tensor(frag_data, kept)
-            for combo, vec in sparse.items():
-                dense_vec = dense[combo]
-                for x, v in vec.items():
-                    assert np.isclose(v, dense_vec[x], atol=1e-9)
-                # entries absent from the sparse dict must be zero
-                present = set(vec)
-                for x in range(len(dense_vec)):
-                    if x not in present:
-                        assert abs(dense_vec[x]) < 1e-9
+            sparse = build_conditioned_fragment_tensor(frag_data, kept, {})
+            assert sparse.values.shape == dense.shape[:-1] + (len(sparse.support),)
+            assert np.allclose(sparse.values, dense[..., sparse.support], atol=1e-9)
+            # columns absent from the support must be zero
+            absent = np.setdiff1d(np.arange(dense.shape[-1]), sparse.support)
+            assert np.all(np.abs(dense[..., absent]) < 1e-9)
 
     def test_clifford_fragment_entries_snap_invariant(self):
         """On exact Clifford data, snapping must be a no-op."""
