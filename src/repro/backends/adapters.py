@@ -28,8 +28,6 @@ class StabilizerBackend(Backend):
         exact=True,
         supports_noise=True,
         affine=True,
-        # packed tableau + shared data plane: every repro.kernels tier helps
-        kernel_tiers=("numpy", "numba"),
     )
 
     def __init__(self):

@@ -37,10 +37,7 @@ class Capabilities:
     readout (``None`` means the same as ``max_qubits``).  ``pool`` is the
     executor the backend prefers for parallel variant evaluation:
     ``"thread"`` when its kernels release the GIL (numpy), ``"process"``
-    when they are Python-bound.  ``kernel_tiers`` lists the
-    :mod:`repro.kernels` tiers the backend's hot loops can exploit when
-    available (``"numpy"`` always; backends built on the packed tableau
-    or the shared data plane also benefit from ``"numba"``).
+    when they are Python-bound.
     """
 
     clifford_only: bool = False
@@ -51,7 +48,6 @@ class Capabilities:
     affine: bool = False
     diagonal_nonclifford_only: bool = False
     pool: str = "thread"
-    kernel_tiers: tuple[str, ...] = ("numpy",)
 
 
 @dataclass(frozen=True)
@@ -174,9 +170,8 @@ class Backend(abc.ABC):
         exact readout enumerates the output space are much cheaper when
         only samples are needed, and modelling that keeps the router from
         over-charging them for sampled fragments.  Units are arbitrary but
-        must be comparable across backends.  Implementations written
-        before the mode split (single-argument signatures) are still
-        accepted by the router.
+        must be comparable across backends.  The router passes ``mode`` by
+        keyword.
         """
         return float(features.num_ops + 1) * float(features.n_qubits + 1)
 

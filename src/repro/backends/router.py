@@ -72,13 +72,8 @@ class BackendRouter:
                 raise ValueError(
                     f"cost scale for {name!r} must be positive, got {scale}"
                 )
-        import weakref
-
         from repro.kernels import active_tier
 
-        # backends whose estimate_cost predates the mode argument, learned
-        # once per instance so routing does not re-inspect signatures
-        self._legacy_cost_model: "weakref.WeakSet" = weakref.WeakSet()
         # the repro.kernels tier the router was built under; cost_scales
         # calibrated under a different tier are stale (host_fingerprint
         # embeds the tier, so calibrated_router() re-measures on change)
@@ -93,48 +88,9 @@ class BackendRouter:
         """A backend's model cost with this router's calibration applied.
 
         ``mode`` ("exact" or "sampled") reaches the backend's per-mode
-        cost model; backends written against the old single-argument
-        ``estimate_cost(features)`` signature are still accepted.
+        cost model, by keyword.
         """
-        try:
-            known_legacy = backend in self._legacy_cost_model
-        except TypeError:
-            known_legacy = False  # unhashable backend: re-detect below
-        if known_legacy:
-            cost = backend.estimate_cost(features)
-        else:
-            try:
-                # keyword call: a second positional parameter that is not
-                # a mode (e.g. estimate_cost(features, scale=1.0)) fails
-                # loudly here instead of silently binding the mode string
-                cost = backend.estimate_cost(features, mode=mode)
-            except TypeError:
-                # distinguish a legacy one-argument signature from a
-                # genuine TypeError raised *inside* a two-argument
-                # implementation; remember the verdict per instance
-                import inspect
-
-                try:
-                    parameters = inspect.signature(
-                        backend.estimate_cost
-                    ).parameters
-                except (TypeError, ValueError):
-                    raise
-                # the call above passes mode by keyword, so only a
-                # signature that can actually bind `mode` (named param or
-                # **kwargs) makes the TypeError a genuine internal error;
-                # anything else — one-arg legacy, or extra non-mode
-                # defaulted params — falls back to the one-argument call
-                accepts_mode = "mode" in parameters or any(
-                    p.kind is p.VAR_KEYWORD for p in parameters.values()
-                )
-                if accepts_mode:
-                    raise
-                try:
-                    self._legacy_cost_model.add(backend)
-                except TypeError:
-                    pass  # unhashable/unweakrefable: just re-detect later
-                cost = backend.estimate_cost(features)
+        cost = backend.estimate_cost(features, mode=mode)
         return cost * self.cost_scales.get(backend.name, 1.0)
 
     def ranked(

@@ -28,7 +28,7 @@ import pickle
 import threading
 from typing import Protocol, runtime_checkable
 
-from repro.backends.cache import VariantCache, approx_result_bytes
+from repro.backends.cache import VariantCache
 
 __all__ = [
     "CacheTier",
@@ -267,7 +267,3 @@ class TieredCache:
     def __repr__(self) -> str:
         return f"TieredCache(front={self.front!r}, back={self.back!r})"
 
-
-# re-exported for tier-related call sites; keeps `from repro.backends.tiers
-# import VariantCache` working as the "in-memory tier" spelling
-_ = (VariantCache, approx_result_bytes)

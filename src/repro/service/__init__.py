@@ -12,6 +12,10 @@ processes, turning the engine into a long-running shared service:
   queue with per-worker back-pressure, the shared variant-cache tier,
   and the fold-back of streamed variant results into tomography /
   reconstruction;
+* :mod:`repro.service.requests` — the pure request ledger: what an
+  accepted request is owed (executed once, charged once, its reply kept
+  until acknowledged or expired), written through to
+  :mod:`repro.service.journal`;
 * :mod:`repro.service.worker` — the worker process
   (``python -m repro.service.worker --connect host:port``) that pulls
   variant jobs and executes them through the engine's own

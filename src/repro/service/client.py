@@ -33,14 +33,13 @@ coordinator multiplexes server-side, and the shared cache tier is what
 makes concurrent clients cheaper together than apart.
 
 The channel is self-healing: on a dropped connection the client
-reconnects with jittered exponential backoff and resends the request.
-Every mutating request carries a client-generated idempotency key, so
-the resend is safe — the coordinator recognises the duplicate and serves
-the memoised reply (or the original ticket) instead of executing or
-charging the token bucket twice.  Once the reconnect budget is spent,
+reconnects with jittered exponential backoff and resends the request
+(:meth:`ServiceClient._replies`, the one reply loop).  Every mutating
+request carries a client-generated idempotency key, which is what makes
+the resend safe — see :mod:`repro.service.requests` for what the
+coordinator owes a resent key.  Once the reconnect budget is spent,
 :class:`~repro.errors.ConnectionLostError` surfaces.  Pass
-``reconnect=False`` (or an explicit ``transport``) for fail-fast
-single-channel behaviour.
+``reconnect=False`` for fail-fast single-channel behaviour.
 """
 
 from __future__ import annotations
@@ -51,19 +50,11 @@ import time
 import uuid
 
 from repro.core.plan import CostEstimate
+from repro.core.supersim import _call_factory
 from repro.errors import ConnectionLostError, QuotaExceededError, ServiceError
-from repro.service.protocol import Transport, backoff_delay, connect
+from repro.service.protocol import backoff_delay, connect
 
 __all__ = ["ServiceClient"]
-
-
-def _materialize(circuit_factory, params):
-    """Call the sweep factory the way ``SuperSim.sweep`` would."""
-    if isinstance(params, dict):
-        return circuit_factory(**params)
-    if isinstance(params, tuple):
-        return circuit_factory(*params)
-    return circuit_factory(params)
 
 
 class ServiceClient:
@@ -86,7 +77,6 @@ class ServiceClient:
         reconstruction=None,
         tenant: str = "default",
         priority: int = 0,
-        transport: Transport | None = None,
         connect_timeout: float = 10.0,
         reconnect: bool = True,
         max_reconnects: int = 10,
@@ -103,8 +93,7 @@ class ServiceClient:
         self.address = address
         self._connect_timeout = connect_timeout
         self._transport_factory = transport_factory
-        # an explicit transport is a single fixed channel: no reconnection
-        self._reconnect = bool(reconnect) and transport is None
+        self._reconnect = bool(reconnect)
         self._max_reconnects = max(0, int(max_reconnects))
         self._reconnect_backoff = float(reconnect_backoff)
         self._reconnect_backoff_cap = float(reconnect_backoff_cap)
@@ -112,12 +101,7 @@ class ServiceClient:
         self.reconnects = 0  # observable: how often the channel was rebuilt
         self._lock = threading.Lock()
         self._closed = False
-        if transport is not None:
-            self._transport = transport
-            self._handshake()
-        else:
-            self._transport = None
-            self._connect()
+        self._connect()
 
     def _connect(self) -> None:
         if self._transport_factory is not None:
@@ -126,9 +110,6 @@ class ServiceClient:
             self._transport = connect(
                 self.address, timeout=self._connect_timeout
             )
-        self._handshake()
-
-    def _handshake(self) -> None:
         self._transport.send({"type": "hello", "role": "client"})
         welcome = self._transport.recv()
         if not welcome or welcome.get("type") != "welcome":
@@ -197,12 +178,6 @@ class ServiceClient:
             "priority": self.priority,
         }
 
-    def _recv(self) -> dict:
-        reply = self._transport.recv()
-        if reply is None:
-            raise ConnectionLostError("coordinator closed the connection")
-        return reply
-
     def _raise_reply(self, reply: dict):
         kind = reply.get("type")
         if kind == "rejected":
@@ -230,44 +205,49 @@ class ServiceClient:
             raise ServiceError(f"request failed remotely: {reply.get('error')}")
         raise ServiceError(f"unexpected reply {kind!r}")
 
-    def _exchange(self, message: dict) -> dict:
-        """One send/recv with reconnect-and-resend.  Caller holds the lock.
+    def _replies(self, message: dict):
+        """Send ``message`` and yield the coordinator's replies to it, for
+        as long as the caller (who holds the lock) keeps asking.
 
-        Safe to resend because every mutating request carries a
-        client-generated idempotency key: the coordinator serves a
-        memoised reply (or the original ticket) for a duplicate instead
-        of executing or charging twice.  A ``draining`` rejection is also
-        retried here — backed off, against the coordinator's successor
-        once it takes over the address.
+        A lost connection is rebuilt and the message resent — safe because
+        every mutating request carries an idempotency key.  A ``draining``
+        rejection is not yielded: the message is resent after a back-off,
+        against the coordinator's successor once it takes over the address.
         """
         drain_retries = 0
         while True:
             try:
                 self._transport.send(message)
-                reply = self._recv()
+                while True:
+                    reply = self._transport.recv()
+                    if reply is None:
+                        raise ConnectionLostError("coordinator closed the connection")
+                    if (
+                        reply.get("type") == "rejected"
+                        and reply.get("reason") == "draining"
+                        and self._reconnect
+                        and drain_retries < self._max_reconnects
+                    ):
+                        drain_retries += 1
+                        time.sleep(
+                            backoff_delay(
+                                drain_retries,
+                                max(self._reconnect_backoff,
+                                    float(reply.get("retry_after") or 0.0)),
+                                self._reconnect_backoff_cap,
+                                self._rng,
+                            )
+                        )
+                        break  # resend
+                    yield reply
             except (ConnectionError, OSError):
                 if not self._reconnect or self._closed:
                     raise
                 self._reconnect_locked()
-                continue
-            if (
-                reply.get("type") == "rejected"
-                and reply.get("reason") == "draining"
-                and self._reconnect
-                and drain_retries < self._max_reconnects
-            ):
-                drain_retries += 1
-                time.sleep(
-                    backoff_delay(
-                        drain_retries,
-                        max(self._reconnect_backoff,
-                            float(reply.get("retry_after") or 0.0)),
-                        self._reconnect_backoff_cap,
-                        self._rng,
-                    )
-                )
-                continue
-            return reply
+
+    def _exchange(self, message: dict) -> dict:
+        """The first reply to ``message``.  Caller holds the lock."""
+        return next(self._replies(message))
 
     def _roundtrip(self, message: dict, expect: str) -> dict:
         with self._lock:
@@ -330,7 +310,7 @@ class ServiceClient:
         engine across all points.
         """
         params = list(param_grid)
-        circuits = [_materialize(circuit_factory, p) for p in params]
+        circuits = [_call_factory(circuit_factory, p) for p in params]
         if not circuits:
             return
         message = {
@@ -347,44 +327,18 @@ class ServiceClient:
         # points replay as server-side cache hits) and points already
         # yielded are deduplicated by index
         seen: set[int] = set()
-        drain_retries = 0
         with self._lock:
-            while True:
-                try:
-                    self._transport.send(message)
-                    while True:
-                        reply = self._recv()
-                        kind = reply.get("type")
-                        if kind == "sweep_point":
-                            point = reply["point"]
-                            if point.index not in seen:
-                                seen.add(point.index)
-                                yield point
-                        elif kind == "sweep_done":
-                            return
-                        elif (
-                            kind == "rejected"
-                            and reply.get("reason") == "draining"
-                            and self._reconnect
-                            and drain_retries < self._max_reconnects
-                        ):
-                            drain_retries += 1
-                            time.sleep(
-                                backoff_delay(
-                                    drain_retries,
-                                    max(self._reconnect_backoff,
-                                        float(reply.get("retry_after") or 0.0)),
-                                    self._reconnect_backoff_cap,
-                                    self._rng,
-                                )
-                            )
-                            break  # resend the sweep against the successor
-                        else:
-                            self._raise_reply(reply)
-                except (ConnectionError, OSError):
-                    if not self._reconnect or self._closed:
-                        raise
-                    self._reconnect_locked()
+            for reply in self._replies(message):
+                kind = reply.get("type")
+                if kind == "sweep_point":
+                    point = reply["point"]
+                    if point.index not in seen:
+                        seen.add(point.index)
+                        yield point
+                elif kind == "sweep_done":
+                    return
+                else:
+                    self._raise_reply(reply)
 
     def submit(self, circuit, keep_qubits=None, cuts=None) -> str:
         """Fire-and-forget ``run``: returns a ticket for :meth:`poll`.

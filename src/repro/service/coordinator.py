@@ -39,11 +39,12 @@ while the engine's own pipeline stays intact end to end:
    :class:`~repro.backends.tiers.CacheTier`), so concurrent sweeps from
    different clients deduplicate simulation work.
 
-5. **Resilience.**  With ``--journal-db`` the coordinator journals every
-   accepted request, completed reply, idempotency key and quota level to
-   SQLite (:class:`~repro.service.journal.CoordinatorJournal`) *before*
-   executing, so a restarted coordinator recovers pending tickets and
-   re-executes them; heartbeat ping/pong detects dead workers even on
+5. **Resilience.**  What an accepted request is owed — executed once,
+   charged once, its reply kept until acknowledged or expired, across
+   reconnects and (with ``--journal-db``) restarts — is
+   :mod:`repro.service.requests`; the coordinator accepts, executes and
+   finishes requests through that ledger and saves quota levels beside
+   it.  Its own share: heartbeat ping/pong detects dead workers even on
    half-open sockets and requeues their jobs through the crash taxonomy;
    a peer sending garbage frames is disconnected alone (``peer_error``
    fault) instead of tearing down the loop; and ``drain()`` / SIGTERM
@@ -73,7 +74,6 @@ import signal
 import sys
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.backends.cache import resolve_cache
@@ -82,6 +82,7 @@ from repro.errors import FaultReport, ReproError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.journal import CoordinatorJournal
 from repro.service.protocol import read_message, write_message
+from repro.service.requests import Request, RequestLedger
 
 __all__ = ["Coordinator", "main"]
 
@@ -187,15 +188,13 @@ class Coordinator:
             quota_rate, quota_capacity, clock=clock
         )
         self.max_inflight_per_worker = max(1, int(max_inflight_per_worker))
-        if journal is None or journal is False:
-            self.journal = None
-            self._owns_journal = False
-        elif isinstance(journal, CoordinatorJournal):
-            self.journal = journal
-            self._owns_journal = False
-        else:
-            self.journal = CoordinatorJournal(journal)
-            self._owns_journal = True
+        self._owns_journal = bool(journal) and not isinstance(
+            journal, CoordinatorJournal
+        )
+        self.journal = (
+            CoordinatorJournal(journal) if self._owns_journal else journal or None
+        )
+        self.requests = RequestLedger(self.journal)
         self.ticket_ttl = float(ticket_ttl)
         self.heartbeat_interval = (
             float(heartbeat_interval) if heartbeat_interval else None
@@ -215,12 +214,6 @@ class Coordinator:
         self._ids = itertools.count(1)
         self._kick: asyncio.Event | None = None
         self._stopping: asyncio.Event | None = None
-        self._tickets: dict[str, dict] = {}
-        self._ticket_done: dict[str, float] = {}  # ticket -> completion time
-        self._idem_tickets: dict[str, str] = {}  # idempotency key -> ticket
-        self._idem_done: dict[str, tuple[dict, float]] = {}  # key -> (reply, t)
-        self._idem_futures: dict[str, asyncio.Future] = {}  # key -> in flight
-        self._idem_admitted: dict[str, float] = {}  # key -> admission time
         self._draining = False
         self._active_requests = 0
         self._tasks: set[asyncio.Task] = set()
@@ -265,60 +258,22 @@ class Coordinator:
         return self.address
 
     def _recover(self) -> None:
-        """Adopt the journal of a dead predecessor (same ``--journal-db``).
-
-        Quota levels and idempotency keys are restored first — so
-        recovered re-executions and client retries are never charged a
-        second time — then ``done`` submit replies go back into the
-        ticket table awaiting their poll, and ``pending`` submits are
-        re-executed from the journaled request (fingerprint-derived job
-        seeds make the re-run bit-identical to what the dead coordinator
-        would have produced).  Pending ``run`` / ``sweep`` entries are
-        abandoned: their reply channel died with the old process and the
-        client's own reconnect-and-retry resends them.
-        """
+        """Adopt the journal of a dead predecessor (same ``--journal-db``):
+        quota levels first, so nothing recovered is charged a second time,
+        then the ledger's requests; submits it left pending re-execute."""
         if self.journal is None:
             return
-        quota = self.journal.load_quota()
-        if quota:
-            self.admission.restore(quota)
-        now = time.monotonic()
-        for ticket, kind, tenant, idem, state, msg, reply in (
-            self.journal.entries()
-        ):
-            if state == "done":
-                rejected = (
-                    isinstance(reply, dict) and reply.get("type") == "rejected"
-                )
-                if idem and not rejected:
-                    self._idem_admitted[idem] = now
-                    if kind == "submit":
-                        self._idem_tickets[idem] = ticket
-                    elif kind == "run" and reply is not None:
-                        self._idem_done[idem] = (reply, now)
-                if kind == "submit" and reply is not None:
-                    self._tickets[ticket] = reply
-                    self._ticket_done[ticket] = now
-            elif state == "pending":
-                if idem:
-                    self._idem_admitted[idem] = now
-                if kind == "submit" and msg is not None:
-                    if idem:
-                        self._idem_tickets[idem] = ticket
-                    self._tickets[ticket] = {"type": "pending"}
-                    self.counters["recovered_tickets"] += 1
-                    self.faults.record(
-                        "recovery",
-                        detail=(
-                            f"re-executing journaled ticket {ticket} "
-                            f"(tenant {tenant})"
-                        ),
-                    )
-                    self._spawn(self._complete_submit(ticket, msg, idem))
-                else:
-                    # run/sweep reply channels died with the old process;
-                    # the reconnecting client retries them itself
-                    self.journal.abandon(ticket)
+        self.admission.restore(self.journal.load_quota())
+        for request, message in self.requests.restore(time.monotonic()):
+            self.counters["recovered_tickets"] += 1
+            self.faults.record(
+                "recovery",
+                detail=(
+                    f"re-executing journaled ticket {request.ticket} "
+                    f"(tenant {request.tenant})"
+                ),
+            )
+            self._spawn(self._complete(request, message))
 
     async def serve_forever(self) -> None:
         await self._stopping.wait()
@@ -710,31 +665,13 @@ class Coordinator:
             self._on_worker_lost(handle)
 
     async def _gc_loop(self) -> None:
-        """TTL sweep: expire completed-but-unacknowledged tickets, stale
-        idempotency keys, and finished journal entries."""
+        """TTL sweep of unacknowledged replies and paid idempotency keys."""
         period = min(1.0, max(0.05, self.ticket_ttl / 4))
         while not self._stopping.is_set():
             await asyncio.sleep(period)
-            now = time.monotonic()
-            ttl = self.ticket_ttl
-            for ticket, done_at in list(self._ticket_done.items()):
-                if now - done_at > ttl:
-                    self._ticket_done.pop(ticket, None)
-                    if self._tickets.pop(ticket, None) is not None:
-                        self.counters["expired_tickets"] += 1
-                    if self.journal is not None:
-                        self.journal.acknowledge(ticket)
-            for key, stamp in list(self._idem_admitted.items()):
-                if now - stamp > ttl:
-                    self._idem_admitted.pop(key, None)
-            for key, (_, stamp) in list(self._idem_done.items()):
-                if now - stamp > ttl:
-                    self._idem_done.pop(key, None)
-            for key, ticket in list(self._idem_tickets.items()):
-                if ticket not in self._tickets:
-                    self._idem_tickets.pop(key, None)
-            if self.journal is not None:
-                self.journal.expire(ttl, now=time.time())
+            self.counters["expired_tickets"] += self.requests.expire(
+                time.monotonic(), self.ticket_ttl
+            )
 
     # -- local (degraded) execution -----------------------------------------
 
@@ -837,14 +774,13 @@ class Coordinator:
         # a client retry of an already-admitted request (idempotency key
         # seen before, possibly journaled by a dead predecessor) is not
         # charged a second time
-        if key is not None and key in self._idem_admitted:
+        if self.requests.charged(key):
             self.counters["idempotent_hits"] += 1
             return None
         cost = estimate.total_cost * max(1, points)
         ok, retry_after = self.admission.admit(ctx.tenant, cost)
         if ok:
-            if key is not None:
-                self._idem_admitted[key] = time.monotonic()
+            self.requests.charge(key, time.monotonic())
             if self.journal is not None and self.admission.enabled:
                 self.journal.save_quota(self.admission.snapshot())
             return None
@@ -891,9 +827,9 @@ class Coordinator:
         with self._planned(msg) as (_ctx, plan):
             return {"type": "estimate", "estimate": plan.estimate().to_dict()}
 
-    def _execute_sweep(self, msg: dict, send) -> bool:
-        """Returns True when the sweep was admitted and ran (False =
-        quota-rejected, so the caller must not journal it as done)."""
+    def _execute_sweep(self, msg: dict, send) -> dict:
+        """Streams the points and ``sweep_done`` through ``send``; returns
+        the terminal reply — ``sweep_done``, or the unsent rejection."""
         ctx = self._make_ctx(msg)
         sim = self._build_sim(msg, ctx)
         try:
@@ -907,8 +843,7 @@ class Coordinator:
                 key=msg.get("idempotency"),
             )
             if rejection is not None:
-                send(rejection)
-                return False
+                return rejection
             count = 0
             for point in sim.sweep(
                 lambda i: circuits[i],
@@ -922,8 +857,9 @@ class Coordinator:
         finally:
             sim.close()
         self.counters["completed"] += 1
-        send({"type": "sweep_done", "count": count})
-        return True
+        done = {"type": "sweep_done", "count": count}
+        send(done)
+        return done
 
     # -- client side ---------------------------------------------------------
 
@@ -983,66 +919,52 @@ class Coordinator:
 
         return send
 
-    def _new_ticket(self) -> str:
-        # uuid-based so tickets from a dead coordinator can never collide
-        # with its successor's (a counter restarts at 1)
-        return f"t-{uuid.uuid4().hex[:12]}"
-
-    def _drain_rejection(self) -> dict | None:
-        if not self._draining:
+    async def _accept(self, kind, message, writer, lock) -> Request | None:
+        """Take ``message`` into the ledger as a new ``kind`` request, or
+        answer it here and return ``None``: a resent key gets what the
+        first attempt got (also while draining), a draining coordinator
+        admits nothing new."""
+        existing = self.requests.lookup(message.get("idempotency"))
+        if existing is not None:
+            # a resend after a dropped reply: execute nothing, charge nothing
+            self.counters["idempotent_hits"] += 1
+            if kind == "submit":
+                reply = {
+                    "type": "submitted",
+                    "ticket": existing.ticket,
+                    "duplicate": True,
+                }
+            else:
+                reply = existing.reply or await asyncio.shield(existing.waiter)
+            await self._send(writer, lock, reply)
             return None
-        self.counters["rejected"] += 1
-        return {"type": "rejected", "reason": "draining", "retry_after": 1.0}
+        if self._draining:
+            self.counters["rejected"] += 1
+            await self._send(writer, lock, {
+                "type": "rejected", "reason": "draining", "retry_after": 1.0,
+            })
+            return None
+        self.counters["requests"] += 1
+        request = self.requests.accept(kind, message)
+        request.waiter = self.loop.create_future()
+        return request
+
+    async def _complete(self, request: Request, message: dict, *send) -> dict:
+        """Execute an accepted request on a request thread and finish it."""
+        execute = (
+            self._execute_sweep if request.kind == "sweep" else self._execute_run
+        )
+        reply = await self._in_request_thread(execute, message, *send)
+        self.requests.finish(request, reply, time.monotonic())
+        if request.waiter is not None:
+            request.waiter.set_result(reply)
+        return reply
 
     async def _msg_run(self, message, writer, lock) -> None:
-        key = message.get("idempotency")
-        if key is not None:
-            done = self._idem_done.get(key)
-            if done is not None:
-                # retry after a dropped reply frame: serve the memoised
-                # reply, execute nothing, charge nothing
-                self.counters["idempotent_hits"] += 1
-                await self._send(writer, lock, done[0])
-                return
-            inflight = self._idem_futures.get(key)
-            if inflight is not None:
-                self.counters["idempotent_hits"] += 1
-                reply = await asyncio.shield(inflight)
-                await self._send(writer, lock, reply)
-                return
-        rejection = self._drain_rejection()
-        if rejection is not None:
-            await self._send(writer, lock, rejection)
-            return
-        self.counters["requests"] += 1
-        ticket = self._new_ticket()
-        if self.journal is not None:
-            self.journal.record_request(
-                ticket, "run", str(message.get("tenant", "default")),
-                message, idempotency=key,
-            )
-        future = self.loop.create_future() if key is not None else None
-        if future is not None:
-            self._idem_futures[key] = future
-        try:
-            reply = await self._in_request_thread(self._execute_run, message)
-        finally:
-            if key is not None:
-                self._idem_futures.pop(key, None)
-        if reply.get("type") == "rejected":
-            # rejections are not memoised: a later retry re-attempts
-            if self.journal is not None:
-                self.journal.acknowledge(ticket)
-        else:
-            if key is not None:
-                self._idem_done[key] = (reply, time.monotonic())
-            if self.journal is not None:
-                self.journal.record_reply(
-                    ticket, reply if key is not None else None
-                )
-        if future is not None and not future.done():
-            future.set_result(reply)
-        await self._send(writer, lock, reply)
+        request = await self._accept("run", message, writer, lock)
+        if request is not None:
+            reply = await self._complete(request, message)
+            await self._send(writer, lock, reply)
 
     async def _msg_estimate(self, message, writer, lock) -> None:
         reply = await self.loop.run_in_executor(
@@ -1051,95 +973,37 @@ class Coordinator:
         await self._send(writer, lock, reply)
 
     async def _msg_sweep(self, message, writer, lock) -> None:
-        rejection = self._drain_rejection()
-        if rejection is not None:
-            await self._send(writer, lock, rejection)
-            return
-        self.counters["requests"] += 1
-        ticket = self._new_ticket()
-        if self.journal is not None:
-            # the stream is client-driven (a retry resends the circuits and
-            # dedupes points), so only admission is journaled, not the batch
-            self.journal.record_request(
-                ticket, "sweep", str(message.get("tenant", "default")),
-                None, idempotency=message.get("idempotency"),
+        request = await self._accept("sweep", message, writer, lock)
+        if request is not None:
+            reply = await self._complete(
+                request, message, self._thread_sender(writer, lock)
             )
-        send = self._thread_sender(writer, lock)
-        admitted = await self._in_request_thread(
-            self._execute_sweep, message, send
-        )
-        if isinstance(admitted, dict):  # the sweep raised: an error reply
-            if self.journal is not None:
-                self.journal.abandon(ticket)
-            await self._send(writer, lock, admitted)
-            return
-        if self.journal is not None:
-            if admitted:
-                self.journal.record_reply(ticket, None)
-            else:
-                self.journal.acknowledge(ticket)
-
-    async def _complete_submit(self, ticket: str, message: dict,
-                               key: str | None = None) -> None:
-        reply = await self._in_request_thread(self._execute_run, message)
-        self._tickets[ticket] = reply
-        self._ticket_done[ticket] = time.monotonic()
-        if reply.get("type") == "rejected" and key is not None:
-            # quota rejections are not idempotent: a later resubmit with
-            # the same key must get a fresh admission attempt
-            if self._idem_tickets.get(key) == ticket:
-                self._idem_tickets.pop(key, None)
-        if self.journal is not None:
-            self.journal.record_reply(ticket, reply)
+            if reply["type"] != "sweep_done":  # the stream sent that itself
+                await self._send(writer, lock, reply)
 
     async def _msg_submit(self, message, writer, lock) -> None:
-        key = message.get("idempotency")
-        if key is not None:
-            existing = self._idem_tickets.get(key)
-            if existing is not None:
-                # a retried submit after a dropped reply: same ticket, no
-                # second execution, no second quota charge
-                self.counters["idempotent_hits"] += 1
-                await self._send(writer, lock, {
-                    "type": "submitted",
-                    "ticket": existing,
-                    "duplicate": True,
-                })
-                return
-        rejection = self._drain_rejection()
-        if rejection is not None:
-            await self._send(writer, lock, rejection)
-            return
-        self.counters["requests"] += 1
-        ticket = self._new_ticket()
-        self._tickets[ticket] = {"type": "pending"}
-        if key is not None:
-            self._idem_tickets[key] = ticket
-        if self.journal is not None:
-            self.journal.record_request(
-                ticket, "submit", str(message.get("tenant", "default")),
-                message, idempotency=key,
+        request = await self._accept("submit", message, writer, lock)
+        if request is not None:
+            self._spawn(self._complete(request, message))
+            await self._send(
+                writer, lock, {"type": "submitted", "ticket": request.ticket}
             )
-        self._spawn(self._complete_submit(ticket, message, key))
-        await self._send(writer, lock, {"type": "submitted", "ticket": ticket})
 
     async def _msg_poll(self, message, writer, lock) -> None:
         ticket = message.get("ticket")
-        reply = self._tickets.get(ticket)
-        if reply is None:
-            # the ticket is kept until acknowledged or TTL-expired, so an
-            # unknown ticket here really is unknown (or expired), not a
-            # completed result discarded by an earlier dropped poll reply
+        request = self.requests.get(ticket)
+        if request is None:
+            # kept until acknowledged or expired, so unknown really is
+            # unknown — not a result an earlier dropped poll reply consumed
             reply = {"type": "error", "error": f"unknown ticket {ticket!r}"}
+        else:
+            reply = request.reply or {"type": "pending"}
         await self._send(writer, lock, dict(reply, ticket=ticket))
 
     async def _msg_ack(self, message, writer, lock) -> None:
         ticket = message.get("ticket")
-        if self._tickets.pop(ticket, None) is not None:
+        if self.requests.acknowledge(ticket):
             self.counters["acks"] += 1
-        self._ticket_done.pop(ticket, None)
-        if self.journal is not None:
-            self.journal.acknowledge(ticket)
         await self._send(writer, lock, {"type": "acked", "ticket": ticket})
 
     async def _msg_ping(self, message, writer, lock) -> None:
@@ -1171,7 +1035,7 @@ class Coordinator:
             **self.counters,
             "queue_depth": len(self._queue),
             "jobs_pending": len(self._jobs),
-            "tickets": len(self._tickets),
+            "tickets": len(self.requests),
             "draining": self._draining,
             "workers": {
                 handle.name: {

@@ -4,35 +4,23 @@ A coordinator without a journal loses everything a process death can
 lose: submitted tickets (the client polls a fresh coordinator and gets
 "unknown ticket"), completed-but-unfetched results, and every tenant's
 quota bucket level (a restart would hand every tenant a free full
-burst).  :class:`CoordinatorJournal` writes each of those to SQLite in
-WAL mode — the same durability substrate as
-:class:`~repro.backends.tiers.SQLiteCacheTier` — so a coordinator
-restarted with ``--journal-db`` picks up exactly where the dead one
-stopped:
+burst).  :class:`CoordinatorJournal` is the storage for those — SQLite
+in WAL mode, the same durability substrate as
+:class:`~repro.backends.tiers.SQLiteCacheTier` — and nothing more:
 
-* **Requests.**  Every accepted ``run`` / ``sweep`` / ``submit`` is
-  recorded *before* it executes (the pickled request message, its kind,
-  tenant, and the client's idempotency key when it sent one) and marked
-  ``done`` when it completes, with the pickled reply retained for
-  ``submit`` tickets and idempotent ``run`` requests.  On recovery,
-  pending ``submit`` tickets are **re-executed** — fingerprint-derived
-  job seeds make the re-run bit-for-bit identical to what the dead
-  coordinator would have produced — while pending ``run`` / ``sweep``
-  entries are marked ``abandoned`` (their client's reply channel died
-  with the old process; the client's own reconnect-and-retry resends
-  them, and the journaled idempotency key guarantees the retry is not
-  charged twice).
-* **Tickets.**  ``done`` replies stay journaled until the client
-  acknowledges the ticket or the TTL expires, so a poll reply lost on
-  the wire — or a coordinator death between completion and poll — never
-  turns into "unknown ticket".
-* **Quota.**  Per-tenant token-bucket levels are snapshotted on every
-  admission decision.  Restoration is conservative: no refill is
-  credited for the downtime, so a restart never mints tokens.
+* **Requests.**  One row per accepted request — its kind, tenant,
+  idempotency key, pickled message and (optionally) pickled reply — in
+  state ``pending``, ``done`` or ``abandoned``.  Which requests are
+  written when, what each kind retains and how a restarted coordinator
+  reads the rows back is the request ledger's business,
+  :mod:`repro.service.requests`, the only caller of the request methods.
+* **Quota.**  Per-tenant token-bucket levels, snapshotted by the
+  coordinator on every admission.  Restoration is conservative: no
+  refill is credited for the downtime, so a restart never mints tokens.
 
-The journal is small and bounded: replies are garbage-collected by the
-coordinator's TTL sweep (:meth:`expire`), and ``flush`` checkpoints the
-WAL for a clean handoff on graceful drain.
+The journal is small and bounded: finished rows are dropped by the TTL
+sweep (:meth:`expire`), and ``flush`` checkpoints the WAL for a clean
+handoff on graceful drain.
 
 All methods are thread-safe (the coordinator touches the journal from
 its event loop and from request threads).
@@ -118,14 +106,7 @@ class CoordinatorJournal:
             self._conn.commit()
 
     def record_reply(self, ticket: str, reply: dict | None = None) -> None:
-        """Mark a request ``done``; retain the reply when one is given.
-
-        Replies are retained for ``submit`` tickets (served to late
-        polls, including polls against a restarted coordinator) and for
-        idempotent ``run`` requests (served to a client retry after a
-        dropped reply frame).  Streamed ``sweep`` replies pass ``None``:
-        only the completion is durable, not the stream.
-        """
+        """Mark a request ``done``; retain the reply when one is given."""
         blob = (
             pickle.dumps(reply, protocol=pickle.HIGHEST_PROTOCOL)
             if reply is not None
@@ -140,8 +121,8 @@ class CoordinatorJournal:
             self._conn.commit()
 
     def abandon(self, ticket: str) -> None:
-        """Mark a pending request whose reply channel died with the old
-        coordinator; kept (until TTL) purely for idempotency lookups."""
+        """Mark a pending request that will never get a reply; the row is
+        kept (until TTL) for its idempotency key."""
         with self._lock:
             self._conn.execute(
                 "UPDATE requests SET state = 'abandoned', finished = ?"
@@ -179,14 +160,6 @@ class CoordinatorJournal:
             )
             for ticket, kind, tenant, idempotency, state, request, reply in rows
         ]
-
-    def lookup_idempotency(self, key: str) -> str | None:
-        """The ticket a client idempotency key was already accepted under."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT ticket FROM requests WHERE idempotency = ?", (key,)
-            ).fetchone()
-        return row[0] if row else None
 
     def expire(self, ttl: float, now: float | None = None) -> int:
         """Drop finished (done/abandoned) entries older than ``ttl`` seconds.

@@ -130,7 +130,9 @@ class TestPerModeCostModels:
             features, "exact"
         )
 
-    def test_router_passes_mode_and_tolerates_legacy_signature(self):
+    def test_one_argument_cost_model_is_a_type_error(self):
+        # the router passes the mode by keyword; a pre-mode signature is
+        # not adapted, it fails the way Python fails it
         class OldStyle(Backend):
             name = "old-style"
             capabilities = Capabilities(max_qubits=30)
@@ -141,36 +143,15 @@ class TestPerModeCostModels:
             def sample(self, circuit, shots, rng=None):
                 raise NotImplementedError
 
-            def estimate_cost(self, features):  # pre-mode signature
+            def estimate_cost(self, features):
                 return 7.0
 
         router = BackendRouter([OldStyle()])
-        features = self.narrow_nonclifford()
-        assert router.scored_cost(OldStyle(), features, "sampled") == 7.0
-
-    def test_legacy_backend_with_extra_defaulted_param_still_routes(self):
-        # pre-mode signatures are not always exactly one-argument; a
-        # second non-mode defaulted parameter must fall back cleanly
-        class Fudged(Backend):
-            name = "fudged-legacy"
-            capabilities = Capabilities(max_qubits=30)
-
-            def probabilities(self, circuit):
-                raise NotImplementedError
-
-            def sample(self, circuit, shots, rng=None):
-                raise NotImplementedError
-
-            def estimate_cost(self, features, fudge=2.0):
-                return 3.0 * fudge
-
-        router = BackendRouter([Fudged()])
-        features = self.narrow_nonclifford()
-        assert router.scored_cost(Fudged(), features, "sampled") == 6.0
+        with pytest.raises(TypeError, match="mode"):
+            router.scored_cost(OldStyle(), self.narrow_nonclifford(), "sampled")
 
     def test_router_propagates_internal_typeerrors(self):
-        # a TypeError raised *inside* a mode-aware cost model must not be
-        # mistaken for a legacy one-argument signature
+        # a TypeError raised *inside* a cost model reaches the caller as is
         class Broken(Backend):
             name = "broken-cost"
             capabilities = Capabilities(max_qubits=30)
@@ -187,34 +168,6 @@ class TestPerModeCostModels:
         router = BackendRouter([Broken()])
         with pytest.raises(TypeError, match="NoneType"):
             router.scored_cost(Broken(), self.narrow_nonclifford())
-
-    def test_unhashable_legacy_backend_still_routes(self):
-        import dataclasses
-
-        @dataclasses.dataclass(eq=True)  # eq=True sets __hash__ = None
-        class Unhashable(Backend):
-            name: str = "unhashable-legacy"
-            capabilities: Capabilities = dataclasses.field(
-                default_factory=lambda: Capabilities(max_qubits=30)
-            )
-
-            def probabilities(self, circuit):
-                raise NotImplementedError
-
-            def sample(self, circuit, shots, rng=None):
-                raise NotImplementedError
-
-            def estimate_cost(self, features):  # legacy one-arg signature
-                return 5.0
-
-        backend = Unhashable()
-        with pytest.raises(TypeError):
-            hash(backend)  # precondition for the regression
-        router = BackendRouter([backend])
-        features = self.narrow_nonclifford()
-        # must not crash on the memoisation membership test, twice over
-        assert router.scored_cost(backend, features, "sampled") == 5.0
-        assert router.scored_cost(backend, features, "exact") == 5.0
 
     def test_sampled_routing_prefers_cheap_sampler(self):
         # a wide diagonal-non-Clifford fragment: exact readout enumeration

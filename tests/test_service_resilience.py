@@ -111,8 +111,6 @@ def test_journal_roundtrip_quota_and_ttl(tmp_path):
     journal.record_request("t-1", "submit", "alice", {"type": "submit", "n": 1},
                            idempotency="k1")
     journal.record_request("t-2", "run", "bob", {"type": "run"})
-    assert journal.lookup_idempotency("k1") == "t-1"
-    assert journal.lookup_idempotency("nope") is None
     journal.record_reply("t-1", {"type": "result", "value": (1, 2)})
     journal.abandon("t-2")
     journal.save_quota({"alice": {"tokens": 3.5, "admitted": 2, "rejected": 1,
@@ -125,6 +123,7 @@ def test_journal_roundtrip_quota_and_ttl(tmp_path):
     entries = {t: (kind, tenant, idem, state, msg, reply)
                for t, kind, tenant, idem, state, msg, reply
                in reopened.entries()}
+    assert entries["t-1"][2] == "k1"
     assert entries["t-1"][3] == "done"
     assert entries["t-1"][4] == {"type": "submit", "n": 1}
     assert entries["t-1"][5] == {"type": "result", "value": (1, 2)}
@@ -134,7 +133,7 @@ def test_journal_roundtrip_quota_and_ttl(tmp_path):
 
     # acknowledge deletes; expire only touches finished entries
     reopened.acknowledge("t-1")
-    assert reopened.lookup_idempotency("k1") is None
+    assert [row[0] for row in reopened.entries()] == ["t-2"]
     reopened.record_request("t-3", "submit", "alice", {"type": "submit"})
     removed = reopened.expire(ttl=0.0, now=time.time() + 60)
     assert removed == 1  # t-2 (abandoned); t-3 is pending and immortal
@@ -214,7 +213,7 @@ def test_unclaimed_tickets_are_garbage_collected():
                 time.sleep(0.05)
             # never polled, never acknowledged: the TTL sweep reclaimed it
             assert coordinator.counters["expired_tickets"] >= 1
-            assert ticket not in coordinator._tickets
+            assert coordinator.requests.get(ticket) is None
             with pytest.raises(Exception, match="unknown ticket"):
                 client.poll(ticket)
 
@@ -311,6 +310,37 @@ def test_restart_restores_quota_without_minting_tokens(tmp_path):
         if first.poll() is None:  # pragma: no cover - assertion failures
             first.kill()
             first.wait(timeout=10)
+
+
+def test_paid_key_survives_a_second_restart():
+    # a keyed run was admitted, then its coordinator died mid-run
+    sampling = SamplingConfig(shots=100, seed=1)
+    message = {"type": "run", "circuit": rotated_chain(0.2),
+               "sampling": sampling, "idempotency": "k-paid"}
+    journal = CoordinatorJournal(":memory:")
+    journal.record_request("t-dead", "run", "default", message,
+                           idempotency="k-paid")
+    # the first successor abandons the row and stops before the retry comes
+    with Coordinator(journal=journal):
+        pass
+    assert journal.stats()["abandoned"] == 1
+    # the second still knows the key is paid: a quota that admits nothing
+    # (a spent bucket, restored) does not price the retry again
+    journal.save_quota({"default": {"tokens": -1.0, "admitted": 1,
+                                    "rejected": 0, "spent": 1.0}})
+    with Coordinator(journal=journal, quota_rate=1e-6,
+                     quota_capacity=1e-9) as coordinator:
+        with ServiceClient(coordinator.address, reconnect=False) as client:
+            with client._lock:
+                reply = client._exchange(message)
+            assert reply["type"] == "result"
+            local = SuperSim(sampling=sampling).run(rotated_chain(0.2))
+            assert reply["result"].distribution.probs == local.distribution.probs
+            stats = client.stats()
+    assert stats["idempotent_hits"] == 1
+    bucket = stats["admission"]["tenants"]["default"]
+    assert (bucket["admitted"], bucket["rejected"]) == (1, 0)
+    journal.close()
 
 
 # -- heartbeat liveness ------------------------------------------------------
@@ -413,6 +443,37 @@ def test_chaos_transport_runs_identical_to_fault_free():
         for local_point, remote_point in zip(local_points, remote_points):
             assert (remote_point.result.distribution.probs
                     == local_point.result.distribution.probs)
+
+
+def test_resent_sweep_streams_again_while_the_first_is_in_flight():
+    # a client that reconnects mid-stream resends its sweep under the same
+    # key while the first copy is still running: the answer is the whole
+    # stream again (never a lookup by key), and admission is charged once
+    slow = ExecutionConfig(
+        failure_policy="retry",
+        chaos=ChaosSchedule(seed=2, delay_rate=1.0, delay_seconds=0.3,
+                            fail_attempts=1),
+    )
+    message = {"type": "sweep",
+               "circuits": [rotated_chain(0.2), rotated_chain(0.5)],
+               "sampling": SamplingConfig(shots=100, seed=1),
+               "execution": slow, "idempotency": "k-sweep"}
+    coordinator = Coordinator(quota_rate=1000.0, quota_capacity=100000.0)
+    with coordinator:
+        peers = []
+        for _ in range(2):
+            peer = connect(coordinator.address)
+            peer.send({"type": "hello", "role": "client"})
+            assert peer.recv()["type"] == "welcome"
+            peer.send(message)
+            peers.append(peer)
+            time.sleep(0.15)
+        for peer in peers:
+            kinds = [peer.recv()["type"] for _ in range(3)]
+            assert kinds == ["sweep_point", "sweep_point", "sweep_done"]
+            peer.close()
+        assert coordinator.admission.stats()["admitted"] == 1
+        assert coordinator.counters["idempotent_hits"] == 1
 
 
 # -- peer-level frame errors are non-fatal -----------------------------------
