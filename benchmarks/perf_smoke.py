@@ -32,6 +32,7 @@ from repro.analysis.distributions import total_variation_distance
 from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.core import SuperSim
 from repro.core.cutter import cut_circuit
+from repro.core.evaluator import SampledVariantData
 from repro.core.fragments import Cut
 from repro.core.config import ReconstructionConfig
 from repro.core.reconstruction import reconstruct_distribution
@@ -113,10 +114,16 @@ def bench_sampling() -> dict:
     affine = tableau.measurement_distribution(tuple(range(TABLEAU_QUBITS)))
     shots = 20_000
     seconds = _best(lambda: affine.sample(shots, rng=1), repeats=3)
+    # what the evaluator keeps of those shots (cache, SQLite row, wire)
+    variant = SampledVariantData(
+        affine.sample_words(shots, np.random.default_rng(1)), shots
+    )
     return {
         "workload": f"{shots} shots from the {TABLEAU_QUBITS}q affine form",
         "seconds": seconds,
         "shots_per_second": shots / seconds,
+        "variant_stored_bytes": variant.words.nbytes,
+        "variant_packed_bytes": TABLEAU_QUBITS * -(-shots // 64) * 8,
     }
 
 
@@ -721,6 +728,13 @@ def main() -> int:
             "affine sampling "
             f"{results['affine_sampling']['shots_per_second']:,.0f} shots/s "
             f"< {AFFINE_SAMPLING_FLOOR:,.0f}"
+        )
+    # a count, exact on any runner: shots are stored one bit each
+    sampling = results["affine_sampling"]
+    if sampling["variant_stored_bytes"] != sampling["variant_packed_bytes"]:
+        failures.append(
+            f"a sampled variant stores {sampling['variant_stored_bytes']} bytes, "
+            f"not the {sampling['variant_packed_bytes']} of its packed shots"
         )
     if results["distribution_kernels"]["speedup"] < DISTRIBUTION_KERNELS_FLOOR:
         failures.append(

@@ -166,6 +166,25 @@ def pack_bit_cols(bits_t: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=1)
 
 
+def pack_shots(bits: np.ndarray) -> np.ndarray:
+    """Shot words of a ``(shots, m)`` bit matrix: ``uint64[m, ceil(shots/64)]``,
+    bit ``s & 63`` of word ``s >> 6`` in row ``i`` = bit ``i`` of shot ``s``,
+    bits past ``shots`` zero.  The layout finite-shot Clifford data is drawn,
+    cached and shipped in; :func:`unpack_shots` is the inverse."""
+    bits = np.asarray(bits, dtype=bool)
+    shots, m = bits.shape
+    u8 = np.zeros((m, ((shots + 63) >> 6) * 8), dtype=np.uint8)
+    u8[:, : (shots + 7) >> 3] = np.packbits(bits.T, axis=1, bitorder="little")
+    return u8.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_shots(words: np.ndarray, shots: int) -> np.ndarray:
+    """Bit-major ``(m, shots)`` 0/1 bytes of ``(m, n_words)`` shot words —
+    what :func:`pack_bit_cols` takes; transpose for one shot per row."""
+    u8 = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
+    return np.unpackbits(u8, axis=1, bitorder="little")[:, :shots]
+
+
 def chunked_keys_to_ints(keys: np.ndarray, n_bits: int) -> list[int]:
     """Python-int outcomes of a ``(rows, chunks)`` chunked key array."""
     widths = _chunk_widths(n_bits)

@@ -29,9 +29,10 @@ def approx_result_bytes(value, _depth: int = 2) -> int:
     """A cheap size estimate of a cached variant result, in bytes.
 
     Sums the ``nbytes`` of numpy arrays reachable through at most two
-    levels of instance attributes (``SampledVariantData.bits``,
-    ``DenseVariantData.distribution.keys/probs``, the affine form's
-    matrices, ...) plus ``sys.getsizeof`` of the objects themselves.
+    levels of instance attributes (``SampledVariantData.words``, shots
+    packed 64 to a word; ``DenseVariantData.distribution.keys/probs``; the
+    affine form's matrices, ...) plus ``sys.getsizeof`` of the objects
+    themselves.
     Deliberately approximate — it feeds the cache's ``bytes`` gauge, not
     an allocator — and never serialises the value to measure it.
     """

@@ -85,7 +85,17 @@ class SQLiteCacheTier:
     is exceeded.
 
     ``path`` may be ``":memory:"`` for an ephemeral store (tests).
+
+    Rows are pickles, so a file is only as good as the classes that wrote
+    it: it is stamped with :attr:`SCHEMA_VERSION` (``PRAGMA user_version``)
+    and a file carrying any other number is emptied at open — its rows
+    read as misses and are never unpickled.
     """
+
+    #: bump when a pickled result class changes layout.  0 is an unstamped
+    #: file (``SampledVariantData`` pickled as a bool matrix); 1 holds shot
+    #: words
+    SCHEMA_VERSION = 1
 
     def __init__(self, path, max_entries: int = 100_000):
         import sqlite3
@@ -103,6 +113,10 @@ class SQLiteCacheTier:
             " nbytes INTEGER NOT NULL,"
             " last_used REAL NOT NULL)"
         )
+        (stamp,) = self._conn.execute("PRAGMA user_version").fetchone()
+        if stamp != self.SCHEMA_VERSION:
+            self._conn.execute("DELETE FROM variants")
+            self._conn.execute(f"PRAGMA user_version = {self.SCHEMA_VERSION}")
         self._conn.commit()
         self._clock = 0.0  # monotone access counter; no wall-clock reads
         self.hits = 0

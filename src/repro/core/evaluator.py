@@ -45,7 +45,14 @@ from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, 
 
 import numpy as np
 
-from repro.analysis.distributions import Distribution, pack_bit_rows, pack_keys
+from repro.analysis.distributions import (
+    Distribution,
+    pack_bit_cols,
+    pack_bit_rows,
+    pack_keys,
+    pack_shots,
+    unpack_shots,
+)
 from repro.backends.base import Backend, CircuitFeatures
 from repro.backends.cache import VariantCache, circuit_fingerprint
 from repro.backends.router import BackendRouter
@@ -132,43 +139,72 @@ class DenseVariantData(VariantData):
 
 
 class SampledVariantData(VariantData):
-    """Empirical result from finite shots, stored as a bit matrix."""
+    """Empirical result from finite shots, held as shot words.
 
-    def __init__(self, bits: np.ndarray):
-        self.bits = np.asarray(bits, dtype=bool)
+    ``words[i, w]`` (``uint64``) packs bit ``i`` of 64 shots: bit ``s & 63``
+    of word ``s >> 6`` belongs to shot ``s``, bits past ``shots`` are zero
+    (:func:`~repro.analysis.distributions.pack_shots`).  That is the layout
+    the affine sampler draws in, and the one the cache, the SQLite tier and
+    the wire carry — an eighth of a bool matrix.  Single-bit histograms are
+    popcounts on the words; everything else unpacks only the columns it
+    asks for.
+    """
 
-    def _keys(self, cols: list[int]) -> np.ndarray:
-        """Per-shot integer outcome over ``cols`` via a bit-weight dot product."""
-        return pack_bit_rows(self.bits[:, cols])
+    def __init__(self, words: np.ndarray, shots: int):
+        self.words = words
+        self.shots = int(shots)
+
+    @classmethod
+    def from_bits(cls, bits: np.ndarray) -> "SampledVariantData":
+        """From a ``(shots, m)`` bool matrix (the noisy Pauli-frame path)."""
+        return cls(pack_shots(bits), len(bits))
+
+    @property
+    def bits(self) -> np.ndarray:
+        """The ``(shots, m)`` bool matrix, unpacked on every access."""
+        bits_t = unpack_shots(self.words, self.shots)
+        return np.ascontiguousarray(bits_t.T).view(bool)
+
+    def _cols(self, cols: list[int]) -> np.ndarray:
+        """Bit-major ``(len(cols), shots)`` bytes of the selected columns."""
+        return unpack_shots(self.words[list(cols)], self.shots)
 
     def joint(self, cols: list[int]) -> Distribution:
-        return Distribution.from_bit_rows(self.bits[:, cols])
+        return Distribution.from_bit_cols(self._cols(cols))
 
     def joint_tables(self, windows: list, tail: list[int]) -> np.ndarray:
         # one pass over the shots for all windows: integer histograms,
         # divided by the shot count once (as ``joint`` does per window)
-        bits = self.bits
-        shots = bits.shape[0]
         width = len(windows[0])
-        n_tail = 2 ** len(tail)
-        tail_key = self._keys(tail).astype(np.intp)
         if width == 1:
             # a single-bit window is the number of ones in its column:
-            # count every column at once, per value of the tail key
-            cols = [w[0] for w in windows]
-            totals = np.bincount(tail_key, minlength=n_tail)
-            ones = np.empty((len(cols), n_tail), dtype=np.intp)
-            for m in range(n_tail):
-                ones[:, m] = np.count_nonzero(bits[tail_key == m], axis=0)[cols]
+            # popcount every column at once, under the mask of the shots
+            # that show each value of the tail key
+            masks = self._tail_masks(tail)
+            column_words = self.words[[w[0] for w in windows]]
+            ones = np.bitwise_count(column_words[:, None] & masks).sum(axis=2)
+            totals = np.bitwise_count(masks).sum(axis=1)
             counts = np.stack([totals - ones, ones], axis=1)
         else:
-            counts = np.empty((len(windows), 2**width, n_tail), dtype=np.intp)
+            tail_key = pack_bit_cols(self._cols(tail)).astype(np.intp)
+            counts = np.empty(
+                (len(windows), 2**width, 2 ** len(tail)), dtype=np.intp
+            )
             for table, cols in zip(counts, windows):
-                key = (self._keys(list(cols)).astype(np.intp) << len(tail)) | tail_key
-                table[...] = np.bincount(key, minlength=table.size).reshape(
-                    table.shape
-                )
-        return counts / shots
+                key = pack_bit_cols(self._cols(cols)).astype(np.intp)
+                table[...] = np.bincount(
+                    (key << len(tail)) | tail_key, minlength=table.size
+                ).reshape(table.shape)
+        return counts / self.shots
+
+    def _tail_masks(self, tail: list[int]) -> np.ndarray:
+        """``(2**len(tail), n_words)`` words flagging the shots whose
+        ``tail`` columns spell each key (first column most significant)."""
+        masks = pack_shots(np.ones((self.shots, 1), dtype=bool))
+        for col in tail:
+            ones = masks & self.words[col]
+            masks = np.stack([masks ^ ones, ones], axis=1).reshape(-1, ones.shape[1])
+        return masks
 
 
 class FragmentData:
@@ -264,14 +300,14 @@ def _execute_job(job: _Job) -> VariantData:
             perform_action(action, in_process_worker=job.in_process)
     rng = np.random.default_rng(np.random.SeedSequence(job.seed))
     if job.noise is not None:
-        return SampledVariantData(
+        return SampledVariantData.from_bits(
             job.backend.sample_noisy_bits(job.circuit, job.noise, job.shots, rng)
         )
     if job.affine:
         affine = job.backend.affine_distribution(job.circuit)
         if job.shots is None:
             return AffineVariantData(affine)
-        return SampledVariantData(affine.sample_bits(job.shots, rng))
+        return SampledVariantData(affine.sample_words(job.shots, rng), job.shots)
     if job.shots is None:
         return DenseVariantData(job.backend.probabilities(job.circuit))
     return DenseVariantData(job.backend.sample(job.circuit, job.shots, rng))

@@ -79,8 +79,6 @@ oracle the shared one is tested against, bit for bit.
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
 from repro import kernels as _kernels
@@ -90,6 +88,7 @@ from repro.analysis.distributions import (
     ints_to_chunked_keys,
     pack_bit_rows,
     pack_bit_rows_chunked,
+    unpack_shots,
 )
 from repro.circuits.circuit import Circuit
 from repro.errors import ReconstructionMemoryError
@@ -97,7 +96,6 @@ from repro.paulis.pauli import PauliString
 
 _ONE = np.uint64(1)
 _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
-_LITTLE_ENDIAN = sys.byteorder == "little"
 
 # gate names the packed engine applies natively (every other Clifford gate
 # goes through Gate.stabilizer_decomposition into H/S/CX)
@@ -247,16 +245,6 @@ def _apply_layers_row_packed(layers, x, z, sign) -> None:
     _kernels.apply_layers(layers, x, z, sign)
 
 
-def _gf2_matmul_bool(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a @ b) mod 2`` of two 0/1 matrices, exactly.
-
-    Integer matmuls never hit BLAS in NumPy (they run as naive C loops),
-    which made this the hot spot of batch sampling.  Dispatches through
-    :mod:`repro.kernels`: the reference tier is an exact float GEMM.
-    """
-    return _kernels.gf2_matmul(a, b)
-
-
 #: rank of the widest affine image anything here enumerates (2^24 outcomes)
 MAX_ENUMERATED_RANK = 24
 
@@ -326,6 +314,11 @@ class AffineOutcomeDistribution:
     The map ``f -> A f + b`` is injective by construction (every free bit is
     itself one of the output coordinates), so every outcome in the support
     has probability exactly ``2^-k``.
+
+    Finite shots come from one sampler, :meth:`sample_words`, as 64-shot
+    words (one row per output bit) — the form the evaluator keeps, caches
+    and ships.  :meth:`sample_bits` (one bool per shot and bit) and
+    :meth:`sample` (the empirical :class:`Distribution`) unpack it.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -348,9 +341,10 @@ class AffineOutcomeDistribution:
 
         By construction every free bit is itself an output coordinate, so
         the bulk of ``A`` consists of unit rows — batch evaluation is then
-        a column *gather* from the free-bit matrix, and only the few
+        a row *gather* from the drawn free-bit words, and only the few
         genuinely-dense rows (linear combinations of several free bits)
-        need a GF(2) matmul.  Computed once per distribution and cached.
+        need an XOR over their support.  Computed once per distribution
+        and cached.
         """
         if self._gather_plan is None:
             row_weights = self.A.sum(axis=1)
@@ -364,63 +358,48 @@ class AffineOutcomeDistribution:
             self._gather_plan = (unit_rows, unit_cols, dense_rows)
         return self._gather_plan
 
-    def outcomes_for(self, f: np.ndarray) -> np.ndarray:
-        """Batch-evaluate ``A f + b``; ``f`` has shape (shots, k)."""
-        f = np.asarray(f, dtype=bool)
-        unit_rows, unit_cols, dense_rows = self._plan()
-        out = np.zeros((f.shape[0], self.n_bits), dtype=bool)
-        if len(unit_rows):
-            out[:, unit_rows] = f[:, unit_cols]
-        if len(dense_rows):
-            out[:, dense_rows] = _gf2_matmul_bool(f, self.A[dense_rows].T)
-        return out ^ self.b
+    def sample_words(self, shots: int, rng: np.random.Generator) -> np.ndarray:
+        """``shots`` outcomes as shot words: ``uint64[m, ceil(shots/64)]``.
 
-    def _sample_bits_t(
-        self, shots: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Bit-major ``(m, shots)`` uint8 outcome bits — the fast layout.
-
-        Free bits are drawn as packed 64-bit words and fanned out with
-        ``np.unpackbits``; the affine map is then a row *gather* for the
-        unit rows (the overwhelming majority — see :meth:`_plan`) plus one
-        small GF(2) matmul for the dense rows.  Everything stays bit-major,
-        so each operation touches contiguous per-bit vectors.
+        Bit ``s & 63`` of word ``s >> 6`` in row ``i`` is output bit ``i`` of
+        shot ``s``; bits past ``shots`` are zero (the layout of
+        :func:`~repro.analysis.distributions.pack_shots`).  The free bits
+        are drawn in that layout and never leave it: a unit row of ``A``
+        (the overwhelming majority — see :meth:`_plan`) is a row gather of
+        the drawn words, a dense row the XOR of the word rows in its
+        support, ``b`` an XOR with all-ones.  The one sampler:
+        :meth:`sample_bits` and :meth:`sample` unpack its result.
         """
-        k = self.n_free
         unit_rows, unit_cols, dense_rows = self._plan()
-        out = np.zeros((self.n_bits, shots), dtype=np.uint8)
-        if k:
-            n_words = (shots + 63) >> 6
-            words = rng.integers(0, 1 << 64, size=(k, n_words), dtype=np.uint64)
-            if _LITTLE_ENDIAN:
-                f_t = np.unpackbits(
-                    words.view(np.uint8), axis=1, bitorder="little"
-                )[:, :shots]
-            else:  # pragma: no cover - big-endian fallback
-                f_t = (
-                    ((words[:, :, None] >> _WORD_SHIFTS) & _ONE)
-                    .astype(np.uint8)
-                    .reshape(k, n_words << 6)[:, :shots]
-                )
-            if len(unit_rows):
-                out[unit_rows] = f_t[unit_cols]
-            if len(dense_rows):
-                out[dense_rows] = _gf2_matmul_bool(self.A[dense_rows], f_t)
-        out ^= self.b.astype(np.uint8)[:, None]
+        n_words = (shots + 63) >> 6
+        out = np.zeros((self.n_bits, n_words), dtype=np.uint64)
+        if self.n_free:
+            words = rng.integers(
+                0, 1 << 64, size=(self.n_free, n_words), dtype=np.uint64
+            )
+            out[unit_rows] = words[unit_cols]
+            for row in dense_rows:
+                out[row] = np.bitwise_xor.reduce(words[self.A[row]], axis=0)
+        out[self.b] ^= ~np.uint64(0)
+        if shots & 63:
+            out[:, -1] &= (_ONE << np.uint64(shots & 63)) - _ONE
         return out
 
     def sample_bits(
         self, shots: int, rng: np.random.Generator | int | None = None
     ) -> np.ndarray:
-        """(shots, m) array of outcome bits."""
+        """(shots, m) bool matrix of outcome bits (unpacked :meth:`sample_words`)."""
         rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        return np.ascontiguousarray(self._sample_bits_t(shots, rng).T).astype(bool)
+        bits_t = unpack_shots(self.sample_words(shots, rng), shots)
+        return np.ascontiguousarray(bits_t.T).view(bool)
 
     def sample(
         self, shots: int, rng: np.random.Generator | int | None = None
     ) -> Distribution:
         rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        return Distribution.from_bit_cols(self._sample_bits_t(shots, rng))
+        return Distribution.from_bit_cols(
+            unpack_shots(self.sample_words(shots, rng), shots)
+        )
 
     def to_distribution(self, max_free: int = 20) -> Distribution:
         """Exact distribution by enumerating the ``2^k`` support points."""

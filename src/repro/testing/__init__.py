@@ -10,6 +10,9 @@ resilience/soak tests drive against the fault-tolerant execution engine.
 :mod:`repro.testing.reconstruction` — the ``4^k`` assignment loop, the
 oracle the einsum recombination is property-tested and benchmarked
 against (import it explicitly; it pulls in :mod:`repro.core`).
+
+:mod:`repro.testing.sampling` — the bit-major affine sampler the packed
+``AffineOutcomeDistribution.sample_words`` replaced, its oracle.
 """
 
 from repro.testing.chaos import (

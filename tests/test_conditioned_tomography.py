@@ -176,7 +176,7 @@ def _fragment_data(fragment, kind, rng):
         elif kind == "dense":
             results[preps, bases] = DenseVariantData(affine.to_distribution())
         else:
-            results[preps, bases] = SampledVariantData(affine.sample_bits(300, rng))
+            results[preps, bases] = SampledVariantData(affine.sample_words(300, rng), 300)
     return FragmentData(fragment, results)
 
 

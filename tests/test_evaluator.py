@@ -68,7 +68,7 @@ class TestVariantDataAgreement:
         circuit.measure_all()
         affine = StabilizerSimulator().affine_distribution(circuit)
         exact = AffineVariantData(affine)
-        sampled = SampledVariantData(affine.sample_bits(40000, rng=0))
+        sampled = SampledVariantData.from_bits(affine.sample_bits(40000, rng=0))
         cols = [0, 1]
         f = hellinger_fidelity(exact.joint(cols), sampled.joint(cols))
         assert f > 0.999
@@ -76,7 +76,7 @@ class TestVariantDataAgreement:
     def test_joint_column_order(self):
         # outcome 10 on (q0, q1): selecting [1, 0] must flip the key
         bits = np.array([[1, 0]] * 5, dtype=bool)
-        data = SampledVariantData(bits)
+        data = SampledVariantData.from_bits(bits)
         assert data.joint([0, 1])[0b10] == 1.0
         assert data.joint([1, 0])[0b01] == 1.0
 

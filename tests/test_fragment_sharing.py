@@ -667,7 +667,7 @@ def sampled_fragment_data(qi, qo, shots, seed, n=9):
     fragment = clifford_fragment(n, qi, qo, seed)
     bias = rng.uniform(0.2, 0.8, size=n)
     results = {
-        spec: SampledVariantData(rng.random((shots, n)) < bias)
+        spec: SampledVariantData.from_bits(rng.random((shots, n)) < bias)
         for spec in all_variants(fragment)
     }
     return FragmentData(fragment, results)

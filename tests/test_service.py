@@ -20,6 +20,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.backends import SQLiteCacheTier, TieredCache, VariantCache
@@ -233,6 +234,45 @@ def test_sqlite_tier_lru_and_stats(tmp_path):
     reopened = SQLiteCacheTier(tmp_path / "variants.db")
     assert reopened.get(key) == {"v": 1}
     reopened.close()
+
+
+def test_sqlite_tier_drops_rows_of_another_schema_version(tmp_path, monkeypatch):
+    """A file written before shots were packed holds ``SampledVariantData``
+    pickles with ``bits`` and no ``words``: unstamped (``user_version`` 0),
+    so it is emptied at open and its rows are misses, never unpickled."""
+    import sqlite3
+
+    from repro.backends import tiers
+    from repro.core.evaluator import SampledVariantData
+
+    path = tmp_path / "variants.db"
+    key = ("fp", ("stabilizer",), None, ("shots", 8, 0))
+    old_layout = SampledVariantData.__new__(SampledVariantData)
+    old_layout.__dict__["bits"] = np.zeros((8, 3), dtype=bool)
+    writer = SQLiteCacheTier(path)
+    writer.put(key, old_layout)
+    writer.close()
+    raw = sqlite3.connect(path)
+    raw.execute("PRAGMA user_version = 0")
+    raw.commit()
+    raw.close()
+
+    def refuse(_payload):
+        raise AssertionError("a row of another schema version was unpickled")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tiers.pickle, "loads", refuse)
+        reopened = SQLiteCacheTier(path)
+        assert len(reopened) == 0 and key not in reopened
+        assert reopened.get(key) is None and reopened.stats()["misses"] == 1
+        reopened.close()
+    # stamped now: what this version writes survives the next open
+    current = SQLiteCacheTier(path)
+    current.put(key, SampledVariantData.from_bits(np.ones((8, 3), dtype=bool)))
+    current.close()
+    again = SQLiteCacheTier(path)
+    assert again.get(key).bits.all() and again.get(key).shots == 8
+    again.close()
 
 
 def test_tiered_cache_promotes_and_conforms():
