@@ -8,13 +8,14 @@ mid-circuit measurement never occurs inside fragments.
 
 Two pieces of bookkeeping let work that depends only on an op list be done
 once.  :meth:`Circuit.derived` is a scratch dict for values computed from
-``ops`` (Clifford-ness, compiled layers, hash bytes, an evolved tableau),
+``ops`` (Clifford-ness, compiled layers, hash bytes, a swept tableau),
 emptied by any mutation of ``ops``.  :meth:`Circuit.embed` appends another
 circuit's ops and records that the slice *is* that circuit;
 :meth:`Circuit.shared_body` answers it back while it still holds, so the
 variants of a fragment can share what was derived from the fragment's body
-(and, through :meth:`Circuit.measured_last`, what was measured on the wires
-they agree on).  Both re-validate by element identity (Operations are
+(and, through :meth:`Circuit.measured_last` and :meth:`Circuit.prepared`,
+what was measured on the wires they agree on, whatever state the cut wires
+were handed).  Both re-validate by element identity (Operations are
 immutable) and neither is pickled.
 """
 
@@ -67,7 +68,7 @@ class Circuit:
     # class-level defaults: instances unpickled without these attributes
     # (see ``__getstate__``) read them as "nothing derived, no body"
     _derived: "tuple[list[Operation], dict] | None" = None
-    _body: "tuple[Circuit, int, frozenset] | None" = None
+    _body: "tuple[Circuit, int, frozenset, tuple[int, ...]] | None" = None
 
     def __init__(self, n_qubits: int, operations: Iterable[Operation] = ()):
         if n_qubits < 0:
@@ -100,21 +101,34 @@ class Circuit:
             self.ops.append(op)
         return self
 
-    def embed(self, body: "Circuit", measured_last: Iterable[int] = ()) -> "Circuit":
+    def embed(
+        self,
+        body: "Circuit",
+        measured_last: Iterable[int] = (),
+        prepared: Iterable[int] = (),
+    ) -> "Circuit":
         """Append every op of ``body`` and remember the slice is ``body``.
 
         ``body`` has this circuit's width, so its ops were range-checked
         when they entered it and are appended as they are.  See
         :meth:`shared_body`.
 
-        ``measured_last`` is a statement about *all* the circuits built
-        around ``body``, made by whoever builds them: after the body they
-        differ on these wires only.  A simulator may then measure every
-        other wire once for all of them (:meth:`measured_last`).
+        ``measured_last`` and ``prepared`` are statements about *all* the
+        circuits built around ``body``, made by whoever builds them: after
+        the body they differ on the ``measured_last`` wires only, before it
+        on the ``prepared`` wires only — each of which enters the body in
+        one of the states |0>, |1>, |+>, |+i>.  A simulator may then carry
+        the prepared wires symbolically and measure every wire not left for
+        last once for all of them (:meth:`measured_last`, :meth:`prepared`).
         """
         if body.n_qubits != self.n_qubits:
             raise ValueError("qubit count mismatch")
-        self._body = (body, len(self.ops), frozenset(measured_last))
+        prepared = tuple(int(q) for q in prepared)
+        if len(set(prepared)) != len(prepared) or any(
+            q < 0 or q >= self.n_qubits for q in prepared
+        ):
+            raise ValueError(f"prepared wires {prepared} are not distinct qubits")
+        self._body = (body, len(self.ops), frozenset(measured_last), prepared)
         self.ops.extend(body.ops)
         return self
 
@@ -146,7 +160,7 @@ class Circuit:
         """
         if self._body is None:
             return None
-        body, start, _late = self._body
+        body, start, _late, _prepared = self._body
         stop = start + len(body.ops)
         if _same_objects(self.ops[start:stop], body.ops):
             return body, start, stop
@@ -159,6 +173,14 @@ class Circuit:
         with that link and is dropped with it.
         """
         return frozenset() if self._body is None else self._body[2]
+
+    def prepared(self) -> tuple[int, ...]:
+        """The wires :meth:`embed` was told are handed a prepared state.
+
+        Like :meth:`measured_last`, part of the body link and dropped
+        with it.
+        """
+        return () if self._body is None else self._body[3]
 
     def __getstate__(self) -> dict:
         # what was derived from the ops is rebuilt on demand, and a body is

@@ -26,16 +26,20 @@ simulator read that through :meth:`Circuit.shared_body` and keep what they
 derive from the body on the body object: it is hashed, compiled and
 simulated once per fragment, not once per variant.
 
-The embedding also declares the fragment's quantum-output wires as
-``measured_last`` — for every variant alike, Z-basis ones included: past
-the body, variants differ on those wires only.  The stabilizer simulator
-therefore measures all the other wires once per *preparation* and only the
-cut wires per variant (a Clifford fragment costs one evolution, ``4^qi``
-measurement sweeps and ``variants x qo`` single measurements; see
-"Measuring late" in :mod:`repro.stabilizer.tableau`).  The declaration
-lives in the same private record as the body link, so it is no option of
-a circuit and does not survive pickling: a variant shipped to a worker
-process is a plain circuit and is measured by the general sweep.
+The embedding also declares the fragment's quantum-input wires as
+``prepared`` and its quantum-output wires as ``measured_last`` — for every
+variant alike, |0> and Z-basis ones included: in front of the body,
+variants differ only by the state handed to the input wires, past it on
+the output wires only.  The stabilizer simulator therefore evolves and
+measures the body once, with each input wire Bell-paired to an ancilla,
+turns a preparation into a post-selection of the ancillas and measures
+only the cut wires per variant (a Clifford fragment costs one evolution,
+one measurement sweep, ``4^qi * qi`` ancilla measurements and ``variants x
+qo`` single measurements; see "Measuring late" in
+:mod:`repro.stabilizer.tableau`).  The declarations live in the same
+private record as the body link, so they are no option of a circuit and do
+not survive pickling: a variant shipped to a worker process is a plain
+circuit and is measured by the general sweep.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ def variant_circuit(
     circuit.embed(
         fragment.circuit,
         measured_last=[lq for _cut, lq in fragment.quantum_outputs],
+        prepared=[lq for _cut, lq in fragment.quantum_inputs],
     )
     for (cut, lq), basis in zip(fragment.quantum_outputs, bases):
         for op_gates in _BASIS_OPS[basis]:

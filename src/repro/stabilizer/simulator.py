@@ -1,11 +1,23 @@
-"""High-level stabilizer simulator facade (the framework's Stim)."""
+"""High-level stabilizer simulator facade (the framework's Stim).
+
+Besides the facade, this module holds what the variants of one fragment
+share (:meth:`StabilizerSimulator.affine_distribution`): the body's Choi
+tableau after one symbolic sweep (:func:`_swept`), its post-selection on a
+preparation (:func:`_collapsed`) and the per-variant measurement of the cut
+wires (:func:`_measured_late`), all kept on the body's
+:meth:`~repro.circuits.circuit.Circuit.derived` space.  The plain evolved
+tableau and :meth:`Tableau.prepend` serve :meth:`StabilizerSimulator.run`
+only.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.analysis.distributions import Distribution
+from repro.circuits import gates
 from repro.circuits.circuit import Circuit
+from repro.errors import PostSelectionError
 from repro.paulis.pauli import PauliString
 from repro.stabilizer.frames import FrameSampler
 from repro.stabilizer.noise import NoiseModel
@@ -13,26 +25,41 @@ from repro.stabilizer.tableau import (
     PREPEND_GATES,
     AffineOutcomeDistribution,
     Tableau,
+    compile_clifford_layers,
     move_outcome_row,
+    substitute_symbol,
 )
 
 
-#: collapsed tableaus kept per body (one per recent preparation); each is
-#: the size of the evolved tableau plus a ``measured x symbols`` bool matrix
+#: conditioned tableaus kept per body (one per recent preparation); each is
+#: the size of the swept tableau plus a ``measured x symbols`` bool matrix
 COLLAPSED_KEPT = 4
 
+#: how each tomographic preparation of an input wire, named by the gates
+#: that prepare it (:mod:`repro.core.variants`), is post-selected on the
+#: wire's Bell ancilla: the gates to put on the ancilla, then the Z outcome
+#: to keep.  Keeping ``<psi|`` on the ancilla hands the wire the transpose
+#: ``|psi*>``, so |+i> is Y outcome 1 — which S then H turn into Z outcome 0
+_POST_SELECTIONS = {
+    (): ((), False),  # |0>: Z outcome 0
+    ("X",): ((), True),  # |1>: Z outcome 1
+    ("H",): ((gates.H,), False),  # |+>: X outcome 0
+    ("H", "S"): ((gates.S, gates.H), False),  # |+i>
+}
 
-def _around_shared_body(circuit: Circuit):
-    """``(body, prefix, suffix)`` of a circuit around a shared body whose
-    prefix :meth:`Tableau.prepend` can compose; ``None`` for any other."""
-    shared = circuit.shared_body()
-    if shared is None:
-        return None
-    body, start, stop = shared
-    prefix = circuit.ops[:start]
-    if not all(op.gate.name in PREPEND_GATES for op in prefix):
-        return None
-    return body, prefix, circuit.ops[stop:]
+
+def _preparations(prefix, inputs: tuple[int, ...]):
+    """The gate names ``prefix`` puts on each wire of ``inputs``, in wire
+    order; ``None`` unless that is one of the four preparations on each
+    and ``prefix`` touches no other wire."""
+    names: dict[int, tuple[str, ...]] = {q: () for q in inputs}
+    for op in prefix:
+        q = op.qubits[0]
+        if q not in names:
+            return None
+        names[q] += (op.gate.name,)
+    preps = tuple(names[q] for q in inputs)
+    return preps if all(prep in _POST_SELECTIONS for prep in preps) else None
 
 
 def _prepared(body: Circuit, prefix) -> Tableau:
@@ -49,35 +76,73 @@ def _prepared(body: Circuit, prefix) -> Tableau:
     return tableau
 
 
-def _collapsed(body: Circuit, prefix, early: tuple[int, ...]):
-    """``(tableau, A, b)`` after ``prefix``, ``body`` and the symbolic
-    measurement of ``early``, shared through ``body.derived()``."""
-    key = (tuple((op.gate.name, op.qubits[0]) for op in prefix), early)
+def _swept(body: Circuit, inputs: tuple[int, ...], early: tuple[int, ...]):
+    """``(tableau, A, b)`` of ``body`` with every wire of ``inputs``
+    Bell-paired to an ancilla behind the body's wires, after the symbolic
+    measurement of ``early``; the one such sweep ``body.derived()`` keeps."""
+    key = (inputs, early)
+    derived = body.derived()
+    entry = derived.get("swept")
+    if entry is None or entry[0] != key:
+        n = body.n_qubits
+        # room for an ancilla's symbol and the late wires' too: copies
+        # never have to grow
+        tableau = Tableau(n + len(inputs), max_symbols=n + 1)
+        for ancilla, q in enumerate(inputs, start=n):
+            tableau.h(ancilla)
+            tableau.cx(ancilla, q)
+        tableau.apply_layers(compile_clifford_layers(body))
+        A, b = tableau.measure_symbolic_rows(early)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        entry = derived["swept"] = (key, tableau.freeze(), A, b)
+    return entry[1:]
+
+
+def _collapsed(body: Circuit, inputs: tuple[int, ...], preps, early: tuple[int, ...]):
+    """``(tableau, A, b)`` after the preparations ``preps`` of ``inputs``,
+    ``body`` and the symbolic measurement of ``early``: the shared sweep,
+    post-selected on each input's ancilla; kept on ``body.derived()``."""
+    key = (inputs, preps, early)
     derived = body.derived()
     kept = derived.get("collapsed", {})
     entry = kept.get(key)
     if entry is None:
-        tableau = _prepared(body, prefix)
-        # room for the late wires' symbols too: copies never have to grow
-        tableau.reset_symbols(body.n_qubits)
-        A, b = tableau.measure_symbolic_rows(early)
+        swept, A, b = _swept(body, inputs, early)
+        tableau, A, b = swept.copy(), A.copy(), b.copy()
+        for ancilla, (wire, prep) in enumerate(zip(inputs, preps), start=body.n_qubits):
+            basis, wanted = _POST_SELECTIONS[prep]
+            for gate in basis:
+                tableau.apply_operation(gate, (ancilla,))
+            coeffs, const = tableau.measure_symbolic(ancilla)
+            if not coeffs.any():
+                # half of a Bell pair is maximally mixed whatever happened
+                # to the other half: there is nothing to condition on
+                raise PostSelectionError(
+                    f"the ancilla of input wire {wire} of {body!r} measured to "
+                    f"the constant {int(const)} while post-selecting the "
+                    f"preparations {preps}"
+                )
+            value = const ^ wanted
+            tableau.substitute_symbol(coeffs, value)
+            A, b = substitute_symbol(A, b, coeffs, value)
         A.setflags(write=False)
         b.setflags(write=False)
         entry = (tableau.freeze(), A, b)
         # a new dict per insertion: readers in other threads never see one
-        # change under them, and a lost update only repeats a sweep
+        # change under them, and a lost update only repeats a conditioning
         recent = list(kept.items())[-(COLLAPSED_KEPT - 1) :]
         derived["collapsed"] = dict(recent + [(key, entry)])
     return entry
 
 
 def _measured_late(
-    body: Circuit, prefix, suffix, late: frozenset, measured: tuple[int, ...]
+    body: Circuit, inputs, preps, suffix, late: frozenset, measured: tuple[int, ...]
 ) -> AffineOutcomeDistribution:
-    """Outcome form of ``prefix + body + suffix`` over ``measured``: the
+    """Outcome form of ``preps + body + suffix`` over ``measured``: the
     shared sweep, then the ``late`` wires, then their rows moved into place."""
     collapsed, A_early, b_early = _collapsed(
-        body, prefix, tuple(q for q in measured if q not in late)
+        body, inputs, preps, tuple(q for q in measured if q not in late)
     )
     tableau = collapsed.copy()
     for op in suffix:
@@ -121,13 +186,15 @@ class StabilizerSimulator:
         (:meth:`Tableau.prepend`) and applies its trailing gates.  Prefix
         gates ``prepend`` does not know fall back to plain evolution.
         """
-        around = _around_shared_body(circuit)
-        if around is not None:
-            body, prefix, suffix = around
-            tableau = _prepared(body, prefix)
-            for op in suffix:
-                tableau.apply_operation(op.gate, op.qubits)
-            return tableau
+        shared = circuit.shared_body()
+        if shared is not None:
+            body, start, stop = shared
+            prefix = circuit.ops[:start]
+            if all(op.gate.name in PREPEND_GATES for op in prefix):
+                tableau = _prepared(body, prefix)
+                for op in circuit.ops[stop:]:
+                    tableau.apply_operation(op.gate, op.qubits)
+                return tableau
         tableau = Tableau(circuit.n_qubits)
         tableau.apply_circuit(circuit)
         return tableau
@@ -139,32 +206,42 @@ class StabilizerSimulator:
         Clifford fragments with hundreds of qubits exactly.
 
         The general path is one symbolic measurement sweep of
-        :meth:`run`'s tableau.  The circuits around one shared body that
-        also share their preparation differ, after the body, only by
-        single-qubit gates on the wires the body was embedded with as
-        :meth:`Circuit.measured_last` — a fragment's cut wires, a
-        variant's measurement basis.  Those circuits share the sweep over
-        every other measured wire: it runs once, on the prepared tableau,
-        and the collapsed tableau and its outcome rows stay on the body
-        (the last :data:`COLLAPSED_KEPT` preparations; variants come
-        preparation-major).  Each circuit then copies that tableau, applies
-        its trailing gates, measures its cut wires and moves their rows
-        from the end into ``measured_qubits`` order
+        :meth:`run`'s tableau.  The circuits around one shared body — a
+        fragment's variants — differ in front of it only by the state
+        handed to the wires the body was embedded with as
+        :meth:`Circuit.prepared`, and behind it only by single-qubit gates
+        on the :meth:`Circuit.measured_last` wires.  They share one
+        evolution and one sweep: the body runs once on a tableau that
+        Bell-pairs every prepared wire with an ancilla (the body's Choi
+        state), every measured wire not left for last is measured once,
+        symbolically, and that tableau and its outcome rows stay on the
+        body.  A preparation is then a post-selection of the ancillas on
+        a copy (:data:`_POST_SELECTIONS`): the ancilla's symbolic outcome
+        is set to the wanted value and one symbol is substituted away,
+        in the tableau and in the rows
+        (:func:`~repro.stabilizer.tableau.substitute_symbol`); the last
+        :data:`COLLAPSED_KEPT` conditioned copies are kept too (variants
+        come preparation-major).  Each circuit copies its preparation's,
+        applies its trailing gates, measures its cut wires and moves their
+        rows from the end into ``measured_qubits`` order
         (:func:`~repro.stabilizer.tableau.move_outcome_row`) — the same
         ``A`` and ``b``, bit for bit, as the general path, which anything
-        else takes: another prefix or suffix, and any circuit that has
-        lost its body (mutated, or unpickled in a worker process).
+        else takes: a prefix that is not a preparation of a prepared wire,
+        another suffix, and any circuit that has lost its body (mutated,
+        or unpickled in a worker process).
         """
-        around = _around_shared_body(circuit)
-        if around is not None:
-            body, prefix, suffix = around
-            late = circuit.measured_last()
-            if all(
+        shared = circuit.shared_body()
+        if shared is not None:
+            body, start, stop = shared
+            inputs, late = circuit.prepared(), circuit.measured_last()
+            preps = _preparations(circuit.ops[:start], inputs)
+            suffix = circuit.ops[stop:]
+            if preps is not None and all(
                 op.gate.is_clifford and len(op.qubits) == 1 and op.qubits[0] in late
                 for op in suffix
             ):
                 return _measured_late(
-                    body, prefix, suffix, late, circuit.measured_qubits
+                    body, inputs, preps, suffix, late, circuit.measured_qubits
                 )
         return self.run(circuit).measurement_distribution(circuit.measured_qubits)
 

@@ -31,7 +31,9 @@ tableau is bit-identical.
 for every qubit, so the tableau of ``U·g`` for a single-qubit Clifford
 ``g`` is a recombination of two of its own rows (:meth:`Tableau.prepend`):
 a fragment's body is evolved once and each variant's state preparation is
-composed *in front of* a copy, ``O(n/64)`` words instead of a re-simulation.
+composed *in front of* a copy, ``O(n/64)`` words instead of a re-simulation
+(what :meth:`StabilizerSimulator.run` hands back for a variant; outcome
+distributions take the route of "Measuring late" below).
 
 The original byte-per-bit, per-op-dispatch implementation is kept in
 :mod:`repro.stabilizer._reference` as the oracle for the equivalence
@@ -62,17 +64,31 @@ in any order and repair the row order afterwards: :func:`move_outcome_row`
 moves one row up, as a permutation of rows and columns when the row does
 not overtake a pivot it depends on, and as a rank-1 update — XOR one
 column into the others the row holds, and into ``b`` — when it does and
-takes that pivot's place.  The stabilizer simulator uses this to measure
-the variants of a fragment once per *preparation* instead of once per
-variant (:meth:`repro.stabilizer.simulator.StabilizerSimulator.affine_distribution`):
-the variants of one preparation differ only by single-qubit gates on the
-cut wires, which commute with measuring every other wire, so that part of
-the sweep runs once, on the prepared tableau, and each variant measures
-its cut wires last on a copy of the collapsed tableau and moves those rows
-back.  What is shared — the body's evolved tableau for the life of the
-body's op list, the collapsed tableau and outcome rows of the last few
-preparations — sits frozen (:meth:`Tableau.freeze`) in the body's
-``derived()`` space; a sweep of a from-scratch evolution
+takes that pivot's place.  Conditioning keeps the form too:
+:func:`substitute_symbol` imposes one linear condition on the symbols by
+solving it for the latest one it names, so the pivot row of that symbol
+becomes a function of earlier pivots and nothing else moves.
+
+The stabilizer simulator uses both to measure a fragment once instead of
+once per variant
+(:meth:`repro.stabilizer.simulator.StabilizerSimulator.affine_distribution`).
+The variants differ in front of the body only by the state — |0>, |1>,
+|+> or |+i> — handed to each input wire, so the body runs once with every
+input wire Bell-paired to an ancilla behind the body's wires (``h(a)``,
+``cx(a, q)``; :meth:`Tableau.apply_layers` runs the body's layers on the
+wider tableau), and handing the wire ``|psi>`` is keeping the outcome
+``<psi*|`` on its ancilla.  Behind the body they differ only by
+single-qubit gates on the cut wires, which commute with measuring every
+other wire.  So the sweep over the wires that are not cut runs once, on
+that Choi tableau; a preparation measures each ancilla on a copy —
+:meth:`Tableau.measure_symbolic` returns a fresh symbol or a function of
+the sweep's, either way a condition :func:`substitute_symbol` and
+:meth:`Tableau.substitute_symbol` resolve — and each variant measures its
+cut wires last on a copy of that and moves those rows back.  What is
+shared — the swept tableau and its outcome rows for the life of the body's
+op list, the conditioned tableau and rows of the last few preparations —
+sits frozen (:meth:`Tableau.freeze`) in the body's ``derived()`` space; a
+sweep of a from-scratch evolution
 (:meth:`Tableau.measurement_distribution`) stays the general path and the
 oracle the shared one is tested against, bit for bit.
 """
@@ -560,6 +576,34 @@ def move_outcome_row(
     return A[rows], b[rows]
 
 
+def substitute_symbol(
+    A: np.ndarray, b: np.ndarray, coeffs: np.ndarray, value: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outcome form ``(A, b)`` once ``coeffs . f == value`` is known.
+
+    The condition fixes the *latest* symbol of ``coeffs`` as a function of
+    the earlier ones: every row holding it gets ``coeffs`` XORed in (which
+    clears it) and ``value`` XORed into ``b``, and its column goes, the
+    later ones moving down by one.  The pivot row of that symbol now reads
+    off earlier pivots and every other pivot row is still a unit row, so a
+    canonical ``(A, b)`` (module docstring, "Measuring late") stays
+    canonical for the same row order.  A symbol past ``A``'s columns — one
+    opened after these rows were measured — is in no row: nothing changes.
+
+    ``coeffs`` must be nonzero.  Works in place on the rows of ``A`` and
+    ``b`` and returns the arrays to use; :meth:`Tableau.substitute_symbol`
+    is the same step on a tableau's symbolic signs.
+    """
+    column = int(np.flatnonzero(coeffs)[-1])
+    width = A.shape[1]
+    if column >= width:
+        return A, b
+    held = A[:, column].copy()
+    A[held] ^= coeffs[:width]
+    b[held] ^= value
+    return np.delete(A, column, axis=1), b
+
+
 class Tableau:
     """Stabilizer state of ``n`` qubits, qubit columns packed into uint64.
 
@@ -724,19 +768,29 @@ class Tableau:
             raise ValueError(f"cannot prepend gate {name!r}")
 
     def apply_circuit(self, circuit: Circuit) -> None:
-        """Apply a Clifford circuit as fused word-parallel gate layers.
-
-        Gate columns want rows packed together (64 rows of a column per
-        word) while row products want qubits packed together, so the
-        tableau is bit-transposed into row-packed form once, all fused
-        layers run there, and the result is transposed back — both
-        conversions are C-speed ``packbits`` calls, amortised over the
-        whole circuit.
-        """
+        """Apply a Clifford circuit as fused word-parallel gate layers."""
         if circuit.n_qubits != self.n:
             raise ValueError("circuit width does not match tableau")
+        self.apply_layers(compile_clifford_layers(circuit))
+
+    def apply_layers(self, layers) -> None:
+        """Apply fused gate layers (:func:`compile_clifford_layers`).
+
+        The layers may come from a narrower circuit: wires they do not
+        name are left alone.  Gate columns want rows packed together (64
+        rows of a column per word) while row products want qubits packed
+        together, so the tableau is bit-transposed into row-packed form
+        once, all fused layers run there, and the result is transposed
+        back — both conversions are C-speed ``packbits`` calls, amortised
+        over the whole circuit.
+        """
         self._require_writable()
-        layers = compile_clifford_layers(circuit)
+        for name, qubits in layers:
+            if qubits.size and int(qubits.max()) >= self.n:
+                raise ValueError(
+                    f"{name} layer names qubit {int(qubits.max())} of a "
+                    f"{self.n}-qubit tableau"
+                )
         if not layers:
             return
         rows = 2 * self.n
@@ -891,6 +945,29 @@ class Tableau:
         for i, coeffs in enumerate(rows):
             A[i, : len(coeffs)] = coeffs
         return A, np.array(consts, dtype=bool)
+
+    def substitute_symbol(self, coeffs: np.ndarray, value: bool) -> None:
+        """Impose ``coeffs . f == value`` on the symbolic signs.
+
+        :func:`substitute_symbol` for the packed side: the rows whose sign
+        holds the latest symbol of ``coeffs`` get ``coeffs`` XORed into
+        ``sym`` and ``value`` into ``sign``; the symbol's bit column — zero
+        by then — is deleted from ``sym`` across the word boundaries, and
+        the later symbols are renumbered down by one.
+        """
+        self._require_writable()
+        column = int(np.flatnonzero(coeffs)[-1])
+        w, bit = column >> 6, np.uint64(column & 63)
+        held = (self.sym[:, w] >> bit) & _ONE != 0
+        self.sym[held] ^= _pack_bits(coeffs, self.sym.shape[1])
+        self.sign[held] ^= value
+        tail = self.sym[:, w:]
+        shifted = tail >> _ONE
+        shifted[:, :-1] |= tail[:, 1:] << np.uint64(63)
+        below = (_ONE << bit) - _ONE
+        shifted[:, 0] = (tail[:, 0] & below) | (shifted[:, 0] & ~below)
+        self.sym[:, w:] = shifted
+        self.n_symbols -= 1
 
     def reset_symbols(self, capacity: int) -> None:
         """Forget all symbols and make room for ``capacity`` new ones."""

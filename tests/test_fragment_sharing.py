@@ -3,8 +3,10 @@
 The variants of a fragment share one hashed, compiled and simulated body
 (``Circuit.embed`` / ``shared_body`` / ``derived``, ``Tableau.prepend``),
 and ``build_window_tensors`` builds every window's tensor in one pass over
-a fragment's variants.  The variants of one preparation also share one
-symbolic measurement sweep: the cut wires are measured last and their rows
+a fragment's variants.  All the variants also share one symbolic
+measurement sweep: the body runs with its input wires Bell-paired to
+ancillas, a preparation is a post-selection of the ancillas
+(``substitute_symbol``), and the cut wires are measured last and their rows
 moved back into place (``move_outcome_row``); the sequential sweep of a
 from-scratch evolution is the oracle.  Each test pins one equivalence that
 rests on.
@@ -48,6 +50,7 @@ from repro.core.tomography import (
     build_window_tensors,
 )
 from repro.core.variants import all_variants, variant_circuit
+from repro.errors import PostSelectionError
 from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer import simulator as stabilizer_simulator
 from repro.stabilizer import tableau as tableau_module
@@ -55,6 +58,7 @@ from repro.stabilizer.tableau import (
     Tableau,
     compile_clifford_layers,
     move_outcome_row,
+    substitute_symbol,
 )
 
 STAB = StabilizerSimulator()
@@ -217,6 +221,9 @@ class TestVariantEqualsPlainCircuit:
     def test_embed_checks_width(self):
         with pytest.raises(ValueError):
             Circuit(3).embed(Circuit(2))
+        for wires in ([0, 0], [3], [-1]):
+            with pytest.raises(ValueError, match="prepared"):
+                Circuit(3).embed(Circuit(3), prepared=wires)
 
 
 # -- mutation ---------------------------------------------------------------------
@@ -314,7 +321,7 @@ class TestPickling:
         assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
 
 
-# -- measuring late: one sweep per preparation -------------------------------------------
+# -- measuring late: one sweep per body ----------------------------------------------------
 
 
 def sequential(circuit: Circuit):
@@ -388,6 +395,20 @@ def check_every_variant(fragment, measured):
         assert_same_form(
             STAB.affine_distribution(variant), sequential(variant), (spec, measured)
         )
+    # a prefix that is no preparation of an input wire: the general path
+    n = fragment.n_qubits
+    inputs = [lq for _cut, lq in fragment.quantum_inputs]
+    outputs = [lq for _cut, lq in fragment.quantum_outputs]
+    others = [q for q in range(n) if q not in inputs]
+    for gate, wires in ((gates.S, inputs), (gates.X, others)):
+        if wires:
+            circuit = Circuit(n).append(gate, wires[0])
+            circuit.embed(fragment.circuit, measured_last=outputs, prepared=inputs)
+            circuit.measure(range(n) if measured is None else measured)
+            assert circuit.shared_body() is not None
+            assert_same_form(
+                STAB.affine_distribution(circuit), sequential(circuit), (gate, wires[0])
+            )
 
 
 class TestMeasuringLate:
@@ -399,6 +420,11 @@ class TestMeasuringLate:
     @example((cut_fragment(5, [1], [0, 3, 4], 2), [1, 2]))
     @example((cut_fragment(4, [3], [3], 3), [3]))
     @example((cut_fragment(4, [0, 1, 3], [3, 2, 0], 4), None))
+    # 64 preparations, more than are kept; input wires that are all of the
+    # cut wires; input wires left out of the measured subset
+    @example((cut_fragment(6, [5, 0, 3], [], 5), None))
+    @example((cut_fragment(5, [1, 4], [4, 1], 6), None))
+    @example((cut_fragment(6, [0, 2], [4], 7), [1, 3, 4]))
     def test_every_variant_equals_the_sequential_sweep(self, case):
         check_every_variant(*case)
 
@@ -412,6 +438,8 @@ class TestMeasuringLate:
         check_every_variant(fragment, measured)
 
     def test_one_sweep_per_preparation(self, monkeypatch):
+        """One sweep per body; a preparation costs one measurement per
+        input wire's ancilla, a variant one per cut wire."""
         fragment = clifford_fragment(9, 2, 2, seed=3)
         calls = []
         real = Tableau.measure_symbolic
@@ -425,7 +453,7 @@ class TestMeasuringLate:
         for variant in variants:
             STAB.affine_distribution(variant)
         assert len(variants) == 144
-        assert len(calls) == 4**2 * (9 - 2) + 144 * 2
+        assert len(calls) == (9 - 2) + 4**2 * 2 + 144 * 2
         # a body declared without cut wires shares nothing it should not:
         # any trailing gate sends the circuit down the general path
         del calls[:]
@@ -446,11 +474,16 @@ class TestMeasuringLate:
             lambda c: c.append(gates.SDG, 1).embed(body, [3]).append(gates.H, 3),
             lambda c: c.embed(body, [3]).append(gates.CX, 2, 3),
             lambda c: c.embed(body, [3]).append(gates.H, 2),
+            # X, H and S, but not as a preparation of a prepared wire
+            lambda c: c.append(gates.S, 1).embed(body, [3], [1]),
+            lambda c: c.append(gates.H, 1).append(gates.H, 1).embed(body, [3], [1]),
+            lambda c: c.append(gates.X, 0).embed(body, [3], [1]),
+            lambda c: c.append(gates.X, 1).embed(body, [3]),
         ):
             circuit = build(Circuit(4)).measure_all()
             assert circuit.shared_body() is not None
             assert_same_form(STAB.affine_distribution(circuit), sequential(circuit))
-            assert "collapsed" not in body.derived()
+            assert "collapsed" not in body.derived() and "swept" not in body.derived()
         with pytest.raises(ValueError, match="not Clifford"):
             STAB.affine_distribution(Circuit(4).embed(body, [3]).append(gates.T, 3))
 
@@ -458,9 +491,10 @@ class TestMeasuringLate:
         fragment = clifford_fragment(7, 1, 2, seed=6)
         for spec in all_variants(fragment):
             variant = variant_circuit(fragment, *spec)
-            assert variant.measured_last() == {5, 6}
+            assert variant.measured_last() == {5, 6} and variant.prepared() == (0,)
             clone = pickle.loads(pickle.dumps(variant))
             assert clone.shared_body() is None and clone.measured_last() == frozenset()
+            assert clone.prepared() == ()
             assert_same_form(
                 STAB.affine_distribution(clone), STAB.affine_distribution(variant), spec
             )
@@ -515,6 +549,74 @@ class TestMeasuringLate:
         got = STAB.affine_distribution(circuit)
         assert got.A.shape == (3, 0) and got.b.tolist() == [True, False, True]
 
+    # -- post-selection: one symbol substituted away ------------------------------
+
+    def test_substitution_by_hand(self):
+        # rows f0, f1, f0^f1^1 given f0^f1 = 1: f1 reads f0^1, the last row 0
+        A = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
+        b = np.array([0, 0, 1], dtype=bool)
+        A, b = substitute_symbol(A, b, np.array([1, 1], dtype=bool), True)
+        assert A.tolist() == [[True], [True], [False]]
+        assert b.tolist() == [False, True, False]
+        # a symbol opened after these rows were measured is in none of them
+        same, _ = substitute_symbol(A, b, np.array([0, 1], dtype=bool), True)
+        assert same is A
+
+    def test_two_ancillas_eliminated_in_a_row(self):
+        """|11> through CX(0, 1) by post-selection: the second condition is
+        read off a tableau whose symbols the first one renumbered."""
+        tableau = Tableau(4)
+        for ancilla, q in ((2, 0), (3, 1)):
+            tableau.h(ancilla)
+            tableau.cx(ancilla, q)
+        tableau.cx(0, 1)
+        A, b = tableau.measure_symbolic_rows((0, 1))
+        assert A.tolist() == [[True, False], [False, True]] and not b.any()
+        forms = []
+        for ancilla in (2, 3):
+            coeffs, const = tableau.measure_symbolic(ancilla)
+            tableau.substitute_symbol(coeffs, const ^ True)
+            A, b = substitute_symbol(A, b, coeffs, const ^ True)
+            forms.append((coeffs.tolist(), bool(const), A.tolist(), b.tolist()))
+        assert forms == [
+            ([True, False], False, [[False], [True]], [True, False]),  # in0 = f0
+            ([True], True, [[], []], [True, False]),  # in1 = f0^f1, f0 = 1
+        ]
+        assert tableau.n_symbols == 0 and not tableau.sym.any()
+        again, consts = tableau.measure_symbolic_rows((0, 1))
+        assert again.shape == (2, 0) and consts.tolist() == [True, False]
+
+    def test_deleting_a_symbol_in_word_0_of_more_than_64(self):
+        """The column delete crosses the word boundary: every symbol past
+        the deleted one is renumbered, in the tableau as in the rows."""
+        n = 100
+        tableau = Tableau(n)
+        tableau.apply_circuit(seeded_body(n, 21, hadamards=1.0))
+        wires = tuple(range(n))
+        A, b = tableau.measure_symbolic_rows(wires)
+        assert tableau.n_symbols > 70 and A[:, 64:].any()
+        coeffs = np.zeros(tableau.n_symbols, dtype=bool)
+        coeffs[[3, 17]] = True
+        tableau.substitute_symbol(coeffs, True)
+        A, b = substitute_symbol(A, b, coeffs, True)
+        assert A.shape[1] == tableau.n_symbols
+        # every wire is determined now: re-measuring reads the tableau's signs
+        again, consts = tableau.measure_symbolic_rows(wires)
+        assert np.array_equal(again, A) and np.array_equal(consts, b)
+
+    def test_a_constant_ancilla_is_refused(self, monkeypatch):
+        fragment = clifford_fragment(5, 1, 1, seed=13)
+        real = Tableau.measure_symbolic
+
+        def disentangled(self, q):
+            coeffs, const = real(self, q)
+            return (coeffs & False, const) if q >= 5 else (coeffs, const)
+
+        monkeypatch.setattr(Tableau, "measure_symbolic", disentangled)
+        with pytest.raises(PostSelectionError, match=r"input wire 0 .*\('H',\)"):
+            STAB.affine_distribution(variant_circuit(fragment, (2,), (0,)))
+        assert "collapsed" not in fragment.circuit.derived()
+
     def test_rows_only_move_up(self):
         A, b = np.eye(2, dtype=bool), np.zeros(2, dtype=bool)
         assert move_outcome_row(A, b, 1, 1)[0] is A
@@ -533,20 +635,32 @@ class TestSharedTableausAreFrozen:
         expected = sequential(variant)
         assert_same_form(STAB.affine_distribution(variant), expected)
         derived = fragment.circuit.derived()
+        # the evolved tableau is what `run` shares; the sweep does without it
+        assert "tableau" not in derived
+        STAB.run(variant)
         (collapsed, A, b), = derived["collapsed"].values()
-        return variant, expected, derived["tableau"], collapsed, A, b
+        _key, swept, A_swept, b_swept = derived["swept"]
+        assert swept.n == 6 + 1
+        for shared in (A_swept, b_swept):
+            assert not shared.flags.writeable
+        return variant, expected, (derived["tableau"], swept, collapsed), A, b
 
     def test_measuring_the_cached_object_raises(self):
-        variant, expected, evolved, collapsed, A, b = self.shared()
-        for tableau in (evolved, collapsed):
+        variant, expected, tableaus, A, b = self.shared()
+        evolved = tableaus[0]
+        for tableau in tableaus:
             with pytest.raises(ValueError):
                 tableau.measurement_distribution(variant.measured_qubits)
             with pytest.raises(ValueError):
                 tableau.h(0)
             with pytest.raises(ValueError):
                 tableau.apply_circuit(variant)
+            with pytest.raises(ValueError, match="frozen"):
+                tableau.apply_layers(compile_clifford_layers(variant))
             with pytest.raises(ValueError):
                 tableau.reset_symbols(6)
+            with pytest.raises(ValueError, match="frozen"):
+                tableau.substitute_symbol(np.ones(1, dtype=bool), True)
         with pytest.raises(ValueError):
             evolved.prepend("X", 0)
         random_wire = next(q for q in range(6) if sequential(variant).A[q].any())
@@ -560,8 +674,8 @@ class TestSharedTableausAreFrozen:
         assert_same_form(STAB.affine_distribution(variant), expected)
 
     def test_copies_are_writable(self):
-        _variant, _expected, evolved, collapsed, _A, _b = self.shared()
-        for tableau in (evolved, collapsed):
+        _variant, _expected, tableaus, _A, _b = self.shared()
+        for tableau in tableaus:
             copy = tableau.copy()
             copy.h(0)
             copy.measurement_distribution((0, 1))

@@ -7,6 +7,7 @@ from repro.analysis import Distribution, hellinger_fidelity
 from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.paulis import PauliString
 from repro.stabilizer import StabilizerSimulator, Tableau
+from repro.stabilizer.tableau import compile_clifford_layers
 from repro.statevector import StatevectorSimulator
 
 STAB = StabilizerSimulator()
@@ -50,6 +51,24 @@ class TestGateAction:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             Tableau(2).apply_circuit(Circuit(3))
+
+    def test_layers_of_a_narrower_circuit(self):
+        """Layers run on the wires they name; a wire past the tableau or a
+        frozen tableau is refused."""
+        body = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.S, 1)
+        layers = compile_clifford_layers(body)
+        wide, expected = Tableau(3), Tableau(3)
+        wide.h(2)
+        expected.h(2)
+        wide.apply_layers(layers)
+        expected.apply_circuit(Circuit(3, body.ops))
+        for got, want in ((wide.x, expected.x), (wide.z, expected.z)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(wide.sign, expected.sign)
+        with pytest.raises(ValueError, match="qubit 1 of a 1-qubit"):
+            Tableau(1).apply_layers(layers)
+        with pytest.raises(ValueError, match="frozen"):
+            Tableau(2).freeze().apply_layers(layers)
 
 
 class TestAgainstStatevector:
