@@ -199,6 +199,9 @@ def main() -> int:
         "cache_hit_rate": hit_rate,
         "jobs_completed": stats.get("jobs_completed", 0),
         "jobs_dispatched": stats.get("jobs_dispatched", 0),
+        "frames_dispatched": stats.get("frames_dispatched", 0),
+        "jobs_per_frame": stats.get("jobs_dispatched", 0)
+        / max(1, stats.get("frames_dispatched", 0)),
         "workers_lost": stats.get("workers_lost", 0),
         "chaos": CHAOS,
         "jobs_requeued": stats.get("jobs_requeued", 0),

@@ -16,19 +16,29 @@ while the engine's own pipeline stays intact end to end:
    ``plan → evaluate → reconstruct`` pipeline on a request thread, with
    one override: the evaluator's deduplicated variant jobs are handed to
    this coordinator (``FragmentEvaluator.evaluate_all(job_runner=...)``)
-   instead of a local pool.  Jobs enter a priority queue (lower
-   ``priority`` first, FIFO within a level) and flow to workers with
-   free credit — at most ``min(worker slots, max_inflight_per_worker)``
-   of a worker's jobs are ever in flight, which is the back-pressure
-   that keeps one wide request from burying the fleet.
-3. **Fault mapping.**  Every queued job *is* a
-   :class:`~repro.core.lifecycle.JobLifecycle` — the same failure policy
-   local runs obey — and the coordinator only reports what it observed
-   and carries out the answer (:meth:`Coordinator._apply`).  A worker
-   disconnect is ``on_crash`` for each of its in-flight jobs, an overdue
-   soft deadline ``on_timeout`` (first result wins, late duplicates are
-   dropped), a worker that spent its retry budget ``on_error``; a
-   returned delay becomes a backoff before the job is requeued, and the
+   instead of a local pool.  A batch travels in *frames*: it is dealt
+   evenly over the fleet's *lanes* (:func:`_split_frames`; a worker has
+   ``min(worker slots, max_inflight_per_worker)`` lanes) and each frame
+   is one ``job`` message out and one ``job_result`` message back — one
+   pickle, so what the jobs share is serialised once.  Frames enter one
+   priority queue (lower ``priority`` first, FIFO within a level) and
+   flow to whichever worker has a free lane; a worker never holds more
+   frames than it has lanes, which is the back-pressure that keeps one
+   wide request from burying the fleet.
+3. **Fault mapping.**  Frames are transport only: every job in one *is*
+   a :class:`~repro.core.lifecycle.JobLifecycle` — the same failure
+   policy local runs obey — with its own future, and the coordinator
+   only reports what it observed and carries out the answer
+   (:meth:`Coordinator._apply`).  A worker disconnect is
+   ``on_crash`` for each unreported job of the frames it held (so is a
+   reply that skips a job), an overdue frame ``on_timeout`` for each of
+   its jobs — a frame runs serially and answers once, so it is overdue
+   when the *sum* of its jobs' soft deadlines has passed, the one moment
+   a coordinator can observe; first result wins, late duplicates are
+   dropped — a job whose worker spent its retry budget ``on_error``
+   while its frame-mates' values are delivered from the same reply; a
+   returned delay becomes a backoff before the job is requeued — as a
+   frame of one, so a poison job is alone by its second attempt — and the
    degrade-mode fallback the lifecycle may accept is execution on the
    coordinator's own CPU.  With no live workers at all the coordinator
    *is* the fleet and runs jobs locally, recording "fallback".  All of
@@ -81,10 +91,33 @@ from repro.core.lifecycle import FaultPolicy, JobLifecycle
 from repro.errors import FaultReport, ReproError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.journal import CoordinatorJournal
-from repro.service.protocol import read_message, write_message
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    encode_frame,
+    read_message,
+    write_frame,
+    write_message,
+)
 from repro.service.requests import Request, RequestLedger
 
 __all__ = ["Coordinator", "main"]
+
+#: most jobs one frame carries.  A frame costs a fixed wire round trip and
+#: pickle preamble whatever it holds, so frames should be long; but a lost
+#: worker charges a crash (and a redispatch alone) to every job of the frame
+#: it held, and a hung one is noticed only when the whole frame is overdue.
+_MAX_FRAME_JOBS = 64
+
+
+def _split_frames(jobs: list, lanes: int, cap: int) -> list[list]:
+    """Deal a batch into frames of near-equal length: one per lane, more
+    only where a frame would exceed ``cap`` jobs.  Dealt round-robin, not
+    sliced: a batch lists its jobs fragment by fragment and a fragment's
+    variants cost alike, so every frame gets its share of the heavy ones."""
+    if not jobs:
+        return []
+    count = max(min(max(1, lanes), len(jobs)), -(-len(jobs) // cap))
+    return [jobs[index::count] for index in range(count)]
 
 
 class _WorkerHandle:
@@ -108,9 +141,10 @@ class _WorkerHandle:
         self.name = name
         self.slots = max(1, int(slots))
         self.writer = writer
-        # jobs and heartbeat pings share the stream: serialise writes
+        # job frames and heartbeat pings share the stream: serialise writes
         self.wlock = asyncio.Lock()
-        self.inflight: set[int] = set()
+        # the frames this worker holds, one per lane in use: fid -> frame
+        self.inflight: dict[int, _Frame] = {}
         self.peak_inflight = 0
         self.completed = 0
         self.alive = True
@@ -121,15 +155,30 @@ class _PendingJob(JobLifecycle):
     """One variant job in the coordinator's queue or in flight: its
     failure lifecycle plus the dispatch bookkeeping around it."""
 
-    __slots__ = ("jid", "ctx", "future", "worker", "deadline")
+    __slots__ = ("jid", "ctx", "future")
 
     def __init__(self, jid: int, job, ctx, future):
         super().__init__(job, ctx.policy, [])
         self.jid = jid
         self.ctx = ctx
         self.future = future
-        self.worker: int | None = None  # wid currently responsible
-        self.deadline: float | None = None
+
+
+class _Frame:
+    """Jobs in flight to one worker lane as one message.  While it sits in
+    its worker's ``inflight`` it answers for every job it carries.
+
+    ``deadline`` is when the reply is overdue: a frame runs serially and
+    answers once, so the one moment the coordinator can hold against the
+    jobs' soft deadlines is their sum (``None`` when a job has none — the
+    reply is then due at no knowable time)."""
+
+    __slots__ = ("jobs", "deadline")
+
+    def __init__(self, jobs: list[_PendingJob], now: float):
+        self.jobs = jobs
+        timeouts = [pending.job.timeout for pending in jobs]
+        self.deadline = None if None in timeouts else now + sum(timeouts)
 
 
 class _RequestContext:
@@ -209,7 +258,8 @@ class Coordinator:
         )
         self._workers: dict[int, _WorkerHandle] = {}
         self._jobs: dict[int, _PendingJob] = {}
-        self._queue: list[tuple[int, int, int]] = []  # (priority, seq, jid)
+        # frames awaiting a lane: (priority, seq, jobs)
+        self._queue: list[tuple[int, int, list[_PendingJob]]] = []
         self._seq = itertools.count()
         self._ids = itertools.count(1)
         self._kick: asyncio.Event | None = None
@@ -223,6 +273,7 @@ class Coordinator:
             "completed": 0,
             "errors": 0,
             "rejected": 0,
+            "frames_dispatched": 0,
             "jobs_dispatched": 0,
             "jobs_completed": 0,
             "jobs_local": 0,
@@ -404,7 +455,7 @@ class Coordinator:
                 return
             await write_message(writer, {
                 "type": "welcome",
-                "version": 1,
+                "version": PROTOCOL_VERSION,
                 "heartbeat": self.heartbeat_interval,
                 "heartbeat_misses": self.heartbeat_misses,
             })
@@ -452,47 +503,58 @@ class Coordinator:
                 handle.last_seen = self.loop.time()
                 kind = message.get("type")
                 if kind == "job_result":
-                    self._on_job_result(handle, message)
-                elif kind == "job_error":
-                    self._on_job_error(handle, message)
+                    self._on_frame_result(handle, message)
                 # pong / worker_error need no bookkeeping beyond last_seen
         except (ConnectionError, OSError):
             pass
         finally:
             self._on_worker_lost(handle)
 
-    def _credit(self, handle: _WorkerHandle) -> int:
-        limit = min(handle.slots, self.max_inflight_per_worker)
-        return limit - len(handle.inflight)
+    def _lanes(self, handle: _WorkerHandle) -> int:
+        return min(handle.slots, self.max_inflight_per_worker)
 
-    def _on_job_result(self, handle: _WorkerHandle, message: dict) -> None:
-        jid = message["jid"]
-        handle.inflight.discard(jid)
-        handle.completed += 1
+    def _on_frame_result(self, handle: _WorkerHandle, message: dict) -> None:
+        # None: a frame already written off (overdue, or its worker declared
+        # dead) answering late — its values still count, first result wins
+        frame = handle.inflight.pop(message["frame"], None)
         self._kick.set()
-        pending = self._jobs.pop(jid, None)
-        if pending is None:
-            return  # late duplicate after a timeout redispatch: first wins
-        pending.absorb(message.get("faults", ()))
-        self.counters["jobs_completed"] += 1
-        if not pending.future.done():
-            pending.future.set_result(message["value"])
+        handle.completed += len(message["results"])
+        reported = set()
+        for result in message["results"]:
+            reported.add(result["jid"])
+            pending = self._jobs.get(result["jid"])
+            if pending is None:
+                continue  # done elsewhere first, or its batch abandoned
+            if "exception" not in result:
+                del self._jobs[pending.jid]
+                pending.absorb(result["faults"])
+                self.counters["jobs_completed"] += 1
+                if not pending.future.done():
+                    pending.future.set_result(result["value"])
+            elif frame is not None:
+                # the worker spent its whole retry budget: absorb the survived
+                # attempts, then the final failure is the lifecycle's to decide
+                pending.absorb(result["faults"])
+                self._apply(
+                    pending,
+                    pending.on_error,
+                    result["exception"],
+                    self._fall_back_local,
+                )
+        if frame is not None:
+            # a reply that skips a job it was sent leaves that job with nobody
+            self._lose(
+                [p for p in frame.jobs if p.jid not in reported],
+                f"worker {handle.name} answered its frame without the job",
+            )
 
-    def _on_job_error(self, handle: _WorkerHandle, message: dict) -> None:
-        jid = message["jid"]
-        handle.inflight.discard(jid)
-        self._kick.set()
-        pending = self._jobs.get(jid)
-        if pending is None or pending.worker != handle.wid:
-            return  # an attempt already written off (timeout redispatch)
-        pending.worker = None
-        pending.deadline = None
-        # the worker spent its whole retry budget: absorb the survived
-        # attempts, then the final failure is the lifecycle's to decide
-        pending.absorb(message.get("faults", ()))
-        self._apply(
-            pending, pending.on_error, message["exception"], self._fall_back_local
-        )
+    def _lose(self, jobs: list[_PendingJob], reason: str) -> None:
+        """``on_crash`` for each job of a frame nobody will answer for."""
+        for pending in jobs:
+            if pending.jid in self._jobs:  # else done first, or abandoned
+                self._apply(
+                    pending, pending.on_crash, reason, self._fall_back_local
+                )
 
     def _on_worker_lost(self, handle: _WorkerHandle) -> None:
         if not handle.alive:
@@ -503,18 +565,8 @@ class Coordinator:
             return
         if handle.inflight:
             self.counters["workers_lost"] += 1
-        for jid in list(handle.inflight):
-            pending = self._jobs.get(jid)
-            if pending is None:
-                continue
-            pending.worker = None
-            pending.deadline = None
-            self._apply(
-                pending,
-                pending.on_crash,
-                f"worker {handle.name} disconnected",
-                self._fall_back_local,
-            )
+        for frame in handle.inflight.values():
+            self._lose(frame.jobs, f"worker {handle.name} disconnected")
         handle.inflight.clear()
         self._kick.set()
 
@@ -545,13 +597,16 @@ class Coordinator:
     # -- dispatch ------------------------------------------------------------
 
     def _requeue(self, pending: _PendingJob) -> None:
+        """Back in the queue after a failure, as a frame of one: whatever
+        happens to the next attempt happens to this job alone."""
         # known prior failures feed the attempt counter, so a chaos
         # schedule bounded by fail_attempts converges on redispatch
         pending.job.attempt = pending.attempt
         self.counters["jobs_requeued"] += 1
-        heapq.heappush(
-            self._queue, (pending.ctx.priority, next(self._seq), pending.jid)
-        )
+        self._enqueue([pending])
+
+    def _enqueue(self, jobs: list[_PendingJob]) -> None:
+        heapq.heappush(self._queue, (jobs[0].ctx.priority, next(self._seq), jobs))
         self._kick.set()
 
     async def _dispatch_loop(self) -> None:
@@ -562,69 +617,81 @@ class Coordinator:
 
     def _pick_worker(self) -> _WorkerHandle | None:
         best = None
-        best_credit = 0
+        best_free = 0
         for handle in self._workers.values():
-            credit = self._credit(handle)
-            if credit > best_credit:
-                best, best_credit = handle, credit
+            free = self._lanes(handle) - len(handle.inflight)
+            if free > best_free:
+                best, best_free = handle, free
         return best
 
     async def _pump(self) -> None:
         while self._queue:
-            if not self._workers:
-                # degrade-to-local: no fleet, the coordinator is the fleet
-                _, _, jid = heapq.heappop(self._queue)
-                pending = self._jobs.get(jid)
-                if pending is None or pending.worker is not None:
-                    continue
+            handle = self._pick_worker()
+            if handle is None and self._workers:
+                return  # every lane of every worker taken: back-pressure
+            _, _, jobs = heapq.heappop(self._queue)
+            # skip jobs of an abandoned batch
+            jobs = [p for p in jobs if p.jid in self._jobs]
+            if not jobs:
+                continue
+            if handle is not None:
+                await self._send_frame(handle, jobs)
+                continue
+            # degrade-to-local: no fleet, the coordinator is the fleet
+            for pending in jobs:
                 pending.fell_back("no live workers; executing on coordinator")
                 self._spawn(self._run_local(pending))
-                continue
-            handle = self._pick_worker()
-            if handle is None:
-                return  # every worker at its in-flight bound: back-pressure
-            _, _, jid = heapq.heappop(self._queue)
-            pending = self._jobs.get(jid)
-            if pending is None or pending.worker is not None:
-                continue  # cancelled batch or duplicate queue entry
-            await self._send_job(handle, pending)
 
-    async def _send_job(self, handle: _WorkerHandle, pending: _PendingJob) -> None:
-        pending.worker = handle.wid
-        handle.inflight.add(pending.jid)
+    async def _send_frame(
+        self, handle: _WorkerHandle, jobs: list[_PendingJob]
+    ) -> None:
+        fid = next(self._ids)
+        try:
+            # encoded before anything is marked in flight: a job that cannot
+            # travel fails its own batch and nothing else
+            wire = encode_frame({
+                "type": "job",
+                "frame": fid,
+                "jobs": [(pending.jid, pending.job) for pending in jobs],
+                "policy": jobs[0].policy,
+            })
+        except Exception as exc:
+            error = ServiceError(
+                f"job frame could not be encoded: {type(exc).__name__}: {exc}"
+            )
+            for pending in jobs:
+                del self._jobs[pending.jid]
+                if not pending.future.done():
+                    pending.future.set_exception(error)
+            return
+        handle.inflight[fid] = _Frame(jobs, self.loop.time())
         handle.peak_inflight = max(handle.peak_inflight, len(handle.inflight))
-        if pending.job.timeout is not None:
-            pending.deadline = self.loop.time() + pending.job.timeout
-        self.counters["jobs_dispatched"] += 1
+        self.counters["frames_dispatched"] += 1
+        self.counters["jobs_dispatched"] += len(jobs)
         try:
             async with handle.wlock:
-                await write_message(
-                    handle.writer,
-                    {
-                        "type": "job",
-                        "jid": pending.jid,
-                        "job": pending.job,
-                        "policy": pending.policy,
-                    },
-                )
+                await write_frame(handle.writer, wire)
         except (ConnectionError, OSError):
             self._on_worker_lost(handle)
 
     async def _deadline_loop(self) -> None:
-        """Soft-deadline monitor: take overdue jobs back from their worker
-        (first result wins if it still answers) and ask the lifecycle."""
+        """Soft-deadline monitor: write an overdue frame off — its lane
+        returns, first result wins if the worker still answers — and ask
+        the lifecycle of each job it carried."""
         while not self._stopping.is_set():
             await asyncio.sleep(0.05)
             now = self.loop.time()
-            for pending in list(self._jobs.values()):
-                if pending.deadline is None or pending.deadline > now:
-                    continue
-                handle = self._workers.get(pending.worker)
-                if handle is not None:
-                    handle.inflight.discard(pending.jid)
-                pending.worker = None
-                pending.deadline = None
-                self._apply(pending, pending.on_timeout, self._fall_back_local)
+            for handle in list(self._workers.values()):
+                for fid, frame in list(handle.inflight.items()):
+                    if frame.deadline is None or frame.deadline > now:
+                        continue
+                    del handle.inflight[fid]
+                    self._kick.set()
+                    for pending in frame.jobs:
+                        if pending.jid in self._jobs:
+                            self._apply(
+                                pending, pending.on_timeout, self._fall_back_local
+                            )
 
     # -- liveness & garbage collection ----------------------------------------
 
@@ -718,14 +785,14 @@ class Coordinator:
         return runner
 
     async def _run_batch(self, ctx: _RequestContext, jobs) -> tuple[dict, list]:
-        pendings: list[_PendingJob] = []
-        for job in jobs:
-            jid = next(self._ids)
-            pending = _PendingJob(jid, job, ctx, self.loop.create_future())
-            self._jobs[jid] = pending
-            heapq.heappush(self._queue, (ctx.priority, next(self._seq), jid))
-            pendings.append(pending)
-        self._kick.set()
+        pendings = [
+            _PendingJob(next(self._ids), job, ctx, self.loop.create_future())
+            for job in jobs
+        ]
+        self._jobs.update((pending.jid, pending) for pending in pendings)
+        lanes = sum(self._lanes(handle) for handle in self._workers.values())
+        for frame in _split_frames(pendings, lanes, _MAX_FRAME_JOBS):
+            self._enqueue(frame)
         outcomes = await asyncio.gather(
             *[p.future for p in pendings], return_exceptions=True
         )
@@ -733,7 +800,7 @@ class Coordinator:
             (o for o in outcomes if isinstance(o, BaseException)), None
         )
         if failure is not None:
-            # abandon the rest of this batch: queued entries are skipped at
+            # abandon the rest of this batch: its queued jobs are skipped at
             # dispatch, in-flight results for dropped jids are ignored
             for pending in pendings:
                 self._jobs.pop(pending.jid, None)

@@ -27,6 +27,22 @@ Transports come in two flavours sharing the same frame format:
 * :func:`read_message` / :func:`write_message` — asyncio-stream helpers
   for the coordinator's event loop.
 
+The coordinator's welcome carries :data:`PROTOCOL_VERSION`; a worker
+refuses a welcome of another version.  Version 2 moves variant jobs in
+*frames*, one message per worker lane in each direction:
+
+.. code-block:: text
+
+    coordinator -> worker   {"type": "job", "frame": fid,
+                             "jobs": [(jid, job), ...], "policy": policy}
+    worker -> coordinator   {"type": "job_result", "frame": fid,
+                             "results": [{"jid", "value" | "exception",
+                                          "faults"}, ...]}
+
+A frame is one pickle, so what its jobs share — backend, features, chaos
+schedule, body ops — is serialised once by the pickle memo; a one-job
+frame is the same message.
+
 Pickle implies trust in the peer — see the package docstring; the
 coordinator binds localhost by default.
 """
@@ -50,14 +66,19 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "read_message",
+    "write_frame",
     "write_message",
     "backoff_delay",
     "MAX_FRAME_BYTES",
+    "PROTOCOL_VERSION",
 ]
 
 _TAG_JSON = 1
 _TAG_PICKLE = 2
 _HEADER = struct.Struct(">BI")
+
+#: what the welcome announces; bumped whenever a message changes shape
+PROTOCOL_VERSION = 2
 
 #: refuse frames larger than this (a wide sampled sweep point stays far
 #: below it; anything bigger is a protocol error, not a workload)
@@ -265,7 +286,12 @@ async def read_message(reader) -> dict | None:
     return decode_payload(tag, payload)
 
 
-async def write_message(writer, message: dict) -> None:
-    """Write one frame to an ``asyncio.StreamWriter`` and drain."""
-    writer.write(encode_frame(message))
+async def write_frame(writer, frame: bytes) -> None:
+    """Write one encoded frame to an ``asyncio.StreamWriter`` and drain."""
+    writer.write(frame)
     await writer.drain()
+
+
+async def write_message(writer, message: dict) -> None:
+    """Encode ``message`` and write it as one frame."""
+    await write_frame(writer, encode_frame(message))

@@ -2,19 +2,24 @@
 
 ``python -m repro.service.worker --connect host:port [--slots N]``
 joins a coordinator's fleet.  A worker is deliberately thin — it owns no
-policy.  It announces a *slot count* (its concurrency; the coordinator
-never keeps more than that many of this worker's jobs in flight), then
-loops: receive a pickled engine :class:`~repro.core.evaluator._Job`,
-execute it through the same module-level ``_execute_job`` the local
-pools use, send the :class:`~repro.core.evaluator.VariantData` back.
+policy.  It announces a *slot count* (its lanes; the coordinator never
+keeps more than that many of this worker's frames in flight), then
+loops: receive a ``job`` frame — a list of ``(jid, job)`` pairs of
+pickled engine :class:`~repro.core.evaluator._Job` objects and the
+request's :class:`~repro.core.lifecycle.FaultPolicy` — run its jobs in
+order through the same module-level ``_execute_job`` the local pools
+use, and answer with one ``job_result`` frame carrying each job's
+:class:`~repro.core.evaluator.VariantData` or the exception that ended
+it (shapes in :mod:`repro.service.protocol`, version 2; a welcome of
+another version is refused and not retried).
 
 A transient backend failure is cheapest to retry where the job already
 is, so :func:`_execute_with_retries` drives a
 :class:`~repro.core.lifecycle.JobLifecycle` under the ``retry_only()``
 view of the :class:`~repro.core.lifecycle.FaultPolicy` shipped with the
-job — the same budget and backoff every runner applies — and the worker
+frame — the same budget and backoff every runner applies — and the worker
 reports the survived attempts as ``FaultEvent("retry")`` records
-alongside the result.  Everything else — crash accounting, quarantine,
+alongside each job's result.  Everything else — crash accounting, quarantine,
 timeouts, degrade fallbacks — the coordinator decides (through the same
 lifecycle class), because only it can see a worker die.
 
@@ -25,7 +30,7 @@ advertised heartbeat so a silently dead coordinator surfaces as a
 reconnect, not a hang.  Only an explicit ``stop`` ends the worker.
 
 Jobs run with ``in_process=True``: a chaos-schedule "crash" action is a
-real ``os._exit`` that kills this whole process mid-batch, which is
+real ``os._exit`` that kills this whole process mid-frame, which is
 exactly the failure the coordinator's crash accounting is tested
 against.  Determinism is untouched by any of this: job seeds are derived
 from content fingerprints before dispatch, so *which* worker runs a job
@@ -45,7 +50,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.lifecycle import FaultPolicy, JobLifecycle
 from repro.errors import ConnectionLostError
-from repro.service.protocol import Transport, backoff_delay, connect
+from repro.service.protocol import (
+    PROTOCOL_VERSION,
+    Transport,
+    backoff_delay,
+    connect,
+)
 
 __all__ = ["run_worker", "main"]
 
@@ -75,7 +85,7 @@ def _execute_with_retries(job, policy: FaultPolicy, events: list):
 
 
 def _serve_session(transport: Transport, name: str, slots: int) -> str:
-    """One connected session: handshake, then serve jobs until the
+    """One connected session: handshake, then serve job frames until the
     connection ends.  Returns ``"stop"`` (coordinator said stop — do not
     reconnect) or ``"lost"`` (connection died — reconnect may retry)."""
     transport.send(
@@ -84,6 +94,12 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
     welcome = transport.recv()
     if not welcome or welcome.get("type") != "welcome":
         raise ConnectionError(f"coordinator refused worker handshake: {welcome!r}")
+    if welcome.get("version") != PROTOCOL_VERSION:
+        # not a ConnectionError a reconnect could cure: run_worker gives up
+        raise ConnectionLostError(
+            f"coordinator speaks protocol version {welcome.get('version')!r}, "
+            f"this worker version {PROTOCOL_VERSION}"
+        )
     heartbeat = welcome.get("heartbeat")
     if heartbeat:
         # a coordinator that heartbeats promises regular traffic: bound
@@ -98,36 +114,28 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
     stop = threading.Event()
     outcome = "lost"
 
-    def handle(jid, job, policy):
-        job.in_process = True  # a chaos crash here is a real os._exit
+    def handle(fid, jobs, policy):
         started = time.monotonic()
-        events: list = []
-        try:
-            value = _execute_with_retries(job, policy, events)
-        except Exception as exc:
+        results = []
+        for jid, job in jobs:
             if stop.is_set():
                 return
-            cause = exc.__cause__ or exc  # the backend's own exception
-            transport.send(
-                {
-                    "type": "job_error",
-                    "jid": jid,
-                    "error": f"{type(cause).__name__}: {cause}",
-                    "exception": cause,
-                    "traceback": traceback.format_exc(),
-                    "faults": events,
-                    "worker": name,
-                }
-            )
-            return
+            job.in_process = True  # a chaos crash here is a real os._exit
+            result = {"jid": jid, "faults": []}
+            try:
+                result["value"] = _execute_with_retries(job, policy, result["faults"])
+            except Exception as exc:
+                # the backend's own exception, for the coordinator's lifecycle
+                result["exception"] = exc.__cause__ or exc
+                result["traceback"] = traceback.format_exc()
+            results.append(result)
         if stop.is_set():
             return
         transport.send(
             {
                 "type": "job_result",
-                "jid": jid,
-                "value": value,
-                "faults": events,
+                "frame": fid,
+                "results": results,
                 "elapsed": time.monotonic() - started,
                 "worker": name,
             }
@@ -150,10 +158,7 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
                 continue
             if kind == "job":
                 pool.submit(
-                    handle,
-                    message["jid"],
-                    message["job"],
-                    message["policy"],
+                    handle, message["frame"], message["jobs"], message["policy"]
                 )
                 continue
             # unknown message: protocol drift — say so rather than hang
@@ -186,7 +191,7 @@ def run_worker(
     """Join the coordinator at ``address`` and serve jobs until told to stop.
 
     Blocks for the life of the fleet membership; returns when the
-    coordinator sends ``stop``.  ``slots`` is the number of jobs this
+    coordinator sends ``stop``.  ``slots`` is the number of job frames this
     worker executes concurrently (a thread pool — the engine's backends
     release the GIL in their numpy kernels; CPU-bound fleets simply run
     more single-slot workers).
@@ -226,6 +231,8 @@ def run_worker(
         outcome = "lost"
         try:
             outcome = _serve_session(session, name, slots)
+        except ConnectionLostError:
+            raise  # a version mismatch: the same coordinator would answer again
         except (ConnectionError, OSError):
             pass  # handshake raced a dying coordinator: retry below
         if outcome == "stop" or not reconnect:
@@ -250,7 +257,7 @@ def main(argv=None) -> int:
         "--slots",
         type=int,
         default=2,
-        help="concurrent jobs this worker executes (default: 2)",
+        help="job frames this worker executes concurrently (default: 2)",
     )
     parser.add_argument("--name", default=None, help="worker name in stats")
     parser.add_argument(
