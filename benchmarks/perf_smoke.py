@@ -446,7 +446,7 @@ def _recursive_61q_counts() -> dict:
 
 
 def _recombination_workload(width: int | None = None):
-    """Shared k=4 chain tensors for the recombination, tier and path-cache
+    """Shared k=4 chain tensors for the recombination and path-cache
     benches, over all measured qubits or the first ``width`` of them."""
     circuit, cuts = _chain_workload(blocks=5, width=5, depth=6, seed=1)
     cc = cut_circuit(circuit, cuts)
@@ -461,96 +461,6 @@ def _recombination_workload(width: int | None = None):
         build_fragment_tensor(d, kl) for d, kl in zip(data, kept_locals)
     ]
     return cc, tensors, kept_locals, keep
-
-
-def bench_kernel_tiers() -> dict:
-    """The three hot loops per available kernel tier, parity-checked.
-
-    Times (a) the 200q packed tableau apply_circuit + measurement sweep,
-    (b) the k=4 dense einsum recombination, and (c) the distribution
-    marginal+sample pipeline under every tier whose dependency probed in,
-    and asserts each accelerated tier reproduces the NumPy tier's results
-    (bit-identical sample counts, 1e-12 on reconstructed floats).
-    """
-    circuit = random_clifford_circuit(TABLEAU_QUBITS, TABLEAU_DEPTH, rng=0)
-    qubits = tuple(range(TABLEAU_QUBITS))
-    cc, tensors, kept_locals, keep = _recombination_workload()
-
-    rng = np.random.default_rng(7)
-    n_bits = 40
-    support = 100_000
-    keys = np.unique(
-        rng.integers(0, 1 << n_bits, size=support + support // 8, dtype=np.uint64)
-    )[:support]
-    vals = rng.random(len(keys))
-    vals /= vals.sum()
-    from repro.analysis.distributions import Distribution
-
-    dist = Distribution.from_arrays(n_bits, keys, vals, assume_sorted=True)
-    keep_positions = list(range(0, n_bits, 2))
-    shots = 100_000
-
-    def tableau_run():
-        tableau = Tableau(TABLEAU_QUBITS)
-        tableau.apply_circuit(circuit)
-        tableau.measurement_distribution(qubits)
-
-    def recon_run():
-        return reconstruct_distribution(
-            cc, tensors, kept_locals, keep, prune_zeros=False
-        )[0]
-
-    def dist_run():
-        return (
-            dist.marginal(keep_positions),
-            dist.sample(shots, rng=np.random.default_rng(3)),
-        )
-
-    tiers: dict = {}
-    baseline = None
-    saved = rk.get_kernel_tier()
-    try:
-        for tier in rk.available_tiers():
-            rk.set_kernel_tier(tier)
-            entry = {
-                "tableau_seconds": _best(tableau_run, repeats=3),
-                "reconstruction_seconds": _best(recon_run, repeats=3),
-                "distribution_seconds": _best(dist_run, repeats=3),
-            }
-            recon = recon_run()
-            marg, counts = dist_run()
-            if baseline is None:
-                baseline = (recon, marg, counts)
-                entry["parity"] = "reference"
-            else:
-                ref_recon, ref_marg, ref_counts = baseline
-                assert counts == ref_counts, f"{tier}: sample counts diverge"
-                assert np.array_equal(
-                    marg.keys_array, ref_marg.keys_array
-                ), f"{tier}: marginal support diverges"
-                np.testing.assert_allclose(
-                    marg.values_array, ref_marg.values_array, atol=1e-12
-                )
-                assert np.array_equal(
-                    recon.keys_array, ref_recon.keys_array
-                ), f"{tier}: reconstruction support diverges"
-                np.testing.assert_allclose(
-                    recon.values_array, ref_recon.values_array, atol=1e-12
-                )
-                entry["parity"] = "ok"
-            tiers[tier] = entry
-    finally:
-        rk.set_kernel_tier(saved)
-    if "numba" in tiers:
-        for loop in (
-            "tableau_seconds",
-            "reconstruction_seconds",
-            "distribution_seconds",
-        ):
-            tiers["numba"][f"speedup_{loop.removesuffix('_seconds')}"] = (
-                tiers["numpy"][loop] / tiers["numba"][loop]
-            )
-    return tiers
 
 
 def bench_path_cache() -> dict:
@@ -695,16 +605,12 @@ DISTRIBUTION_KERNELS_FLOOR = 10.0
 
 def main() -> int:
     results = {
-        # which repro.kernels tier the single-tier numbers below ran under
-        # (bench_kernel_tiers sweeps every available tier explicitly)
-        "kernel_tier": rk.active_tier(),
         "tableau_200q": bench_tableau(),
         "affine_sampling": bench_sampling(),
         "distribution_kernels": bench_distribution_kernels(),
         "mps_sampling": bench_mps_sampling(),
         "reconstruction_k4": bench_reconstruction(),
         "streaming_reconstruction": bench_streaming_reconstruction(),
-        "kernel_tiers": bench_kernel_tiers(),
         "einsum_path_cache": bench_path_cache(),
         "variant_sharing": bench_variant_sharing(),
     }
@@ -865,26 +771,6 @@ def main() -> int:
             )
     if not sharing["tensors_equal"]:
         failures.append("batched window tensors differ from per-window builds")
-    tiers = results["kernel_tiers"]
-    for tier, entry in tiers.items():
-        if entry.get("parity") not in ("reference", "ok"):
-            failures.append(f"kernel tier {tier} failed parity")
-    if "numba" in tiers:
-        # acceptance level is 2x on a quiet machine; gate at 1.5x on at
-        # least two of the three hot loops so shared-runner jitter does
-        # not block the build but a dead JIT path does
-        wins = sum(
-            tiers["numba"][key] >= 1.5
-            for key in (
-                "speedup_tableau",
-                "speedup_reconstruction",
-                "speedup_distribution",
-            )
-        )
-        if wins < 2:
-            failures.append(
-                f"numba tier >=1.5x on only {wins}/3 hot loops"
-            )
     if failures:
         print("PERF SMOKE FAILURES:", "; ".join(failures), file=sys.stderr)
         return 1

@@ -93,21 +93,6 @@ def main() -> None:
     # over small windows via sim.marginal_probabilities(circuit, windows).
     # See examples/wide_circuit_reconstruction.py for a 61-qubit run.
 
-    # --- accelerated kernel tier ---------------------------------------------
-    # The hot loops (tableau layers, einsum recombination, distribution
-    # marginal/sample) dispatch through repro.kernels.  With numba
-    # installed (pip install -e ".[numba]"), set
-    # REPRO_KERNELS=auto|numpy|numba in the environment — or call
-    # repro.kernels.set_kernel_tier("numba") — to switch tiers at
-    # runtime.  A missing accelerator silently falls back to NumPy, and
-    # every tier is bit-for-bit identical on seeded runs; the active
-    # tier is recorded in result.kernel_tier and per-kernel seconds in
-    # result.timings["kernel.<name>"].
-    import repro.kernels
-
-    print(f"\nkernel tier: {again.kernel_tier} "
-          f"(available: {', '.join(repro.kernels.available_tiers())})")
-
     # --- fault tolerance -----------------------------------------------------
     # ExecutionConfig(failure_policy="retry" | "degrade") makes the engine
     # survive faults instead of aborting: failed variant jobs retry with

@@ -1,17 +1,5 @@
-"""Shim for legacy editable installs (offline environment lacks `wheel`).
-
-The accelerated kernel tier is an optional extra::
-
-    pip install -e ".[numba]"   # JIT CPU kernels (repro.kernels numba tier)
-
-Without it the library runs entirely on the pure-NumPy reference
-kernels; see ``REPRO_KERNELS`` in ``repro/kernels/__init__.py``.
-"""
+"""Shim for legacy editable installs (offline environment lacks `wheel`)."""
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        "numba": ["numba>=0.59"],
-    },
-)
+setup()

@@ -71,11 +71,10 @@ def host_fingerprint() -> str:
     """A stable identifier of the machine the constants were measured on.
 
     Covers the facts that move the measured ratios: CPU architecture and
-    platform, logical CPU count, the Python/numpy major environment, and
-    the active :mod:`repro.kernels` tier (constants measured under numba
-    must never be reused for a NumPy-only run, and vice versa — a tier
-    change therefore auto-remeasures).  Deliberately excludes anything
-    repo- or checkout-specific.
+    platform, logical CPU count and the Python/numpy major environment;
+    the trailing ``kernels=numpy`` field keeps fingerprints comparable
+    with constants measured by earlier releases.  Deliberately excludes
+    anything repo- or checkout-specific.
     """
     from repro.kernels import active_tier
 

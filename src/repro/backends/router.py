@@ -72,12 +72,6 @@ class BackendRouter:
                 raise ValueError(
                     f"cost scale for {name!r} must be positive, got {scale}"
                 )
-        from repro.kernels import active_tier
-
-        # the repro.kernels tier the router was built under; cost_scales
-        # calibrated under a different tier are stale (host_fingerprint
-        # embeds the tier, so calibrated_router() re-measures on change)
-        self.kernel_tier: str = active_tier()
 
     def scored_cost(
         self,

@@ -89,8 +89,7 @@ class SuperSimResult:
     of this run (``cache_hits`` / ``cache_misses``) and one
     ``kernel.<name>`` entry per :mod:`repro.kernels` kernel that ran
     during execution (seconds spent inside that kernel, across all
-    stages).  ``kernel_tier`` records the kernel tier the run dispatched
-    to (``numpy`` / ``numba``); ``backend_usage`` counts the variants
+    stages).  ``backend_usage`` counts the variants
     actually *simulated* per backend name this run (cache hits and
     within-run duplicates excluded, so a fully cached run reports an empty
     mapping).  ``stats`` is the
@@ -102,7 +101,7 @@ class SuperSimResult:
     ``faults`` is the run's :class:`~repro.errors.FaultReport` — every
     fault the engine survived on the way to this result (retries,
     soft-timeouts, worker crashes, pool rebuilds, degrade-mode backend
-    fallbacks, kernel-tier demotions).  A clean run has
+    fallbacks).  A clean run has
     ``bool(result.faults) is False``; faults never change the numbers,
     only how much work it took to get them.
     """
@@ -113,7 +112,6 @@ class SuperSimResult:
     timings: dict[str, float] = field(default_factory=dict)
     raw_distribution: Distribution | None = None
     backend_usage: dict[str, int] = field(default_factory=dict)
-    kernel_tier: str = "numpy"
     faults: FaultReport = field(default_factory=FaultReport)
 
     def __post_init__(self):
@@ -449,7 +447,6 @@ class SuperSim:
         cc = plan.cut_circuit
         timings: dict[str, float] = {"cut": plan.planning_seconds}
         kernel_snapshot = _kernels.counters_snapshot()
-        demotions_before = len(_kernels.demotions())
         assignments = {f.index: b for f, b in zip(cc.fragments, plan._backends)}
 
         start = time.perf_counter()
@@ -538,12 +535,8 @@ class SuperSim:
 
         for name, secs in _kernels.timings_since(kernel_snapshot).items():
             timings[f"kernel.{name}"] = secs
-        # the evaluator's ledger plus any kernel-tier demotions that
-        # happened anywhere in this run (evaluate through reconstruct)
         faults = FaultReport()
         faults.extend(evaluator.faults)
-        for kname, tier, err in _kernels.demotions()[demotions_before:]:
-            faults.record("kernel_demotion", detail=f"kernel {kname} [{tier}]: {err}")
         return SuperSimResult(
             distribution=cleaned,
             cut_circuit=cc,
@@ -551,7 +544,6 @@ class SuperSim:
             timings=timings,
             raw_distribution=raw,
             backend_usage=dict(evaluator.last_stats.get("backends", {})),
-            kernel_tier=_kernels.active_tier(),
             faults=faults,
         )
 

@@ -22,7 +22,7 @@ hierarchy here attaches that context:
 
 Alongside the exceptions, :class:`FaultReport` is the ledger of every
 fault the engine *survived*: retries, timeouts, worker crashes, pool
-rebuilds, backend fallbacks, quarantines and kernel-tier demotions.  A
+rebuilds, backend fallbacks and quarantines.  A
 run that completes returns its report as ``SuperSimResult.faults``, so
 "it worked" and "it worked after three retries and a pool rebuild" are
 distinguishable.
@@ -40,7 +40,6 @@ FAULT_KINDS = (
     "pool_rebuild",
     "fallback",
     "quarantine",
-    "kernel_demotion",
     "replan",
     # service-resilience kinds (coordinator/peer-level faults)
     "peer_error",
@@ -220,7 +219,7 @@ class FaultReport:
     Truthiness reflects whether anything at all went wrong — a clean run
     reports ``bool(result.faults) is False`` — and the per-kind counters
     (``retries``, ``timeouts``, ``crashes``, ``pool_rebuilds``,
-    ``fallbacks``, ``quarantined``, ``kernel_demotions``, ``replans``)
+    ``fallbacks``, ``quarantined``, ``replans``)
     summarise the event list.
     """
 
@@ -278,10 +277,6 @@ class FaultReport:
     @property
     def quarantined(self) -> int:
         return self.count("quarantine")
-
-    @property
-    def kernel_demotions(self) -> int:
-        return self.count("kernel_demotion")
 
     @property
     def replans(self) -> int:

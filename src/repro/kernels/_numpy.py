@@ -1,12 +1,9 @@
-"""Pure-NumPy reference implementations of every registered kernel.
+"""The NumPy body of every registered kernel.
 
-These are the always-available tier and the correctness oracle: the
-numba variants must match them bit-for-bit on integer/bit kernels and
-within 1e-12 on float accumulation.  The bodies here are the hot loops
-that previously lived inline in ``repro.stabilizer.tableau``,
+The bodies here are the hot loops of ``repro.stabilizer.tableau``,
 ``repro.analysis.distributions`` and ``repro.core.reconstruction``; the
-call sites now go through the registry so an accelerated tier can take
-over at runtime.
+call sites go through the registry so each kernel's calls and seconds
+are counted by name.
 
 This module must import nothing from the rest of ``repro`` (the hot-loop
 modules import the kernels, not the other way around).

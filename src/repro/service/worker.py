@@ -232,9 +232,11 @@ def run_worker(
         try:
             outcome = _serve_session(session, name, slots)
         except ConnectionLostError:
-            raise  # a version mismatch: the same coordinator would answer again
+            # a version mismatch: the same coordinator would answer again
+            session.close()
+            raise
         except (ConnectionError, OSError):
-            pass  # handshake raced a dying coordinator: retry below
+            session.close()  # handshake raced a dying coordinator: retry below
         if outcome == "stop" or not reconnect:
             return
         attempt = 1

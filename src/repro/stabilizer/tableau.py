@@ -255,8 +255,7 @@ def _apply_layers_row_packed(layers, x, z, sign) -> None:
     Every array packs 64 generator rows per word, so a layer of L gates is
     a handful of bitwise ops on ``(words, L)`` column gathers — per-gate
     Python dispatch disappears and 64 rows advance per machine word.
-    Dispatches through :mod:`repro.kernels` (numba tier runs the same
-    loops ``prange``-parallel over the row words).
+    Runs as the :mod:`repro.kernels` ``apply_layers`` kernel.
     """
     _kernels.apply_layers(layers, x, z, sign)
 

@@ -474,48 +474,3 @@ class TestSweepSurvival:
             results = list(sim.run_many(circuits))
         assert results[1] is None
         assert results[0] is not None and results[2] is not None
-
-
-class TestKernelDemotion:
-    def test_faulting_variant_demotes_to_numpy(self, monkeypatch):
-        from repro.kernels import registry
-
-        calls = {"n": 0}
-
-        @registry.kernel("chaos_test_kernel")
-        def chaos_test_kernel(x):
-            return x + 1
-
-        def broken(x):
-            calls["n"] += 1
-            raise RuntimeError("device lost")
-
-        entry = registry.get_kernel("chaos_test_kernel")
-        entry.impls["numba"] = broken
-        monkeypatch.setattr(registry, "_ACTIVE", "numba")
-        before = len(registry.demotions())
-        with pytest.warns(RuntimeWarning, match="demoted"):
-            assert entry(41) == 42  # reference value, variant demoted
-        assert calls["n"] == 1
-        assert "numba" not in entry.impls
-        new = registry.demotions()[before:]
-        assert [(n, t) for n, t, _ in new] == [("chaos_test_kernel", "numba")]
-        # subsequent calls dispatch straight to the reference
-        assert entry(1) == 2
-        assert calls["n"] == 1
-
-    def test_input_errors_do_not_demote(self, monkeypatch):
-        from repro.kernels import registry
-
-        @registry.kernel("chaos_test_kernel_2")
-        def chaos_test_kernel_2(x):
-            return x / 0  # reference also fails: inputs are bad
-
-        entry = registry.get_kernel("chaos_test_kernel_2")
-        entry.impls["numba"] = lambda x: x / 0
-        monkeypatch.setattr(registry, "_ACTIVE", "numba")
-        before = len(registry.demotions())
-        with pytest.raises(ZeroDivisionError):
-            entry(1)
-        assert "numba" in entry.impls  # the variant was not blamed
-        assert len(registry.demotions()) == before

@@ -440,25 +440,29 @@ def test_a_job_missing_from_its_frames_reply_is_redispatched():
         wait_for_workers(fleet.address, 1)
 
         def serve():  # answers every frame, the first one without its last job
-            while True:
-                try:
-                    message = sloppy.recv()
-                except (ConnectionError, OSError):
-                    return
-                if not message or message["type"] == "stop":
-                    return
-                if message["type"] != "job":
-                    continue
-                frames.append(frame_jids(message))
-                jobs = message["jobs"][:-1] if len(frames) == 1 else message["jobs"]
-                sloppy.send({
-                    "type": "job_result",
-                    "frame": message["frame"],
-                    "results": [
-                        {"jid": jid, "faults": [], "value": _execute_job(job)}
-                        for jid, job in jobs
-                    ],
-                })
+            try:
+                while True:
+                    try:
+                        message = sloppy.recv()
+                    except (ConnectionError, OSError):
+                        return
+                    if not message or message["type"] == "stop":
+                        return
+                    if message["type"] != "job":
+                        continue
+                    frames.append(frame_jids(message))
+                    first = len(frames) == 1
+                    jobs = message["jobs"][:-1] if first else message["jobs"]
+                    sloppy.send({
+                        "type": "job_result",
+                        "frame": message["frame"],
+                        "results": [
+                            {"jid": jid, "faults": [], "value": _execute_job(job)}
+                            for jid, job in jobs
+                        ],
+                    })
+            finally:
+                sloppy.close()
 
         server = threading.Thread(target=serve)
         server.start()
