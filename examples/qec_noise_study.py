@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis import total_variation_distance
 from repro.apps.qec import logical_phase_error_rate, phase_flip_repetition_code
 from repro.circuits import Circuit, gates
-from repro.core import SamplingConfig, SuperSim
+from repro.core import SuperSim
 from repro.stabilizer import FrameSampler, NoiseModel, PauliChannel
 
 
@@ -27,11 +27,9 @@ def pauli_noise_sweep() -> None:
     print("logical phase-flip error rate (Pauli-frame sampling, 20k shots)")
     print(f"{'p_phys':>8} " + " ".join(f"d={d:<4}" for d in (3, 5, 7)))
     for p in (0.002, 0.01, 0.05, 0.15):
-        # the noisy sampler is selected from the backend registry by name;
-        # shot count and seed travel in a typed SamplingConfig
-        sampling = SamplingConfig(shots=20000, seed=0)
+        # the noisy sampler is selected from the backend registry by name
         rates = [
-            logical_phase_error_rate(d, p, backend="stabilizer", sampling=sampling)
+            logical_phase_error_rate(d, p, shots=20000, rng=0, backend="stabilizer")
             for d in (3, 5, 7)
         ]
         print(f"{p:8.3f} " + " ".join(f"{r:6.4f}" for r in rates))

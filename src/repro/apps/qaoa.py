@@ -124,18 +124,14 @@ def expected_cut_from_correlations(
     each edge needs only a two-qubit marginal, so a SuperSim scorer keeps
     every reconstruction narrow regardless of circuit width.  ``backend``
     is anything :func:`repro.apps.vqe.as_scorer` accepts (default: an
-    exact ``SuperSim()``); pass an :class:`~repro.core.config.ExecutionConfig`
-    / :class:`~repro.core.config.SamplingConfig` to control evaluation.
+    exact ``SuperSim()``); a ``SuperSim`` built from typed configs sets
+    how the fragments are evaluated.
     """
     from repro.apps.vqe import as_scorer, pauli_expectation
+    from repro.core.supersim import SuperSim
     from repro.paulis.pauli import PauliString
 
-    if backend is None:
-        from repro.core.supersim import SuperSim
-
-        backend = SuperSim()
-    else:
-        backend = as_scorer(backend)
+    backend = SuperSim() if backend is None else as_scorer(backend)
     n = circuit.n_qubits
     total = 0.0
     for (i, j), w in couplings.items():

@@ -71,10 +71,9 @@ def decode_majority(syndrome_bits) -> int:
 def logical_phase_error_rate(
     distance: int,
     phase_flip_probability: float,
-    shots: int | None = None,
+    shots: int = 2000,
     rng: np.random.Generator | int | None = None,
     backend="stabilizer",
-    sampling=None,
 ) -> float:
     """Monte-Carlo logical error rate of one noisy phase-code round.
 
@@ -82,54 +81,14 @@ def logical_phase_error_rate(
     sampling; a run is a logical error when majority decoding of the X-basis
     data readout returns 1 (the encoded state was |+>_L, i.e. all-|+>).
 
-    ``backend`` is a registered backend name (or instance) that supports
-    noisy sampling (``capabilities.supports_noise``) — the default is the
-    stabilizer backend's Pauli-frame sampler — or an
-    :class:`~repro.core.config.ExecutionConfig` whose ``backend`` field
-    names one.  A :class:`~repro.core.config.SamplingConfig` passed as
-    ``sampling`` supplies ``shots`` and the seed instead of the loose
-    kwargs.
+    The uncut circuit is sampled ``shots`` times directly, seeded by
+    ``rng``, through ``backend`` — a registered backend name or instance
+    that supports noisy sampling (``capabilities.supports_noise``); the
+    default is the stabilizer backend's Pauli-frame sampler.  No cutting,
+    routing or caching happens here, so no pipeline config applies.
     """
     from repro.backends import get_backend
-    from repro.core.config import ExecutionConfig, SamplingConfig
 
-    if sampling is not None:
-        if shots is not None or rng is not None:
-            raise TypeError(
-                "pass either sampling=SamplingConfig(...) or the loose "
-                "shots=/rng= kwargs, not both"
-            )
-        if sampling.shots is None:
-            raise TypeError(
-                "logical_phase_error_rate is a Monte-Carlo estimate; the "
-                "SamplingConfig must carry finite shots"
-            )
-        if sampling != SamplingConfig(shots=sampling.shots, seed=sampling.seed):
-            # this function builds its own noise model from
-            # phase_flip_probability and decodes raw bits — a config
-            # carrying noise/clifford_shots/snap/tomography would be
-            # silently ignored, so reject it like the ExecutionConfig path
-            raise TypeError(
-                "logical_phase_error_rate only consumes the `shots` and "
-                "`seed` fields of a SamplingConfig; the noise model here "
-                "is built from phase_flip_probability"
-            )
-        shots = sampling.shots
-        rng = sampling.seed
-    if shots is None:
-        shots = 2000
-    if isinstance(backend, ExecutionConfig):
-        resolved = backend.backend or "stabilizer"
-        if backend != ExecutionConfig(backend=backend.backend):
-            # this function samples one noisy circuit directly (no cutting,
-            # no router, no cache) — silently dropping configured fields
-            # would mislead, so reject them explicitly
-            raise TypeError(
-                "logical_phase_error_rate only consumes the `backend` "
-                "field of an ExecutionConfig; other configured fields "
-                "(router/parallel/cache/...) have no effect here"
-            )
-        backend = resolved
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     circuit = phase_flip_repetition_code(distance)
     noise = NoiseModel(

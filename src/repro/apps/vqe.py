@@ -69,42 +69,11 @@ _BASIS_ROTATION = {"X": (gates.H,), "Y": (gates.SDG, gates.H), "Z": (), "I": ()}
 def as_scorer(backend):
     """Coerce a backend spec into something that can score circuits.
 
-    Accepts a registered backend name, a backend/simulator object, a
-    :class:`~repro.core.supersim.SuperSim`, or the typed config objects of
-    the pipeline API — an :class:`~repro.core.config.ExecutionConfig`, a
-    :class:`~repro.core.config.SamplingConfig`, or an ``(execution,
-    sampling)`` pair of them — which build a ``SuperSim``.  This is the
-    single coercion point of the apps layer, replacing per-function loose
-    kwargs.
+    A registered backend name becomes that backend; a backend or simulator
+    object and a :class:`~repro.core.supersim.SuperSim` pass through.  To
+    score through the cutting pipeline under particular settings, build
+    the ``SuperSim`` from its configs and pass it.
     """
-    from repro.core.config import ExecutionConfig, SamplingConfig
-    from repro.core.supersim import SuperSim
-
-    if isinstance(backend, ExecutionConfig):
-        return SuperSim(execution=backend)
-    if isinstance(backend, SamplingConfig):
-        return SuperSim(sampling=backend)
-    if isinstance(backend, tuple) and any(
-        isinstance(c, (ExecutionConfig, SamplingConfig)) for c in backend
-    ):
-        if not all(
-            isinstance(c, (ExecutionConfig, SamplingConfig)) for c in backend
-        ):
-            raise TypeError(
-                "a config tuple must contain only ExecutionConfig/"
-                f"SamplingConfig objects, got {backend!r}"
-            )
-        executions = [c for c in backend if isinstance(c, ExecutionConfig)]
-        samplings = [c for c in backend if isinstance(c, SamplingConfig)]
-        if len(executions) > 1 or len(samplings) > 1:
-            raise TypeError(
-                "config tuple may hold at most one ExecutionConfig and "
-                "one SamplingConfig"
-            )
-        return SuperSim(
-            sampling=samplings[0] if samplings else None,
-            execution=executions[0] if executions else None,
-        )
     if isinstance(backend, str):
         from repro.backends import get_backend
 
@@ -119,11 +88,10 @@ def pauli_expectation(circuit: Circuit, pauli: PauliString, backend) -> float:
     backend name (``"statevector"``, ``"mps"``, ...), anything with a
     ``probabilities(circuit)`` method, a
     :class:`~repro.core.supersim.SuperSim` (whose
-    ``run(circuit, keep_qubits=...)`` keeps the reconstruction narrow), or
-    the pipeline's typed config objects.  The circuit is augmented with
-    basis rotations so that ``<P>`` becomes a parity of Z-basis outcomes
-    on P's support — which keeps the evaluation narrow even at large
-    widths.
+    ``run(circuit, keep_qubits=...)`` keeps the reconstruction narrow).
+    The circuit is augmented with basis rotations so that ``<P>`` becomes
+    a parity of Z-basis outcomes on P's support — which keeps the
+    evaluation narrow even at large widths.
     """
     support = [q for q in range(pauli.n) if pauli.label()[q] != "I"]
     if not support:
@@ -148,9 +116,9 @@ def energy(circuit: Circuit, hamiltonian: Hamiltonian, backend=None) -> float:
 
     ``backend`` may be ``None`` (stabilizer fast path) or anything
     :func:`as_scorer` accepts — a registered backend name, a backend
-    object, a SuperSim instance, or typed config objects.  With the
-    default stabilizer backend (Clifford circuits only) each term is an
-    exact tableau expectation in {-1, 0, +1} — the CAFQA fast path.
+    object or a SuperSim instance.  With the default stabilizer backend
+    (Clifford circuits only) each term is an exact tableau expectation in
+    {-1, 0, +1} — the CAFQA fast path.
     """
     if backend is None:
         backend = StabilizerSimulator()

@@ -14,10 +14,10 @@ while automatically picking up MPS for wide low-entanglement fragments and
 the extended stabilizer for wide diagonal-non-Clifford fragments, the §XI
 extension points.
 
-Explicit overrides are preserved: a forced backend
-(``ExecutionConfig(backend="mps")``) short-circuits scoring for every
-circuit it can handle, and a plan-level
-``ExecutionPlan.with_backend(i, name)`` pins a single fragment.
+The router only scores.  Overrides live with the evaluator that consults
+it: a forced backend (``ExecutionConfig(backend="mps")``) wins for every
+fragment it can handle (``FragmentEvaluator._backend_for``), and a
+plan-level ``ExecutionPlan.with_backend(i, name)`` pins a single fragment.
 """
 
 from __future__ import annotations
@@ -33,14 +33,14 @@ class NoCapableBackendError(RuntimeError):
 class BackendRouter:
     """Scores candidate backends against circuit features.
 
+    It only scores: a forced backend and a pinned fragment are applied by
+    the :class:`~repro.core.evaluator.FragmentEvaluator` that consults it.
+
     Parameters
     ----------
     backends:
         Candidate pool — backend instances or registered names.  Defaults
         to one instance of every registered backend.
-    forced:
-        Optional backend (instance or name) that wins for every circuit it
-        can handle; incapable circuits fall back to scoring.
     cost_scales:
         Optional per-backend multipliers applied to ``estimate_cost`` at
         scoring time, mapping backend name to a positive float.  The
@@ -53,7 +53,6 @@ class BackendRouter:
     def __init__(
         self,
         backends: list[Backend | str] | None = None,
-        forced: Backend | str | None = None,
         cost_scales: dict[str, float] | None = None,
         **factory_kwargs,
     ):
@@ -63,9 +62,6 @@ class BackendRouter:
             get_backend(b, **factory_kwargs) if isinstance(b, str) else b
             for b in backends
         ]
-        self.forced: Backend | None = (
-            get_backend(forced) if forced is not None else None
-        )
         self.cost_scales: dict[str, float] = dict(cost_scales or {})
         for name, scale in self.cost_scales.items():
             if not (scale > 0):  # also rejects NaN
@@ -115,20 +111,12 @@ class BackendRouter:
         exact: bool = True,
         noisy: bool = False,
     ) -> Backend:
-        """The cheapest backend capable of the circuit (forced one first)."""
-        if self.forced is not None and self.forced.can_handle(
-            features, exact=exact, noisy=noisy
-        ):
-            return self.forced
+        """The cheapest backend capable of the circuit."""
         candidates = [
             b
             for b in self.backends
             if b.can_handle(features, exact=exact, noisy=noisy)
         ]
-        if self.forced is not None and not candidates:
-            # an incapable pool but a forced backend: surface the forced
-            # backend's own failure rather than a routing error
-            return self.forced
         if not candidates:
             raise NoCapableBackendError(
                 f"no backend can evaluate this circuit "

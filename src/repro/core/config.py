@@ -17,15 +17,20 @@ concerns explicitly and travel together through the pipeline:
   output distribution (dense vs windowed vs recursive dynamic-definition,
   the qubit window size and top-k beam of the bounded-memory engines).
 
-All three are immutable; derive variations with :func:`dataclasses.replace`
+They are the one settings surface of the pipeline: ``SuperSim`` takes
+them, hands ``sampling`` and ``execution`` to the
+:class:`~repro.core.evaluator.FragmentEvaluator` it builds per run, and
+each field is read where it is used — no layer restates a default or a
+check.  The apps layer takes a backend or a ``SuperSim``, never a config.
+
+All four are immutable; derive variations with :func:`dataclasses.replace`
 (re-exported as each config's ``replace`` method)::
 
     from dataclasses import replace
 
     base = SamplingConfig(shots=4000, seed=7)
     snapped = replace(base, snap_clifford=True)
-
-``SuperSim`` accepts them directly — ``SuperSim(sampling=base)``.
+    sim = SuperSim(sampling=snapped)
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ class ExecutionConfig(_Replaceable):
     ----------
     backend:
         Force a backend for every fragment it can handle — a registered
-        name or a :class:`~repro.backends.base.Backend` instance.
+        name or a :class:`~repro.backends.base.Backend` instance; the
+        router picks for the fragments it cannot.
     router:
         A custom :class:`~repro.backends.router.BackendRouter`; the
         default scores every built-in backend's cost model.

@@ -54,8 +54,10 @@ from repro.analysis.distributions import (
     unpack_shots,
 )
 from repro.backends.base import Backend, CircuitFeatures
-from repro.backends.cache import VariantCache, circuit_fingerprint
+from repro.backends.cache import VariantCache, circuit_fingerprint, resolve_cache
+from repro.backends.registry import default_backend_pool, get_backend
 from repro.backends.router import BackendRouter
+from repro.core.config import ExecutionConfig, SamplingConfig
 from repro.core.fragments import Fragment
 from repro.core.lifecycle import FaultPolicy, JobLifecycle
 from repro.core.variants import all_variants, variant_circuit
@@ -617,142 +619,66 @@ class _JobScheduler:
         return self.results
 
 
+def router_for(execution: ExecutionConfig) -> BackendRouter:
+    """``execution.router``, or a router over the default backend pool."""
+    if execution.router is not None:
+        return execution.router
+    return BackendRouter(default_backend_pool(execution.statevector_max_qubits))
+
+
 class FragmentEvaluator:
     """Evaluates fragments through the backend router and batch engine.
 
-    ``shots=None`` gives exact fragment evaluation (the mode used for the
-    paper-style accuracy claims); an integer samples each variant, with
-    ``clifford_shots`` optionally lowering the shot count on Clifford
-    fragments (Section IX: Clifford Pauli expectations are in {-1, 0, +1},
-    so far fewer shots identify them).
+    Every setting comes from the two typed configs (their fields are
+    documented there) and is read where it is used:
 
-    Backend selection, per fragment:
+    * ``sampling`` (:class:`~repro.core.config.SamplingConfig`) — exact
+      evaluation (``shots=None``, the mode of the paper's accuracy claims)
+      or shots per variant, fewer on Clifford fragments with
+      ``clifford_shots`` (Section IX), the root seed, and ``noise`` (§IV-A):
+      Clifford fragments are then Pauli-frame sampled through a
+      noise-capable backend, while non-Clifford fragments stay noiseless —
+      they carry the coherent part of the error model as explicit gates;
+    * ``execution`` (:class:`~repro.core.config.ExecutionConfig`) — the
+      router (default: every built-in backend, cheapest capable one wins),
+      a forced ``backend``, which wins for every fragment it can handle,
+      the worker pool, the failure policy and the soft deadlines.
 
-    * ``backend`` (string name or :class:`~repro.backends.base.Backend`)
-      forces that backend for every fragment it can handle;
-    * otherwise the ``router`` picks the cheapest capable backend.
-
-    ``noise`` (§IV-A, noisy QEC studies) applies a
-    :class:`repro.stabilizer.NoiseModel` to *Clifford* fragments via
-    Pauli-frame sampling, forcing sampled evaluation of those fragments
-    through a noise-capable backend.  Non-Clifford fragments stay
-    noiseless — in the paper's setting they carry the coherent (non-Pauli)
-    part of the error model as explicit gates.
-
-    ``cache`` is an optional :class:`~repro.backends.cache.VariantCache`;
-    share one instance across evaluators (as ``SuperSim`` does) to carry
-    results between ``run()`` calls.
+    ``cache`` stands in for ``execution.cache`` with a resolved
+    :class:`~repro.backends.cache.VariantCache` (``SuperSim`` passes its
+    long-lived one, which carries results between ``run()`` calls);
+    ``assignments`` pins fragment indices to backends (a plan's routing,
+    which wins over forcing and routing); ``executor`` is a
+    :class:`SharedExecutorPool` kept alive across the points of a batch.
     """
 
     def __init__(
         self,
-        shots: int | None = None,
-        clifford_shots: int | None = None,
-        rng: np.random.Generator | int | None = None,
-        statevector_max_qubits: int = 20,
-        noise=None,
-        parallel: int = 1,
-        backend: str | Backend | None = None,
-        router: BackendRouter | None = None,
+        sampling: SamplingConfig | None = None,
+        execution: ExecutionConfig | None = None,
+        *,
         cache: VariantCache | None = None,
-        pool: str | None = None,
         assignments: dict[int, Backend] | None = None,
         executor: SharedExecutorPool | None = None,
-        failure_policy: str = "raise",
-        max_retries: int = 3,
-        retry_backoff: float = 0.05,
-        retry_backoff_cap: float = 2.0,
-        job_timeout: float | None = None,
-        timeout_safety: float = 25.0,
-        min_job_timeout: float = 5.0,
-        max_job_crashes: int = 3,
-        chaos=None,
     ):
-        from repro.backends import get_backend
-
-        self.shots = shots
-        self.clifford_shots = clifford_shots if clifford_shots is not None else shots
-        self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        self.noise = noise
-        self.parallel = max(1, int(parallel))
-        self.cache = cache
-        if pool not in (None, "thread", "process"):
-            raise ValueError(
-                f"pool must be 'thread', 'process' or None, got {pool!r}"
-            )
-        self.pool = pool
-        self.policy = FaultPolicy(
-            failure_policy=failure_policy,
-            max_retries=max(0, int(max_retries)),
-            retry_backoff=float(retry_backoff),
-            retry_backoff_cap=float(retry_backoff_cap),
-            max_job_crashes=max(1, int(max_job_crashes)),
-        )
-        self.job_timeout = job_timeout
-        self.timeout_safety = float(timeout_safety)
-        self.min_job_timeout = float(min_job_timeout)
-        self.chaos = chaos
+        self.sampling = sampling = sampling or SamplingConfig()
+        self.execution = execution = execution or ExecutionConfig()
+        self.cache = cache if cache is not None else resolve_cache(execution.cache)
+        # a Generator seed is used as is
+        self.rng = np.random.default_rng(sampling.seed)
+        self.router = router_for(execution)
+        backend = execution.backend
+        self.forced = get_backend(backend) if backend is not None else None
+        self.policy = FaultPolicy.of(execution)
+        self.assignments = dict(assignments) if assignments else {}
+        self.executor = executor
         #: faults survived across this evaluator's evaluate_all calls
         self.faults = FaultReport()
         self._last_degraded: set[tuple] = set()
-        if router is None:
-            from repro.backends import default_backend_pool
-
-            router = BackendRouter(default_backend_pool(statevector_max_qubits))
-        self.router = router
-        self.forced = get_backend(backend) if backend is not None else None
-        self.assignments = dict(assignments) if assignments else {}
-        self.executor = executor
         self.last_stats: dict = {}
-        if noise is not None and shots is None:
-            raise ValueError("noisy fragment evaluation requires finite shots")
 
-    @classmethod
-    def from_configs(
-        cls,
-        sampling=None,
-        execution=None,
-        cache: VariantCache | None = None,
-        assignments: dict[int, Backend] | None = None,
-        executor: SharedExecutorPool | None = None,
-    ) -> "FragmentEvaluator":
-        """Build an evaluator from typed config objects.
-
-        ``cache`` overrides ``execution.cache`` with a resolved instance
-        (``SuperSim`` passes its own long-lived cache here); when omitted,
-        ``execution.cache=True`` builds a private one.
-        """
-        from repro.core.config import ExecutionConfig, SamplingConfig
-
-        from repro.backends.cache import resolve_cache
-
-        sampling = sampling if sampling is not None else SamplingConfig()
-        execution = execution if execution is not None else ExecutionConfig()
-        if cache is None:
-            cache = resolve_cache(execution.cache)
-        return cls(
-            shots=sampling.shots,
-            clifford_shots=sampling.clifford_shots,
-            rng=sampling.seed,
-            statevector_max_qubits=execution.statevector_max_qubits,
-            noise=sampling.noise,
-            parallel=execution.parallel,
-            backend=execution.backend,
-            router=execution.router,
-            cache=cache,
-            pool=execution.pool,
-            assignments=assignments,
-            executor=executor,
-            failure_policy=execution.failure_policy,
-            max_retries=execution.max_retries,
-            retry_backoff=execution.retry_backoff,
-            retry_backoff_cap=execution.retry_backoff_cap,
-            job_timeout=execution.job_timeout,
-            timeout_safety=execution.timeout_safety,
-            min_job_timeout=execution.min_job_timeout,
-            max_job_crashes=execution.max_job_crashes,
-            chaos=execution.chaos,
-        )
+    # the constructor's earlier name, still called by the benchmark ledger
+    from_configs = classmethod(lambda cls, *args, **kwargs: cls(*args, **kwargs))
 
     # -- routing --------------------------------------------------------------
 
@@ -761,28 +687,22 @@ class FragmentEvaluator:
 
         All variants of a fragment share width and Clifford-ness (variants
         add only single-qubit Clifford preparation/basis ops), so routing
-        is per fragment, not per variant.
+        is per fragment, not per variant.  A plan-level assignment
+        (validated at planning time) wins; then the forced backend, where
+        it can handle the fragment; then the router.  Noisy fragments
+        (Pauli-frame sampling) need a noise-capable backend either way.
         """
-        features = CircuitFeatures.from_circuit(fragment.circuit)
-        exact = self.shots is None
-        noisy = self.noise is not None and fragment.is_clifford
+        noisy = self.sampling.noise is not None and fragment.is_clifford
         assigned = self.assignments.get(fragment.index)
         if assigned is not None:
-            # a plan-level assignment (validated at planning time) wins
-            # over forcing and routing; the noise mode still applies
             return assigned, noisy
-        if noisy:
-            # Pauli-frame sampling needs a noise-capable backend
-            if self.forced is not None and self.forced.can_handle(
-                features, exact=False, noisy=True
-            ):
-                return self.forced, True
-            return self.router.select(features, exact=False, noisy=True), True
+        features = CircuitFeatures.from_circuit(fragment.circuit)
+        exact = self.sampling.exact
         if self.forced is not None and self.forced.can_handle(
-            features, exact=exact
+            features, exact=exact, noisy=noisy
         ):
-            return self.forced, False
-        return self.router.select(features, exact=exact), False
+            return self.forced, noisy
+        return self.router.select(features, exact=exact, noisy=noisy), noisy
 
     def _job_timeout(
         self, backend: Backend, features: CircuitFeatures, noisy: bool
@@ -796,16 +716,17 @@ class FragmentEvaluator:
         a calibration entry for this backend the model's units are
         arbitrary and no deadline can honestly be derived.
         """
-        if self.job_timeout is not None:
-            return self.job_timeout
+        execution = self.execution
+        if execution.job_timeout is not None:
+            return execution.job_timeout
         if backend.name not in self.router.cost_scales:
             return None
-        mode = "exact" if (self.shots is None and not noisy) else "sampled"
+        mode = "exact" if (self.sampling.exact and not noisy) else "sampled"
         try:
             cost = float(self.router.scored_cost(backend, features, mode))
         except Exception:
             return None
-        return max(self.min_job_timeout, cost * self.timeout_safety)
+        return max(execution.min_job_timeout, cost * execution.timeout_safety)
 
     # -- batch engine ---------------------------------------------------------
 
@@ -822,24 +743,21 @@ class FragmentEvaluator:
         """
         from repro.backends.cache import noise_fingerprint
 
+        sampling = self.sampling
         assignments: list[tuple[int, tuple, tuple, tuple]] = []
         unique: dict[tuple, _Job] = {}
-        noise_key = noise_fingerprint(self.noise)
+        noise_key = noise_fingerprint(sampling.noise)
         for index, fragment in enumerate(fragments):
             backend, noisy = self._backend_for(fragment)
             features = CircuitFeatures.from_circuit(fragment.circuit)
             timeout = self._job_timeout(backend, features, noisy)
             is_clifford = fragment.is_clifford
-            if self.shots is None:
-                # exact mode is exact for every fragment; clifford_shots
-                # only rebalances *sampled* evaluation
-                eff_shots = None
-            elif is_clifford:
-                eff_shots = self.clifford_shots
-            else:
-                eff_shots = self.shots
+            eff_shots = sampling.shots
+            if eff_shots is not None and is_clifford and sampling.clifford_shots:
+                # clifford_shots only rebalances *sampled* evaluation
+                eff_shots = sampling.clifford_shots
             use_affine = backend.capabilities.affine and is_clifford and not noisy
-            noise = self.noise if noisy else None
+            noise = sampling.noise if noisy else None
             backend_key = backend.cache_token()
             for preps, bases in all_variants(fragment):
                 circuit = variant_circuit(fragment, preps, bases)
@@ -865,7 +783,7 @@ class FragmentEvaluator:
                         features=features,
                         is_clifford=is_clifford,
                         timeout=timeout,
-                        chaos=self.chaos,
+                        chaos=self.execution.chaos,
                     )
         return assignments, unique
 
@@ -886,15 +804,15 @@ class FragmentEvaluator:
             return {}
         import os
 
-        pool = self.pool
+        pool = self.execution.pool
         if pool is None:
             pool = (
                 "process"
                 if any(j.backend.capabilities.pool == "process" for j in jobs)
                 else "thread"
             )
-        workers = self.parallel
-        if workers <= 1 and pool == "process" and self.pool is None:
+        workers = self.execution.parallel
+        if workers <= 1 and pool == "process" and self.execution.pool is None:
             # only auto-upgrade where workers fork: under a spawn start
             # method (macOS/Windows default) a guard-less user script
             # would re-execute itself in every worker.  allow_none avoids
@@ -942,7 +860,7 @@ class FragmentEvaluator:
         for job in unique.values():
             usage[job.backend.name] = usage.get(job.backend.name, 0) + 1
         cached: int | None = None
-        if self.shots is None and self.cache is not None:
+        if self.sampling.exact and self.cache is not None:
             cached = sum(1 for key in unique if key in self.cache)
         return {
             "jobs": len(assignments),

@@ -57,7 +57,7 @@ from repro.core.config import (
     SamplingConfig,
 )
 from repro.core.cutter import plan_cuts
-from repro.core.evaluator import FragmentEvaluator, SharedExecutorPool
+from repro.core.evaluator import FragmentEvaluator, SharedExecutorPool, router_for
 from repro.core.fragments import Cut, CutCircuit
 from repro.errors import FaultReport
 from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
@@ -233,7 +233,7 @@ class SuperSim:
         self.variant_cache: VariantCache | None = resolve_cache(self.execution.cache)
         #: executor shared across batch points while a sweep is active
         self._batch_executor: SharedExecutorPool | None = None
-        self._default_router = None
+        self._shared_router = None
         #: override for where deduplicated variant jobs execute — the
         #: service coordinator injects its dispatcher here (see
         #: FragmentEvaluator.evaluate_all's job_runner contract)
@@ -248,24 +248,15 @@ class SuperSim:
         return plan_cuts(circuit, self.cut_config, cuts)
 
     def _router(self):
-        """The router every evaluator of this sim shares.
-
-        Built once: a custom ``execution.router`` is used as-is, otherwise
-        the default backend pool is instantiated a single time instead of
-        once per plan/estimate/execute call.
-        """
-        if self.execution.router is not None:
-            return self.execution.router
-        if self._default_router is None:
-            from repro.backends import BackendRouter, default_backend_pool
-
-            self._default_router = BackendRouter(
-                default_backend_pool(self.execution.statevector_max_qubits)
-            )
-        return self._default_router
+        """The router every evaluator of this sim shares, built once
+        (:func:`~repro.core.evaluator.router_for`) instead of once per
+        plan/estimate/execute call."""
+        if self._shared_router is None:
+            self._shared_router = router_for(self.execution)
+        return self._shared_router
 
     def _evaluator(self, assignments=None) -> FragmentEvaluator:
-        return FragmentEvaluator.from_configs(
+        return FragmentEvaluator(
             self.sampling,
             self.execution.replace(router=self._router()),
             cache=self.variant_cache,

@@ -22,7 +22,6 @@ from repro.kernels.registry import (
 
 apply_layers = get_kernel("apply_layers")
 row_mul = get_kernel("row_mul")
-gf2_matmul = get_kernel("gf2_matmul")
 bit_gather = get_kernel("bit_gather")
 inverse_cdf_indices = get_kernel("inverse_cdf_indices")
 dense_contract = get_kernel("dense_contract")
@@ -36,7 +35,6 @@ __all__ = [
     "timings_since",
     "apply_layers",
     "row_mul",
-    "gf2_matmul",
     "bit_gather",
     "inverse_cdf_indices",
     "dense_contract",

@@ -91,21 +91,6 @@ def row_mul(x, z, sign, targets, source) -> None:
     z[targets] = new_z
 
 
-@kernel("gf2_matmul")
-def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(a @ b) mod 2`` of two 0/1 matrices, exactly, through BLAS.
-
-    Integer matmuls never hit BLAS in NumPy (they run as naive C loops),
-    which made this the hot spot of batch sampling.  A float GEMM is
-    bit-exact here: every accumulated sum is an integer bounded by the
-    inner dimension, well inside float32's 2^24 exact-integer range
-    (float64 beyond that), and the parity is taken after the product.
-    """
-    dtype = np.float32 if a.shape[1] < (1 << 24) else np.float64
-    acc = a.astype(dtype) @ b.astype(dtype)
-    return (acc.astype(np.int64) & 1).astype(bool)
-
-
 @kernel("bit_gather")
 def bit_gather(
     keys: np.ndarray, srcs: np.ndarray, dsts: np.ndarray

@@ -5,9 +5,9 @@ share (:meth:`StabilizerSimulator.affine_distribution`): the body's Choi
 tableau after one symbolic sweep (:func:`_swept`), its post-selection on a
 preparation (:func:`_collapsed`) and the per-variant measurement of the cut
 wires (:func:`_measured_late`), all kept on the body's
-:meth:`~repro.circuits.circuit.Circuit.derived` space.  The plain evolved
-tableau and :meth:`Tableau.prepend` serve :meth:`StabilizerSimulator.run`
-only.
+:meth:`~repro.circuits.circuit.Circuit.derived` space.
+:meth:`StabilizerSimulator.run` shares none of it: it evolves the circuit
+from |0...0>, reusing only the body's compiled layers.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.paulis.pauli import PauliString
 from repro.stabilizer.frames import FrameSampler
 from repro.stabilizer.noise import NoiseModel
 from repro.stabilizer.tableau import (
-    PREPEND_GATES,
     AffineOutcomeDistribution,
     Tableau,
     compile_clifford_layers,
@@ -60,20 +59,6 @@ def _preparations(prefix, inputs: tuple[int, ...]):
         names[q] += (op.gate.name,)
     preps = tuple(names[q] for q in inputs)
     return preps if all(prep in _POST_SELECTIONS for prep in preps) else None
-
-
-def _prepared(body: Circuit, prefix) -> Tableau:
-    """A writable tableau of ``prefix`` then ``body``, the body evolved once."""
-    derived = body.derived()
-    evolved = derived.get("tableau")
-    if evolved is None:
-        evolved = Tableau(body.n_qubits)
-        evolved.apply_circuit(body)
-        derived["tableau"] = evolved.freeze()
-    tableau = evolved.copy()
-    for op in reversed(prefix):
-        tableau.prepend(op.gate.name, op.qubits[0])
-    return tableau
 
 
 def _swept(body: Circuit, inputs: tuple[int, ...], early: tuple[int, ...]):
@@ -177,24 +162,7 @@ class StabilizerSimulator:
     name = "stabilizer"
 
     def run(self, circuit: Circuit) -> Tableau:
-        """Evolve |0...0> through the circuit; returns the final tableau.
-
-        A circuit around a shared body (:meth:`Circuit.shared_body` — the
-        variants of one fragment) evolves the body once: its tableau is
-        kept, frozen, on the body object, and each circuit copies it,
-        composes its state-preparation gates in front
-        (:meth:`Tableau.prepend`) and applies its trailing gates.  Prefix
-        gates ``prepend`` does not know fall back to plain evolution.
-        """
-        shared = circuit.shared_body()
-        if shared is not None:
-            body, start, stop = shared
-            prefix = circuit.ops[:start]
-            if all(op.gate.name in PREPEND_GATES for op in prefix):
-                tableau = _prepared(body, prefix)
-                for op in circuit.ops[stop:]:
-                    tableau.apply_operation(op.gate, op.qubits)
-                return tableau
+        """Evolve |0...0> through the circuit; returns the final tableau."""
         tableau = Tableau(circuit.n_qubits)
         tableau.apply_circuit(circuit)
         return tableau

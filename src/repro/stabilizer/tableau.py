@@ -27,13 +27,11 @@ as ``layers(prefix) + layers(body) + layers(suffix)`` with the body's layers
 compiled once on the body; gates on a wire keep their order, so the evolved
 tableau is bit-identical.
 
-**Prepending.**  The tableau of ``U`` holds ``U X_q U†`` and ``U Z_q U†``
-for every qubit, so the tableau of ``U·g`` for a single-qubit Clifford
-``g`` is a recombination of two of its own rows (:meth:`Tableau.prepend`):
-a fragment's body is evolved once and each variant's state preparation is
-composed *in front of* a copy, ``O(n/64)`` words instead of a re-simulation
-(what :meth:`StabilizerSimulator.run` hands back for a variant; outcome
-distributions take the route of "Measuring late" below).
+**Plain evolution.**  The tableau :meth:`StabilizerSimulator.run` hands
+back is always a from-scratch evolution of the circuit, for a fragment's
+variants too (over the body's layers, compiled once).  What the variants
+share is in their outcome distributions: one evolution and one sweep per
+body ("Measuring late" below).
 
 The original byte-per-bit, per-op-dispatch implementation is kept in
 :mod:`repro.stabilizer._reference` as the oracle for the equivalence
@@ -116,8 +114,6 @@ _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
 # gate names the packed engine applies natively (every other Clifford gate
 # goes through Gate.stabilizer_decomposition into H/S/CX)
 _NATIVE_GATES = frozenset({"H", "S", "CX", "X", "Y", "Z"})
-#: single-qubit gates :meth:`Tableau.prepend` composes in front of a tableau
-PREPEND_GATES = frozenset({"X", "H", "S"})
 
 
 def _pack_bits(bits: np.ndarray, n_words: int | None = None) -> np.ndarray:
@@ -721,50 +717,6 @@ class Tableau:
                     self.s(sub_qubits[0])
                 else:
                     self.cx(*sub_qubits)
-
-    def prepend(self, name: str, q: int) -> None:
-        """Turn the tableau of ``U`` into the tableau of ``U·g``, ``g`` on ``q``.
-
-        ``g`` is one of :data:`PREPEND_GATES` — what the tomographic
-        preparations |1>, |+>, |+i> are made of.  Only the generator pair
-        of ``q`` changes, to ``U (g P g†) U†`` for ``P = X_q, Z_q``:
-
-        * ``X``: ``Z -> -Z`` — flip the stabilizer's sign;
-        * ``H``: ``X <-> Z`` — swap the two rows;
-        * ``S``: ``X -> Y = iXZ`` — the destabilizer becomes ``i`` times
-          its product with the stabilizer, phase-exactly (the rows
-          anticommute, so the product is Hermitian again).
-
-        The result equals evolving ``g`` then ``U`` from scratch on ``x``,
-        ``z`` and ``sign``, destabilizer rows included.  Only meaningful
-        on a tableau evolved by gates alone; raises ``ValueError`` for any
-        other gate name (callers fall back to re-simulation).
-        """
-        if self.n_symbols:
-            raise ValueError("cannot prepend after symbolic collapse")
-        d, s = q, self.n + q
-        if name == "X":
-            self.sign[s] ^= True
-        elif name == "H":
-            for arr in (self.x, self.z, self.sign):
-                arr[[d, s]] = arr[[s, d]]
-        elif name == "S":
-            xd, zd, xs, zs = self.x[d], self.z[d], self.x[s], self.z[s]
-            x, z = xd ^ xs, zd ^ zs
-            # i * R_d * R_s as a power of i, R = (-1)^sign i^(x.z) X^x Z^z;
-            # reordering Z^zd X^xs costs (-1)^(zd.xs)
-            power = (
-                1
-                + int(np.bitwise_count(xd & zd).sum())
-                + int(np.bitwise_count(xs & zs).sum())
-                + 2 * int(np.bitwise_count(zd & xs).sum())
-                + 2 * (int(self.sign[d]) + int(self.sign[s]))
-                - int(np.bitwise_count(x & z).sum())
-            )
-            self.x[d], self.z[d] = x, z
-            self.sign[d] = bool((power >> 1) & 1)
-        else:
-            raise ValueError(f"cannot prepend gate {name!r}")
 
     def apply_circuit(self, circuit: Circuit) -> None:
         """Apply a Clifford circuit as fused word-parallel gate layers."""

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import kernels
-
 
 def bit_major_sample(affine, shots: int, rng: np.random.Generator) -> np.ndarray:
     """``(m, shots)`` 0/1 bytes: row ``i`` is output bit ``i`` of every shot."""
@@ -30,6 +28,7 @@ def bit_major_sample(affine, shots: int, rng: np.random.Generator) -> np.ndarray
         if len(unit_rows):
             out[unit_rows] = free_t[unit_cols]
         if len(dense_rows):
-            out[dense_rows] = kernels.gf2_matmul(affine.A[dense_rows], free_t)
+            product = affine.A[dense_rows].astype(np.int64) @ free_t
+            out[dense_rows] = product & 1
     out ^= affine.b.astype(np.uint8)[:, None]
     return out

@@ -117,16 +117,30 @@ class TestRouter:
         assert BackendRouter().select(f).name == "statevector"
 
     def test_forced_backend_wins_when_capable(self):
-        c = Circuit(2).append(gates.H, 0).append(gates.T, 0)
-        f = CircuitFeatures.from_circuit(c)
-        router = BackendRouter(forced="mps")
-        assert router.select(f).name == "mps"
+        c = Circuit(2).append(gates.H, 0).append(gates.T, 0).measure_all()
+        plan = SuperSim(execution=ExecutionConfig(backend="mps")).plan(c)
+        assert set(plan.backend_names) == {"mps"}
 
     def test_forced_clifford_only_falls_back(self):
-        c = Circuit(2).append(gates.H, 0).append(gates.T, 0)
-        f = CircuitFeatures.from_circuit(c)
-        router = BackendRouter(forced="stabilizer")
-        assert router.select(f).name == "statevector"
+        c = Circuit(2).append(gates.H, 0).append(gates.T, 0).measure_all()
+        plan = SuperSim(execution=ExecutionConfig(backend="stabilizer")).plan(c)
+        for fragment, name in zip(plan.cut_circuit.fragments, plan.backend_names):
+            assert name == ("stabilizer" if fragment.is_clifford else "statevector")
+        assert "statevector" in plan.backend_names
+
+    def test_forced_backend_instance_wins(self):
+        from repro.core.evaluator import FragmentEvaluator
+
+        c = Circuit(2).append(gates.H, 0).append(gates.T, 0).measure_all()
+        mps = get_backend("mps")
+        execution = ExecutionConfig(backend=mps)
+        assert FragmentEvaluator(execution=execution).forced is mps
+        assert set(SuperSim(execution=execution).plan(c).backend_names) == {"mps"}
+
+    def test_router_takes_no_forced_backend(self):
+        # forcing is the ExecutionConfig's job, applied by the evaluator
+        with pytest.raises(TypeError):
+            BackendRouter(forced="mps")
 
     def test_no_capable_backend(self):
         c = Circuit(2).append(gates.H, 0).append(gates.T, 0)
@@ -350,7 +364,7 @@ class TestSuperSimIntegration:
             for f in cut_circuit(c, find_cuts(c)).fragments
             if f.is_clifford
         )
-        data = FragmentEvaluator(clifford_shots=50).evaluate(fragment)
+        data = FragmentEvaluator(SamplingConfig(clifford_shots=50)).evaluate(fragment)
         assert all(isinstance(v, AffineVariantData) for v in data.results.values())
 
     def test_bare_simulator_pinned_to_nonclifford_fragments(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis import Distribution, hellinger_fidelity
 from repro.circuits import Circuit, gates
-from repro.core import cut_circuit, find_cuts
+from repro.core import SamplingConfig, cut_circuit, find_cuts
 from repro.core.evaluator import (
     AffineVariantData,
     DenseVariantData,
@@ -43,7 +43,7 @@ class TestDispatch:
     def test_clifford_fragment_sampled_is_bits(self):
         frags = fragments_of(bell_plus_t())
         clifford = next(f for f in frags if f.is_clifford)
-        data = FragmentEvaluator(shots=100, rng=0).evaluate(clifford)
+        data = FragmentEvaluator(SamplingConfig(shots=100, seed=0)).evaluate(clifford)
         assert all(isinstance(v, SampledVariantData) for v in data.results.values())
 
     def test_variant_count(self):
@@ -55,7 +55,7 @@ class TestDispatch:
     def test_clifford_shots_override(self):
         frags = fragments_of(bell_plus_t())
         clifford = next(f for f in frags if f.is_clifford)
-        data = FragmentEvaluator(shots=1000, clifford_shots=16, rng=0).evaluate(
+        data = FragmentEvaluator(SamplingConfig(shots=1000, clifford_shots=16, seed=0)).evaluate(
             clifford
         )
         some = next(iter(data.results.values()))

@@ -1,7 +1,7 @@
 """Per-fragment work is done once — and changes no result.
 
 The variants of a fragment share one hashed, compiled and simulated body
-(``Circuit.embed`` / ``shared_body`` / ``derived``, ``Tableau.prepend``),
+(``Circuit.embed`` / ``shared_body`` / ``derived``),
 and ``build_window_tensors`` builds every window's tensor in one pass over
 a fragment's variants.  All the variants also share one symbolic
 measurement sweep: the body runs with its input wires Bell-paired to
@@ -63,10 +63,6 @@ from repro.stabilizer.tableau import (
 
 STAB = StabilizerSimulator()
 
-#: gate sequences preparing |0>, |1>, |+>, |+i> (as in repro.core.variants)
-_PREPS = ((), (gates.X,), (gates.H,), (gates.H, gates.S))
-
-
 def same_tableau(a: Tableau, b: Tableau) -> bool:
     return (
         np.array_equal(a.x, b.x)
@@ -101,7 +97,10 @@ def plain_copy(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n_qubits, circuit.ops).measure(circuit.measured_qubits)
 
 
-# -- Tableau.prepend -----------------------------------------------------------
+# -- StabilizerSimulator.run ---------------------------------------------------
+
+#: gate sequences preparing |0>, |1>, |+>, |+i> (as in repro.core.variants)
+_PREPS = ((), (gates.X,), (gates.H,), (gates.H, gates.S))
 
 
 @st.composite
@@ -122,37 +121,25 @@ def bodies_and_preparations(draw):
     return body, qubits
 
 
-class TestPrepend:
+class TestRunIsPlainEvolution:
     @settings(max_examples=40, deadline=None)
     @given(bodies_and_preparations())
-    def test_prepend_equals_resimulation(self, case):
-        """copy + prepend == evolving prefix + body from |0..0>, on x, z and
-        sign, destabilizer rows included, for every preparation."""
+    def test_run_on_a_shared_body_equals_resimulation(self, case):
+        """run() of prefix + embedded body == evolving the spelled-out op
+        list from |0..0>, on x, z and sign, for every preparation; the body
+        keeps no evolved tableau for the variants to share."""
         body, qubits = case
-        evolved = Tableau(body.n_qubits)
-        evolved.apply_circuit(body)
-        pristine = evolved.copy()
         for preps in itertools.product(range(4), repeat=len(qubits)):
-            prefix = Circuit(body.n_qubits)
+            circuit = Circuit(body.n_qubits)
             for q, prep in zip(qubits, preps):
                 for gate in _PREPS[prep]:
-                    prefix.append(gate, q)
-            got = evolved.copy()
-            for op in reversed(prefix.ops):
-                got.prepend(op.gate.name, op.qubits[0])
+                    circuit.append(gate, q)
+            circuit.embed(body, prepared=qubits).measure_all()
+            assert circuit.shared_body() is not None
             expected = Tableau(body.n_qubits)
-            expected.apply_circuit(prefix + body)
-            assert same_tableau(got, expected), (preps, qubits)
-        assert same_tableau(evolved, pristine), "the shared tableau was mutated"
-
-    def test_unknown_gate_and_collapsed_tableau_are_refused(self):
-        with pytest.raises(ValueError):
-            Tableau(2).prepend("SDG", 0)
-        collapsed = Tableau(1)
-        collapsed.h(0)
-        collapsed.measurement_distribution((0,))  # random outcome: one symbol
-        with pytest.raises(ValueError):
-            collapsed.prepend("X", 0)
+            expected.apply_circuit(plain_copy(circuit))
+            assert same_tableau(STAB.run(circuit), expected), (preps, qubits)
+        assert "tableau" not in body.derived()
 
 
 # -- a variant and its spelled-out op list -----------------------------------------
@@ -484,7 +471,7 @@ class TestMeasuringLate:
             assert circuit.shared_body() is not None
             assert_same_form(STAB.affine_distribution(circuit), sequential(circuit))
             assert "collapsed" not in body.derived() and "swept" not in body.derived()
-        with pytest.raises(ValueError, match="not Clifford"):
+        with pytest.raises(ValueError, match="non-Clifford gate T"):
             STAB.affine_distribution(Circuit(4).embed(body, [3]).append(gates.T, 3))
 
     def test_a_pickled_variant_equals_the_shared_one(self):
@@ -635,19 +622,15 @@ class TestSharedTableausAreFrozen:
         expected = sequential(variant)
         assert_same_form(STAB.affine_distribution(variant), expected)
         derived = fragment.circuit.derived()
-        # the evolved tableau is what `run` shares; the sweep does without it
-        assert "tableau" not in derived
-        STAB.run(variant)
         (collapsed, A, b), = derived["collapsed"].values()
         _key, swept, A_swept, b_swept = derived["swept"]
         assert swept.n == 6 + 1
         for shared in (A_swept, b_swept):
             assert not shared.flags.writeable
-        return variant, expected, (derived["tableau"], swept, collapsed), A, b
+        return variant, expected, (swept, collapsed), A, b
 
     def test_measuring_the_cached_object_raises(self):
         variant, expected, tableaus, A, b = self.shared()
-        evolved = tableaus[0]
         for tableau in tableaus:
             with pytest.raises(ValueError):
                 tableau.measurement_distribution(variant.measured_qubits)
@@ -661,11 +644,9 @@ class TestSharedTableausAreFrozen:
                 tableau.reset_symbols(6)
             with pytest.raises(ValueError, match="frozen"):
                 tableau.substitute_symbol(np.ones(1, dtype=bool), True)
+        # half of a Bell pair: a random outcome, which has to write
         with pytest.raises(ValueError):
-            evolved.prepend("X", 0)
-        random_wire = next(q for q in range(6) if sequential(variant).A[q].any())
-        with pytest.raises(ValueError):
-            evolved.measure_symbolic(random_wire)
+            tableaus[0].measure_symbolic(6)
         with pytest.raises(ValueError):
             A[0, 0] = True
         with pytest.raises(ValueError):

@@ -85,6 +85,24 @@ class TestSampleWords:
             affine.sample(shots, rng=3), Distribution.from_bit_rows(expected)
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(affine_forms(), st.sampled_from(SHOT_COUNTS), st.integers(0, 2**32 - 1))
+    def test_the_oracle_is_the_affine_map_of_its_free_bits(self, affine, shots, seed):
+        """Row ``i`` of a shot is ``b_i`` XOR the parity of the free bits
+        ``A_i`` selects: the oracle's unit-row gather and GF(2) product,
+        spelled out as one XOR reduction per row."""
+        got = bit_major_sample(affine, shots, np.random.default_rng(seed))
+        free = np.zeros((affine.n_free, shots), dtype=bool)
+        if affine.n_free:
+            words = np.random.default_rng(seed).integers(
+                0, 1 << 64, size=(affine.n_free, (shots + 63) // 64), dtype=np.uint64
+            )
+            free = unpack_shots(words, shots)
+        expected = np.zeros((affine.n_bits, shots), dtype=bool)
+        for i in range(affine.n_bits):
+            expected[i] = np.logical_xor.reduce(free[affine.A[i]], axis=0) ^ affine.b[i]
+        assert np.array_equal(got.astype(bool), expected)
+
     def test_the_generator_is_left_where_the_old_sampler_left_it(self):
         affine = AffineOutcomeDistribution(np.eye(4, dtype=bool), np.zeros(4))
         packed, old = np.random.default_rng(5), np.random.default_rng(5)

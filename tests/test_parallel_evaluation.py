@@ -22,8 +22,8 @@ class TestParallelEvaluator:
     def test_parallel_exact_matches_serial(self):
         circuit = workload()
         cc = cut_circuit(circuit, find_cuts(circuit))
-        serial = FragmentEvaluator(parallel=1)
-        threaded = FragmentEvaluator(parallel=4)
+        serial = FragmentEvaluator(execution=ExecutionConfig(parallel=1))
+        threaded = FragmentEvaluator(execution=ExecutionConfig(parallel=4))
         for fragment in cc.fragments:
             a = serial.evaluate(fragment)
             b = threaded.evaluate(fragment)
@@ -52,5 +52,10 @@ class TestParallelEvaluator:
         assert hellinger_fidelity(expected, got) > 0.9
 
     def test_parallel_floor(self):
-        evaluator = FragmentEvaluator(parallel=0)
-        assert evaluator.parallel == 1
+        # the config refuses what the evaluator used to clamp silently
+        with pytest.raises(ValueError, match="parallel"):
+            ExecutionConfig(parallel=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            ExecutionConfig(max_retries=-1)
+        evaluator = FragmentEvaluator(execution=ExecutionConfig(parallel=1))
+        assert evaluator.execution.parallel == 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits import Circuit, gates
-from repro.core import cut_circuit, find_cuts
+from repro.core import SamplingConfig, cut_circuit, find_cuts
 from repro.core.evaluator import FragmentEvaluator
 from repro.core.tomography import (
     _snap_vector,
@@ -19,7 +19,7 @@ SV = StatevectorSimulator()
 
 def evaluated_fragments(circuit, shots=None, rng=None):
     cc = cut_circuit(circuit, find_cuts(circuit))
-    evaluator = FragmentEvaluator(shots=shots, rng=rng)
+    evaluator = FragmentEvaluator(SamplingConfig(shots=shots, seed=rng))
     return cc, [evaluator.evaluate(f) for f in cc.fragments]
 
 
