@@ -52,8 +52,8 @@ class StabilizerBackend(Backend):
     def estimate_cost(
         self, features: CircuitFeatures, mode: str = "exact"
     ) -> float:
-        # bit-packed word-parallel tableau: 64 rows advance per machine
-        # word, so gates cost ~n/64 per column layer and the measurement
+        # bit-packed word-parallel tableau: a gate is a few big-int ops
+        # over all 2n rows (~n/64 words each) and the measurement
         # sweep ~n^2/64 — the cheapest Clifford engine by a wide margin,
         # exact at any width, and its affine readout makes sampling no
         # more expensive than exact evaluation (mode-independent)

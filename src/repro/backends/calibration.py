@@ -208,7 +208,7 @@ def measure_cost_scales(
             else:
                 backend.probabilities(circuit)
 
-        run()  # warm caches (compiled layers, lazy imports)
+        run()  # warm caches (compiled programs, lazy imports)
         best = np.inf
         for _ in range(max(1, repeats)):
             start = time.perf_counter()

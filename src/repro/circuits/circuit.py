@@ -8,7 +8,7 @@ mid-circuit measurement never occurs inside fragments.
 
 Two pieces of bookkeeping let work that depends only on an op list be done
 once.  :meth:`Circuit.derived` is a scratch dict for values computed from
-``ops`` (Clifford-ness, compiled layers, hash bytes, a swept tableau),
+``ops`` (Clifford-ness, a compiled gate program, hash bytes, a swept tableau),
 emptied by any mutation of ``ops``.  :meth:`Circuit.embed` appends another
 circuit's ops and records that the slice *is* that circuit;
 :meth:`Circuit.shared_body` answers it back while it still holds, so the

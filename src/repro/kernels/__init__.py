@@ -1,11 +1,11 @@
-"""The hot loops, one NumPy implementation each, counted by name.
+"""The hot loops, one implementation each, counted by name.
 
 ``repro.kernels`` owns the performance-critical inner loops of the
 stabilizer engine, the reconstruction contraction and the distribution
-data plane.  Each kernel is a :class:`Kernel`: calling it runs its NumPy
-body and adds to the kernel's ``calls`` / ``seconds`` counters, which
-:func:`counters_snapshot` / :func:`timings_since` turn into per-run
-kernel timings.
+data plane.  Each kernel is a :class:`Kernel`: calling it runs its body
+(NumPy, or Python ints for the gate walk) and adds to the kernel's
+``calls`` / ``seconds`` counters, which :func:`counters_snapshot` /
+:func:`timings_since` turn into per-run kernel timings.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""The NumPy body of every registered kernel.
+"""The body of every registered kernel.
 
-The bodies here are the hot loops of ``repro.stabilizer.tableau``,
-``repro.analysis.distributions`` and ``repro.core.reconstruction``; the
-call sites go through the registry so each kernel's calls and seconds
-are counted by name.
+The bodies here are the hot loops of ``repro.stabilizer`` (the tableau
+and the frame sampler), ``repro.analysis.distributions`` and
+``repro.core.reconstruction`` — NumPy, except the gate walk, which runs
+on Python ints; the call sites go through the registry so each kernel's
+calls and seconds are counted by name.
 
 This module must import nothing from the rest of ``repro`` (the hot-loop
 modules import the kernels, not the other way around).
@@ -19,45 +20,49 @@ _ONE = np.uint64(1)
 
 
 @kernel("apply_layers")
-def apply_layers(layers, x, z, sign) -> None:
-    """Apply fused Clifford layers to row-packed ``x``/``z``/``sign`` in place.
+def apply_layers(program, x, z, sign: int) -> int:
+    """Walk a Clifford gate program over integer columns; returns the sign.
 
-    Every array packs 64 generator rows per word (``x``/``z`` shape
-    ``(row_words, qubits)``, ``sign`` shape ``(row_words,)``), so a layer
-    of L gates is a handful of bitwise ops on ``(words, L)`` column
-    gathers — per-gate Python dispatch disappears and 64 rows advance per
-    machine word.
+    ``x[q]`` and ``z[q]`` hold column ``q`` as one Python int (bit ``r``
+    is row ``r``: a tableau's generator rows, or a batch of Pauli frames)
+    and are updated in place; ``sign`` packs the rows' sign bits the same
+    way.  The steps of ``program`` — ``(name, q)`` or ``("CX", control,
+    target)`` — run in order, each 1 to 4 big-int ops over every row at
+    once (the Aaronson–Gottesman rules).  Every step reads all its
+    columns before it writes one, so a qubit the columns lack fails
+    before that step changes anything.
     """
-    for name, qarr in layers:
-        if name == "CX":
-            cs, ts = qarr[:, 0], qarr[:, 1]
-            xc = x[:, cs]
-            zt = z[:, ts]
-            sign ^= np.bitwise_xor.reduce(
-                xc & zt & ~(x[:, ts] ^ z[:, cs]), axis=1
-            )
-            x[:, ts] ^= xc
-            z[:, cs] ^= zt
-            continue
-        qs = qarr[:, 0]
-        if name == "H":
-            xs = x[:, qs]
-            zs = z[:, qs]
-            sign ^= np.bitwise_xor.reduce(xs & zs, axis=1)
-            x[:, qs] = zs
-            z[:, qs] = xs
-        elif name == "S":
-            xs = x[:, qs]
-            sign ^= np.bitwise_xor.reduce(xs & z[:, qs], axis=1)
-            z[:, qs] ^= xs
+    for step in program:
+        name = step[0]
+        if name == "S":
+            q = step[1]
+            xq = x[q]
+            sign ^= xq & z[q]
+            z[q] ^= xq
+        elif name == "H":
+            q = step[1]
+            xq = x[q]
+            zq = z[q]
+            sign ^= xq & zq
+            x[q] = zq
+            z[q] = xq
+        elif name == "CX":
+            _, c, t = step
+            xc = x[c]
+            zt = z[t]
+            sign ^= xc & zt & ~(x[t] ^ z[c])
+            x[t] ^= xc
+            z[c] ^= zt
         elif name == "X":
-            sign ^= np.bitwise_xor.reduce(z[:, qs], axis=1)
+            sign ^= z[step[1]]
         elif name == "Z":
-            sign ^= np.bitwise_xor.reduce(x[:, qs], axis=1)
+            sign ^= x[step[1]]
         elif name == "Y":
-            sign ^= np.bitwise_xor.reduce(x[:, qs] ^ z[:, qs], axis=1)
-        else:  # pragma: no cover - compiler emits only the names above
-            raise AssertionError(f"unknown layer gate {name!r}")
+            q = step[1]
+            sign ^= x[q] ^ z[q]
+        else:
+            raise ValueError(f"unknown program step {step!r}")
+    return sign
 
 
 @kernel("row_mul")

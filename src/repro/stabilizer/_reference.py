@@ -2,10 +2,10 @@
 
 This is the original, straightforward implementation of the stabilizer
 tableau: one numpy ``bool`` per bit, one Python call per gate.  The
-production engine in :mod:`repro.stabilizer.tableau` packs 64 rows per
-``uint64`` word and fuses gate layers; this module is kept as the oracle
-the property tests (and ``benchmarks/perf_smoke.py``) compare the packed
-engine against, bit for bit.
+production engine in :mod:`repro.stabilizer.tableau` packs 64 qubits per
+``uint64`` word and walks gates on int columns of all rows; this module
+is kept as the oracle the property tests (and ``benchmarks/perf_smoke.py``)
+compare the packed engine against, bit for bit.
 
 Do not use this class in hot paths — it is deliberately unoptimised.
 """

@@ -9,42 +9,33 @@ mid-circuit frame randomisation is needed: the reference outcomes are drawn
 per shot from the exact affine outcome distribution, and a frame's X
 component on a measured qubit flips that outcome bit.
 
-Frame propagation reuses the tableau engine's fused gate layers
-(:func:`repro.stabilizer.tableau._compile_ops`): the circuit is compiled
-once into same-gate layers between noise-injection points, so all shots'
-frames advance through a whole layer per vectorized call instead of one
-Python dispatch per gate.
+Frames advance with the tableau engine's gate walk: the circuit is
+compiled once (:func:`repro.stabilizer.tableau._compile_ops`) into one
+gate program per stretch between noise-injection points, and the
+``apply_layers`` kernel walks it over *shot-packed* int columns — column
+``q`` of ``fx`` / ``fz`` is one Python int whose bit ``s`` is shot ``s``'s
+X / Z frame bit on qubit ``q`` — ignoring the sign it returns (a frame's
+sign never matters).  An injected error XORs one shot mask into a column.
 
-Cost: O(shots) bits per gate, so noisy sampling is barely slower than
-noiseless sampling — the property that makes stabilizer QEC studies cheap.
+Cost: a few big-int ops of ``shots`` bits per gate, so noisy sampling is
+barely slower than noiseless sampling — the property that makes
+stabilizer QEC studies cheap.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels as _kernels
 from repro.analysis.distributions import Distribution
 from repro.circuits.circuit import Circuit
 from repro.stabilizer.noise import NoiseModel
-from repro.stabilizer.tableau import Tableau, _compile_ops
-
-
-def _propagate_layers(layers, fx: np.ndarray, fz: np.ndarray) -> None:
-    """Conjugate all frames through fused gate layers (signs irrelevant)."""
-    for name, qarr in layers:
-        if name == "CX":
-            cs, ts = qarr[:, 0], qarr[:, 1]
-            fx[:, ts] ^= fx[:, cs]
-            fz[:, cs] ^= fz[:, ts]
-        elif name == "H":
-            qs = qarr[:, 0]
-            tmp = fx[:, qs].copy()
-            fx[:, qs] = fz[:, qs]
-            fz[:, qs] = tmp
-        elif name == "S":
-            qs = qarr[:, 0]
-            fz[:, qs] ^= fx[:, qs]
-        # X, Y, Z layers: Paulis commute with frames up to sign
+from repro.stabilizer.tableau import (
+    Tableau,
+    _bits_to_int,
+    _compile_ops,
+    _int_to_bits,
+)
 
 
 class FrameSampler:
@@ -58,9 +49,9 @@ class FrameSampler:
         tableau = Tableau(circuit.n_qubits)
         tableau.apply_circuit(circuit)
         self._reference = tableau.measurement_distribution(circuit.measured_qubits)
-        # pre-compile: fused layers between consecutive noise injections,
-        # preserving the site order (and hence the rng stream) of the
-        # one-op-at-a-time walk
+        # pre-compile: one gate program between consecutive noise
+        # injections, preserving the site order (and hence the rng stream)
+        # of the one-op-at-a-time walk
         inject_at: dict[int, list] = {}
         for index, channel, qubits in noise.locations(circuit):
             inject_at.setdefault(index, []).append((channel, qubits))
@@ -80,8 +71,8 @@ class FrameSampler:
         """(shots, n_measured) outcome bits."""
         rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
         n = self.circuit.n_qubits
-        fx = np.zeros((shots, n), dtype=bool)
-        fz = np.zeros((shots, n), dtype=bool)
+        fx = [0] * n
+        fz = [0] * n
 
         def inject(channel, qubits):
             indices = channel.sample_indices(shots, rng)
@@ -90,22 +81,25 @@ class FrameSampler:
                 mask = indices == term
                 if not mask.any():
                     continue
+                hit = _bits_to_int(mask)
                 for w, q in enumerate(qubits):
                     if xm[term, w]:
-                        fx[mask, q] ^= True
+                        fx[q] ^= hit
                     if zm[term, w]:
-                        fz[mask, q] ^= True
+                        fz[q] ^= hit
 
         # noise *before* any gate is not modelled; walk segments injecting
         # after the ops they end on
-        for layers, sites in self._segments:
-            _propagate_layers(layers, fx, fz)
+        for program, sites in self._segments:
+            _kernels.apply_layers(program, fx, fz, 0)
             for channel, qubits in sites:
                 inject(channel, qubits)
 
         reference = self._reference.sample_bits(shots, rng)
-        measured = list(self.circuit.measured_qubits)
-        return reference ^ fx[:, measured]
+        flips = np.zeros((len(self.circuit.measured_qubits), shots), dtype=bool)
+        for row, q in enumerate(self.circuit.measured_qubits):
+            flips[row] = _int_to_bits(fx[q], shots)
+        return reference ^ flips.T
 
     def sample(
         self, shots: int, rng: np.random.Generator | int | None = None

@@ -7,7 +7,7 @@ preparation (:func:`_collapsed`) and the per-variant measurement of the cut
 wires (:func:`_measured_late`), all kept on the body's
 :meth:`~repro.circuits.circuit.Circuit.derived` space.
 :meth:`StabilizerSimulator.run` shares none of it: it evolves the circuit
-from |0...0>, reusing only the body's compiled layers.
+from |0...0>, reusing only the body's compiled gate program.
 """
 
 from __future__ import annotations
@@ -154,9 +154,9 @@ class StabilizerSimulator:
     * Pauli-frame noisy sampling.
 
     Backed by the bit-packed word-parallel tableau
-    (:mod:`repro.stabilizer.tableau`): circuits run as fused same-gate
-    layers over ``uint64``-packed generator rows, so gate cost scales as
-    ``n/64`` per layer column and measurement as ``n^2/64``.
+    (:mod:`repro.stabilizer.tableau`): a circuit runs as one walk of its
+    gate program over int columns of all ``2n`` rows, a few big-int ops
+    per gate, and measurement costs ``n^2/64`` word ops.
     """
 
     name = "stabilizer"

@@ -13,23 +13,23 @@ bitwise-AND + popcount (``np.bitwise_count``) ops on whole words, so one
 generator multiplication costs ``O(n/64)`` words instead of ``O(n)``
 bytes, and a full measurement sweep is the paper's ``O(n^2/64)``.
 
-**Fused layers.**  :func:`compile_clifford_layers` ASAP-schedules a
-circuit into same-gate layers on disjoint qubits (gates on disjoint
-qubits commute, so this is bit-for-bit equivalent to program order).
-:meth:`Tableau.apply_circuit` bit-transposes the tableau into *row*-packed
-form (64 rows of a column per word — the layout gate columns want),
-applies every fused layer in one vectorized call there, and transposes
-back; Python dispatch is paid per *layer*, not per gate, and the compiled
-layers are kept in the circuit's :meth:`~repro.circuits.circuit.Circuit.derived`
-space (revalidated by op-list identity, so any mutation recompiles).  A
-circuit that embeds a shared body — the variants of one fragment — compiles
-as ``layers(prefix) + layers(body) + layers(suffix)`` with the body's layers
-compiled once on the body; gates on a wire keep their order, so the evolved
-tableau is bit-identical.
+**Gate walk.**  :func:`compile_clifford_layers` turns a circuit into a
+flat gate program in op order — native H, S, CX, X, Y, Z as themselves,
+every other Clifford gate as its cached stabilizer decomposition — kept in
+the circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
+(revalidated by op-list identity, so any mutation recompiles).
+:meth:`Tableau.apply_layers` turns each qubit column of ``x`` and ``z``,
+and the sign vector, into one Python int over the ``2n`` rows, walks the
+program gate by gate on those ints — 1 to 4 big-int ops per gate, every
+row at once — and packs the result back: the conversions are paid once
+per call, the per-gate cost is a handful of word-parallel integer ops.  A
+circuit that embeds a shared body — the variants of one fragment —
+compiles as ``program(prefix) + program(body) + program(suffix)`` with the
+body's program compiled once on the body.
 
 **Plain evolution.**  The tableau :meth:`StabilizerSimulator.run` hands
 back is always a from-scratch evolution of the circuit, for a fragment's
-variants too (over the body's layers, compiled once).  What the variants
+variants too (over the body's program, compiled once).  What the variants
 share is in their outcome distributions: one evolution and one sweep per
 body ("Measuring late" below).
 
@@ -73,7 +73,7 @@ once per variant
 The variants differ in front of the body only by the state — |0>, |1>,
 |+> or |+i> — handed to each input wire, so the body runs once with every
 input wire Bell-paired to an ancilla behind the body's wires (``h(a)``,
-``cx(a, q)``; :meth:`Tableau.apply_layers` runs the body's layers on the
+``cx(a, q)``; :meth:`Tableau.apply_layers` walks the body's program on the
 wider tableau), and handing the wire ``|psi>`` is keeping the outcome
 ``<psi*|`` on its ancilla.  Behind the body they differ only by
 single-qubit gates on the cut wires, which commute with measuring every
@@ -93,6 +93,8 @@ oracle the shared one is tested against, bit for bit.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro import kernels as _kernels
@@ -111,8 +113,8 @@ from repro.paulis.pauli import PauliString
 _ONE = np.uint64(1)
 _WORD_SHIFTS = np.arange(64, dtype=np.uint64)
 
-# gate names the packed engine applies natively (every other Clifford gate
-# goes through Gate.stabilizer_decomposition into H/S/CX)
+# gate names the walk applies natively (every other Clifford gate goes
+# through Gate.stabilizer_decomposition into H/S/CX)
 _NATIVE_GATES = frozenset({"H", "S", "CX", "X", "Y", "Z"})
 
 
@@ -133,83 +135,75 @@ def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
     return bits.reshape(words.shape[:-1] + (-1,))[..., :n]
 
 
-def _compile_ops(ops) -> list[tuple[str, np.ndarray]]:
-    """Fuse a Clifford op list into (gate name, qubit array) layers.
+def _bits_to_int(bits: np.ndarray) -> int:
+    """A bool vector as one Python int, bit ``i`` = element ``i``."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
-    Ops are ASAP-scheduled into name-homogeneous layers: each primitive
-    joins the earliest layer at or after its dependency frontier (the last
-    layer touching any of its qubits) that applies the same gate.  Gates
-    on disjoint qubits commute exactly, so executing a layer in one
-    vectorized call is bit-for-bit equivalent to the original op order.
-    Raises ``ValueError`` on non-Clifford gates.
+
+def _int_to_bits(value: int, n: int) -> np.ndarray:
+    """Inverse of :func:`_bits_to_int`: the low ``n`` bits as bools."""
+    data = np.frombuffer(value.to_bytes((n + 7) >> 3, "little"), dtype=np.uint8)
+    return np.unpackbits(data, count=n, bitorder="little").astype(bool)
+
+
+@functools.lru_cache(maxsize=4096)
+def _gate_steps(gate) -> tuple[tuple, ...]:
+    """``gate`` as program steps on its own wires — ``(name, wire)`` or
+    ``("CX", control, target)`` — computed once per distinct gate."""
+    if not gate.is_clifford:
+        raise ValueError(
+            f"non-Clifford gate {gate!r} cannot run on the tableau simulator"
+        )
+    if gate.name in _NATIVE_GATES:
+        return ((gate.name, *range(gate.num_qubits)),)
+    return tuple((name, *wires) for name, wires in gate.stabilizer_decomposition())
+
+
+def _compile_ops(ops) -> list[tuple]:
+    """A Clifford op list as a flat gate program, in op order.
+
+    Each op becomes its gate's steps on the op's qubits: native H, S, CX,
+    X, Y and Z as themselves, any other Clifford gate as its
+    ``stabilizer_decomposition()`` (looked up once per distinct gate), the
+    identity as nothing.  A step is ``(name, qubit)`` or ``("CX", control,
+    target)``.  Raises ``ValueError`` on a non-Clifford gate.
     """
-    from bisect import bisect_left
-
-    prims: list[tuple[str, tuple[int, ...]]] = []
+    program: list[tuple] = []
+    emit = program.append
     for op in ops:
-        if not op.gate.is_clifford:
-            raise ValueError(
-                f"non-Clifford gate {op.gate!r} cannot run on the tableau "
-                "simulator"
-            )
-        name = op.gate.name
-        if name == "I":
-            continue
-        if name in _NATIVE_GATES:
-            prims.append((name, op.qubits))
-        else:
-            for sub_name, wires in op.gate.stabilizer_decomposition():
-                prims.append((sub_name, tuple(op.qubits[w] for w in wires)))
-    layer_ops: list[list[tuple[int, ...]]] = []
-    layer_name: list[str] = []
-    levels_by_name: dict[str, list[int]] = {}
-    last_level: dict[int, int] = {}
-    for name, qubits in prims:
-        ready = 1 + max(last_level.get(q, -1) for q in qubits)
-        # any previously placed op sharing a qubit sits below `ready`, so
-        # the first same-name layer at or after it is always collision-free
-        levels = levels_by_name.setdefault(name, [])
-        pos = bisect_left(levels, ready)
-        if pos < len(levels):
-            level = levels[pos]
-        else:
-            level = len(layer_ops)
-            layer_ops.append([])
-            layer_name.append(name)
-            levels.append(level)
-        layer_ops[level].append(qubits)
-        for q in qubits:
-            last_level[q] = level
-    return [
-        (name, np.asarray(qs, dtype=np.intp))
-        for name, qs in zip(layer_name, layer_ops)
-    ]
+        qubits = op.qubits
+        for step in _gate_steps(op.gate):
+            if len(step) == 2:
+                emit((step[0], qubits[step[1]]))
+            else:
+                emit((step[0], qubits[step[1]], qubits[step[2]]))
+    return program
 
 
-def compile_clifford_layers(circuit: Circuit) -> list[tuple[str, np.ndarray]]:
-    """Fused-gate layers of a Clifford circuit, cached on the circuit.
+def compile_clifford_layers(circuit: Circuit) -> list[tuple]:
+    """The gate program of a Clifford circuit, cached on the circuit.
 
     The cache is the circuit's :meth:`Circuit.derived` space, so any
     mutation of ``circuit.ops`` — append, insert, or in-place replacement
     — is detected and triggers recompilation.  Around a shared body
     (:meth:`Circuit.shared_body`) only the ops before and after it are
-    compiled here; the body's layers come from the body's own cache.
+    compiled here; the body's program comes from the body's own cache.
     """
     derived = circuit.derived()
-    layers = derived.get("clifford_layers")
-    if layers is None:
+    program = derived.get("clifford_layers")
+    if program is None:
         shared = circuit.shared_body()
         if shared is None:
-            layers = _compile_ops(circuit.ops)
+            program = _compile_ops(circuit.ops)
         else:
             body, start, stop = shared
-            layers = (
+            program = (
                 _compile_ops(circuit.ops[:start])
                 + compile_clifford_layers(body)
                 + _compile_ops(circuit.ops[stop:])
             )
-        derived["clifford_layers"] = layers
-    return layers
+        derived["clifford_layers"] = program
+    return program
 
 
 def _pack_axis1(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -227,33 +221,24 @@ def _unpack_axis1(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(u8, axis=1, bitorder="little")[:, :n].astype(bool)
 
 
-def _to_row_packed(words: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Bit-transpose ``(n_rows, ceil(n_cols/64))`` into row-packed form.
+def _to_columns(words: np.ndarray, n: int) -> list[int]:
+    """Qubit-packed ``(rows, ceil(n/64))`` words as one int per qubit
+    column, bit ``r`` of column ``q`` = bit ``q`` of row ``r``."""
+    columns = np.packbits(_unpack_axis1(words, n).T, axis=1, bitorder="little")
+    return [int.from_bytes(column, "little") for column in columns]
 
-    The result has shape ``(ceil(n_rows/64), n_cols)``: one packed word
-    per 64 *rows* of a column, the layout gate layers want.
-    """
-    bits = _unpack_axis1(words, n_cols)
-    return np.ascontiguousarray(
-        _pack_axis1(np.ascontiguousarray(bits.T), max(1, (n_rows + 63) >> 6)).T
+
+def _from_columns(columns, rows: int, n_words: int) -> np.ndarray:
+    """Inverse of :func:`_to_columns`."""
+    stride = (rows + 7) >> 3
+    data = np.frombuffer(
+        b"".join(column.to_bytes(stride, "little") for column in columns),
+        dtype=np.uint8,
     )
-
-
-def _from_row_packed(words: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
-    """Inverse of :func:`_to_row_packed`."""
-    bits = _unpack_axis1(np.ascontiguousarray(words.T), n_rows)
-    return _pack_axis1(np.ascontiguousarray(bits.T), max(1, (n_cols + 63) >> 6))
-
-
-def _apply_layers_row_packed(layers, x, z, sign) -> None:
-    """Apply fused layers to row-packed ``x``/``z``/``sign`` in place.
-
-    Every array packs 64 generator rows per word, so a layer of L gates is
-    a handful of bitwise ops on ``(words, L)`` column gathers — per-gate
-    Python dispatch disappears and 64 rows advance per machine word.
-    Runs as the :mod:`repro.kernels` ``apply_layers`` kernel.
-    """
-    _kernels.apply_layers(layers, x, z, sign)
+    bits = np.unpackbits(
+        data.reshape(-1, stride), axis=1, count=rows, bitorder="little"
+    )
+    return _pack_axis1(np.ascontiguousarray(bits.T), n_words)
 
 
 #: rank of the widest affine image anything here enumerates (2^24 outcomes)
@@ -719,39 +704,39 @@ class Tableau:
                     self.cx(*sub_qubits)
 
     def apply_circuit(self, circuit: Circuit) -> None:
-        """Apply a Clifford circuit as fused word-parallel gate layers."""
+        """Apply a Clifford circuit: one walk of its compiled gate program."""
         if circuit.n_qubits != self.n:
             raise ValueError("circuit width does not match tableau")
         self.apply_layers(compile_clifford_layers(circuit))
 
-    def apply_layers(self, layers) -> None:
-        """Apply fused gate layers (:func:`compile_clifford_layers`).
+    def apply_layers(self, program) -> None:
+        """Walk a compiled gate program (:func:`compile_clifford_layers`).
 
-        The layers may come from a narrower circuit: wires they do not
-        name are left alone.  Gate columns want rows packed together (64
-        rows of a column per word) while row products want qubits packed
-        together, so the tableau is bit-transposed into row-packed form
-        once, all fused layers run there, and the result is transposed
-        back — both conversions are C-speed ``packbits`` calls, amortised
-        over the whole circuit.
+        The program may come from a narrower circuit: wires it does not
+        name are left alone.  Gates want columns while row products want
+        rows, so every qubit column of ``x``/``z`` and the sign vector
+        become one Python int over the ``2n`` rows for the walk (the
+        ``apply_layers`` kernel) and are packed back after it — one
+        ``packbits`` conversion each way per call.  The columns are keyed
+        by qubit, so a gate naming a qubit outside ``[0, n)`` — ``-1``
+        included — fails on its first read, and ``ValueError`` leaves the
+        tableau as it was: nothing is written back.
         """
         self._require_writable()
-        for name, qubits in layers:
-            if qubits.size and int(qubits.max()) >= self.n:
-                raise ValueError(
-                    f"{name} layer names qubit {int(qubits.max())} of a "
-                    f"{self.n}-qubit tableau"
-                )
-        if not layers:
+        if not program:
             return
+        x = dict(enumerate(_to_columns(self.x, self.n)))
+        z = dict(enumerate(_to_columns(self.z, self.n)))
+        try:
+            sign = _kernels.apply_layers(program, x, z, _bits_to_int(self.sign))
+        except KeyError as error:
+            raise ValueError(
+                f"a gate names qubit {error.args[0]} of a {self.n}-qubit tableau"
+            ) from None
         rows = 2 * self.n
-        x = _to_row_packed(self.x, rows, self.n)
-        z = _to_row_packed(self.z, rows, self.n)
-        sign = _pack_bits(self.sign)
-        _apply_layers_row_packed(layers, x, z, sign)
-        self.x = _from_row_packed(x, rows, self.n)
-        self.z = _from_row_packed(z, rows, self.n)
-        self.sign = _unpack_bits(sign, rows)
+        self.x = _from_columns(x.values(), rows, self.n_words)
+        self.z = _from_columns(z.values(), rows, self.n_words)
+        self.sign = _int_to_bits(sign, rows)
 
     # -- row products -----------------------------------------------------------
 

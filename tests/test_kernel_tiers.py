@@ -121,76 +121,75 @@ def _conjugate(name, bits):
     raise AssertionError("conjugate of a Pauli is not a Pauli")
 
 
-def _oracle_apply_layers(layers, x, z, sign):
+def _oracle_apply_layers(program, x, z, sign, rows):
     """Row by row, gate by gate: conjugate each row's Pauli by the gate."""
-    words, n_qubits = x.shape
-    x, z, sign = x.copy(), z.copy(), sign.copy()
-    for w in range(words):
-        for b in range(64):
-            bit = np.uint64(1) << np.uint64(b)
-            xr = [bool(x[w, q] & bit) for q in range(n_qubits)]
-            zr = [bool(z[w, q] & bit) for q in range(n_qubits)]
-            s = bool(sign[w] & bit)
-            for name, qarr in layers:
-                for qs in qarr.tolist():
-                    out, flip = _conjugate(name, [(xr[q], zr[q]) for q in qs])
-                    s ^= bool(flip)
-                    for q, (xq, zq) in zip(qs, out):
-                        xr[q], zr[q] = bool(xq), bool(zq)
-            for q in range(n_qubits):
-                x[w, q] = (x[w, q] & ~bit) | (bit if xr[q] else np.uint64(0))
-                z[w, q] = (z[w, q] & ~bit) | (bit if zr[q] else np.uint64(0))
-            sign[w] = (sign[w] & ~bit) | (bit if s else np.uint64(0))
+    n_qubits = len(x)
+    x, z = list(x), list(z)
+    for r in range(rows):
+        bit = 1 << r
+        xr = [bool(x[q] & bit) for q in range(n_qubits)]
+        zr = [bool(z[q] & bit) for q in range(n_qubits)]
+        s = bool(sign & bit)
+        for name, *qs in program:
+            out, flip = _conjugate(name, [(xr[q], zr[q]) for q in qs])
+            s ^= bool(flip)
+            for q, (xq, zq) in zip(qs, out):
+                xr[q], zr[q] = bool(xq), bool(zq)
+        for q in range(n_qubits):
+            x[q] = (x[q] & ~bit) | (bit if xr[q] else 0)
+            z[q] = (z[q] & ~bit) | (bit if zr[q] else 0)
+        sign = (sign & ~bit) | (bit if s else 0)
     return x, z, sign
 
 
-# -- apply_layers (row-packed Clifford layers) --------------------------------
+# -- apply_layers (the gate walk over int columns) ------------------------------
 
 
-def _random_layers(rng, n_qubits, n_layers, names=("CX", "H", "S", "X", "Z", "Y")):
-    layers = []
-    for _ in range(n_layers):
+def _random_program(rng, n_qubits, n_steps, names=("CX", "H", "S", "X", "Z", "Y")):
+    program = []
+    for _ in range(n_steps):
         name = names[rng.integers(0, len(names))]
-        width = 2 if name == "CX" else 1
-        max_gates = n_qubits // width
-        count = int(rng.integers(1, max_gates + 1))
-        qubits = rng.choice(n_qubits, size=count * width, replace=False)
-        layers.append((name, qubits.reshape(count, width).astype(np.int64)))
-    return layers
+        qubits = rng.choice(n_qubits, size=2 if name == "CX" else 1, replace=False)
+        program.append((name, *(int(q) for q in qubits)))
+    return program
 
 
-def _check_apply_layers(rng, layers, n_qubits, words):
-    x0 = rng.integers(0, 2**63, size=(words, n_qubits), dtype=np.uint64)
-    z0 = rng.integers(0, 2**63, size=(words, n_qubits), dtype=np.uint64)
-    s0 = rng.integers(0, 2**63, size=words, dtype=np.uint64)
-    x_ref, z_ref, s_ref = _oracle_apply_layers(layers, x0, z0, s0)
-    x, z, s = x0.copy(), z0.copy(), s0.copy()
-    rk.apply_layers(layers, x, z, s)
-    assert np.array_equal(x, x_ref)
-    assert np.array_equal(z, z_ref)
-    assert np.array_equal(s, s_ref)
+def _random_column(rng, rows):
+    return int.from_bytes(rng.bytes((rows + 7) // 8), "little") & ((1 << rows) - 1)
+
+
+def _check_apply_layers(rng, program, n_qubits, rows):
+    x0 = [_random_column(rng, rows) for _ in range(n_qubits)]
+    z0 = [_random_column(rng, rows) for _ in range(n_qubits)]
+    s0 = _random_column(rng, rows)
+    x_ref, z_ref, s_ref = _oracle_apply_layers(program, x0, z0, s0, rows)
+    x, z = list(x0), list(z0)
+    sign = rk.apply_layers(program, x, z, s0)
+    assert x == x_ref
+    assert z == z_ref
+    assert sign == s_ref
 
 
 @given(
     seed=seeds,
     n_qubits=st.integers(2, 8),
-    words=st.integers(1, 2),
-    n_layers=st.integers(1, 4),
+    rows=st.integers(1, 130),
+    n_steps=st.integers(1, 12),
 )
 @settings(max_examples=10, deadline=None)
-def test_apply_layers_parity(seed, n_qubits, words, n_layers):
+def test_apply_layers_parity(seed, n_qubits, rows, n_steps):
     rng = _rng(seed)
-    layers = _random_layers(rng, n_qubits, n_layers)
-    _check_apply_layers(rng, layers, n_qubits, words)
+    program = _random_program(rng, n_qubits, n_steps)
+    _check_apply_layers(rng, program, n_qubits, rows)
 
 
 @pytest.mark.parametrize("name", sorted(_GATES))
 def test_apply_layers_gate_matches_matrix_conjugation(name):
-    # one layer of a single gate kind, so every conjugation rule is
+    # a program of a single gate kind, so every conjugation rule is
     # exercised on its own against the matrix oracle
     rng = _rng(sorted(_GATES).index(name))
-    layers = _random_layers(rng, 6, 1, names=(name,))
-    _check_apply_layers(rng, layers, 6, 1)
+    program = _random_program(rng, 6, 6, names=(name,))
+    _check_apply_layers(rng, program, 6, 64)
 
 
 # -- row_mul (tableau row products) -------------------------------------------

@@ -136,15 +136,102 @@ class TestPackedTableauEquivalence:
         assert np.array_equal(ours.b, theirs.b)
 
 
+#: widths whose 2n rows end just before, on and just past a 64-bit word
+EDGE_WIDTHS = (1, 31, 32, 33, 63, 64, 65, 127, 128, 129)
+
+#: every gate the walk takes through its stabilizer decomposition
+DECOMPOSED_1Q = [gates.SDG, gates.SX, gates.SXDG] + [
+    power(0.5 * k) for power in (gates.XPow, gates.YPow, gates.ZPow) for k in range(4)
+]
+DECOMPOSED_2Q = [gates.CZ, gates.CY, gates.CZPow(1.0), gates.CZPow(2.0)] + [
+    gates.ZZPow(0.5 * k) for k in range(4)
+]
+
+
+def _assert_same_state(packed, reference, n):
+    assert np.array_equal(_unpack_bits(packed.x, n), reference.x)
+    assert np.array_equal(_unpack_bits(packed.z, n), reference.z)
+    assert np.array_equal(packed.sign, reference.sign)
+
+
+class TestIntColumnEdges:
+    """The walk's int columns span 2n rows: bit for bit against the
+    byte-per-bit reference at widths around the 64-bit word boundaries."""
+
+    @pytest.mark.parametrize("n", EDGE_WIDTHS)
+    def test_cx_ladder(self, n):
+        circuit = Circuit(n).append(gates.H, 0)
+        for q in range(n - 1):
+            circuit.append(gates.CX, q, q + 1)
+        circuit.append(gates.S, n - 1).append(gates.Y, 0)
+        packed, reference = Tableau(n), ReferenceTableau(n)
+        packed.apply_circuit(circuit)
+        reference.apply_circuit(circuit)
+        _assert_same_state(packed, reference, n)
+        ours = packed.measurement_distribution(tuple(range(n)))
+        theirs = reference.measurement_distribution(tuple(range(n)))
+        assert np.array_equal(ours.A, theirs.A)
+        assert np.array_equal(ours.b, theirs.b)
+
+    @pytest.mark.parametrize("n", EDGE_WIDTHS)
+    def test_every_decomposed_gate(self, n):
+        rng = np.random.default_rng(n)
+        circuit = Circuit(n)
+        for q in range(n):
+            circuit.append(gates.H, q)
+        for gate in DECOMPOSED_1Q + (DECOMPOSED_2Q if n > 1 else []):
+            for _ in range(3):
+                qubits = [int(q) for q in rng.choice(n, gate.num_qubits, replace=False)]
+                circuit.append(gate, *qubits)
+                if n > 1:  # spread the gate's effect over other rows' signs
+                    circuit.append(gates.CX, qubits[0], (qubits[0] + 1) % n)
+        packed, reference = Tableau(n), ReferenceTableau(n)
+        packed.apply_circuit(circuit)
+        reference.apply_circuit(circuit)
+        _assert_same_state(packed, reference, n)
+
+    @pytest.mark.parametrize("n", EDGE_WIDTHS)
+    def test_narrow_program_on_a_wider_tableau(self, n):
+        """As the Choi sweep does: a body's program on ``n + k`` qubits,
+        the extra wires Bell-paired to the body's first ones."""
+        k = min(n, 3)
+        body = random_clifford_circuit(n, 4, np.random.default_rng(n))
+        packed, reference = Tableau(n + k), ReferenceTableau(n + k)
+        for tableau in (packed, reference):
+            for ancilla, q in enumerate(range(k), start=n):
+                tableau.h(ancilla)
+                tableau.cx(ancilla, q)
+        packed.apply_layers(compile_clifford_layers(body))
+        for op in body.ops:
+            reference.apply_operation(op.gate, op.qubits)
+        _assert_same_state(packed, reference, n + k)
+
+
 class TestLayerCompiler:
     @pytest.mark.parametrize("seed", range(10))
-    def test_layers_partition_ops_and_stay_disjoint(self, seed):
+    def test_program_is_each_ops_decomposition_in_order(self, seed):
         rng = np.random.default_rng(seed)
         circuit = random_clifford_circuit(8, 10, rng)
-        layers = _compile_ops(circuit.ops)
-        for name, qarr in layers:
-            flat = qarr.reshape(-1)
-            assert len(set(flat.tolist())) == flat.size, "layer qubits collide"
+        for gate in [gates.I] + DECOMPOSED_1Q + DECOMPOSED_2Q:
+            qubits = rng.choice(8, size=gate.num_qubits, replace=False)
+            circuit.append(gate, *(int(q) for q in qubits))
+        expected = []
+        for op in circuit.ops:
+            name = op.gate.name
+            if name in ("H", "S", "CX", "X", "Y", "Z"):
+                steps = [(name, tuple(range(op.gate.num_qubits)))]
+            else:
+                steps = op.gate.stabilizer_decomposition()
+            expected += [
+                (step, *(op.qubits[w] for w in wires)) for step, wires in steps
+            ]
+        assert _compile_ops(circuit.ops) == expected
+        assert all(step[0] != "I" for step in expected)
+
+    def test_non_clifford_gate_raises(self):
+        circuit = Circuit(2).append(gates.H, 0).append(gates.T, 1)
+        with pytest.raises(ValueError, match="non-Clifford"):
+            _compile_ops(circuit.ops)
 
     def test_cache_invalidates_on_append(self):
         circuit = Circuit(2).append(gates.H, 0)

@@ -5,9 +5,10 @@ import pytest
 
 from repro.analysis import Distribution, hellinger_fidelity
 from repro.circuits import Circuit, gates, random_clifford_circuit
+from repro.circuits.circuit import Operation
 from repro.paulis import PauliString
 from repro.stabilizer import StabilizerSimulator, Tableau
-from repro.stabilizer.tableau import compile_clifford_layers
+from repro.stabilizer.tableau import _compile_ops, compile_clifford_layers
 from repro.statevector import StatevectorSimulator
 
 STAB = StabilizerSimulator()
@@ -53,8 +54,8 @@ class TestGateAction:
             Tableau(2).apply_circuit(Circuit(3))
 
     def test_layers_of_a_narrower_circuit(self):
-        """Layers run on the wires they name; a wire past the tableau or a
-        frozen tableau is refused."""
+        """A program runs on the wires it names; a wire past the tableau or
+        a frozen tableau is refused."""
         body = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.S, 1)
         layers = compile_clifford_layers(body)
         wide, expected = Tableau(3), Tableau(3)
@@ -69,6 +70,36 @@ class TestGateAction:
             Tableau(1).apply_layers(layers)
         with pytest.raises(ValueError, match="frozen"):
             Tableau(2).freeze().apply_layers(layers)
+
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            [("H", -1)],
+            [("H", 3)],
+            [("S", 0), ("CX", 1, -1)],
+            [("H", 1), ("CX", 3, 0)],
+            [("X", -3)],
+            _compile_ops([Operation(gates.SX, (-1,))]),
+        ],
+    )
+    def test_a_qubit_outside_the_tableau_leaves_it_untouched(self, program):
+        """Any qubit outside ``[0, n)`` is refused, negative ones too (a
+        list or a numpy fancy index would wrap them onto the last wires),
+        and the refusal comes before the tableau changes."""
+        tableau = Tableau(3)
+        tableau.h(0)
+        tableau.cx(0, 2)
+        tableau.s(1)
+        before = tableau.copy()
+        with pytest.raises(ValueError, match="of a 3-qubit tableau"):
+            tableau.apply_layers(program)
+        for got, want in (
+            (tableau.x, before.x),
+            (tableau.z, before.z),
+            (tableau.sign, before.sign),
+        ):
+            assert np.array_equal(got, want)
 
 
 class TestAgainstStatevector:
