@@ -122,7 +122,8 @@ def bench_hwea_ladder() -> dict:
 
     n = HWEA_LADDER_QUBITS
     circuit = HWEA(n, 5).random_clifford_instance(np.random.default_rng(0))
-    fresh = iter([Circuit(n, circuit.ops) for _ in range(8)])
+    # one unseen circuit per packed call (_best's warm-up + 5 repeats)
+    fresh = iter([Circuit(n, circuit.ops) for _ in range(6)])
 
     def packed_run():
         Tableau(n).apply_circuit(next(fresh))
