@@ -629,6 +629,105 @@ def bench_variant_sharing() -> dict:
     }
 
 
+def bench_window_batch() -> dict:
+    """Marginal windows are batched — gated on counts.
+
+    ``single_qubit_marginals`` of a 100q 1-T HWEA: the windows are
+    contracted once per distinct window *shape* (the ``dense_contract``
+    kernel, twice per window before they were batched), and in exact mode
+    an exact Clifford variant builds the tables of all its windows of one
+    width from one batched elimination: ``_gf2_column_basis`` runs at most
+    once per variant and window width inside ``joint_tables`` (once per
+    variant and window before).  Counts are exact, so the gate is safe on
+    shared runners.  The batched and the per-window oracle seconds (the
+    window loop of ``repro.testing.reconstruction`` and one marginal per
+    window) are reported, not gated, with whether both agree bit for bit.
+    """
+    from unittest import mock
+
+    from repro.apps.hwea import HWEA
+    from repro.core import SamplingConfig, reconstruction, supersim
+    from repro.core.evaluator import AffineVariantData, VariantData
+    from repro.stabilizer import tableau as tableau_module
+    from repro.testing.reconstruction import loop_reconstruct_windows
+
+    circuit = (
+        HWEA(100, 5).near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
+    ).measure_all()
+    windows = [[q] for q in circuit.measured_qubits]
+    counts = dict.fromkeys(("shapes", "table_bound", "bases"), 0)
+    batched = reconstruction.reconstruct_windows
+    tables = AffineVariantData.joint_tables
+    column_basis = tableau_module._gf2_column_basis
+    inside_tables = [False]
+
+    def counted_windows(cut_circuit, tensors, layouts, **kwargs):
+        counts["shapes"] += len(
+            {tuple(t[w].shape for t in tensors) for w in range(len(layouts))}
+        )
+        counts["table_bound"] += sum(
+            f.num_variants * len({len(kept[i]) for kept, _order in layouts})
+            for i, f in enumerate(cut_circuit.fragments)
+        )
+        return batched(cut_circuit, tensors, layouts, **kwargs)
+
+    def counted_tables(self, *args):
+        inside_tables[0] = True
+        try:
+            return tables(self, *args)
+        finally:
+            inside_tables[0] = False
+
+    def counted_basis(matrix):
+        counts["bases"] += inside_tables[0]
+        return column_basis(matrix)
+
+    with mock.patch.object(supersim, "reconstruct_windows", counted_windows):
+        before = rk.counters_snapshot()["dense_contract"][0]
+        SuperSim(sampling=SamplingConfig(shots=1000, seed=0)).single_qubit_marginals(
+            circuit
+        )
+        contractions = rk.counters_snapshot()["dense_contract"][0] - before
+        shapes = counts["shapes"]
+        counts["table_bound"] = 0
+        with (
+            mock.patch.object(AffineVariantData, "joint_tables", counted_tables),
+            mock.patch.object(tableau_module, "_gf2_column_basis", counted_basis),
+        ):
+            SuperSim().single_qubit_marginals(circuit)
+
+    def per_window(cut_circuit, tensors, _layouts, **kwargs):
+        return loop_reconstruct_windows(cut_circuit, tensors, windows, **kwargs)
+
+    def oracle():
+        with (
+            mock.patch.object(supersim, "reconstruct_windows", per_window),
+            mock.patch.object(
+                AffineVariantData, "joint_tables", VariantData.joint_tables
+            ),
+        ):
+            return SuperSim().single_qubit_marginals(circuit)
+
+    def run():
+        return SuperSim().single_qubit_marginals(circuit)
+
+    return {
+        "workload": (
+            "100q 1-T HWEA single_qubit_marginals: contractions per window "
+            "shape (sampled) and GF(2) eliminations per variant and window "
+            "width (exact), batched vs per-window oracle"
+        ),
+        "windows": len(windows),
+        "window_shapes": shapes,
+        "dense_contract_calls": contractions,
+        "exact_table_eliminations": counts["bases"],
+        "exact_table_elimination_bound": counts["table_bound"],
+        "oracle_equal": run().tobytes() == oracle().tobytes(),
+        "batched_seconds": _best(run, repeats=3),
+        "oracle_seconds": _best(oracle, repeats=3),
+    }
+
+
 # the array-native data plane samples the 200q affine form at ~1.3M
 # shots/s on a quiet machine (the dict-based seed managed ~41k); the CI
 # floor is the 10x acceptance level (~600k nominal) with the 0.7 noise
@@ -652,6 +751,7 @@ def main() -> int:
         "streaming_reconstruction": bench_streaming_reconstruction(),
         "einsum_path_cache": bench_path_cache(),
         "variant_sharing": bench_variant_sharing(),
+        "window_batch": bench_window_batch(),
     }
     # atomic write: CI reads the artifact even if a later run is killed
     # mid-write, so stage to a tmp file and os.replace into place
@@ -817,6 +917,24 @@ def main() -> int:
             )
     if not sharing["tensors_equal"]:
         failures.append("batched window tensors differ from per-window builds")
+    batch = results["window_batch"]
+    if not (
+        batch["window_shapes"] < batch["windows"]
+        and batch["dense_contract_calls"] == batch["window_shapes"]
+    ):
+        failures.append(
+            f"{batch['dense_contract_calls']} window contractions for "
+            f"{batch['window_shapes']} window shapes ({batch['windows']} "
+            "windows): marginal windows are no longer contracted once per shape"
+        )
+    if batch["exact_table_eliminations"] > batch["exact_table_elimination_bound"]:
+        failures.append(
+            f"{batch['exact_table_eliminations']} GF(2) eliminations building "
+            "exact window tables, more than one per variant and window width "
+            f"({batch['exact_table_elimination_bound']})"
+        )
+    if not batch["oracle_equal"]:
+        failures.append("batched single-qubit marginals differ from the window loop")
     if failures:
         print("PERF SMOKE FAILURES:", "; ".join(failures), file=sys.stderr)
         return 1

@@ -79,7 +79,11 @@ class VariantData:
 
         Shape ``(len(windows), 2**width, 2**len(tail))``: one dense table
         per window over its own columns (rows) and the ``tail`` columns
-        every window shares (the fragment's measured cut qubits).
+        every window shares (the fragment's measured cut qubits).  This
+        default asks :meth:`joint` once per window — dense data's way, and
+        the oracle of the overrides: sampled data histograms every window
+        in one pass over its shots, exact Clifford data eliminates once
+        for all of them.
         """
         width = len(windows[0])
         shape = (2**width, 2 ** len(tail))
@@ -122,6 +126,13 @@ class AffineVariantData(VariantData):
 
     def joint(self, cols: list[int]) -> Distribution:
         return self.affine.marginal_distribution(cols)
+
+    def joint_tables(self, windows: list, tail: list[int]) -> np.ndarray:
+        # algebraic: one elimination batched over the windows; a lone
+        # window (a wide one, as a rule) is one marginal, as in the loop
+        if len(windows) == 1:
+            return super().joint_tables(windows, tail)
+        return self.affine.window_tables(windows, tail)
 
     def conditioned_tables(self, keep, fixed, fixed_rows, tail):
         # algebraic: nothing wider than keep + tail is ever enumerated

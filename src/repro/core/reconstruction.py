@@ -32,10 +32,16 @@ back is the accumulator over the product of the supports — never over
 across the fragments, so an accumulator entry's outcome is its fragments'
 keys side by side, permuted into the requested qubit order; entries at or
 below ``zero_threshold`` are dropped and the rest go to
-``Distribution.from_arrays``.  When every support is full the accumulator
-already *is* the dense distribution and the permutation is a
-reshape/transpose; that is the only run-time choice, and it is read off
-the tensors.
+``Distribution.from_arrays`` (:func:`_outcomes`).  When every support is
+full the accumulator already *is* the dense distribution and the
+permutation is a reshape/transpose; that is the only run-time choice, and
+it is read off the tensors.  Many windows at once
+(:func:`reconstruct_windows`, what ``SuperSim.marginal_probabilities``
+asks for) are the same contraction with a batch axis: the windows whose
+fragment tensors have the same shapes are contracted together, along the
+one-window path, each pairwise step one batched ``np.matmul``, and only
+the per-window tail (:func:`_outcomes`) runs once per window — bit for
+bit what one contraction per window gives.
 
 The Section IX zero-term optimization is accounting here, not a second
 engine: Pauli slices whose magnitude is (near) zero — guaranteed for many
@@ -239,8 +245,42 @@ def _count_survivors(masks: list[np.ndarray], axis_cuts: list[list[int]]) -> int
     return int(round(float(_kernels.dense_contract(operands, path))))
 
 
+def output_sites(cut_circuit: CutCircuit) -> dict[int, tuple[int, int, int]]:
+    """Every original qubit -> ``(rank, fragment, local qubit)`` holding it.
+
+    ``rank`` counts the outputs fragment by fragment, each fragment's in
+    its ``circuit_outputs`` order: the order a contraction lays its kept
+    bits out in.  Computed once per request, it places any number of
+    windows (:func:`window_layout`).
+    """
+    sites: dict[int, tuple[int, int, int]] = {}
+    for f_index, fragment in enumerate(cut_circuit.fragments):
+        for oq, lq in fragment.circuit_outputs:
+            sites[oq] = (len(sites), f_index, lq)
+    return sites
+
+
+def window_layout(
+    sites: dict[int, tuple[int, int, int]], n_fragments: int, window
+) -> tuple[list[list[int]], list[int]]:
+    """``(kept_locals, order)`` of one window of original qubits.
+
+    ``kept_locals[f]`` lists fragment ``f``'s local qubits in the window,
+    in its ``circuit_outputs`` order, and ``order`` where each window qubit
+    sits among the contraction's output bits (see :func:`_output_order`).
+    """
+    placed = sorted(range(len(window)), key=lambda j: sites[window[j]][0])
+    kept_locals: list[list[int]] = [[] for _ in range(n_fragments)]
+    order = [0] * len(window)
+    for position, j in enumerate(placed):
+        _rank, f_index, lq = sites[window[j]]
+        kept_locals[f_index].append(lq)
+        order[j] = position
+    return kept_locals, order
+
+
 def _dense_einsum(
-    tensors: list[np.ndarray], axis_cuts: list[list[int]], k: int
+    tensors: list[np.ndarray], axis_cuts: list[list[int]], k: int, batch: int = 0
 ) -> np.ndarray:
     """Contract all fragment tensors over shared cut axes in one einsum.
 
@@ -251,16 +291,73 @@ def _dense_einsum(
     the memoized greedy ``np.einsum_path`` (see
     :func:`_cached_einsum_path`) and the contraction itself dispatches
     through :mod:`repro.kernels` so an accelerated tier can take over.
+
+    With ``batch`` the call serves that many windows at once: every tensor
+    carries a leading axis of one slice per window (label ``k +
+    len(tensors)``, first in the output too), and the result is ``(batch,
+    entries)``.  The pairwise order is still the one-window path, memoized
+    on one slice's shapes, and numpy's optimized einsum contracts each of
+    its pairwise steps as one ``np.matmul`` batched over that axis — the
+    matmul of the window's own contraction, slice for slice — so every
+    row is bit for bit the accumulator of its window alone.
     """
+    lead = [k + len(tensors)] if batch else []
     operands: list = []
+    one_window: list = []
     out_sub: list[int] = []
     for f_index, tensor in enumerate(tensors):
-        operands.append(tensor)
-        operands.append(list(axis_cuts[f_index]) + [k + f_index])
+        sub = list(axis_cuts[f_index]) + [k + f_index]
+        operands += [tensor, lead + sub]
+        one_window += [tensor[0] if batch else tensor, sub]
         out_sub.append(k + f_index)
-    operands.append(out_sub)
-    path = _cached_einsum_path("dense", operands)
-    return _kernels.dense_contract(operands, path).reshape(-1)
+    operands.append(lead + out_sub)
+    one_window.append(out_sub)
+    path = _cached_einsum_path("dense", one_window)
+    result = _kernels.dense_contract(operands, path)
+    return result.reshape((batch, -1) if batch else -1)
+
+
+def _outcomes(
+    accumulator: np.ndarray, order: list[int], threshold: float, sparse=None
+) -> Distribution:
+    """The distribution an accumulator holds: its entries above
+    ``threshold`` as outcomes over the requested qubits, ``order`` placing
+    them (:func:`_output_order`).
+
+    ``sparse`` is ``None`` when every support is full — the accumulator
+    then *is* the dense distribution once its bit axes are in the requested
+    order — and ``(supports, sizes, kept_locals)`` otherwise, an entry's
+    outcome being its fragments' support keys side by side.
+    """
+    total_bits = len(order)
+    if sparse is None and total_bits:
+        accumulator = np.transpose(
+            accumulator.reshape((2,) * total_bits), order
+        ).reshape(-1)
+    # only the surviving entries become outcomes — materialising every
+    # explicit (near-)zero of the accumulator as an entry defeats the
+    # sparse representation downstream
+    live = np.flatnonzero(np.abs(accumulator) > threshold)
+    if sparse is None:
+        keys = live.astype(np.uint64)
+    else:
+        supports, sizes, kept_locals = sparse
+        bits = np.concatenate(
+            [
+                unpack_keys(
+                    pick.astype(np.uint64) if support is None else support[pick],
+                    len(kl),
+                )
+                for support, pick, kl in zip(
+                    supports, np.unravel_index(live, sizes), kept_locals
+                )
+            ],
+            axis=1,
+        )
+        keys = pack_keys(bits[:, order])
+    return Distribution.from_arrays(
+        total_bits, keys, accumulator[live], assume_sorted=sparse is None
+    )
 
 
 def reconstruct_distribution(
@@ -295,7 +392,6 @@ def reconstruct_distribution(
     hits0, misses0 = einsum_path_cache_counters()
     axis_cuts = _axis_cuts(fragments)
     order = _output_order(fragments, kept_locals, keep_qubits)
-    total_bits = len(order)
 
     # a bare array is values on the full support: column index = key
     values, supports = zip(
@@ -304,7 +400,7 @@ def reconstruct_distribution(
     sizes = [v.shape[-1] for v in values]
     full = all(size == 2 ** len(kl) for size, kl in zip(sizes, kept_locals))
     if full:
-        check_dense_width(total_bits, max_dense_bits)
+        check_dense_width(len(order), max_dense_bits)
     stats.peak_window_entries = math.prod(sizes)
 
     if prune_zeros:
@@ -312,42 +408,63 @@ def reconstruct_distribution(
         stats.terms_skipped = stats.terms_total - _count_survivors(masks, axis_cuts)
     accumulator = _dense_einsum(values, axis_cuts, k)
     accumulator /= 2.0**k
-
-    # only the surviving entries become outcomes — materialising every
-    # explicit (near-)zero of the accumulator as an entry defeats the
-    # sparse representation downstream
-    threshold = zero_threshold if prune_zeros else 0.0
-    if full and total_bits:
-        # every key occurs: the accumulator is the dense distribution once
-        # its bit axes are in the requested order
-        accumulator = np.transpose(
-            accumulator.reshape((2,) * total_bits), order
-        ).reshape(-1)
-    live = np.flatnonzero(np.abs(accumulator) > threshold)
-    if full:
-        keys = live.astype(np.uint64)
-    else:
-        # an entry's outcome: its fragments' support keys side by side
-        bits = np.concatenate(
-            [
-                unpack_keys(
-                    pick.astype(np.uint64) if support is None else support[pick],
-                    len(kl),
-                )
-                for support, pick, kl in zip(
-                    supports, np.unravel_index(live, sizes), kept_locals
-                )
-            ],
-            axis=1,
-        )
-        keys = pack_keys(bits[:, order])
-    distribution = Distribution.from_arrays(
-        total_bits, keys, accumulator[live], assume_sorted=full
+    distribution = _outcomes(
+        accumulator,
+        order,
+        zero_threshold if prune_zeros else 0.0,
+        None if full else (supports, sizes, kept_locals),
     )
     hits1, misses1 = einsum_path_cache_counters()
     stats.path_cache_hits = hits1 - hits0
     stats.path_cache_misses = misses1 - misses0
     return distribution, stats
+
+
+def reconstruct_windows(
+    cut_circuit: CutCircuit,
+    tensors: list[list[np.ndarray]],
+    layouts: list[tuple[list[list[int]], list[int]]],
+    prune_zeros: bool = True,
+    zero_threshold: float = 1e-12,
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
+) -> list[Distribution]:
+    """:func:`reconstruct_distribution` for many windows, batched.
+
+    ``tensors[f][w]`` is fragment ``f``'s dense tensor for window ``w``
+    (what :func:`~repro.core.tomography.build_window_tensors` returns, one
+    array shared by identical windows) and ``layouts[w]`` the window's
+    ``(kept_locals, order)`` (:func:`window_layout`).  Windows whose
+    tensors have the same shapes in every fragment form a group, and each
+    group is one contraction (:func:`_dense_einsum` with a batch axis):
+    a fragment whose tensor is one array for the whole group is broadcast
+    over the batch, only the others are stacked.  Each window then keeps
+    just its tail — its output order, the ``zero_threshold`` cut and its
+    :class:`Distribution` (:func:`_outcomes`) — and every distribution is
+    bit for bit what :func:`reconstruct_distribution` returns for that
+    window alone.  No statistics are kept.
+    """
+    k = cut_circuit.num_cuts
+    axis_cuts = _axis_cuts(cut_circuit.fragments)
+    threshold = zero_threshold if prune_zeros else 0.0
+    groups: dict[tuple, list[int]] = {}
+    for w in range(len(layouts)):
+        groups.setdefault(tuple(t[w].shape for t in tensors), []).append(w)
+    out: list[Distribution] = [None] * len(layouts)  # type: ignore[list-item]
+    for members in groups.values():
+        check_dense_width(len(layouts[members[0]][1]), max_dense_bits)
+        operands = []
+        for of_fragment in tensors:
+            first = of_fragment[members[0]]
+            if all(of_fragment[w] is first for w in members):
+                operands.append(np.broadcast_to(first, (len(members),) + first.shape))
+            else:
+                operands.append(np.stack([of_fragment[w] for w in members]))
+        # a group whose every tensor is shared may come back as a
+        # read-only broadcast view: divide into a new array
+        accumulators = _dense_einsum(operands, axis_cuts, k, len(members)) / 2.0**k
+        for w, accumulator in zip(members, accumulators):
+            out[w] = _outcomes(accumulator, layouts[w][1], threshold)
+    return out
 
 
 def reconstruct_dynamic(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -65,8 +66,11 @@ from repro.core.reconstruction import (
     ReconstructionStats,
     check_dense_width,
     estimate_reconstruction_cost,
+    output_sites,
     reconstruct_distribution,
     reconstruct_dynamic,
+    reconstruct_windows,
+    window_layout,
 )
 from repro.core.tomography import (
     build_conditioned_fragment_tensor,
@@ -168,6 +172,27 @@ def _kept_locals(cc: CutCircuit, qubits) -> list[list[int]]:
         [lq for oq, lq in fragment.circuit_outputs if oq in qubits]
         for fragment in cc.fragments
     ]
+
+
+def _check_windows(windows: list[list], n_qubits: int) -> None:
+    """Refuse a marginal window before anything is cut or evaluated: it
+    must be non-empty and hold distinct integer qubits of the circuit."""
+    for window in windows:
+        if not window:
+            raise ValueError("empty marginal window")
+        for q in window:
+            if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+                raise ValueError(
+                    f"marginal window {window}: qubit {q!r} is not an integer"
+                )
+            if not 0 <= q < n_qubits:
+                raise ValueError(
+                    f"marginal window {window}: qubit {q} is not in the "
+                    f"{n_qubits}-qubit circuit"
+                )
+        if len(set(window)) != len(window):
+            repeated = next(q for q in window if window.count(q) > 1)
+            raise ValueError(f"marginal window {window}: qubit {repeated} repeats")
 
 
 def _call_factory(factory, params):
@@ -847,56 +872,58 @@ class SuperSim:
         windows,
         cuts: list[Cut] | None = None,
     ) -> list[Distribution]:
-        """Exact marginals over several qubit windows, one evaluation pass.
+        """Marginals over several qubit windows, one evaluation pass.
 
         ``windows`` is an iterable of qubit-index sequences (each defines
-        the bit order of its marginal).  Fragments are evaluated once and
-        each fragment's tensors for all windows are built in one pass over
-        its variants (:func:`~repro.core.tomography.build_window_tensors`);
-        each window then gets its own narrow contraction — the windowed
-        engine — so no object larger than ``4^k · 2**len(window)`` per
-        window is built at *any* circuit width.  This is the primitive
-        QAOA edge scoring and per-qubit readout ride on.
+        the bit order of its marginal; a qubit appears at most once in a
+        window).  Fragments are evaluated once and each fragment's tensors
+        for all windows are built in one pass over its variants
+        (:func:`~repro.core.tomography.build_window_tensors`).  The
+        windows are then contracted in batches, one contraction per window
+        *shape* (:func:`~repro.core.reconstruction.reconstruct_windows`),
+        so no object larger than ``4^k · 2**len(window)`` per window is
+        built at *any* circuit width.  The marginals are exact in exact
+        mode and estimates from the sampled variants otherwise.  This is
+        the primitive QAOA edge scoring and per-qubit readout ride on.
         """
         windows = [list(w) for w in windows]
-        for window in windows:
-            if not window:
-                raise ValueError("empty marginal window")
+        _check_windows(windows, circuit.n_qubits)
         cc = self.cut(circuit, cuts)
         evaluator = self._evaluator()
         fragment_data = evaluator.evaluate_all(
             cc.fragments, job_runner=self._job_runner
         )
         project = self.sampling.tomography and self.sampling.shots is not None
-        # kept_locals[f][w]: fragment f's local qubits inside window w
-        kept_locals = list(zip(*(_kept_locals(cc, window) for window in windows)))
+        max_dense_bits = self.reconstruction.max_dense_bits
+        sites = output_sites(cc)
+        layouts = [window_layout(sites, len(cc.fragments), w) for w in windows]
         tensors = [
             build_window_tensors(
                 data,
-                kept,
+                [kept_locals[f] for kept_locals, _order in layouts],
                 snap_clifford=self.sampling.snap_clifford,
                 project=project,
-                max_dense_bits=self.reconstruction.max_dense_bits,
+                max_dense_bits=max_dense_bits,
             )
-            for data, kept in zip(fragment_data, kept_locals)
+            for f, data in enumerate(fragment_data)
         ]
-        out: list[Distribution] = []
-        for w, window in enumerate(windows):
-            dist, _ = reconstruct_distribution(
-                cc,
-                [of_fragment[w] for of_fragment in tensors],
-                [of_fragment[w] for of_fragment in kept_locals],
-                window,
-                prune_zeros=self.execution.prune_zeros,
-            )
-            out.append(dist.clipped() if len(dist) else dist)
-        return out
+        marginals = reconstruct_windows(
+            cc,
+            tensors,
+            layouts,
+            prune_zeros=self.execution.prune_zeros,
+            max_dense_bits=max_dense_bits,
+        )
+        return [dist.clipped() if len(dist) else dist for dist in marginals]
 
     def single_qubit_marginals(self, circuit: Circuit) -> np.ndarray:
-        """Exact per-qubit marginals at any width (the 300-qubit mode).
+        """Per-qubit marginals at any width (the 300-qubit mode).
 
-        Fragments are evaluated once; each qubit's marginal is a separate
-        cheap reconstruction, so no ``2^n`` object is ever built.
+        Fragments are evaluated once and all the single-qubit windows are
+        reconstructed in a few batched contractions
+        (:meth:`marginal_probabilities`), so no ``2^n`` object is ever
+        built.  Exact in exact mode; with ``shots`` set, estimates from
+        the sampled variants.
         """
         qubits = list(circuit.measured_qubits)
         out = np.zeros((len(qubits), 2))

@@ -24,9 +24,11 @@ preparation contraction:
   that the support may as well be *full* (all ``2**width`` keys, a bare
   array).  It takes *all* the windows a caller wants from one fragment
   (``marginal_probabilities`` asks for hundreds) and visits every variant
-  once — sampled variants histogram all windows in one pass over their
-  shots (:meth:`VariantData.joint_tables`) and identical windows are built
-  once.  :func:`build_fragment_tensor` is its one-window call.
+  once per window width — sampled variants histogram all windows in one
+  pass over their shots, exact Clifford variants answer them from one
+  batched elimination (:meth:`VariantData.joint_tables`) — and identical
+  windows are built once.  :func:`build_fragment_tensor` is its one-window
+  call.
 * :func:`build_conditioned_window_tensors` builds on the support: one
   window of any width, one set of pinned columns, and every assignment to
   them a caller wants (a level of recursive reconstruction asks for its
@@ -84,13 +86,18 @@ def _snap_vector(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
 
 def _contract_prep_axes(raw: np.ndarray, qi: int) -> np.ndarray:
-    """Contract each prep axis with the Pauli-over-preparation coefficients."""
+    """Contract each prep axis with the Pauli-over-preparation coefficients.
+
+    ``raw`` stacks one table per window on its leading axis.  Each prep
+    axis is one ``np.matmul`` batched over the windows, its slices the
+    ``4 x 4`` by ``4 x rest`` product a single table's ``np.tensordot``
+    would make.
+    """
     tensor = raw
-    for axis in range(qi):
-        tensor = np.tensordot(PREP_COEFFICIENTS, tensor, axes=([1], [axis]))
-        # tensordot moved the new Pauli axis to the front; rotate it back
-        order = list(range(1, axis + 1)) + [0] + list(range(axis + 1, tensor.ndim))
-        tensor = np.transpose(tensor, order)
+    for axis in range(1, qi + 1):
+        moved = np.moveaxis(tensor, axis, 1)
+        product = np.matmul(PREP_COEFFICIENTS, moved.reshape(len(moved), 4, -1))
+        tensor = np.moveaxis(product.reshape(moved.shape), 1, axis)
     return tensor
 
 
@@ -158,12 +165,14 @@ def build_window_tensors(
     none of the requested qubits — are built once and share one array.
 
     Each variant hands over ``P(window, measured cut qubits)`` for all
-    windows of one width at a time (:meth:`VariantData.joint_tables`; for
-    sampled data a single pass over the shots), and every output Pauli its
+    windows of one width at a time (:meth:`VariantData.joint_tables`: for
+    sampled data a single pass over the shots, for an exact Clifford
+    variant one batched GF(2) elimination), and every output Pauli its
     basis estimates is a signed sum over the measured bits in ascending
-    order — the arithmetic, hence the result, of building each window
-    alone.  Working memory is one variant's ``windows x 2**width x
-    2**qo`` table per width.
+    order; the preparation axes are then contracted for all windows of the
+    width at once, one batched matmul per axis — the arithmetic, hence the
+    result, of building each window alone.  Working memory is one
+    variant's ``windows x 2**width x 2**qo`` table per width.
 
     The tensors of one width are allocated together, ``windows x
     4**(qi+qo) x 2**width`` entries; more than ``2**max_dense_bits`` of
@@ -201,8 +210,7 @@ def build_window_tensors(
 
     built = {}
     for width, group in groups.items():
-        for window, window_raw in zip(group, raw[width]):
-            tensor = _contract_prep_axes(window_raw, qi)
+        for window, tensor in zip(group, _contract_prep_axes(raw[width], qi)):
             if project and (qi or qo):
                 tensor = project_physical(tensor, qi, qo)
             built[window] = tensor
@@ -305,7 +313,7 @@ def build_conditioned_window_tensors(
                 if snap and any(pauli_out):
                     vec = _snap_vector(vec, weight)
                 raw[every_prep + pauli_out] = vec
-        yield SupportTensor(_contract_prep_axes(raw, qi), support)
+        yield SupportTensor(_contract_prep_axes(raw[None], qi)[0], support)
 
 
 def build_conditioned_fragment_tensor(

@@ -429,6 +429,51 @@ class AffineOutcomeDistribution:
             len(rows), keys, np.full(len(keys), 2.0**-rank)
         )
 
+    def window_tables(self, windows, tail: list[int]) -> np.ndarray:
+        """``P(window = x, tail = m)`` for many equal-width windows at once.
+
+        Shape ``(len(windows), 2**width, 2**len(tail))``: per window the
+        dense table of :meth:`marginal_distribution` over ``window + tail``
+        (rows the window's outcomes, columns the tail's), bit for bit, from
+        one elimination batched over the windows instead of one per window.
+        Each window's rows, tail last, are reduced in order against the
+        independent rows before them: a row that reduces to zero is the
+        XOR of the rows its reduction used, and that XOR must then vanish
+        on ``outcome ^ b``.  The outcomes meeting every such constraint are
+        the support, each of probability ``2^-rank``.  All ``2**(width +
+        len(tail))`` outcomes are checked — the size of the table itself.
+        """
+        rows = np.array([list(w) + list(tail) for w in windows], dtype=np.intp)
+        count, n_rows = rows.shape
+        # a zero column changes no span; it spares argmax an empty axis
+        A = self.A if self.n_free else np.zeros((self.n_bits, 1), dtype=bool)
+        reduced = A[rows]
+        used = np.tile(np.eye(n_rows, dtype=bool), (count, 1, 1))
+        independent = np.zeros((count, n_rows), dtype=bool)
+        pivot = np.zeros((count, n_rows), dtype=np.intp)
+        every = np.arange(count)
+        for i in range(n_rows):
+            for s in range(i):
+                hit = (independent[:, s] & reduced[every, i, pivot[:, s]])[:, None]
+                reduced[:, i] ^= reduced[:, s] & hit
+                used[:, i] ^= used[:, s] & hit
+            independent[:, i] = reduced[:, i].any(axis=1)
+            pivot[:, i] = reduced[:, i].argmax(axis=1)
+        # row i's constraint as a mask over the outcome bits, first row
+        # most significant; none for an independent row
+        weights = np.uint64(1) << np.arange(n_rows - 1, -1, -1, dtype=np.uint64)
+        constraints = (used * weights).sum(axis=2, dtype=np.uint64)
+        masks = np.where(independent, 0, constraints)
+        flipped = np.arange(2**n_rows, dtype=np.uint64) ^ (
+            (self.b[rows] * weights).sum(axis=1, dtype=np.uint64)[:, None]
+        )
+        support = np.ones(flipped.shape, dtype=bool)
+        for mask in masks.T[masks.any(axis=0)]:
+            support &= (np.bitwise_count(flipped & mask[:, None]) & 1) == 0
+        probs = 2.0 ** -independent.sum(axis=1)
+        tables = np.where(support, probs[:, None], 0.0)
+        return tables.reshape(count, -1, 2 ** len(tail))
+
     def probability_of_partial(self, rows: list[int], bits) -> float:
         """Probability that the selected output bits take the given values.
 

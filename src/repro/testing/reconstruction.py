@@ -1,4 +1,4 @@
-"""The ``4^k`` assignment loop: the recombination oracle.
+"""The ``4^k`` assignment loop and the window loop: the recombination oracles.
 
 Paper §V-C as written — one term per Pauli assignment of the ``k`` cuts,
 each the outer product of the fragments' slices, dead assignments (§IX)
@@ -10,6 +10,11 @@ lives here as the reference that contraction is property-tested
 skips itself, so ``terms_skipped`` is checked too, and it works on dense
 tensors: one on its support is scattered into zeros first
 (:func:`dense_tensor`).
+
+The batched window contraction
+(:func:`repro.core.reconstruction.reconstruct_windows`) has its oracle
+here too: :func:`loop_reconstruct_windows`, one ``reconstruct_distribution``
+call per window.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import numpy as np
 from repro.analysis.distributions import Distribution
 from repro.core.fragments import CutCircuit
 from repro.core.reconstruction import (
+    DEFAULT_MAX_DENSE_BITS,
     ReconstructionStats,
     SupportTensor,
     _axis_cuts,
     _output_order,
+    reconstruct_distribution,
 )
 
 
@@ -110,3 +117,34 @@ def loop_reconstruct_distribution(
         total_bits, live.astype(np.uint64), accumulator[live], assume_sorted=True
     )
     return distribution, stats
+
+
+def loop_reconstruct_windows(
+    cut_circuit: CutCircuit,
+    tensors: list[list[np.ndarray]],
+    windows: list[list[int]],
+    prune_zeros: bool = True,
+    zero_threshold: float = 1e-12,
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
+) -> list[Distribution]:
+    """:func:`~repro.core.reconstruction.reconstruct_windows` by the window
+    loop: one :func:`~repro.core.reconstruction.reconstruct_distribution`
+    call per window, ``tensors[f][w]`` being fragment ``f``'s tensor for
+    ``windows[w]``."""
+    out = []
+    for w, window in enumerate(windows):
+        kept_locals = [
+            [lq for oq, lq in fragment.circuit_outputs if oq in window]
+            for fragment in cut_circuit.fragments
+        ]
+        dist, _stats = reconstruct_distribution(
+            cut_circuit,
+            [of_fragment[w] for of_fragment in tensors],
+            kept_locals,
+            window,
+            prune_zeros=prune_zeros,
+            zero_threshold=zero_threshold,
+            max_dense_bits=max_dense_bits,
+        )
+        out.append(dist)
+    return out

@@ -129,7 +129,7 @@ def oracle_conditioned_tensor(data, keep_locals, fixed_locals, snap_clifford=Fal
             if snap and signs_mask:
                 vec = _snap_vector(vec, weight)
             raw[preps + pauli_out] = vec
-    return _contract_prep_axes(raw, qi)
+    return _contract_prep_axes(raw[None], qi)[0]
 
 
 # -- random Clifford fragments ------------------------------------------------

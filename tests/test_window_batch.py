@@ -1,0 +1,304 @@
+"""Marginal windows are served in batches, bit for bit as one at a time.
+
+``SuperSim.marginal_probabilities`` contracts every group of equally
+shaped windows once (``reconstruct_windows``) and builds an exact
+Clifford variant's tables for all windows of one width from one batched
+elimination (``AffineOutcomeDistribution.window_tables``).  Each is
+checked here against its oracle — the per-window loop
+(``repro.testing.reconstruction.loop_reconstruct_windows``) and one
+``marginal_distribution`` per window (``VariantData.joint_tables``) — byte
+for byte.  The windows are validated before anything is cut, and the
+configured ``max_dense_bits`` reaches the batched contraction.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import repro.kernels as rk
+from repro.circuits import gates, inject_t_gates, random_clifford_circuit
+from repro.core import (
+    ExecutionConfig,
+    ReconstructionConfig,
+    ReconstructionMemoryError,
+    SamplingConfig,
+    SuperSim,
+)
+from repro.core import reconstruction, supersim
+from repro.core.evaluator import AffineVariantData, FragmentEvaluator, VariantData
+from repro.core.tomography import build_window_tensors
+from repro.stabilizer.tableau import AffineOutcomeDistribution
+from repro.testing.reconstruction import loop_reconstruct_windows
+
+
+def _readout_t_circuit(seed: int):
+    """A random Clifford circuit with a T gate on one wire's readout (and
+    maybe one more inside), so some non-Clifford fragment keeps outputs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    circuit = random_clifford_circuit(n, int(rng.integers(2, 5)), rng)
+    circuit = inject_t_gates(circuit, int(rng.integers(0, 2)), rng)
+    qubit = int(rng.integers(n))
+    circuit.append(gates.T, qubit)
+    if rng.random() < 0.5:
+        circuit.append(gates.H, qubit)
+    return circuit.measure_all(), rng
+
+
+def _mixed_windows(cc, rng) -> list[list[int]]:
+    """Windows of width 1-3 in no sorted order: one spanning two fragments,
+    one holding a non-Clifford fragment's output, random ones, repeats."""
+    owner = {oq: f.index for f in cc.fragments for oq, _lq in f.circuit_outputs}
+    qubits = sorted(owner)
+    non_clifford = [q for q in qubits if not cc.fragments[owner[q]].is_clifford]
+    other = [q for q in qubits if owner[q] != owner[non_clifford[0]]]
+    windows = [
+        [non_clifford[0]],
+        [other[0], non_clifford[0]],
+        [int(q) for q in rng.permutation(qubits)[:3]],
+    ]
+    for _ in range(int(rng.integers(1, 6))):
+        width = int(rng.integers(1, min(3, len(qubits)) + 1))
+        windows.append([int(q) for q in rng.choice(qubits, width, replace=False)])
+    windows += [windows[int(i)] for i in rng.integers(0, len(windows), 3)]
+    return [windows[int(i)] for i in rng.permutation(len(windows))]
+
+
+def _same_bytes(got, want) -> bool:
+    return (
+        got.n_bits == want.n_bits
+        and got.keys_array.tobytes() == want.keys_array.tobytes()
+        and got.values_array.tobytes() == want.values_array.tobytes()
+    )
+
+
+class TestBatchedContraction:
+    @given(
+        seed=st.integers(0, 10_000),
+        shots=st.sampled_from([None, 300]),
+        prune=st.booleans(),
+    )
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much],
+    )
+    def test_equals_the_window_loop(self, seed, shots, prune):
+        circuit, rng = _readout_t_circuit(seed)
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=shots, seed=seed),
+            execution=ExecutionConfig(prune_zeros=prune),
+        )
+        cc = sim.cut(circuit)
+        assume(1 <= cc.num_cuts <= 3 and 2 <= len(cc.fragments) <= 3)
+        assume(any(not f.is_clifford and f.circuit_outputs for f in cc.fragments))
+        windows = _mixed_windows(cc, rng)
+
+        seen = {}
+        batched = reconstruction.reconstruct_windows
+
+        def spy(cut_circuit, tensors, layouts, **kwargs):
+            seen.update(cut_circuit=cut_circuit, tensors=tensors, kwargs=kwargs)
+            return batched(cut_circuit, tensors, layouts, **kwargs)
+
+        with mock.patch.object(supersim, "reconstruct_windows", spy):
+            got = sim.marginal_probabilities(circuit, windows)
+        want = loop_reconstruct_windows(
+            seen["cut_circuit"], seen["tensors"], windows, **seen["kwargs"]
+        )
+        assert len(got) == len(windows)
+        for dist, reference in zip(got, want):
+            clipped = reference.clipped() if len(reference) else reference
+            assert _same_bytes(dist, clipped)
+
+    def test_one_contraction_per_window_shape(self):
+        circuit, _rng = _readout_t_circuit(3)
+        sim = SuperSim()
+        cc = sim.cut(circuit)
+        qubits = list(circuit.measured_qubits)
+        windows = [[q] for q in qubits] + [[qubits[0], qubits[-1]]] * 2
+        data = sim._evaluator().evaluate_all(cc.fragments)
+        sites = reconstruction.output_sites(cc)
+        layouts = [
+            reconstruction.window_layout(sites, len(cc.fragments), w) for w in windows
+        ]
+        tensors = [
+            build_window_tensors(d, [kept[f] for kept, _order in layouts])
+            for f, d in enumerate(data)
+        ]
+        shapes = {tuple(t[w].shape for t in tensors) for w in range(len(windows))}
+        before = rk.counters_snapshot()["dense_contract"][0]
+        got = reconstruction.reconstruct_windows(cc, tensors, layouts)
+        assert rk.counters_snapshot()["dense_contract"][0] - before == len(shapes)
+        assert len(shapes) < len(windows)
+        for dist, reference in zip(got, loop_reconstruct_windows(cc, tensors, windows)):
+            assert _same_bytes(dist, reference)
+
+
+def _affine_case(data):
+    """An affine form whose window rows lie inside ``span(A[tail])`` or
+    outside it, drawn per window row; returns ``(variant, windows, tail,
+    inside flags)``."""
+    width = data.draw(st.integers(1, 3), label="width")
+    tail_len = data.draw(st.integers(0, 2), label="tail")
+    count = data.draw(st.integers(2, 4), label="windows")
+    free = tail_len + count * width + 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    tail_rows = rng.random((tail_len, free)) < 0.5
+    tail_rows[:, tail_len + 2 :] = False  # the outside rows' own free bits
+    rows, inside = [*tail_rows], []
+    for i in range(count * width):
+        if data.draw(st.booleans(), label=f"inside {i}"):
+            pick = rng.random(tail_len) < 0.5
+            row = np.bitwise_xor.reduce(tail_rows[pick], axis=0, initial=False)
+            inside.append(True)
+        else:
+            # a free bit of its own: outside every span of the other rows
+            row = rng.random(free) < 0.5
+            row[tail_len + 2 + i] = True
+            row[tail_len + 2 :][np.arange(count * width) != i] = False
+            inside.append(False)
+        rows.append(row)
+    A = np.array(rows, dtype=bool).reshape(len(rows), free)
+    b = rng.random(len(rows)) < 0.5
+    perm = rng.permutation(len(rows))
+    where = np.argsort(perm)
+    variant = AffineVariantData(AffineOutcomeDistribution(A[perm], b[perm]))
+    tail = [int(where[i]) for i in range(tail_len)]
+    windows = [
+        tuple(int(where[tail_len + w * width + j]) for j in range(width))
+        for w in range(count)
+    ]
+    return variant, windows, tail, inside
+
+
+class TestExactWindowTables:
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_one_marginal_per_window(self, data):
+        variant, windows, tail, inside = _affine_case(data)
+        got = variant.joint_tables(windows, tail)
+        want = VariantData.joint_tables(variant, windows, tail)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        if len(windows[0]) == 1:
+            # a bit outside span(A[tail]) is a fair coin given the tail
+            for table, row_inside in zip(got, inside):
+                assert np.array_equal(table[0], table[1]) == (not row_inside)
+
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("tail_len", [0, 1, 2])
+    def test_single_bit_inside_and_outside_the_tail_span(self, inside, tail_len):
+        rng = np.random.default_rng(tail_len)
+        free = tail_len + 2
+        # tail rows touch only the first tail_len free bits
+        tail_rows = np.zeros((tail_len, free), bool)
+        tail_rows[:, :tail_len] = np.triu(rng.random((tail_len, tail_len)) < 0.5)
+        tail_rows[:, :tail_len] |= np.eye(tail_len, dtype=bool)
+        if inside:
+            combination = np.bitwise_xor.reduce(tail_rows, axis=0, initial=False)
+            window_rows = [combination, np.zeros(free, bool)]
+        else:
+            window_rows = list(np.eye(free, dtype=bool)[tail_len:])
+            window_rows[0][:tail_len] = rng.random(tail_len) < 0.5
+        A = np.vstack([tail_rows, window_rows])
+        variant = AffineVariantData(
+            AffineOutcomeDistribution(A, rng.random(len(A)) < 0.5)
+        )
+        windows = [(tail_len,), (tail_len + 1,)]
+        tail = list(range(tail_len))
+        got = variant.joint_tables(windows, tail)
+        want = VariantData.joint_tables(variant, windows, tail)
+        assert got.tobytes() == want.tobytes()
+        # outside the span the window bit is a fair coin whatever the tail
+        # shows; inside it is a function of the tail
+        coin = np.array_equal(got[:, 0], got[:, 1])
+        assert coin == (not inside)
+
+    def test_a_lone_window_is_one_marginal(self, monkeypatch):
+        affine = AffineOutcomeDistribution(np.eye(4, dtype=bool), np.zeros(4, bool))
+        monkeypatch.setattr(
+            AffineOutcomeDistribution,
+            "window_tables",
+            mock.Mock(side_effect=AssertionError("batched for one window")),
+        )
+        tables = AffineVariantData(affine).joint_tables([(0, 1, 2)], [3])
+        assert tables.shape == (1, 8, 2)
+        assert np.all(tables == 1 / 16)
+
+    def test_deterministic_form(self):
+        affine = AffineOutcomeDistribution(
+            np.zeros((3, 0), bool), np.array([1, 0, 1], bool)
+        )
+        variant = AffineVariantData(affine)
+        got = variant.joint_tables([(0,), (1,)], [2])
+        want = VariantData.joint_tables(variant, [(0,), (1,)], [2])
+        assert got.tobytes() == want.tobytes()
+
+
+class TestMaxDenseBits:
+    def test_batched_contraction_honours_the_limit(self):
+        circuit, _rng = _readout_t_circuit(3)
+        sim = SuperSim()
+        cc = sim.cut(circuit)
+        window = list(circuit.measured_qubits)[:2]
+        data = sim._evaluator().evaluate_all(cc.fragments)
+        layouts = [
+            reconstruction.window_layout(
+                reconstruction.output_sites(cc), len(cc.fragments), window
+            )
+        ]
+        tensors = [
+            build_window_tensors(d, [layouts[0][0][f]]) for f, d in enumerate(data)
+        ]
+        with pytest.raises(ReconstructionMemoryError, match="limit: 1 bits"):
+            reconstruction.reconstruct_windows(cc, tensors, layouts, max_dense_bits=1)
+        (dist,) = reconstruction.reconstruct_windows(
+            cc, tensors, layouts, max_dense_bits=2
+        )
+        assert dist.n_bits == 2
+
+    def test_marginal_probabilities_passes_the_configured_limit(self, monkeypatch):
+        limits = []
+        check = reconstruction.check_dense_width
+
+        def spy(total_bits, max_dense_bits):
+            limits.append(max_dense_bits)
+            return check(total_bits, max_dense_bits)
+
+        monkeypatch.setattr(reconstruction, "check_dense_width", spy)
+        circuit, _rng = _readout_t_circuit(3)
+        sim = SuperSim(reconstruction=ReconstructionConfig(max_dense_bits=40))
+        sim.marginal_probabilities(circuit, [[0], [0, 1]])
+        assert limits and set(limits) == {40}
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ([3, 3], r"window \[3, 3\]: qubit 3 repeats"),
+            ([9], r"window \[9\]: qubit 9 is not in the 4-qubit circuit"),
+            ([-1], r"window \[-1\]: qubit -1 is not in the 4-qubit circuit"),
+            ([1.5], r"window \[1.5\]: qubit 1.5 is not an integer"),
+            ([0, True], r"qubit True is not an integer"),
+            ([], "empty marginal window"),
+        ],
+    )
+    def test_refused_before_anything_is_cut(self, window, message, monkeypatch):
+        circuit = random_clifford_circuit(4, 3, np.random.default_rng(0)).measure_all()
+        reached = mock.Mock(side_effect=AssertionError("evaluated a bad window"))
+        monkeypatch.setattr(FragmentEvaluator, "evaluate_all", reached)
+        monkeypatch.setattr(SuperSim, "cut", reached)
+        with pytest.raises(ValueError, match=message):
+            SuperSim().marginal_probabilities(circuit, [[0], window])
+        reached.assert_not_called()
+
+    def test_numpy_integers_are_qubits(self):
+        circuit = random_clifford_circuit(4, 3, np.random.default_rng(0)).measure_all()
+        (got,) = SuperSim().marginal_probabilities(circuit, [np.array([2, 0])])
+        (want,) = SuperSim().marginal_probabilities(circuit, [[2, 0]])
+        assert _same_bytes(got, want)
