@@ -152,7 +152,7 @@ def bench_sampling() -> dict:
     affine = tableau.measurement_distribution(tuple(range(TABLEAU_QUBITS)))
     shots = 20_000
     seconds = _best(lambda: affine.sample(shots, rng=1), repeats=3)
-    # what the evaluator keeps of those shots (cache, SQLite row, wire)
+    # what the evaluator keeps of sampled shots (cache, SQLite row, wire)
     variant = SampledVariantData(
         affine.sample_words(shots, np.random.default_rng(1)), shots
     )
@@ -398,8 +398,9 @@ def _recursive_61q_counts() -> dict:
     sim = SuperSim()
     cc = sim.cut(wide.measure_all())
     measurements: list[int] = []
+    fragment_evaluator = sim._evaluator()
     with _counting_measure_symbolic(measurements):
-        data = sim._evaluator().evaluate_all(cc.fragments)
+        data = fragment_evaluator.evaluate_all(cc.fragments)
 
     counts = dict.fromkeys(
         (
@@ -452,7 +453,7 @@ def _recursive_61q_counts() -> dict:
             reconstruction, "reconstruct_distribution", counted_contraction
         ),
     ):
-        builder = sim._dynamic_tensor_builder(cc, data)
+        builder = sim._dynamic_tensor_builder(cc, data, fragment_evaluator)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -728,6 +729,70 @@ def bench_window_batch() -> dict:
     }
 
 
+def bench_clifford_exact() -> dict:
+    """Clifford fragments are exact in every mode — gated on counts.
+
+    A sampled ``single_qubit_marginals`` of a 100q 1-T HWEA: no Clifford
+    variant is sampled (``AffineOutcomeDistribution.sample_words`` never
+    runs), every stabilizer job is keyed exact, and the jobs that carry
+    shots are exactly those of the non-Clifford fragment.  Counts are
+    exact, so the gate is safe on shared runners.
+    """
+    from unittest import mock
+
+    from repro.apps.hwea import HWEA
+    from repro.core import SamplingConfig
+    from repro.core.evaluator import FragmentEvaluator
+    from repro.stabilizer.tableau import AffineOutcomeDistribution
+
+    circuit = (
+        HWEA(100, 5).near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
+    ).measure_all()
+    sim = SuperSim(sampling=SamplingConfig(shots=1000, seed=0))
+    fragments = sim.cut(circuit).fragments
+    jobs = []
+    sample_words_calls = [0]
+    build_jobs = FragmentEvaluator._build_jobs
+    sample_words = AffineOutcomeDistribution.sample_words
+
+    def counted_build_jobs(self, *args):
+        assignments, unique = build_jobs(self, *args)
+        jobs.extend(unique.values())
+        return assignments, unique
+
+    def counted_sample_words(self, *args, **kwargs):
+        sample_words_calls[0] += 1
+        return sample_words(self, *args, **kwargs)
+
+    with (
+        mock.patch.object(FragmentEvaluator, "_build_jobs", counted_build_jobs),
+        mock.patch.object(
+            AffineOutcomeDistribution, "sample_words", counted_sample_words
+        ),
+    ):
+        start = time.perf_counter()
+        sim.single_qubit_marginals(circuit)
+        seconds = time.perf_counter() - start
+    stabilizer = [job for job in jobs if job.backend.name == "stabilizer"]
+    return {
+        "workload": (
+            "100q 1-T HWEA single_qubit_marginals at 1000 shots: how the "
+            "Clifford fragments are evaluated"
+        ),
+        "sample_words_calls": sample_words_calls[0],
+        "stabilizer_jobs": len(stabilizer),
+        "stabilizer_exact_jobs": sum(job.key[-1] == "exact" for job in stabilizer),
+        "shot_jobs": sum(job.shots is not None for job in jobs),
+        "shot_fragments": sorted(
+            {job.fragment_index for job in jobs if job.shots is not None}
+        ),
+        "non_clifford_fragments": [
+            i for i, fragment in enumerate(fragments) if not fragment.is_clifford
+        ],
+        "seconds": seconds,
+    }
+
+
 # the array-native data plane samples the 200q affine form at ~1.3M
 # shots/s on a quiet machine (the dict-based seed managed ~41k); the CI
 # floor is the 10x acceptance level (~600k nominal) with the 0.7 noise
@@ -752,6 +817,7 @@ def main() -> int:
         "einsum_path_cache": bench_path_cache(),
         "variant_sharing": bench_variant_sharing(),
         "window_batch": bench_window_batch(),
+        "clifford_exact": bench_clifford_exact(),
     }
     # atomic write: CI reads the artifact even if a later run is killed
     # mid-write, so stage to a tmp file and os.replace into place
@@ -935,6 +1001,21 @@ def main() -> int:
         )
     if not batch["oracle_equal"]:
         failures.append("batched single-qubit marginals differ from the window loop")
+    exact = results["clifford_exact"]
+    if not (
+        exact["sample_words_calls"] == 0
+        and exact["stabilizer_jobs"] > 0
+        and exact["stabilizer_exact_jobs"] == exact["stabilizer_jobs"]
+        and exact["shot_fragments"] == exact["non_clifford_fragments"] != []
+    ):
+        failures.append(
+            "sampled mode no longer evaluates Clifford fragments exactly: "
+            f"{exact['sample_words_calls']} sample_words calls, "
+            f"{exact['stabilizer_exact_jobs']} of {exact['stabilizer_jobs']} "
+            f"stabilizer jobs keyed exact, shots on fragments "
+            f"{exact['shot_fragments']} (non-Clifford: "
+            f"{exact['non_clifford_fragments']})"
+        )
     if failures:
         print("PERF SMOKE FAILURES:", "; ".join(failures), file=sys.stderr)
         return 1

@@ -1,16 +1,18 @@
 """Ablation (paper §IX): Clifford-specific cutting optimizations.
 
-Three SuperSim configurations on the HWEA workload, sampled fragments:
+Two SuperSim configurations on the HWEA workload, sampled fragments:
 
-* ``baseline``  — generic cutting: full shots everywhere, no pruning;
-* ``prune``     — zero-observable pruning of recombination terms;
-* ``full``      — pruning + few-shot Clifford variants with expectation
-  snapping (the "fewer requisite shots" optimization).
+* ``baseline``  — generic cutting, no pruning;
+* ``prune``     — zero-observable pruning of recombination terms.
 
-Expected: ``full`` needs ~60x fewer Clifford-fragment shots at equal or
-better fidelity, and pruning skips a large fraction of the 4^k terms.
+The paper's third optimization — few-shot Clifford variants with their
+expectations snapped to {-1, 0, +1} — is taken to its limit here: a
+noiseless Clifford fragment is evaluated exactly in every mode, so it takes
+no shots at all.  ``test_clifford_fragments_take_no_shots`` checks that in
+sampled mode.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import (
@@ -31,12 +33,6 @@ CONFIGS = {
     ),
     "prune": dict(
         sampling=SamplingConfig(shots=SHOTS, seed=0),
-        execution=ExecutionConfig(prune_zeros=True),
-    ),
-    "full": dict(
-        sampling=SamplingConfig(
-            shots=SHOTS, clifford_shots=64, snap_clifford=True, seed=0
-        ),
         execution=ExecutionConfig(prune_zeros=True),
     ),
 }
@@ -62,3 +58,22 @@ def test_clifford_optimizations(benchmark, config):
         fidelity=fidelity,
     )
     assert fidelity > 0.97, (config, fidelity)
+
+
+def test_clifford_fragments_take_no_shots():
+    circuit = hwea_workload(WIDTH)
+    sim = SuperSim(sampling=SamplingConfig(shots=SHOTS, seed=0))
+    fragments = sim.cut(circuit).fragments
+    assert {f.is_clifford for f in fragments} == {True, False}
+    _assignments, jobs = sim._evaluator()._build_jobs(fragments, root_seed=0)
+    shots = {True: 0, False: 0}
+    for job in jobs.values():
+        shots[job.is_clifford] += job.shots or 0
+        assert (job.key[-1] == "exact") == job.is_clifford
+    assert shots[True] == 0
+    assert shots[False] > 0
+    # every single-qubit marginal of this circuit is blind to the sampled
+    # T fragment, so with exact Clifford fragments none carries shot noise
+    marginals = sim.single_qubit_marginals(circuit)
+    reference = reference_marginals(circuit)
+    np.testing.assert_allclose(marginals, reference, rtol=0, atol=1e-12)

@@ -6,9 +6,8 @@ concerns explicitly and travel together through the pipeline:
 
 * :class:`CutConfig` — how the circuit is split (cut placement strategy,
   the ``4^k`` reconstruction guard);
-* :class:`SamplingConfig` — how fragment variants are evaluated
-  statistically (exact vs shots, Clifford shot rebalancing, tomography
-  projection, noise, seeding);
+* :class:`SamplingConfig` — how non-Clifford and noisy fragment variants
+  are evaluated (exact vs shots, tomography projection, noise, seeding);
 * :class:`ExecutionConfig` — where and how the work runs (forced backend,
   router, variant cache, worker pool, reconstruction pruning) and what
   happens when it fails (failure policy, retry budget, soft timeouts,
@@ -29,8 +28,8 @@ All four are immutable; derive variations with :func:`dataclasses.replace`
     from dataclasses import replace
 
     base = SamplingConfig(shots=4000, seed=7)
-    snapped = replace(base, snap_clifford=True)
-    sim = SuperSim(sampling=snapped)
+    projected = replace(base, tomography=True)
+    sim = SuperSim(sampling=projected)
 """
 
 from __future__ import annotations
@@ -76,18 +75,21 @@ class CutConfig(_Replaceable):
 class SamplingConfig(_Replaceable):
     """How fragment variants are evaluated statistically (§V-B, §IX).
 
+    A noiseless Clifford fragment is always evaluated exactly: its
+    stabilizer simulation yields the exact outcome distribution, so shots
+    could only add noise to it (the paper's §IX gives Clifford fragments
+    few shots and snaps their expectations to {-1, 0, +1}; here nothing is
+    left to snap).  ``shots`` therefore reaches only non-Clifford fragments
+    and, under a noise model, the Pauli-frame sampled Clifford ones.
+
     Parameters
     ----------
     shots:
         ``None`` for exact fragment evaluation; an integer to sample each
-        variant with that many shots.
-    clifford_shots:
-        Override the per-variant shot count for Clifford fragments
-        (Section IX: few shots suffice when expectations are in {-1,0,+1}).
-    snap_clifford:
-        Snap sampled Clifford conditional expectations to {-1, 0, +1}.
+        non-Clifford or noisy variant with that many shots.
     tomography:
-        Apply the physicality (PSD) projection to sampled fragment models.
+        Apply the physicality (PSD) projection to sampled fragment models
+        (exact ones are physical already and are left alone).
     noise:
         A :class:`repro.stabilizer.NoiseModel` applied to Clifford
         fragments via Pauli-frame sampling (requires finite ``shots``).
@@ -98,8 +100,6 @@ class SamplingConfig(_Replaceable):
     """
 
     shots: int | None = None
-    clifford_shots: int | None = None
-    snap_clifford: bool = False
     tomography: bool = False
     noise: Any = None
     seed: Any = None
@@ -107,8 +107,6 @@ class SamplingConfig(_Replaceable):
     def __post_init__(self):
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be positive or None")
-        if self.clifford_shots is not None and self.clifford_shots < 1:
-            raise ValueError("clifford_shots must be positive or None")
         if self.noise is not None and self.shots is None:
             raise ValueError("noisy fragment evaluation requires finite shots")
 

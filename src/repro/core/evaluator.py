@@ -152,15 +152,15 @@ class DenseVariantData(VariantData):
 
 
 class SampledVariantData(VariantData):
-    """Empirical result from finite shots, held as shot words.
+    """Empirical result from finite shots, held as shot words: a noisy
+    Clifford variant's Pauli-frame samples (:meth:`from_bits`).
 
     ``words[i, w]`` (``uint64``) packs bit ``i`` of 64 shots: bit ``s & 63``
     of word ``s >> 6`` belongs to shot ``s``, bits past ``shots`` are zero
     (:func:`~repro.analysis.distributions.pack_shots`).  That is the layout
-    the affine sampler draws in, and the one the cache, the SQLite tier and
-    the wire carry — an eighth of a bool matrix.  Single-bit histograms are
-    popcounts on the words; everything else unpacks only the columns it
-    asks for.
+    the cache, the SQLite tier and the wire carry — an eighth of a bool
+    matrix.  Single-bit histograms are popcounts on the words; everything
+    else unpacks only the columns it asks for.
     """
 
     def __init__(self, words: np.ndarray, shots: int):
@@ -242,7 +242,8 @@ class _Job:
 
     ``fragment_index`` / ``features`` / ``is_clifford`` carry the context
     the fault-tolerance layer needs (error attribution, degrade-mode
-    fallback routing); ``timeout`` is the job's soft deadline in seconds
+    fallback routing); an exact (``shots=None``) Clifford job reads its
+    backend's affine form where the backend has one; ``timeout`` is the job's soft deadline in seconds
     (``None`` = none); ``attempt`` counts known prior failures and is set
     by the scheduler before every (re)submission; ``chaos`` is the
     optional deterministic fault-injection schedule and ``in_process``
@@ -256,7 +257,6 @@ class _Job:
         "shots",
         "seed",
         "noise",
-        "affine",
         "fragment_index",
         "features",
         "is_clifford",
@@ -274,7 +274,6 @@ class _Job:
         shots,
         seed,
         noise,
-        affine,
         fragment_index=None,
         features=None,
         is_clifford=False,
@@ -287,7 +286,6 @@ class _Job:
         self.shots = shots
         self.seed = seed
         self.noise = noise
-        self.affine = affine
         self.fragment_index = fragment_index
         self.features = features
         self.is_clifford = is_clifford
@@ -311,18 +309,15 @@ def _execute_job(job: _Job) -> VariantData:
         )
         if action is not None:
             perform_action(action, in_process_worker=job.in_process)
+    if job.shots is None:
+        if job.is_clifford and job.backend.capabilities.affine:
+            return AffineVariantData(job.backend.affine_distribution(job.circuit))
+        return DenseVariantData(job.backend.probabilities(job.circuit))
     rng = np.random.default_rng(np.random.SeedSequence(job.seed))
     if job.noise is not None:
         return SampledVariantData.from_bits(
             job.backend.sample_noisy_bits(job.circuit, job.noise, job.shots, rng)
         )
-    if job.affine:
-        affine = job.backend.affine_distribution(job.circuit)
-        if job.shots is None:
-            return AffineVariantData(affine)
-        return SampledVariantData(affine.sample_words(job.shots, rng), job.shots)
-    if job.shots is None:
-        return DenseVariantData(job.backend.probabilities(job.circuit))
     return DenseVariantData(job.backend.sample(job.circuit, job.shots, rng))
 
 
@@ -444,9 +439,6 @@ class _JobScheduler:
         lifecycle.fell_back(f"{job.backend.name} -> {cand.name} after {reason}")
         tried.add(cand.name)
         job.backend = cand
-        job.affine = bool(
-            cand.capabilities.affine and job.is_clifford and job.noise is None
-        )
         # the value will come from a different backend than the cache key
         # names: usable for this run, but never stored cross-run
         self.degraded.add(job.key)
@@ -645,11 +637,12 @@ class FragmentEvaluator:
 
     * ``sampling`` (:class:`~repro.core.config.SamplingConfig`) — exact
       evaluation (``shots=None``, the mode of the paper's accuracy claims)
-      or shots per variant, fewer on Clifford fragments with
-      ``clifford_shots`` (Section IX), the root seed, and ``noise`` (§IV-A):
-      Clifford fragments are then Pauli-frame sampled through a
+      or shots per non-Clifford variant, the root seed, and ``noise``
+      (§IV-A): Clifford fragments are then Pauli-frame sampled through a
       noise-capable backend, while non-Clifford fragments stay noiseless —
-      they carry the coherent part of the error model as explicit gates;
+      they carry the coherent part of the error model as explicit gates.
+      A noiseless Clifford fragment is exact whatever ``shots`` says
+      (:meth:`mode` decides, for every layer that asks);
     * ``execution`` (:class:`~repro.core.config.ExecutionConfig`) — the
       router (default: every built-in backend, cheapest capable one wins),
       a forced ``backend``, which wins for every fragment it can handle,
@@ -693,8 +686,23 @@ class FragmentEvaluator:
 
     # -- routing --------------------------------------------------------------
 
-    def _backend_for(self, fragment: Fragment) -> tuple[Backend, bool]:
-        """(backend, noisy) for a fragment.
+    def mode(self, fragment: Fragment) -> str:
+        """How a fragment's variants are evaluated: ``"exact"``,
+        ``"sampled"`` or ``"noisy"``.
+
+        The one place that decides it: planning, routing, soft deadlines,
+        job keys and the tomography projection all ask here.  A Clifford
+        fragment is Pauli-frame sampled under a noise model and exact
+        otherwise, whatever ``shots`` says — its stabilizer simulation *is*
+        the exact distribution, which shots would only blur.  A
+        non-Clifford fragment is sampled when ``shots`` is set.
+        """
+        if fragment.is_clifford:
+            return "exact" if self.sampling.noise is None else "noisy"
+        return "exact" if self.sampling.exact else "sampled"
+
+    def _backend_for(self, fragment: Fragment) -> Backend:
+        """The backend that evaluates a fragment in its :meth:`mode`.
 
         All variants of a fragment share width and Clifford-ness (variants
         add only single-qubit Clifford preparation/basis ops), so routing
@@ -703,20 +711,20 @@ class FragmentEvaluator:
         it can handle the fragment; then the router.  Noisy fragments
         (Pauli-frame sampling) need a noise-capable backend either way.
         """
-        noisy = self.sampling.noise is not None and fragment.is_clifford
         assigned = self.assignments.get(fragment.index)
         if assigned is not None:
-            return assigned, noisy
+            return assigned
         features = CircuitFeatures.from_circuit(fragment.circuit)
-        exact = self.sampling.exact
+        mode = self.mode(fragment)
+        exact, noisy = mode == "exact", mode == "noisy"
         if self.forced is not None and self.forced.can_handle(
             features, exact=exact, noisy=noisy
         ):
-            return self.forced, noisy
-        return self.router.select(features, exact=exact, noisy=noisy), noisy
+            return self.forced
+        return self.router.select(features, exact=exact, noisy=noisy)
 
     def _job_timeout(
-        self, backend: Backend, features: CircuitFeatures, noisy: bool
+        self, backend: Backend, fragment: Fragment, features: CircuitFeatures
     ) -> float | None:
         """Soft deadline for one variant job, in seconds (``None`` = none).
 
@@ -732,7 +740,7 @@ class FragmentEvaluator:
             return execution.job_timeout
         if backend.name not in self.router.cost_scales:
             return None
-        mode = "exact" if (self.sampling.exact and not noisy) else "sampled"
+        mode = "exact" if self.mode(fragment) == "exact" else "sampled"
         try:
             cost = float(self.router.scored_cost(backend, features, mode))
         except Exception:
@@ -748,9 +756,9 @@ class FragmentEvaluator:
         (fragment index, preps, bases) triple to its job key, and
         ``unique_jobs`` holds one job per distinct key.  Keys combine the
         variant circuit's content fingerprint with the backend's
-        configuration token and the evaluation mode (exact, or shot count
-        plus seed, plus the noise model's content fingerprint), so a hit is
-        guaranteed to describe an identical simulation.
+        configuration token and the fragment's :meth:`mode` (exact, or shot
+        count plus seed, plus the noise model's content fingerprint), so a
+        hit is guaranteed to describe an identical simulation.
         """
         from repro.backends.cache import noise_fingerprint
 
@@ -759,40 +767,36 @@ class FragmentEvaluator:
         unique: dict[tuple, _Job] = {}
         noise_key = noise_fingerprint(sampling.noise)
         for index, fragment in enumerate(fragments):
-            backend, noisy = self._backend_for(fragment)
+            mode = self.mode(fragment)
+            backend = self._backend_for(fragment)
             features = CircuitFeatures.from_circuit(fragment.circuit)
-            timeout = self._job_timeout(backend, features, noisy)
-            is_clifford = fragment.is_clifford
-            eff_shots = sampling.shots
-            if eff_shots is not None and is_clifford and sampling.clifford_shots:
-                # clifford_shots only rebalances *sampled* evaluation
-                eff_shots = sampling.clifford_shots
-            use_affine = backend.capabilities.affine and is_clifford and not noisy
-            noise = sampling.noise if noisy else None
+            timeout = self._job_timeout(backend, fragment, features)
+            shots = None if mode == "exact" else sampling.shots
+            noise = sampling.noise if mode == "noisy" else None
+            noisy_key = noise_key if mode == "noisy" else None
             backend_key = backend.cache_token()
             for preps, bases in all_variants(fragment):
                 circuit = variant_circuit(fragment, preps, bases)
                 fp = circuit_fingerprint(circuit)
                 seed = (root_seed, int(fp[:16], 16))
-                if eff_shots is None:
-                    mode: tuple = ("exact",)
+                if shots is None:
+                    evaluation: tuple = ("exact",)
                 else:
                     # sampled results depend on the per-job seed, so key it
-                    mode = ("shots", eff_shots, seed)
-                key = (fp, backend_key, noise_key if noisy else None) + mode
+                    evaluation = ("shots", shots, seed)
+                key = (fp, backend_key, noisy_key) + evaluation
                 assignments.append((index, preps, bases, key))
                 if key not in unique:
                     unique[key] = _Job(
                         key,
                         backend,
                         circuit,
-                        eff_shots,
+                        shots,
                         seed,
                         noise,
-                        use_affine,
                         fragment_index=index,
                         features=features,
-                        is_clifford=is_clifford,
+                        is_clifford=fragment.is_clifford,
                         timeout=timeout,
                         chaos=self.execution.chaos,
                     )

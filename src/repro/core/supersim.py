@@ -214,7 +214,7 @@ class SuperSim:
         and the ``4^k`` reconstruction guard.
     sampling:
         A :class:`~repro.core.config.SamplingConfig` — exact vs sampled
-        evaluation, Clifford shot rebalancing, tomography projection,
+        evaluation of the non-Clifford fragments, tomography projection,
         noise, seeding.
     execution:
         An :class:`~repro.core.config.ExecutionConfig` — forced backend,
@@ -310,13 +310,8 @@ class SuperSim:
         start = time.perf_counter()
         cc = self.cut(circuit, cuts)
         evaluator = self._evaluator()
-        backends = []
-        modes = []
-        exact = self.sampling.exact
-        for fragment in cc.fragments:
-            backend, noisy = evaluator._backend_for(fragment)
-            backends.append(backend)
-            modes.append("noisy" if noisy else ("exact" if exact else "sampled"))
+        backends = [evaluator._backend_for(f) for f in cc.fragments]
+        modes = [evaluator.mode(f) for f in cc.fragments]
         planning_seconds = time.perf_counter() - start
         return ExecutionPlan(
             circuit=circuit,
@@ -381,6 +376,12 @@ class SuperSim:
 
     # -- execute stage ---------------------------------------------------------
 
+    def _projects(self, evaluator: FragmentEvaluator, fragment) -> bool:
+        """Is the fragment's tensor projected onto physical models?  Only
+        sampled data is (``tomography=True``): an exact tensor is physical
+        already, and clipping its eigenvalues would only add rounding."""
+        return self.sampling.tomography and evaluator.mode(fragment) != "exact"
+
     def _resolve_reconstruction_mode(self, keep_qubits) -> str:
         """The engine ``execute()`` will run for this output width."""
         mode = self.reconstruction.mode
@@ -389,7 +390,7 @@ class SuperSim:
             return "recursive" if wide else "full"
         return mode
 
-    def _dynamic_tensor_builder(self, cc: CutCircuit, fragment_data):
+    def _dynamic_tensor_builder(self, cc: CutCircuit, fragment_data, evaluator):
         """The per-level tensor callback of
         :func:`~repro.core.reconstruction.reconstruct_dynamic`.
 
@@ -406,8 +407,6 @@ class SuperSim:
         later level is kept across levels — that of a fragment with no kept
         or fixed qubits yet, ``4**(qi+qo)`` numbers.
         """
-        project = self.sampling.tomography and self.sampling.shots is not None
-        snap = self.sampling.snap_clifford
         max_dense_bits = self.reconstruction.max_dense_bits
         untouched: dict[int, np.ndarray] = {}
 
@@ -427,7 +426,6 @@ class SuperSim:
                         kept,
                         [lq for lq, _ in pinned],
                         fixed_rows[:, [j for _, j in pinned]],
-                        snap_clifford=snap,
                         max_dense_bits=max_dense_bits,
                     )
                 else:
@@ -436,8 +434,7 @@ class SuperSim:
                         tensor = build_fragment_tensor(
                             data,
                             kept,
-                            snap_clifford=snap,
-                            project=project,
+                            project=self._projects(evaluator, fragment),
                             max_dense_bits=max_dense_bits,
                         )
                         if not kept:
@@ -480,7 +477,7 @@ class SuperSim:
         if mode == "recursive":
             timings["tomography"] = 0.0
             start = time.perf_counter()
-            builder = self._dynamic_tensor_builder(cc, fragment_data)
+            builder = self._dynamic_tensor_builder(cc, fragment_data, evaluator)
             raw, stats = reconstruct_dynamic(
                 cc,
                 builder,
@@ -526,9 +523,7 @@ class SuperSim:
                 build_fragment_tensor(
                     data,
                     kept,
-                    snap_clifford=self.sampling.snap_clifford,
-                    project=self.sampling.tomography
-                    and self.sampling.shots is not None,
+                    project=self._projects(evaluator, data.fragment),
                     max_dense_bits=rc.max_dense_bits,
                 )
                 for data, kept in zip(fragment_data, kept_locals)
@@ -842,13 +837,7 @@ class SuperSim:
         )
         kept_locals = _kept_locals(cc, keep_qubits)
         tensors = [
-            build_conditioned_fragment_tensor(
-                data,
-                kept,
-                {},
-                snap_clifford=self.sampling.snap_clifford,
-                max_dense_bits=None,
-            )
+            build_conditioned_fragment_tensor(data, kept, {}, max_dense_bits=None)
             for data, kept in zip(fragment_data, kept_locals)
         ]
         if math.prod(len(tensor.support) for tensor in tensors) > max_support:
@@ -883,7 +872,8 @@ class SuperSim:
         *shape* (:func:`~repro.core.reconstruction.reconstruct_windows`),
         so no object larger than ``4^k · 2**len(window)`` per window is
         built at *any* circuit width.  The marginals are exact in exact
-        mode and estimates from the sampled variants otherwise.  This is
+        mode and estimates from the sampled non-Clifford variants
+        otherwise (Clifford fragments are exact in every mode).  This is
         the primitive QAOA edge scoring and per-qubit readout ride on.
         """
         windows = [list(w) for w in windows]
@@ -893,7 +883,6 @@ class SuperSim:
         fragment_data = evaluator.evaluate_all(
             cc.fragments, job_runner=self._job_runner
         )
-        project = self.sampling.tomography and self.sampling.shots is not None
         max_dense_bits = self.reconstruction.max_dense_bits
         sites = output_sites(cc)
         layouts = [window_layout(sites, len(cc.fragments), w) for w in windows]
@@ -901,8 +890,7 @@ class SuperSim:
             build_window_tensors(
                 data,
                 [kept_locals[f] for kept_locals, _order in layouts],
-                snap_clifford=self.sampling.snap_clifford,
-                project=project,
+                project=self._projects(evaluator, data.fragment),
                 max_dense_bits=max_dense_bits,
             )
             for f, data in enumerate(fragment_data)
@@ -923,7 +911,7 @@ class SuperSim:
         reconstructed in a few batched contractions
         (:meth:`marginal_probabilities`), so no ``2^n`` object is ever
         built.  Exact in exact mode; with ``shots`` set, estimates from
-        the sampled variants.
+        the sampled non-Clifford variants.
         """
         qubits = list(circuit.measured_qubits)
         out = np.zeros((len(qubits), 2))
@@ -975,7 +963,6 @@ class SuperSim:
                     for oq, lq in data.fragment.circuit_outputs
                     if oq in bit_of
                 },
-                snap_clifford=self.sampling.snap_clifford,
             )
             for data in fragment_data
         ]

@@ -45,16 +45,16 @@ preparation contraction:
   none).  :func:`build_conditioned_fragment_tensor` is its one-assignment
   call.
 
-Two refinements live here as well:
-
-* **Clifford expectation snapping** (paper §IX): a stabilizer state's Pauli
-  expectation is exactly -1, 0 or +1, so for sampled Clifford fragments the
-  per-outcome conditional expectations are snapped to the nearest of the
-  three values, removing most sampling error with very few shots.
-* **Physicality projection** (the maximum-likelihood correction of [40],
-  realised as the standard eigenvalue-clipping projection, dense builder
-  only): the Pauli-transfer data of each kept outcome is reassembled into
-  a Choi-like operator, projected onto the PSD cone, and re-expanded.
+Clifford fragments need no statistical refinement: the paper's §IX snaps
+their sampled expectations to -1, 0 or +1 because its stabilizer simulator
+samples, but here a noiseless Clifford variant is always exact
+(:meth:`~repro.core.evaluator.FragmentEvaluator.mode`), so its tensor is
+exact and dyadic as built.  Sampled data (non-Clifford fragments, noisy
+frames) can be refined with the **physicality projection** (the
+maximum-likelihood correction of [40], realised as the standard
+eigenvalue-clipping projection, dense builder only): the Pauli-transfer
+data of each kept outcome is reassembled into a Choi-like operator,
+projected onto the PSD cone, and re-expanded.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 _PAULI_ORDER = "IXYZ"
-
-
-def _snap_vector(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Vectorised {-1, 0, +1} snapping of conditional expectations."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(weight > 0, vec / np.maximum(weight, 1e-300), 0.0)
-    return weight * np.where(ratio > 0.5, 1.0, np.where(ratio < -0.5, -1.0, 0.0))
 
 
 def _contract_prep_axes(raw: np.ndarray, qi: int) -> np.ndarray:
@@ -152,7 +145,6 @@ def _check_tensor_entries(
 def build_window_tensors(
     data: FragmentData,
     windows,
-    snap_clifford: bool = False,
     project: bool = False,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> list[np.ndarray]:
@@ -183,7 +175,6 @@ def build_window_tensors(
     qi = len(fragment.quantum_inputs)
     qo = len(fragment.quantum_outputs)
     out_cols = [lq for _cut, lq in fragment.quantum_outputs]
-    snap = snap_clifford and fragment.is_clifford
     windows = [tuple(window) for window in windows]
 
     groups: dict[int, list[tuple[int, ...]]] = {}
@@ -201,11 +192,8 @@ def build_window_tensors(
         signed = _signed_paulis(bases)
         for width, group in groups.items():
             tables = variant.joint_tables(group, out_cols)
-            weight = _signed_sum(tables, np.ones(2**qo)) if snap else None
             for pauli_out, signs in signed:
                 vec = _signed_sum(tables, signs)
-                if snap and any(pauli_out):
-                    vec = _snap_vector(vec, weight)
                 raw[width][(slice(None),) + preps + pauli_out] = vec
 
     built = {}
@@ -220,7 +208,6 @@ def build_window_tensors(
 def build_fragment_tensor(
     data: FragmentData,
     keep_locals: list[int],
-    snap_clifford: bool = False,
     project: bool = False,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> np.ndarray:
@@ -230,9 +217,7 @@ def build_fragment_tensor(
     the caller wants to keep (order defines the bit order of the last axis).
     The one-window call of :func:`build_window_tensors`.
     """
-    return build_window_tensors(
-        data, [keep_locals], snap_clifford, project, max_dense_bits
-    )[0]
+    return build_window_tensors(data, [keep_locals], project, max_dense_bits)[0]
 
 
 def build_conditioned_window_tensors(
@@ -240,7 +225,6 @@ def build_conditioned_window_tensors(
     keep_locals: list[int],
     fixed_cols: list[int],
     fixed_rows: np.ndarray,
-    snap_clifford: bool = False,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ):
     """Yield the fragment tensor over ``keep_locals`` with ``fixed_cols``
@@ -279,7 +263,6 @@ def build_conditioned_window_tensors(
     _check_tensor_entries(fragment, 1, len(keep_cols), max_dense_bits)
     fixed_cols = list(fixed_cols)
     fixed_rows = np.asarray(fixed_rows, dtype=bool)
-    snap = snap_clifford and fragment.is_clifford
 
     tables = [
         data.variant(preps, bases).conditioned_tables(
@@ -307,12 +290,8 @@ def build_conditioned_window_tensors(
         raw = np.zeros((4,) * (qi + qo) + (len(support),))
         for bases, paulis in signed.items():
             block = compact[every_prep + bases]
-            weight = _signed_sum(block, np.ones(2**qo)) if snap else None
             for pauli_out, signs in paulis:
-                vec = _signed_sum(block, signs)
-                if snap and any(pauli_out):
-                    vec = _snap_vector(vec, weight)
-                raw[every_prep + pauli_out] = vec
+                raw[every_prep + pauli_out] = _signed_sum(block, signs)
         yield SupportTensor(_contract_prep_axes(raw[None], qi)[0], support)
 
 
@@ -320,7 +299,6 @@ def build_conditioned_fragment_tensor(
     data: FragmentData,
     keep_locals: list[int],
     fixed_locals: dict[int, int],
-    snap_clifford: bool = False,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> SupportTensor:
     """The fragment tensor over ``keep_locals`` with some output bits pinned.
@@ -335,7 +313,7 @@ def build_conditioned_fragment_tensor(
     row = [[int(fixed_locals[c]) for c in fixed_cols]]
     return next(
         build_conditioned_window_tensors(
-            data, keep_locals, fixed_cols, row, snap_clifford, max_dense_bits
+            data, keep_locals, fixed_cols, row, max_dense_bits
         )
     )
 

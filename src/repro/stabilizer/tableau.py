@@ -312,9 +312,11 @@ class AffineOutcomeDistribution:
     has probability exactly ``2^-k``.
 
     Finite shots come from one sampler, :meth:`sample_words`, as 64-shot
-    words (one row per output bit) — the form the evaluator keeps, caches
-    and ships.  :meth:`sample_bits` (one bool per shot and bit) and
-    :meth:`sample` (the empirical :class:`Distribution`) unpack it.
+    words (one row per output bit).  :meth:`sample_bits` (one bool per
+    shot and bit: the Pauli-frame sampler's reference shots) and
+    :meth:`sample` (the empirical :class:`Distribution` of
+    ``Backend.sample``) unpack it.  The evaluator never samples a
+    noiseless Clifford variant: it keeps this exact form.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):

@@ -15,9 +15,11 @@ What is digested:
   their smoke-test sizes, and the 10-qubit ``service_sweep`` circuit):
   the fragment's swept Choi tableau (``x``, ``z``, ``sign``, ``sym``)
   and every variant's ``(A, b)``;
-* the shot words of every Clifford variant job of the 200-qubit
-  ``hwea200_cold`` circuit at 5000 shots, seed 0 (the non-Clifford
-  fragment's words come from float probabilities and are left out);
+* the shot words of every Clifford variant of the 200-qubit
+  ``hwea200_cold`` circuit at 5000 shots, seed 0, drawn from its exact
+  affine form with the seed its job carries (the engine itself evaluates
+  these variants exactly; the non-Clifford fragment's words come from
+  float probabilities and are left out);
 * ``FrameSampler`` bits of the distance-5 phase-flip repetition code at
   ``p = 0.05``, ``rng = 0``.
 """
@@ -136,15 +138,21 @@ def fragment_digests(circuit: Circuit) -> dict[str, str]:
 
 
 def cold_shot_words_digest() -> str:
-    """Shot words of the Clifford jobs of the 200q cold request."""
+    """Shot words of the Clifford variants of the 200q cold request, in
+    fragment order and, within a fragment, in ``(preps, bases)`` order."""
     circuit = _hwea_cold(200)
     sim = SuperSim(sampling=SamplingConfig(shots=5000, seed=0))
     fragments = sim.cut(circuit).fragments
+    # the root seed a seed-0 evaluator draws for its first batch
+    root_seed = int(np.random.default_rng(0).integers(2**63))
+    assignments, jobs = sim._evaluator()._build_jobs(fragments, root_seed)
     words = []
-    for data in sim._evaluator().evaluate_all(fragments):
-        if data.fragment.circuit.is_clifford:
-            for key in sorted(data.results):
-                words.append(data.results[key].words)
+    for index, _preps, _bases, key in sorted(assignments):
+        if fragments[index].circuit.is_clifford:
+            job = jobs[key]
+            rng = np.random.default_rng(np.random.SeedSequence(job.seed))
+            affine = job.backend.affine_distribution(job.circuit)
+            words.append(affine.sample_words(5000, rng))
     return _digest(words)
 
 

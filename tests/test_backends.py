@@ -350,23 +350,6 @@ class TestSuperSimIntegration:
         repeat = run(0.05)  # a *new* but equal NoiseModel object
         assert repeat.cache_hits > 0
 
-    def test_clifford_shots_does_not_break_exact_mode(self):
-        # regression: shots=None must stay exact even with clifford_shots set
-        from repro.core.evaluator import AffineVariantData, FragmentEvaluator
-        from repro.core import cut_circuit, find_cuts
-
-        c = near_clifford(17)
-        expected = SV.probabilities(c)
-        result = SuperSim(sampling=SamplingConfig(clifford_shots=50)).run(c)
-        assert hellinger_fidelity(expected, result.distribution) > 1 - 1e-9
-        fragment = next(
-            f
-            for f in cut_circuit(c, find_cuts(c)).fragments
-            if f.is_clifford
-        )
-        data = FragmentEvaluator(SamplingConfig(clifford_shots=50)).evaluate(fragment)
-        assert all(isinstance(v, AffineVariantData) for v in data.results.values())
-
     def test_bare_simulator_pinned_to_nonclifford_fragments(self):
         from repro.mps import MPSSimulator
 

@@ -39,7 +39,6 @@ from repro.core.evaluator import (
 from repro.core.fragments import Fragment
 from repro.core.tomography import (
     _contract_prep_axes,
-    _snap_vector,
     build_conditioned_fragment_tensor,
     build_conditioned_window_tensors,
     build_fragment_tensor,
@@ -56,8 +55,8 @@ EXACT = SuperSim()
 # -- the oracle: the per-bin, per-Pauli-combination builder this PR replaced --
 
 
-def _oracle_signed_vector(dist, n_kept, fixed_bits, qo, signs_mask, need_weight):
-    """(vec, weight) over kept outcomes of a (kept + fixed + measured) joint,
+def _oracle_signed_vector(dist, n_kept, fixed_bits, qo, signs_mask):
+    """The signed sum over kept outcomes of a (kept + fixed + measured) joint,
     counting only outcomes whose middle bits equal ``fixed_bits``."""
     nf = len(fixed_bits)
     probs = dist.values_array
@@ -98,14 +97,10 @@ def _oracle_signed_vector(dist, n_kept, fixed_bits, qo, signs_mask, need_weight)
             for j in signs_mask:
                 parity ^= m_block[:, j].astype(np.int64)
             sign = 1.0 - 2.0 * parity
-    vec = np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
-    weight = None
-    if need_weight:
-        weight = np.bincount(x_key, weights=probs, minlength=2**n_kept)
-    return vec, weight
+    return np.bincount(x_key, weights=probs * sign, minlength=2**n_kept)
 
 
-def oracle_conditioned_tensor(data, keep_locals, fixed_locals, snap_clifford=False):
+def oracle_conditioned_tensor(data, keep_locals, fixed_locals):
     fragment = data.fragment
     qi = len(fragment.quantum_inputs)
     qo = len(fragment.quantum_outputs)
@@ -114,7 +109,6 @@ def oracle_conditioned_tensor(data, keep_locals, fixed_locals, snap_clifford=Fal
     fixed_cols = sorted(fixed_locals)
     fixed_bits = [int(fixed_locals[c]) for c in fixed_cols]
     n_kept = len(keep_cols)
-    snap = snap_clifford and fragment.is_clifford
 
     raw = np.zeros((4,) * qi + (4,) * qo + (2**n_kept,))
     for preps in itertools.product(range(4), repeat=qi):
@@ -122,13 +116,9 @@ def oracle_conditioned_tensor(data, keep_locals, fixed_locals, snap_clifford=Fal
             bases = tuple(BASIS_FOR_PAULI[p] for p in pauli_out)
             dist = data.variant(preps, bases).joint(keep_cols + fixed_cols + out_cols)
             signs_mask = [j for j, p in enumerate(pauli_out) if p != 0]
-            need_weight = bool(snap and signs_mask)
-            vec, weight = _oracle_signed_vector(
-                dist, n_kept, fixed_bits, qo, signs_mask, need_weight
+            raw[preps + pauli_out] = _oracle_signed_vector(
+                dist, n_kept, fixed_bits, qo, signs_mask
             )
-            if snap and signs_mask:
-                vec = _snap_vector(vec, weight)
-            raw[preps + pauli_out] = vec
     return _contract_prep_axes(raw[None], qi)[0]
 
 
@@ -208,11 +198,8 @@ def _scattered(tensor, width):
     width=st.sampled_from([0, 1, 5, 12]),
     n_fixed=st.sampled_from([0, 1, 7, 30, 48, 60]),
     kind=st.sampled_from(["affine", "dense", "sampled"]),
-    snap=st.booleans(),
 )
-def test_level_builder_equals_the_per_bin_oracle(
-    seed, qi, qo, width, n_fixed, kind, snap
-):
+def test_level_builder_equals_the_per_bin_oracle(seed, qi, qo, width, n_fixed, kind):
     rng = np.random.default_rng(seed)
     n = max(qi, qo + width + n_fixed + int(rng.integers(1, 4)))
     fragment = _random_fragment(rng, n, qi, qo, n_h=int(rng.integers(0, 7)))
@@ -224,21 +211,18 @@ def test_level_builder_equals_the_per_bin_oracle(
 
     tensors = [
         _scattered(tensor, width)
-        for tensor in build_conditioned_window_tensors(
-            data, keep, fixed_cols, rows, snap
-        )
+        for tensor in build_conditioned_window_tensors(data, keep, fixed_cols, rows)
     ]
     assert len(tensors) == len(rows)
     one_bin = _scattered(
         build_conditioned_fragment_tensor(
-            data, keep, dict(zip(fixed_cols, rows[1].tolist())), snap
+            data, keep, dict(zip(fixed_cols, rows[1].tolist()))
         ),
         width,
     )
     for row, tensor in zip(rows, tensors):
-        want = oracle_conditioned_tensor(
-            data, keep, dict(zip(fixed_cols, row.tolist())), snap
-        )
+        pinned = dict(zip(fixed_cols, row.tolist()))
+        want = oracle_conditioned_tensor(data, keep, pinned)
         assert tensor.shape == want.shape == (4,) * (qi + qo) + (2**width,)
         if kind == "sampled":
             np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)
@@ -248,9 +232,8 @@ def test_level_builder_equals_the_per_bin_oracle(
     assert np.array_equal(one_bin, tensors[1])  # the frontier of one
 
 
-@pytest.mark.parametrize("snap", [False, True], ids=["plain", "snap"])
 @pytest.mark.parametrize("kind", ["affine", "dense", "sampled"])
-def test_nothing_pinned_is_the_dense_builder_on_its_support(kind, snap):
+def test_nothing_pinned_is_the_dense_builder_on_its_support(kind):
     """No pinned column: the sparse builder of ``sparse_probabilities``."""
     sparse = 0
     for seed in range(8):
@@ -261,8 +244,8 @@ def test_nothing_pinned_is_the_dense_builder_on_its_support(kind, snap):
         data = _fragment_data(fragment, kind, rng)
         outputs = [lq for _oq, lq in fragment.circuit_outputs]
         keep = [int(q) for q in rng.permutation(outputs)][:width]
-        (tensor,) = build_conditioned_window_tensors(data, keep, [], [[]], snap)
-        dense = build_fragment_tensor(data, keep, snap)
+        (tensor,) = build_conditioned_window_tensors(data, keep, [], [[]])
+        dense = build_fragment_tensor(data, keep)
         # the same signed sums in the same order: not merely close
         assert np.array_equal(_scattered(tensor, width), dense)
         assert np.array_equal(tensor.values, dense[..., tensor.support])
@@ -399,8 +382,9 @@ def _traced_peak(circuit, qubit_limit, top_k):
 
     sim = SuperSim()
     cc = sim.cut(circuit)
-    data = sim._evaluator().evaluate_all(cc.fragments)
-    builder = sim._dynamic_tensor_builder(cc, data)
+    fragment_evaluator = sim._evaluator()
+    data = fragment_evaluator.evaluate_all(cc.fragments)
+    builder = sim._dynamic_tensor_builder(cc, data, fragment_evaluator)
     window_tensor = max(
         8 * 4 ** (len(f.quantum_inputs) + len(f.quantum_outputs)) * 2**qubit_limit
         for f in cc.fragments
@@ -451,7 +435,7 @@ def _pool_results(circuit, sampling, reconstruction):
 
 @pytest.mark.parametrize(
     "sampling",
-    [SamplingConfig(), SamplingConfig(shots=2000, seed=5, snap_clifford=True)],
+    [SamplingConfig(), SamplingConfig(shots=2000, seed=5)],
     ids=["exact", "sampled"],
 )
 def test_61q_recursive_is_bit_identical_under_every_pool(sampling):

@@ -42,9 +42,9 @@ class TestConfigObjects:
 
     def test_replace_helper(self):
         base = SamplingConfig(shots=100)
-        derived = base.replace(shots=200, snap_clifford=True)
+        derived = base.replace(shots=200, tomography=True)
         assert base.shots == 100 and derived.shots == 200
-        assert derived.snap_clifford is True
+        assert derived.tomography is True and base.tomography is False
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,6 +134,29 @@ class TestEvaluatorReadsConfigs:
             _, jobs = explicit._build_jobs(fragments, 0)
             assert {job.timeout for job in jobs.values()} == {3.0}
         assert seen == {"stabilizer", "statevector"}
+
+
+    def test_sampled_mode_prices_clifford_deadlines_as_exact(self):
+        """Statevector prices exact readout above sampling: a Clifford
+        fragment, exact in every mode, gets the exact deadline."""
+        fragments = fragments_of(near_clifford(23))
+        router = BackendRouter(cost_scales={"statevector": 0.01})
+        execution = ExecutionConfig(
+            backend="statevector",
+            router=router,
+            timeout_safety=7.0,
+            min_job_timeout=0.0,
+        )
+        sampling = SamplingConfig(shots=100, seed=0)
+        _, jobs = FragmentEvaluator(sampling, execution)._build_jobs(fragments, 0)
+        assert {job.is_clifford for job in jobs.values()} == {True, False}
+        for job in jobs.values():
+            mode = "exact" if job.is_clifford else "sampled"
+            cost = router.scored_cost(job.backend, job.features, mode)
+            assert job.timeout == cost * 7.0
+            other_mode = "sampled" if job.is_clifford else "exact"
+            other = router.scored_cost(job.backend, job.features, other_mode)
+            assert job.timeout != other * 7.0
 
 
 class TestConfigThreading:

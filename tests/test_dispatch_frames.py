@@ -12,6 +12,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,18 +200,18 @@ def test_concurrent_requests_interleave_frames_by_priority_then_fifo(monkeypatch
     monkeypatch.setattr(coordinator_module, "_MAX_FRAME_JOBS", 8)
     outcomes = {}
 
-    def run(fleet, shots, priority):
-        sampling = SamplingConfig(shots=shots, seed=1)
+    def run(fleet, seed, priority):
+        sampling = SamplingConfig(shots=100, seed=seed)
         with fleet.client(sampling=sampling, priority=priority) as client:
-            outcomes[shots] = client.run(mirror_chain(0.2))
+            outcomes[seed] = client.run(mirror_chain(0.2))
 
     with RecordedFleet(n_workers=0) as fleet:
         gated = fleet.add_worker(GatedRecorder(fleet.address))
         clients = []
-        # (frames queued once this request is cut, its shots, its priority)
-        for queued, shots, priority in ((2, 101, 0), (5, 102, 0), (8, 103, -1)):
+        # (frames queued once this request is cut, its seed, its priority)
+        for queued, seed, priority in ((2, 101, 0), (5, 102, 0), (8, 103, -1)):
             clients.append(
-                threading.Thread(target=run, args=(fleet, shots, priority))
+                threading.Thread(target=run, args=(fleet, seed, priority))
             )
             clients[-1].start()
             deadline = time.monotonic() + 30
@@ -221,14 +222,20 @@ def test_concurrent_requests_interleave_frames_by_priority_then_fifo(monkeypatch
         for thread in clients:
             thread.join(timeout=60)
             assert not thread.is_alive()
-        # the shot count tells whose job it is
+        # every job's seed leads with its request's root seed, drawn from
+        # the request's own seed: that tells whose job it is (exact jobs
+        # carry no shots, and their keys are the same in every request)
+        whose = {
+            int(np.random.default_rng(seed).integers(2**63)): seed
+            for seed in (101, 102, 103)
+        }
         order = [
-            {job.shots for _jid, job in frame["jobs"]}
+            {whose[job.seed[0]] for _jid, job in frame["jobs"]}
             for frame in gated.job_frames()
         ]
         assert order == [{101}] + [{103}] * 3 + [{101}] * 2 + [{102}] * 3
-    for shots, remote in outcomes.items():
-        local = SuperSim(sampling=SamplingConfig(shots=shots, seed=1)).run(
+    for seed, remote in outcomes.items():
+        local = SuperSim(sampling=SamplingConfig(shots=100, seed=seed)).run(
             mirror_chain(0.2)
         )
         assert remote.distribution.probs == local.distribution.probs

@@ -40,11 +40,55 @@ class TestDispatch:
         data = FragmentEvaluator().evaluate(ncl)
         assert all(isinstance(v, DenseVariantData) for v in data.results.values())
 
-    def test_clifford_fragment_sampled_is_bits(self):
+    def test_clifford_fragment_sampled_is_affine(self):
+        # shots only reach non-Clifford fragments: a Clifford one is exact
         frags = fragments_of(bell_plus_t())
         clifford = next(f for f in frags if f.is_clifford)
-        data = FragmentEvaluator(SamplingConfig(shots=100, seed=0)).evaluate(clifford)
-        assert all(isinstance(v, SampledVariantData) for v in data.results.values())
+        evaluator = FragmentEvaluator(SamplingConfig(shots=100, seed=0))
+        assert evaluator.mode(clifford) == "exact"
+        data = evaluator.evaluate(clifford)
+        assert all(isinstance(v, AffineVariantData) for v in data.results.values())
+        _assignments, jobs = evaluator._build_jobs([clifford], root_seed=0)
+        assert jobs and all(key[-1:] == ("exact",) for key in jobs)
+        assert all(job.shots is None for job in jobs.values())
+
+    def test_non_clifford_fragment_sampled_carries_shots(self):
+        frags = fragments_of(bell_plus_t())
+        ncl = next(f for f in frags if not f.is_clifford)
+        evaluator = FragmentEvaluator(SamplingConfig(shots=100, seed=0))
+        assert evaluator.mode(ncl) == "sampled"
+        _assignments, jobs = evaluator._build_jobs([ncl], root_seed=0)
+        assert all(key[-3:-1] == ("shots", 100) for key in jobs)
+        assert all(job.shots == 100 for job in jobs.values())
+
+    @pytest.mark.parametrize("clifford", [True, False], ids=["clifford", "non_clifford"])
+    @pytest.mark.parametrize("kind", ["exact", "sampled", "noisy"])
+    def test_mode_follows_cliffordness_then_sampling(self, clifford, kind):
+        from repro.stabilizer import NoiseModel, PauliChannel
+
+        sampling = {
+            "exact": SamplingConfig(),
+            "sampled": SamplingConfig(shots=100, seed=0),
+            "noisy": SamplingConfig(
+                shots=100,
+                seed=0,
+                noise=NoiseModel(after_gate_1q=PauliChannel.depolarizing(0.01)),
+            ),
+        }[kind]
+        fragment = next(
+            f for f in fragments_of(bell_plus_t()) if f.is_clifford == clifford
+        )
+        # noise reaches Clifford fragments only; shots reach all but the
+        # noiseless Clifford ones
+        want = {
+            (True, "exact"): "exact",
+            (True, "sampled"): "exact",
+            (True, "noisy"): "noisy",
+            (False, "exact"): "exact",
+            (False, "sampled"): "sampled",
+            (False, "noisy"): "sampled",
+        }[clifford, kind]
+        assert FragmentEvaluator(sampling).mode(fragment) == want
 
     def test_variant_count(self):
         frags = fragments_of(bell_plus_t())
@@ -52,14 +96,17 @@ class TestDispatch:
             data = FragmentEvaluator().evaluate(fragment)
             assert data.num_variants == fragment.num_variants
 
-    def test_clifford_shots_override(self):
+    def test_noisy_clifford_fragment_is_frame_sampled(self):
+        from repro.stabilizer import NoiseModel, PauliChannel
+
         frags = fragments_of(bell_plus_t())
         clifford = next(f for f in frags if f.is_clifford)
-        data = FragmentEvaluator(SamplingConfig(shots=1000, clifford_shots=16, seed=0)).evaluate(
-            clifford
-        )
-        some = next(iter(data.results.values()))
-        assert some.bits.shape[0] == 16
+        noise = NoiseModel(after_gate_1q=PauliChannel.depolarizing(0.01))
+        evaluator = FragmentEvaluator(SamplingConfig(shots=64, seed=0, noise=noise))
+        assert evaluator.mode(clifford) == "noisy"
+        data = evaluator.evaluate(clifford)
+        assert all(isinstance(v, SampledVariantData) for v in data.results.values())
+        assert all(v.shots == 64 for v in data.results.values())
 
 
 class TestVariantDataAgreement:

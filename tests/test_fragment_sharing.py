@@ -774,27 +774,23 @@ WINDOWS = [[], [3], [0, 4], [3], [1, 2, 0, 5, 4], [], [4, 0], [2], [5, 1, 3, 0, 
 
 class TestBuildWindowTensors:
     @pytest.mark.parametrize("qi,qo", list(itertools.product(range(3), repeat=2)))
-    @pytest.mark.parametrize("snap", [False, True])
-    def test_one_pass_equals_per_window_builds(self, qi, qo, snap):
+    def test_one_pass_equals_per_window_builds(self, qi, qo):
         """Odd shot count: division and summation order must match exactly."""
         data = sampled_fragment_data(qi, qo, shots=777, seed=10 * qi + qo)
         one_by_one = FragmentData(
             data.fragment, {k: JointOnly(v) for k, v in data.results.items()}
         )
         windows = [w for w in WINDOWS if all(q < 9 - qo for q in w)]
-        batched = build_window_tensors(data, windows, snap_clifford=snap)
+        batched = build_window_tensors(data, windows)
         assert len(batched) == len(windows)
         for window, tensor in zip(windows, batched):
             assert tensor.shape == (4,) * (qi + qo) + (2 ** len(window),)
-            alone = build_fragment_tensor(one_by_one, window, snap_clifford=snap)
+            alone = build_fragment_tensor(one_by_one, window)
             assert np.array_equal(tensor, alone), window
-            assert np.array_equal(
-                tensor, build_fragment_tensor(data, window, snap_clifford=snap)
-            )
+            assert np.array_equal(tensor, build_fragment_tensor(data, window))
 
     @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2)])
-    @pytest.mark.parametrize("snap", [False, True])
-    def test_sampled_equals_dense_wrapping(self, qi, qo, snap):
+    def test_sampled_equals_dense_wrapping(self, qi, qo):
         """Power-of-two shots: marginalising probabilities is exact too."""
         data = sampled_fragment_data(qi, qo, shots=512, seed=7 * qi + qo)
         dense = FragmentData(
@@ -806,8 +802,8 @@ class TestBuildWindowTensors:
         )
         windows = [w for w in WINDOWS if all(q < 9 - qo for q in w)]
         for project in (False, True):
-            got = build_window_tensors(data, windows, snap, project)
-            expected = build_window_tensors(dense, windows, snap, project)
+            got = build_window_tensors(data, windows, project)
+            expected = build_window_tensors(dense, windows, project)
             for window, a, b in zip(windows, got, expected):
                 assert np.array_equal(a, b), (window, project)
 

@@ -69,7 +69,25 @@ class TestPlan:
         plan = SuperSim(sampling=SamplingConfig(shots=100, seed=0)).plan(
             ghz_with_t()
         )
-        assert all(mode == "sampled" for mode in plan.fragment_modes)
+        # shots reach the non-Clifford fragments; Clifford ones stay exact
+        fragments = plan.cut_circuit.fragments
+        assert {f.is_clifford for f in fragments} == {True, False}
+        for fragment, mode in zip(fragments, plan.fragment_modes):
+            assert mode == ("exact" if fragment.is_clifford else "sampled")
+
+    def test_sampled_estimate_prices_clifford_fragments_exact(self):
+        sim = SuperSim(sampling=SamplingConfig(shots=100, seed=0))
+        plan = sim.plan(ghz_with_t())
+        estimate = plan.estimate()
+        router = sim._router()
+        priced = zip(plan.cut_circuit.fragments, plan._backends, estimate.fragments)
+        for fragment, backend, fragment_plan in priced:
+            assert fragment_plan.mode == (
+                "exact" if fragment.is_clifford else "sampled"
+            )
+            features = CircuitFeatures.from_circuit(fragment.circuit)
+            per_variant = router.scored_cost(backend, features, fragment_plan.mode)
+            assert fragment_plan.cost == per_variant * fragment.num_variants
 
     def test_execute_matches_run(self):
         c = near_clifford(3)

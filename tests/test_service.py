@@ -33,6 +33,7 @@ from repro.core import (
     SamplingConfig,
     SuperSim,
 )
+from repro.core.fragments import Cut
 from repro.core.plan import CostEstimate
 from repro.errors import (
     BackendExecutionError,
@@ -432,9 +433,29 @@ def test_no_workers_degrades_to_local_with_fallback_events():
 # -- one failure policy, local and service -----------------------------------
 
 
-def test_retry_fault_ledger_matches_local(fleet):
+def test_sampled_clifford_fragments_come_back_exact(fleet):
+    # workers evaluate Clifford variants exactly in sampled mode too: an
+    # all-Clifford request is the exact answer, bit for bit
+    circuit = Circuit(6)
+    for q in range(6):
+        circuit.append(gates.H, q)
+    for q in range(5):
+        circuit.append(gates.CX, q, q + 1)
+    circuit.append(gates.S, 3).append(gates.CX, 3, 4).measure_all()
+    cuts = [Cut(3, 2), Cut(2, 2)]
+    sampling = SamplingConfig(shots=100, seed=9)
+    with fleet.client(sampling=sampling) as client:
+        remote = client.run(circuit, cuts=cuts)
+    local = SuperSim().run(circuit, cuts=cuts)
+    assert remote.num_cuts == 2
+    assert remote.distribution.probs == local.distribution.probs
+
+
+def test_retry_fault_ledger_matches_local():
     # the same lifecycle decides locally and in the service, so a seeded
-    # chaos run leaves the same ledger behind in both
+    # chaos run leaves the same ledger behind in both.  Both start from an
+    # empty cache: exact Clifford jobs have seed-free keys, so a fleet that
+    # other requests warmed would meet fewer of the scheduled faults
     chaos = ChaosSchedule(exception_rate=0.3, fail_attempts=2)
     execution = ExecutionConfig(
         failure_policy="retry", chaos=chaos, retry_backoff=0.0
@@ -442,7 +463,9 @@ def test_retry_fault_ledger_matches_local(fleet):
     sampling = SamplingConfig(shots=300, seed=4)
     circuit = rotated_chain(0.3)
     local = SuperSim(sampling=sampling, execution=execution).run(circuit)
-    with fleet.client(sampling=sampling, execution=execution) as client:
+    with Fleet(n_workers=2) as fleet, fleet.client(
+        sampling=sampling, execution=execution
+    ) as client:
         remote = client.run(circuit)
     assert remote.distribution.probs == local.distribution.probs
     assert remote.faults.summary() == local.faults.summary() == {"retry": 6}

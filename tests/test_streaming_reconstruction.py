@@ -208,8 +208,9 @@ class TestRecursiveReconstruction:
 
     def test_builder_validation(self):
         circuit, cc, tensors, kept_locals, keep = _cut_workload(0)
-        builder = SuperSim()._dynamic_tensor_builder(
-            cc, EXACT._evaluator().evaluate_all(cc.fragments)
+        evaluator = EXACT._evaluator()
+        builder = EXACT._dynamic_tensor_builder(
+            cc, evaluator.evaluate_all(cc.fragments), evaluator
         )
         with pytest.raises(ValueError):
             reconstruct_dynamic(cc, builder, keep, qubit_limit=0)
@@ -250,7 +251,7 @@ class TestWideCircuits:
     def test_sampled_recursive_mode(self):
         circuit = _wide_chain(31)
         sim = SuperSim(
-            sampling=SamplingConfig(shots=4000, seed=7, snap_clifford=True),
+            sampling=SamplingConfig(shots=4000, seed=7),
             reconstruction=ReconstructionConfig(
                 mode="recursive", qubit_limit=8, top_k=8
             ),

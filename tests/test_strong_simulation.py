@@ -61,8 +61,8 @@ class TestStrongSimulation:
 
     @pytest.mark.parametrize(
         "sampling",
-        [SamplingConfig(), SamplingConfig(shots=3000, seed=5, snap_clifford=True)],
-        ids=["exact", "sampled-snap"],
+        [SamplingConfig(), SamplingConfig(shots=3000, seed=5)],
+        ids=["exact", "sampled"],
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_full_distributions_entry(self, seed, sampling):

@@ -163,7 +163,7 @@ class TestSampledMode:
         result = sim.run(c)
         assert hellinger_fidelity(expected, result.distribution) > 0.95
 
-    def test_snap_and_tomography_improve_or_match(self):
+    def test_tomography_improves_or_matches(self):
         rng = np.random.default_rng(13)
         c = Circuit(3)
         c.append(gates.H, 0).append(gates.CX, 0, 1).append(gates.T, 1)
@@ -171,9 +171,7 @@ class TestSampledMode:
         expected = SV.probabilities(c)
         plain = SuperSim(sampling=SamplingConfig(shots=300, seed=2)).run(c).distribution
         refined = SuperSim(
-            sampling=SamplingConfig(
-                shots=300, seed=2, snap_clifford=True, tomography=True
-            )
+            sampling=SamplingConfig(shots=300, seed=2, tomography=True)
         ).run(c).distribution
         f_plain = hellinger_fidelity(expected, plain)
         f_refined = hellinger_fidelity(expected, refined)
@@ -181,14 +179,14 @@ class TestSampledMode:
         # refinement should not catastrophically hurt
         assert f_refined > f_plain - 0.05
 
-    def test_clifford_shots_reduction(self):
+    def test_clifford_fragments_take_no_shots(self):
         rng = np.random.default_rng(17)
         c = inject_t_gates(random_clifford_circuit(4, 3, rng), 1, rng)
-        sim = SuperSim(sampling=SamplingConfig(
-            shots=2000, clifford_shots=64, snap_clifford=True, seed=3
-        ))
+        plan = SuperSim(sampling=SamplingConfig(shots=2000, seed=3)).plan(c)
+        for fragment, mode in zip(plan.cut_circuit.fragments, plan.fragment_modes):
+            assert mode == ("exact" if fragment.is_clifford else "sampled")
         expected = SV.probabilities(c)
-        result = sim.run(c)
+        result = plan.execute()
         assert hellinger_fidelity(expected, result.distribution) > 0.9
 
 

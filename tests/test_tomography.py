@@ -1,13 +1,11 @@
 """Tests for fragment tensor construction and physicality projection."""
 
 import numpy as np
-import pytest
 
-from repro.circuits import Circuit, gates
-from repro.core import SamplingConfig, cut_circuit, find_cuts
+from repro.circuits import Circuit, gates, inject_t_gates, random_clifford_circuit
+from repro.core import SamplingConfig, SuperSim, cut_circuit, find_cuts
 from repro.core.evaluator import FragmentEvaluator
 from repro.core.tomography import (
-    _snap_vector,
     build_conditioned_fragment_tensor,
     build_fragment_tensor,
     project_physical,
@@ -29,19 +27,6 @@ def t_mid_circuit():
     c.append(gates.T, 1)
     c.append(gates.H, 1)
     return c
-
-
-class TestSnap:
-    @pytest.mark.parametrize(
-        "value,expected",
-        [(0.9, 1.0), (1.0, 1.0), (0.3, 0.0), (0.0, 0.0), (-0.4, 0.0),
-         (-0.8, -1.0), (0.51, 1.0), (-0.51, -1.0)],
-    )
-    def test_values(self, value, expected):
-        # an expectation `value` seen at weight 1/2 snaps to `expected` there
-        weight = np.array([0.5, 0.0])
-        snapped = _snap_vector(np.array([0.5 * value, 0.0]), weight)
-        assert snapped.tolist() == [0.5 * expected, 0.0]
 
 
 class TestFragmentTensor:
@@ -85,18 +70,6 @@ class TestFragmentTensor:
             # columns absent from the support must be zero
             absent = np.setdiff1d(np.arange(dense.shape[-1]), sparse.support)
             assert np.all(np.abs(dense[..., absent]) < 1e-9)
-
-    def test_clifford_fragment_entries_snap_invariant(self):
-        """On exact Clifford data, snapping must be a no-op."""
-        circuit = t_mid_circuit()
-        _cc, data = evaluated_fragments(circuit)
-        clifford = [d for d in data if d.fragment.is_clifford]
-        assert clifford
-        for frag_data in clifford:
-            kept = [lq for _oq, lq in frag_data.fragment.circuit_outputs]
-            plain = build_fragment_tensor(frag_data, kept, snap_clifford=False)
-            snapped = build_fragment_tensor(frag_data, kept, snap_clifford=True)
-            assert np.allclose(plain, snapped, atol=1e-9)
 
 
 class TestPhysicalityProjection:
@@ -147,3 +120,52 @@ class TestPhysicalityProjection:
             fixed = project_physical(raw, qi, qo)
             # Frobenius distance to the true tensor must not grow much
             assert np.linalg.norm(fixed - truth) <= np.linalg.norm(raw - truth) + 1e-6
+
+    @staticmethod
+    def _built_cut_tensors(monkeypatch, sampling):
+        """``(data, kept, tensor)`` of every cut fragment's tensor that a
+        ``run`` under ``sampling`` builds."""
+        from repro.core import supersim
+
+        built = []
+        real = supersim.build_fragment_tensor
+
+        def spy(data, kept, **kwargs):
+            tensor = real(data, kept, **kwargs)
+            built.append((data, kept, tensor))
+            return tensor
+
+        monkeypatch.setattr(supersim, "build_fragment_tensor", spy)
+        rng = np.random.default_rng(17)
+        circuit = inject_t_gates(random_clifford_circuit(4, 3, rng), 1, rng)
+        SuperSim(sampling=sampling).run(circuit)
+        cut = [
+            entry
+            for entry in built
+            if entry[0].fragment.quantum_inputs or entry[0].fragment.quantum_outputs
+        ]
+        assert {data.fragment.is_clifford for data, _kept, _tensor in cut} == {
+            True,
+            False,
+        }
+        return cut
+
+    def test_sampled_mode_projects_only_sampled_fragments(self, monkeypatch):
+        """``tomography=True`` with shots: a Clifford fragment is exact, so
+        its tensor is the unprojected one, byte for byte; the sampled
+        non-Clifford fragment's tensor is projected."""
+        sampling = SamplingConfig(shots=500, seed=3, tomography=True)
+        for data, kept, tensor in self._built_cut_tensors(monkeypatch, sampling):
+            project = not data.fragment.is_clifford
+            want = build_fragment_tensor(data, kept, project=project)
+            assert np.array_equal(tensor, want)
+
+    def test_noisy_clifford_fragments_are_projected(self, monkeypatch):
+        """Pauli-frame samples are sampled data: projected like the rest."""
+        from repro.stabilizer import NoiseModel, PauliChannel
+
+        noise = NoiseModel(after_gate_1q=PauliChannel.depolarizing(0.05))
+        sampling = SamplingConfig(shots=500, seed=3, tomography=True, noise=noise)
+        for data, kept, tensor in self._built_cut_tensors(monkeypatch, sampling):
+            want = build_fragment_tensor(data, kept, project=True)
+            assert np.array_equal(tensor, want)
