@@ -556,15 +556,15 @@ def bench_path_cache() -> dict:
 def bench_variant_sharing() -> dict:
     """Per-fragment work happens once per fragment — gated on counts.
 
-    One sampled evaluation of a 100q 1-T HWEA: every variant of a Clifford
-    fragment shares the fragment's compiled and evolved body, so the layer
-    compiler and the ``apply_layers`` kernel run once per Clifford
-    *fragment*, not once per stabilizer job; and all 100 single-qubit
-    windows' tensors come out of one pass per fragment, equal to the
-    per-window builds.  All the variants also share the symbolic
-    measurement of every wire that is not cut, so
-    ``Tableau.measure_symbolic`` runs at most :func:`_shared_sweep_bound`
-    times.  Counts are exact, so the gate is safe on shared runners.
+    One sampled evaluation of a 100q 1-T HWEA: a Clifford fragment is one
+    stabilizer job whose variants share the fragment's compiled and
+    evolved body, so the layer compiler and the ``apply_layers`` kernel run
+    once per Clifford fragment; and all 100 single-qubit windows' tensors
+    come out of one pass per fragment, equal to the per-window builds.
+    All the variants also share the symbolic measurement of every wire
+    that is not cut, so ``Tableau.measure_symbolic`` runs at most
+    :func:`_shared_sweep_bound` times.  Counts are exact, so the gate is
+    safe on shared runners.
     """
     from repro.apps.hwea import HWEA
     from repro.core import SamplingConfig
@@ -734,9 +734,9 @@ def bench_clifford_exact() -> dict:
 
     A sampled ``single_qubit_marginals`` of a 100q 1-T HWEA: no Clifford
     variant is sampled (``AffineOutcomeDistribution.sample_words`` never
-    runs), every stabilizer job is keyed exact, and the jobs that carry
-    shots are exactly those of the non-Clifford fragment.  Counts are
-    exact, so the gate is safe on shared runners.
+    runs), each Clifford fragment is one stabilizer job keyed exact, and
+    the jobs that carry shots are exactly those of the non-Clifford
+    fragment.  Counts are exact, so the gate is safe on shared runners.
     """
     from unittest import mock
 
@@ -780,6 +780,7 @@ def bench_clifford_exact() -> dict:
             "Clifford fragments are evaluated"
         ),
         "sample_words_calls": sample_words_calls[0],
+        "clifford_fragments": sum(fragment.is_clifford for fragment in fragments),
         "stabilizer_jobs": len(stabilizer),
         "stabilizer_exact_jobs": sum(job.key[-1] == "exact" for job in stabilizer),
         "shot_jobs": sum(job.shots is not None for job in jobs),
@@ -954,10 +955,10 @@ def main() -> int:
         sharing["body_compiles"]
         and sharing["compile_calls"] == sharing["clifford_fragments"]
         and sharing["apply_layers_calls"] == sharing["clifford_fragments"]
-        and sharing["stabilizer_jobs"] > sharing["clifford_fragments"]
+        and sharing["stabilizer_jobs"] == sharing["clifford_fragments"]
     ):
         failures.append(
-            "variants no longer share their fragment's body: "
+            "a Clifford fragment is no longer one job sharing its body: "
             f"{sharing['compile_calls']} compiles and "
             f"{sharing['apply_layers_calls']} apply_layers calls for "
             f"{sharing['clifford_fragments']} Clifford fragment(s), "
@@ -1004,7 +1005,7 @@ def main() -> int:
     exact = results["clifford_exact"]
     if not (
         exact["sample_words_calls"] == 0
-        and exact["stabilizer_jobs"] > 0
+        and exact["stabilizer_jobs"] == exact["clifford_fragments"] > 0
         and exact["stabilizer_exact_jobs"] == exact["stabilizer_jobs"]
         and exact["shot_fragments"] == exact["non_clifford_fragments"] != []
     ):
@@ -1012,7 +1013,8 @@ def main() -> int:
             "sampled mode no longer evaluates Clifford fragments exactly: "
             f"{exact['sample_words_calls']} sample_words calls, "
             f"{exact['stabilizer_exact_jobs']} of {exact['stabilizer_jobs']} "
-            f"stabilizer jobs keyed exact, shots on fragments "
+            f"stabilizer jobs keyed exact for {exact['clifford_fragments']} "
+            f"Clifford fragment(s), shots on fragments "
             f"{exact['shot_fragments']} (non-Clifford: "
             f"{exact['non_clifford_fragments']})"
         )

@@ -41,13 +41,13 @@ def main() -> None:
     for fragment_plan in estimate.fragments:
         print(f"  {fragment_plan}")
     print(f"predicted: {estimate.num_variants} variants "
-          f"({estimate.unique_variants} unique), "
+          f"in {estimate.unique_variants} jobs, "
           f"4^{estimate.num_cuts} = {estimate.reconstruction_terms} "
           f"reconstruction terms, model cost ~{estimate.total_cost:.3g}")
 
     # --- stage 3: execute — evaluate -> tomography -> reconstruct -----------
     result = plan.execute()
-    print(f"\nvariants simulated per backend: {result.backend_usage}")
+    print(f"\njobs simulated per backend: {result.backend_usage}")
     print(f"reconstruction terms pruned as zero: {result.stats.terms_skipped}")
     for stage in ("cut", "evaluate", "tomography", "reconstruct"):
         print(f"  {stage:<12} {result.timings[stage] * 1e3:8.2f} ms")
@@ -55,9 +55,9 @@ def main() -> None:
     # --- stage 4: run again — the variant cache carries over -----------------
     cached_estimate = sim.plan(circuit).estimate()
     print(f"\nre-planning predicts {cached_estimate.cached_variants} of "
-          f"{cached_estimate.unique_variants} unique variants already cached")
+          f"{cached_estimate.unique_variants} jobs already cached")
     again = sim.run(circuit)  # run() is just plan().execute()
-    print(f"second run: {again.cache_hits} variant cache hits, "
+    print(f"second run: {again.cache_hits} cache hits, "
           f"{again.cache_misses} misses "
           f"(evaluate {again.timings['evaluate'] * 1e3:.2f} ms)")
 

@@ -12,7 +12,8 @@ that makes the routing decision explicit instead of a hard-coded branch:
   against (width, Clifford-ness, T-count, entangling depth);
 * :class:`Backend` — the abstract interface every simulator adapter
   implements: ``probabilities`` / ``sample`` plus optional
-  ``affine_distribution`` (exact Clifford output at any width) and
+  ``affine_distribution`` (exact Clifford output at any width),
+  ``affine_variants`` (every variant of a Clifford fragment at once) and
   ``sample_noisy_bits`` (Pauli-frame noisy sampling), and an
   ``estimate_cost`` model used to pick the cheapest capable backend.
 """
@@ -122,6 +123,16 @@ class Backend(abc.ABC):
         """Exact Clifford output in affine-subspace form (any width).
 
         Only meaningful when ``capabilities.affine`` is true.
+        """
+        raise NotImplementedError(f"{self.name} has no affine readout")
+
+    def affine_variants(self, body: Circuit, inputs, outputs) -> list:
+        """Every variant of a Clifford fragment in affine-subspace form.
+
+        ``body`` is the fragment's circuit, ``inputs`` and ``outputs`` its
+        cut wires in order; one form per variant, over all wires, in
+        :func:`repro.core.variants.all_variants` order.  Only meaningful
+        when ``capabilities.affine`` is true.
         """
         raise NotImplementedError(f"{self.name} has no affine readout")
 

@@ -25,22 +25,22 @@ from collections import OrderedDict
 from repro.circuits.circuit import Circuit
 
 
-def approx_result_bytes(value, _depth: int = 2) -> int:
-    """A cheap size estimate of a cached variant result, in bytes.
+def approx_result_bytes(value) -> int:
+    """A cheap size estimate of a cached result, in bytes.
 
-    Sums the ``nbytes`` of numpy arrays reachable through at most two
-    levels of instance attributes (``SampledVariantData.words``, shots
-    packed 64 to a word; ``DenseVariantData.distribution.keys/probs``; the
-    affine form's matrices, ...) plus ``sys.getsizeof`` of the objects
-    themselves.
-    Deliberately approximate — it feeds the cache's ``bytes`` gauge, not
-    an allocator — and never serialises the value to measure it.
+    Sums the ``nbytes`` of every numpy array reachable through instance
+    attributes, tuples and lists (``SampledVariantData.words``, shots
+    packed 64 to a word; ``DenseVariantData.distribution.keys/probs``; a
+    Clifford fragment's variants and their affine forms' matrices, ...)
+    plus ``sys.getsizeof`` of the objects themselves.  Deliberately
+    approximate — it feeds the cache's ``bytes`` gauge, not an allocator
+    — and never serialises the value to measure it.
     """
     total = 0
     seen: set[int] = set()
-    stack = [(value, _depth)]
+    stack = [value]
     while stack:
-        obj, depth = stack.pop()
+        obj = stack.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
@@ -52,13 +52,11 @@ def approx_result_bytes(value, _depth: int = 2) -> int:
             total += sys.getsizeof(obj)
         except TypeError:  # pragma: no cover - exotic objects
             pass
-        if depth <= 0:
-            continue
         attrs = getattr(obj, "__dict__", None)
         if attrs:
-            stack.extend((child, depth - 1) for child in attrs.values())
+            stack.extend(attrs.values())
         elif isinstance(obj, (tuple, list)):
-            stack.extend((child, depth - 1) for child in obj)
+            stack.extend(obj)
     return total
 
 
@@ -79,28 +77,31 @@ def circuit_fingerprint(circuit: Circuit) -> str:
 
     Covers width, every operation (gate name, float parameters at full
     precision, wires) and the measured-qubit set — everything that affects
-    simulation output.  A circuit that embeds a shared body (the variants
-    of one fragment, see :meth:`Circuit.shared_body`) serialises that body
-    once, on the body object; the hashed byte stream, hence the digest, is
-    the same as for the op list spelled out.
+    simulation output.
     """
     h = hashlib.sha256()
     h.update(struct.pack("<q", circuit.n_qubits))
-    shared = circuit.shared_body()
-    if shared is None:
-        h.update(_op_bytes(circuit.ops))
-    else:
-        body, start, stop = shared
-        derived = body.derived()
-        body_bytes = derived.get("op_bytes")
-        if body_bytes is None:
-            body_bytes = derived["op_bytes"] = _op_bytes(body.ops)
-        h.update(_op_bytes(circuit.ops[:start]))
-        h.update(body_bytes)
-        h.update(_op_bytes(circuit.ops[stop:]))
+    h.update(_op_bytes(circuit.ops))
     h.update(b"|m")
     measured = circuit.measured_qubits
     h.update(struct.pack(f"<{len(measured)}q", *measured))
+    return h.hexdigest()
+
+
+def fragment_fingerprint(body: Circuit, inputs, outputs) -> str:
+    """A content hash of a whole fragment's variants: the ``body`` with
+    every preparation of the ``inputs`` wires and every measurement basis
+    of the ``outputs`` wires, all wires measured.
+
+    Covers the width, every body operation and both wire lists in order;
+    a domain tag keeps it apart from every :func:`circuit_fingerprint`.
+    """
+    h = hashlib.sha256(b"fragment|")
+    h.update(struct.pack("<q", body.n_qubits))
+    h.update(_op_bytes(body.ops))
+    for tag, wires in ((b"|i", inputs), (b"|o", outputs)):
+        h.update(tag)
+        h.update(struct.pack(f"<{len(wires)}q", *wires))
     return h.hexdigest()
 
 

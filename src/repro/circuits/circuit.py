@@ -6,17 +6,10 @@ qubits ``0 .. n-1``, plus an optional set of *terminally measured* qubits
 model of the paper: circuit outputs are always measured in the Z basis, and
 mid-circuit measurement never occurs inside fragments.
 
-Two pieces of bookkeeping let work that depends only on an op list be done
-once.  :meth:`Circuit.derived` is a scratch dict for values computed from
-``ops`` (Clifford-ness, a compiled gate program, hash bytes, a swept tableau),
-emptied by any mutation of ``ops``.  :meth:`Circuit.embed` appends another
-circuit's ops and records that the slice *is* that circuit;
-:meth:`Circuit.shared_body` answers it back while it still holds, so the
-variants of a fragment can share what was derived from the fragment's body
-(and, through :meth:`Circuit.measured_last` and :meth:`Circuit.prepared`,
-what was measured on the wires they agree on, whatever state the cut wires
-were handed).  Both re-validate by element identity (Operations are
-immutable) and neither is pickled.
+:meth:`Circuit.derived` is a scratch dict for values computed from ``ops``
+alone (Clifford-ness, a compiled gate program), emptied by any mutation of
+``ops``; it re-validates by element identity (Operations are immutable) and
+is not pickled.
 """
 
 from __future__ import annotations
@@ -65,10 +58,9 @@ class Operation:
 class Circuit:
     """An n-qubit circuit: gate operations plus terminal measurements."""
 
-    # class-level defaults: instances unpickled without these attributes
-    # (see ``__getstate__``) read them as "nothing derived, no body"
+    # class-level default: instances unpickled without this attribute (see
+    # ``__getstate__``) read it as "nothing derived"
     _derived: "tuple[list[Operation], dict] | None" = None
-    _body: "tuple[Circuit, int, frozenset, tuple[int, ...]] | None" = None
 
     def __init__(self, n_qubits: int, operations: Iterable[Operation] = ()):
         if n_qubits < 0:
@@ -101,37 +93,6 @@ class Circuit:
             self.ops.append(op)
         return self
 
-    def embed(
-        self,
-        body: "Circuit",
-        measured_last: Iterable[int] = (),
-        prepared: Iterable[int] = (),
-    ) -> "Circuit":
-        """Append every op of ``body`` and remember the slice is ``body``.
-
-        ``body`` has this circuit's width, so its ops were range-checked
-        when they entered it and are appended as they are.  See
-        :meth:`shared_body`.
-
-        ``measured_last`` and ``prepared`` are statements about *all* the
-        circuits built around ``body``, made by whoever builds them: after
-        the body they differ on the ``measured_last`` wires only, before it
-        on the ``prepared`` wires only — each of which enters the body in
-        one of the states |0>, |1>, |+>, |+i>.  A simulator may then carry
-        the prepared wires symbolically and measure every wire not left for
-        last once for all of them (:meth:`measured_last`, :meth:`prepared`).
-        """
-        if body.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        prepared = tuple(int(q) for q in prepared)
-        if len(set(prepared)) != len(prepared) or any(
-            q < 0 or q >= self.n_qubits for q in prepared
-        ):
-            raise ValueError(f"prepared wires {prepared} are not distinct qubits")
-        self._body = (body, len(self.ops), frozenset(measured_last), prepared)
-        self.ops.extend(body.ops)
-        return self
-
     # -- shared derived work ---------------------------------------------------
 
     def derived(self) -> dict:
@@ -150,44 +111,11 @@ class Circuit:
             held = self._derived = (list(self.ops), {})
         return held[1]
 
-    def shared_body(self) -> "tuple[Circuit, int, int] | None":
-        """``(body, start, stop)`` while ``ops[start:stop]`` *is* ``body.ops``.
-
-        Answers for the circuit last passed to :meth:`embed`, object for
-        object; ``None`` for a circuit that embedded nothing, and after
-        any mutation of either op list that breaks the correspondence
-        (ops appended after ``stop`` do not).
-        """
-        if self._body is None:
-            return None
-        body, start, _late, _prepared = self._body
-        stop = start + len(body.ops)
-        if _same_objects(self.ops[start:stop], body.ops):
-            return body, start, stop
-        return None
-
-    def measured_last(self) -> frozenset:
-        """The wires :meth:`embed` was told to leave for last.
-
-        Only means something while :meth:`shared_body` answers; travels
-        with that link and is dropped with it.
-        """
-        return frozenset() if self._body is None else self._body[2]
-
-    def prepared(self) -> tuple[int, ...]:
-        """The wires :meth:`embed` was told are handed a prepared state.
-
-        Like :meth:`measured_last`, part of the body link and dropped
-        with it.
-        """
-        return () if self._body is None else self._body[3]
-
     def __getstate__(self) -> dict:
-        # what was derived from the ops is rebuilt on demand, and a body is
-        # shared only between circuits of one process: neither travels
+        # what was derived from the ops is rebuilt on demand: it does not
+        # travel
         state = self.__dict__.copy()
         state.pop("_derived", None)
-        state.pop("_body", None)
         return state
 
     def measure(self, qubits: Sequence[int]) -> "Circuit":

@@ -10,12 +10,15 @@ fragments are Clifford and cheap, the non-Clifford fragments are narrow
 and cheap — and it now extends to the paper's §XI backends (MPS, extended
 stabilizer, CH form) without code changes here.
 
-Evaluation is *batched*: ``evaluate_all`` flattens the variants of every
-fragment into one job list, deduplicates it through a content-addressed
-:class:`~repro.backends.cache.VariantCache` (identical variant circuits —
-common in parameter sweeps and across symmetric fragments — are simulated
-once), and executes the surviving jobs on a thread or process pool chosen
-from the backends' capability hints (§X: variant simulations are
+Evaluation is *batched*: ``evaluate_all`` flattens the work of every
+fragment into one job list — one job per variant, except that a noiseless
+Clifford fragment is one job for all its variants (its stabilizer
+simulation evolves the body once, :meth:`Backend.affine_variants`) —
+deduplicates it through a content-addressed
+:class:`~repro.backends.cache.VariantCache` (identical variant circuits and
+fragments — common in parameter sweeps and across symmetric fragments —
+are simulated once), and executes the surviving jobs on a thread or
+process pool chosen from the backends' capability hints (§X: jobs are
 independent and parallelise trivially; numpy releases the GIL in the
 heavy kernels).
 
@@ -238,12 +241,13 @@ class FragmentData:
 
 
 class _Job:
-    """One deduplicated unit of simulation work.
+    """One deduplicated unit of simulation work: one variant ``circuit``,
+    or — ``fragment`` set, ``circuit`` ``None`` — every variant of a
+    noiseless Clifford fragment, in :func:`all_variants` order.
 
-    ``fragment_index`` / ``features`` / ``is_clifford`` carry the context
-    the fault-tolerance layer needs (error attribution, degrade-mode
-    fallback routing); an exact (``shots=None``) Clifford job reads its
-    backend's affine form where the backend has one; ``timeout`` is the job's soft deadline in seconds
+    ``fragment_index`` / ``features`` carry the context the
+    fault-tolerance layer needs (error attribution, degrade-mode fallback
+    routing); ``timeout`` is the job's soft deadline in seconds
     (``None`` = none); ``attempt`` counts known prior failures and is set
     by the scheduler before every (re)submission; ``chaos`` is the
     optional deterministic fault-injection schedule and ``in_process``
@@ -259,7 +263,7 @@ class _Job:
         "noise",
         "fragment_index",
         "features",
-        "is_clifford",
+        "fragment",
         "timeout",
         "attempt",
         "chaos",
@@ -270,13 +274,13 @@ class _Job:
         self,
         key,
         backend,
-        circuit,
-        shots,
-        seed,
-        noise,
+        circuit=None,
+        shots=None,
+        seed=None,
+        noise=None,
         fragment_index=None,
         features=None,
-        is_clifford=False,
+        fragment=None,
         timeout=None,
         chaos=None,
     ):
@@ -288,7 +292,7 @@ class _Job:
         self.noise = noise
         self.fragment_index = fragment_index
         self.features = features
-        self.is_clifford = is_clifford
+        self.fragment = fragment
         self.timeout = timeout
         self.attempt = 0
         self.chaos = chaos
@@ -299,8 +303,9 @@ class _Job:
         return self.key[0]
 
 
-def _execute_job(job: _Job) -> VariantData:
-    """Simulate one variant (module-level so process pools can pickle it)."""
+def _execute_job(job: _Job):
+    """Simulate one job (module-level so process pools can pickle it): a
+    :class:`VariantData`, or a fragment job's tuple of them."""
     if job.chaos is not None:
         from repro.testing.chaos import perform_action
 
@@ -309,9 +314,15 @@ def _execute_job(job: _Job) -> VariantData:
         )
         if action is not None:
             perform_action(action, in_process_worker=job.in_process)
+    fragment = job.fragment
+    if fragment is not None:
+        if job.backend.capabilities.affine:
+            forms = job.backend.affine_variants(fragment.circuit, *fragment.cut_wires)
+            return tuple(map(AffineVariantData, forms))
+        # a forced or fallen-back backend without an affine readout
+        circuits = (variant_circuit(fragment, *spec) for spec in all_variants(fragment))
+        return tuple(DenseVariantData(job.backend.probabilities(c)) for c in circuits)
     if job.shots is None:
-        if job.is_clifford and job.backend.capabilities.affine:
-            return AffineVariantData(job.backend.affine_distribution(job.circuit))
         return DenseVariantData(job.backend.probabilities(job.circuit))
     rng = np.random.default_rng(np.random.SeedSequence(job.seed))
     if job.noise is not None:
@@ -392,7 +403,8 @@ class _JobScheduler:
     harvested, the pool is rebuilt, and every unfinished in-flight job is
     charged one crash and resubmitted.  An overdue process-pool job can
     only be killed by rebuilding the pool too (bystanders resubmit for
-    free); an overdue thread job is abandoned.  :meth:`fall_back` is the
+    free); an overdue thread job is abandoned, and its thread counts as
+    busy until it returns.  :meth:`fall_back` is the
     local degrade-mode fallback.  Determinism is untouched throughout:
     resubmitted jobs reuse their fingerprint-derived seeds.
     """
@@ -419,6 +431,7 @@ class _JobScheduler:
         self.tried: dict[tuple, set[str]] = {}  # job key -> backend names
         self.pending: list[tuple[float, int, _Job]] = []  # (ready, seq, job)
         self.inflight: dict = {}  # future -> (job, deadline | None)
+        self.abandoned: set = set()  # overdue thread futures still running
         self._seq = 0
 
     def fall_back(self, lifecycle: JobLifecycle, reason: str) -> bool:
@@ -493,9 +506,14 @@ class _JobScheduler:
         self.inflight[fut] = (job, deadline)
 
     def _fill(self, now: float) -> None:
-        # bound in-flight submissions by the worker count so a deadline
-        # measures run time, not time spent queued behind other jobs
-        while self.pending and len(self.inflight) < self.workers:
+        # bound in-flight submissions by the free workers so a deadline
+        # measures run time, not time spent queued behind other jobs: an
+        # abandoned thread job holds its worker until it returns.  One job
+        # always goes through, so threads that never return end in
+        # timeouts, not in a hang
+        self.abandoned = {fut for fut in self.abandoned if not fut.done()}
+        free = max(1, self.workers - len(self.abandoned))
+        while self.pending and len(self.inflight) < free:
             ready, _seq, job = self.pending[0]
             if ready > now:
                 break
@@ -550,7 +568,8 @@ class _JobScheduler:
             return
         for fut, job in expired:
             self.inflight.pop(fut, None)
-            fut.cancel()  # thread futures survive this; it is best-effort
+            if not fut.cancel() and self.pool == "thread":
+                self.abandoned.add(fut)  # a running thread cannot be stopped
             self._push(job, self.lifecycles[job.key].on_timeout(self.fall_back))
         if self.pool == "process":
             # a hung process worker cannot be interrupted from here: the
@@ -584,7 +603,7 @@ class _JobScheduler:
                 done = set()
                 if self.inflight:
                     done, _ = wait(
-                        list(self.inflight),
+                        [*self.inflight, *self.abandoned],
                         timeout=wakeup,
                         return_when=FIRST_COMPLETED,
                     )
@@ -726,7 +745,7 @@ class FragmentEvaluator:
     def _job_timeout(
         self, backend: Backend, fragment: Fragment, features: CircuitFeatures
     ) -> float | None:
-        """Soft deadline for one variant job, in seconds (``None`` = none).
+        """Soft deadline for one variant, in seconds (``None`` = none).
 
         An explicit ``job_timeout`` wins.  Otherwise a deadline is derived
         from the calibrated cost model — scored cost is (roughly) predicted
@@ -752,18 +771,22 @@ class FragmentEvaluator:
     def _build_jobs(self, fragments: list[Fragment], root_seed: int):
         """Flatten fragment x variant work into deduplicated jobs.
 
-        Returns ``(assignments, unique_jobs)``: ``assignments`` maps every
-        (fragment index, preps, bases) triple to its job key, and
-        ``unique_jobs`` holds one job per distinct key.  Keys combine the
-        variant circuit's content fingerprint with the backend's
-        configuration token and the fragment's :meth:`mode` (exact, or shot
-        count plus seed, plus the noise model's content fingerprint), so a
+        Returns ``(assignments, unique_jobs)``: ``assignments`` holds one
+        ``(fragment index, preps, bases, key, slot)`` per variant — its
+        job's key, and ``slot``, its place in a fragment job's value
+        (``None`` for a variant job) — and ``unique_jobs`` one job per
+        distinct key.  A noiseless Clifford fragment (:meth:`mode` exact)
+        is one job keyed by its :func:`fragment_fingerprint`, with the sum
+        of its variants' soft deadlines.  A variant job's key is the
+        variant circuit's content fingerprint plus the fragment's mode
+        (exact, or shot count plus seed, plus the noise model's content
+        fingerprint).  Both carry the backend's configuration token, so a
         hit is guaranteed to describe an identical simulation.
         """
-        from repro.backends.cache import noise_fingerprint
+        from repro.backends.cache import fragment_fingerprint, noise_fingerprint
 
         sampling = self.sampling
-        assignments: list[tuple[int, tuple, tuple, tuple]] = []
+        assignments: list[tuple[int, tuple, tuple, tuple, int | None]] = []
         unique: dict[tuple, _Job] = {}
         noise_key = noise_fingerprint(sampling.noise)
         for index, fragment in enumerate(fragments):
@@ -771,10 +794,27 @@ class FragmentEvaluator:
             backend = self._backend_for(fragment)
             features = CircuitFeatures.from_circuit(fragment.circuit)
             timeout = self._job_timeout(backend, fragment, features)
+            backend_key = backend.cache_token()
+            context = dict(
+                fragment_index=index, features=features, chaos=self.execution.chaos
+            )
+            if mode == "exact" and fragment.is_clifford:
+                fp = fragment_fingerprint(fragment.circuit, *fragment.cut_wires)
+                key = (fp, backend_key, None, "exact")
+                assignments += [
+                    (index, preps, bases, key, slot)
+                    for slot, (preps, bases) in enumerate(all_variants(fragment))
+                ]
+                if key not in unique:
+                    if timeout is not None:  # the sum of its variants'
+                        timeout *= fragment.num_variants
+                    unique[key] = _Job(
+                        key, backend, fragment=fragment, timeout=timeout, **context
+                    )
+                continue
             shots = None if mode == "exact" else sampling.shots
             noise = sampling.noise if mode == "noisy" else None
             noisy_key = noise_key if mode == "noisy" else None
-            backend_key = backend.cache_token()
             for preps, bases in all_variants(fragment):
                 circuit = variant_circuit(fragment, preps, bases)
                 fp = circuit_fingerprint(circuit)
@@ -785,20 +825,11 @@ class FragmentEvaluator:
                     # sampled results depend on the per-job seed, so key it
                     evaluation = ("shots", shots, seed)
                 key = (fp, backend_key, noisy_key) + evaluation
-                assignments.append((index, preps, bases, key))
+                assignments.append((index, preps, bases, key, None))
                 if key not in unique:
                     unique[key] = _Job(
-                        key,
-                        backend,
-                        circuit,
-                        shots,
-                        seed,
-                        noise,
-                        fragment_index=index,
-                        features=features,
-                        is_clifford=fragment.is_clifford,
-                        timeout=timeout,
-                        chaos=self.execution.chaos,
+                        key, backend, circuit, shots, seed, noise,
+                        timeout=timeout, **context
                     )
         return assignments, unique
 
@@ -864,7 +895,7 @@ class FragmentEvaluator:
         """Plan the job batch without simulating anything.
 
         Returns the same shape of stats ``evaluate_all`` would record —
-        total and unique job counts, per-backend variant usage, and (in
+        variant and unique job counts, per-backend job usage, and (in
         exact mode, where cache keys are seed-free) how many unique jobs
         the cache would satisfy.  Sampled-mode keys include the root seed,
         which is only drawn at execution time, so cache hits are reported
@@ -889,12 +920,15 @@ class FragmentEvaluator:
     ) -> list[FragmentData]:
         """Evaluate every variant of every fragment through one batched pool.
 
-        Fragment x variant jobs are flattened together, so parallelism is
+        The jobs of all fragments are flattened together, so parallelism is
         not bounded by any single fragment's variant count, and the cache
-        deduplicates identical variants both within and across calls.
+        deduplicates identical jobs both within and across calls.
+        ``last_stats`` counts variants (``jobs``) and jobs (``unique_jobs``,
+        hits and misses, and per backend name the jobs it simulated).
 
         ``job_runner`` overrides *where* the deduplicated jobs execute:
-        called as ``job_runner(jobs, faults) -> {key: VariantData}``, it
+        called as ``job_runner(jobs, faults) -> {key: value}`` (a
+        :class:`VariantData`, or a fragment job's tuple of them), it
         must return a value for every job (raising on unrecoverable
         failure) and record any survived faults on ``faults``.  The
         distributed service injects its coordinator dispatch here;
@@ -938,8 +972,9 @@ class FragmentEvaluator:
         self.last_stats["faults"] = self.faults
         computed.update(cached)
         per_fragment: list[dict] = [{} for _ in fragments]
-        for index, preps, bases, key in assignments:
-            per_fragment[index][(preps, bases)] = computed[key]
+        for index, preps, bases, key, slot in assignments:
+            value = computed[key]
+            per_fragment[index][(preps, bases)] = value if slot is None else value[slot]
         return [
             FragmentData(fragment, results)
             for fragment, results in zip(fragments, per_fragment)

@@ -72,6 +72,15 @@ class Fragment:
         return 4 ** len(self.quantum_inputs) * 3 ** len(self.quantum_outputs)
 
     @property
+    def cut_wires(self) -> tuple[list[int], list[int]]:
+        """The local qubits of the quantum inputs and of the quantum
+        outputs, each in cut order."""
+        return (
+            [q for _cut, q in self.quantum_inputs],
+            [q for _cut, q in self.quantum_outputs],
+        )
+
+    @property
     def incident_cuts(self) -> list[int]:
         cuts = [c for c, _ in self.quantum_inputs]
         cuts += [c for c, _ in self.quantum_outputs]

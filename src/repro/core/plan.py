@@ -63,9 +63,10 @@ class CostEstimate:
     width — ``min(4^k · 2**width, recursive window cost)``, matching the
     engine ``execute()`` would actually pick — so quotes for wide
     circuits no longer pretend the ``2**width`` accumulator is free.
-    ``cached_variants`` counts the unique variant jobs the shared cache
-    would satisfy without simulating (``None`` when prediction is not
-    possible, e.g. no cache attached).
+    ``unique_variants`` counts the deduplicated jobs (a noiseless Clifford
+    fragment is one job for all its variants) and ``cached_variants`` those
+    the shared cache would satisfy without simulating (``None`` when
+    prediction is not possible, e.g. no cache attached).
     """
 
     fragments: tuple[FragmentPlan, ...]
@@ -228,8 +229,7 @@ class ExecutionPlan:
         ``estimate_cost`` model under the plan's evaluation mode, scaled
         by the router's calibration constants when present, times the
         fragment's variant count.  In exact mode the dry run also
-        fingerprints every variant circuit against the attached cache to
-        predict hits.
+        fingerprints every job against the attached cache to predict hits.
         """
         return self._require_sim()._estimate_plan(self)
 

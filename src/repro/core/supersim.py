@@ -93,10 +93,10 @@ class SuperSimResult:
     of this run (``cache_hits`` / ``cache_misses``) and one
     ``kernel.<name>`` entry per :mod:`repro.kernels` kernel that ran
     during execution (seconds spent inside that kernel, across all
-    stages).  ``backend_usage`` counts the variants
-    actually *simulated* per backend name this run (cache hits and
-    within-run duplicates excluded, so a fully cached run reports an empty
-    mapping).  ``stats`` is the
+    stages).  ``backend_usage`` counts the jobs
+    actually *simulated* per backend name this run — one per variant, one
+    per noiseless Clifford fragment (cache hits and within-run duplicates
+    excluded, so a fully cached run reports an empty mapping).  ``stats`` is the
     :class:`~repro.core.reconstruction.ReconstructionStats` of the
     recombination — in particular ``stats.peak_window_entries``, the
     largest accumulator a contraction allocated (the product of its

@@ -17,29 +17,14 @@ into the Pauli-indexed fragment tensors consumed by reconstruction:
     X = 2 r(|+>)  - r(|0>) - r(|1>)
     Y = 2 r(|+i>) - r(|0>) - r(|1>)
 
-All variants of a fragment are one body — ``fragment.circuit`` — between at
-most two single-qubit gates per cut at each end.  :func:`variant_circuit`
-still returns a full, self-contained :class:`Circuit`, but builds it with
-:meth:`Circuit.embed`, so the circuit knows which slice of its ops *is* the
-fragment's body.  Fingerprinting, layer compilation and the stabilizer
-simulator read that through :meth:`Circuit.shared_body` and keep what they
-derive from the body on the body object: it is hashed, compiled and
-simulated once per fragment, not once per variant.
-
-The embedding also declares the fragment's quantum-input wires as
-``prepared`` and its quantum-output wires as ``measured_last`` — for every
-variant alike, |0> and Z-basis ones included: in front of the body,
-variants differ only by the state handed to the input wires, past it on
-the output wires only.  The stabilizer simulator therefore evolves and
-measures the body once, with each input wire Bell-paired to an ancilla,
-turns a preparation into a post-selection of the ancillas and measures
-only the cut wires per variant (a Clifford fragment costs one evolution,
-one measurement sweep, ``4^qi * qi`` ancilla measurements and ``variants x
-qo`` single measurements; see "Measuring late" in
-:mod:`repro.stabilizer.tableau`).  The declarations live in the same
-private record as the body link, so they are no option of a circuit and do
-not survive pickling: a variant shipped to a worker process is a plain
-circuit and is measured by the general sweep.
+:func:`variant_circuit` spells one variant out as a self-contained
+:class:`Circuit`: the preparation gates, the fragment's body, the basis
+rotations.  Non-Clifford and noisy fragments are evaluated variant by
+variant through it, and it is the oracle of the shared evaluation of a
+noiseless Clifford fragment: there the fragment is one job, and the
+stabilizer backend evolves and measures its body once for all its variants
+(:meth:`~repro.backends.base.Backend.affine_variants`; see "Measuring
+late" in :mod:`repro.stabilizer.tableau`), in :func:`all_variants` order.
 """
 
 from __future__ import annotations
@@ -109,11 +94,7 @@ def variant_circuit(
     for (cut, lq), prep in zip(fragment.quantum_inputs, preps):
         for op_gates in _PREP_OPS[prep]:
             circuit.append(op_gates[0], lq)
-    circuit.embed(
-        fragment.circuit,
-        measured_last=[lq for _cut, lq in fragment.quantum_outputs],
-        prepared=[lq for _cut, lq in fragment.quantum_inputs],
-    )
+    circuit.extend(fragment.circuit.ops)
     for (cut, lq), basis in zip(fragment.quantum_outputs, bases):
         for op_gates in _BASIS_OPS[basis]:
             circuit.append(op_gates[0], lq)

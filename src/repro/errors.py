@@ -17,7 +17,7 @@ hierarchy here attaches that context:
 * :class:`ReconstructionMemoryError` — an outcome table or accumulator
   the request needs would not fit; raised before anything is allocated;
 * :class:`PostSelectionError` — the stabilizer simulator was about to
-  condition a shared fragment body on an outcome that carries no
+  condition a fragment's Choi tableau on an outcome that carries no
   information (an invariant broken, not a property of the input).
 
 Alongside the exceptions, :class:`FaultReport` is the ledger of every
@@ -138,7 +138,7 @@ class PostSelectionError(ReproError):
     post-selecting the wire's Bell partner, whose reduced state is
     maximally mixed whatever unitary body ran on the wire — so its outcome
     is a fresh symbol or a function of earlier ones, never a constant.
-    A constant means the shared tableau is not the body's Choi state;
+    A constant means the swept tableau is not the body's Choi state;
     conditioning on it would silently return the wrong distribution.
     """
 

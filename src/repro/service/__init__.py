@@ -24,10 +24,12 @@ processes, turning the engine into a long-running shared service:
   / ``sweep()`` / ``submit()`` mirror ``SuperSim`` and return
   bit-for-bit the results a local engine would.
 
-The split point is deliberately the *variant job*: jobs are pure
-(seeded by content fingerprints, not submission order), so distributing
-them changes where work happens but never what it computes — a seeded
-service run is bit-for-bit identical to a local one.  Worker loss maps
+The split point is deliberately the engine's *job* — one variant, or a
+whole noiseless Clifford fragment, whose body then evolves once on
+whichever worker holds it.  Jobs are pure (seeded by content
+fingerprints, not submission order), so distributing them changes where
+work happens but never what it computes — a seeded service run is
+bit-for-bit identical to a local one.  Worker loss maps
 onto the engine's existing fault taxonomy ("crash" / "quarantine" /
 "fallback" events in ``SuperSimResult.faults``), so callers observe
 distributed faults through exactly the ledger they already know.

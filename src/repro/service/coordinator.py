@@ -112,8 +112,8 @@ _MAX_FRAME_JOBS = 64
 def _split_frames(jobs: list, lanes: int, cap: int) -> list[list]:
     """Deal a batch into frames of near-equal length: one per lane, more
     only where a frame would exceed ``cap`` jobs.  Dealt round-robin, not
-    sliced: a batch lists its jobs fragment by fragment and a fragment's
-    variants cost alike, so every frame gets its share of the heavy ones."""
+    sliced: a batch lists its jobs fragment by fragment and the jobs of a
+    fragment cost alike, so every frame gets its share of the heavy ones."""
     if not jobs:
         return []
     count = max(min(max(1, lanes), len(jobs)), -(-len(jobs) // cap))

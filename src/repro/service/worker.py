@@ -8,9 +8,9 @@ loops: receive a ``job`` frame — a list of ``(jid, job)`` pairs of
 pickled engine :class:`~repro.core.evaluator._Job` objects and the
 request's :class:`~repro.core.lifecycle.FaultPolicy` — run its jobs in
 order through the same module-level ``_execute_job`` the local pools
-use, and answer with one ``job_result`` frame carrying each job's
-:class:`~repro.core.evaluator.VariantData` or the exception that ended
-it (shapes in :mod:`repro.service.protocol`, version 2; a welcome of
+use, and answer with one ``job_result`` frame carrying each job's value
+— a :class:`~repro.core.evaluator.VariantData`, or a Clifford fragment
+job's tuple of them — or the exception that ended it (shapes in :mod:`repro.service.protocol`, version 2; a welcome of
 another version is refused and not retried).
 
 A transient backend failure is cheapest to retry where the job already

@@ -22,16 +22,12 @@ the circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
 and the sign vector, into one Python int over the ``2n`` rows, walks the
 program gate by gate on those ints — 1 to 4 big-int ops per gate, every
 row at once — and packs the result back: the conversions are paid once
-per call, the per-gate cost is a handful of word-parallel integer ops.  A
-circuit that embeds a shared body — the variants of one fragment —
-compiles as ``program(prefix) + program(body) + program(suffix)`` with the
-body's program compiled once on the body.
+per call, the per-gate cost is a handful of word-parallel integer ops.
 
 **Plain evolution.**  The tableau :meth:`StabilizerSimulator.run` hands
-back is always a from-scratch evolution of the circuit, for a fragment's
-variants too (over the body's program, compiled once).  What the variants
-share is in their outcome distributions: one evolution and one sweep per
-body ("Measuring late" below).
+back is always a from-scratch evolution of the circuit.  What the variants
+of a Clifford fragment share is in their outcome distributions: one
+evolution and one sweep per fragment ("Measuring late" below).
 
 The original byte-per-bit, per-op-dispatch implementation is kept in
 :mod:`repro.stabilizer._reference` as the oracle for the equivalence
@@ -68,27 +64,24 @@ solving it for the latest one it names, so the pivot row of that symbol
 becomes a function of earlier pivots and nothing else moves.
 
 The stabilizer simulator uses both to measure a fragment once instead of
-once per variant
-(:meth:`repro.stabilizer.simulator.StabilizerSimulator.affine_distribution`).
-The variants differ in front of the body only by the state — |0>, |1>,
-|+> or |+i> — handed to each input wire, so the body runs once with every
-input wire Bell-paired to an ancilla behind the body's wires (``h(a)``,
+once per variant (:func:`repro.stabilizer.simulator.choi_variants`).  The
+variants differ in front of the body only by the state — |0>, |1>, |+> or
+|+i> — handed to each input wire, so the body runs once with every input
+wire Bell-paired to an ancilla behind the body's wires (``h(a)``,
 ``cx(a, q)``; :meth:`Tableau.apply_layers` walks the body's program on the
 wider tableau), and handing the wire ``|psi>`` is keeping the outcome
 ``<psi*|`` on its ancilla.  Behind the body they differ only by
 single-qubit gates on the cut wires, which commute with measuring every
 other wire.  So the sweep over the wires that are not cut runs once, on
-that Choi tableau; a preparation measures each ancilla on a copy —
-:meth:`Tableau.measure_symbolic` returns a fresh symbol or a function of
-the sweep's, either way a condition :func:`substitute_symbol` and
-:meth:`Tableau.substitute_symbol` resolve — and each variant measures its
-cut wires last on a copy of that and moves those rows back.  What is
-shared — the swept tableau and its outcome rows for the life of the body's
-op list, the conditioned tableau and rows of the last few preparations —
-sits frozen (:meth:`Tableau.freeze`) in the body's ``derived()`` space; a
-sweep of a from-scratch evolution
-(:meth:`Tableau.measurement_distribution`) stays the general path and the
-oracle the shared one is tested against, bit for bit.
+that Choi tableau, which is then frozen (:meth:`Tableau.freeze`); a
+preparation measures each ancilla on a copy — :meth:`Tableau.measure_symbolic`
+returns a fresh symbol or a function of the sweep's, either way a condition
+:func:`substitute_symbol` and :meth:`Tableau.substitute_symbol` resolve —
+and each basis measures the cut wires last on a copy of that and moves
+those rows back.  All of it lives for one call, in local variables; a sweep
+of a from-scratch evolution of the spelled-out variant
+(:meth:`Tableau.measurement_distribution`) is the oracle it is tested
+against, bit for bit.
 """
 
 from __future__ import annotations
@@ -185,24 +178,12 @@ def compile_clifford_layers(circuit: Circuit) -> list[tuple]:
 
     The cache is the circuit's :meth:`Circuit.derived` space, so any
     mutation of ``circuit.ops`` — append, insert, or in-place replacement
-    — is detected and triggers recompilation.  Around a shared body
-    (:meth:`Circuit.shared_body`) only the ops before and after it are
-    compiled here; the body's program comes from the body's own cache.
+    — is detected and triggers recompilation.
     """
     derived = circuit.derived()
     program = derived.get("clifford_layers")
     if program is None:
-        shared = circuit.shared_body()
-        if shared is None:
-            program = _compile_ops(circuit.ops)
-        else:
-            body, start, stop = shared
-            program = (
-                _compile_ops(circuit.ops[:start])
-                + compile_clifford_layers(body)
-                + _compile_ops(circuit.ops[stop:])
-            )
-        derived["clifford_layers"] = program
+        program = derived["clifford_layers"] = _compile_ops(circuit.ops)
     return program
 
 

@@ -50,6 +50,7 @@ import time
 from dataclasses import dataclass
 
 from repro.backends.base import Backend
+from repro.backends.cache import circuit_fingerprint, fragment_fingerprint
 
 
 class InjectedFault(RuntimeError):
@@ -181,9 +182,10 @@ class ChaosBackend(Backend):
     """A backend wrapper that persistently fails on scheduled circuits.
 
     Every entry point (``probabilities``, ``sample``,
-    ``affine_distribution``, ``sample_noisy_bits``) consults the schedule
-    with the circuit's content fingerprint at attempt 0 — so, unlike the
-    scheduler-level injection, retries never rescue a scheduled circuit.
+    ``affine_distribution``, ``affine_variants``, ``sample_noisy_bits``)
+    consults the schedule with the circuit's (or the fragment's) content
+    fingerprint at attempt 0 — so, unlike the scheduler-level injection,
+    retries never rescue a scheduled circuit.
     This models a backend that is *down*, not flaky, and is the driver
     for ``failure_policy="degrade"`` backend-fallback tests.
 
@@ -198,29 +200,29 @@ class ChaosBackend(Backend):
         self.name = inner.name
         self.capabilities = inner.capabilities
 
-    def _maybe_fail(self, circuit) -> None:
-        from repro.backends.cache import circuit_fingerprint
-
-        action = self.schedule.action_for(
-            circuit_fingerprint(circuit), 0, backend=self.name
-        )
+    def _maybe_fail(self, fingerprint: str) -> None:
+        action = self.schedule.action_for(fingerprint, 0, backend=self.name)
         if action is not None:
             perform_action(action, in_process_worker=False)
 
     def probabilities(self, circuit):
-        self._maybe_fail(circuit)
+        self._maybe_fail(circuit_fingerprint(circuit))
         return self.inner.probabilities(circuit)
 
     def sample(self, circuit, shots, rng=None):
-        self._maybe_fail(circuit)
+        self._maybe_fail(circuit_fingerprint(circuit))
         return self.inner.sample(circuit, shots, rng)
 
     def affine_distribution(self, circuit):
-        self._maybe_fail(circuit)
+        self._maybe_fail(circuit_fingerprint(circuit))
         return self.inner.affine_distribution(circuit)
 
+    def affine_variants(self, body, inputs, outputs):
+        self._maybe_fail(fragment_fingerprint(body, inputs, outputs))
+        return self.inner.affine_variants(body, inputs, outputs)
+
     def sample_noisy_bits(self, circuit, noise, shots, rng=None):
-        self._maybe_fail(circuit)
+        self._maybe_fail(circuit_fingerprint(circuit))
         return self.inner.sample_noisy_bits(circuit, noise, shots, rng)
 
     def can_handle(self, features, exact=True, noisy=False) -> bool:

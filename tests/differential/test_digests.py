@@ -17,9 +17,10 @@ What is digested:
   and every variant's ``(A, b)``;
 * the shot words of every Clifford variant of the 200-qubit
   ``hwea200_cold`` circuit at 5000 shots, seed 0, drawn from its exact
-  affine form with the seed its job carries (the engine itself evaluates
-  these variants exactly; the non-Clifford fragment's words come from
-  float probabilities and are left out);
+  affine form with the seed a sampled job of that variant would carry —
+  ``(root seed, variant fingerprint)`` (the engine itself evaluates these
+  fragments exactly, one job each; the non-Clifford fragment's words come
+  from float probabilities and are left out);
 * ``FrameSampler`` bits of the distance-5 phase-flip repetition code at
   ``p = 0.05``, ``rng = 0``.
 """
@@ -37,10 +38,12 @@ import pytest
 from repro.apps.hwea import HWEA
 from repro.apps.qec import phase_flip_repetition_code
 from repro.circuits import Circuit, gates
-from repro.core import SamplingConfig, SuperSim
+from repro.backends.cache import circuit_fingerprint
+from repro.core import SuperSim
 from repro.core.variants import all_variants, variant_circuit
 from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer.frames import FrameSampler
+from repro.stabilizer.simulator import choi_variants
 from repro.stabilizer.noise import NoiseModel, PauliChannel
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -119,39 +122,37 @@ FRAGMENT_CIRCUITS = {
 def fragment_digests(circuit: Circuit) -> dict[str, str]:
     """``frag<i>.swept`` and ``frag<i>.variants`` per Clifford fragment."""
     out = {}
-    stabilizer = StabilizerSimulator()
     for index, fragment in enumerate(SuperSim().cut(circuit).fragments):
         if not fragment.circuit.is_clifford:
             continue
-        forms = []
-        for preps, bases in all_variants(fragment):
-            dist = stabilizer.affine_distribution(
-                variant_circuit(fragment, preps, bases)
-            )
-            forms += [dist.A, dist.b]
-        _key, tableau, _A, _b = fragment.circuit.derived()["swept"]
+        tableau, variants = choi_variants(fragment.circuit, *fragment.cut_wires)
         out[f"frag{index}.swept"] = _digest(
             [tableau.x, tableau.z, tableau.sign, tableau.sym, [tableau.n_symbols]]
         )
-        out[f"frag{index}.variants"] = _digest(forms)
+        out[f"frag{index}.variants"] = _digest(
+            [array for dist in variants for array in (dist.A, dist.b)]
+        )
     return out
 
 
 def cold_shot_words_digest() -> str:
     """Shot words of the Clifford variants of the 200q cold request, in
-    fragment order and, within a fragment, in ``(preps, bases)`` order."""
+    fragment order and, within a fragment, in ``(preps, bases)`` order,
+    each drawn with the seed a sampled job of that variant would carry."""
     circuit = _hwea_cold(200)
-    sim = SuperSim(sampling=SamplingConfig(shots=5000, seed=0))
-    fragments = sim.cut(circuit).fragments
+    fragments = SuperSim().cut(circuit).fragments
     # the root seed a seed-0 evaluator draws for its first batch
     root_seed = int(np.random.default_rng(0).integers(2**63))
-    assignments, jobs = sim._evaluator()._build_jobs(fragments, root_seed)
+    stabilizer = StabilizerSimulator()
     words = []
-    for index, _preps, _bases, key in sorted(assignments):
-        if fragments[index].circuit.is_clifford:
-            job = jobs[key]
-            rng = np.random.default_rng(np.random.SeedSequence(job.seed))
-            affine = job.backend.affine_distribution(job.circuit)
+    for fragment in fragments:
+        if not fragment.circuit.is_clifford:
+            continue
+        for preps, bases in all_variants(fragment):
+            variant = variant_circuit(fragment, preps, bases)
+            seed = (root_seed, int(circuit_fingerprint(variant)[:16], 16))
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            affine = stabilizer.affine_distribution(variant)
             words.append(affine.sample_words(5000, rng))
     return _digest(words)
 

@@ -239,8 +239,9 @@ class TestWorkerCrashes:
         clean = SuperSim(sampling=SamplingConfig(shots=400, seed=11)).run(
             rotated_chain(0.3)
         )
-        # some workers die for real (os._exit) on their first attempt
-        chaos = ChaosSchedule(seed=5, crash_rate=0.4, fail_attempts=1)
+        # some workers die for real (os._exit) on their first attempt: three
+        # of the five jobs, the Clifford fragment's one among them
+        chaos = ChaosSchedule(seed=3, crash_rate=0.4, fail_attempts=1)
         sim = SuperSim(
             sampling=SamplingConfig(shots=400, seed=11),
             execution=ExecutionConfig(
@@ -261,7 +262,7 @@ class TestWorkerCrashes:
         clean = SuperSim(sampling=SamplingConfig(shots=400, seed=11)).run(
             rotated_chain(0.3)
         )
-        chaos = ChaosSchedule(seed=5, crash_rate=0.4, fail_attempts=1)
+        chaos = ChaosSchedule(seed=3, crash_rate=0.4, fail_attempts=1)
         sim = SuperSim(
             sampling=SamplingConfig(shots=400, seed=11),
             execution=ExecutionConfig(
@@ -347,6 +348,55 @@ class TestDegrade:
         fallbacks = result.faults.of_kind("fallback")
         assert fallbacks
         assert all("mps -> statevector" in e.detail for e in fallbacks)
+
+    def test_a_clifford_fragment_falls_back_variant_by_variant(self, monkeypatch):
+        """A stabilizer that is down: the one job of the Clifford fragment
+        falls back once, to the next capable backend, which runs the
+        fragment's variants one at a time; the answer is still exact."""
+        from repro.analysis import total_variation_distance
+        from repro.backends import BackendRouter, get_backend
+        from repro.core import evaluator as evaluator_module
+        from repro.statevector import StatevectorSimulator
+
+        dead_stabilizer = ChaosBackend(
+            get_backend("stabilizer"),
+            ChaosSchedule(seed=1, exception_rate=1.0, fail_attempts=10**9),
+        )
+        statevector = get_backend("statevector")
+        router = BackendRouter([dead_stabilizer, statevector])
+        circuit = rotated_chain(0.3)
+        spelled_out = []
+        variant_circuit = evaluator_module.variant_circuit
+
+        def counting(fragment, preps, bases):
+            spelled_out.append(fragment.index)
+            return variant_circuit(fragment, preps, bases)
+
+        monkeypatch.setattr(evaluator_module, "variant_circuit", counting)
+        sim = SuperSim(
+            execution=execution(
+                failure_policy="degrade",
+                router=router,
+                max_retries=1,
+                retry_backoff=0.0,
+            ),
+        )
+        plan = sim.plan(circuit)
+        assert plan.backend_names.count("stabilizer") == 1
+        clifford = plan.backend_names.index("stabilizer")
+        variants = plan.cut_circuit.fragments[clifford].num_variants
+        result = plan.execute()
+        exact = StatevectorSimulator().probabilities(circuit)
+        assert total_variation_distance(result.distribution, exact) <= 1e-12
+        (fallback,) = result.faults.of_kind("fallback")
+        assert fallback.fragment_index == clifford
+        assert "stabilizer -> statevector" in fallback.detail
+        # routed: the fragment job, and the four variants of the T fragment
+        assert result.backend_usage == {"stabilizer": 1, "statevector": 4}
+        if CHAOS_POOL != "process":  # a worker process spells them out
+            # never spelled out to key the job, then one by one by the fallback
+            assert spelled_out.count(clifford) == variants
+        assert result.faults.retries == 1
 
     def test_degraded_results_stay_out_of_the_cache(self):
         from repro.backends import BackendRouter, get_backend

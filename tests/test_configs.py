@@ -126,13 +126,18 @@ class TestEvaluatorReadsConfigs:
             for job in jobs.values():
                 seen.add(job.backend.name)
                 if job.backend.name == "stabilizer":
+                    # one job per Clifford fragment: its variants' deadlines
                     cost = router.scored_cost(job.backend, job.features, "exact")
-                    assert job.timeout == max(floor, cost * 7.0)
+                    variants = job.fragment.num_variants
+                    assert job.timeout == max(floor, cost * 7.0) * variants
                 else:
                     assert job.timeout is None
             explicit = FragmentEvaluator(execution=execution.replace(job_timeout=3.0))
             _, jobs = explicit._build_jobs(fragments, 0)
-            assert {job.timeout for job in jobs.values()} == {3.0}
+            assert {
+                job.timeout / (job.fragment.num_variants if job.fragment else 1)
+                for job in jobs.values()
+            } == {3.0}
         assert seen == {"stabilizer", "statevector"}
 
 
@@ -149,14 +154,17 @@ class TestEvaluatorReadsConfigs:
         )
         sampling = SamplingConfig(shots=100, seed=0)
         _, jobs = FragmentEvaluator(sampling, execution)._build_jobs(fragments, 0)
-        assert {job.is_clifford for job in jobs.values()} == {True, False}
+        assert {job.fragment is not None for job in jobs.values()} == {True, False}
         for job in jobs.values():
-            mode = "exact" if job.is_clifford else "sampled"
+            # a Clifford fragment is one job: the deadlines of its variants
+            clifford = job.fragment is not None
+            variants = job.fragment.num_variants if clifford else 1
+            mode = "exact" if clifford else "sampled"
             cost = router.scored_cost(job.backend, job.features, mode)
-            assert job.timeout == cost * 7.0
-            other_mode = "sampled" if job.is_clifford else "exact"
+            assert job.timeout == cost * 7.0 * variants
+            other_mode = "sampled" if clifford else "exact"
             other = router.scored_cost(job.backend, job.features, other_mode)
-            assert job.timeout != other * 7.0
+            assert job.timeout != other * 7.0 * variants
 
 
 class TestConfigThreading:

@@ -32,8 +32,9 @@ from test_service import Fleet, rotated_chain, wait_for_workers
 
 
 def mirror_chain(theta: float) -> Circuit:
-    """The soak's 10-qubit sweep circuit: 24 variant jobs on an empty
-    cache, of which the 12 that depend on ``theta`` miss at a new angle."""
+    """The soak's 10-qubit sweep circuit: 24 variants in 13 jobs on an
+    empty cache — one for the Clifford fragment, one for each variant of
+    the ``theta`` fragment — of which those 12 miss at a new angle."""
     n = 10
     circuit = Circuit(n).append(gates.H, 0)
     for q in range(n - 1):
@@ -186,16 +187,16 @@ def test_a_batch_wider_than_the_cap_splits_at_the_cap(monkeypatch):
         with fleet.client() as client:
             remote = client.run(mirror_chain(0.2))
         sizes = [len(f["jobs"]) for f in fleet.job_frames()]
-        assert sizes == [5, 5, 5, 5, 4]  # 24 jobs, one lane, cap 5
+        assert sizes == [5, 4, 4]  # 13 jobs, one lane, cap 5
         jids = [jid for f in fleet.job_frames() for jid in frame_jids(f)]
-        assert len(set(jids)) == len(jids) == 24
+        assert len(set(jids)) == len(jids) == 13
     local = SuperSim().run(mirror_chain(0.2))
     assert remote.distribution.probs == local.distribution.probs
 
 
 def test_concurrent_requests_interleave_frames_by_priority_then_fifo(monkeypatch):
-    # one lane, three 24-job requests of three frames each; the worker
-    # sits on the very first frame until all nine are cut, then serves
+    # one lane, three 13-job requests of two frames each; the worker
+    # sits on the very first frame until all six are cut, then serves
     # the queue as the coordinator orders it
     monkeypatch.setattr(coordinator_module, "_MAX_FRAME_JOBS", 8)
     outcomes = {}
@@ -209,7 +210,7 @@ def test_concurrent_requests_interleave_frames_by_priority_then_fifo(monkeypatch
         gated = fleet.add_worker(GatedRecorder(fleet.address))
         clients = []
         # (frames queued once this request is cut, its seed, its priority)
-        for queued, seed, priority in ((2, 101, 0), (5, 102, 0), (8, 103, -1)):
+        for queued, seed, priority in ((1, 101, 0), (3, 102, 0), (5, 103, -1)):
             clients.append(
                 threading.Thread(target=run, args=(fleet, seed, priority))
             )
@@ -222,18 +223,19 @@ def test_concurrent_requests_interleave_frames_by_priority_then_fifo(monkeypatch
         for thread in clients:
             thread.join(timeout=60)
             assert not thread.is_alive()
-        # every job's seed leads with its request's root seed, drawn from
-        # the request's own seed: that tells whose job it is (exact jobs
-        # carry no shots, and their keys are the same in every request)
+        # every sampled job's seed leads with its request's root seed, drawn
+        # from the request's own seed: that tells whose job it is (the
+        # Clifford fragment's job carries no seed, and its key is the same
+        # in every request; every frame holds sampled jobs too)
         whose = {
             int(np.random.default_rng(seed).integers(2**63)): seed
             for seed in (101, 102, 103)
         }
         order = [
-            {whose[job.seed[0]] for _jid, job in frame["jobs"]}
+            {whose[job.seed[0]] for _jid, job in frame["jobs"] if job.seed}
             for frame in gated.job_frames()
         ]
-        assert order == [{101}] + [{103}] * 3 + [{101}] * 2 + [{102}] * 3
+        assert order == [{101}] + [{103}] * 2 + [{101}] + [{102}] * 2
     for seed, remote in outcomes.items():
         local = SuperSim(sampling=SamplingConfig(shots=100, seed=seed)).run(
             mirror_chain(0.2)
@@ -261,11 +263,11 @@ def test_a_raising_job_is_retried_alone_inside_its_frame():
             stats = client.stats()
         frames, replies = fleet.job_frames(), fleet.result_frames()
     assert remote.distribution.probs == local.distribution.probs
-    assert remote.faults.summary() == local.faults.summary() == {"retry": 6}
+    assert remote.faults.summary() == local.faults.summary() == {"retry": 2}
     assert len(frames) == len(replies) == 2 and stats["jobs_requeued"] == 0
     results = [result for reply in replies for result in reply["results"]]
     assert all("value" in result for result in results)
-    assert sorted(len(r["faults"]) for r in results) == [0, 0, 0, 0, 2, 2, 2]
+    assert sorted(len(r["faults"]) for r in results) == [0, 0, 0, 0, 2]
 
 
 def test_a_failed_job_does_not_take_its_frame_mates_with_it():
@@ -287,10 +289,10 @@ def test_a_failed_job_does_not_take_its_frame_mates_with_it():
     assert remote.distribution.probs == clean.distribution.probs
     assert len(frames) == len(replies) == 2
     results = [result for reply in replies for result in reply["results"]]
-    assert sum("exception" in result for result in results) == 3
+    assert sum("exception" in result for result in results) == 1
     assert sum("value" in result for result in results) == 4
-    assert remote.faults.summary() == {"retry": 3, "fallback": 3}
-    assert (stats["jobs_local"], stats["jobs_requeued"]) == (3, 0)
+    assert remote.faults.summary() == {"retry": 1, "fallback": 1}
+    assert (stats["jobs_local"], stats["jobs_requeued"]) == (1, 0)
 
 
 # -- (3) a worker that dies holding a frame ----------------------------------------
@@ -317,7 +319,7 @@ def test_a_lost_frame_is_one_crash_per_job_and_each_returns_alone():
         client_thread.join(timeout=60)
         assert not client_thread.is_alive()
         redispatched = [frame_jids(f) for f in survivor.job_frames()]
-    assert len(held) == 7  # the whole batch went to the one lane there was
+    assert len(held) == 5  # the whole batch went to the one lane there was
     assert sorted(redispatched) == [[jid] for jid in sorted(held)]
     result = outcome["result"]
     assert result.faults.summary() == {"crash": len(held)}
@@ -336,7 +338,7 @@ def test_only_the_poison_job_of_a_frame_is_quarantined():
         fingerprints = [
             job.fingerprint for f in fleet.job_frames() for _jid, job in f["jobs"]
         ]
-    assert len(fingerprints) == 24
+    assert len(fingerprints) == 13
     chaos = next(
         schedule
         for schedule in (
@@ -348,20 +350,21 @@ def test_only_the_poison_job_of_a_frame_is_quarantined():
     execution = ExecutionConfig(
         failure_policy="degrade", chaos=chaos, max_job_crashes=2, retry_backoff=0.0
     )
-    # four lanes: frames of six; the poison job kills three workers — with
-    # its frame, then twice alone — is quarantined and runs on the coordinator
+    # four lanes: frames of four or three, the poison job in one of three;
+    # it kills three workers — with its frame, then twice alone — is
+    # quarantined and runs on the coordinator
     with Fleet(n_workers=4, slots=1) as fleet:
         with fleet.client(sampling=sampling, execution=execution) as client:
             result = client.run(circuit)
             stats = client.stats()
     assert result.distribution.probs == clean.distribution.probs
     assert result.faults.summary() == {
-        "crash": 5 + 3,  # one each for its five frame-mates, three of its own
+        "crash": 2 + 3,  # one each for its two frame-mates, three of its own
         "quarantine": 1,
         "fallback": 1,
     }
     assert (stats["workers_lost"], stats["jobs_local"]) == (3, 1)
-    assert stats["jobs_requeued"] == 5 + 2
+    assert stats["jobs_requeued"] == 2 + 2
 
 
 # -- (4) deadlines: a frame is overdue at the sum of its jobs' timeouts ------------
@@ -401,20 +404,23 @@ def test_a_silent_frame_is_overdue_at_the_sum_of_its_timeouts():
             for jid in frame_jids(message)
         }
         redispatched = [frame_jids(f) for f in survivor.job_frames()]
-    assert len(held) == 7 and sorted(redispatched) == [[jid] for jid in sorted(held)]
-    # a frame runs serially and answers once: k jobs may take k * timeout,
-    # and none of them is written off before the reply is overdue
+    assert len(held) == 5 and sorted(redispatched) == [[jid] for jid in sorted(held)]
+    # a frame runs serially and answers once: its jobs may take the sum of
+    # their deadlines — 3 timeouts for the Clifford fragment's job, one per
+    # variant, and one for each of the 4 others — and none of them is
+    # written off before the reply is overdue
+    overdue = (3 + 4) * timeout
     for jid in held:
-        assert len(held) * timeout - 0.05 <= arrivals[jid] < (len(held) + 2) * timeout
+        assert overdue - 0.05 <= arrivals[jid] < overdue + 2 * timeout
     result = outcome["result"]
     assert result.faults.summary() == {"timeout": len(held)}
     assert result.distribution.probs == clean.distribution.probs
 
 
 def test_a_slow_healthy_frame_outlives_its_first_jobs_timeout():
-    # every job takes half its soft deadline, so the frame takes k / 2 of
-    # them and answers only then: nothing is overdue, under "raise" nothing
-    # raises, and the fault ledger is the local run's — empty
+    # every job takes half a variant's soft deadline, so the frame of five
+    # takes 5 / 2 of them and answers only then: nothing is overdue, under
+    # "raise" nothing raises, and the fault ledger is the local run's — empty
     timeout = 0.2
     chaos = ChaosSchedule(delay_rate=1.0, delay_seconds=timeout / 2)
     execution = ExecutionConfig(
@@ -427,7 +433,7 @@ def test_a_slow_healthy_frame_outlives_its_first_jobs_timeout():
             remote = client.run(circuit)
             stats = client.stats()
         (reply,) = fleet.result_frames()
-    assert len(reply["results"]) == 7 and reply["elapsed"] > 3 * timeout
+    assert len(reply["results"]) == 5 and reply["elapsed"] > 2 * timeout
     assert remote.faults.summary() == local.faults.summary() == {}
     assert (stats["jobs_requeued"], stats["frames_dispatched"]) == (0, 1)
     assert remote.distribution.probs == local.distribution.probs
@@ -478,7 +484,7 @@ def test_a_job_missing_from_its_frames_reply_is_redispatched():
             stats = client.stats()
     server.join(timeout=15)  # the shutdown told it to stop
     assert not server.is_alive()
-    assert len(frames[0]) == 7 and frames[1:] == [frames[0][-1:]]
+    assert len(frames[0]) == 5 and frames[1:] == [frames[0][-1:]]
     assert result.faults.summary() == {"crash": 1}
     assert (stats["jobs_requeued"], stats["jobs_pending"]) == (1, 0)
     assert result.distribution.probs == clean.distribution.probs

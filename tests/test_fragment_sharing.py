@@ -1,15 +1,13 @@
 """Per-fragment work is done once — and changes no result.
 
-The variants of a fragment share one hashed, compiled and simulated body
-(``Circuit.embed`` / ``shared_body`` / ``derived``),
-and ``build_window_tensors`` builds every window's tensor in one pass over
-a fragment's variants.  All the variants also share one symbolic
-measurement sweep: the body runs with its input wires Bell-paired to
-ancillas, a preparation is a post-selection of the ancillas
-(``substitute_symbol``), and the cut wires are measured last and their rows
-moved back into place (``move_outcome_row``); the sequential sweep of a
-from-scratch evolution is the oracle.  Each test pins one equivalence that
-rests on.
+A noiseless Clifford fragment is one job: the stabilizer simulator evolves
+its body once with the input wires Bell-paired to ancillas, sweeps it
+once, turns a preparation into a post-selection of the ancillas
+(``substitute_symbol``) and measures the cut wires last, moving their rows
+back into place (``move_outcome_row``) — :func:`choi_variants`.  Each
+variant spelled out by ``variant_circuit`` and evolved from scratch is the
+oracle.  ``build_window_tensors`` builds every window's tensor in one pass
+over a fragment's variants.  Each test pins one equivalence that rests on.
 """
 
 import itertools
@@ -40,6 +38,7 @@ from repro.core import evaluator as evaluator_module
 from repro.core.evaluator import (
     DenseVariantData,
     FragmentData,
+    FragmentEvaluator,
     SampledVariantData,
     VariantData,
 )
@@ -52,8 +51,8 @@ from repro.core.tomography import (
 from repro.core.variants import all_variants, variant_circuit
 from repro.errors import PostSelectionError
 from repro.stabilizer import StabilizerSimulator
-from repro.stabilizer import simulator as stabilizer_simulator
 from repro.stabilizer import tableau as tableau_module
+from repro.stabilizer.simulator import choi_variants
 from repro.stabilizer.tableau import (
     Tableau,
     compile_clifford_layers,
@@ -62,13 +61,6 @@ from repro.stabilizer.tableau import (
 )
 
 STAB = StabilizerSimulator()
-
-def same_tableau(a: Tableau, b: Tableau) -> bool:
-    return (
-        np.array_equal(a.x, b.x)
-        and np.array_equal(a.z, b.z)
-        and np.array_equal(a.sign, b.sign)
-    )
 
 
 def clifford_fragment(n=6, qi=1, qo=1, seed=0) -> Fragment:
@@ -92,80 +84,37 @@ def clifford_fragment(n=6, qi=1, qo=1, seed=0) -> Fragment:
     )
 
 
-def plain_copy(circuit: Circuit) -> Circuit:
-    """The same op list in a circuit that knows nothing about a body."""
-    return Circuit(circuit.n_qubits, circuit.ops).measure(circuit.measured_qubits)
+# -- the oracle: each variant spelled out and evolved from scratch ---------------
 
 
-# -- StabilizerSimulator.run ---------------------------------------------------
-
-#: gate sequences preparing |0>, |1>, |+>, |+i> (as in repro.core.variants)
-_PREPS = ((), (gates.X,), (gates.H,), (gates.H, gates.S))
-
-
-@st.composite
-def bodies_and_preparations(draw):
-    n = draw(st.integers(2, 70))
-    body = Circuit(n)
-    for _ in range(draw(st.integers(0, 40))):
-        if draw(st.booleans()):
-            a = draw(st.integers(0, n - 1))
-            b = draw(st.integers(0, n - 2))
-            body.append(gates.CX, a, b + (b >= a))
-        else:
-            gate = draw(st.sampled_from([gates.H, gates.S, gates.SDG, gates.X]))
-            body.append(gate, draw(st.integers(0, n - 1)))
-    qubits = draw(
-        st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True)
-    )
-    return body, qubits
+def sequential(circuit: Circuit):
+    """Evolve the variant's op list from |0..0>, sweep every measured wire."""
+    tableau = Tableau(circuit.n_qubits)
+    tableau.apply_circuit(circuit)
+    return tableau.measurement_distribution(circuit.measured_qubits)
 
 
-class TestRunIsPlainEvolution:
-    @settings(max_examples=40, deadline=None)
-    @given(bodies_and_preparations())
-    def test_run_on_a_shared_body_equals_resimulation(self, case):
-        """run() of prefix + embedded body == evolving the spelled-out op
-        list from |0..0>, on x, z and sign, for every preparation; the body
-        keeps no evolved tableau for the variants to share."""
-        body, qubits = case
-        for preps in itertools.product(range(4), repeat=len(qubits)):
-            circuit = Circuit(body.n_qubits)
-            for q, prep in zip(qubits, preps):
-                for gate in _PREPS[prep]:
-                    circuit.append(gate, q)
-            circuit.embed(body, prepared=qubits).measure_all()
-            assert circuit.shared_body() is not None
-            expected = Tableau(body.n_qubits)
-            expected.apply_circuit(plain_copy(circuit))
-            assert same_tableau(STAB.run(circuit), expected), (preps, qubits)
-        assert "tableau" not in body.derived()
+def shared_forms(fragment: Fragment):
+    """``(swept, forms)`` of the fragment's one evolution."""
+    return choi_variants(fragment.circuit, *fragment.cut_wires)
 
 
-# -- a variant and its spelled-out op list -----------------------------------------
+def assert_same_form(got, expected, context=None):
+    assert got.A.dtype == expected.A.dtype == np.bool_
+    assert got.A.shape == expected.A.shape, context
+    assert np.array_equal(got.A, expected.A), context
+    assert np.array_equal(got.b, expected.b), context
 
 
-class TestVariantEqualsPlainCircuit:
+class TestVariantsAreOneEvolution:
     @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 1), (2, 1), (0, 2)])
-    def test_fingerprint_layers_and_affine_form(self, qi, qo):
+    def test_every_variant_equals_its_spelled_out_circuit(self, qi, qo):
         fragment = clifford_fragment(7, qi, qo, seed=qi * 3 + qo)
-        for preps, bases in all_variants(fragment):
-            variant = variant_circuit(fragment, preps, bases)
-            body, start, stop = variant.shared_body()
-            assert body is fragment.circuit
-            assert variant.ops[start:stop] == fragment.circuit.ops
-            plain = plain_copy(variant)
-            assert plain.shared_body() is None
-            assert circuit_fingerprint(variant) == circuit_fingerprint(plain)
-            via_layers, reference = Tableau(7), Tableau(7)
-            via_layers.apply_circuit(variant)
-            reference.apply_circuit(plain)
-            assert same_tableau(via_layers, reference)
-            assert same_tableau(STAB.run(variant), reference)
-            ours = STAB.affine_distribution(variant)
-            theirs = STAB.affine_distribution(plain)
-            assert np.array_equal(ours.A, theirs.A)
-            assert np.array_equal(ours.b, theirs.b)
+        forms = STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
+        specs = list(all_variants(fragment))
+        assert len(forms) == len(specs) == fragment.num_variants
+        for spec, form in zip(specs, forms):
+            assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
 
     def test_body_is_compiled_and_evolved_once_per_fragment(self, monkeypatch):
         fragment = clifford_fragment(8, 1, 1)
@@ -181,89 +130,26 @@ class TestVariantEqualsPlainCircuit:
         from repro import kernels
 
         before = kernels.counters_snapshot()["apply_layers"][0]
-        variants = [variant_circuit(fragment, p, b) for p, b in all_variants(fragment)]
-        for variant in variants:
-            STAB.affine_distribution(variant)
+        forms = STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
+        assert len(forms) == 12
         assert kernels.counters_snapshot()["apply_layers"][0] - before == 1
-        for variant in variants:
-            compile_clifford_layers(variant)
-        assert compiled.count(body_len) == 1
-        assert max(n for n in compiled if n != body_len) <= 2
+        assert compiled == [body_len]
 
     def test_compiled_layers_stay_cached_on_the_variant(self):
         fragment = clifford_fragment(5, 1, 1)
         variant = variant_circuit(fragment, (3,), (2,))
         assert compile_clifford_layers(variant) is compile_clifford_layers(variant)
 
-    def test_non_prependable_prefix_falls_back(self):
-        body = clifford_fragment(4, 0, 0).circuit
-        circuit = Circuit(4).append(gates.SDG, 1).append(gates.CX, 0, 2)
-        circuit.embed(body).append(gates.H, 3).measure_all()
-        assert circuit.shared_body() is not None
-        expected = Tableau(4)
-        expected.apply_circuit(plain_copy(circuit))
-        assert same_tableau(STAB.run(circuit), expected)
-        assert circuit_fingerprint(circuit) == circuit_fingerprint(plain_copy(circuit))
-
-    def test_embed_checks_width(self):
-        with pytest.raises(ValueError):
-            Circuit(3).embed(Circuit(2))
-        for wires in ([0, 0], [3], [-1]):
-            with pytest.raises(ValueError, match="prepared"):
-                Circuit(3).embed(Circuit(3), prepared=wires)
+    def test_a_non_clifford_body_is_refused(self):
+        body = seeded_body(4, 7).append(gates.T, 3)
+        with pytest.raises(ValueError, match="non-Clifford gate T"):
+            STAB.affine_variants(body, [0], [3])
 
 
-# -- mutation ---------------------------------------------------------------------
+# -- the derived space ------------------------------------------------------------
 
 
-class TestMutationDropsTheBody:
-    def variant_and_twin(self):
-        fragment = clifford_fragment(6, 1, 1, seed=5)
-        variant = variant_circuit(fragment, (3,), (1,))
-        # warm every cache the body carries
-        circuit_fingerprint(variant)
-        STAB.affine_distribution(variant)
-        compile_clifford_layers(variant)
-        return fragment, variant, plain_copy(variant)
-
-    def assert_still_right(self, variant, twin):
-        assert variant.shared_body() is None
-        assert circuit_fingerprint(variant) == circuit_fingerprint(twin)
-        ours = STAB.affine_distribution(variant)
-        theirs = STAB.affine_distribution(twin)
-        assert np.array_equal(ours.A, theirs.A) and np.array_equal(ours.b, theirs.b)
-
-    def test_body_append(self):
-        fragment, variant, twin = self.variant_and_twin()
-        fragment.circuit.append(gates.H, 0)
-        self.assert_still_right(variant, twin)
-
-    def test_body_in_place_replacement(self):
-        fragment, variant, twin = self.variant_and_twin()
-        fragment.circuit.ops[3] = Operation(gates.S, (2,))
-        self.assert_still_right(variant, twin)
-        # a variant built now sees the new body, not what the old one cached
-        fresh = variant_circuit(fragment, (3,), (1,))
-        assert fresh.shared_body() is not None
-        expected = STAB.affine_distribution(plain_copy(fresh))
-        got = STAB.affine_distribution(fresh)
-        assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
-        assert circuit_fingerprint(fresh) == circuit_fingerprint(plain_copy(fresh))
-
-    def test_variant_mutated_inside_the_body(self):
-        _fragment, variant, _twin = self.variant_and_twin()
-        _body, start, _stop = variant.shared_body()
-        variant.ops[start + 1] = Operation(gates.X, (0,))
-        self.assert_still_right(variant, plain_copy(variant))
-
-    def test_ops_appended_after_the_body_keep_it(self):
-        _fragment, variant, _twin = self.variant_and_twin()
-        variant.append(gates.S, 2)
-        assert variant.shared_body() is not None
-        twin = plain_copy(variant)
-        assert circuit_fingerprint(variant) == circuit_fingerprint(twin)
-        assert same_tableau(STAB.run(variant), STAB.run(twin))
-
+class TestDerivedSpace:
     def test_derived_space_is_emptied_by_mutation(self):
         circuit = Circuit(2).append(gates.H, 0)
         circuit.derived()["x"] = 1
@@ -282,6 +168,14 @@ class TestMutationDropsTheBody:
         circuit.ops[1] = Operation(gates.S, (1,))
         assert circuit.is_clifford
 
+    def test_a_mutated_body_is_recompiled(self):
+        fragment = clifford_fragment(6, 1, 1, seed=5)
+        shared_forms(fragment)
+        fragment.circuit.ops[3] = Operation(gates.S, (2,))
+        _swept, forms = shared_forms(fragment)
+        for spec, form in zip(all_variants(fragment), forms):
+            assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
+
 
 # -- derived caches do not travel ------------------------------------------------------
 
@@ -292,37 +186,54 @@ class TestPickling:
         variant = variant_circuit(fragment, (2,), (2,))
         cold = len(pickle.dumps(variant))
         expected = STAB.affine_distribution(variant)
-        circuit_fingerprint(variant)
-        Tableau(9).apply_circuit(variant)
+        shared_forms(fragment)
         assert fragment.circuit.derived() and variant.derived()
         assert len(pickle.dumps(variant)) == cold
         assert len(pickle.dumps(fragment.circuit)) == len(
             pickle.dumps(fragment.circuit.copy())
         )
         clone = pickle.loads(pickle.dumps(variant))
-        assert clone.shared_body() is None and clone.derived() == {}
+        assert clone.derived() == {}
         assert clone.ops == variant.ops
         assert clone.measured_qubits == variant.measured_qubits
         assert circuit_fingerprint(clone) == circuit_fingerprint(variant)
         got = STAB.affine_distribution(clone)
         assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
 
+    def test_a_pickled_fragment_job_still_evolves_its_body_once(self, monkeypatch):
+        """What a process pool or a service worker receives: the fragment
+        job, pickled.  It compiles and evolves the body once (the
+        per-variant jobs it replaces did so 12 times), and its value is the
+        spelled-out oracle, bit for bit."""
+        from repro import kernels
 
-# -- measuring late: one sweep per body ----------------------------------------------------
+        fragment = clifford_fragment(20, 1, 1, seed=14)
+        _assignments, jobs = FragmentEvaluator()._build_jobs([fragment], 0)
+        (job,) = jobs.values()
+        job = pickle.loads(pickle.dumps(job))
+        assert job.fragment.circuit.derived() == {}
+        compiled = []
+        real = tableau_module._compile_ops
+
+        def counting(ops):
+            compiled.append(len(ops))
+            return real(ops)
+
+        monkeypatch.setattr(tableau_module, "_compile_ops", counting)
+        before = kernels.counters_snapshot()["apply_layers"][0]
+        value = evaluator_module._execute_job(job)
+        assert kernels.counters_snapshot()["apply_layers"][0] - before == 1
+        assert compiled == [len(fragment.circuit.ops)]
+        specs = list(all_variants(fragment))
+        assert len(value) == len(specs) == 12
+        for spec, data in zip(specs, value):
+            expected = STAB.run(variant_circuit(fragment, *spec)).measurement_distribution(
+                tuple(range(20))
+            )
+            assert_same_form(data.affine, expected, spec)
 
 
-def sequential(circuit: Circuit):
-    """The oracle: evolve the spelled-out op list, sweep every measured wire."""
-    tableau = Tableau(circuit.n_qubits)
-    tableau.apply_circuit(plain_copy(circuit))
-    return tableau.measurement_distribution(circuit.measured_qubits)
-
-
-def assert_same_form(got, expected, context=None):
-    assert got.A.dtype == expected.A.dtype == np.bool_
-    assert got.A.shape == expected.A.shape, context
-    assert np.array_equal(got.A, expected.A), context
-    assert np.array_equal(got.b, expected.b), context
+# -- measuring late: one sweep per fragment -------------------------------------------
 
 
 def seeded_body(n: int, seed: int, hadamards: float = 0.0) -> Circuit:
@@ -356,73 +267,47 @@ def cut_fragment(n, ins, outs, seed, hadamards=0.0) -> Fragment:
 
 @st.composite
 def cut_fragments(draw, widths, max_cuts):
-    """``(fragment, measured)``: cut wires anywhere in the order, one wire
-    possibly input and output at once; ``measured`` is ``None`` (all) or a
-    subset that may or may not hold a cut wire."""
+    """Cut wires anywhere in the order, one wire possibly input and output
+    at once."""
     n = draw(widths)
     wires = st.integers(0, n - 1)
     ins = draw(st.lists(wires, max_size=min(max_cuts, n), unique=True))
     # at most 4 cuts in all: 4**3 * 3**3 variants are one explicit example
     outs = draw(st.lists(wires, max_size=min(max_cuts, n, 4 - len(ins)), unique=True))
-    if n > 64:  # all but a few wires, so the symbols still fill a word
-        skipped = draw(st.lists(wires, max_size=3))
-        measured = [q for q in range(n) if q not in skipped] if skipped else None
-    else:
-        measured = draw(st.none() | st.lists(wires, min_size=1, unique=True))
     seed = draw(st.integers(0, 2**32 - 1))
-    return cut_fragment(n, ins, outs, seed, hadamards=float(n > 64)), measured
+    return cut_fragment(n, ins, outs, seed, hadamards=float(n > 64))
 
 
-def check_every_variant(fragment, measured):
-    for spec in all_variants(fragment):
-        variant = variant_circuit(fragment, *spec)
-        if measured is not None:
-            variant.measure(measured)
-        assert variant.shared_body() is not None
-        assert_same_form(
-            STAB.affine_distribution(variant), sequential(variant), (spec, measured)
-        )
-    # a prefix that is no preparation of an input wire: the general path
-    n = fragment.n_qubits
-    inputs = [lq for _cut, lq in fragment.quantum_inputs]
-    outputs = [lq for _cut, lq in fragment.quantum_outputs]
-    others = [q for q in range(n) if q not in inputs]
-    for gate, wires in ((gates.S, inputs), (gates.X, others)):
-        if wires:
-            circuit = Circuit(n).append(gate, wires[0])
-            circuit.embed(fragment.circuit, measured_last=outputs, prepared=inputs)
-            circuit.measure(range(n) if measured is None else measured)
-            assert circuit.shared_body() is not None
-            assert_same_form(
-                STAB.affine_distribution(circuit), sequential(circuit), (gate, wires[0])
-            )
+def check_every_variant(fragment):
+    _swept, forms = shared_forms(fragment)
+    specs = list(all_variants(fragment))
+    assert len(forms) == len(specs)
+    for spec, form in zip(specs, forms):
+        assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
+    return forms
 
 
 class TestMeasuringLate:
     @settings(max_examples=25, deadline=None)
     @given(cut_fragments(st.integers(2, 8), max_cuts=3))
-    # first and last wire cut, one of them also an input; the cut wire
-    # left out of, and alone in, the measured subset
-    @example((cut_fragment(5, [4, 2], [0, 4], 1), None))
-    @example((cut_fragment(5, [1], [0, 3, 4], 2), [1, 2]))
-    @example((cut_fragment(4, [3], [3], 3), [3]))
-    @example((cut_fragment(4, [0, 1, 3], [3, 2, 0], 4), None))
-    # 64 preparations, more than are kept; input wires that are all of the
-    # cut wires; input wires left out of the measured subset
-    @example((cut_fragment(6, [5, 0, 3], [], 5), None))
-    @example((cut_fragment(5, [1, 4], [4, 1], 6), None))
-    @example((cut_fragment(6, [0, 2], [4], 7), [1, 3, 4]))
-    def test_every_variant_equals_the_sequential_sweep(self, case):
-        check_every_variant(*case)
+    # first and last wire cut, one of them also an input
+    @example(cut_fragment(5, [4, 2], [0, 4], 1))
+    @example(cut_fragment(5, [1], [0, 3, 4], 2))
+    @example(cut_fragment(4, [3], [3], 3))
+    @example(cut_fragment(4, [0, 1, 3], [3, 2, 0], 4))
+    # 64 preparations; input wires that are all of the cut wires
+    @example(cut_fragment(6, [5, 0, 3], [], 5))
+    @example(cut_fragment(5, [1, 4], [4, 1], 6))
+    @example(cut_fragment(6, [0, 2], [4], 7))
+    def test_every_variant_equals_the_sequential_sweep(self, fragment):
+        check_every_variant(fragment)
 
     @settings(max_examples=5, deadline=None)
     @given(cut_fragments(st.integers(66, 140), max_cuts=2))
-    def test_wide_fragments_past_64_symbols(self, case):
-        fragment, measured = case
-        first = variant_circuit(fragment, *next(all_variants(fragment)))
-        assume(STAB.affine_distribution(first).n_free > 64)
-        assert fragment.circuit.derived()["collapsed"]
-        check_every_variant(fragment, measured)
+    def test_wide_fragments_past_64_symbols(self, fragment):
+        first = sequential(variant_circuit(fragment, *next(all_variants(fragment))))
+        assume(first.n_free > 64)
+        check_every_variant(fragment)
 
     def test_one_sweep_per_preparation(self, monkeypatch):
         """One sweep per body; a preparation costs one measurement per
@@ -436,55 +321,9 @@ class TestMeasuringLate:
             return real(self, q)
 
         monkeypatch.setattr(Tableau, "measure_symbolic", counting)
-        variants = [variant_circuit(fragment, *spec) for spec in all_variants(fragment)]
-        for variant in variants:
-            STAB.affine_distribution(variant)
-        assert len(variants) == 144
+        _swept, forms = shared_forms(fragment)
+        assert len(forms) == 144
         assert len(calls) == (9 - 2) + 4**2 * 2 + 144 * 2
-        # a body declared without cut wires shares nothing it should not:
-        # any trailing gate sends the circuit down the general path
-        del calls[:]
-        loose = Circuit(9).embed(fragment.circuit).append(gates.H, 8).measure_all()
-        assert_same_form(STAB.affine_distribution(loose), sequential(loose))
-        assert len(calls) == 2 * 9
-
-    def test_retained_state_is_bounded(self):
-        fragment = clifford_fragment(6, 2, 1, seed=4)
-        for spec in all_variants(fragment):
-            STAB.affine_distribution(variant_circuit(fragment, *spec))
-        kept = fragment.circuit.derived()["collapsed"]
-        assert len(kept) == stabilizer_simulator.COLLAPSED_KEPT < 4**2
-
-    def test_other_prefixes_and_suffixes_take_the_general_path(self):
-        body = seeded_body(4, 7)
-        for build in (
-            lambda c: c.append(gates.SDG, 1).embed(body, [3]).append(gates.H, 3),
-            lambda c: c.embed(body, [3]).append(gates.CX, 2, 3),
-            lambda c: c.embed(body, [3]).append(gates.H, 2),
-            # X, H and S, but not as a preparation of a prepared wire
-            lambda c: c.append(gates.S, 1).embed(body, [3], [1]),
-            lambda c: c.append(gates.H, 1).append(gates.H, 1).embed(body, [3], [1]),
-            lambda c: c.append(gates.X, 0).embed(body, [3], [1]),
-            lambda c: c.append(gates.X, 1).embed(body, [3]),
-        ):
-            circuit = build(Circuit(4)).measure_all()
-            assert circuit.shared_body() is not None
-            assert_same_form(STAB.affine_distribution(circuit), sequential(circuit))
-            assert "collapsed" not in body.derived() and "swept" not in body.derived()
-        with pytest.raises(ValueError, match="non-Clifford gate T"):
-            STAB.affine_distribution(Circuit(4).embed(body, [3]).append(gates.T, 3))
-
-    def test_a_pickled_variant_equals_the_shared_one(self):
-        fragment = clifford_fragment(7, 1, 2, seed=6)
-        for spec in all_variants(fragment):
-            variant = variant_circuit(fragment, *spec)
-            assert variant.measured_last() == {5, 6} and variant.prepared() == (0,)
-            clone = pickle.loads(pickle.dumps(variant))
-            assert clone.shared_body() is None and clone.measured_last() == frozenset()
-            assert clone.prepared() == ()
-            assert_same_form(
-                STAB.affine_distribution(clone), STAB.affine_distribution(variant), spec
-            )
 
     # -- the three kinds of move, by hand ----------------------------------------
 
@@ -503,8 +342,7 @@ class TestMeasuringLate:
         assert A.tolist() == [[True, False], [True, False], [False, True]]
         assert b.tolist() == [False, True, False]
         # through the simulator: wire 0 is the cut, measured in X on |0>
-        circuit = Circuit(2).embed(Circuit(2), [0]).append(gates.H, 0).measure_all()
-        got = STAB.affine_distribution(circuit)
+        _z, got, _y = STAB.affine_variants(Circuit(2), [], [0])
         assert got.A.tolist() == [[True], [False]] and got.b.tolist() == [False, False]
 
     def test_re_pivot_by_hand(self):
@@ -521,10 +359,9 @@ class TestMeasuringLate:
         # wire 0 is the pivot g and wire 1 reads g^1 — a permutation of the
         # first form would have put the constant on the wrong row
         body = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.X, 0)
-        circuit = Circuit(2).embed(body, [0]).measure_all()
-        got = STAB.affine_distribution(circuit)
+        got = STAB.affine_variants(body, [], [0])[0]
         assert got.A.tolist() == [[True], [True]] and got.b.tolist() == [False, True]
-        assert_same_form(got, sequential(circuit))
+        assert_same_form(got, sequential(body.copy().measure_all()))
 
     def test_rank_zero_by_hand(self):
         A = np.zeros((3, 0), dtype=bool)
@@ -532,8 +369,7 @@ class TestMeasuringLate:
         A, b = move_outcome_row(A, b, 2, 0)
         assert A.shape == (3, 0) and b.tolist() == [True, True, False]
         body = Circuit(3).append(gates.X, 0).append(gates.CX, 0, 2)
-        circuit = Circuit(3).embed(body, [0, 1]).measure_all()
-        got = STAB.affine_distribution(circuit)
+        got = STAB.affine_variants(body, [], [0, 1])[0]
         assert got.A.shape == (3, 0) and got.b.tolist() == [True, False, True]
 
     # -- post-selection: one symbol substituted away ------------------------------
@@ -600,9 +436,8 @@ class TestMeasuringLate:
             return (coeffs & False, const) if q >= 5 else (coeffs, const)
 
         monkeypatch.setattr(Tableau, "measure_symbolic", disentangled)
-        with pytest.raises(PostSelectionError, match=r"input wire 0 .*\('H',\)"):
-            STAB.affine_distribution(variant_circuit(fragment, (2,), (0,)))
-        assert "collapsed" not in fragment.circuit.derived()
+        with pytest.raises(PostSelectionError, match=r"input wire 0 .*\(0,\)"):
+            STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
 
     def test_rows_only_move_up(self):
         A, b = np.eye(2, dtype=bool), np.zeros(2, dtype=bool)
@@ -612,119 +447,62 @@ class TestMeasuringLate:
                 move_outcome_row(A, b, src, dst)
 
 
-# -- what is shared is frozen ------------------------------------------------------------
+# -- the swept Choi tableau is frozen ------------------------------------------------------
 
 
-class TestSharedTableausAreFrozen:
-    def shared(self):
+class TestSweptTableauIsFrozen:
+    def swept(self):
         fragment = clifford_fragment(6, 1, 1, seed=8)
-        variant = variant_circuit(fragment, (2,), (1,))
-        expected = sequential(variant)
-        assert_same_form(STAB.affine_distribution(variant), expected)
-        derived = fragment.circuit.derived()
-        (collapsed, A, b), = derived["collapsed"].values()
-        _key, swept, A_swept, b_swept = derived["swept"]
+        swept, forms = shared_forms(fragment)
         assert swept.n == 6 + 1
-        for shared in (A_swept, b_swept):
-            assert not shared.flags.writeable
-        return variant, expected, (swept, collapsed), A, b
+        return fragment, swept, forms
 
-    def test_measuring_the_cached_object_raises(self):
-        variant, expected, tableaus, A, b = self.shared()
-        for tableau in tableaus:
-            with pytest.raises(ValueError):
-                tableau.measurement_distribution(variant.measured_qubits)
-            with pytest.raises(ValueError):
-                tableau.h(0)
-            with pytest.raises(ValueError):
-                tableau.apply_circuit(variant)
-            with pytest.raises(ValueError, match="frozen"):
-                tableau.apply_layers(compile_clifford_layers(variant))
-            with pytest.raises(ValueError):
-                tableau.reset_symbols(6)
-            with pytest.raises(ValueError, match="frozen"):
-                tableau.substitute_symbol(np.ones(1, dtype=bool), True)
+    def test_measuring_the_swept_tableau_raises(self):
+        fragment, swept, forms = self.swept()
+        variant = variant_circuit(fragment, (2,), (1,))
+        with pytest.raises(ValueError):
+            swept.measurement_distribution(variant.measured_qubits)
+        with pytest.raises(ValueError):
+            swept.h(0)
+        with pytest.raises(ValueError):
+            swept.apply_circuit(variant)
+        with pytest.raises(ValueError, match="frozen"):
+            swept.apply_layers(compile_clifford_layers(variant))
+        with pytest.raises(ValueError):
+            swept.reset_symbols(6)
+        with pytest.raises(ValueError, match="frozen"):
+            swept.substitute_symbol(np.ones(1, dtype=bool), True)
         # half of a Bell pair: a random outcome, which has to write
         with pytest.raises(ValueError):
-            tableaus[0].measure_symbolic(6)
-        with pytest.raises(ValueError):
-            A[0, 0] = True
-        with pytest.raises(ValueError):
-            b[0] = True
-        # nothing above got through
-        assert_same_form(STAB.affine_distribution(variant), expected)
+            swept.measure_symbolic(6)
+        # every variant still reads the sweep it was built from
+        check_every_variant(fragment)
 
     def test_copies_are_writable(self):
-        _variant, _expected, tableaus, _A, _b = self.shared()
-        for tableau in tableaus:
-            copy = tableau.copy()
-            copy.h(0)
-            copy.measurement_distribution((0, 1))
-            assert not tableau.x.flags.writeable
+        _fragment, swept, _forms = self.swept()
+        copy = swept.copy()
+        copy.h(0)
+        copy.measurement_distribution((0, 1))
+        assert not swept.x.flags.writeable
 
 
 # -- thread pools share the body ---------------------------------------------------------
 
 
 def test_threads_sharing_one_body_agree_with_serial_results():
-    fragment = clifford_fragment(40, 1, 1, seed=9)
-    specs = list(all_variants(fragment)) * 3
-    expected = {
-        spec: STAB.affine_distribution(plain_copy(variant_circuit(fragment, *spec)))
-        for spec in set(specs)
-    }
-    results, errors = {}, []
-    barrier = threading.Barrier(len(specs))
-
-    def work(slot, spec):
-        try:
-            variant = variant_circuit(fragment, *spec)
-            barrier.wait(timeout=30)
-            results[slot] = (circuit_fingerprint(variant), STAB.affine_distribution(variant))
-        except Exception as exc:  # surfaced below
-            errors.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [
-            threading.Thread(target=work, args=(slot, spec))
-            for slot, spec in enumerate(specs)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not errors and not any(t.is_alive() for t in threads)
-    assert len(results) == len(specs)
-    for slot, spec in enumerate(specs):
-        fingerprint, affine = results[slot]
-        assert fingerprint == circuit_fingerprint(
-            plain_copy(variant_circuit(fragment, *spec))
-        )
-        assert np.array_equal(affine.A, expected[spec].A)
-        assert np.array_equal(affine.b, expected[spec].b)
-
-
-def test_eight_threads_asking_for_144_variants_get_the_serial_answers():
-    """More threads than cores and more preparations than collapsed
-    tableaus are kept, each thread starting somewhere else in the order:
-    sweeps are evicted and repeated under the readers' feet."""
+    """More threads than cores, each evolving the same body (one compiled
+    program on its derived space) for all 144 variants at once."""
     fragment = clifford_fragment(20, 2, 2, seed=12)
     specs = list(all_variants(fragment))
     assert len(specs) == 144
-    expected = {spec: sequential(variant_circuit(fragment, *spec)) for spec in specs}
+    expected = [sequential(variant_circuit(fragment, *spec)) for spec in specs]
     results, errors = {}, []
     barrier = threading.Barrier(8)
 
     def work(slot):
         try:
             barrier.wait(timeout=30)
-            for spec in specs[slot * 18 :] + specs[: slot * 18]:
-                variant = variant_circuit(fragment, *spec)
-                results[slot, spec] = STAB.affine_distribution(variant)
+            results[slot] = STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
@@ -739,9 +517,10 @@ def test_eight_threads_asking_for_144_variants_get_the_serial_answers():
     finally:
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
-    assert len(results) == 8 * 144
-    for (slot, spec), affine in results.items():
-        assert_same_form(affine, expected[spec], (slot, spec))
+    assert len(results) == 8
+    for slot, forms in results.items():
+        for spec, form, want in zip(specs, forms, expected):
+            assert_same_form(form, want, (slot, spec))
 
 
 # -- batched tomography ---------------------------------------------------------------
@@ -874,16 +653,22 @@ POOLS = (
 
 
 def defeat_sharing(monkeypatch):
-    """Every variant job gets a plain circuit: no body, nothing to share."""
-    real = evaluator_module.variant_circuit
+    """Every Clifford fragment evaluated variant by variant: each variant
+    spelled out and evolved from scratch, nothing shared."""
 
-    def refuse(*_args):
-        raise AssertionError("a plain circuit reached the shared sweep")
+    def one_by_one(_self, body, inputs, outputs):
+        fragment = Fragment(
+            index=0,
+            circuit=body,
+            quantum_inputs=list(enumerate(inputs)),
+            quantum_outputs=list(enumerate(outputs)),
+        )
+        return [
+            sequential(variant_circuit(fragment, *spec))
+            for spec in all_variants(fragment)
+        ]
 
-    monkeypatch.setattr(
-        evaluator_module, "variant_circuit", lambda *spec: plain_copy(real(*spec))
-    )
-    monkeypatch.setattr(stabilizer_simulator, "_collapsed", refuse)
+    monkeypatch.setattr(StabilizerSimulator, "affine_variants", one_by_one)
 
 
 def test_seeded_marginals_identical_across_pools(hwea30, monkeypatch):
