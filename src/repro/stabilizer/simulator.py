@@ -72,9 +72,15 @@ def choi_variants(
     their rows from the end into wire order (:func:`move_outcome_row`).
 
     Returns ``(swept, forms)``: the swept Choi tableau, frozen, and the
-    variants' outcome forms.
+    variants' outcome forms.  Raises ``ValueError`` if a wire is out of
+    range or repeated within ``inputs`` or within ``outputs``.
     """
     n = body.n_qubits
+    for role, wires in (("input", inputs), ("output", outputs)):
+        if len(set(wires)) < len(wires) or any(not 0 <= q < n for q in wires):
+            raise ValueError(
+                f"{role} wires {list(wires)} must be distinct wires of {body!r}"
+            )
     late = sorted(outputs)
     early = tuple(q for q in range(n) if q not in late)
     # room for an ancilla's symbol and the late wires' too: copies never

@@ -18,6 +18,7 @@ from repro.backends import (
     register_backend,
     unregister_backend,
 )
+from repro.backends.cache import fragment_fingerprint
 from repro.circuits import Circuit, gates, inject_t_gates, random_clifford_circuit
 from repro.core import ExecutionConfig, SamplingConfig, SuperSim
 from repro.statevector import StatevectorSimulator
@@ -171,6 +172,32 @@ class TestFingerprint:
         a = Circuit(2).append(gates.H, 0).measure_all()
         b = Circuit(2).append(gates.H, 0).measure([0])
         assert circuit_fingerprint(a) != circuit_fingerprint(b)
+
+    def test_fragment_fingerprint_covers_width_ops_and_cut_wires(self):
+        body = Circuit(3).append(gates.H, 0).append(gates.CX, 0, 2)
+        base = fragment_fingerprint(body, [0], [2, 1])
+        assert fragment_fingerprint(body.copy(), [0], [2, 1]) == base
+        wider = Circuit(4).append(gates.H, 0).append(gates.CX, 0, 2)
+        longer = body.copy().append(gates.S, 1)
+        fps = {
+            base,
+            fragment_fingerprint(wider, [0], [2, 1]),
+            fragment_fingerprint(longer, [0], [2, 1]),
+            fragment_fingerprint(body, [1], [2, 1]),
+            fragment_fingerprint(body, [0], [1, 2]),
+            fragment_fingerprint(body, [], [2, 1]),
+        }
+        assert len(fps) == 6
+
+    def test_fragment_and_circuit_fingerprints_never_meet(self):
+        """The wire lists are tagged, so moving a wire from one list to the
+        other is a different key; the domain tag keeps every fragment key
+        apart from the body's own circuit key."""
+        body = Circuit(2).append(gates.H, 0).measure_all()
+        splits = (([0, 1], []), ([0], [1]), ([], [0, 1]), ([], []))
+        fps = {fragment_fingerprint(body, *split) for split in splits}
+        assert len(fps) == 4
+        assert circuit_fingerprint(body) not in fps
 
 
 class TestVariantCache:

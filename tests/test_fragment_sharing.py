@@ -145,6 +145,44 @@ class TestVariantsAreOneEvolution:
         with pytest.raises(ValueError, match="non-Clifford gate T"):
             STAB.affine_variants(body, [0], [3])
 
+    def test_equal_clifford_fragments_are_one_job(self):
+        """Fragments equal in body and cut wires share one job, each
+        variant reading its own slot of it; other cut wires key apart."""
+        fragment = clifford_fragment(6, 1, 1, seed=15)
+        twin = Fragment(
+            index=1,
+            circuit=fragment.circuit.copy(),
+            quantum_inputs=fragment.quantum_inputs,
+            quantum_outputs=fragment.quantum_outputs,
+            circuit_outputs=fragment.circuit_outputs,
+        )
+        other = Fragment(
+            index=2,
+            circuit=fragment.circuit.copy(),
+            quantum_inputs=[(0, 1)],
+            quantum_outputs=fragment.quantum_outputs,
+            circuit_outputs=fragment.circuit_outputs,
+        )
+        assignments, jobs = FragmentEvaluator()._build_jobs(
+            [fragment, twin, other], 0
+        )
+        assert len(jobs) == 2 and len(assignments) == 3 * 12
+        keys = [{key for i, *_, key, _slot in assignments if i == f} for f in range(3)]
+        assert keys[0] == keys[1] and len(keys[0]) == 1 and keys[0] != keys[2]
+        slots = [slot for i, *_, slot in assignments if i == 1]
+        assert slots == list(range(12))
+
+    def test_cut_wires_are_checked(self):
+        """A wire out of range or named twice in one list is refused before
+        anything runs, not misreported as a failed post-selection; one wire
+        may still be both an input and an output."""
+        body = seeded_body(4, 7)
+        bad = (([-1], []), ([4], []), ([0, 0], []), ([], [1, 1]), ([], [4]))
+        for inputs, outputs in bad:
+            with pytest.raises(ValueError, match="distinct wires"):
+                STAB.affine_variants(body, inputs, outputs)
+        assert len(STAB.affine_variants(body, [2], [2])) == 12
+
 
 # -- the derived space ------------------------------------------------------------
 
@@ -176,6 +214,20 @@ class TestDerivedSpace:
         for spec, form in zip(all_variants(fragment), forms):
             assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
 
+    def test_an_appended_body_is_recompiled(self):
+        fragment = clifford_fragment(6, 1, 1, seed=5)
+        shared_forms(fragment)
+        fragment.circuit.append(gates.H, 0).append(gates.CX, 0, 5)
+        check_every_variant(fragment)
+
+    def test_sweeping_keeps_only_the_compiled_body(self):
+        """Nothing per preparation or per variant outlives the sweep: the
+        body's derived space holds its compiled program alone."""
+        fragment = clifford_fragment(6, 2, 1, seed=4)
+        shared_forms(fragment)
+        shared_forms(fragment)
+        assert set(fragment.circuit.derived()) == {"clifford_layers"}
+
 
 # -- derived caches do not travel ------------------------------------------------------
 
@@ -199,6 +251,17 @@ class TestPickling:
         assert circuit_fingerprint(clone) == circuit_fingerprint(variant)
         got = STAB.affine_distribution(clone)
         assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
+
+    def test_a_pickled_fragment_sweeps_to_the_same_forms(self):
+        fragment = clifford_fragment(7, 1, 2, seed=6)
+        _swept, expected = shared_forms(fragment)
+        clone = pickle.loads(pickle.dumps(fragment))
+        assert clone.circuit.derived() == {}
+        assert clone.cut_wires == fragment.cut_wires == ([0], [6, 5])
+        _swept, forms = shared_forms(clone)
+        assert len(forms) == len(expected) == 36
+        for spec, got, want in zip(all_variants(fragment), forms, expected):
+            assert_same_form(got, want, spec)
 
     def test_a_pickled_fragment_job_still_evolves_its_body_once(self, monkeypatch):
         """What a process pool or a service worker receives: the fragment
