@@ -369,10 +369,12 @@ def _recursive_61q_counts() -> dict:
 
     The ledger's ``wide61_recursive`` shape (two ``XPow(1/4)`` in a GHZ
     chain plus an even-pair CX layer: one 61q Clifford fragment with 144
-    variants).  Per level, conditioned tomography must visit each variant
-    of a fragment exactly once — one ``conditioned_tables`` call, for exact
-    Clifford data one GF(2) elimination — however many bins the frontier
-    holds; and once the reconstruction has returned, the tensor builder
+    variants).  Per level, conditioned tomography must ask each fragment
+    once — one ``FragmentData.conditioned_tables`` call, for exact
+    Clifford data one GF(2) elimination batched over all its variants
+    (``conditioned_marginals``) — however many bins the frontier holds
+    and however many variants the fragment has; and once the
+    reconstruction has returned, the tensor builder
     may still hold less than one window tensor.  Below the top window —
     where nothing is pinned yet — every bin is contracted on its support:
     no operand above ``4^4 * 64`` entries (a dense ``4^4 * 2^12`` one per
@@ -385,7 +387,6 @@ def _recursive_61q_counts() -> dict:
 
     from repro.core import evaluator, reconstruction, supersim
     from repro.core.reconstruction import SupportTensor, reconstruct_dynamic
-    from repro.stabilizer import tableau
 
     qubit_limit, top_k = 12, 64
     wide = Circuit(61).append(gates.H, 0)
@@ -407,7 +408,6 @@ def _recursive_61q_counts() -> dict:
             "levels",
             "variants",
             "visits",
-            "bases",
             "eliminations",
             "contractions",
             "wide_contractions",
@@ -415,8 +415,8 @@ def _recursive_61q_counts() -> dict:
         0,
     )
     level_builder = supersim.build_conditioned_window_tensors
-    visit = evaluator.AffineVariantData.conditioned_tables
-    column_basis = tableau._gf2_column_basis
+    visit = evaluator.FragmentData.conditioned_tables
+    batched = evaluator.conditioned_marginals
     contract = reconstruction.reconstruct_distribution
 
     def counted_contraction(cut_circuit, tensors, *args, **kwargs):
@@ -434,21 +434,16 @@ def _recursive_61q_counts() -> dict:
 
     def counted_visit(self, *args):
         counts["visits"] += 1
-        bases = counts["bases"]
-        tables = visit(self, *args)
-        counts["eliminations"] += counts["bases"] - bases
-        return tables
+        return visit(self, *args)
 
-    def counted_basis(matrix):
-        counts["bases"] += 1
-        return column_basis(matrix)
+    def counted_elimination(*args):
+        counts["eliminations"] += 1
+        return batched(*args)
 
     with (
         mock.patch.object(supersim, "build_conditioned_window_tensors", counted_level),
-        mock.patch.object(
-            evaluator.AffineVariantData, "conditioned_tables", counted_visit
-        ),
-        mock.patch.object(tableau, "_gf2_column_basis", counted_basis),
+        mock.patch.object(evaluator.FragmentData, "conditioned_tables", counted_visit),
+        mock.patch.object(evaluator, "conditioned_marginals", counted_elimination),
         mock.patch.object(
             reconstruction, "reconstruct_distribution", counted_contraction
         ),
@@ -470,7 +465,7 @@ def _recursive_61q_counts() -> dict:
     return {
         "recursive_61q_conditioned_levels": counts["levels"],
         "recursive_61q_level_variants": counts["variants"],
-        "recursive_61q_variant_visits": counts["visits"],
+        "recursive_61q_fragment_visits": counts["visits"],
         "recursive_61q_eliminations": counts["eliminations"],
         "recursive_61q_windows_refined": stats.windows,
         "recursive_61q_contractions": counts["contractions"],
@@ -902,16 +897,18 @@ def main() -> int:
     # counts, not seconds: exact on any runner
     if not (
         streaming["recursive_61q_conditioned_levels"] > 0
-        and streaming["recursive_61q_variant_visits"]
+        and streaming["recursive_61q_fragment_visits"]
         == streaming["recursive_61q_eliminations"]
-        == streaming["recursive_61q_level_variants"]
+        == streaming["recursive_61q_conditioned_levels"]
     ):
         failures.append(
-            "61q recursive tomography no longer visits each variant once per "
-            f"level: {streaming['recursive_61q_variant_visits']} visits, "
+            "61q recursive tomography no longer conditions each Clifford "
+            "fragment with one elimination per level: "
+            f"{streaming['recursive_61q_fragment_visits']} visits, "
             f"{streaming['recursive_61q_eliminations']} eliminations for "
-            f"{streaming['recursive_61q_level_variants']} variant-levels "
-            f"({streaming['recursive_61q_windows_refined']} windows)"
+            f"{streaming['recursive_61q_conditioned_levels']} fragment-levels "
+            f"({streaming['recursive_61q_level_variants']} variant-levels, "
+            f"{streaming['recursive_61q_windows_refined']} windows)"
         )
     if not (
         streaming["recursive_61q_contractions"]

@@ -65,6 +65,7 @@ from repro.core.fragments import Fragment
 from repro.core.lifecycle import FaultPolicy, JobLifecycle
 from repro.core.variants import all_variants, variant_circuit
 from repro.errors import FaultReport
+from repro.stabilizer.tableau import conditioned_marginals
 
 
 class VariantData:
@@ -106,9 +107,10 @@ class VariantData:
         support is small whatever the window width — a ``(keys, probs)``
         pair with ``keys = x << len(tail) | m`` (unique, in no particular
         order; ``uint64`` up to 62 bits, chunked rows beyond — the layouts
-        of :func:`~repro.analysis.distributions.pack_keys`).  This default
-        takes one joint over all the columns and cuts it up by the fixed
-        bits, which lead its sorted keys.
+        of :func:`~repro.analysis.distributions.pack_keys`): one joint over
+        all the columns, cut up by the fixed bits, which lead its sorted
+        keys.  Exact Clifford data is conditioned a fragment at a time
+        instead (:meth:`FragmentData.conditioned_tables`).
         """
         dist = self.joint(list(fixed) + list(keep) + list(tail))
         bits = dist.bit_matrix()
@@ -136,12 +138,6 @@ class AffineVariantData(VariantData):
         if len(windows) == 1:
             return super().joint_tables(windows, tail)
         return self.affine.window_tables(windows, tail)
-
-    def conditioned_tables(self, keep, fixed, fixed_rows, tail):
-        # algebraic: nothing wider than keep + tail is ever enumerated
-        return self.affine.conditioned_marginals(
-            fixed, fixed_rows, list(keep) + list(tail)
-        )
 
 
 class DenseVariantData(VariantData):
@@ -238,6 +234,29 @@ class FragmentData:
     @property
     def num_variants(self) -> int:
         return len(self.results)
+
+    def conditioned_tables(self, keep, fixed, fixed_rows, tail) -> list[tuple]:
+        """Every variant's ``P(keep = x, fixed = row, tail = m)``, per row of
+        ``fixed_rows``: one ``(owner, keys, probs)`` triple per row, the
+        variants' sparse tables (:meth:`VariantData.conditioned_tables`)
+        concatenated in :func:`all_variants` order, ``owner`` the position
+        of each entry's variant.  Exact Clifford data answers every variant
+        and row from one batched GF(2) elimination that enumerates nothing
+        wider than ``keep + tail`` (:func:`conditioned_marginals`); other
+        data is cut out of each variant's joint.
+        """
+        variants = [self.variant(*key) for key in all_variants(self.fragment)]
+        if all(isinstance(variant, AffineVariantData) for variant in variants):
+            forms = [variant.affine for variant in variants]
+            return conditioned_marginals(forms, fixed, fixed_rows, [*keep, *tail])
+        tables = [v.conditioned_tables(keep, fixed, fixed_rows, tail) for v in variants]
+        return [
+            (
+                np.arange(len(variants)).repeat([len(keys) for keys, _ in bin_tables]),
+                *map(np.concatenate, zip(*bin_tables)),
+            )
+            for bin_tables in zip(*tables)
+        ]
 
 
 class _Job:

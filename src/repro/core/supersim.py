@@ -399,8 +399,9 @@ class SuperSim:
         from the already-evaluated fragment data — never over all kept
         bits at once, so tomography memory follows the window, not the
         circuit width.  A fragment holding some of the fixed qubits streams
-        its conditioned tensors on their supports, every variant visited
-        once for the whole level (:func:`build_conditioned_window_tensors`);
+        its conditioned tensors on their supports, its data conditioned
+        once for the whole level — for exact Clifford data one elimination
+        for all its variants (:func:`build_conditioned_window_tensors`);
         one holding none has a single dense tensor for the level
         (:func:`build_fragment_tensor`, which alone applies the physicality
         projection to sampled data).  Only a tensor that can come back at a
@@ -938,7 +939,7 @@ class SuperSim:
 
         Each fragment's tensor is built at the fixed outcome only — every
         kept qubit pinned, an empty window: point queries against the
-        affine fragment data, one GF(2) elimination per variant — so the
+        affine fragment data, one GF(2) elimination per fragment — so the
         cost is one ``4^k`` contraction of scalars at *any* circuit width:
         the paper's §V-C claim that single-bitstring probabilities come
         "to machine precision without added computational overheads".

@@ -32,12 +32,13 @@ preparation contraction:
 * :func:`build_conditioned_window_tensors` builds on the support: one
   window of any width, one set of pinned columns, and every assignment to
   them a caller wants (a level of recursive reconstruction asks for its
-  whole frontier).  It too visits every variant once
-  (:meth:`VariantData.conditioned_tables` — for an exact Clifford variant
-  one GF(2) elimination that answers all the assignments, enumerating
-  nothing wider than the window plus the cut qubits; otherwise one joint
-  cut up by the pinned bits), keeps only the sparse tables, and yields one
-  tensor per assignment, its support the union of what the variants saw.
+  whole frontier).  It asks the fragment once
+  (:meth:`FragmentData.conditioned_tables` — for exact Clifford data one
+  GF(2) elimination batched over all the variants that answers all the
+  assignments, enumerating nothing wider than the window plus the cut
+  qubits; otherwise one joint per variant cut up by the pinned bits),
+  keeps only the sparse tables, and yields one tensor per assignment, its
+  support the union of what the variants saw.
   With no pinned column it is the sparse builder
   (``SuperSim.sparse_probabilities``: a 41-qubit window with a handful of
   outcomes); with every kept column pinned and an empty window it is the
@@ -243,17 +244,17 @@ def build_conditioned_window_tensors(
     ``[..., support]`` it is :func:`build_fragment_tensor` restricted to
     the bin.
 
-    Every variant is visited once, before the first tensor is yielded
-    (:meth:`VariantData.conditioned_tables`: all bins' sparse
-    ``P(window, bin, measured cut qubits)`` tables from one elimination or
-    one joint).  Each bin is then assembled on the union of its variants'
-    supports — signed sums over the measured bits in ascending order, the
-    preparation contraction.  Between yields the generator holds the
-    sparse tables alone: tensors are the consumer's to keep or drop.
-    ``max_dense_bits`` bounds what one of them may hold should its support
-    be full, checked before any variant is visited as in
-    :func:`build_window_tensors`; a caller that bounds the support some
-    other way lifts it with ``None``.
+    The fragment is asked once, before the first tensor is yielded
+    (:meth:`FragmentData.conditioned_tables`: every variant's and bin's
+    sparse ``P(window, bin, measured cut qubits)`` table from one batched
+    elimination, or from one joint per variant).  Each bin is then
+    assembled on the union of its variants' supports — signed sums over
+    the measured bits in ascending order, the preparation contraction.
+    Between yields the generator holds the sparse tables alone: tensors
+    are the consumer's to keep or drop.  ``max_dense_bits`` bounds what
+    one of them may hold should its support be full, checked before the
+    fragment is asked, as in :func:`build_window_tensors`; a caller that
+    bounds the support some other way lifts it with ``None``.
     """
     fragment = data.fragment
     qi = len(fragment.quantum_inputs)
@@ -264,27 +265,17 @@ def build_conditioned_window_tensors(
     fixed_cols = list(fixed_cols)
     fixed_rows = np.asarray(fixed_rows, dtype=bool)
 
-    tables = [
-        data.variant(preps, bases).conditioned_tables(
-            keep_cols, fixed_cols, fixed_rows, out_cols
-        )
-        for preps, bases in all_variants(fragment)
-    ]
+    tables = data.conditioned_tables(keep_cols, fixed_cols, fixed_rows, out_cols)
     signed = {
         bases: _signed_paulis(bases)
         for bases in itertools.product(range(3), repeat=qo)
     }
     every_prep = (slice(None),) * qi
-    for bin_index in range(len(fixed_rows)):
-        keys = np.concatenate([table[bin_index][0] for table in tables])
-        probs = np.concatenate([table[bin_index][1] for table in tables])
-        owner = np.repeat(
-            np.arange(len(tables)), [len(table[bin_index][0]) for table in tables]
-        )
+    for owner, keys, probs in tables:
         kept, measured = split_keys(keys, len(keep_cols) + qo, qo)
         support, column = np.unique(kept, axis=0, return_inverse=True)
         # compact[s_combo..., basis combo..., support outcome, measured m]
-        compact = np.zeros((len(tables), len(support), 2**qo))
+        compact = np.zeros((4**qi * 3**qo, len(support), 2**qo))
         compact[owner, column, measured] = probs
         compact = compact.reshape((4,) * qi + (3,) * qo + compact.shape[1:])
         raw = np.zeros((4,) * (qi + qo) + (len(support),))

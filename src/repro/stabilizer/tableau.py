@@ -234,15 +234,15 @@ def _bits_key(bits: np.ndarray) -> int:
 def _gf2_column_basis(matrix: np.ndarray) -> list[int]:
     """Reduced echelon basis of a 0/1 matrix's column space, as integers.
 
-    The one GF(2) elimination of this module.  A column is read big-endian
-    (row 0 is its most significant bit), so a vector's *leading* bit is
-    the first row it touches.  The basis comes back ordered by leading
-    row, first row first, and fully reduced: no vector has a bit at
-    another's leading position.  Its length is the rank; clearing a
-    target's leading bits in order leaves zero iff the target is in the
-    span; the vectors leading inside the first ``r`` rows are what
-    conditioning on those rows needs.  Duplicate and zero columns —
-    nearly all of a wide fragment's — drop out before the elimination.
+    The scalar GF(2) elimination of this module; :func:`conditioned_marginals`
+    reaches the same reduced form for many matrices at once.  A column is
+    read big-endian (row 0 is its most significant bit), so a vector's
+    *leading* bit is the first row it touches.  The basis comes back
+    ordered by leading row, first row first, and fully reduced: no vector
+    has a bit at another's leading position.  Its length is the rank;
+    clearing a target's leading bits in order leaves zero iff the target
+    is in the span.  Duplicate and zero columns — nearly all of a wide
+    fragment's — drop out before the elimination.
     """
     by_lead: dict[int, int] = {}
     for vec in set(pack_bit_rows(matrix.T).tolist()):
@@ -472,52 +472,6 @@ class AffineOutcomeDistribution:
                 target ^= vec
         return 0.0 if target else 2.0 ** -len(basis)
 
-    def conditioned_marginals(
-        self, fixed: list[int], fixed_bits: np.ndarray, rows: list[int]
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``P(fixed = v, rows = ·)`` for every row ``v`` of ``fixed_bits``.
-
-        One sparse ``(keys, probs)`` pair per ``v``: the packed outcomes
-        over ``rows`` (first row most significant; ``uint64`` up to 62
-        rows, chunked beyond, as :func:`_affine_keys` lays them out) that
-        occur together with ``v`` and their joint probabilities — both
-        empty when ``v`` cannot occur.  One elimination of ``A[fixed +
-        rows]`` answers every ``v``: the basis vectors leading inside the
-        fixed rows decide whether ``v`` is reachable and how it shifts the
-        remaining bits; the others touch ``rows`` only and span the
-        outcomes seen with any reachable ``v``, so nothing wider than
-        ``rows`` is enumerated, and that only once.
-        """
-        fixed, rows = list(fixed), list(rows)
-        n_fixed, n_rows = len(fixed), len(rows)
-        basis = _gf2_column_basis(self.A[fixed + rows])
-        deciding = [vec for vec in basis if vec >> n_rows]
-        free = basis[len(deciding) :]
-        _check_enumerable(
-            len(free), MAX_ENUMERATED_RANK, f"the conditioned marginal over {n_rows} bits"
-        )
-        target = np.asarray(fixed_bits, dtype=bool) ^ self.b[fixed]
-        # reduced basis: a solution's coordinates are the target's bits at
-        # the leading rows; it is one iff it reproduces every other bit too
-        chosen = target[:, [n_fixed + n_rows - vec.bit_length() for vec in deciding]]
-        chosen = chosen[:, :, None]
-        upper = ints_to_chunked_keys([vec >> n_rows for vec in deciding], n_fixed)
-        lower = ints_to_chunked_keys(
-            [vec & ((1 << n_rows) - 1) for vec in deciding], n_rows
-        )
-        reached = np.bitwise_xor.reduce(np.where(chosen, upper, np.uint64(0)), axis=1)
-        offsets = np.bitwise_xor.reduce(np.where(chosen, lower, np.uint64(0)), axis=1)
-        reachable = (reached == pack_bit_rows_chunked(target)).all(axis=1)
-        span = _affine_keys(free, _bits_key(self.b[rows]), n_rows)
-        if span.ndim == 1:
-            offsets = offsets[:, 0]
-        probs = np.full(len(span), 2.0 ** -len(basis))
-        nothing = (span[:0], probs[:0])
-        return [
-            (span ^ offset, probs) if ok else nothing
-            for ok, offset in zip(reachable.tolist(), offsets)
-        ]
-
     def single_bit_marginals(self) -> np.ndarray:
         """(m, 2) per-bit marginals: 50/50 where A has support, else point."""
         out = np.zeros((self.n_bits, 2))
@@ -526,6 +480,103 @@ class AffineOutcomeDistribution:
         fixed = ~random_bits
         out[fixed, self.b[fixed].astype(int)] = 1.0
         return out
+
+
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """:func:`pack_bit_rows_chunked` of every row of a 3-D bit array."""
+    first, second, width = bits.shape
+    keys = pack_bit_rows_chunked(bits.reshape(first * second, width))
+    return keys.reshape(first, second, keys.shape[1])
+
+
+def conditioned_marginals(
+    forms: list[AffineOutcomeDistribution],
+    fixed: list[int],
+    fixed_bits: np.ndarray,
+    rows: list[int],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``P(fixed = v, rows = ·)`` under each form, for every row ``v`` of
+    ``fixed_bits``; the forms share ``n_bits``.
+
+    One ``(owner, keys, probs)`` triple per ``v``, concatenated in form
+    order: the index of each entry's form, the packed outcomes over
+    ``rows`` (first row most significant; ``uint64`` up to 62 rows, chunked
+    beyond, as :func:`_affine_keys` lays them out) that occur together with
+    ``v`` under it, and their joint probabilities — nothing from a form
+    under which ``v`` cannot occur.  One elimination answers every form
+    and ``v``: the forms' ``A[fixed + rows]``, padded with zero columns to
+    the widest (a zero column changes no span), reach reduced column
+    echelon form together, one pivot column at a time.  The pivots leading
+    inside the fixed rows decide whether ``v`` is reachable and how it
+    shifts the remaining bits; the others touch ``rows`` only and span the
+    outcomes seen with any reachable ``v``, so nothing wider than ``rows``
+    is enumerated, and that once per form.  A form whose span is wider
+    than ``2^MAX_ENUMERATED_RANK`` outcomes refuses the whole batch before
+    anything is enumerated.
+    """
+    fixed, rows = list(fixed), list(rows)
+    n_fixed, n_rows = len(fixed), len(rows)
+    picked = fixed + rows
+    count, n_picked = len(forms), len(picked)
+    widths = np.array([form.n_free for form in forms])
+    width = int(widths.max())
+    every = np.arange(count)
+    # column c of form f is columns[f, c]: one gather for all the forms
+    owner = every.repeat(widths)
+    at = np.arange(len(owner)) - (widths.cumsum() - widths).repeat(widths)
+    columns = np.zeros((count, width, n_picked + 1), dtype=bool)  # + a zero row
+    columns[owner, at, :n_picked] = np.hstack([form.A for form in forms])[picked].T
+    b = np.stack([form.b for form in forms])[:, picked]
+    lead = np.full((count, width), n_picked)  # pivot rows; the zero row: none
+    for t in range(width):
+        rest = columns[:, t:]
+        first = np.where(rest.any(axis=2), rest.argmax(axis=2), n_picked)
+        pick = t + first.argmin(axis=1)
+        lead[:, t] = first[every, pick - t]
+        pivot = columns[every, pick]
+        columns[every, pick] = columns[:, t]
+        columns[:, t] = pivot
+        hit = columns[every, :, lead[:, t]]
+        hit[:, t] = False
+        columns ^= pivot[:, None, :] & hit[:, :, None]
+    rank = (lead < n_picked).sum(axis=1)
+    n_deciding = (lead < n_fixed).sum(axis=1)
+    n_free = rank - n_deciding
+    what = f"the conditioned marginal over {n_rows} bits"
+    _check_enumerable(int(n_free.max()), MAX_ENUMERATED_RANK, what)
+    # reduced form: a solution's coordinates are the target's bits at the
+    # leading rows (zero at the leads of the pivots past the fixed rows);
+    # it is one iff it reproduces every other fixed bit too
+    target = np.asarray(fixed_bits, dtype=bool)[None] ^ b[:, None, :n_fixed]
+    padded = np.pad(target, ((0, 0), (0, 0), (0, n_rows + 1)))
+    chosen = np.take_along_axis(padded, lead[:, None], axis=2).astype(np.uint8)
+    # a uint8 product wraps modulo 256, which keeps its parity
+    solved = (chosen @ columns.astype(np.uint8) & 1 == 1)[..., :n_picked]
+    reachable = (solved[..., :n_fixed] == target).all(axis=2)
+    offsets = _packed(solved[..., n_fixed:] ^ b[:, None, n_fixed:])
+    lower = _packed(columns[:, :, n_fixed:n_picked])
+    # each form's span of its free pivots, forms of one rank together,
+    # in :func:`_affine_keys` order: S -> S ∪ (S ^ v)
+    spans, owners = [], []
+    for r in np.unique(n_free).tolist():
+        group = np.flatnonzero(n_free == r)
+        vecs = lower[group[:, None], n_deciding[group, None] + np.arange(r)]
+        span = np.zeros((len(group), 1, lower.shape[2]), dtype=np.uint64)
+        for j in range(r):
+            span = np.concatenate([span, span ^ vecs[:, j, None]], axis=1)
+        spans.append(span.reshape(-1, lower.shape[2]))
+        owners.append(group.repeat(2**r))
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    owner, span = owner[order], np.concatenate(spans)[order]
+    hits = reachable[owner].T
+    bins, entries = np.nonzero(hits)
+    owner = owner[entries]
+    keys = span[entries] ^ offsets[owner, bins]
+    keys = keys[:, 0] if n_rows <= CHUNK_BITS else keys
+    probs = 2.0 ** -rank[owner]
+    ends = np.cumsum(hits.sum(axis=1))
+    return list(zip(*(np.split(part, ends)[:-1] for part in (owner, keys, probs))))
 
 
 def _moved_up(n: int, src: int, dst: int) -> np.ndarray:

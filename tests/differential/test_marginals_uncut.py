@@ -11,6 +11,9 @@ comparison can fail.
 * Exact mode: every window within ``1e-9`` (max abs) of the statevector.
 * Sampled mode: every window's Hellinger infidelity under
   :func:`hellinger_bound`, derived from the shot count.
+* The conditioned path, exact: a recursive ``run`` whose levels pin the
+  Clifford fragment's bits, ``sparse_probabilities`` and ``probability_of``,
+  each within ``1e-9`` of the statevector.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.distributions import hellinger_fidelity
+from repro.analysis.distributions import hellinger_fidelity, total_variation_distance
 from repro.circuits import Circuit, gates, random_clifford_circuit
-from repro.core import SamplingConfig, SuperSim
+from repro.core import ReconstructionConfig, SamplingConfig, SuperSim
+from repro.core import evaluator
 from repro.statevector import StatevectorSimulator
 
 SHOTS = 200_000
@@ -109,3 +113,69 @@ def test_sampled_marginals_within_the_shot_bound(n, seed):
         if 0 in window:
             # the bound is tight enough to tell the T from an S
             assert 1.0 - hellinger_fidelity(wrong, reference) > bound
+
+
+# -- the conditioned path: recursive levels, sparse and point queries ------------
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts batched conditionings of exact Clifford data, so that a cell
+    shows it ran the path it checks."""
+    calls = []
+    batched = evaluator.conditioned_marginals
+
+    def counted(forms, *args):
+        calls.append(len(forms))
+        return batched(forms, *args)
+
+    monkeypatch.setattr(evaluator, "conditioned_marginals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (12, 1)])
+def test_exact_recursive_run_equals_the_statevector(n, seed, eliminations):
+    circuit = _t_readout_circuit(n, seed)
+    reference = StatevectorSimulator().probabilities(circuit)
+    # levels of 3 bits pin the Clifford fragment's; top_k keeps every outcome
+    sim = SuperSim(
+        reconstruction=ReconstructionConfig(mode="recursive", qubit_limit=3, top_k=2**n)
+    )
+    result = sim.run(circuit)
+    wrong = StatevectorSimulator().probabilities(_t_readout_circuit(n, seed, gates.S))
+    assert total_variation_distance(wrong, reference) > 0.1
+    assert result.reconstruction_mode == "recursive"
+    assert len(eliminations) > 1
+    assert total_variation_distance(result.distribution, reference) <= 1e-9
+    assert result.covered_probability == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (12, 1)])
+def test_exact_sparse_probabilities_equal_the_statevector(n, seed, eliminations):
+    circuit = _t_readout_circuit(n, seed)
+    keep = [n - 1, 0, 2, 1]
+    reference = StatevectorSimulator().probabilities(circuit).marginal(keep)
+    got = SuperSim().sparse_probabilities(circuit, keep)
+    wrong = StatevectorSimulator().probabilities(_t_readout_circuit(n, seed, gates.S))
+    assert total_variation_distance(wrong.marginal(keep), reference) > 0.1
+    assert eliminations
+    assert total_variation_distance(got, reference) <= 1e-9
+
+
+@pytest.mark.parametrize("n, seed", [(8, 0), (12, 1)])
+def test_exact_point_probabilities_equal_the_statevector(n, seed, eliminations):
+    circuit = _t_readout_circuit(n, seed)
+    reference = StatevectorSimulator().probabilities(circuit)
+    wrong = StatevectorSimulator().probabilities(_t_readout_circuit(n, seed, gates.S))
+    rng = np.random.default_rng(seed)
+    seen = [outcome for outcome, prob in reference if prob > 1e-12]
+    # outcomes that occur, and (mostly) some that do not
+    outcomes = [seen[int(i)] for i in rng.integers(0, len(seen), 6)]
+    outcomes += [int(x) for x in rng.integers(0, 2**n, 4)]
+    sim = SuperSim()
+    for outcome in outcomes:
+        bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
+        got = sim.probability_of(circuit, bits)
+        assert abs(got - reference[outcome]) <= 1e-9, (outcome, got)
+    assert eliminations
+    assert max(abs(wrong[o] - reference[o]) for o in outcomes) > 0.01

@@ -398,6 +398,68 @@ class TestDegrade:
             assert spelled_out.count(clifford) == variants
         assert result.faults.retries == 1
 
+    def test_fallen_back_clifford_data_conditions_variant_by_variant(self, monkeypatch):
+        """The same fallen-back fragment holds statevector data, so a
+        recursive run and a point query condition it variant by variant
+        (the non-affine branch of ``FragmentData.conditioned_tables``) —
+        and agree with a clean run, whose exact Clifford data is
+        conditioned in one batch."""
+        from repro.analysis import total_variation_distance
+        from repro.backends import BackendRouter, get_backend
+        from repro.core import evaluator as evaluator_module
+
+        dead_stabilizer = ChaosBackend(
+            get_backend("stabilizer"),
+            ChaosSchedule(seed=1, exception_rate=1.0, fail_attempts=10**9),
+        )
+        router = BackendRouter([dead_stabilizer, get_backend("statevector")])
+        batches = []
+        batched = evaluator_module.conditioned_marginals
+
+        def counting(forms, *args):
+            batches.append(len(forms))
+            return batched(forms, *args)
+
+        monkeypatch.setattr(evaluator_module, "conditioned_marginals", counting)
+        held = []  # (fragment index, data types) of every conditioning
+        conditioned_tables = evaluator_module.FragmentData.conditioned_tables
+
+        def recording(data, *args):
+            kinds = {type(variant).__name__ for variant in data.results.values()}
+            held.append((data.fragment.index, kinds))
+            return conditioned_tables(data, *args)
+
+        monkeypatch.setattr(
+            evaluator_module.FragmentData, "conditioned_tables", recording
+        )
+        circuit = rotated_chain(0.3)
+        recursive = ReconstructionConfig(mode="recursive", qubit_limit=3, top_k=256)
+        clean = SuperSim(reconstruction=recursive)
+        degraded = SuperSim(
+            reconstruction=recursive,
+            execution=execution(
+                failure_policy="degrade",
+                router=router,
+                max_retries=1,
+                retry_backoff=0.0,
+            ),
+        )
+        clifford = degraded.plan(circuit).backend_names.index("stabilizer")
+        result = degraded.run(circuit)
+        assert result.faults.of_kind("fallback") and not batches
+        assert (clifford, {"DenseVariantData"}) in held
+        want = clean.run(circuit)
+        assert batches  # the clean run conditions its Clifford data in batches
+        assert result.reconstruction_mode == want.reconstruction_mode == "recursive"
+        assert total_variation_distance(result.distribution, want.distribution) <= 1e-12
+        for outcome in (0, 0b10110011, 0b11111111, 0b01010101):
+            bits = [(outcome >> (7 - q)) & 1 for q in range(8)]
+            del batches[:]
+            point = degraded.probability_of(circuit, bits)
+            assert not batches
+            assert abs(point - clean.probability_of(circuit, bits)) <= 1e-12
+            assert batches
+
     def test_degraded_results_stay_out_of_the_cache(self):
         from repro.backends import BackendRouter, get_backend
 

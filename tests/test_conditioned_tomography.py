@@ -46,7 +46,7 @@ from repro.core.tomography import (
 from repro.core.variants import BASIS_FOR_PAULI, all_variants, variant_circuit
 from repro.errors import ReproError
 from repro.stabilizer import StabilizerSimulator
-from repro.stabilizer.tableau import AffineOutcomeDistribution
+from repro.stabilizer.tableau import AffineOutcomeDistribution, conditioned_marginals
 from repro.testing.reconstruction import dense_tensor
 
 EXACT = SuperSim()
@@ -346,17 +346,20 @@ def test_over_limit_enumerations_are_refused_typed_and_at_once():
     start = time.perf_counter()
     with pytest.raises(ReconstructionMemoryError, match="2\\^30"):
         uniform.marginal_distribution(list(range(30)))
-    with pytest.raises(ReconstructionMemoryError):
-        uniform.conditioned_marginals([0, 1], [[0, 1]], list(range(2, 30)))
+    # one form past the limit refuses a whole batch
+    narrow = AffineOutcomeDistribution(uniform.A[:, :2], uniform.b)
+    with pytest.raises(ReconstructionMemoryError, match="2\\^28"):
+        conditioned_marginals([narrow, uniform], [0, 1], [[0, 1]], list(range(2, 30)))
     with pytest.raises(ReconstructionMemoryError):
         AffineVariantData(uniform).joint(list(range(26)))
     assert time.perf_counter() - start < 1.0
     assert issubclass(ReconstructionMemoryError, MemoryError)
     assert issubclass(ReconstructionMemoryError, ReproError)
     # conditioning itself has no such wall: 28 pinned bits, 2 enumerated
-    ((keys, probs),) = uniform.conditioned_marginals(
-        list(range(28)), [[1] * 28], [28, 29]
+    ((owner, keys, probs),) = conditioned_marginals(
+        [uniform], list(range(28)), [[1] * 28], [28, 29]
     )
+    assert owner.tolist() == [0] * 4
     assert sorted(keys.tolist()) == [0, 1, 2, 3]
     assert probs.tolist() == [2.0**-30] * 4
 

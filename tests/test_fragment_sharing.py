@@ -490,6 +490,24 @@ class TestMeasuringLate:
         again, consts = tableau.measure_symbolic_rows(wires)
         assert np.array_equal(again, A) and np.array_equal(consts, b)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        qi=st.integers(0, 2),
+        qo=st.integers(0, 2),
+    )
+    def test_a_choi_state_never_refuses_a_post_selection(self, n, seed, qi, qo):
+        """The ancillas of a Choi state are maximally mixed, so measured in
+        any product basis each one stays a fair coin whatever the others
+        read: ``PostSelectionError`` cannot come out of a valid fragment."""
+        rng = np.random.default_rng(seed)
+        body = clifford_fragment(n, 0, 0, seed=seed).circuit
+        inputs = [int(q) for q in rng.choice(n, size=min(qi, n), replace=False)]
+        outputs = [int(q) for q in rng.choice(n, size=min(qo, n), replace=False)]
+        _swept, forms = choi_variants(body, inputs, outputs)
+        assert len(forms) == 4 ** len(inputs) * 3 ** len(outputs)
+
     def test_a_constant_ancilla_is_refused(self, monkeypatch):
         fragment = clifford_fragment(5, 1, 1, seed=13)
         real = Tableau.measure_symbolic
