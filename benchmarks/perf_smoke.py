@@ -502,9 +502,9 @@ def bench_path_cache() -> dict:
 
     The recursive dynamic-definition engine contracts identically-shaped
     small window tensors once per frontier bin; the memoized
-    ``np.einsum_path`` turns the per-window greedy path derivation into a
-    dict lookup.  Cold clears the cache before every contraction (the
-    pre-cache behaviour), warm reuses it.
+    ``np.einsum_path`` (an ``lru_cache``) turns the per-window greedy path
+    derivation into a lookup.  Cold clears the cache before every
+    contraction (the pre-cache behaviour), warm reuses it.
     """
     from repro.core import reconstruction as rec
 
@@ -523,7 +523,7 @@ def bench_path_cache() -> dict:
 
     def cold():
         for _ in range(batch):
-            rec.clear_einsum_path_cache()
+            rec._einsum_path.cache_clear()
             contract()
 
     def warm():
@@ -531,10 +531,12 @@ def bench_path_cache() -> dict:
             contract()
 
     cold_seconds = _best(cold, repeats=7) / batch
-    rec.clear_einsum_path_cache()
+    rec._einsum_path.cache_clear()
     contract()  # prime
     warm_seconds = _best(warm, repeats=7) / batch
-    _, stats = contract()
+    before = rec._einsum_path.cache_info()
+    contract()
+    after = rec._einsum_path.cache_info()
     return {
         "workload": (
             f"repeated 8-bit window contraction of the k={cc.num_cuts} "
@@ -543,8 +545,8 @@ def bench_path_cache() -> dict:
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "speedup": cold_seconds / warm_seconds,
-        "warm_cache_hits": stats.path_cache_hits,
-        "warm_cache_misses": stats.path_cache_misses,
+        "warm_cache_hits": after.hits - before.hits,
+        "warm_cache_misses": after.misses - before.misses,
     }
 
 

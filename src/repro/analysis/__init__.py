@@ -1,4 +1,4 @@
-"""Analysis utilities: distributions, fidelity metrics, streaming folds."""
+"""Analysis utilities: distributions and fidelity metrics."""
 
 from repro.analysis.distributions import (
     Distribution,
@@ -8,11 +8,9 @@ from repro.analysis.distributions import (
     mean_marginal_fidelity,
     total_variation_distance,
 )
-from repro.analysis.streaming import StreamingAccumulator
 
 __all__ = [
     "Distribution",
-    "StreamingAccumulator",
     "hellinger_fidelity",
     "mean_marginal_fidelity",
     "total_variation_distance",

@@ -168,31 +168,3 @@ def expected_cut_from_marginals(
     for ((_i, _j), w), dist in zip(edges, marginals):
         total += w * (dist[0b01] + dist[0b10])
     return total
-
-
-def expected_cut_from_samples(
-    couplings: dict[tuple[int, int], int],
-    bit_batches,
-    n_qubits: int,
-) -> float:
-    """Streaming ``E[cut]`` over batches of sampled outcome bits.
-
-    ``bit_batches`` yields ``(shots, n_qubits)`` bool matrices (chunks of
-    a sampler's output, per-variant shot matrices, ...).  Batches fold
-    into per-edge two-bit marginals via
-    :class:`repro.analysis.StreamingAccumulator`, so memory stays at four
-    floats per edge regardless of total shots or width.
-    """
-    from repro.analysis import StreamingAccumulator
-
-    edges = list(couplings.items())
-    accumulator = StreamingAccumulator(
-        n_qubits, marginals=[(i, j) for (i, j), _w in edges]
-    )
-    for batch in bit_batches:
-        accumulator.update(bits=batch)
-    total = 0.0
-    for (i, j), w in edges:
-        marginal = accumulator.marginal((i, j))
-        total += w * (marginal[0b01] + marginal[0b10])
-    return total

@@ -63,16 +63,17 @@ def available_backends() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def default_backend_pool(statevector_max_qubits: int = 20) -> list[Backend]:
+def default_backend_pool() -> list[Backend]:
     """One instance of each built-in backend — the default routing pool.
 
     The single source of truth for what ``SuperSim`` and
     ``FragmentEvaluator`` route over when no explicit router is given.
+    Its statevector backend stops at 20 qubits.
     """
     return [
         get_backend("stabilizer"),
         get_backend("chform"),
-        get_backend("statevector", max_qubits=statevector_max_qubits),
+        get_backend("statevector", max_qubits=20),
         get_backend("mps"),
         get_backend("extended_stabilizer"),
     ]

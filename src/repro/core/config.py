@@ -137,11 +137,11 @@ class ExecutionConfig(_Replaceable):
         follow the backends' capability hints.
     parallel:
         Worker count for parallel variant evaluation.
-    statevector_max_qubits:
-        Width cap for the default statevector backend in the router pool.
     prune_zeros:
-        Skip recombination terms with an exactly-zero fragment factor
-        (Section IX downstream-term pruning).
+        Section IX zero-term accounting: count the Pauli assignments with
+        a (near-)zero fragment factor into ``stats.terms_skipped``, and
+        drop reconstructed outcomes at or below ``1e-12``.  The
+        contraction still sums every term.
     failure_policy:
         What the engine does when a fragment job fails.  ``"raise"``
         (default) fails fast with a contextful
@@ -193,7 +193,6 @@ class ExecutionConfig(_Replaceable):
     cache: Any = True
     pool: str | None = None
     parallel: int = 1
-    statevector_max_qubits: int = 20
     prune_zeros: bool = True
     failure_policy: str = "raise"
     max_retries: int = 3
@@ -252,14 +251,6 @@ class ReconstructionConfig(_Replaceable):
     top_k:
         Bins refined per recursion level (and the maximum support of a
         recursive result).
-    recursion_depth:
-        Cap on recursion levels; ``None`` defines every kept qubit.  A
-        smaller cap returns a coarse distribution over the first
-        ``recursion_depth * qubit_limit`` kept qubits.
-    refine_threshold:
-        Only bins with joint probability strictly above this are refined
-        into the next level (0.0 prunes exact zeros and negative
-        quasi-probability noise).
     window:
         Explicit qubit window for ``mode="windowed"`` (original qubit
         indices, output bit order).
@@ -272,8 +263,6 @@ class ReconstructionConfig(_Replaceable):
     mode: str = "auto"
     qubit_limit: int = 16
     top_k: int = 64
-    recursion_depth: int | None = None
-    refine_threshold: float = 0.0
     window: tuple[int, ...] | None = None
     max_dense_bits: int = 26
 
@@ -287,9 +276,7 @@ class ReconstructionConfig(_Replaceable):
             raise ValueError("qubit_limit must be between 1 and 26")
         if self.top_k < 1:
             raise ValueError("top_k must be at least 1")
-        if self.recursion_depth is not None and self.recursion_depth < 1:
-            raise ValueError("recursion_depth must be at least 1 or None")
         if self.max_dense_bits < 1:
             raise ValueError("max_dense_bits must be at least 1")
         if self.window is not None:
-            object.__setattr__(self, "window", tuple(int(q) for q in self.window))
+            object.__setattr__(self, "window", tuple(self.window))

@@ -664,7 +664,7 @@ def router_for(execution: ExecutionConfig) -> BackendRouter:
     """``execution.router``, or a router over the default backend pool."""
     if execution.router is not None:
         return execution.router
-    return BackendRouter(default_backend_pool(execution.statevector_max_qubits))
+    return BackendRouter(default_backend_pool())
 
 
 class FragmentEvaluator:

@@ -31,7 +31,7 @@ back is the accumulator over the product of the supports — never over
 ``2**total_bits`` unless every support is full.  The kept bits partition
 across the fragments, so an accumulator entry's outcome is its fragments'
 keys side by side, permuted into the requested qubit order; entries at or
-below ``zero_threshold`` are dropped and the rest go to
+below :data:`ZERO_THRESHOLD` are dropped and the rest go to
 ``Distribution.from_arrays`` (:func:`_outcomes`).  When every support is
 full the accumulator already *is* the dense distribution and the
 permutation is a reshape/transpose; that is the only run-time choice, and
@@ -55,9 +55,10 @@ masks already know them.)
 :func:`reconstruct_dynamic` is the one driver on top (CutQC-style
 "dynamic definition"): output width is its own scale axis, so it
 reconstructs a coarse distribution over the first ``qubit_limit`` qubits,
-recurses only into the heaviest bins (the fragment tensors conditioned on
-the bits defined so far — on their supports, a handful of columns each),
-and returns a calibrated top-k :class:`Distribution`.  It works level by
+recurses only into the heaviest bins of positive probability (the fragment
+tensors conditioned on the bits defined so far — on their supports, a
+handful of columns each), and returns a calibrated top-k
+:class:`Distribution`.  It works level by
 level: all bins of a level pin the same qubits, so the driver hands its
 tensor callback the level's whole frontier at once
 (``tensor_builder(window, fixed_qubits, fixed_rows)``) and pulls the bins'
@@ -69,7 +70,9 @@ holds more than one bin's tensors.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,6 +86,10 @@ from repro.errors import ReconstructionMemoryError
 #: widest output the dense accumulator may allocate by default
 #: (2^26 float64 ≈ 0.5 GB); callers opt out with ``max_dense_bits=None``
 DEFAULT_MAX_DENSE_BITS = 26
+
+#: reconstructed outcomes at or below this are dropped (under
+#: ``prune_zeros``), and so are fragment slices in the §IX term count
+ZERO_THRESHOLD = 1e-12
 
 #: rough seconds per accumulator-entry update of the recombination —
 #: only used to rank dense vs recursive cost in estimates, so the
@@ -143,58 +150,29 @@ class ReconstructionStats:
     refinements: int = 0
     peak_window_entries: int = 0
     covered_probability: float = 1.0
-    path_cache_hits: int = 0
-    path_cache_misses: int = 0
 
 
-# -- einsum contraction-path cache -------------------------------------------
-#
-# `np.einsum_path` re-derives the greedy pairwise order on every call; for
-# the recursive dynamic-definition engine that is once per window per
-# frontier bin over *identical* shapes.  The path depends only on the
-# operand shapes and subscripts, so it is memoized here and handed to the
-# contraction kernel pre-computed.
+@functools.lru_cache(maxsize=None)
+def _einsum_path(signature: tuple) -> list:
+    """Greedy ``np.einsum_path`` of one shape/subscript signature, memoized.
 
-_EINSUM_PATH_CACHE: dict[tuple, list] = {}
-_PATH_CACHE_HITS = 0
-_PATH_CACHE_MISSES = 0
-
-
-def clear_einsum_path_cache() -> None:
-    """Drop all memoized contraction paths and reset the hit counters."""
-    global _PATH_CACHE_HITS, _PATH_CACHE_MISSES
-    _EINSUM_PATH_CACHE.clear()
-    _PATH_CACHE_HITS = 0
-    _PATH_CACHE_MISSES = 0
-
-
-def einsum_path_cache_counters() -> tuple[int, int]:
-    """Cumulative ``(hits, misses)`` of the contraction-path cache."""
-    return _PATH_CACHE_HITS, _PATH_CACHE_MISSES
-
-
-def _cached_einsum_path(tag: str, operands: list):
-    """Memoized ``np.einsum_path`` for an interleaved operand list.
-
-    ``operands`` is ``[tensor, subscript, ..., out_subscript]``; the cache
-    key is the shape/subscript signature (plus ``tag``, so differently
-    shaped uses of coincidentally equal signatures cannot collide across
-    call sites).
+    ``signature`` is ``((shape, subscript), ..., out_subscript)``.  The
+    path depends on nothing else, and the recursive driver contracts the
+    same shapes once per frontier bin.
     """
-    global _PATH_CACHE_HITS, _PATH_CACHE_MISSES
-    signature: list = [tag]
-    for i in range(0, len(operands) - 1, 2):
-        signature.append((operands[i].shape, tuple(operands[i + 1])))
-    signature.append(tuple(operands[-1]))
-    key = tuple(signature)
-    path = _EINSUM_PATH_CACHE.get(key)
-    if path is None:
-        _PATH_CACHE_MISSES += 1
-        path = np.einsum_path(*operands, optimize="greedy")[0]
-        _EINSUM_PATH_CACHE[key] = path
-    else:
-        _PATH_CACHE_HITS += 1
-    return path
+    operands: list = []
+    for shape, sub in signature[:-1]:
+        operands += [np.broadcast_to(0.0, shape), list(sub)]
+    operands.append(list(signature[-1]))
+    return np.einsum_path(*operands, optimize="greedy")[0]
+
+
+def _cached_einsum_path(operands: list) -> list:
+    """:func:`_einsum_path` of an interleaved ``[tensor, subscript, ...,
+    out_subscript]`` operand list."""
+    pairs = zip(operands[:-1:2], operands[1:-1:2])
+    signature = tuple((t.shape, tuple(sub)) for t, sub in pairs)
+    return _einsum_path(signature + (tuple(operands[-1]),))
 
 
 def _axis_cuts(fragments) -> list[list[int]]:
@@ -220,12 +198,10 @@ def _output_order(fragments, kept_locals, keep_qubits) -> list[int]:
     return [concat_qubits.index(q) for q in keep_qubits]
 
 
-def _nonzero_masks(
-    tensors: list[np.ndarray], zero_threshold: float
-) -> list[np.ndarray]:
+def _nonzero_masks(tensors: list[np.ndarray]) -> list[np.ndarray]:
     """Per fragment: boolean indicator over cut-axis combos of live slices."""
     return [
-        np.max(np.abs(tensor), axis=-1, initial=0.0) > zero_threshold
+        np.max(np.abs(tensor), axis=-1, initial=0.0) > ZERO_THRESHOLD
         for tensor in tensors
     ]
 
@@ -241,7 +217,7 @@ def _count_survivors(masks: list[np.ndarray], axis_cuts: list[list[int]]) -> int
         operands.append(mask.astype(np.float64))
         operands.append(list(cuts))
     operands.append([])
-    path = _cached_einsum_path("survivors", operands)
+    path = _cached_einsum_path(operands)
     return int(round(float(_kernels.dense_contract(operands, path))))
 
 
@@ -312,7 +288,7 @@ def _dense_einsum(
         out_sub.append(k + f_index)
     operands.append(lead + out_sub)
     one_window.append(out_sub)
-    path = _cached_einsum_path("dense", one_window)
+    path = _cached_einsum_path(one_window)
     result = _kernels.dense_contract(operands, path)
     return result.reshape((batch, -1) if batch else -1)
 
@@ -366,7 +342,6 @@ def reconstruct_distribution(
     kept_locals: list[list[int]],
     keep_qubits: list[int],
     prune_zeros: bool = True,
-    zero_threshold: float = 1e-12,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> tuple[Distribution, ReconstructionStats]:
     """Recombine fragment tensors into the distribution over ``keep_qubits``.
@@ -389,7 +364,6 @@ def reconstruct_distribution(
     fragments = cut_circuit.fragments
     k = cut_circuit.num_cuts
     stats = ReconstructionStats(terms_total=4**k, windows=1)
-    hits0, misses0 = einsum_path_cache_counters()
     axis_cuts = _axis_cuts(fragments)
     order = _output_order(fragments, kept_locals, keep_qubits)
 
@@ -404,19 +378,16 @@ def reconstruct_distribution(
     stats.peak_window_entries = math.prod(sizes)
 
     if prune_zeros:
-        masks = _nonzero_masks(values, zero_threshold)
+        masks = _nonzero_masks(values)
         stats.terms_skipped = stats.terms_total - _count_survivors(masks, axis_cuts)
     accumulator = _dense_einsum(values, axis_cuts, k)
     accumulator /= 2.0**k
     distribution = _outcomes(
         accumulator,
         order,
-        zero_threshold if prune_zeros else 0.0,
+        ZERO_THRESHOLD if prune_zeros else 0.0,
         None if full else (supports, sizes, kept_locals),
     )
-    hits1, misses1 = einsum_path_cache_counters()
-    stats.path_cache_hits = hits1 - hits0
-    stats.path_cache_misses = misses1 - misses0
     return distribution, stats
 
 
@@ -425,7 +396,6 @@ def reconstruct_windows(
     tensors: list[list[np.ndarray]],
     layouts: list[tuple[list[list[int]], list[int]]],
     prune_zeros: bool = True,
-    zero_threshold: float = 1e-12,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> list[Distribution]:
     """:func:`reconstruct_distribution` for many windows, batched.
@@ -438,14 +408,14 @@ def reconstruct_windows(
     group is one contraction (:func:`_dense_einsum` with a batch axis):
     a fragment whose tensor is one array for the whole group is broadcast
     over the batch, only the others are stacked.  Each window then keeps
-    just its tail — its output order, the ``zero_threshold`` cut and its
+    just its tail — its output order, the :data:`ZERO_THRESHOLD` cut and its
     :class:`Distribution` (:func:`_outcomes`) — and every distribution is
     bit for bit what :func:`reconstruct_distribution` returns for that
     window alone.  No statistics are kept.
     """
     k = cut_circuit.num_cuts
     axis_cuts = _axis_cuts(cut_circuit.fragments)
-    threshold = zero_threshold if prune_zeros else 0.0
+    threshold = ZERO_THRESHOLD if prune_zeros else 0.0
     groups: dict[tuple, list[int]] = {}
     for w in range(len(layouts)):
         groups.setdefault(tuple(t[w].shape for t in tensors), []).append(w)
@@ -474,19 +444,16 @@ def reconstruct_dynamic(
     *,
     qubit_limit: int = 16,
     top_k: int = 64,
-    recursion_depth: int | None = None,
-    refine_threshold: float = 0.0,
     prune_zeros: bool = True,
-    zero_threshold: float = 1e-12,
 ) -> tuple[Distribution, ReconstructionStats]:
     """Recursive dynamic-definition reconstruction (CutQC-style).
 
     ``keep_qubits`` is split into consecutive windows of at most
     ``qubit_limit`` qubits.  The first window's distribution is
     reconstructed coarsely (all other qubits merged — i.e. marginalised);
-    each bin with probability above ``refine_threshold`` is then refined
-    by reconstructing the next window *conditioned* on the bin's bits,
-    keeping at most ``top_k`` bins per level.  Every per-bin value is the
+    each bin of positive probability is then refined by reconstructing
+    the next window *conditioned* on the bin's bits, keeping at most
+    ``top_k`` bins per level.  Every per-bin value is the
     exact joint probability of the bits defined so far, so the final
     outcomes are calibrated — no renormalisation hides the truncated
     mass, which ``stats.covered_probability`` reports.
@@ -502,11 +469,14 @@ def reconstruct_dynamic(
     yields as it goes keeps tomography memory at one bin's tensors rather
     than a level's — let alone ``2**total_bits``.
 
-    ``recursion_depth`` caps the number of window levels; when it stops
-    short of the full width the result is a (coarse) distribution over
-    the first ``recursion_depth * qubit_limit`` kept qubits only.
+    To define fewer qubits, pass fewer: a prefix of ``keep_qubits``
+    reconstructs the same coarse levels.
     """
-    keep = [int(q) for q in keep_qubits]
+    keep = list(keep_qubits)
+    if any(
+        isinstance(q, bool) or not isinstance(q, numbers.Integral) for q in keep
+    ):
+        raise ValueError(f"keep_qubits must be integers, got {keep!r}")
     if len(set(keep)) != len(keep):
         raise ValueError("keep_qubits contains duplicates")
     if not keep:
@@ -516,11 +486,6 @@ def reconstruct_dynamic(
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     windows = [keep[i : i + qubit_limit] for i in range(0, len(keep), qubit_limit)]
-    if recursion_depth is not None:
-        if recursion_depth < 1:
-            raise ValueError("recursion_depth must be at least 1 or None")
-        windows = windows[:recursion_depth]
-    defined = [q for w in windows for q in w]
 
     k = cut_circuit.num_cuts
     stats = ReconstructionStats(terms_total=4**k, mode="recursive")
@@ -548,7 +513,6 @@ def reconstruct_dynamic(
                 kept_locals,
                 window,
                 prune_zeros=prune_zeros,
-                zero_threshold=zero_threshold,
                 max_dense_bits=None,
             )
             stats.windows += 1
@@ -556,10 +520,8 @@ def reconstruct_dynamic(
             stats.peak_window_entries = max(
                 stats.peak_window_entries, sub.peak_window_entries
             )
-            stats.path_cache_hits += sub.path_cache_hits
-            stats.path_cache_misses += sub.path_cache_misses
             for key, prob in zip(dist.key_ints(), dist.values_array.tolist()):
-                if final or prob > refine_threshold:
+                if final or prob > 0.0:
                     candidates.append(((prefix << width) | key, prob))
         # heaviest bins first; ties broken by outcome key so seeded runs
         # are bit-for-bit reproducible at any parallelism
@@ -572,7 +534,7 @@ def reconstruct_dynamic(
 
     probs = dict(frontier)
     stats.covered_probability = float(sum(probs.values()))
-    return Distribution(len(defined), probs), stats
+    return Distribution(len(keep), probs), stats
 
 
 def estimate_reconstruction_cost(

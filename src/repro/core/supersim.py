@@ -174,25 +174,28 @@ def _kept_locals(cc: CutCircuit, qubits) -> list[list[int]]:
     ]
 
 
+def _check_qubits(qubits: list, n_qubits: int, what: str) -> None:
+    """Refuse a qubit list before anything is cut or evaluated: it must
+    hold distinct integer qubits of the circuit."""
+    for q in qubits:
+        if isinstance(q, bool) or not isinstance(q, numbers.Integral):
+            raise ValueError(f"{what}: qubit {q!r} is not an integer")
+        if not 0 <= q < n_qubits:
+            raise ValueError(
+                f"{what}: qubit {q} is not in the {n_qubits}-qubit circuit"
+            )
+    if len(set(qubits)) != len(qubits):
+        repeated = next(q for q in qubits if qubits.count(q) > 1)
+        raise ValueError(f"{what}: qubit {repeated} repeats")
+
+
 def _check_windows(windows: list[list], n_qubits: int) -> None:
-    """Refuse a marginal window before anything is cut or evaluated: it
-    must be non-empty and hold distinct integer qubits of the circuit."""
+    """:func:`_check_qubits` of each marginal window, which must also be
+    non-empty."""
     for window in windows:
         if not window:
             raise ValueError("empty marginal window")
-        for q in window:
-            if isinstance(q, bool) or not isinstance(q, numbers.Integral):
-                raise ValueError(
-                    f"marginal window {window}: qubit {q!r} is not an integer"
-                )
-            if not 0 <= q < n_qubits:
-                raise ValueError(
-                    f"marginal window {window}: qubit {q} is not in the "
-                    f"{n_qubits}-qubit circuit"
-                )
-        if len(set(window)) != len(window):
-            repeated = next(q for q in window if window.count(q) > 1)
-            raise ValueError(f"marginal window {window}: qubit {repeated} repeats")
+        _check_qubits(window, n_qubits, f"marginal window {window}")
 
 
 def _call_factory(factory, params):
@@ -304,9 +307,25 @@ class SuperSim:
         the router assigned it, and the evaluation mode; inspect it, price
         it with ``estimate()``, override it with ``with_cuts(...)`` /
         ``with_backend(...)``, then ``execute()``.
+
+        An explicit ``keep_qubits`` and a windowed run's window are
+        checked here, before anything is cut (:func:`_check_qubits`).
         """
         if keep_qubits is None:
             keep_qubits = list(circuit.measured_qubits)
+        else:
+            keep_qubits = list(keep_qubits)
+            what = f"keep_qubits {keep_qubits}"
+            _check_qubits(keep_qubits, circuit.n_qubits, what)
+        mode = self._resolve_reconstruction_mode(keep_qubits)
+        if mode == "recursive" and not keep_qubits:
+            raise ValueError("recursive reconstruction needs a kept qubit")
+        if mode == "windowed":
+            window = self._window(keep_qubits)
+            _check_windows([window], circuit.n_qubits)
+            unknown = [q for q in window if q not in keep_qubits]
+            if unknown:
+                raise ValueError(f"window qubits {unknown} are not in keep_qubits")
         start = time.perf_counter()
         cc = self.cut(circuit, cuts)
         evaluator = self._evaluator()
@@ -389,6 +408,14 @@ class SuperSim:
             wide = len(keep_qubits) > self.reconstruction.max_dense_bits
             return "recursive" if wide else "full"
         return mode
+
+    def _window(self, keep_qubits) -> list:
+        """The qubits a windowed run reconstructs: ``window``, or the first
+        ``qubit_limit`` kept qubits."""
+        window = self.reconstruction.window
+        if window is None:
+            window = keep_qubits[: self.reconstruction.qubit_limit]
+        return list(window)
 
     def _dynamic_tensor_builder(self, cc: CutCircuit, fragment_data, evaluator):
         """The per-level tensor callback of
@@ -485,8 +512,6 @@ class SuperSim:
                 list(plan.keep_qubits),
                 qubit_limit=rc.qubit_limit,
                 top_k=rc.top_k,
-                recursion_depth=rc.recursion_depth,
-                refine_threshold=rc.refine_threshold,
                 prune_zeros=self.execution.prune_zeros,
             )
             timings["reconstruct"] = time.perf_counter() - start
@@ -502,15 +527,7 @@ class SuperSim:
             )
         else:
             if mode == "windowed":
-                window = rc.window
-                if window is None:
-                    window = tuple(plan.keep_qubits[: rc.qubit_limit])
-                unknown = [q for q in window if q not in set(plan.keep_qubits)]
-                if unknown:
-                    raise ValueError(
-                        f"window qubits {unknown} are not in keep_qubits"
-                    )
-                target_qubits = list(window)
+                target_qubits = self._window(plan.keep_qubits)
             else:
                 # guard BEFORE tomography: on wide circuits the per-fragment
                 # dense tensors (2**kept_bits per variant) blow up first,

@@ -22,8 +22,6 @@ from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.errors import PostSelectionError
 from repro.paulis.pauli import PauliString
-from repro.stabilizer.frames import FrameSampler
-from repro.stabilizer.noise import NoiseModel
 from repro.stabilizer.tableau import (
     AffineOutcomeDistribution,
     Tableau,
@@ -134,8 +132,9 @@ class StabilizerSimulator:
 
     * exact output distributions (affine-subspace form, any width),
     * fast multi-shot sampling,
-    * exact Pauli expectations in {-1, 0, +1},
-    * Pauli-frame noisy sampling.
+    * exact Pauli expectations in {-1, 0, +1}.
+
+    Pauli-frame noisy sampling is :class:`~repro.stabilizer.frames.FrameSampler`.
 
     Backed by the bit-packed word-parallel tableau
     (:mod:`repro.stabilizer.tableau`): a circuit runs as one walk of its
@@ -182,13 +181,3 @@ class StabilizerSimulator:
     def expectation(self, circuit: Circuit, pauli: PauliString) -> int:
         """Exact <P> of the final state: -1, 0, or +1 (paper §IX)."""
         return self.run(circuit).expectation(pauli)
-
-    def sample_noisy(
-        self,
-        circuit: Circuit,
-        noise: NoiseModel,
-        shots: int,
-        rng: np.random.Generator | int | None = None,
-    ) -> Distribution:
-        """Noisy sampling via Pauli-frame propagation."""
-        return FrameSampler(circuit, noise).sample(shots, rng)

@@ -387,10 +387,6 @@ class AffineOutcomeDistribution:
             raise ValueError(f"support of 2^{k} outcomes is too large to enumerate")
         return self.marginal_distribution(range(self.n_bits), max_rank=max_free)
 
-    def probability_of(self, outcome_bits: np.ndarray) -> float:
-        """Exact probability of one outcome (0 or ``2^-k``)."""
-        return self.probability_of_partial(range(self.n_bits), outcome_bits)
-
     def marginal_distribution(
         self, rows: list[int], max_rank: int = MAX_ENUMERATED_RANK
     ) -> Distribution:
@@ -456,30 +452,6 @@ class AffineOutcomeDistribution:
         probs = 2.0 ** -independent.sum(axis=1)
         tables = np.where(support, probs[:, None], 0.0)
         return tables.reshape(count, -1, 2 ** len(tail))
-
-    def probability_of_partial(self, rows: list[int], bits) -> float:
-        """Probability that the selected output bits take the given values.
-
-        Cost is one GF(2) elimination over the selected rows — independent
-        of the total number of outcomes, which is what makes strong
-        simulation of wide Clifford fragments cheap.
-        """
-        rows = list(rows)
-        basis = _gf2_column_basis(self.A[rows])
-        target = _bits_key(np.asarray(bits, dtype=bool) ^ self.b[rows])
-        for vec in basis:
-            if (target >> (vec.bit_length() - 1)) & 1:
-                target ^= vec
-        return 0.0 if target else 2.0 ** -len(basis)
-
-    def single_bit_marginals(self) -> np.ndarray:
-        """(m, 2) per-bit marginals: 50/50 where A has support, else point."""
-        out = np.zeros((self.n_bits, 2))
-        random_bits = self.A.any(axis=1)
-        out[random_bits] = 0.5
-        fixed = ~random_bits
-        out[fixed, self.b[fixed].astype(int)] = 1.0
-        return out
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:

@@ -124,7 +124,6 @@ def loop_reconstruct_windows(
     tensors: list[list[np.ndarray]],
     windows: list[list[int]],
     prune_zeros: bool = True,
-    zero_threshold: float = 1e-12,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
 ) -> list[Distribution]:
     """:func:`~repro.core.reconstruction.reconstruct_windows` by the window
@@ -143,7 +142,6 @@ def loop_reconstruct_windows(
             kept_locals,
             window,
             prune_zeros=prune_zeros,
-            zero_threshold=zero_threshold,
             max_dense_bits=max_dense_bits,
         )
         out.append(dist)

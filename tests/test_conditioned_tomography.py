@@ -330,7 +330,9 @@ def test_high_entropy_recursive_finishes_in_seconds(n):
         bits = [(outcome >> (n - 1 - q)) & 1 for q in range(n)]
         assert prob == pytest.approx(EXACT.probability_of(circuit, bits), rel=1e-9)
     # ... and the coarse level is the exact first-window marginal
-    coarse = _recursive(top_k=256, recursion_depth=1).run(circuit).raw_distribution
+    first_window = list(circuit.measured_qubits)[:8]
+    coarse = _recursive(top_k=256).run(circuit, keep_qubits=first_window)
+    coarse = coarse.raw_distribution
     windowed = SuperSim(
         reconstruction=ReconstructionConfig(mode="windowed", qubit_limit=8)
     ).run(circuit)

@@ -412,20 +412,22 @@ class TestPathCache:
         from repro.circuits.circuit import Circuit
         from repro.core.supersim import SuperSim
 
-        rec.clear_einsum_path_cache()
+        rec._einsum_path.cache_clear()
         c = Circuit(4)
         c.append(gates.H, 0).append(gates.CX, 0, 1).append(gates.T, 1)
         c.append(gates.CX, 1, 2).append(gates.CX, 2, 3)
         sim = SuperSim()
-        first = sim.run(c)
-        assert first.stats.path_cache_misses >= 1
-        second = sim.run(c)
-        assert second.stats.path_cache_misses == 0
-        assert second.stats.path_cache_hits >= 1
+        sim.run(c)
+        cold = rec._einsum_path.cache_info()
+        assert cold.misses >= 1
+        sim.run(c)
+        warm = rec._einsum_path.cache_info()
+        assert warm.misses == cold.misses
+        assert warm.hits > cold.hits
 
     def test_clear_resets_counters(self):
         from repro.core import reconstruction as rec
 
-        rec.clear_einsum_path_cache()
-        assert rec.einsum_path_cache_counters() == (0, 0)
-        assert rec._EINSUM_PATH_CACHE == {}
+        rec._einsum_path.cache_clear()
+        info = rec._einsum_path.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)

@@ -1,31 +1,18 @@
-"""Bounded-memory reconstruction: windowed, recursive, and streaming.
+"""Bounded-memory reconstruction: windowed and recursive.
 
 Property-tests pin the windowed and recursive dynamic-definition engines
 against the dense reference on small cut circuits (exact marginal
 equality, top-k containment, a total-variation bound from the covered
-mass), and the streaming accumulator is checked for bit-for-bit
-determinism under thread and process pools.
+mass).
 """
-
-import concurrent.futures
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    Distribution,
-    StreamingAccumulator,
-    hellinger_fidelity,
-    total_variation_distance,
-)
-from repro.apps.qaoa import (
-    expected_cut,
-    expected_cut_from_marginals,
-    expected_cut_from_samples,
-    sk_model,
-)
+from repro.analysis import hellinger_fidelity, total_variation_distance
+from repro.apps.qaoa import expected_cut, expected_cut_from_marginals, sk_model
 from repro.circuits import Circuit, gates, inject_t_gates, random_clifford_circuit
 from repro.core import (
     ReconstructionConfig,
@@ -193,15 +180,16 @@ class TestRecursiveReconstruction:
         heaviest = max(dense, key=lambda kv: kv[1])
         assert prob == pytest.approx(heaviest[1], abs=1e-9)
 
-    def test_recursion_depth_truncates_definition(self):
+    def test_kept_prefix_truncates_definition(self):
         circuit, cc, tensors, kept_locals, keep = _cut_workload(5)
         dense, _ = reconstruct_distribution(cc, tensors, kept_locals, keep)
         sim = SuperSim(
             reconstruction=ReconstructionConfig(
-                mode="recursive", qubit_limit=2, top_k=64, recursion_depth=2
+                mode="recursive", qubit_limit=2, top_k=64
             )
         )
-        result = sim.run(circuit)
+        result = sim.run(circuit, keep_qubits=keep[:4])
+        assert result.reconstruction_mode == "recursive"
         assert result.distribution.n_bits == 4
         reference = dense.marginal(range(4))
         assert total_variation_distance(result.raw_distribution, reference) < 1e-9
@@ -220,6 +208,8 @@ class TestRecursiveReconstruction:
             reconstruct_dynamic(cc, builder, [])
         with pytest.raises(ValueError):
             reconstruct_dynamic(cc, builder, [keep[0], keep[0]])
+        with pytest.raises(ValueError, match="must be integers"):
+            reconstruct_dynamic(cc, builder, [0.5])
 
 
 class TestWideCircuits:
@@ -291,8 +281,6 @@ class TestMemoryGuard:
             ReconstructionConfig(qubit_limit=27)
         with pytest.raises(ValueError):
             ReconstructionConfig(top_k=0)
-        with pytest.raises(ValueError):
-            ReconstructionConfig(recursion_depth=0)
         with pytest.raises(TypeError):
             SuperSim(reconstruction="recursive")
 
@@ -353,163 +341,6 @@ class TestCostEstimate:
         assert estimate.reconstruction_cost < 60.0
 
 
-def _serial_accumulator(batches, marginals, top_k):
-    accumulator = StreamingAccumulator(
-        batches[0].shape[1], marginals=marginals, top_k=top_k
-    )
-    for batch in batches:
-        accumulator.update(bits=batch)
-    return accumulator
-
-
-def _partial_accumulator(args):
-    batch, marginals, top_k = args
-    accumulator = StreamingAccumulator(
-        batch.shape[1], marginals=marginals, top_k=top_k
-    )
-    accumulator.update(bits=batch)
-    return accumulator
-
-
-def _pooled_accumulator(batches, marginals, top_k, executor_cls, workers=4):
-    """Per-batch partials built in a pool, merged in batch-index order."""
-    with executor_cls(max_workers=workers) as pool:
-        partials = list(
-            pool.map(
-                _partial_accumulator,
-                [(batch, marginals, top_k) for batch in batches],
-            )
-        )
-    merged = partials[0]
-    for partial in partials[1:]:
-        merged.merge(partial)
-    return merged
-
-
-def _assert_identical_state(a: StreamingAccumulator, b: StreamingAccumulator):
-    assert a.total_weight == b.total_weight
-    assert a.num_records == b.num_records
-    assert set(a._marginals) == set(b._marginals)
-    for key in a._marginals:
-        assert np.array_equal(a._marginals[key], b._marginals[key])
-    assert a._top == b._top
-
-
-class TestStreamingAccumulator:
-    MARGINALS = [(0, 3), (7,), (2, 5, 9)]
-
-    def _batches(self, seed=0, rows=3000, width=10, n_batches=7):
-        rng = np.random.default_rng(seed)
-        bits = rng.random((rows, width)) < 0.35
-        edges = np.linspace(0, rows, n_batches + 1).astype(int)
-        return [bits[a:b] for a, b in zip(edges, edges[1:])], bits
-
-    def test_marginals_match_dense_reference(self):
-        batches, bits = self._batches()
-        accumulator = _serial_accumulator(batches, self.MARGINALS, top_k=8)
-        reference = Distribution.from_bit_rows(bits)
-        for positions in self.MARGINALS:
-            expected = reference.marginal(positions)
-            got = accumulator.marginal(positions)
-            assert total_variation_distance(got, expected) < 1e-12
-
-    def test_top_k_matches_dense_reference(self):
-        batches, bits = self._batches()
-        accumulator = _serial_accumulator(batches, self.MARGINALS, top_k=5)
-        reference = Distribution.from_bit_rows(bits)
-        ranked = sorted(reference, key=lambda kv: (-kv[1], kv[0]))[:5]
-        got = accumulator.top_distribution()
-        for outcome, prob in ranked:
-            assert got[outcome] == pytest.approx(prob, abs=1e-12)
-
-    def test_thread_pool_determinism(self):
-        batches, _ = self._batches()
-        serial = _serial_accumulator(batches, self.MARGINALS, top_k=8)
-        pooled = _pooled_accumulator(
-            batches, self.MARGINALS, 8, concurrent.futures.ThreadPoolExecutor
-        )
-        _assert_identical_state(serial, pooled)
-
-    def test_process_pool_determinism(self):
-        batches, _ = self._batches()
-        serial = _serial_accumulator(batches, self.MARGINALS, top_k=8)
-        pooled = _pooled_accumulator(
-            batches, self.MARGINALS, 8, concurrent.futures.ProcessPoolExecutor,
-            workers=2,
-        )
-        _assert_identical_state(serial, pooled)
-
-    @given(seed=st.integers(0, 10_000), n_batches=st.integers(1, 9))
-    @settings(max_examples=15, deadline=None)
-    def test_batch_split_invariance(self, seed, n_batches):
-        """Any batching of the same stream gives bit-identical state."""
-        batches, bits = self._batches(seed=seed, n_batches=n_batches)
-        whole = _serial_accumulator([bits], self.MARGINALS, top_k=8)
-        split = _serial_accumulator(
-            [b for b in batches if len(b)], self.MARGINALS, top_k=8
-        )
-        _assert_identical_state(whole, split)
-
-    def test_keys_path_matches_bits_path(self):
-        batches, bits = self._batches(rows=500)
-        from repro.analysis.distributions import pack_bit_rows
-
-        by_bits = _serial_accumulator(batches, self.MARGINALS, top_k=4)
-        by_keys = StreamingAccumulator(10, marginals=self.MARGINALS, top_k=4)
-        for batch in batches:
-            by_keys.update(keys=[int(k) for k in pack_bit_rows(batch)])
-        _assert_identical_state(by_bits, by_keys)
-
-    def test_wide_outcomes_beyond_62_bits(self):
-        width = 80
-        rng = np.random.default_rng(1)
-        bits = rng.random((200, width)) < 0.5
-        accumulator = StreamingAccumulator(
-            width, marginals=[(0, 79)], top_k=4
-        )
-        accumulator.update(bits=bits)
-        top = accumulator.top_distribution()
-        assert top.n_bits == width
-        assert accumulator.marginal((0, 79)).total() == pytest.approx(1.0)
-
-    def test_bounded_capacity_evicts_and_bounds_error(self):
-        rng = np.random.default_rng(2)
-        # heavy hitter at key 0 plus a long uniform tail
-        heavy = np.zeros((400, 8), dtype=bool)
-        tail = rng.random((1600, 8)) < 0.5
-        accumulator = StreamingAccumulator(8, top_k=2, capacity=16)
-        for start in range(0, 2000, 100):
-            block = np.vstack([heavy, tail])[start : start + 100]
-            accumulator.update(bits=block)
-        assert len(accumulator._top) <= 16
-        assert accumulator.evicted_weight > 0
-        top = accumulator.top_distribution()
-        # the heavy hitter survives eviction; its reported mass undercounts
-        # the true 400/2000 by at most the space-saving error bound
-        error_bound = accumulator.evicted_weight / accumulator.total_weight
-        assert top[0] >= 400 / 2000 - error_bound - 1e-12
-
-    def test_validation(self):
-        accumulator = StreamingAccumulator(8, marginals=[(0, 1)], top_k=2)
-        with pytest.raises(ValueError):
-            accumulator.update()
-        with pytest.raises(ValueError):
-            accumulator.update(bits=np.zeros((2, 4), dtype=bool))
-        with pytest.raises(ValueError):
-            accumulator.update(
-                bits=np.zeros((2, 8), dtype=bool), weights=np.ones(3)
-            )
-        with pytest.raises(KeyError):
-            accumulator.marginal((5, 6))
-        with pytest.raises(ValueError):
-            StreamingAccumulator(8, marginals=[list(range(30))])
-        with pytest.raises(ValueError):
-            StreamingAccumulator(8, marginals=[(0, 0)])
-        other = StreamingAccumulator(9, marginals=[(0, 1)], top_k=2)
-        with pytest.raises(ValueError):
-            accumulator.merge(other)
-
-
 class TestQaoaConsumers:
     def test_expected_cut_from_marginals_matches_dense(self):
         from repro.apps.qaoa import near_clifford_qaoa
@@ -520,13 +351,3 @@ class TestQaoaConsumers:
         assert expected_cut_from_marginals(
             couplings, circuit
         ) == pytest.approx(expected_cut(couplings, dense), abs=1e-9)
-
-    def test_expected_cut_from_samples_matches_dense(self):
-        rng = np.random.default_rng(4)
-        bits = rng.random((4000, 8)) < 0.4
-        couplings = sk_model(8, 4)
-        streamed = expected_cut_from_samples(
-            couplings, [bits[:1000], bits[1000:]], 8
-        )
-        dense = expected_cut(couplings, Distribution.from_bit_rows(bits))
-        assert streamed == pytest.approx(dense, abs=1e-9)

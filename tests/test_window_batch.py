@@ -239,6 +239,94 @@ class TestExactWindowTables:
         assert got.tobytes() == want.tobytes()
 
 
+
+class TestWindowedRunTwin:
+    """Two routes to one exact marginal: a windowed ``run()`` (the route
+    the service offers) builds ``build_fragment_tensor`` tensors for
+    ``reconstruct_distribution``, ``marginal_probabilities`` builds
+    ``build_window_tensors`` tensors for ``reconstruct_windows``."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        shots=st.sampled_from([None, 300]),
+        tomography=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_marginal_probabilities(self, seed, shots, tomography):
+        circuit, rng = _readout_t_circuit(seed)
+        qubits = list(circuit.measured_qubits)
+        width = int(rng.integers(1, min(3, len(qubits)) + 1))
+        window = [int(q) for q in rng.choice(qubits, width, replace=False)]
+        sampling = SamplingConfig(shots=shots, tomography=tomography, seed=seed)
+        windowed = ReconstructionConfig(mode="windowed", window=tuple(window))
+        ran = SuperSim(sampling=sampling, reconstruction=windowed).run(circuit)
+        (marginal,) = SuperSim(sampling=sampling).marginal_probabilities(
+            circuit, [window]
+        )
+        assert ran.reconstruction_mode == "windowed"
+        assert _same_bytes(ran.distribution, marginal)
+
+
+_OUTSIDE = "is not in the 6-qubit circuit"
+
+
+def _t_circuit():
+    rng = np.random.default_rng(0)
+    return inject_t_gates(random_clifford_circuit(6, 4, rng), 1, rng)
+
+
+class TestQubitListValidation:
+    """``plan()`` checks an explicit ``keep_qubits`` and a windowed run's
+    window before anything is cut, so ``run``, ``sweep`` and the service
+    refuse a bad list up front instead of after every fragment ran."""
+
+    @pytest.mark.parametrize(
+        "mode, keep, window, message",
+        [
+            (mode, keep, None, message)
+            for mode in ("full", "recursive", "windowed")
+            for keep, message in [
+                ([0.5], r"keep_qubits \[0.5\]: qubit 0.5 is not an integer"),
+                ([True], "qubit True is not an integer"),
+                ([7], r"keep_qubits \[7\]: qubit 7 " + _OUTSIDE),
+                ([-1], r"keep_qubits \[-1\]: qubit -1 " + _OUTSIDE),
+                ([0, 0], r"keep_qubits \[0, 0\]: qubit 0 repeats"),
+            ]
+        ]
+        + [
+            ("recursive", [], None, "needs a kept qubit"),
+            ("windowed", None, (1, 1), r"window \[1, 1\]: qubit 1 repeats"),
+            ("windowed", None, (), "empty marginal window"),
+            ("windowed", [], None, "empty marginal window"),
+            ("windowed", None, (0.5,), "qubit 0.5 is not an integer"),
+            ("windowed", None, (7,), "qubit 7 " + _OUTSIDE),
+            ("windowed", [0, 1], (2,), r"qubits \[2\] are not in keep_qubits"),
+        ],
+    )
+    def test_refused_before_anything_is_cut(
+        self, mode, keep, window, message, monkeypatch
+    ):
+        reached = mock.Mock(side_effect=AssertionError("cut or evaluated"))
+        monkeypatch.setattr(FragmentEvaluator, "evaluate_all", reached)
+        monkeypatch.setattr(SuperSim, "cut", reached)
+        sim = SuperSim(reconstruction=ReconstructionConfig(mode=mode, window=window))
+        with pytest.raises(ValueError, match=message):
+            sim.run(_t_circuit(), keep_qubits=keep)
+        with pytest.raises(ValueError, match=message):
+            next(sim.sweep(lambda _point: _t_circuit(), [0], keep_qubits=keep))
+        reached.assert_not_called()
+
+    def test_nothing_kept_in_full_mode_is_the_trivial_distribution(self):
+        result = SuperSim().run(_t_circuit(), keep_qubits=[])
+        assert result.distribution.n_bits == 0
+        assert result.distribution[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_numpy_integers_are_kept_qubits(self):
+        circuit = _t_circuit()
+        got = SuperSim().run(circuit, keep_qubits=np.array([2, 0])).distribution
+        want = SuperSim().run(circuit, keep_qubits=[2, 0]).distribution
+        assert _same_bytes(got, want)
+
 class TestMaxDenseBits:
     def test_batched_contraction_honours_the_limit(self):
         circuit, _rng = _readout_t_circuit(3)
