@@ -74,16 +74,44 @@ def _counting_measure_symbolic(calls: list):
     return mock.patch.object(Tableau, "measure_symbolic", counted)
 
 
-def _shared_sweep_bound(fragments) -> int:
-    """``measure_symbolic`` calls a cold evaluation may make: per Clifford
-    fragment one sweep of the wires that are not cut, one ancilla per input
-    wire of every preparation, plus the cut wires of every variant."""
-    total = 0
-    for f in fragments:
-        if f.is_clifford:
-            qi, qo = len(f.quantum_inputs), len(f.quantum_outputs)
-            total += (f.n_qubits - qo) + 4**qi * qi + f.num_variants * qo
-    return total
+def _counting_map_eliminations(calls: list):
+    """``mock.patch`` context recording the window count of every map
+    elimination (``repro.core.tomography._solve_map``)."""
+    from unittest import mock
+
+    from repro.core import tomography
+
+    real = tomography._solve_map
+
+    def counted(pauli_map, windows):
+        calls.append(len(windows))
+        return real(pauli_map, windows)
+
+    return mock.patch.object(tomography, "_solve_map", counted)
+
+
+def _per_variant_route():
+    """``mock.patch`` context sending every Clifford fragment job down the
+    per-variant route: each variant spelled out, swept from scratch and
+    handed to the generic tomography (the map's oracle)."""
+    from unittest import mock
+
+    from repro.core.fragments import Fragment
+    from repro.core.variants import all_variants
+    from repro.stabilizer.simulator import StabilizerSimulator
+    from repro.testing.tomography import per_variant_data
+
+    def per_variant(_self, body, inputs, outputs):
+        fragment = Fragment(
+            index=0,
+            circuit=body,
+            quantum_inputs=list(enumerate(inputs)),
+            quantum_outputs=list(enumerate(outputs)),
+        )
+        results = per_variant_data(fragment).results
+        return tuple(results[spec] for spec in all_variants(fragment))
+
+    return mock.patch.object(StabilizerSimulator, "pauli_map", per_variant)
 
 
 def bench_tableau() -> dict:
@@ -369,23 +397,23 @@ def _recursive_61q_counts() -> dict:
 
     The ledger's ``wide61_recursive`` shape (two ``XPow(1/4)`` in a GHZ
     chain plus an even-pair CX layer: one 61q Clifford fragment with 144
-    variants).  Per level, conditioned tomography must ask each fragment
-    once — one ``FragmentData.conditioned_tables`` call, for exact
-    Clifford data one GF(2) elimination batched over all its variants
-    (``conditioned_marginals``) — however many bins the frontier holds
-    and however many variants the fragment has; and once the
+    variants).  Per level, tomography must read the Clifford fragment's
+    Pauli map with one GF(2) elimination (``tomography._solve_map``) —
+    however many bins the frontier holds and however many variants the
+    fragment has: eliminations equal the fragment-levels, the conditioned
+    levels plus the dense builds of the top window; and once the
     reconstruction has returned, the tensor builder
     may still hold less than one window tensor.  Below the top window —
     where nothing is pinned yet — every bin is contracted on its support:
     no operand above ``4^4 * 64`` entries (a dense ``4^4 * 2^12`` one per
     bin before fragment tensors lived on their supports).  The evaluation
-    in front of it may measure no more wires than
-    :func:`_shared_sweep_bound`.
+    in front of it measures no wire: ``Tableau.measure_symbolic`` is never
+    called.
     """
     import tracemalloc
     from unittest import mock
 
-    from repro.core import evaluator, reconstruction, supersim
+    from repro.core import reconstruction, supersim
     from repro.core.reconstruction import SupportTensor, reconstruct_dynamic
 
     qubit_limit, top_k = 12, 64
@@ -404,19 +432,11 @@ def _recursive_61q_counts() -> dict:
         data = fragment_evaluator.evaluate_all(cc.fragments)
 
     counts = dict.fromkeys(
-        (
-            "levels",
-            "variants",
-            "visits",
-            "eliminations",
-            "contractions",
-            "wide_contractions",
-        ),
+        ("levels", "variants", "dense_map_builds", "contractions", "wide_contractions"),
         0,
     )
     level_builder = supersim.build_conditioned_window_tensors
-    visit = evaluator.FragmentData.conditioned_tables
-    batched = evaluator.conditioned_marginals
+    dense_builder = supersim.build_fragment_tensor
     contract = reconstruction.reconstruct_distribution
 
     def counted_contraction(cut_circuit, tensors, *args, **kwargs):
@@ -432,18 +452,15 @@ def _recursive_61q_counts() -> dict:
         counts["variants"] += fragment_data.num_variants
         return level_builder(fragment_data, *args, **kwargs)
 
-    def counted_visit(self, *args):
-        counts["visits"] += 1
-        return visit(self, *args)
+    def counted_dense(fragment_data, *args, **kwargs):
+        counts["dense_map_builds"] += fragment_data.pauli_map is not None
+        return dense_builder(fragment_data, *args, **kwargs)
 
-    def counted_elimination(*args):
-        counts["eliminations"] += 1
-        return batched(*args)
-
+    eliminations: list[int] = []
     with (
         mock.patch.object(supersim, "build_conditioned_window_tensors", counted_level),
-        mock.patch.object(evaluator.FragmentData, "conditioned_tables", counted_visit),
-        mock.patch.object(evaluator, "conditioned_marginals", counted_elimination),
+        mock.patch.object(supersim, "build_fragment_tensor", counted_dense),
+        _counting_map_eliminations(eliminations),
         mock.patch.object(
             reconstruction, "reconstruct_distribution", counted_contraction
         ),
@@ -465,8 +482,8 @@ def _recursive_61q_counts() -> dict:
     return {
         "recursive_61q_conditioned_levels": counts["levels"],
         "recursive_61q_level_variants": counts["variants"],
-        "recursive_61q_fragment_visits": counts["visits"],
-        "recursive_61q_eliminations": counts["eliminations"],
+        "recursive_61q_dense_map_builds": counts["dense_map_builds"],
+        "recursive_61q_map_eliminations": len(eliminations),
         "recursive_61q_windows_refined": stats.windows,
         "recursive_61q_contractions": counts["contractions"],
         "recursive_61q_wide_contractions": counts["wide_contractions"],
@@ -475,7 +492,6 @@ def _recursive_61q_counts() -> dict:
         "recursive_61q_retained_bytes": retained - before,
         "recursive_61q_peak_bytes": peak - before,
         "recursive_61q_measure_symbolic_calls": len(measurements),
-        "recursive_61q_measure_symbolic_bound": _shared_sweep_bound(cc.fragments),
     }
 
 
@@ -558,10 +574,9 @@ def bench_variant_sharing() -> dict:
     evolved body, so the layer compiler and the ``apply_layers`` kernel run
     once per Clifford fragment; and all 100 single-qubit windows' tensors
     come out of one pass per fragment, equal to the per-window builds.
-    All the variants also share the symbolic measurement of every wire
-    that is not cut, so ``Tableau.measure_symbolic`` runs at most
-    :func:`_shared_sweep_bound` times.  Counts are exact, so the gate is
-    safe on shared runners.
+    The variants are read off the body's backward walk, so no wire is
+    measured: ``Tableau.measure_symbolic`` never runs.  Counts are exact,
+    so the gate is safe on shared runners.
     """
     from repro.apps.hwea import HWEA
     from repro.core import SamplingConfig
@@ -619,7 +634,6 @@ def bench_variant_sharing() -> dict:
         "body_compiles": sorted(n for n in compiled if n in body_ops) == body_ops,
         "apply_layers_calls": apply_layers_calls,
         "measure_symbolic_calls": len(measurements),
-        "measure_symbolic_bound": _shared_sweep_bound(fragments),
         "tensors_equal": tensors_equal,
         "evaluate_seconds": evaluate_seconds,
         "batched_tensor_seconds": batched_seconds,
@@ -633,53 +647,39 @@ def bench_window_batch() -> dict:
     ``single_qubit_marginals`` of a 100q 1-T HWEA: the windows are
     contracted once per distinct window *shape* (the ``dense_contract``
     kernel, twice per window before they were batched), and in exact mode
-    an exact Clifford variant builds the tables of all its windows of one
-    width from one batched elimination: ``_gf2_column_basis`` runs at most
-    once per variant and window width inside ``joint_tables`` (once per
-    variant and window before).  Counts are exact, so the gate is safe on
-    shared runners.  The batched and the per-window oracle seconds (the
-    window loop of ``repro.testing.reconstruction`` and one marginal per
-    window) are reported, not gated, with whether both agree bit for bit.
+    a Clifford fragment's tensors of all its windows of one width come
+    from one elimination of its Pauli map: ``tomography._solve_map`` runs
+    at most once per Clifford fragment and window width.  Counts are
+    exact, so the gate is safe on shared runners.  The batched and the
+    oracle seconds (the per-variant route of every Clifford fragment and
+    the window loop of ``repro.testing.reconstruction``) are reported, not
+    gated, with whether both agree bit for bit.
     """
     from unittest import mock
 
     from repro.apps.hwea import HWEA
     from repro.core import SamplingConfig, reconstruction, supersim
-    from repro.core.evaluator import AffineVariantData, VariantData
-    from repro.stabilizer import tableau as tableau_module
     from repro.testing.reconstruction import loop_reconstruct_windows
 
     circuit = (
         HWEA(100, 5).near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
     ).measure_all()
     windows = [[q] for q in circuit.measured_qubits]
-    counts = dict.fromkeys(("shapes", "table_bound", "bases"), 0)
+    counts = dict.fromkeys(("shapes", "elimination_bound"), 0)
     batched = reconstruction.reconstruct_windows
-    tables = AffineVariantData.joint_tables
-    column_basis = tableau_module._gf2_column_basis
-    inside_tables = [False]
 
     def counted_windows(cut_circuit, tensors, layouts, **kwargs):
         counts["shapes"] += len(
             {tuple(t[w].shape for t in tensors) for w in range(len(layouts))}
         )
-        counts["table_bound"] += sum(
-            f.num_variants * len({len(kept[i]) for kept, _order in layouts})
+        counts["elimination_bound"] += sum(
+            len({len(kept[i]) for kept, _order in layouts})
             for i, f in enumerate(cut_circuit.fragments)
+            if f.is_clifford
         )
         return batched(cut_circuit, tensors, layouts, **kwargs)
 
-    def counted_tables(self, *args):
-        inside_tables[0] = True
-        try:
-            return tables(self, *args)
-        finally:
-            inside_tables[0] = False
-
-    def counted_basis(matrix):
-        counts["bases"] += inside_tables[0]
-        return column_basis(matrix)
-
+    eliminations: list[int] = []
     with mock.patch.object(supersim, "reconstruct_windows", counted_windows):
         before = rk.counters_snapshot()["dense_contract"][0]
         SuperSim(sampling=SamplingConfig(shots=1000, seed=0)).single_qubit_marginals(
@@ -687,11 +687,8 @@ def bench_window_batch() -> dict:
         )
         contractions = rk.counters_snapshot()["dense_contract"][0] - before
         shapes = counts["shapes"]
-        counts["table_bound"] = 0
-        with (
-            mock.patch.object(AffineVariantData, "joint_tables", counted_tables),
-            mock.patch.object(tableau_module, "_gf2_column_basis", counted_basis),
-        ):
+        counts["elimination_bound"] = 0
+        with _counting_map_eliminations(eliminations):
             SuperSim().single_qubit_marginals(circuit)
 
     def per_window(cut_circuit, tensors, _layouts, **kwargs):
@@ -700,9 +697,7 @@ def bench_window_batch() -> dict:
     def oracle():
         with (
             mock.patch.object(supersim, "reconstruct_windows", per_window),
-            mock.patch.object(
-                AffineVariantData, "joint_tables", VariantData.joint_tables
-            ),
+            _per_variant_route(),
         ):
             return SuperSim().single_qubit_marginals(circuit)
 
@@ -712,14 +707,14 @@ def bench_window_batch() -> dict:
     return {
         "workload": (
             "100q 1-T HWEA single_qubit_marginals: contractions per window "
-            "shape (sampled) and GF(2) eliminations per variant and window "
-            "width (exact), batched vs per-window oracle"
+            "shape (sampled) and map eliminations per Clifford fragment and "
+            "window width (exact), batched vs the per-variant, per-window oracle"
         ),
         "windows": len(windows),
         "window_shapes": shapes,
         "dense_contract_calls": contractions,
-        "exact_table_eliminations": counts["bases"],
-        "exact_table_elimination_bound": counts["table_bound"],
+        "map_eliminations": len(eliminations),
+        "map_elimination_bound": counts["elimination_bound"],
         "oracle_equal": run().tobytes() == oracle().tobytes(),
         "batched_seconds": _best(run, repeats=3),
         "oracle_seconds": _best(oracle, repeats=3),
@@ -899,16 +894,16 @@ def main() -> int:
     # counts, not seconds: exact on any runner
     if not (
         streaming["recursive_61q_conditioned_levels"] > 0
-        and streaming["recursive_61q_fragment_visits"]
-        == streaming["recursive_61q_eliminations"]
+        and streaming["recursive_61q_map_eliminations"]
         == streaming["recursive_61q_conditioned_levels"]
+        + streaming["recursive_61q_dense_map_builds"]
     ):
         failures.append(
-            "61q recursive tomography no longer conditions each Clifford "
-            "fragment with one elimination per level: "
-            f"{streaming['recursive_61q_fragment_visits']} visits, "
-            f"{streaming['recursive_61q_eliminations']} eliminations for "
-            f"{streaming['recursive_61q_conditioned_levels']} fragment-levels "
+            "61q recursive tomography no longer reads each Clifford "
+            "fragment's map with one elimination per level: "
+            f"{streaming['recursive_61q_map_eliminations']} eliminations for "
+            f"{streaming['recursive_61q_conditioned_levels']} conditioned and "
+            f"{streaming['recursive_61q_dense_map_builds']} dense fragment-levels "
             f"({streaming['recursive_61q_level_variants']} variant-levels, "
             f"{streaming['recursive_61q_windows_refined']} windows)"
         )
@@ -963,23 +958,14 @@ def main() -> int:
             f"{sharing['clifford_fragments']} Clifford fragment(s), "
             f"{sharing['stabilizer_jobs']} stabilizer jobs"
         )
-    for label, calls, bound in (
-        (
-            "variant_sharing",
-            sharing["measure_symbolic_calls"],
-            sharing["measure_symbolic_bound"],
-        ),
-        (
-            "recursive_61q",
-            streaming["recursive_61q_measure_symbolic_calls"],
-            streaming["recursive_61q_measure_symbolic_bound"],
-        ),
+    for label, calls in (
+        ("variant_sharing", sharing["measure_symbolic_calls"]),
+        ("recursive_61q", streaming["recursive_61q_measure_symbolic_calls"]),
     ):
-        if calls > bound:
+        if calls:
             failures.append(
-                f"{label}: {calls} measure_symbolic calls, more than one sweep "
-                f"per fragment plus the ancillas of every preparation and the "
-                f"cut wires of every variant ({bound})"
+                f"{label}: {calls} measure_symbolic calls while evaluating; a "
+                "Clifford fragment is read off one backward walk, measuring none"
             )
     if not sharing["tensors_equal"]:
         failures.append("batched window tensors differ from per-window builds")
@@ -993,14 +979,17 @@ def main() -> int:
             f"{batch['window_shapes']} window shapes ({batch['windows']} "
             "windows): marginal windows are no longer contracted once per shape"
         )
-    if batch["exact_table_eliminations"] > batch["exact_table_elimination_bound"]:
+    if not 0 < batch["map_eliminations"] <= batch["map_elimination_bound"]:
         failures.append(
-            f"{batch['exact_table_eliminations']} GF(2) eliminations building "
-            "exact window tables, more than one per variant and window width "
-            f"({batch['exact_table_elimination_bound']})"
+            f"{batch['map_eliminations']} map eliminations building exact "
+            "window tensors, not between one and one per Clifford fragment "
+            f"and window width ({batch['map_elimination_bound']})"
         )
     if not batch["oracle_equal"]:
-        failures.append("batched single-qubit marginals differ from the window loop")
+        failures.append(
+            "batched single-qubit marginals differ from the per-variant, "
+            "per-window oracle"
+        )
     exact = results["clifford_exact"]
     if not (
         exact["sample_words_calls"] == 0

@@ -44,8 +44,8 @@ class StabilizerBackend(Backend):
     def affine_distribution(self, circuit: Circuit):
         return self.simulator.affine_distribution(circuit)
 
-    def affine_variants(self, body: Circuit, inputs, outputs) -> list:
-        return self.simulator.affine_variants(body, inputs, outputs)
+    def pauli_map(self, body: Circuit, inputs, outputs):
+        return self.simulator.pauli_map(body, inputs, outputs)
 
     def sample_noisy_bits(self, circuit, noise, shots, rng=None) -> np.ndarray:
         from repro.stabilizer.frames import FrameSampler

@@ -13,7 +13,7 @@ that makes the routing decision explicit instead of a hard-coded branch:
 * :class:`Backend` — the abstract interface every simulator adapter
   implements: ``probabilities`` / ``sample`` plus optional
   ``affine_distribution`` (exact Clifford output at any width),
-  ``affine_variants`` (every variant of a Clifford fragment at once) and
+  ``pauli_map`` (every variant of a Clifford fragment at once) and
   ``sample_noisy_bits`` (Pauli-frame noisy sampling), and an
   ``estimate_cost`` model used to pick the cheapest capable backend.
 """
@@ -126,13 +126,13 @@ class Backend(abc.ABC):
         """
         raise NotImplementedError(f"{self.name} has no affine readout")
 
-    def affine_variants(self, body: Circuit, inputs, outputs) -> list:
-        """Every variant of a Clifford fragment in affine-subspace form.
+    def pauli_map(self, body: Circuit, inputs, outputs):
+        """Every variant of a Clifford fragment at once: how ``body``
+        conjugates Paulis (:class:`~repro.stabilizer.tableau.PauliMap`),
+        which the fragment's tomography is read from.
 
-        ``body`` is the fragment's circuit, ``inputs`` and ``outputs`` its
-        cut wires in order; one form per variant, over all wires, in
-        :func:`repro.core.variants.all_variants` order.  Only meaningful
-        when ``capabilities.affine`` is true.
+        ``inputs`` and ``outputs`` are the fragment's cut wires in order.
+        Only meaningful when ``capabilities.affine`` is true.
         """
         raise NotImplementedError(f"{self.name} has no affine readout")
 

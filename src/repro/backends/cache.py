@@ -31,7 +31,7 @@ def approx_result_bytes(value) -> int:
     Sums the ``nbytes`` of every numpy array reachable through instance
     attributes, tuples and lists (``SampledVariantData.words``, shots
     packed 64 to a word; ``DenseVariantData.distribution.keys/probs``; a
-    Clifford fragment's variants and their affine forms' matrices, ...)
+    Clifford fragment's ``PauliMap`` images, ...)
     plus ``sys.getsizeof`` of the objects themselves.  Deliberately
     approximate — it feeds the cache's ``bytes`` gauge, not an allocator
     — and never serialises the value to measure it.

@@ -94,8 +94,9 @@ class SQLiteCacheTier:
 
     #: bump when a pickled result class changes layout.  0 is an unstamped
     #: file (``SampledVariantData`` pickled as a bool matrix); 1 holds shot
-    #: words
-    SCHEMA_VERSION = 1
+    #: words; 2 holds a Clifford fragment job's value as a ``PauliMap``
+    #: (1 held a tuple of per-variant affine forms)
+    SCHEMA_VERSION = 2
 
     def __init__(self, path, max_entries: int = 100_000):
         import sqlite3

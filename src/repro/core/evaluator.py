@@ -12,8 +12,8 @@ stabilizer, CH form) without code changes here.
 
 Evaluation is *batched*: ``evaluate_all`` flattens the work of every
 fragment into one job list — one job per variant, except that a noiseless
-Clifford fragment is one job for all its variants (its stabilizer
-simulation evolves the body once, :meth:`Backend.affine_variants`) —
+Clifford fragment is one job for all its variants (one backward walk of
+its body, :meth:`Backend.pauli_map`) —
 deduplicates it through a content-addressed
 :class:`~repro.backends.cache.VariantCache` (identical variant circuits and
 fragments — common in parameter sweeps and across symmetric fragments —
@@ -65,7 +65,7 @@ from repro.core.fragments import Fragment
 from repro.core.lifecycle import FaultPolicy, JobLifecycle
 from repro.core.variants import all_variants, variant_circuit
 from repro.errors import FaultReport
-from repro.stabilizer.tableau import conditioned_marginals
+from repro.stabilizer.tableau import PauliMap
 
 
 class VariantData:
@@ -85,9 +85,8 @@ class VariantData:
         per window over its own columns (rows) and the ``tail`` columns
         every window shares (the fragment's measured cut qubits).  This
         default asks :meth:`joint` once per window — dense data's way, and
-        the oracle of the overrides: sampled data histograms every window
-        in one pass over its shots, exact Clifford data eliminates once
-        for all of them.
+        the oracle of the override: sampled data histograms every window
+        in one pass over its shots.
         """
         width = len(windows[0])
         shape = (2**width, 2 ** len(tail))
@@ -109,8 +108,7 @@ class VariantData:
         order; ``uint64`` up to 62 bits, chunked rows beyond — the layouts
         of :func:`~repro.analysis.distributions.pack_keys`): one joint over
         all the columns, cut up by the fixed bits, which lead its sorted
-        keys.  Exact Clifford data is conditioned a fragment at a time
-        instead (:meth:`FragmentData.conditioned_tables`).
+        keys.
         """
         dist = self.joint(list(fixed) + list(keep) + list(tail))
         bits = dist.bit_matrix()
@@ -121,23 +119,6 @@ class VariantData:
         stops = np.searchsorted(fixed_keys, wanted, side="right")
         probs = dist.values_array
         return [(keys[a:b], probs[a:b]) for a, b in zip(starts, stops)]
-
-
-class AffineVariantData(VariantData):
-    """Exact Clifford variant result in affine-subspace form."""
-
-    def __init__(self, affine):
-        self.affine = affine
-
-    def joint(self, cols: list[int]) -> Distribution:
-        return self.affine.marginal_distribution(cols)
-
-    def joint_tables(self, windows: list, tail: list[int]) -> np.ndarray:
-        # algebraic: one elimination batched over the windows; a lone
-        # window (a wide one, as a rule) is one marginal, as in the loop
-        if len(windows) == 1:
-            return super().joint_tables(windows, tail)
-        return self.affine.window_tables(windows, tail)
 
 
 class DenseVariantData(VariantData):
@@ -220,35 +201,34 @@ class SampledVariantData(VariantData):
 
 
 class FragmentData:
-    """All variant results for one fragment."""
+    """All results of one fragment: one :class:`VariantData` per variant
+    (``results``), or — a noiseless Clifford fragment read by an affine
+    backend — the :class:`~repro.stabilizer.tableau.PauliMap` of its body
+    (``pauli_map``, ``results`` empty), from which the tomography reads
+    every variant's share at once."""
 
-    def __init__(self, fragment: Fragment, results):
+    def __init__(self, fragment: Fragment, results, pauli_map: PauliMap | None = None):
         self.fragment = fragment
         self.results: dict[tuple[tuple[int, ...], tuple[int, ...]], VariantData] = (
             results
         )
+        self.pauli_map = pauli_map
 
     def variant(self, preps, bases) -> VariantData:
         return self.results[(tuple(preps), tuple(bases))]
 
     @property
     def num_variants(self) -> int:
-        return len(self.results)
+        return self.fragment.num_variants
 
     def conditioned_tables(self, keep, fixed, fixed_rows, tail) -> list[tuple]:
         """Every variant's ``P(keep = x, fixed = row, tail = m)``, per row of
         ``fixed_rows``: one ``(owner, keys, probs)`` triple per row, the
         variants' sparse tables (:meth:`VariantData.conditioned_tables`)
         concatenated in :func:`all_variants` order, ``owner`` the position
-        of each entry's variant.  Exact Clifford data answers every variant
-        and row from one batched GF(2) elimination that enumerates nothing
-        wider than ``keep + tail`` (:func:`conditioned_marginals`); other
-        data is cut out of each variant's joint.
+        of each entry's variant.
         """
         variants = [self.variant(*key) for key in all_variants(self.fragment)]
-        if all(isinstance(variant, AffineVariantData) for variant in variants):
-            forms = [variant.affine for variant in variants]
-            return conditioned_marginals(forms, fixed, fixed_rows, [*keep, *tail])
         tables = [v.conditioned_tables(keep, fixed, fixed_rows, tail) for v in variants]
         return [
             (
@@ -262,7 +242,7 @@ class FragmentData:
 class _Job:
     """One deduplicated unit of simulation work: one variant ``circuit``,
     or — ``fragment`` set, ``circuit`` ``None`` — every variant of a
-    noiseless Clifford fragment, in :func:`all_variants` order.
+    noiseless Clifford fragment.
 
     ``fragment_index`` / ``features`` carry the context the
     fault-tolerance layer needs (error attribution, degrade-mode fallback
@@ -324,7 +304,10 @@ class _Job:
 
 def _execute_job(job: _Job):
     """Simulate one job (module-level so process pools can pickle it): a
-    :class:`VariantData`, or a fragment job's tuple of them."""
+    :class:`VariantData`, or a fragment job's
+    :class:`~repro.stabilizer.tableau.PauliMap` — or, from a backend
+    without an affine readout, its variants' data in :func:`all_variants`
+    order."""
     if job.chaos is not None:
         from repro.testing.chaos import perform_action
 
@@ -336,8 +319,7 @@ def _execute_job(job: _Job):
     fragment = job.fragment
     if fragment is not None:
         if job.backend.capabilities.affine:
-            forms = job.backend.affine_variants(fragment.circuit, *fragment.cut_wires)
-            return tuple(map(AffineVariantData, forms))
+            return job.backend.pauli_map(fragment.circuit, *fragment.cut_wires)
         # a forced or fallen-back backend without an affine readout
         circuits = (variant_circuit(fragment, *spec) for spec in all_variants(fragment))
         return tuple(DenseVariantData(job.backend.probabilities(c)) for c in circuits)
@@ -791,12 +773,12 @@ class FragmentEvaluator:
         """Flatten fragment x variant work into deduplicated jobs.
 
         Returns ``(assignments, unique_jobs)``: ``assignments`` holds one
-        ``(fragment index, preps, bases, key, slot)`` per variant — its
-        job's key, and ``slot``, its place in a fragment job's value
-        (``None`` for a variant job) — and ``unique_jobs`` one job per
-        distinct key.  A noiseless Clifford fragment (:meth:`mode` exact)
-        is one job keyed by its :func:`fragment_fingerprint`, with the sum
-        of its variants' soft deadlines.  A variant job's key is the
+        ``(fragment index, (preps, bases), key)`` per variant job and one
+        ``(fragment index, None, key)`` per fragment job, and
+        ``unique_jobs`` one job per distinct key.  A noiseless Clifford
+        fragment (:meth:`mode` exact) is one job keyed by its
+        :func:`fragment_fingerprint`, with the sum of its variants' soft
+        deadlines.  A variant job's key is the
         variant circuit's content fingerprint plus the fragment's mode
         (exact, or shot count plus seed, plus the noise model's content
         fingerprint).  Both carry the backend's configuration token, so a
@@ -805,7 +787,7 @@ class FragmentEvaluator:
         from repro.backends.cache import fragment_fingerprint, noise_fingerprint
 
         sampling = self.sampling
-        assignments: list[tuple[int, tuple, tuple, tuple, int | None]] = []
+        assignments: list[tuple[int, tuple | None, tuple]] = []
         unique: dict[tuple, _Job] = {}
         noise_key = noise_fingerprint(sampling.noise)
         for index, fragment in enumerate(fragments):
@@ -820,10 +802,7 @@ class FragmentEvaluator:
             if mode == "exact" and fragment.is_clifford:
                 fp = fragment_fingerprint(fragment.circuit, *fragment.cut_wires)
                 key = (fp, backend_key, None, "exact")
-                assignments += [
-                    (index, preps, bases, key, slot)
-                    for slot, (preps, bases) in enumerate(all_variants(fragment))
-                ]
+                assignments.append((index, None, key))
                 if key not in unique:
                     if timeout is not None:  # the sum of its variants'
                         timeout *= fragment.num_variants
@@ -844,7 +823,7 @@ class FragmentEvaluator:
                     # sampled results depend on the per-job seed, so key it
                     evaluation = ("shots", shots, seed)
                 key = (fp, backend_key, noisy_key) + evaluation
-                assignments.append((index, preps, bases, key, None))
+                assignments.append((index, (preps, bases), key))
                 if key not in unique:
                     unique[key] = _Job(
                         key, backend, circuit, shots, seed, noise,
@@ -920,7 +899,8 @@ class FragmentEvaluator:
         which is only drawn at execution time, so cache hits are reported
         as ``None`` there.
         """
-        assignments, unique = self._build_jobs(list(fragments), root_seed=0)
+        fragments = list(fragments)
+        _assignments, unique = self._build_jobs(fragments, root_seed=0)
         usage: dict[str, int] = {}
         for job in unique.values():
             usage[job.backend.name] = usage.get(job.backend.name, 0) + 1
@@ -928,7 +908,7 @@ class FragmentEvaluator:
         if self.sampling.exact and self.cache is not None:
             cached = sum(1 for key in unique if key in self.cache)
         return {
-            "jobs": len(assignments),
+            "jobs": sum(fragment.num_variants for fragment in fragments),
             "unique_jobs": len(unique),
             "cached_jobs": cached,
             "backends": usage,
@@ -946,8 +926,8 @@ class FragmentEvaluator:
         hits and misses, and per backend name the jobs it simulated).
 
         ``job_runner`` overrides *where* the deduplicated jobs execute:
-        called as ``job_runner(jobs, faults) -> {key: value}`` (a
-        :class:`VariantData`, or a fragment job's tuple of them), it
+        called as ``job_runner(jobs, faults) -> {key: value}`` (what
+        :func:`_execute_job` returns), it
         must return a value for every job (raising on unrecoverable
         failure) and record any survived faults on ``faults``.  The
         distributed service injects its coordinator dispatch here;
@@ -969,7 +949,7 @@ class FragmentEvaluator:
         for job in unique.values():
             usage[job.backend.name] = usage.get(job.backend.name, 0) + 1
         self.last_stats = {
-            "jobs": len(assignments),
+            "jobs": sum(fragment.num_variants for fragment in fragments),
             "unique_jobs": len(unique) + hits,
             "cache_hits": hits,
             "cache_misses": len(unique),
@@ -991,12 +971,18 @@ class FragmentEvaluator:
         self.last_stats["faults"] = self.faults
         computed.update(cached)
         per_fragment: list[dict] = [{} for _ in fragments]
-        for index, preps, bases, key, slot in assignments:
+        maps: dict[int, PauliMap] = {}
+        for index, spec, key in assignments:
             value = computed[key]
-            per_fragment[index][(preps, bases)] = value if slot is None else value[slot]
+            if spec is not None:
+                per_fragment[index][spec] = value
+            elif isinstance(value, PauliMap):
+                maps[index] = value
+            else:
+                per_fragment[index].update(zip(all_variants(fragments[index]), value))
         return [
-            FragmentData(fragment, results)
-            for fragment, results in zip(fragments, per_fragment)
+            FragmentData(fragment, results, maps.get(index))
+            for index, (fragment, results) in enumerate(zip(fragments, per_fragment))
         ]
 
     def evaluate(self, fragment: Fragment) -> FragmentData:

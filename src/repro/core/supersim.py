@@ -427,8 +427,8 @@ class SuperSim:
         bits at once, so tomography memory follows the window, not the
         circuit width.  A fragment holding some of the fixed qubits streams
         its conditioned tensors on their supports, its data conditioned
-        once for the whole level — for exact Clifford data one elimination
-        for all its variants (:func:`build_conditioned_window_tensors`);
+        once for the whole level — a Clifford fragment's Pauli map with one
+        elimination (:func:`build_conditioned_window_tensors`);
         one holding none has a single dense tensor for the level
         (:func:`build_fragment_tensor`, which alone applies the physicality
         projection to sampled data).  Only a tensor that can come back at a
@@ -845,10 +845,15 @@ class SuperSim:
         distribution (e.g. the repetition-code benchmark at 41 qubits)
         rather than with ``2^n``.  A product above ``max_support`` raises
         ``ValueError`` before anything is contracted (dense outputs should
-        use ``marginal_probabilities`` or recursive mode instead).
+        use ``marginal_probabilities`` or recursive mode instead).  An
+        explicit ``keep_qubits`` is checked before anything is cut
+        (:func:`_check_qubits`).
         """
         if keep_qubits is None:
             keep_qubits = list(circuit.measured_qubits)
+        else:
+            keep_qubits = list(keep_qubits)
+            _check_qubits(keep_qubits, circuit.n_qubits, f"keep_qubits {keep_qubits}")
         cc = self.cut(circuit)
         fragment_data = self._evaluator().evaluate_all(
             cc.fragments, job_runner=self._job_runner
@@ -884,7 +889,8 @@ class SuperSim:
         ``windows`` is an iterable of qubit-index sequences (each defines
         the bit order of its marginal; a qubit appears at most once in a
         window).  Fragments are evaluated once and each fragment's tensors
-        for all windows are built in one pass over its variants
+        for all windows are built in one pass over its variants, or one
+        elimination of its Pauli map per window width
         (:func:`~repro.core.tomography.build_window_tensors`).  The
         windows are then contracted in batches, one contraction per window
         *shape* (:func:`~repro.core.reconstruction.reconstruct_windows`),
@@ -955,18 +961,24 @@ class SuperSim:
         """Strong simulation: the probability of one bitstring.
 
         Each fragment's tensor is built at the fixed outcome only — every
-        kept qubit pinned, an empty window: point queries against the
-        affine fragment data, one GF(2) elimination per fragment — so the
+        kept qubit pinned, an empty window: for a Clifford fragment one
+        point query of its Pauli map, one GF(2) elimination — so the
         cost is one ``4^k`` contraction of scalars at *any* circuit width:
         the paper's §V-C claim that single-bitstring probabilities come
         "to machine precision without added computational overheads".
         """
         qubits = list(circuit.measured_qubits)
-        outcome_bits = [int(b) for b in outcome_bits]
+        outcome_bits = list(outcome_bits)
         if len(outcome_bits) != len(qubits):
             raise ValueError("bitstring length does not match measured qubits")
-        if any(bit not in (0, 1) for bit in outcome_bits):
+        # an integer 0 or 1 (bools and numpy integers too) or a '0'/'1'
+        # character: int() would truncate 0.9 to a silent 0
+        if not all(
+            (isinstance(b, numbers.Integral) and b in (0, 1)) or b in ("0", "1")
+            for b in outcome_bits
+        ):
             raise ValueError(f"outcome bits must be 0 or 1, got {outcome_bits!r}")
+        outcome_bits = [int(b) for b in outcome_bits]
         bit_of = dict(zip(qubits, outcome_bits))
         cc = self.cut(circuit)
         fragment_data = self._evaluator().evaluate_all(

@@ -21,10 +21,12 @@ into the Pauli-indexed fragment tensors consumed by reconstruction:
 :class:`Circuit`: the preparation gates, the fragment's body, the basis
 rotations.  Non-Clifford and noisy fragments are evaluated variant by
 variant through it, and it is the oracle of the shared evaluation of a
-noiseless Clifford fragment: there the fragment is one job, and the
-stabilizer backend evolves and measures its body once for all its variants
-(:meth:`~repro.backends.base.Backend.affine_variants`; see "Measuring
-late" in :mod:`repro.stabilizer.tableau`), in :func:`all_variants` order.
+noiseless Clifford fragment: there the fragment is one job, the stabilizer
+backend walks its body backwards once
+(:meth:`~repro.backends.base.Backend.pauli_map`), and the tomography reads
+every variant's share off the images (see "Reading a fragment backwards" in
+:mod:`repro.stabilizer.tableau`) — no variant is spelled out.
+``PREP_COEFFICIENTS`` serves the variant-by-variant route only.
 """
 
 from __future__ import annotations

@@ -15,10 +15,7 @@ hierarchy here attaches that context:
   ``BrokenProcessPool``) with this job in flight too many times, so the
   job was quarantined as poison;
 * :class:`ReconstructionMemoryError` — an outcome table or accumulator
-  the request needs would not fit; raised before anything is allocated;
-* :class:`PostSelectionError` — the stabilizer simulator was about to
-  condition a fragment's Choi tableau on an outcome that carries no
-  information (an invariant broken, not a property of the input).
+  the request needs would not fit; raised before anything is allocated.
 
 Alongside the exceptions, :class:`FaultReport` is the ledger of every
 fault the engine *survived*: retries, timeouts, worker crashes, pool
@@ -128,18 +125,6 @@ class ReconstructionMemoryError(ReproError, MemoryError):
     instead of letting ``np.zeros(2**total_bits)`` die with an opaque
     ``MemoryError`` (or freeze the machine in swap).  Subclasses
     :class:`MemoryError`, so ``except MemoryError`` handlers keep working.
-    """
-
-
-class PostSelectionError(ReproError):
-    """A Bell ancilla measured to a constant: nothing to post-select on.
-
-    The stabilizer simulator prepares a fragment's input wire by
-    post-selecting the wire's Bell partner, whose reduced state is
-    maximally mixed whatever unitary body ran on the wire — so its outcome
-    is a fresh symbol or a function of earlier ones, never a constant.
-    A constant means the swept tableau is not the body's Choi state;
-    conditioning on it would silently return the wrong distribution.
     """
 
 

@@ -26,8 +26,8 @@ per call, the per-gate cost is a handful of word-parallel integer ops.
 
 **Plain evolution.**  The tableau :meth:`StabilizerSimulator.run` hands
 back is always a from-scratch evolution of the circuit.  What the variants
-of a Clifford fragment share is in their outcome distributions: one
-evolution and one sweep per fragment ("Measuring late" below).
+of a Clifford fragment share is the body itself: one backward walk per
+fragment ("Reading a fragment backwards" below).
 
 The original byte-per-bit, per-op-dispatch implementation is kept in
 :mod:`repro.stabilizer._reference` as the oracle for the equivalence
@@ -40,48 +40,33 @@ the exact outcome distribution as an affine subspace of ``F_2^m`` (see
 :class:`AffineOutcomeDistribution`), from which sampling is O(1)-ish per
 shot and exact probabilities are available without re-running the tableau.
 
-**Measuring late.**  The ``(A, b)`` a symbolic sweep returns is a
-*canonical form*: it depends on the outcome distribution and on the order
-of the rows, not on how the sweep got there.  A random outcome opens a
-fresh symbol, so its row is a unit row with ``b = 0`` (a *pivot row*) and
-its column is zero above it; a determined outcome is an affine function of
-the pivots in front of it, and as a function of independent uniform bits
-that expression is unique.  So ``A`` is the reduced column-echelon basis
-of the support's direction space for this row order (pivot rows are unit
-rows, columns ordered by pivot row), ``b`` is the one offset that vanishes
-on the pivot rows, and which rows are pivots is itself fixed by the order:
-row ``i`` is one iff the first ``i + 1`` coordinates span more than the
-first ``i``.
-
-Measurements of different qubits commute, so a sweep may take the qubits
-in any order and repair the row order afterwards: :func:`move_outcome_row`
-moves one row up, as a permutation of rows and columns when the row does
-not overtake a pivot it depends on, and as a rank-1 update — XOR one
-column into the others the row holds, and into ``b`` — when it does and
-takes that pivot's place.  Conditioning keeps the form too:
-:func:`substitute_symbol` imposes one linear condition on the symbols by
-solving it for the latest one it names, so the pivot row of that symbol
-becomes a function of earlier pivots and nothing else moves.
-
-The stabilizer simulator uses both to measure a fragment once instead of
-once per variant (:func:`repro.stabilizer.simulator.choi_variants`).  The
-variants differ in front of the body only by the state — |0>, |1>, |+> or
-|+i> — handed to each input wire, so the body runs once with every input
-wire Bell-paired to an ancilla behind the body's wires (``h(a)``,
-``cx(a, q)``; :meth:`Tableau.apply_layers` walks the body's program on the
-wider tableau), and handing the wire ``|psi>`` is keeping the outcome
-``<psi*|`` on its ancilla.  Behind the body they differ only by
-single-qubit gates on the cut wires, which commute with measuring every
-other wire.  So the sweep over the wires that are not cut runs once, on
-that Choi tableau, which is then frozen (:meth:`Tableau.freeze`); a
-preparation measures each ancilla on a copy — :meth:`Tableau.measure_symbolic`
-returns a fresh symbol or a function of the sweep's, either way a condition
-:func:`substitute_symbol` and :meth:`Tableau.substitute_symbol` resolve —
-and each basis measures the cut wires last on a copy of that and moves
-those rows back.  All of it lives for one call, in local variables; a sweep
-of a from-scratch evolution of the spelled-out variant
-(:meth:`Tableau.measurement_distribution`) is the oracle it is tested
-against, bit for bit.
+**Reading a fragment backwards.**  Recombination needs of a fragment only
+its Pauli tensor ``T[P_in, P_out](x) = Tr[(Pi_x ⊗ P_out) U (P_in ⊗
+|0><0|) U†]`` over kept output bits ``K`` (:mod:`repro.core.tomography`),
+and for a Clifford body ``U`` each entry is ``0`` or ``±2^j``, read from how
+``U`` conjugates Paulis (Aaronson and Gottesman, PRA 70, 052328, 2004).
+:class:`PauliMap` holds the images ``U† R U`` for ``R`` the ``Z`` of every
+wire and the ``X`` of every output cut wire: one walk of the inverse gate
+program (:func:`heisenberg_images`).  Expanding ``Pi_x = 2^-|K| sum_S
+(-1)^(x.S) Z_S`` turns the trace into a sum over subsets ``S`` of ``K`` of
+``Tr[U†(Z_S P_out)U (P_in ⊗ |0><0|)]``, which is ``±2^qi`` when the image
+holds no ``X`` on a wire that starts in |0> and equals ``P_in`` on the
+input cut wires, and zero otherwise.  Restricted to exactly those bits —
+``X`` on fresh wires, ``X`` and ``Z`` on input cut wires — the images are
+linear in ``S``: column ``j`` of a matrix ``M`` is the restriction of the
+image of ``Z_j``, and an index contributes iff ``M S = t(P_in) ⊕
+c(P_out)`` (``c`` the restriction of ``P_out``'s image, ``Y = i X Z``).
+The solutions are ``S0 + V`` with ``V = ker M``, and on ``V`` the sign
+``ω`` of the image product is a character, so the sum over ``V`` is
+``|V|`` where ``x.u = [ω(u) = -1]`` for a basis of ``V`` — the *support*,
+the same for every index — and zero elsewhere.  On the support the entry
+is ``ω(S0, P_out) (-1)^(x.S0) 2^(qi - |K| + dim V)``; without a solution the
+index is zero.  Everything is GF(2) elimination over ``|K| + 2(qi + qo)``
+vectors and the signs of products of image rows: no tableau is swept, no
+variant spelled out.  Evolving each variant from scratch
+(:meth:`Tableau.measurement_distribution` of the spelled-out circuit,
+through the generic tomography) is the oracle it is tested against, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -96,7 +81,6 @@ from repro.analysis.distributions import (
     Distribution,
     ints_to_chunked_keys,
     pack_bit_rows,
-    pack_bit_rows_chunked,
     unpack_shots,
 )
 from repro.circuits.circuit import Circuit
@@ -187,6 +171,79 @@ def compile_clifford_layers(circuit: Circuit) -> list[tuple]:
     return program
 
 
+def inverse_program(program) -> list[tuple]:
+    """The gate program of the inverse circuit: the steps in reverse order,
+    each S followed by a Z (``S^-1 = Z S``); H, CX, X, Y and Z are their
+    own inverses."""
+    inverse = []
+    for step in reversed(program):
+        inverse.append(step)
+        if step[0] == "S":
+            inverse.append(("Z", step[1]))
+    return inverse
+
+
+def heisenberg_images(
+    circuit: Circuit, x: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``U† P U`` for every row ``P = i^(x.z) X^x Z^z`` of packed Paulis.
+
+    ``U`` is the Clifford ``circuit``; ``x`` and ``z`` are packed like a
+    tableau's rows, ``(rows, ceil(n/64))`` ``uint64``.  A walk conjugates
+    its rows ``P -> G P G†`` gate by gate, so walking the inverse program
+    (:func:`inverse_program`) takes them to ``U† P U``: the body is
+    compiled once (:func:`compile_clifford_layers`) and walked once, one
+    ``apply_layers`` kernel call over all the rows.  Returns the images
+    ``(x, z, sign)`` packed the same way, each ``(-1)^sign i^(x.z) X^x Z^z``.
+    """
+    n, rows = circuit.n_qubits, x.shape[0]
+    xs = dict(enumerate(_to_columns(x, n)))
+    zs = dict(enumerate(_to_columns(z, n)))
+    program = inverse_program(compile_clifford_layers(circuit))
+    sign = _kernels.apply_layers(program, xs, zs, 0)
+    return (
+        _from_columns(xs.values(), rows, x.shape[1]),
+        _from_columns(zs.values(), rows, x.shape[1]),
+        _int_to_bits(sign, rows),
+    )
+
+
+class PauliMap:
+    """How a Clifford fragment body ``U`` conjugates Paulis: ``U† R U``.
+
+    Row ``q`` is the image of ``Z`` on wire ``q`` (every wire), row
+    ``n + j`` that of ``X`` on ``outputs[j]``; ``x``, ``z`` and ``sign``
+    hold them as :func:`heisenberg_images` returns them.  ``inputs`` and
+    ``outputs`` are the fragment's cut wires, in order; every other wire
+    starts in |0>.  This is all a fragment's tomography needs ("Reading a
+    fragment backwards" in the module docstring) — one walk, where its
+    ``4^qi 3^qo`` variants would each be an evolution and a sweep.
+    Raises ``ValueError`` if a wire is out of range or repeated within
+    ``inputs`` or within ``outputs`` (one wire may be both).
+    """
+
+    def __init__(self, body: Circuit, inputs, outputs):
+        n = self.n = body.n_qubits
+        for role, wires in (("input", inputs), ("output", outputs)):
+            if len(set(wires)) < len(wires) or any(not 0 <= q < n for q in wires):
+                raise ValueError(
+                    f"{role} wires {list(wires)} must be distinct wires of {body!r}"
+                )
+        self.inputs, self.outputs = tuple(inputs), tuple(outputs)
+        n_words = max(1, (n + 63) >> 6)
+        x = np.zeros((n + len(outputs), n_words), dtype=np.uint64)
+        z = np.zeros_like(x)
+        wires = np.arange(n)
+        z[wires, wires >> 6] = _ONE << (wires & 63).astype(np.uint64)
+        cut = np.array(self.outputs, dtype=np.intp)
+        x[n + np.arange(len(cut)), cut >> 6] = _ONE << (cut & 63).astype(np.uint64)
+        self.x, self.z, self.sign = heisenberg_images(body, x, z)
+
+    def bits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The images' ``x`` and ``z`` as ``(rows, n)`` bool matrices."""
+        return _unpack_axis1(self.x, self.n), _unpack_axis1(self.z, self.n)
+
+
 def _pack_axis1(bits: np.ndarray, n_words: int) -> np.ndarray:
     """Pack a bool matrix's last axis into ``n_words`` uint64 per row."""
     rows = bits.shape[0]
@@ -234,8 +291,8 @@ def _bits_key(bits: np.ndarray) -> int:
 def _gf2_column_basis(matrix: np.ndarray) -> list[int]:
     """Reduced echelon basis of a 0/1 matrix's column space, as integers.
 
-    The scalar GF(2) elimination of this module; :func:`conditioned_marginals`
-    reaches the same reduced form for many matrices at once.  A column is
+    The scalar GF(2) elimination of :meth:`AffineOutcomeDistribution.
+    marginal_distribution`.  A column is
     read big-endian (row 0 is its most significant bit), so a vector's
     *leading* bit is the first row it touches.  The basis comes back
     ordered by leading row, first row first, and fully reduced: no vector
@@ -296,8 +353,9 @@ class AffineOutcomeDistribution:
     words (one row per output bit).  :meth:`sample_bits` (one bool per
     shot and bit: the Pauli-frame sampler's reference shots) and
     :meth:`sample` (the empirical :class:`Distribution` of
-    ``Backend.sample``) unpack it.  The evaluator never samples a
-    noiseless Clifford variant: it keeps this exact form.
+    ``Backend.sample``) unpack it.  The evaluator never builds one for a
+    noiseless Clifford fragment: it reads the fragment off a
+    :class:`PauliMap`.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
@@ -408,232 +466,6 @@ class AffineOutcomeDistribution:
             len(rows), keys, np.full(len(keys), 2.0**-rank)
         )
 
-    def window_tables(self, windows, tail: list[int]) -> np.ndarray:
-        """``P(window = x, tail = m)`` for many equal-width windows at once.
-
-        Shape ``(len(windows), 2**width, 2**len(tail))``: per window the
-        dense table of :meth:`marginal_distribution` over ``window + tail``
-        (rows the window's outcomes, columns the tail's), bit for bit, from
-        one elimination batched over the windows instead of one per window.
-        Each window's rows, tail last, are reduced in order against the
-        independent rows before them: a row that reduces to zero is the
-        XOR of the rows its reduction used, and that XOR must then vanish
-        on ``outcome ^ b``.  The outcomes meeting every such constraint are
-        the support, each of probability ``2^-rank``.  All ``2**(width +
-        len(tail))`` outcomes are checked — the size of the table itself.
-        """
-        rows = np.array([list(w) + list(tail) for w in windows], dtype=np.intp)
-        count, n_rows = rows.shape
-        # a zero column changes no span; it spares argmax an empty axis
-        A = self.A if self.n_free else np.zeros((self.n_bits, 1), dtype=bool)
-        reduced = A[rows]
-        used = np.tile(np.eye(n_rows, dtype=bool), (count, 1, 1))
-        independent = np.zeros((count, n_rows), dtype=bool)
-        pivot = np.zeros((count, n_rows), dtype=np.intp)
-        every = np.arange(count)
-        for i in range(n_rows):
-            for s in range(i):
-                hit = (independent[:, s] & reduced[every, i, pivot[:, s]])[:, None]
-                reduced[:, i] ^= reduced[:, s] & hit
-                used[:, i] ^= used[:, s] & hit
-            independent[:, i] = reduced[:, i].any(axis=1)
-            pivot[:, i] = reduced[:, i].argmax(axis=1)
-        # row i's constraint as a mask over the outcome bits, first row
-        # most significant; none for an independent row
-        weights = np.uint64(1) << np.arange(n_rows - 1, -1, -1, dtype=np.uint64)
-        constraints = (used * weights).sum(axis=2, dtype=np.uint64)
-        masks = np.where(independent, 0, constraints)
-        flipped = np.arange(2**n_rows, dtype=np.uint64) ^ (
-            (self.b[rows] * weights).sum(axis=1, dtype=np.uint64)[:, None]
-        )
-        support = np.ones(flipped.shape, dtype=bool)
-        for mask in masks.T[masks.any(axis=0)]:
-            support &= (np.bitwise_count(flipped & mask[:, None]) & 1) == 0
-        probs = 2.0 ** -independent.sum(axis=1)
-        tables = np.where(support, probs[:, None], 0.0)
-        return tables.reshape(count, -1, 2 ** len(tail))
-
-
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """:func:`pack_bit_rows_chunked` of every row of a 3-D bit array."""
-    first, second, width = bits.shape
-    keys = pack_bit_rows_chunked(bits.reshape(first * second, width))
-    return keys.reshape(first, second, keys.shape[1])
-
-
-def conditioned_marginals(
-    forms: list[AffineOutcomeDistribution],
-    fixed: list[int],
-    fixed_bits: np.ndarray,
-    rows: list[int],
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``P(fixed = v, rows = ·)`` under each form, for every row ``v`` of
-    ``fixed_bits``; the forms share ``n_bits``.
-
-    One ``(owner, keys, probs)`` triple per ``v``, concatenated in form
-    order: the index of each entry's form, the packed outcomes over
-    ``rows`` (first row most significant; ``uint64`` up to 62 rows, chunked
-    beyond, as :func:`_affine_keys` lays them out) that occur together with
-    ``v`` under it, and their joint probabilities — nothing from a form
-    under which ``v`` cannot occur.  One elimination answers every form
-    and ``v``: the forms' ``A[fixed + rows]``, padded with zero columns to
-    the widest (a zero column changes no span), reach reduced column
-    echelon form together, one pivot column at a time.  The pivots leading
-    inside the fixed rows decide whether ``v`` is reachable and how it
-    shifts the remaining bits; the others touch ``rows`` only and span the
-    outcomes seen with any reachable ``v``, so nothing wider than ``rows``
-    is enumerated, and that once per form.  A form whose span is wider
-    than ``2^MAX_ENUMERATED_RANK`` outcomes refuses the whole batch before
-    anything is enumerated.
-    """
-    fixed, rows = list(fixed), list(rows)
-    n_fixed, n_rows = len(fixed), len(rows)
-    picked = fixed + rows
-    count, n_picked = len(forms), len(picked)
-    widths = np.array([form.n_free for form in forms])
-    width = int(widths.max())
-    every = np.arange(count)
-    # column c of form f is columns[f, c]: one gather for all the forms
-    owner = every.repeat(widths)
-    at = np.arange(len(owner)) - (widths.cumsum() - widths).repeat(widths)
-    columns = np.zeros((count, width, n_picked + 1), dtype=bool)  # + a zero row
-    columns[owner, at, :n_picked] = np.hstack([form.A for form in forms])[picked].T
-    b = np.stack([form.b for form in forms])[:, picked]
-    lead = np.full((count, width), n_picked)  # pivot rows; the zero row: none
-    for t in range(width):
-        rest = columns[:, t:]
-        first = np.where(rest.any(axis=2), rest.argmax(axis=2), n_picked)
-        pick = t + first.argmin(axis=1)
-        lead[:, t] = first[every, pick - t]
-        pivot = columns[every, pick]
-        columns[every, pick] = columns[:, t]
-        columns[:, t] = pivot
-        hit = columns[every, :, lead[:, t]]
-        hit[:, t] = False
-        columns ^= pivot[:, None, :] & hit[:, :, None]
-    rank = (lead < n_picked).sum(axis=1)
-    n_deciding = (lead < n_fixed).sum(axis=1)
-    n_free = rank - n_deciding
-    what = f"the conditioned marginal over {n_rows} bits"
-    _check_enumerable(int(n_free.max()), MAX_ENUMERATED_RANK, what)
-    # reduced form: a solution's coordinates are the target's bits at the
-    # leading rows (zero at the leads of the pivots past the fixed rows);
-    # it is one iff it reproduces every other fixed bit too
-    target = np.asarray(fixed_bits, dtype=bool)[None] ^ b[:, None, :n_fixed]
-    padded = np.pad(target, ((0, 0), (0, 0), (0, n_rows + 1)))
-    chosen = np.take_along_axis(padded, lead[:, None], axis=2).astype(np.uint8)
-    # a uint8 product wraps modulo 256, which keeps its parity
-    solved = (chosen @ columns.astype(np.uint8) & 1 == 1)[..., :n_picked]
-    reachable = (solved[..., :n_fixed] == target).all(axis=2)
-    offsets = _packed(solved[..., n_fixed:] ^ b[:, None, n_fixed:])
-    lower = _packed(columns[:, :, n_fixed:n_picked])
-    # each form's span of its free pivots, forms of one rank together,
-    # in :func:`_affine_keys` order: S -> S ∪ (S ^ v)
-    spans, owners = [], []
-    for r in np.unique(n_free).tolist():
-        group = np.flatnonzero(n_free == r)
-        vecs = lower[group[:, None], n_deciding[group, None] + np.arange(r)]
-        span = np.zeros((len(group), 1, lower.shape[2]), dtype=np.uint64)
-        for j in range(r):
-            span = np.concatenate([span, span ^ vecs[:, j, None]], axis=1)
-        spans.append(span.reshape(-1, lower.shape[2]))
-        owners.append(group.repeat(2**r))
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    owner, span = owner[order], np.concatenate(spans)[order]
-    hits = reachable[owner].T
-    bins, entries = np.nonzero(hits)
-    owner = owner[entries]
-    keys = span[entries] ^ offsets[owner, bins]
-    keys = keys[:, 0] if n_rows <= CHUNK_BITS else keys
-    probs = 2.0 ** -rank[owner]
-    ends = np.cumsum(hits.sum(axis=1))
-    return list(zip(*(np.split(part, ends)[:-1] for part in (owner, keys, probs))))
-
-
-def _moved_up(n: int, src: int, dst: int) -> np.ndarray:
-    """``0 .. n-1`` with ``src`` taken out and put back at ``dst <= src``."""
-    order = np.arange(n)
-    order[dst + 1 : src + 1] = order[dst:src]
-    order[dst] = src
-    return order
-
-
-def move_outcome_row(
-    A: np.ndarray, b: np.ndarray, src: int, dst: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The outcome form ``(A, b)`` after row ``src`` moves up to ``dst <= src``.
-
-    Input and output are the canonical form of the module docstring's
-    "Measuring late" section — what :meth:`Tableau.measurement_distribution`
-    returns — for the row order before and after the move; the rows in
-    between shift down by one.  Three cases, by the free bits ``J`` of row
-    ``src`` and the latest pivot row ``p*`` among them (column ``j*``):
-
-    * no free bit, or ``p* < dst``: the row depends on rows that still
-      precede it — a row permutation;
-    * ``p* == src``: a pivot row stays one wherever it moves up to — a
-      row permutation, and its column moves in front of the columns whose
-      pivot rows it overtook;
-    * otherwise row ``src`` now comes before ``p*`` and takes its column:
-      substituting ``f[j*] = g + sum(f[J - j*]) + b[src]`` XORs column
-      ``j*`` into the other columns of ``J`` and, if ``b[src]`` is set,
-      into ``b``; row ``src`` is then the unit row of ``g``, row ``p*``
-      depends on it, and the column moves as above.
-
-    Works in place on ``A`` and ``b`` where it can and returns the arrays
-    to use.
-    """
-    if not 0 <= dst <= src < len(b):
-        raise ValueError(f"cannot move row {src} up to {dst}")
-    if dst == src:
-        return A, b
-    free = np.flatnonzero(A[src])
-    if free.size:
-        pivot_rows = A[:, free].argmax(axis=0)
-        latest = int(pivot_rows.argmax())
-        pivot_row, column = int(pivot_rows[latest]), int(free[latest])
-        if pivot_row >= dst:
-            if pivot_row != src:
-                replaced = A[:, column].copy()
-                A[:, np.delete(free, latest)] ^= replaced[:, None]
-                if b[src]:
-                    b ^= replaced
-            # columns are ordered by pivot row: as many precede the moved
-            # one as have their pivot in front of `dst`
-            position = int(np.count_nonzero(A[:dst].any(axis=0)))
-            A = A[:, _moved_up(A.shape[1], column, position)]
-    rows = _moved_up(len(b), src, dst)
-    return A[rows], b[rows]
-
-
-def substitute_symbol(
-    A: np.ndarray, b: np.ndarray, coeffs: np.ndarray, value: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The outcome form ``(A, b)`` once ``coeffs . f == value`` is known.
-
-    The condition fixes the *latest* symbol of ``coeffs`` as a function of
-    the earlier ones: every row holding it gets ``coeffs`` XORed in (which
-    clears it) and ``value`` XORed into ``b``, and its column goes, the
-    later ones moving down by one.  The pivot row of that symbol now reads
-    off earlier pivots and every other pivot row is still a unit row, so a
-    canonical ``(A, b)`` (module docstring, "Measuring late") stays
-    canonical for the same row order.  A symbol past ``A``'s columns — one
-    opened after these rows were measured — is in no row: nothing changes.
-
-    ``coeffs`` must be nonzero.  Works in place on the rows of ``A`` and
-    ``b`` and returns the arrays to use; :meth:`Tableau.substitute_symbol`
-    is the same step on a tableau's symbolic signs.
-    """
-    column = int(np.flatnonzero(coeffs)[-1])
-    width = A.shape[1]
-    if column >= width:
-        return A, b
-    held = A[:, column].copy()
-    A[held] ^= coeffs[:width]
-    b[held] ^= value
-    return np.delete(A, column, axis=1), b
-
 
 class Tableau:
     """Stabilizer state of ``n`` qubits, qubit columns packed into uint64.
@@ -677,23 +509,6 @@ class Tableau:
         out.sym = self.sym.copy()
         out.n_symbols = self.n_symbols
         return out
-
-    def freeze(self) -> "Tableau":
-        """Make the arrays read-only; returns self.
-
-        For a tableau that several readers share: gates and measurements
-        write in place, so one applied to it by mistake raises
-        ``ValueError`` instead of corrupting every later reader.
-        :meth:`copy` hands back writable arrays.
-        """
-        for arr in (self.x, self.z, self.sign, self.sym):
-            arr.setflags(write=False)
-        return self
-
-    def _require_writable(self) -> None:
-        # for the methods that rebind arrays instead of writing into them
-        if not self.sign.flags.writeable:
-            raise ValueError("this tableau is frozen (shared); work on a copy()")
 
     # -- gates ----------------------------------------------------------------
 
@@ -773,7 +588,6 @@ class Tableau:
         included — fails on its first read, and ``ValueError`` leaves the
         tableau as it was: nothing is written back.
         """
-        self._require_writable()
         if not program:
             return
         x = dict(enumerate(_to_columns(self.x, self.n)))
@@ -933,32 +747,8 @@ class Tableau:
             A[i, : len(coeffs)] = coeffs
         return A, np.array(consts, dtype=bool)
 
-    def substitute_symbol(self, coeffs: np.ndarray, value: bool) -> None:
-        """Impose ``coeffs . f == value`` on the symbolic signs.
-
-        :func:`substitute_symbol` for the packed side: the rows whose sign
-        holds the latest symbol of ``coeffs`` get ``coeffs`` XORed into
-        ``sym`` and ``value`` into ``sign``; the symbol's bit column — zero
-        by then — is deleted from ``sym`` across the word boundaries, and
-        the later symbols are renumbered down by one.
-        """
-        self._require_writable()
-        column = int(np.flatnonzero(coeffs)[-1])
-        w, bit = column >> 6, np.uint64(column & 63)
-        held = (self.sym[:, w] >> bit) & _ONE != 0
-        self.sym[held] ^= _pack_bits(coeffs, self.sym.shape[1])
-        self.sign[held] ^= value
-        tail = self.sym[:, w:]
-        shifted = tail >> _ONE
-        shifted[:, :-1] |= tail[:, 1:] << np.uint64(63)
-        below = (_ONE << bit) - _ONE
-        shifted[:, 0] = (tail[:, 0] & below) | (shifted[:, 0] & ~below)
-        self.sym[:, w:] = shifted
-        self.n_symbols -= 1
-
     def reset_symbols(self, capacity: int) -> None:
         """Forget all symbols and make room for ``capacity`` new ones."""
-        self._require_writable()
         self.n_symbols = 0
         self.sym = np.zeros(
             (2 * self.n, max(1, (capacity + 63) >> 6)), dtype=np.uint64

@@ -13,6 +13,11 @@ against (import it explicitly; it pulls in :mod:`repro.core`).
 
 :mod:`repro.testing.sampling` — the bit-major affine sampler the packed
 ``AffineOutcomeDistribution.sample_words`` replaced, its oracle.
+
+:mod:`repro.testing.tomography` — the per-variant route of a Clifford
+fragment (every variant spelled out and swept alone), the oracle of the
+tensors read off its Pauli map (import it explicitly; it pulls in
+:mod:`repro.core`).
 """
 
 from repro.testing.chaos import (

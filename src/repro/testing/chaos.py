@@ -182,7 +182,7 @@ class ChaosBackend(Backend):
     """A backend wrapper that persistently fails on scheduled circuits.
 
     Every entry point (``probabilities``, ``sample``,
-    ``affine_distribution``, ``affine_variants``, ``sample_noisy_bits``)
+    ``affine_distribution``, ``pauli_map``, ``sample_noisy_bits``)
     consults the schedule with the circuit's (or the fragment's) content
     fingerprint at attempt 0 — so, unlike the scheduler-level injection,
     retries never rescue a scheduled circuit.
@@ -217,9 +217,9 @@ class ChaosBackend(Backend):
         self._maybe_fail(circuit_fingerprint(circuit))
         return self.inner.affine_distribution(circuit)
 
-    def affine_variants(self, body, inputs, outputs):
+    def pauli_map(self, body, inputs, outputs):
         self._maybe_fail(fragment_fingerprint(body, inputs, outputs))
-        return self.inner.affine_variants(body, inputs, outputs)
+        return self.inner.pauli_map(body, inputs, outputs)
 
     def sample_noisy_bits(self, circuit, noise, shots, rng=None):
         self._maybe_fail(circuit_fingerprint(circuit))

@@ -13,8 +13,9 @@ What is digested:
 * for each Clifford fragment of four circuits (the ledger's
   ``hwea200_cold``, ``hwea_sweep`` and ``wide61_recursive`` circuits at
   their smoke-test sizes, and the 10-qubit ``service_sweep`` circuit):
-  the fragment's swept Choi tableau (``x``, ``z``, ``sign``, ``sym``)
-  and every variant's ``(A, b)``;
+  the images of its body's backward walk (the ``PauliMap``'s ``x``, ``z``
+  and ``sign``) and every variant's ``(A, b)``, each variant spelled out
+  and swept from scratch (the per-variant route, the map's oracle);
 * the shot words of every Clifford variant of the 200-qubit
   ``hwea200_cold`` circuit at 5000 shots, seed 0, drawn from its exact
   affine form with the seed a sampled job of that variant would carry —
@@ -43,7 +44,6 @@ from repro.core import SuperSim
 from repro.core.variants import all_variants, variant_circuit
 from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer.frames import FrameSampler
-from repro.stabilizer.simulator import choi_variants
 from repro.stabilizer.noise import NoiseModel, PauliChannel
 
 DIGESTS = Path(__file__).with_name("digests.json")
@@ -120,15 +120,18 @@ FRAGMENT_CIRCUITS = {
 
 
 def fragment_digests(circuit: Circuit) -> dict[str, str]:
-    """``frag<i>.swept`` and ``frag<i>.variants`` per Clifford fragment."""
+    """``frag<i>.walk`` and ``frag<i>.variants`` per Clifford fragment."""
     out = {}
+    stabilizer = StabilizerSimulator()
     for index, fragment in enumerate(SuperSim().cut(circuit).fragments):
         if not fragment.circuit.is_clifford:
             continue
-        tableau, variants = choi_variants(fragment.circuit, *fragment.cut_wires)
-        out[f"frag{index}.swept"] = _digest(
-            [tableau.x, tableau.z, tableau.sign, tableau.sym, [tableau.n_symbols]]
-        )
+        images = stabilizer.pauli_map(fragment.circuit, *fragment.cut_wires)
+        out[f"frag{index}.walk"] = _digest([images.x, images.z, images.sign])
+        variants = [
+            stabilizer.affine_distribution(variant_circuit(fragment, *spec))
+            for spec in all_variants(fragment)
+        ]
         out[f"frag{index}.variants"] = _digest(
             [array for dist in variants for array in (dist.A, dist.b)]
         )

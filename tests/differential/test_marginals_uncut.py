@@ -8,7 +8,9 @@ random Clifford register, so the marginals hold a non-stabilizer value
 test checks that swapping the T for an S moves the reference, so the
 comparison can fail.
 
-* Exact mode: every window within ``1e-9`` (max abs) of the statevector.
+* Exact mode: every window within ``1e-9`` (max abs) of the statevector,
+  also for a wire that carries a ``Y`` term across its cuts
+  (:func:`_y_readout_circuit`).
 * Sampled mode: every window's Hellinger infidelity under
   :func:`hellinger_bound`, derived from the shot count.
 * The conditioned path, exact: a recursive ``run`` whose levels pin the
@@ -26,7 +28,7 @@ import pytest
 from repro.analysis.distributions import hellinger_fidelity, total_variation_distance
 from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.core import ReconstructionConfig, SamplingConfig, SuperSim
-from repro.core import evaluator
+from repro.core import tomography
 from repro.statevector import StatevectorSimulator
 
 SHOTS = 200_000
@@ -41,6 +43,22 @@ def _t_readout_circuit(n: int, seed: int, magic=gates.T) -> Circuit:
     circuit = Circuit(n)
     circuit.extend(random_clifford_circuit(n - 1, 3, rng).map_qubits(register, n).ops)
     circuit.append(gates.H, 0).append(magic, 0).append(gates.H, 0)
+    circuit.append(gates.CX, 0, 1)
+    circuit.extend(random_clifford_circuit(n - 1, 2, rng).map_qubits(register, n).ops)
+    return circuit.measure_all()
+
+
+def _y_readout_circuit(n: int, seed: int, magic=gates.T) -> Circuit:
+    """``H S`` puts wire 0 in |+i>, a ``Y`` eigenstate, in front of
+    ``magic``, which turns part of that ``Y`` into ``X``, and an ``H``
+    behind it reads ``X`` out: the Y term of the first cut reaches the
+    output only through the second cut's X term, so its sign shows."""
+    rng = np.random.default_rng(seed)
+    register = {q: q + 1 for q in range(n - 1)}
+    circuit = Circuit(n)
+    circuit.extend(random_clifford_circuit(n - 1, 3, rng).map_qubits(register, n).ops)
+    circuit.append(gates.H, 0).append(gates.S, 0).append(magic, 0)
+    circuit.append(gates.H, 0)
     circuit.append(gates.CX, 0, 1)
     circuit.extend(random_clifford_circuit(n - 1, 2, rng).map_qubits(register, n).ops)
     return circuit.measure_all()
@@ -84,6 +102,28 @@ def test_swapping_t_for_s_moves_the_reference(seed):
     assert moved > 0.3
 
 
+@pytest.mark.parametrize("n, seed", [(6, 0), (9, 1)])
+def test_a_y_term_across_the_cuts_equals_the_statevector(n, seed, eliminations):
+    """The Y slices of the Clifford fragments' tensors decide this cell: the
+    marginals and the sparse joint of the uncut circuit, within ``1e-9``."""
+    circuit = _y_readout_circuit(n, seed)
+    windows = _windows(n)
+    sim = SuperSim()
+    assert sim.cut(circuit).num_cuts == 2
+    with_s = _uncut_marginals(_y_readout_circuit(n, seed, magic=gates.S), windows)
+    references = _uncut_marginals(circuit, windows)
+    assert abs(references[0][1] - with_s[0][1]) > 0.1
+    for window, dist, reference in zip(
+        windows, sim.marginal_probabilities(circuit, windows), references
+    ):
+        error = np.abs(dist.to_array() - reference.to_array()).max()
+        assert error <= 1e-9, (window, error)
+    keep = [0, n - 1, 1]
+    sparse = sim.sparse_probabilities(circuit, keep)
+    assert total_variation_distance(sparse, _uncut_marginals(circuit, [keep])[0]) <= 1e-9
+    assert eliminations
+
+
 @pytest.mark.parametrize("n, seed", [(8, 0), (12, 1)])
 def test_exact_marginals_equal_the_statevector(n, seed):
     circuit = _t_readout_circuit(n, seed)
@@ -120,16 +160,16 @@ def test_sampled_marginals_within_the_shot_bound(n, seed):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """Counts batched conditionings of exact Clifford data, so that a cell
+    """Counts the map eliminations of Clifford fragments, so that a cell
     shows it ran the path it checks."""
     calls = []
-    batched = evaluator.conditioned_marginals
+    solve = tomography._solve_map
 
-    def counted(forms, *args):
-        calls.append(len(forms))
-        return batched(forms, *args)
+    def counted(pauli_map, windows):
+        calls.append(len(windows))
+        return solve(pauli_map, windows)
 
-    monkeypatch.setattr(evaluator, "conditioned_marginals", counted)
+    monkeypatch.setattr(tomography, "_solve_map", counted)
     return calls
 
 

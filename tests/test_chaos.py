@@ -401,12 +401,12 @@ class TestDegrade:
     def test_fallen_back_clifford_data_conditions_variant_by_variant(self, monkeypatch):
         """The same fallen-back fragment holds statevector data, so a
         recursive run and a point query condition it variant by variant
-        (the non-affine branch of ``FragmentData.conditioned_tables``) —
-        and agree with a clean run, whose exact Clifford data is
-        conditioned in one batch."""
+        (``FragmentData.conditioned_tables``) — and agree with a clean run,
+        whose Clifford fragment is conditioned off its Pauli map."""
         from repro.analysis import total_variation_distance
         from repro.backends import BackendRouter, get_backend
         from repro.core import evaluator as evaluator_module
+        from repro.core import tomography
 
         dead_stabilizer = ChaosBackend(
             get_backend("stabilizer"),
@@ -414,13 +414,13 @@ class TestDegrade:
         )
         router = BackendRouter([dead_stabilizer, get_backend("statevector")])
         batches = []
-        batched = evaluator_module.conditioned_marginals
+        solve = tomography._solve_map
 
-        def counting(forms, *args):
-            batches.append(len(forms))
-            return batched(forms, *args)
+        def counting(pauli_map, windows):
+            batches.append(len(windows))
+            return solve(pauli_map, windows)
 
-        monkeypatch.setattr(evaluator_module, "conditioned_marginals", counting)
+        monkeypatch.setattr(tomography, "_solve_map", counting)
         held = []  # (fragment index, data types) of every conditioning
         conditioned_tables = evaluator_module.FragmentData.conditioned_tables
 
@@ -449,7 +449,7 @@ class TestDegrade:
         assert result.faults.of_kind("fallback") and not batches
         assert (clifford, {"DenseVariantData"}) in held
         want = clean.run(circuit)
-        assert batches  # the clean run conditions its Clifford data in batches
+        assert batches  # the clean run conditions its Clifford fragment's map
         assert result.reconstruction_mode == want.reconstruction_mode == "recursive"
         assert total_variation_distance(result.distribution, want.distribution) <= 1e-12
         for outcome in (0, 0b10110011, 0b11111111, 0b01010101):

@@ -30,12 +30,7 @@ from repro.core import (
     SamplingConfig,
     SuperSim,
 )
-from repro.core.evaluator import (
-    AffineVariantData,
-    DenseVariantData,
-    FragmentData,
-    SampledVariantData,
-)
+from repro.core.evaluator import DenseVariantData, FragmentData, SampledVariantData
 from repro.core.fragments import Fragment
 from repro.core.tomography import (
     _contract_prep_axes,
@@ -46,8 +41,9 @@ from repro.core.tomography import (
 from repro.core.variants import BASIS_FOR_PAULI, all_variants, variant_circuit
 from repro.errors import ReproError
 from repro.stabilizer import StabilizerSimulator
-from repro.stabilizer.tableau import AffineOutcomeDistribution, conditioned_marginals
+from repro.stabilizer.tableau import AffineOutcomeDistribution, PauliMap
 from repro.testing.reconstruction import dense_tensor
+from repro.testing.tomography import AffineVariantData
 
 EXACT = SuperSim()
 
@@ -157,6 +153,8 @@ def _random_fragment(rng, n, qi, qo, n_h):
 
 
 def _fragment_data(fragment, kind, rng):
+    if kind == "map":  # the engine's: one backward walk of the body
+        return FragmentData(fragment, {}, PauliMap(fragment.circuit, *fragment.cut_wires))
     sim = StabilizerSimulator()
     results = {}
     for preps, bases in all_variants(fragment):
@@ -197,17 +195,19 @@ def _scattered(tensor, width):
     qo=st.integers(0, 2),
     width=st.sampled_from([0, 1, 5, 12]),
     n_fixed=st.sampled_from([0, 1, 7, 30, 48, 60]),
-    kind=st.sampled_from(["affine", "dense", "sampled"]),
+    kind=st.sampled_from(["map", "affine", "dense", "sampled"]),
 )
 def test_level_builder_equals_the_per_bin_oracle(seed, qi, qo, width, n_fixed, kind):
     rng = np.random.default_rng(seed)
     n = max(qi, qo + width + n_fixed + int(rng.integers(1, 4)))
     fragment = _random_fragment(rng, n, qi, qo, n_h=int(rng.integers(0, 7)))
     data = _fragment_data(fragment, kind, rng)
+    # the oracle reads variants: the map's are spelled out
+    variants = _fragment_data(fragment, "affine", rng) if kind == "map" else data
     outputs = [int(q) for q in rng.permutation([lq for _oq, lq in fragment.circuit_outputs])]
     keep = outputs[:width]
     fixed_cols = outputs[width : width + n_fixed]
-    rows = _frontier(data, fixed_cols, rng)
+    rows = _frontier(variants, fixed_cols, rng)
 
     tensors = [
         _scattered(tensor, width)
@@ -222,7 +222,7 @@ def test_level_builder_equals_the_per_bin_oracle(seed, qi, qo, width, n_fixed, k
     )
     for row, tensor in zip(rows, tensors):
         pinned = dict(zip(fixed_cols, row.tolist()))
-        want = oracle_conditioned_tensor(data, keep, pinned)
+        want = oracle_conditioned_tensor(variants, keep, pinned)
         assert tensor.shape == want.shape == (4,) * (qi + qo) + (2**width,)
         if kind == "sampled":
             np.testing.assert_allclose(tensor, want, rtol=0, atol=1e-12)
@@ -232,7 +232,7 @@ def test_level_builder_equals_the_per_bin_oracle(seed, qi, qo, width, n_fixed, k
     assert np.array_equal(one_bin, tensors[1])  # the frontier of one
 
 
-@pytest.mark.parametrize("kind", ["affine", "dense", "sampled"])
+@pytest.mark.parametrize("kind", ["map", "affine", "dense", "sampled"])
 def test_nothing_pinned_is_the_dense_builder_on_its_support(kind):
     """No pinned column: the sparse builder of ``sparse_probabilities``."""
     sparse = 0
@@ -253,7 +253,7 @@ def test_nothing_pinned_is_the_dense_builder_on_its_support(kind):
     assert sparse >= 3
 
 
-@pytest.mark.parametrize("kind", ["affine", "dense", "sampled"])
+@pytest.mark.parametrize("kind", ["map", "affine", "dense", "sampled"])
 def test_an_assignment_that_cannot_occur_gives_the_zero_tensor(kind):
     # qubit 2 is never touched: it reads 0 in every variant
     circuit = Circuit(4).append(gates.H, 0).append(gates.CX, 0, 1)
@@ -348,22 +348,27 @@ def test_over_limit_enumerations_are_refused_typed_and_at_once():
     start = time.perf_counter()
     with pytest.raises(ReconstructionMemoryError, match="2\\^30"):
         uniform.marginal_distribution(list(range(30)))
-    # one form past the limit refuses a whole batch
-    narrow = AffineOutcomeDistribution(uniform.A[:, :2], uniform.b)
-    with pytest.raises(ReconstructionMemoryError, match="2\\^28"):
-        conditioned_marginals([narrow, uniform], [0, 1], [[0, 1]], list(range(2, 30)))
     with pytest.raises(ReconstructionMemoryError):
         AffineVariantData(uniform).joint(list(range(26)))
+    # a Clifford fragment's map: a 28-bit window past two pinned bits
+    circuit = Circuit(30)
+    for q in range(30):
+        circuit.append(gates.H, q)
+    fragment = Fragment(index=0, circuit=circuit, circuit_outputs=[(q, q) for q in range(30)])
+    data = _fragment_data(fragment, "map", None)
+    with pytest.raises(ReconstructionMemoryError, match="2\\^28"):
+        next(
+            build_conditioned_window_tensors(
+                data, list(range(2, 30)), [0, 1], [[0, 1]], max_dense_bits=None
+            )
+        )
     assert time.perf_counter() - start < 1.0
     assert issubclass(ReconstructionMemoryError, MemoryError)
     assert issubclass(ReconstructionMemoryError, ReproError)
     # conditioning itself has no such wall: 28 pinned bits, 2 enumerated
-    ((owner, keys, probs),) = conditioned_marginals(
-        [uniform], list(range(28)), [[1] * 28], [28, 29]
-    )
-    assert owner.tolist() == [0] * 4
-    assert sorted(keys.tolist()) == [0, 1, 2, 3]
-    assert probs.tolist() == [2.0**-30] * 4
+    (tensor,) = build_conditioned_window_tensors(data, [28, 29], list(range(28)), [[1] * 28])
+    assert tensor.support.tolist() == [0, 1, 2, 3]
+    assert tensor.values.tolist() == [2.0**-30] * 4
 
 
 # -- memory follows one level, not top_k x levels -----------------------------

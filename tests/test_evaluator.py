@@ -7,12 +7,13 @@ from repro.analysis import Distribution, hellinger_fidelity
 from repro.circuits import Circuit, gates
 from repro.core import SamplingConfig, cut_circuit, find_cuts
 from repro.core.evaluator import (
-    AffineVariantData,
     DenseVariantData,
     FragmentEvaluator,
     SampledVariantData,
 )
 from repro.stabilizer import StabilizerSimulator
+from repro.stabilizer.tableau import PauliMap
+from repro.testing.tomography import AffineVariantData
 
 
 def fragments_of(circuit):
@@ -28,11 +29,12 @@ def bell_plus_t():
 
 
 class TestDispatch:
-    def test_clifford_fragment_exact_is_affine(self):
+    def test_clifford_fragment_exact_is_one_map(self):
         frags = fragments_of(bell_plus_t())
         clifford = next(f for f in frags if f.is_clifford)
         data = FragmentEvaluator().evaluate(clifford)
-        assert all(isinstance(v, AffineVariantData) for v in data.results.values())
+        assert isinstance(data.pauli_map, PauliMap) and data.results == {}
+        assert data.num_variants == clifford.num_variants
 
     def test_non_clifford_fragment_exact_is_dense(self):
         frags = fragments_of(bell_plus_t())
@@ -40,14 +42,14 @@ class TestDispatch:
         data = FragmentEvaluator().evaluate(ncl)
         assert all(isinstance(v, DenseVariantData) for v in data.results.values())
 
-    def test_clifford_fragment_sampled_is_affine(self):
+    def test_clifford_fragment_sampled_is_one_map(self):
         # shots only reach non-Clifford fragments: a Clifford one is exact
         frags = fragments_of(bell_plus_t())
         clifford = next(f for f in frags if f.is_clifford)
         evaluator = FragmentEvaluator(SamplingConfig(shots=100, seed=0))
         assert evaluator.mode(clifford) == "exact"
         data = evaluator.evaluate(clifford)
-        assert all(isinstance(v, AffineVariantData) for v in data.results.values())
+        assert isinstance(data.pauli_map, PauliMap)
         _assignments, jobs = evaluator._build_jobs([clifford], root_seed=0)
         assert jobs and all(key[-1:] == ("exact",) for key in jobs)
         assert all(job.shots is None for job in jobs.values())
@@ -95,6 +97,9 @@ class TestDispatch:
         for fragment in frags:
             data = FragmentEvaluator().evaluate(fragment)
             assert data.num_variants == fragment.num_variants
+            # per variant, or every variant at once in the body's map
+            expected = 0 if data.pauli_map else fragment.num_variants
+            assert len(data.results) == expected
 
     def test_noisy_clifford_fragment_is_frame_sampled(self):
         from repro.stabilizer import NoiseModel, PauliChannel

@@ -1,13 +1,15 @@
 """Per-fragment work is done once — and changes no result.
 
-A noiseless Clifford fragment is one job: the stabilizer simulator evolves
-its body once with the input wires Bell-paired to ancillas, sweeps it
-once, turns a preparation into a post-selection of the ancillas
-(``substitute_symbol``) and measures the cut wires last, moving their rows
-back into place (``move_outcome_row``) — :func:`choi_variants`.  Each
-variant spelled out by ``variant_circuit`` and evolved from scratch is the
-oracle.  ``build_window_tensors`` builds every window's tensor in one pass
-over a fragment's variants.  Each test pins one equivalence that rests on.
+A noiseless Clifford fragment is one job: the stabilizer simulator walks
+its body backwards once (:class:`~repro.stabilizer.tableau.PauliMap`), and
+the tomography reads every variant's share of the fragment's tensors off
+those images by GF(2) algebra.  The oracle is the per-variant route: each
+variant spelled out by ``variant_circuit``, evolved from scratch, and
+handed to the generic tomography (:func:`repro.testing.tomography.
+per_variant_data`); the tensors must agree byte for byte.  The walk's own
+oracle is ``paulis.pauli`` conjugation.  ``build_window_tensors`` builds
+every window's tensor in one pass over a fragment's variants.  Each test
+pins one equivalence that rests on.
 """
 
 import itertools
@@ -19,13 +21,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Distribution
 from repro.apps.hwea import HWEA
 from repro.backends.cache import circuit_fingerprint
-from repro.circuits import Circuit, gates
+from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.circuits.circuit import Operation
 from repro.core import (
     ExecutionConfig,
@@ -49,16 +51,17 @@ from repro.core.tomography import (
     build_window_tensors,
 )
 from repro.core.variants import all_variants, variant_circuit
-from repro.errors import PostSelectionError
+from repro.paulis.pauli import PauliString, conjugate_pauli
 from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer import tableau as tableau_module
-from repro.stabilizer.simulator import choi_variants
 from repro.stabilizer.tableau import (
+    PauliMap,
     Tableau,
     compile_clifford_layers,
-    move_outcome_row,
-    substitute_symbol,
+    heisenberg_images,
+    inverse_program,
 )
+from repro.testing.tomography import per_variant_data
 
 STAB = StabilizerSimulator()
 
@@ -84,56 +87,184 @@ def clifford_fragment(n=6, qi=1, qo=1, seed=0) -> Fragment:
     )
 
 
-# -- the oracle: each variant spelled out and evolved from scratch ---------------
+def map_data(fragment: Fragment) -> FragmentData:
+    """The fragment as the engine holds it: its body's Pauli map."""
+    return FragmentData(fragment, {}, STAB.pauli_map(fragment.circuit, *fragment.cut_wires))
 
 
-def sequential(circuit: Circuit):
-    """Evolve the variant's op list from |0..0>, sweep every measured wire."""
-    tableau = Tableau(circuit.n_qubits)
-    tableau.apply_circuit(circuit)
-    return tableau.measurement_distribution(circuit.measured_qubits)
+def same_tensor(got, want) -> bool:
+    """Byte for byte: dtype, shape, every bit (so ``-0.0`` is not ``0.0``)."""
+    if isinstance(want, tuple):  # a SupportTensor: values and support
+        return all(same_tensor(a, b) for a, b in zip(got, want))
+    return got.dtype == want.dtype and got.shape == want.shape and (
+        got.tobytes() == want.tobytes()
+    )
 
 
-def shared_forms(fragment: Fragment):
-    """``(swept, forms)`` of the fragment's one evolution."""
-    return choi_variants(fragment.circuit, *fragment.cut_wires)
+def assert_map_equals_the_per_variant_route(fragment, seed=0, windows=4):
+    """Dense tensors of several windows, and conditioned tensors with random
+    pins, pinned bits only and nothing pinned, from the map and from the
+    spelled-out variants, byte for byte."""
+    rng = np.random.default_rng(seed)
+    got, want = map_data(fragment), per_variant_data(fragment)
+    outputs = [lq for _oq, lq in fragment.circuit_outputs]
+    picks = [[]] + [
+        [int(q) for q in rng.permutation(outputs)[: int(rng.integers(1, 4))]]
+        for _ in range(windows if outputs else 0)
+    ]
+    for window, a, b in zip(
+        picks, build_window_tensors(got, picks), build_window_tensors(want, picks)
+    ):
+        assert same_tensor(a, b), ("window", window)
+    order = [int(q) for q in rng.permutation(outputs)]
+    width = int(rng.integers(0, len(order) + 1))
+    pins = int(rng.integers(0, len(order) - width + 1))
+    for keep, fixed in (
+        (order[:width], order[width : width + pins]),  # random pins
+        ([], order),  # pinned only: point queries
+        (order, []),  # nothing pinned: the sparse builder
+    ):
+        rows = rng.integers(0, 2, size=(3, len(fixed))).astype(bool)
+        pairs = zip(
+            build_conditioned_window_tensors(got, keep, fixed, rows, max_dense_bits=None),
+            build_conditioned_window_tensors(want, keep, fixed, rows, max_dense_bits=None),
+        )
+        for row, (a, b) in zip(rows.tolist(), pairs):
+            assert same_tensor(a, b), ("conditioned", keep, fixed, row)
 
 
-def assert_same_form(got, expected, context=None):
-    assert got.A.dtype == expected.A.dtype == np.bool_
-    assert got.A.shape == expected.A.shape, context
-    assert np.array_equal(got.A, expected.A), context
-    assert np.array_equal(got.b, expected.b), context
+# -- the backward walk against Pauli conjugation ------------------------------
+
+#: gate names of a random Clifford circuit, each with its inverse's name
+_INVERSE = {"S": "SDG", "SDG": "S", "SX": "SXDG", "SXDG": "SX", "SY": "SYDG", "SYDG": "SY"}
 
 
-class TestVariantsAreOneEvolution:
-    @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 1), (2, 1), (0, 2)])
-    def test_every_variant_equals_its_spelled_out_circuit(self, qi, qo):
+def conjugated(circuit: Circuit, pauli: PauliString) -> PauliString:
+    """``U† P U``, one gate at a time: the last gate's inverse first."""
+    for op in reversed(circuit.ops):
+        name = _INVERSE.get(op.gate.name, op.gate.name)
+        pauli = conjugate_pauli(pauli, name, op.qubits)
+    return pauli
+
+
+class TestBackwardWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        depth=st.integers(0, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_images_equal_pauli_conjugation(self, n, depth, seed):
+        rng = np.random.default_rng(seed)
+        circuit = random_clifford_circuit(n, depth, rng)
+        rows = 2 * n + 3
+        x, z = rng.random((2, rows, n)) < 0.4
+        words = max(1, (n + 63) >> 6)
+        packed = [tableau_module._pack_axis1(bits, words) for bits in (x, z)]
+        got_x, got_z, sign = heisenberg_images(circuit, *packed)
+        got_x = tableau_module._unpack_axis1(got_x, n)
+        got_z = tableau_module._unpack_axis1(got_z, n)
+        for r in range(rows):
+            # the row is i^(x.z) X^x Z^z: the letter product, sign +
+            pauli = PauliString(x[r], z[r], int(np.sum(x[r] & z[r])))
+            want = conjugated(circuit, pauli)
+            assert np.array_equal(got_x[r], want.x) and np.array_equal(got_z[r], want.z)
+            assert (np.sum(want.x & want.z) + 2 * sign[r]) % 4 == want.phase
+
+    @pytest.mark.parametrize(
+        "gate",
+        [g for g in gates.ONE_QUBIT_CLIFFORD_GATES if g.name != "I"]
+        + [gates.CX, gates.CZ, gates.SWAP, gates.CY],
+        ids=lambda gate: gate.name,
+    )
+    def test_every_gate_walks_back_to_its_conjugation(self, gate):
+        """Each gate's steps, inverted, on wires in reverse order: all 16
+        two-qubit Paulis conjugate as ``paulis.pauli`` says."""
+        circuit = Circuit(2).append(gate, *(1, 0)[: gate.num_qubits])
+        letters = list(itertools.product(range(2), repeat=4))
+        x = np.array([[a, b] for a, b, _c, _d in letters], dtype=bool)
+        z = np.array([[c, d] for _a, _b, c, d in letters], dtype=bool)
+        packed = [tableau_module._pack_axis1(bits, 1) for bits in (x, z)]
+        got_x, got_z, sign = heisenberg_images(circuit, *packed)
+        got_x = tableau_module._unpack_axis1(got_x, 2)
+        got_z = tableau_module._unpack_axis1(got_z, 2)
+        for r in range(16):
+            want = conjugated(circuit, PauliString(x[r], z[r], int(np.sum(x[r] & z[r]))))
+            assert np.array_equal(got_x[r], want.x) and np.array_equal(got_z[r], want.z)
+            assert (np.sum(want.x & want.z) + 2 * sign[r]) % 4 == want.phase
+
+    def test_the_inverse_program(self):
+        program = [("H", 0), ("S", 1), ("CX", 0, 1), ("Y", 2)]
+        assert inverse_program(program) == [
+            ("Y", 2),
+            ("CX", 0, 1),
+            ("S", 1),
+            ("Z", 1),
+            ("H", 0),
+        ]
+
+    def test_the_map_rows(self):
+        """Row q is the image of Z_q, row n + j that of X on output j."""
+        body = Circuit(3).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.S, 2)
+        pauli_map = PauliMap(body, [1], [2, 0])
+        x, z = pauli_map.bits()
+        n = 3
+        for row, (letter, wire) in enumerate(
+            [("Z", 0), ("Z", 1), ("Z", 2), ("X", 2), ("X", 0)]
+        ):
+            want = conjugated(body, PauliString.single(n, wire, letter))
+            assert np.array_equal(x[row], want.x) and np.array_equal(z[row], want.z)
+            assert (np.sum(want.x & want.z) + 2 * pauli_map.sign[row]) % 4 == want.phase
+
+
+# -- one job, one walk ----------------------------------------------------------
+
+
+def counting_compiles(monkeypatch) -> list:
+    compiled = []
+    real = tableau_module._compile_ops
+
+    def counting(ops):
+        compiled.append(len(ops))
+        return real(ops)
+
+    monkeypatch.setattr(tableau_module, "_compile_ops", counting)
+    return compiled
+
+
+def counting_measurements(monkeypatch) -> list:
+    calls = []
+    real = Tableau.measure_symbolic
+
+    def counting(self, q):
+        calls.append(q)
+        return real(self, q)
+
+    monkeypatch.setattr(Tableau, "measure_symbolic", counting)
+    return calls
+
+
+class TestFragmentIsOneWalk:
+    @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 1), (2, 1), (0, 2), (3, 0)])
+    def test_map_tensors_equal_the_per_variant_route(self, qi, qo):
         fragment = clifford_fragment(7, qi, qo, seed=qi * 3 + qo)
-        forms = STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
-        specs = list(all_variants(fragment))
-        assert len(forms) == len(specs) == fragment.num_variants
-        for spec, form in zip(specs, forms):
-            assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
+        for seed in range(3):
+            assert_map_equals_the_per_variant_route(fragment, seed)
 
-    def test_body_is_compiled_and_evolved_once_per_fragment(self, monkeypatch):
-        fragment = clifford_fragment(8, 1, 1)
-        body_len = len(fragment.circuit.ops)
-        compiled = []
-        real = tableau_module._compile_ops
-
-        def counting(ops):
-            compiled.append(len(ops))
-            return real(ops)
-
-        monkeypatch.setattr(tableau_module, "_compile_ops", counting)
+    def test_body_is_compiled_and_walked_once_per_fragment(self, monkeypatch):
         from repro import kernels
 
+        fragment = clifford_fragment(8, 1, 1)
+        compiled = counting_compiles(monkeypatch)
+        measured = counting_measurements(monkeypatch)
         before = kernels.counters_snapshot()["apply_layers"][0]
-        forms = STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
-        assert len(forms) == 12
+        data = FragmentEvaluator().evaluate(fragment)
         assert kernels.counters_snapshot()["apply_layers"][0] - before == 1
-        assert compiled == [body_len]
+        assert compiled == [len(fragment.circuit.ops)]
+        build_window_tensors(data, [[0], [1, 2]])
+        next(build_conditioned_window_tensors(data, [0], [1], [[1]]))
+        assert measured == []
+        assert isinstance(data.pauli_map, PauliMap) and data.num_variants == 12
 
     def test_compiled_layers_stay_cached_on_the_variant(self):
         fragment = clifford_fragment(5, 1, 1)
@@ -143,11 +274,11 @@ class TestVariantsAreOneEvolution:
     def test_a_non_clifford_body_is_refused(self):
         body = seeded_body(4, 7).append(gates.T, 3)
         with pytest.raises(ValueError, match="non-Clifford gate T"):
-            STAB.affine_variants(body, [0], [3])
+            STAB.pauli_map(body, [0], [3])
 
     def test_equal_clifford_fragments_are_one_job(self):
-        """Fragments equal in body and cut wires share one job, each
-        variant reading its own slot of it; other cut wires key apart."""
+        """Fragments equal in body and cut wires share one job; other cut
+        wires key apart.  The variants are still counted one by one."""
         fragment = clifford_fragment(6, 1, 1, seed=15)
         twin = Fragment(
             index=1,
@@ -163,25 +294,26 @@ class TestVariantsAreOneEvolution:
             quantum_outputs=fragment.quantum_outputs,
             circuit_outputs=fragment.circuit_outputs,
         )
-        assignments, jobs = FragmentEvaluator()._build_jobs(
-            [fragment, twin, other], 0
-        )
-        assert len(jobs) == 2 and len(assignments) == 3 * 12
-        keys = [{key for i, *_, key, _slot in assignments if i == f} for f in range(3)]
-        assert keys[0] == keys[1] and len(keys[0]) == 1 and keys[0] != keys[2]
-        slots = [slot for i, *_, slot in assignments if i == 1]
-        assert slots == list(range(12))
+        evaluator = FragmentEvaluator()
+        assignments, jobs = evaluator._build_jobs([fragment, twin, other], 0)
+        assert len(jobs) == 2 and [spec for _i, spec, _key in assignments] == [None] * 3
+        keys = [key for _i, _spec, key in assignments]
+        assert keys[0] == keys[1] != keys[2]
+        assert evaluator.dry_run([fragment, twin, other])["jobs"] == 3 * 12
+        data = evaluator.evaluate_all([fragment, twin, other])
+        assert data[0].pauli_map is data[1].pauli_map is not data[2].pauli_map
+        assert evaluator.last_stats["jobs"] == 3 * 12
 
     def test_cut_wires_are_checked(self):
         """A wire out of range or named twice in one list is refused before
-        anything runs, not misreported as a failed post-selection; one wire
-        may still be both an input and an output."""
+        anything runs; one wire may still be both an input and an output."""
         body = seeded_body(4, 7)
         bad = (([-1], []), ([4], []), ([0, 0], []), ([], [1, 1]), ([], [4]))
         for inputs, outputs in bad:
             with pytest.raises(ValueError, match="distinct wires"):
-                STAB.affine_variants(body, inputs, outputs)
-        assert len(STAB.affine_variants(body, [2], [2])) == 12
+                STAB.pauli_map(body, inputs, outputs)
+        shared = STAB.pauli_map(body, [2], [2])
+        assert shared.x.shape == (4 + 1, 1) and shared.inputs == shared.outputs == (2,)
 
 
 # -- the derived space ------------------------------------------------------------
@@ -208,28 +340,33 @@ class TestDerivedSpace:
 
     def test_a_mutated_body_is_recompiled(self):
         fragment = clifford_fragment(6, 1, 1, seed=5)
-        shared_forms(fragment)
+        map_data(fragment)
         fragment.circuit.ops[3] = Operation(gates.S, (2,))
-        _swept, forms = shared_forms(fragment)
-        for spec, form in zip(all_variants(fragment), forms):
-            assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
+        assert_map_equals_the_per_variant_route(fragment)
 
     def test_an_appended_body_is_recompiled(self):
         fragment = clifford_fragment(6, 1, 1, seed=5)
-        shared_forms(fragment)
+        map_data(fragment)
         fragment.circuit.append(gates.H, 0).append(gates.CX, 0, 5)
-        check_every_variant(fragment)
+        assert_map_equals_the_per_variant_route(fragment)
 
-    def test_sweeping_keeps_only_the_compiled_body(self):
-        """Nothing per preparation or per variant outlives the sweep: the
-        body's derived space holds its compiled program alone."""
+    def test_walking_keeps_only_the_compiled_body(self):
+        """Nothing per variant outlives the walk: the body's derived space
+        holds its compiled program alone."""
         fragment = clifford_fragment(6, 2, 1, seed=4)
-        shared_forms(fragment)
-        shared_forms(fragment)
+        map_data(fragment)
+        map_data(fragment)
         assert set(fragment.circuit.derived()) == {"clifford_layers"}
 
 
 # -- derived caches do not travel ------------------------------------------------------
+
+
+def same_map(got: PauliMap, want: PauliMap) -> bool:
+    return (got.n, got.inputs, got.outputs) == (want.n, want.inputs, want.outputs) and all(
+        getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("x", "z", "sign")
+    )
 
 
 class TestPickling:
@@ -238,7 +375,7 @@ class TestPickling:
         variant = variant_circuit(fragment, (2,), (2,))
         cold = len(pickle.dumps(variant))
         expected = STAB.affine_distribution(variant)
-        shared_forms(fragment)
+        map_data(fragment)
         assert fragment.circuit.derived() and variant.derived()
         assert len(pickle.dumps(variant)) == cold
         assert len(pickle.dumps(fragment.circuit)) == len(
@@ -252,22 +389,20 @@ class TestPickling:
         got = STAB.affine_distribution(clone)
         assert np.array_equal(got.A, expected.A) and np.array_equal(got.b, expected.b)
 
-    def test_a_pickled_fragment_sweeps_to_the_same_forms(self):
+    def test_a_pickled_fragment_walks_to_the_same_map(self):
         fragment = clifford_fragment(7, 1, 2, seed=6)
-        _swept, expected = shared_forms(fragment)
+        expected = map_data(fragment).pauli_map
         clone = pickle.loads(pickle.dumps(fragment))
         assert clone.circuit.derived() == {}
         assert clone.cut_wires == fragment.cut_wires == ([0], [6, 5])
-        _swept, forms = shared_forms(clone)
-        assert len(forms) == len(expected) == 36
-        for spec, got, want in zip(all_variants(fragment), forms, expected):
-            assert_same_form(got, want, spec)
+        assert same_map(map_data(clone).pauli_map, expected)
+        assert same_map(pickle.loads(pickle.dumps(expected)), expected)
 
-    def test_a_pickled_fragment_job_still_evolves_its_body_once(self, monkeypatch):
+    def test_a_pickled_fragment_job_still_walks_its_body_once(self, monkeypatch):
         """What a process pool or a service worker receives: the fragment
-        job, pickled.  It compiles and evolves the body once (the
-        per-variant jobs it replaces did so 12 times), and its value is the
-        spelled-out oracle, bit for bit."""
+        job, pickled.  It compiles and walks the body once (the per-variant
+        jobs it replaces did so 12 times), and its map's tensors are the
+        spelled-out oracle's, byte for byte."""
         from repro import kernels
 
         fragment = clifford_fragment(20, 1, 1, seed=14)
@@ -275,44 +410,35 @@ class TestPickling:
         (job,) = jobs.values()
         job = pickle.loads(pickle.dumps(job))
         assert job.fragment.circuit.derived() == {}
-        compiled = []
-        real = tableau_module._compile_ops
-
-        def counting(ops):
-            compiled.append(len(ops))
-            return real(ops)
-
-        monkeypatch.setattr(tableau_module, "_compile_ops", counting)
+        compiled = counting_compiles(monkeypatch)
         before = kernels.counters_snapshot()["apply_layers"][0]
         value = evaluator_module._execute_job(job)
         assert kernels.counters_snapshot()["apply_layers"][0] - before == 1
         assert compiled == [len(fragment.circuit.ops)]
-        specs = list(all_variants(fragment))
-        assert len(value) == len(specs) == 12
-        for spec, data in zip(specs, value):
-            expected = STAB.run(variant_circuit(fragment, *spec)).measurement_distribution(
-                tuple(range(20))
-            )
-            assert_same_form(data.affine, expected, spec)
+        assert same_map(value, map_data(fragment).pauli_map)
+        windows = [[q] for q in range(19)] + [[3, 7, 1]]
+        got = build_window_tensors(FragmentData(fragment, {}, value), windows)
+        want = build_window_tensors(per_variant_data(fragment), windows)
+        assert all(same_tensor(a, b) for a, b in zip(got, want))
 
 
-# -- measuring late: one sweep per fragment -------------------------------------------
+# -- the map against the per-variant route, over random fragments ----------------
 
 
 def seeded_body(n: int, seed: int, hadamards: float = 0.0) -> Circuit:
     """Random Clifford body; ``hadamards`` is the share of wires opened with
-    an H, so a wide body measures into more than 64 symbols."""
+    an H."""
     rng = np.random.default_rng(seed)
     body = Circuit(n)
     for q in np.flatnonzero(rng.random(n) < hadamards):
         body.append(gates.H, int(q))
     for _ in range(int(rng.integers(0, 4 * n + 1))):
         kind = int(rng.integers(7))
-        if kind >= 5:
+        if kind >= 5 and n > 1:
             a, b = rng.choice(n, size=2, replace=False)
             body.append(gates.CX, int(a), int(b))
         else:
-            gate = (gates.H, gates.S, gates.SDG, gates.X, gates.YPow(0.5))[kind]
+            gate = (gates.H, gates.S, gates.SDG, gates.X, gates.YPow(0.5))[kind % 5]
             body.append(gate, int(rng.integers(n)))
     return body
 
@@ -335,255 +461,79 @@ def cut_fragments(draw, widths, max_cuts):
     n = draw(widths)
     wires = st.integers(0, n - 1)
     ins = draw(st.lists(wires, max_size=min(max_cuts, n), unique=True))
-    # at most 4 cuts in all: 4**3 * 3**3 variants are one explicit example
+    # at most 4 cuts in all: 4**3 * 3**3 variants are explicit examples
     outs = draw(st.lists(wires, max_size=min(max_cuts, n, 4 - len(ins)), unique=True))
     seed = draw(st.integers(0, 2**32 - 1))
-    return cut_fragment(n, ins, outs, seed, hadamards=float(n > 64))
+    return cut_fragment(n, ins, outs, seed)
 
 
-def check_every_variant(fragment):
-    _swept, forms = shared_forms(fragment)
-    specs = list(all_variants(fragment))
-    assert len(forms) == len(specs)
-    for spec, form in zip(specs, forms):
-        assert_same_form(form, sequential(variant_circuit(fragment, *spec)), spec)
-    return forms
-
-
-class TestMeasuringLate:
-    @settings(max_examples=25, deadline=None)
-    @given(cut_fragments(st.integers(2, 8), max_cuts=3))
-    # first and last wire cut, one of them also an input
-    @example(cut_fragment(5, [4, 2], [0, 4], 1))
-    @example(cut_fragment(5, [1], [0, 3, 4], 2))
-    @example(cut_fragment(4, [3], [3], 3))
-    @example(cut_fragment(4, [0, 1, 3], [3, 2, 0], 4))
-    # 64 preparations; input wires that are all of the cut wires
-    @example(cut_fragment(6, [5, 0, 3], [], 5))
-    @example(cut_fragment(5, [1, 4], [4, 1], 6))
-    @example(cut_fragment(6, [0, 2], [4], 7))
-    def test_every_variant_equals_the_sequential_sweep(self, fragment):
-        check_every_variant(fragment)
-
-    @settings(max_examples=5, deadline=None)
-    @given(cut_fragments(st.integers(66, 140), max_cuts=2))
-    def test_wide_fragments_past_64_symbols(self, fragment):
-        first = sequential(variant_circuit(fragment, *next(all_variants(fragment))))
-        assume(first.n_free > 64)
-        check_every_variant(fragment)
-
-    def test_one_sweep_per_preparation(self, monkeypatch):
-        """One sweep per body; a preparation costs one measurement per
-        input wire's ancilla, a variant one per cut wire."""
-        fragment = clifford_fragment(9, 2, 2, seed=3)
-        calls = []
-        real = Tableau.measure_symbolic
-
-        def counting(self, q):
-            calls.append(q)
-            return real(self, q)
-
-        monkeypatch.setattr(Tableau, "measure_symbolic", counting)
-        _swept, forms = shared_forms(fragment)
-        assert len(forms) == 144
-        assert len(calls) == (9 - 2) + 4**2 * 2 + 144 * 2
-
-    # -- the three kinds of move, by hand ----------------------------------------
-
-    def test_pure_permutation_by_hand(self):
-        # rows f0, f0^1, f1: the pivot row of f1 moves to the front and takes
-        # its column along; nothing else changes
-        A = np.array([[1, 0], [1, 0], [0, 1]], dtype=bool)
-        b = np.array([0, 1, 0], dtype=bool)
-        A, b = move_outcome_row(A, b, 2, 0)
-        assert A.tolist() == [[True, False], [False, True], [False, True]]
-        assert b.tolist() == [False, False, True]
-        # a dependent row moving up, but not past the pivot it depends on
-        A = np.array([[1, 0], [0, 1], [1, 0]], dtype=bool)
-        b = np.array([0, 0, 1], dtype=bool)
-        A, b = move_outcome_row(A, b, 2, 1)
-        assert A.tolist() == [[True, False], [True, False], [False, True]]
-        assert b.tolist() == [False, True, False]
-        # through the simulator: wire 0 is the cut, measured in X on |0>
-        _z, got, _y = STAB.affine_variants(Circuit(2), [], [0])
-        assert got.A.tolist() == [[True], [False]] and got.b.tolist() == [False, False]
-
-    def test_re_pivot_by_hand(self):
-        # rows f0, f1, f0^f1^1, f1: the third row moves in front of both its
-        # pivots, becomes the pivot g = f0^f1^1 of the later one (f1), and
-        # every row that held f1 now reads g^f0^1
-        A = np.array([[1, 0], [0, 1], [1, 1], [0, 1]], dtype=bool)
-        b = np.array([0, 0, 1, 0], dtype=bool)
-        A, b = move_outcome_row(A, b, 2, 0)
-        assert A.tolist() == [[True, False], [False, True], [True, True], [True, True]]
-        assert b.tolist() == [False, False, True, True]
-        # through the simulator: a Bell pair with the cut wire flipped.  Wire
-        # 1 is measured first (f, pivot) and wire 0 reads f^1; in wire order
-        # wire 0 is the pivot g and wire 1 reads g^1 — a permutation of the
-        # first form would have put the constant on the wrong row
-        body = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.X, 0)
-        got = STAB.affine_variants(body, [], [0])[0]
-        assert got.A.tolist() == [[True], [True]] and got.b.tolist() == [False, True]
-        assert_same_form(got, sequential(body.copy().measure_all()))
-
-    def test_rank_zero_by_hand(self):
-        A = np.zeros((3, 0), dtype=bool)
-        b = np.array([1, 0, 1], dtype=bool)
-        A, b = move_outcome_row(A, b, 2, 0)
-        assert A.shape == (3, 0) and b.tolist() == [True, True, False]
-        body = Circuit(3).append(gates.X, 0).append(gates.CX, 0, 2)
-        got = STAB.affine_variants(body, [], [0, 1])[0]
-        assert got.A.shape == (3, 0) and got.b.tolist() == [True, False, True]
-
-    # -- post-selection: one symbol substituted away ------------------------------
-
-    def test_substitution_by_hand(self):
-        # rows f0, f1, f0^f1^1 given f0^f1 = 1: f1 reads f0^1, the last row 0
-        A = np.array([[1, 0], [0, 1], [1, 1]], dtype=bool)
-        b = np.array([0, 0, 1], dtype=bool)
-        A, b = substitute_symbol(A, b, np.array([1, 1], dtype=bool), True)
-        assert A.tolist() == [[True], [True], [False]]
-        assert b.tolist() == [False, True, False]
-        # a symbol opened after these rows were measured is in none of them
-        same, _ = substitute_symbol(A, b, np.array([0, 1], dtype=bool), True)
-        assert same is A
-
-    def test_two_ancillas_eliminated_in_a_row(self):
-        """|11> through CX(0, 1) by post-selection: the second condition is
-        read off a tableau whose symbols the first one renumbered."""
-        tableau = Tableau(4)
-        for ancilla, q in ((2, 0), (3, 1)):
-            tableau.h(ancilla)
-            tableau.cx(ancilla, q)
-        tableau.cx(0, 1)
-        A, b = tableau.measure_symbolic_rows((0, 1))
-        assert A.tolist() == [[True, False], [False, True]] and not b.any()
-        forms = []
-        for ancilla in (2, 3):
-            coeffs, const = tableau.measure_symbolic(ancilla)
-            tableau.substitute_symbol(coeffs, const ^ True)
-            A, b = substitute_symbol(A, b, coeffs, const ^ True)
-            forms.append((coeffs.tolist(), bool(const), A.tolist(), b.tolist()))
-        assert forms == [
-            ([True, False], False, [[False], [True]], [True, False]),  # in0 = f0
-            ([True], True, [[], []], [True, False]),  # in1 = f0^f1, f0 = 1
-        ]
-        assert tableau.n_symbols == 0 and not tableau.sym.any()
-        again, consts = tableau.measure_symbolic_rows((0, 1))
-        assert again.shape == (2, 0) and consts.tolist() == [True, False]
-
-    def test_deleting_a_symbol_in_word_0_of_more_than_64(self):
-        """The column delete crosses the word boundary: every symbol past
-        the deleted one is renumbered, in the tableau as in the rows."""
-        n = 100
-        tableau = Tableau(n)
-        tableau.apply_circuit(seeded_body(n, 21, hadamards=1.0))
-        wires = tuple(range(n))
-        A, b = tableau.measure_symbolic_rows(wires)
-        assert tableau.n_symbols > 70 and A[:, 64:].any()
-        coeffs = np.zeros(tableau.n_symbols, dtype=bool)
-        coeffs[[3, 17]] = True
-        tableau.substitute_symbol(coeffs, True)
-        A, b = substitute_symbol(A, b, coeffs, True)
-        assert A.shape[1] == tableau.n_symbols
-        # every wire is determined now: re-measuring reads the tableau's signs
-        again, consts = tableau.measure_symbolic_rows(wires)
-        assert np.array_equal(again, A) and np.array_equal(consts, b)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 8),
-        seed=st.integers(0, 2**32 - 1),
-        qi=st.integers(0, 2),
-        qo=st.integers(0, 2),
+def wide_fragment(n: int, ins, outs, seed: int) -> Fragment:
+    """A body past 64 qubits whose outcomes hold a few random bits only, so
+    the per-variant route can enumerate them: a few H, then CX, S, X, Z."""
+    rng = np.random.default_rng(seed)
+    body = Circuit(n)
+    for q in rng.choice(n, size=4, replace=False):
+        body.append(gates.H, int(q))
+    for _ in range(3 * n):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            a, b = rng.choice(n, size=2, replace=False)
+            body.append(gates.CX, int(a), int(b))
+        else:
+            body.append((gates.S, gates.X, gates.Z)[kind - 1], int(rng.integers(n)))
+    return Fragment(
+        index=0,
+        circuit=body,
+        quantum_inputs=list(enumerate(ins)),
+        quantum_outputs=list(enumerate(outs, start=len(ins))),
+        circuit_outputs=[(q, q) for q in range(n) if q not in outs],
     )
-    def test_a_choi_state_never_refuses_a_post_selection(self, n, seed, qi, qo):
-        """The ancillas of a Choi state are maximally mixed, so measured in
-        any product basis each one stays a fair coin whatever the others
-        read: ``PostSelectionError`` cannot come out of a valid fragment."""
-        rng = np.random.default_rng(seed)
-        body = clifford_fragment(n, 0, 0, seed=seed).circuit
-        inputs = [int(q) for q in rng.choice(n, size=min(qi, n), replace=False)]
-        outputs = [int(q) for q in rng.choice(n, size=min(qo, n), replace=False)]
-        _swept, forms = choi_variants(body, inputs, outputs)
-        assert len(forms) == 4 ** len(inputs) * 3 ** len(outputs)
-
-    def test_a_constant_ancilla_is_refused(self, monkeypatch):
-        fragment = clifford_fragment(5, 1, 1, seed=13)
-        real = Tableau.measure_symbolic
-
-        def disentangled(self, q):
-            coeffs, const = real(self, q)
-            return (coeffs & False, const) if q >= 5 else (coeffs, const)
-
-        monkeypatch.setattr(Tableau, "measure_symbolic", disentangled)
-        with pytest.raises(PostSelectionError, match=r"input wire 0 .*\(0,\)"):
-            STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
-
-    def test_rows_only_move_up(self):
-        A, b = np.eye(2, dtype=bool), np.zeros(2, dtype=bool)
-        assert move_outcome_row(A, b, 1, 1)[0] is A
-        for src, dst in ((0, 1), (2, 0), (1, -1)):
-            with pytest.raises(ValueError):
-                move_outcome_row(A, b, src, dst)
 
 
-# -- the swept Choi tableau is frozen ------------------------------------------------------
+class TestMapTwin:
+    @settings(max_examples=25, deadline=None)
+    @given(cut_fragments(st.integers(1, 8), max_cuts=3), st.integers(0, 2**32 - 1))
+    # first and last wire cut, one of them also an input
+    @example(cut_fragment(5, [4, 2], [0, 4], 1), 0)
+    @example(cut_fragment(5, [1], [0, 3, 4], 2), 1)
+    @example(cut_fragment(4, [3], [3], 3), 2)
+    # no circuit output: every wire ends at a cut
+    @example(cut_fragment(3, [0], [0, 1, 2], 4), 3)
+    @example(cut_fragment(2, [0, 1], [1, 0], 5), 4)
+    # 64 preparations; input wires that are all of the cut wires
+    @example(cut_fragment(6, [5, 0, 3], [], 5), 5)
+    # qi = qo = 3, one wire both: 1728 variants
+    @example(cut_fragment(6, [0, 2, 4], [4, 1, 5], 6, hadamards=0.5), 6)
+    def test_every_fragment_equals_the_per_variant_route(self, fragment, seed):
+        assert_map_equals_the_per_variant_route(fragment, seed)
 
-
-class TestSweptTableauIsFrozen:
-    def swept(self):
-        fragment = clifford_fragment(6, 1, 1, seed=8)
-        swept, forms = shared_forms(fragment)
-        assert swept.n == 6 + 1
-        return fragment, swept, forms
-
-    def test_measuring_the_swept_tableau_raises(self):
-        fragment, swept, forms = self.swept()
-        variant = variant_circuit(fragment, (2,), (1,))
-        with pytest.raises(ValueError):
-            swept.measurement_distribution(variant.measured_qubits)
-        with pytest.raises(ValueError):
-            swept.h(0)
-        with pytest.raises(ValueError):
-            swept.apply_circuit(variant)
-        with pytest.raises(ValueError, match="frozen"):
-            swept.apply_layers(compile_clifford_layers(variant))
-        with pytest.raises(ValueError):
-            swept.reset_symbols(6)
-        with pytest.raises(ValueError, match="frozen"):
-            swept.substitute_symbol(np.ones(1, dtype=bool), True)
-        # half of a Bell pair: a random outcome, which has to write
-        with pytest.raises(ValueError):
-            swept.measure_symbolic(6)
-        # every variant still reads the sweep it was built from
-        check_every_variant(fragment)
-
-    def test_copies_are_writable(self):
-        _fragment, swept, _forms = self.swept()
-        copy = swept.copy()
-        copy.h(0)
-        copy.measurement_distribution((0, 1))
-        assert not swept.x.flags.writeable
+    @settings(max_examples=3, deadline=None)
+    @given(
+        n=st.integers(65, 100),
+        cuts=st.lists(st.integers(0, 64), min_size=2, max_size=3, unique=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_fragment_wider_than_64_qubits(self, n, cuts, seed):
+        fragment = wide_fragment(n, cuts[:-1], cuts[-1:], seed)
+        assert_map_equals_the_per_variant_route(fragment, seed)
 
 
 # -- thread pools share the body ---------------------------------------------------------
 
 
 def test_threads_sharing_one_body_agree_with_serial_results():
-    """More threads than cores, each evolving the same body (one compiled
+    """More threads than cores, each walking the same body (one compiled
     program on its derived space) for all 144 variants at once."""
     fragment = clifford_fragment(20, 2, 2, seed=12)
-    specs = list(all_variants(fragment))
-    assert len(specs) == 144
-    expected = [sequential(variant_circuit(fragment, *spec)) for spec in specs]
+    assert fragment.num_variants == 144
+    expected = map_data(fragment).pauli_map
     results, errors = {}, []
     barrier = threading.Barrier(8)
 
     def work(slot):
         try:
             barrier.wait(timeout=30)
-            results[slot] = STAB.affine_variants(fragment.circuit, *fragment.cut_wires)
+            results[slot] = STAB.pauli_map(fragment.circuit, *fragment.cut_wires)
         except Exception as exc:  # surfaced below
             errors.append(exc)
 
@@ -599,9 +549,8 @@ def test_threads_sharing_one_body_agree_with_serial_results():
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
     assert len(results) == 8
-    for slot, forms in results.items():
-        for spec, form, want in zip(specs, forms, expected):
-            assert_same_form(form, want, (slot, spec))
+    for slot, got in results.items():
+        assert same_map(got, expected), slot
 
 
 # -- batched tomography ---------------------------------------------------------------
@@ -734,22 +683,21 @@ POOLS = (
 
 
 def defeat_sharing(monkeypatch):
-    """Every Clifford fragment evaluated variant by variant: each variant
-    spelled out and evolved from scratch, nothing shared."""
+    """Every Clifford fragment evaluated by the per-variant route: each
+    variant spelled out, evolved from scratch and handed to the generic
+    tomography, nothing shared."""
 
-    def one_by_one(_self, body, inputs, outputs):
+    def per_variant(_self, body, inputs, outputs):
         fragment = Fragment(
             index=0,
             circuit=body,
             quantum_inputs=list(enumerate(inputs)),
             quantum_outputs=list(enumerate(outputs)),
         )
-        return [
-            sequential(variant_circuit(fragment, *spec))
-            for spec in all_variants(fragment)
-        ]
+        results = per_variant_data(fragment).results
+        return tuple(results[spec] for spec in all_variants(fragment))
 
-    monkeypatch.setattr(StabilizerSimulator, "affine_variants", one_by_one)
+    monkeypatch.setattr(StabilizerSimulator, "pauli_map", per_variant)
 
 
 def test_seeded_marginals_identical_across_pools(hwea30, monkeypatch):
@@ -780,7 +728,7 @@ def test_seeded_marginals_identical_across_pools(hwea30, monkeypatch):
 
 def test_exact_recursive_runs_identical_across_pools_and_without_sharing(monkeypatch):
     """The ledger's wide-chain shape at 31q: one Clifford fragment with
-    qi = qo = 2, 144 variants, every one through the shared sweeps."""
+    qi = qo = 2, 144 variants, every one read off the body's one map."""
     n = 31
     circuit = Circuit(n).append(gates.H, 0)
     for q in range(n - 1):

@@ -28,6 +28,10 @@ class TestParallelEvaluator:
             a = serial.evaluate(fragment)
             b = threaded.evaluate(fragment)
             assert set(a.results) == set(b.results)
+            assert (a.pauli_map is None) == (b.pauli_map is None)
+            if a.pauli_map is not None:
+                for name in ("x", "z", "sign"):
+                    assert np.array_equal(getattr(a.pauli_map, name), getattr(b.pauli_map, name))
             cols = list(range(fragment.n_qubits))
             for key in a.results:
                 da = a.results[key].joint(cols)

@@ -16,7 +16,10 @@ from repro.core import CutConfig, SuperSim, cut_circuit, find_cuts
 from repro.extended_stabilizer import StabilizerSum
 from repro.mps import MPSSimulator
 from repro.stabilizer import StabilizerSimulator
-from repro.stabilizer.tableau import conditioned_marginals
+from repro.core.evaluator import FragmentData
+from repro.core.fragments import Fragment
+from repro.core.tomography import build_conditioned_fragment_tensor
+from repro.stabilizer.tableau import PauliMap
 from repro.statevector import StatevectorSimulator
 
 SV = StatevectorSimulator()
@@ -151,15 +154,20 @@ class TestStabilizerInvariants:
     @given(circuits(), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_partial_probability_consistency(self, circuit, seed):
-        """The point query over some bits is their marginal's entry."""
+        """The point query of the circuit's Pauli map over some bits is
+        their marginal's entry."""
         affine = STAB.affine_distribution(circuit)
         rng = np.random.default_rng(seed)
         n = circuit.n_qubits
         rows = rng.permutation(n)[: rng.integers(1, n + 1)].tolist()
         bits = rng.integers(0, 2, size=len(rows)).astype(bool)
-        ((_owner, _keys, probs),) = conditioned_marginals([affine], rows, [bits], [])
+        fragment = Fragment(
+            index=0, circuit=circuit, circuit_outputs=[(q, q) for q in range(n)]
+        )
+        data = FragmentData(fragment, {}, PauliMap(circuit, [], []))
+        point = build_conditioned_fragment_tensor(data, [], dict(zip(rows, bits)))
         key = int("".join("1" if bit else "0" for bit in bits), 2)
-        assert float(probs.sum()) == affine.marginal_distribution(rows)[key]
+        assert float(point.values.sum()) == affine.marginal_distribution(rows)[key]
 
 
 class TestDistributionInvariants:

@@ -238,8 +238,8 @@ def test_sqlite_tier_lru_and_stats(tmp_path):
 
 
 def clifford_fragment_value():
-    """``(key, value)`` of one Clifford fragment job: 12 variants of a
-    64-qubit body whose outcome forms hold full-rank ``64 x 64`` matrices."""
+    """``(key, value)`` of one Clifford fragment job: the Pauli map of a
+    64-qubit body with 12 variants, its images ``65`` rows of ``64`` bits."""
     from repro.core.evaluator import FragmentEvaluator, _execute_job
     from repro.core.fragments import Fragment
 
@@ -261,13 +261,14 @@ def clifford_fragment_value():
     return key, _execute_job(job)
 
 
-def test_the_byte_gauge_counts_every_variant_of_a_fragment_value():
+def test_the_byte_gauge_counts_the_images_of_a_fragment_value():
     from repro.backends import approx_result_bytes
+    from repro.stabilizer.tableau import PauliMap
 
     key, value = clifford_fragment_value()
-    assert len(value) == 12
-    arrays = sum(data.affine.A.nbytes + data.affine.b.nbytes for data in value)
-    assert arrays >= 12 * 64 * 64
+    assert isinstance(value, PauliMap)
+    arrays = value.x.nbytes + value.z.nbytes + value.sign.nbytes
+    assert arrays == 2 * 65 * 8 + 65
     assert approx_result_bytes(value) >= arrays
     cache = VariantCache()
     cache.put(key, value)
@@ -282,30 +283,52 @@ def test_sqlite_tier_round_trips_a_fragment_value(tmp_path):
     reopened = SQLiteCacheTier(tmp_path / "variants.db")
     got = reopened.get(key)
     reopened.close()
-    assert type(got) is tuple and len(got) == len(value)
-    for a, b in zip(got, value):
-        assert np.array_equal(a.affine.A, b.affine.A)
-        assert np.array_equal(a.affine.b, b.affine.b)
+    assert type(got) is type(value)
+    assert (got.n, got.inputs, got.outputs) == (value.n, value.inputs, value.outputs)
+    for name in ("x", "z", "sign"):
+        assert getattr(got, name).tobytes() == getattr(value, name).tobytes()
 
 
-def test_sqlite_tier_drops_rows_of_another_schema_version(tmp_path, monkeypatch):
+class AffineVariantData:
+    """Pickled as ``repro.core.evaluator.AffineVariantData``, the
+    per-variant Clifford class version-1 files held."""
+
+
+@pytest.mark.parametrize("version", [0, 1])
+def test_sqlite_tier_drops_rows_of_another_schema_version(
+    tmp_path, monkeypatch, version
+):
     """A file written before shots were packed holds ``SampledVariantData``
-    pickles with ``bits`` and no ``words``: unstamped (``user_version`` 0),
-    so it is emptied at open and its rows are misses, never unpickled."""
+    pickles with ``bits`` and no ``words`` (unstamped, ``user_version`` 0);
+    one written before Clifford fragments were read off a Pauli map holds
+    a fragment job's value as a tuple of ``AffineVariantData`` (version 1,
+    a class that no longer exists).  Either is emptied at open and its
+    rows are misses, never unpickled."""
     import sqlite3
 
     from repro.backends import tiers
     from repro.core.evaluator import SampledVariantData
 
+    assert version < SQLiteCacheTier.SCHEMA_VERSION
     path = tmp_path / "variants.db"
     key = ("fp", ("stabilizer",), None, ("shots", 8, 0))
-    old_layout = SampledVariantData.__new__(SampledVariantData)
-    old_layout.__dict__["bits"] = np.zeros((8, 3), dtype=bool)
+    if version == 0:
+        old_layout = SampledVariantData.__new__(SampledVariantData)
+        old_layout.__dict__["bits"] = np.zeros((8, 3), dtype=bool)
+    else:
+        from repro.core import evaluator
+
+        form = AffineVariantData()
+        form.__dict__["affine"] = np.zeros((4, 2), dtype=bool)
+        old_layout = (form,) * 12
+        AffineVariantData.__module__ = evaluator.__name__
+        monkeypatch.setattr(evaluator, "AffineVariantData", AffineVariantData, raising=False)
     writer = SQLiteCacheTier(path)
     writer.put(key, old_layout)
     writer.close()
+    monkeypatch.undo()  # the class is gone again: such a row cannot load
     raw = sqlite3.connect(path)
-    raw.execute("PRAGMA user_version = 0")
+    raw.execute(f"PRAGMA user_version = {version}")
     raw.commit()
     raw.close()
 

@@ -52,12 +52,20 @@ class TestStrongSimulation:
 
     def test_non_bits_are_rejected(self):
         circuit = Circuit(4).append(gates.H, 0).append(gates.T, 0)
-        for bits in ([0, 2, 0, 0], [0, -1, 0, 0]):
+        for bits in (
+            [0, 2, 0, 0],
+            [0, -1, 0, 0],
+            [0.9, 0, 0, 0],
+            [0, 1.5, 0, 0],
+            [0, 0, 1.0, 0],
+            [0, 0, 0, "2"],
+        ):
             with pytest.raises(ValueError, match="0 or 1"):
                 EXACT.probability_of(circuit, bits)
         assert EXACT.probability_of(circuit, [False, 0, np.int64(0), 0]) == (
             pytest.approx(0.5, abs=1e-12)
         )
+        assert EXACT.probability_of(circuit, "1000") == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize(
         "sampling",

@@ -1,14 +1,11 @@
 """Marginal windows are served in batches, bit for bit as one at a time.
 
 ``SuperSim.marginal_probabilities`` contracts every group of equally
-shaped windows once (``reconstruct_windows``) and builds an exact
-Clifford variant's tables for all windows of one width from one batched
-elimination (``AffineOutcomeDistribution.window_tables``).  Each is
-checked here against its oracle — the per-window loop
-(``repro.testing.reconstruction.loop_reconstruct_windows``) and one
-``marginal_distribution`` per window (``VariantData.joint_tables``) — byte
-for byte.  The windows are validated before anything is cut, and the
-configured ``max_dense_bits`` reaches the batched contraction.
+shaped windows once (``reconstruct_windows``), checked here against its
+oracle — the per-window loop
+(``repro.testing.reconstruction.loop_reconstruct_windows``) — byte for
+byte.  The windows and kept qubits are validated before anything is cut,
+and the configured ``max_dense_bits`` reaches the batched contraction.
 """
 
 from unittest import mock
@@ -28,9 +25,8 @@ from repro.core import (
     SuperSim,
 )
 from repro.core import reconstruction, supersim
-from repro.core.evaluator import AffineVariantData, FragmentEvaluator, VariantData
+from repro.core.evaluator import FragmentEvaluator
 from repro.core.tomography import build_window_tensors
-from repro.stabilizer.tableau import AffineOutcomeDistribution
 from repro.testing.reconstruction import loop_reconstruct_windows
 
 
@@ -138,108 +134,6 @@ class TestBatchedContraction:
             assert _same_bytes(dist, reference)
 
 
-def _affine_case(data):
-    """An affine form whose window rows lie inside ``span(A[tail])`` or
-    outside it, drawn per window row; returns ``(variant, windows, tail,
-    inside flags)``."""
-    width = data.draw(st.integers(1, 3), label="width")
-    tail_len = data.draw(st.integers(0, 2), label="tail")
-    count = data.draw(st.integers(2, 4), label="windows")
-    free = tail_len + count * width + 2
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    tail_rows = rng.random((tail_len, free)) < 0.5
-    tail_rows[:, tail_len + 2 :] = False  # the outside rows' own free bits
-    rows, inside = [*tail_rows], []
-    for i in range(count * width):
-        if data.draw(st.booleans(), label=f"inside {i}"):
-            pick = rng.random(tail_len) < 0.5
-            row = np.bitwise_xor.reduce(tail_rows[pick], axis=0, initial=False)
-            inside.append(True)
-        else:
-            # a free bit of its own: outside every span of the other rows
-            row = rng.random(free) < 0.5
-            row[tail_len + 2 + i] = True
-            row[tail_len + 2 :][np.arange(count * width) != i] = False
-            inside.append(False)
-        rows.append(row)
-    A = np.array(rows, dtype=bool).reshape(len(rows), free)
-    b = rng.random(len(rows)) < 0.5
-    perm = rng.permutation(len(rows))
-    where = np.argsort(perm)
-    variant = AffineVariantData(AffineOutcomeDistribution(A[perm], b[perm]))
-    tail = [int(where[i]) for i in range(tail_len)]
-    windows = [
-        tuple(int(where[tail_len + w * width + j]) for j in range(width))
-        for w in range(count)
-    ]
-    return variant, windows, tail, inside
-
-
-class TestExactWindowTables:
-    @given(data=st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_equals_one_marginal_per_window(self, data):
-        variant, windows, tail, inside = _affine_case(data)
-        got = variant.joint_tables(windows, tail)
-        want = VariantData.joint_tables(variant, windows, tail)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        if len(windows[0]) == 1:
-            # a bit outside span(A[tail]) is a fair coin given the tail
-            for table, row_inside in zip(got, inside):
-                assert np.array_equal(table[0], table[1]) == (not row_inside)
-
-    @pytest.mark.parametrize("inside", [True, False])
-    @pytest.mark.parametrize("tail_len", [0, 1, 2])
-    def test_single_bit_inside_and_outside_the_tail_span(self, inside, tail_len):
-        rng = np.random.default_rng(tail_len)
-        free = tail_len + 2
-        # tail rows touch only the first tail_len free bits
-        tail_rows = np.zeros((tail_len, free), bool)
-        tail_rows[:, :tail_len] = np.triu(rng.random((tail_len, tail_len)) < 0.5)
-        tail_rows[:, :tail_len] |= np.eye(tail_len, dtype=bool)
-        if inside:
-            combination = np.bitwise_xor.reduce(tail_rows, axis=0, initial=False)
-            window_rows = [combination, np.zeros(free, bool)]
-        else:
-            window_rows = list(np.eye(free, dtype=bool)[tail_len:])
-            window_rows[0][:tail_len] = rng.random(tail_len) < 0.5
-        A = np.vstack([tail_rows, window_rows])
-        variant = AffineVariantData(
-            AffineOutcomeDistribution(A, rng.random(len(A)) < 0.5)
-        )
-        windows = [(tail_len,), (tail_len + 1,)]
-        tail = list(range(tail_len))
-        got = variant.joint_tables(windows, tail)
-        want = VariantData.joint_tables(variant, windows, tail)
-        assert got.tobytes() == want.tobytes()
-        # outside the span the window bit is a fair coin whatever the tail
-        # shows; inside it is a function of the tail
-        coin = np.array_equal(got[:, 0], got[:, 1])
-        assert coin == (not inside)
-
-    def test_a_lone_window_is_one_marginal(self, monkeypatch):
-        affine = AffineOutcomeDistribution(np.eye(4, dtype=bool), np.zeros(4, bool))
-        monkeypatch.setattr(
-            AffineOutcomeDistribution,
-            "window_tables",
-            mock.Mock(side_effect=AssertionError("batched for one window")),
-        )
-        tables = AffineVariantData(affine).joint_tables([(0, 1, 2)], [3])
-        assert tables.shape == (1, 8, 2)
-        assert np.all(tables == 1 / 16)
-
-    def test_deterministic_form(self):
-        affine = AffineOutcomeDistribution(
-            np.zeros((3, 0), bool), np.array([1, 0, 1], bool)
-        )
-        variant = AffineVariantData(affine)
-        got = variant.joint_tables([(0,), (1,)], [2])
-        want = VariantData.joint_tables(variant, [(0,), (1,)], [2])
-        assert got.tobytes() == want.tobytes()
-
-
-
 class TestWindowedRunTwin:
     """Two routes to one exact marginal: a windowed ``run()`` (the route
     the service offers) builds ``build_fragment_tensor`` tensors for
@@ -315,6 +209,31 @@ class TestQubitListValidation:
         with pytest.raises(ValueError, match=message):
             next(sim.sweep(lambda _point: _t_circuit(), [0], keep_qubits=keep))
         reached.assert_not_called()
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            ([0, 0], r"keep_qubits \[0, 0\]: qubit 0 repeats"),
+            ([7], r"keep_qubits \[7\]: qubit 7 " + _OUTSIDE),
+            ([-1], r"keep_qubits \[-1\]: qubit -1 " + _OUTSIDE),
+            ([0.5], r"keep_qubits \[0.5\]: qubit 0.5 is not an integer"),
+            ([True, 1], "qubit True is not an integer"),
+        ],
+    )
+    def test_sparse_probabilities_refuses_before_evaluating(
+        self, keep, message, monkeypatch
+    ):
+        reached = mock.Mock(side_effect=AssertionError("cut or evaluated"))
+        monkeypatch.setattr(FragmentEvaluator, "evaluate_all", reached)
+        monkeypatch.setattr(SuperSim, "cut", reached)
+        with pytest.raises(ValueError, match=message):
+            SuperSim().sparse_probabilities(_t_circuit(), keep)
+        reached.assert_not_called()
+
+    def test_sparse_probabilities_of_nothing_is_the_trivial_distribution(self):
+        dist = SuperSim().sparse_probabilities(_t_circuit(), [])
+        assert dist.n_bits == 0
+        assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_nothing_kept_in_full_mode_is_the_trivial_distribution(self):
         result = SuperSim().run(_t_circuit(), keep_qubits=[])
