@@ -1,9 +1,9 @@
 """Perf smoke benchmark: core hot-path timings, tracked from PR 3 onward.
 
-Times the bit-packed word-parallel tableau against the byte-per-bit
-reference (``repro.stabilizer._reference``) on a 200-qubit Clifford
-apply-circuit + full-measurement workload and on a fresh 200-qubit HWEA
-(a CX ladder, compile included), and the einsum reconstruction
+Times the backward walk's readout against the byte-per-bit forward
+reference tableau (``repro.stabilizer._reference``) on a 200-qubit
+Clifford full-measurement workload and on a fresh 200-qubit HWEA (a CX
+ladder, compile included), and the einsum reconstruction
 against the ``4^k`` assignment loop (the oracle in
 ``repro.testing.reconstruction``) on a k=4 chain-cut benchmark, then
 writes ``BENCH_core.json`` at the repository root.  CI runs this on
@@ -13,7 +13,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py
 
-Exit code is non-zero when the packed engines regress below the floors
+Exit code is non-zero when the fast engines regress below the floors
 asserted at the bottom (tableau >= 3x, HWEA ladder >= 2x, einsum beats
 the loop while
 matching it within 1e-9), so CI fails loudly on a perf regression.
@@ -39,8 +39,9 @@ from repro.core.fragments import Cut
 from repro.core.config import ReconstructionConfig
 from repro.core.reconstruction import reconstruct_distribution
 from repro.core.tomography import build_fragment_tensor
+from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer._reference import ReferenceTableau
-from repro.stabilizer.tableau import Tableau
+from repro.stabilizer.tableau import _unit_rows, heisenberg_images
 from repro.testing.reconstruction import loop_reconstruct_distribution
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,19 +60,6 @@ def _best(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def _counting_measure_symbolic(calls: list):
-    """``mock.patch`` context counting ``Tableau.measure_symbolic`` calls."""
-    from unittest import mock
-
-    real = Tableau.measure_symbolic
-
-    def counted(self, q):
-        calls.append(q)
-        return real(self, q)
-
-    return mock.patch.object(Tableau, "measure_symbolic", counted)
 
 
 def _counting_map_eliminations(calls: list):
@@ -115,21 +103,23 @@ def _per_variant_route():
 
 
 def bench_tableau() -> dict:
-    """200-qubit Clifford apply_circuit + full measurement sweep."""
+    """200-qubit Clifford circuit, exact outcome form over every qubit."""
     circuit = random_clifford_circuit(TABLEAU_QUBITS, TABLEAU_DEPTH, rng=0)
     qubits = tuple(range(TABLEAU_QUBITS))
 
-    def run(cls):
-        tableau = cls(TABLEAU_QUBITS)
+    def reference_run():
+        tableau = ReferenceTableau(TABLEAU_QUBITS)
         tableau.apply_circuit(circuit)
         tableau.measurement_distribution(qubits)
 
-    packed = _best(lambda: run(Tableau), repeats=5)
-    reference = _best(lambda: run(ReferenceTableau), repeats=2)
+    simulator = StabilizerSimulator()
+    packed = _best(lambda: simulator.affine_distribution(circuit), repeats=5)
+    reference = _best(reference_run, repeats=2)
     return {
         "workload": (
-            f"{TABLEAU_QUBITS}q random Clifford depth {TABLEAU_DEPTH}, "
-            "apply_circuit + measurement_distribution over all qubits"
+            f"{TABLEAU_QUBITS}q random Clifford depth {TABLEAU_DEPTH}, outcome "
+            "form over all qubits: affine_distribution (one backward walk) vs "
+            "the reference tableau's apply_circuit + measurement_distribution"
         ),
         "packed_seconds": packed,
         "reference_seconds": reference,
@@ -138,13 +128,14 @@ def bench_tableau() -> dict:
 
 
 def bench_hwea_ladder() -> dict:
-    """A fresh 200-qubit, 5-round Clifford HWEA evolved from |0...0>.
+    """A fresh 200-qubit, 5-round Clifford HWEA walked over ``2n`` rows.
 
     The HWEA entangler is a CX ladder: every CX waits for the one before
     it, the shape a same-gate layer scheduler could not fuse (almost every
-    layer held a single CX).  Each packed run takes a circuit it has not
-    seen, so ``apply_circuit`` pays the compile as well as the walk; the
-    reference applies the same ops gate by gate.
+    layer held a single CX).  Each walk takes a circuit it has not seen,
+    so it pays the compile as well as the walk, over the rows ``X_q`` and
+    ``Z_q`` of every qubit (as many as a tableau evolves); the reference
+    applies the same ops to a tableau gate by gate.
     """
     from repro.apps.hwea import HWEA
 
@@ -152,9 +143,12 @@ def bench_hwea_ladder() -> dict:
     circuit = HWEA(n, 5).random_clifford_instance(np.random.default_rng(0))
     # one unseen circuit per packed call (_best's warm-up + 5 repeats)
     fresh = iter([Circuit(n, circuit.ops) for _ in range(6)])
+    units = _unit_rows(n, range(n))
+    x = np.vstack([units, np.zeros_like(units)])
+    z = np.vstack([np.zeros_like(units), units])
 
     def packed_run():
-        Tableau(n).apply_circuit(next(fresh))
+        heisenberg_images(next(fresh), x, z)
 
     def reference_run():
         ReferenceTableau(n).apply_circuit(circuit)
@@ -163,8 +157,9 @@ def bench_hwea_ladder() -> dict:
     reference = _best(reference_run, repeats=2)
     return {
         "workload": (
-            f"{n}q 5-round Clifford HWEA ({len(circuit.ops)} ops), "
-            "apply_circuit on a fresh circuit (compile + walk)"
+            f"{n}q 5-round Clifford HWEA ({len(circuit.ops)} ops), a walk of "
+            f"{2 * n} rows through a fresh circuit (compile + walk) vs the "
+            "reference tableau's apply_circuit"
         ),
         "packed_seconds": packed,
         "reference_seconds": reference,
@@ -175,9 +170,7 @@ def bench_hwea_ladder() -> dict:
 def bench_sampling() -> dict:
     """Multi-shot sampling from the exact affine form (vectorised keys)."""
     circuit = random_clifford_circuit(TABLEAU_QUBITS, TABLEAU_DEPTH, rng=0)
-    tableau = Tableau(TABLEAU_QUBITS)
-    tableau.apply_circuit(circuit)
-    affine = tableau.measurement_distribution(tuple(range(TABLEAU_QUBITS)))
+    affine = StabilizerSimulator().affine_distribution(circuit)
     shots = 20_000
     seconds = _best(lambda: affine.sample(shots, rng=1), repeats=3)
     # what the evaluator keeps of sampled shots (cache, SQLite row, wire)
@@ -406,9 +399,7 @@ def _recursive_61q_counts() -> dict:
     may still hold less than one window tensor.  Below the top window —
     where nothing is pinned yet — every bin is contracted on its support:
     no operand above ``4^4 * 64`` entries (a dense ``4^4 * 2^12`` one per
-    bin before fragment tensors lived on their supports).  The evaluation
-    in front of it measures no wire: ``Tableau.measure_symbolic`` is never
-    called.
+    bin before fragment tensors lived on their supports).
     """
     import tracemalloc
     from unittest import mock
@@ -426,10 +417,8 @@ def _recursive_61q_counts() -> dict:
         wide.append(gates.CX, q, q + 1)
     sim = SuperSim()
     cc = sim.cut(wide.measure_all())
-    measurements: list[int] = []
     fragment_evaluator = sim._evaluator()
-    with _counting_measure_symbolic(measurements):
-        data = fragment_evaluator.evaluate_all(cc.fragments)
+    data = fragment_evaluator.evaluate_all(cc.fragments)
 
     counts = dict.fromkeys(
         ("levels", "variants", "dense_map_builds", "contractions", "wide_contractions"),
@@ -491,7 +480,6 @@ def _recursive_61q_counts() -> dict:
         "recursive_61q_window_tensor_bytes": window_tensor,
         "recursive_61q_retained_bytes": retained - before,
         "recursive_61q_peak_bytes": peak - before,
-        "recursive_61q_measure_symbolic_calls": len(measurements),
     }
 
 
@@ -574,9 +562,7 @@ def bench_variant_sharing() -> dict:
     evolved body, so the layer compiler and the ``apply_layers`` kernel run
     once per Clifford fragment; and all 100 single-qubit windows' tensors
     come out of one pass per fragment, equal to the per-window builds.
-    The variants are read off the body's backward walk, so no wire is
-    measured: ``Tableau.measure_symbolic`` never runs.  Counts are exact,
-    so the gate is safe on shared runners.
+    Counts are exact, so the gate is safe on shared runners.
     """
     from repro.apps.hwea import HWEA
     from repro.core import SamplingConfig
@@ -598,14 +584,12 @@ def bench_variant_sharing() -> dict:
         return real_compile(ops)
 
     evaluator = sim._evaluator()
-    measurements: list[int] = []
     layers_before = rk.counters_snapshot()["apply_layers"][0]
     tableau_module._compile_ops = counting_compile
     try:
-        with _counting_measure_symbolic(measurements):
-            start = time.perf_counter()
-            data = evaluator.evaluate_all(fragments)
-            evaluate_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        data = evaluator.evaluate_all(fragments)
+        evaluate_seconds = time.perf_counter() - start
     finally:
         tableau_module._compile_ops = real_compile
     apply_layers_calls = rk.counters_snapshot()["apply_layers"][0] - layers_before
@@ -633,7 +617,6 @@ def bench_variant_sharing() -> dict:
         "compile_calls": len(compiled),
         "body_compiles": sorted(n for n in compiled if n in body_ops) == body_ops,
         "apply_layers_calls": apply_layers_calls,
-        "measure_symbolic_calls": len(measurements),
         "tensors_equal": tensors_equal,
         "evaluate_seconds": evaluate_seconds,
         "batched_tensor_seconds": batched_seconds,
@@ -820,7 +803,7 @@ def main() -> int:
     print(json.dumps(results, indent=2))
 
     failures = []
-    # conservative CI floor: the packed engine measures ~5.8x on a quiet
+    # conservative CI floor: the walk's readout measures ~11x on a quiet
     # machine, but shared runners are noisy — gate on 3x so only a real
     # regression (not scheduler jitter) blocks the build
     if results["tableau_200q"]["speedup"] < 3.0:
@@ -958,15 +941,6 @@ def main() -> int:
             f"{sharing['clifford_fragments']} Clifford fragment(s), "
             f"{sharing['stabilizer_jobs']} stabilizer jobs"
         )
-    for label, calls in (
-        ("variant_sharing", sharing["measure_symbolic_calls"]),
-        ("recursive_61q", streaming["recursive_61q_measure_symbolic_calls"]),
-    ):
-        if calls:
-            failures.append(
-                f"{label}: {calls} measure_symbolic calls while evaluating; a "
-                "Clifford fragment is read off one backward walk, measuring none"
-            )
     if not sharing["tensors_equal"]:
         failures.append("batched window tensors differ from per-window builds")
     batch = results["window_batch"]

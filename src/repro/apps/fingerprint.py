@@ -3,9 +3,10 @@
 SupercheQ's Incremental Encoding (IE) maps a classical file to a stabilizer
 state: every appended bit applies one of two pseudo-random Clifford layers.
 Equality of two files is then (probabilistically) certified by comparing the
-resulting stabilizer states — which the tableau simulator does exactly via
-canonical stabilizer generators.  Because the encoding is Clifford, updates
-are incremental; enriching it with a few non-Clifford gates (the
+resulting stabilizer states — which one backward walk does exactly:
+``A|0>`` equals ``B|0>`` iff ``A† B`` fixes every ``Z``.  Because the
+encoding is Clifford, updates are incremental; enriching it with a few
+non-Clifford gates (the
 "middle-ground" the paper proposes to study with SuperSim) is supported via
 ``near_clifford_fingerprint``.
 """
@@ -17,9 +18,7 @@ import numpy as np
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.circuits.random import inject_t_gates
-from repro.paulis.pauli import PauliString
-from repro.stabilizer.simulator import StabilizerSimulator
-from repro.stabilizer.tableau import Tableau
+from repro.stabilizer.tableau import same_state
 
 
 def _bit_layer(circuit: Circuit, bit: int, rng: np.random.Generator) -> None:
@@ -77,41 +76,9 @@ def _position_of(circuit: Circuit) -> int:
     )
 
 
-def canonical_stabilizers(tableau: Tableau) -> tuple:
-    """A canonical form of the stabilizer group (for state comparison).
-
-    Full Gauss–Jordan elimination of the generators over ``F_2^{2n}``
-    (columns ordered ``x_0..x_{n-1}, z_0..z_{n-1}``), with signs carried by
-    exact Pauli multiplication.  The reduced row echelon form of a row space
-    is unique, so two stabilizer states are equal iff these generator
-    tuples are equal.
-    """
-    n = tableau.n
-    work: list[PauliString] = [
-        tableau._row_pauli(tableau.n + i) for i in range(n)
-    ]
-    reduced: list[PauliString] = []
-
-    def bit(p: PauliString, column: int) -> bool:
-        return bool(p.x[column]) if column < n else bool(p.z[column - n])
-
-    for column in range(2 * n):
-        pivot = next((i for i, p in enumerate(work) if bit(p, column)), None)
-        if pivot is None:
-            continue
-        pivot_row = work.pop(pivot)
-        work = [p * pivot_row if bit(p, column) else p for p in work]
-        reduced = [p * pivot_row if bit(p, column) else p for p in reduced]
-        reduced.append(pivot_row)
-    return tuple((p.label(), p.phase) for p in reduced)
-
-
 def fingerprints_equal(a: Circuit, b: Circuit) -> bool:
     """Exact stabilizer-state equality of two fingerprint circuits."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    sim = StabilizerSimulator()
-    return canonical_stabilizers(sim.run(a)) == canonical_stabilizers(sim.run(b))
+    return same_state(a, b)
 
 
 def near_clifford_fingerprint(

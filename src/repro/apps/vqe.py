@@ -19,6 +19,7 @@ from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.paulis.pauli import PauliString
 from repro.stabilizer.simulator import StabilizerSimulator
+from repro.stabilizer.tableau import pauli_expectations
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,9 @@ def energy(circuit: Circuit, hamiltonian: Hamiltonian, backend=None) -> float:
     ``backend`` may be ``None`` (stabilizer fast path) or anything
     :func:`as_scorer` accepts — a registered backend name, a backend
     object or a SuperSim instance.  With the default stabilizer backend
-    (Clifford circuits only) each term is an exact tableau expectation in
-    {-1, 0, +1} — the CAFQA fast path.
+    (Clifford circuits only) each term is an exact expectation in
+    {-1, 0, +1}, every term read off one backward walk — the CAFQA fast
+    path.
     """
     if backend is None:
         backend = StabilizerSimulator()
@@ -128,10 +130,9 @@ def energy(circuit: Circuit, hamiltonian: Hamiltonian, backend=None) -> float:
         # unwrap the registry adapter so "stabilizer" hits the fast path
         backend = backend.simulator
     if isinstance(backend, StabilizerSimulator):
-        tableau = backend.run(circuit)
-        return float(
-            sum(c * tableau.expectation(p) for c, p in hamiltonian.paulis())
-        )
+        terms = hamiltonian.paulis()
+        values = pauli_expectations(circuit, [p for _c, p in terms])
+        return float(sum(c * value for (c, _p), value in zip(terms, values)))
     return float(
         sum(
             c * pauli_expectation(circuit, p, backend)

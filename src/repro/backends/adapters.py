@@ -20,7 +20,9 @@ from repro.circuits.circuit import Circuit
 
 
 class StabilizerBackend(Backend):
-    """Tableau simulation: exact affine output at any width, Clifford only."""
+    """Stabilizer simulation by one backward walk of the circuit (exact
+    affine output at any width, a fragment's Pauli map, Pauli-frame noise),
+    Clifford only."""
 
     name = "stabilizer"
     capabilities = Capabilities(
@@ -55,9 +57,9 @@ class StabilizerBackend(Backend):
     def estimate_cost(
         self, features: CircuitFeatures, mode: str = "exact"
     ) -> float:
-        # bit-packed word-parallel tableau: a gate is a few big-int ops
-        # over all 2n rows (~n/64 words each) and the measurement
-        # sweep ~n^2/64 — the cheapest Clifford engine by a wide margin,
+        # backward walk: a gate is a few big-int ops over the rows a
+        # readout walks (up to ~n, n/64 words each), and the GF(2)
+        # readout ~n^2/64 — the cheapest Clifford engine by a wide margin,
         # exact at any width, and its affine readout makes sampling no
         # more expensive than exact evaluation (mode-independent)
         n = features.n_qubits

@@ -80,6 +80,8 @@ from repro.stabilizer.tableau import (
     _bits_to_int,
     _check_enumerable,
     _int_to_bits,
+    _product_phases,
+    _reduce,
 )
 
 _PAULI_MATS = {
@@ -134,16 +136,6 @@ def _signed_paulis(bases: tuple[int, ...]) -> list[tuple[tuple[int, ...], np.nda
                 parity ^= (m_bits >> (qo - 1 - j)) & 1
         signed.append((pauli_out, 1.0 - 2.0 * parity))
     return signed
-
-
-def _reduce(vec: int, used: int, basis: dict) -> tuple[int, int]:
-    """``vec`` reduced against ``basis`` (``{lead: (vector, used)}``,
-    vectors as Python ints), XORing into ``used`` what each vector it
-    takes sums; returns ``(remainder, used)``."""
-    while vec and vec.bit_length() in basis:
-        other, summed = basis[vec.bit_length()]
-        vec, used = vec ^ other, used ^ summed
-    return vec, used
 
 
 def _solve_map(pauli_map: PauliMap, windows) -> tuple:
@@ -205,25 +197,20 @@ def _solve_map(pauli_map: PauliMap, windows) -> tuple:
     # then X before Z on each output cut wire
     pairs = np.array([r for j in range(qo) for r in (n + j, outputs[j])], dtype=np.intp)
     rows = np.hstack([windows, np.tile(pairs, (count, 1))])
-    picked_x, picked_z = x[rows].astype(np.uint8), z[rows].astype(np.uint8)
-    phase = (picked_x & picked_z).sum(axis=2) + 2 * pauli_map.sign[rows]
-    swaps = np.triu(picked_z @ picked_x.transpose(0, 2, 1) & 1, 1).astype(int)
-
-    def exponent(selected):
-        # i^exponent: the phase of the product of the selected rows, in
-        # order — each row's own, and i^2 per Z moved past a later X
-        selected = selected.astype(int)
-        return (selected * (phase[:, None] + 2 * (selected @ swaps))).sum(axis=2)
-
     chosen_out = np.stack([xs[:, qi:], zs[:, qi:]], axis=2).reshape(len(letters), -1)
     selected = np.concatenate(
         [solutions, np.broadcast_to(chosen_out, (count,) + chosen_out.shape)], axis=2
     )
+    padded = np.concatenate([constraints, np.zeros((count, k, 2 * qo), bool)], axis=2)
+    # one call for both: the phase of each index's product, then of each
+    # basis vector of V
+    powers = _product_phases(
+        x[rows], z[rows], pauli_map.sign[rows], np.concatenate([selected, padded], axis=1)
+    )
     # Y = i X Z on an output; on the inputs the product reads P_in's letters
     ys = (letters[:, qi:] == 2).sum(axis=1) - (letters[:, :qi] == 2).sum(axis=1)
-    negative = (exponent(selected) + ys) % 4 == 2
-    padded = np.concatenate([constraints, np.zeros((count, k, 2 * qo), bool)], axis=2)
-    flips = exponent(padded) % 4 == 2
+    negative = (powers[:, : len(letters)] + ys) % 4 == 2
+    flips = powers[:, len(letters) :] == 2
     scale = 2.0 ** (qi - k + dependent[:, :k].sum(axis=1))
     amplitudes = np.where(solvable, np.where(negative, -1.0, 1.0) * scale[:, None], 0.0)
     return constraints, flips, amplitudes, solutions

@@ -21,7 +21,6 @@ from repro.kernels.registry import (
 )
 
 apply_layers = get_kernel("apply_layers")
-row_mul = get_kernel("row_mul")
 bit_gather = get_kernel("bit_gather")
 inverse_cdf_indices = get_kernel("inverse_cdf_indices")
 dense_contract = get_kernel("dense_contract")
@@ -34,7 +33,6 @@ __all__ = [
     "get_kernel",
     "timings_since",
     "apply_layers",
-    "row_mul",
     "bit_gather",
     "inverse_cdf_indices",
     "dense_contract",

@@ -1,6 +1,6 @@
 """The body of every registered kernel.
 
-The bodies here are the hot loops of ``repro.stabilizer`` (the tableau
+The bodies here are the hot loops of ``repro.stabilizer`` (the gate walk
 and the frame sampler), ``repro.analysis.distributions`` and
 ``repro.core.reconstruction`` — NumPy, except the gate walk, which runs
 on Python ints; the call sites go through the registry so each kernel's
@@ -24,7 +24,7 @@ def apply_layers(program, x, z, sign: int) -> int:
     """Walk a Clifford gate program over integer columns; returns the sign.
 
     ``x[q]`` and ``z[q]`` hold column ``q`` as one Python int (bit ``r``
-    is row ``r``: a tableau's generator rows, or a batch of Pauli frames)
+    is row ``r``: a batch of Pauli rows walked backward, or of Pauli frames)
     and are updated in place; ``sign`` packs the rows' sign bits the same
     way.  The steps of ``program`` — ``(name, q)`` or ``("CX", control,
     target)`` — run in order, each 1 to 4 big-int ops over every row at
@@ -63,37 +63,6 @@ def apply_layers(program, x, z, sign: int) -> int:
         else:
             raise ValueError(f"unknown program step {step!r}")
     return sign
-
-
-@kernel("row_mul")
-def row_mul(x, z, sign, targets, source) -> None:
-    """Row_t <- Row_s * Row_t for every t in ``targets`` (word-parallel).
-
-    ``x``/``z`` are qubit-packed ``(rows, words)`` uint64, ``sign`` one
-    bool per row; symbolic sign bits are the caller's business.  Phases:
-    with rows R = (-1)^s i^(x.z) X^x Z^z, the product phase exponent
-    (power of i) is ``t = x1.z1 + x2.z2 + 2*(z1.x2) + 2*s1 + 2*s2`` and
-    the result sign is ``(t - x12.z12)/2 mod 2``; all dot products are
-    word-wide popcounts.  ``source`` must not appear in ``targets``.
-    """
-    x1, z1 = x[source], z[source]
-    x2, z2 = x[targets], z[targets]
-    # popcount rows via `bitwise_count(...) @ ones8`: a uint8 matmul is
-    # several times faster than .sum(axis=1), and the mod-256 wraparound
-    # is harmless because every consumer reduces mod 4 or mod 2
-    ones = np.ones(x.shape[1], dtype=np.uint8)
-    c1 = int(np.bitwise_count(x1 & z1).sum()) & 3
-    c2 = np.bitwise_count(x2 & z2) @ ones
-    cross = np.bitwise_count(z1[None, :] & x2) @ ones
-    new_x = x2 ^ x1[None, :]
-    new_z = z2 ^ z1[None, :]
-    c12 = np.bitwise_count(new_x & new_z) @ ones
-    # uint8 arithmetic wraps mod 256, which preserves the mod-4 phase
-    total = c1 + c2 + 2 * cross
-    half = ((total - c12) % 4) >= 2
-    sign[targets] = sign[targets] ^ sign[source] ^ half
-    x[targets] = new_x
-    z[targets] = new_z
 
 
 @kernel("bit_gather")

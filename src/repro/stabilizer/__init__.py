@@ -1,12 +1,11 @@
-"""Stabilizer (Clifford) simulation: tableau, noise, frames, facade."""
+"""Stabilizer (Clifford) simulation: backward walk, noise, frames, facade."""
 
 from repro.stabilizer.frames import FrameSampler
 from repro.stabilizer.noise import NoiseModel, PauliChannel
 from repro.stabilizer.simulator import StabilizerSimulator
-from repro.stabilizer.tableau import AffineOutcomeDistribution, Tableau
+from repro.stabilizer.tableau import AffineOutcomeDistribution
 
 __all__ = [
-    "Tableau",
     "AffineOutcomeDistribution",
     "StabilizerSimulator",
     "PauliChannel",

@@ -1,11 +1,12 @@
 """Reference (byte-per-bit) Aaronson–Gottesman tableau.
 
-This is the original, straightforward implementation of the stabilizer
-tableau: one numpy ``bool`` per bit, one Python call per gate.  The
-production engine in :mod:`repro.stabilizer.tableau` packs 64 qubits per
-``uint64`` word and walks gates on int columns of all rows; this module
-is kept as the oracle the property tests (and ``benchmarks/perf_smoke.py``)
-compare the packed engine against, bit for bit.
+The one forward stabilizer engine: one numpy ``bool`` per bit, one Python
+call per gate, collapse and symbolic measurement by row products.  The
+production engine in :mod:`repro.stabilizer.tableau` reads every readout
+off a backward walk of the circuit and shares no code with this class;
+it is kept as the oracle the property tests (and
+``benchmarks/perf_smoke.py``) compare the walk's readouts against, bit
+for bit.
 
 Do not use this class in hot paths — it is deliberately unoptimised.
 """

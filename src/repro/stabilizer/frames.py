@@ -9,8 +9,10 @@ mid-circuit frame randomisation is needed: the reference outcomes are drawn
 per shot from the exact affine outcome distribution, and a frame's X
 component on a measured qubit flips that outcome bit.
 
-Frames advance with the tableau engine's gate walk: the circuit is
-compiled once (:func:`repro.stabilizer.tableau._compile_ops`) into one
+The reference shots come from the circuit's exact affine outcome form,
+read off its backward walk
+(:func:`~repro.stabilizer.tableau.outcome_distribution`).  Frames advance
+forward through the same gate walk: the circuit is compiled once (:func:`repro.stabilizer.tableau._compile_ops`) into one
 gate program per stretch between noise-injection points, and the
 ``apply_layers`` kernel walks it over *shot-packed* int columns — column
 ``q`` of ``fx`` / ``fz`` is one Python int whose bit ``s`` is shot ``s``'s
@@ -31,10 +33,10 @@ from repro.analysis.distributions import Distribution
 from repro.circuits.circuit import Circuit
 from repro.stabilizer.noise import NoiseModel
 from repro.stabilizer.tableau import (
-    Tableau,
     _bits_to_int,
     _compile_ops,
     _int_to_bits,
+    outcome_distribution,
 )
 
 
@@ -46,9 +48,7 @@ class FrameSampler:
             raise ValueError("frame sampling requires a Clifford circuit")
         self.circuit = circuit
         self.noise = noise
-        tableau = Tableau(circuit.n_qubits)
-        tableau.apply_circuit(circuit)
-        self._reference = tableau.measurement_distribution(circuit.measured_qubits)
+        self._reference = outcome_distribution(circuit, circuit.measured_qubits)
         # pre-compile: one gate program between consecutive noise
         # injections, preserving the site order (and hence the rng stream)
         # of the one-op-at-a-time walk

@@ -1,11 +1,11 @@
 """High-level stabilizer simulator facade (the framework's Stim).
 
-Besides the facade, this module reads a whole noiseless Clifford fragment
-at once (:meth:`StabilizerSimulator.pauli_map`): one backward walk of its
-body gives the images every variant's tomography is read from.
-:meth:`StabilizerSimulator.run` and
-:meth:`StabilizerSimulator.affine_distribution` share none of it: they
-evolve one circuit from |0...0>.
+Every readout is one backward walk of the circuit's gate program
+(:mod:`repro.stabilizer.tableau`): the images of a few Pauli rows under
+the Clifford circuit, read against |0...0>.  The outcome distribution and
+the expectations of one circuit walk the rows they read; a noiseless
+Clifford fragment (:meth:`StabilizerSimulator.pauli_map`) walks the rows
+every variant's tomography is read from.
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ import numpy as np
 from repro.analysis.distributions import Distribution
 from repro.circuits.circuit import Circuit
 from repro.paulis.pauli import PauliString
-from repro.stabilizer.tableau import AffineOutcomeDistribution, PauliMap, Tableau
+from repro.stabilizer.tableau import (
+    AffineOutcomeDistribution,
+    PauliMap,
+    outcome_distribution,
+    pauli_expectations,
+)
 
 
 class StabilizerSimulator:
@@ -29,28 +34,22 @@ class StabilizerSimulator:
 
     Pauli-frame noisy sampling is :class:`~repro.stabilizer.frames.FrameSampler`.
 
-    Backed by the bit-packed word-parallel tableau
-    (:mod:`repro.stabilizer.tableau`): a circuit runs as one walk of its
-    gate program over int columns of all ``2n`` rows, a few big-int ops
-    per gate, and measurement costs ``n^2/64`` word ops.
+    Backed by the backward walk (:mod:`repro.stabilizer.tableau`): a
+    circuit runs as one walk of its gate program over int columns of the
+    rows a readout needs, a few big-int ops per gate, and the readout is
+    GF(2) elimination over those rows.
     """
 
     name = "stabilizer"
 
-    def run(self, circuit: Circuit) -> Tableau:
-        """Evolve |0...0> through the circuit; returns the final tableau."""
-        tableau = Tableau(circuit.n_qubits)
-        tableau.apply_circuit(circuit)
-        return tableau
-
     def affine_distribution(self, circuit: Circuit) -> AffineOutcomeDistribution:
-        """Exact outcome distribution in affine-subspace form: one symbolic
-        measurement sweep of :meth:`run`'s tableau.
+        """Exact outcome distribution of the measured qubits in
+        affine-subspace form, read off one walk of their ``Z`` rows.
 
         Works at any width — this is what lets the framework evaluate
         Clifford circuits with hundreds of qubits exactly.
         """
-        return self.run(circuit).measurement_distribution(circuit.measured_qubits)
+        return outcome_distribution(circuit, circuit.measured_qubits)
 
     def pauli_map(
         self, body: Circuit, inputs: Sequence[int], outputs: Sequence[int]
@@ -60,7 +59,8 @@ class StabilizerSimulator:
         return PauliMap(body, inputs, outputs)
 
     def probabilities(self, circuit: Circuit, max_free: int = 20) -> Distribution:
-        """Exact enumerated distribution (support must be <= 2**max_free)."""
+        """Exact enumerated distribution; a support past ``2**max_free``
+        raises :class:`~repro.errors.ReconstructionMemoryError`."""
         return self.affine_distribution(circuit).to_distribution(max_free)
 
     def sample(
@@ -73,4 +73,5 @@ class StabilizerSimulator:
 
     def expectation(self, circuit: Circuit, pauli: PauliString) -> int:
         """Exact <P> of the final state: -1, 0, or +1 (paper §IX)."""
-        return self.run(circuit).expectation(pauli)
+        (value,) = pauli_expectations(circuit, [pauli])
+        return value

@@ -1,44 +1,42 @@
-"""Aaronson–Gottesman stabilizer tableau, bit-packed and word-parallel.
+"""The Clifford engine: one backward walk, read off by GF(2) algebra.
 
-The tableau tracks ``2n`` generator rows (destabilizers then stabilizers),
-each a Hermitian Pauli stored as ``(-1)^sign * i^(x.z) * X^x Z^z`` — i.e.
-the plain letter product with a sign bit.
-
-**Packed layout (Stim-style).**  ``x`` and ``z`` are ``uint64`` arrays of
-shape ``(2n, ceil(n/64))``: each generator row is a bit-packed vector over
-the qubit columns, 64 qubits per machine word (bit ``q & 63`` of word
-``q >> 6``).  ``sym`` packs each row's symbolic sign bits the same way.
-Row products — the inner loop of measurement — become a handful of
-bitwise-AND + popcount (``np.bitwise_count``) ops on whole words, so one
-generator multiplication costs ``O(n/64)`` words instead of ``O(n)``
-bytes, and a full measurement sweep is the paper's ``O(n^2/64)``.
+Every stabilizer readout here — a circuit's outcome distribution, its
+Pauli expectations, the equality of two states, a fragment's Pauli
+tensor — comes from how the Clifford circuit ``U`` conjugates Paulis
+(Aaronson and Gottesman, PRA 70, 052328, 2004): the images ``U† P U`` of
+a few Pauli rows, read against the initial state |0...0>, whose
+stabilizers are the ``Z`` of every wire.  Rows are stored as
+``(-1)^sign * i^(x.z) * X^x Z^z`` — the plain letter product with a sign
+bit — ``x`` and ``z`` packed 64 qubits per ``uint64`` word (bit ``q & 63``
+of word ``q >> 6``).
 
 **Gate walk.**  :func:`compile_clifford_layers` turns a circuit into a
 flat gate program in op order — native H, S, CX, X, Y, Z as themselves,
 every other Clifford gate as its cached stabilizer decomposition — kept in
 the circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
 (revalidated by op-list identity, so any mutation recompiles).
-:meth:`Tableau.apply_layers` turns each qubit column of ``x`` and ``z``,
-and the sign vector, into one Python int over the ``2n`` rows, walks the
-program gate by gate on those ints — 1 to 4 big-int ops per gate, every
-row at once — and packs the result back: the conversions are paid once
-per call, the per-gate cost is a handful of word-parallel integer ops.
+:func:`heisenberg_images` turns each qubit column of the rows into one
+Python int, walks the inverse program (:func:`inverse_program`) gate by
+gate on those ints — 1 to 4 big-int ops per gate, every row at once, the
+``apply_layers`` kernel — and packs the result back: the conversions are
+paid once per call, the per-gate cost is a handful of word-parallel
+integer ops.
 
-**Plain evolution.**  The tableau :meth:`StabilizerSimulator.run` hands
-back is always a from-scratch evolution of the circuit.  What the variants
-of a Clifford fragment share is the body itself: one backward walk per
-fragment ("Reading a fragment backwards" below).
+**Readouts.**  ``<0|U† P U|0>`` is zero when the image has an ``X`` part
+and its sign otherwise (:func:`pauli_expectations`).  The outcome
+distribution of measuring wires ``q_1..q_m`` in the Z basis
+(:func:`outcome_distribution`) reads the images of their ``Z``: a product
+of them is fixed by the state iff its ``X`` parts cancel, so the
+outcomes are uniform over ``{x : x.u = [ω(u) = -1] for u in V}``, ``V``
+the kernel of the images' ``X`` parts and ``ω(u)`` the sign of their
+product (a character on ``V``) — an affine subspace, kept as
+:class:`AffineOutcomeDistribution`, from which exact probabilities and
+shots come without touching the circuit again.  Two states ``A|0>`` and
+``B|0>`` are equal iff ``A† B`` fixes every ``Z`` (:func:`same_state`).
 
-The original byte-per-bit, per-op-dispatch implementation is kept in
-:mod:`repro.stabilizer._reference` as the oracle for the equivalence
-property tests and the ``benchmarks/perf_smoke.py`` baseline.
-
-Measurement supports a *symbolic* mode: each random measurement outcome
-introduces a fresh symbolic bit and subsequent signs are tracked as affine
-functions of those bits.  Measuring every output qubit symbolically yields
-the exact outcome distribution as an affine subspace of ``F_2^m`` (see
-:class:`AffineOutcomeDistribution`), from which sampling is O(1)-ish per
-shot and exact probabilities are available without re-running the tableau.
+The byte-per-bit, per-op-dispatch forward tableau is kept in
+:mod:`repro.stabilizer._reference` as the oracle every readout is tested
+against, bit for bit, and the ``benchmarks/perf_smoke.py`` baseline.
 
 **Reading a fragment backwards.**  Recombination needs of a fragment only
 its Pauli tensor ``T[P_in, P_out](x) = Tr[(Pi_x ⊗ P_out) U (P_in ⊗
@@ -63,10 +61,10 @@ the same for every index — and zero elsewhere.  On the support the entry
 is ``ω(S0, P_out) (-1)^(x.S0) 2^(qi - |K| + dim V)``; without a solution the
 index is zero.  Everything is GF(2) elimination over ``|K| + 2(qi + qo)``
 vectors and the signs of products of image rows: no tableau is swept, no
-variant spelled out.  Evolving each variant from scratch
-(:meth:`Tableau.measurement_distribution` of the spelled-out circuit,
-through the generic tomography) is the oracle it is tested against, bit
-for bit.
+variant spelled out.  Evolving each variant from scratch (the reference
+tableau's ``measurement_distribution`` of the spelled-out circuit, through
+the generic tomography: :mod:`repro.testing.tomography`) is the oracle it
+is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -85,31 +83,12 @@ from repro.analysis.distributions import (
 )
 from repro.circuits.circuit import Circuit
 from repro.errors import ReconstructionMemoryError
-from repro.paulis.pauli import PauliString
 
 _ONE = np.uint64(1)
-_WORD_SHIFTS = np.arange(64, dtype=np.uint64)
 
 # gate names the walk applies natively (every other Clifford gate goes
 # through Gate.stabilizer_decomposition into H/S/CX)
 _NATIVE_GATES = frozenset({"H", "S", "CX", "X", "Y", "Z"})
-
-
-def _pack_bits(bits: np.ndarray, n_words: int | None = None) -> np.ndarray:
-    """Pack a 1-D bool vector into uint64 words (bit ``i&63`` of word ``i>>6``)."""
-    bits = np.asarray(bits, dtype=bool)
-    if n_words is None:
-        n_words = max(1, (bits.shape[0] + 63) >> 6)
-    out = np.zeros(n_words, dtype=np.uint64)
-    idx = np.flatnonzero(bits)
-    np.bitwise_or.at(out, idx >> 6, _ONE << (idx & 63).astype(np.uint64))
-    return out
-
-
-def _unpack_bits(words: np.ndarray, n: int) -> np.ndarray:
-    """Unpack uint64 words (last axis) into ``n`` bools per row."""
-    bits = ((words[..., :, None] >> _WORD_SHIFTS) & _ONE).astype(bool)
-    return bits.reshape(words.shape[:-1] + (-1,))[..., :n]
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -183,29 +162,135 @@ def inverse_program(program) -> list[tuple]:
     return inverse
 
 
+def _n_words(n: int) -> int:
+    """Words per packed row of ``n`` qubits (at least one)."""
+    return max(1, (n + 63) >> 6)
+
+
+def _unit_rows(n: int, wires) -> np.ndarray:
+    """Packed rows over ``n`` qubits, row ``i`` the one bit of ``wires[i]``."""
+    wires = np.asarray(wires, dtype=np.intp)
+    rows = np.zeros((len(wires), _n_words(n)), dtype=np.uint64)
+    rows[np.arange(len(wires)), wires >> 6] = _ONE << (wires & 63).astype(np.uint64)
+    return rows
+
+
+def _walk(program, n: int, x: np.ndarray, z: np.ndarray):
+    """Conjugate packed Pauli rows by a gate program, ``P -> G P G†`` step
+    by step: one ``apply_layers`` kernel call over all the rows, on one int
+    column per qubit.  Returns ``(x, z, sign)``, the signs those of rows
+    that started with sign bit 0 (a starting sign bit only XORs in)."""
+    rows = x.shape[0]
+    xs = dict(enumerate(_to_columns(x, n)))
+    zs = dict(enumerate(_to_columns(z, n)))
+    sign = _kernels.apply_layers(program, xs, zs, 0)
+    return (
+        _from_columns(list(xs.values()), rows, x.shape[1]),
+        _from_columns(list(zs.values()), rows, x.shape[1]),
+        _int_to_bits(sign, rows),
+    )
+
+
 def heisenberg_images(
     circuit: Circuit, x: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``U† P U`` for every row ``P = i^(x.z) X^x Z^z`` of packed Paulis.
 
-    ``U`` is the Clifford ``circuit``; ``x`` and ``z`` are packed like a
-    tableau's rows, ``(rows, ceil(n/64))`` ``uint64``.  A walk conjugates
+    ``U`` is the Clifford ``circuit``; ``x`` and ``z`` are packed rows,
+    ``(rows, ceil(n/64))`` ``uint64``.  A walk conjugates
     its rows ``P -> G P G†`` gate by gate, so walking the inverse program
     (:func:`inverse_program`) takes them to ``U† P U``: the body is
     compiled once (:func:`compile_clifford_layers`) and walked once, one
     ``apply_layers`` kernel call over all the rows.  Returns the images
     ``(x, z, sign)`` packed the same way, each ``(-1)^sign i^(x.z) X^x Z^z``.
     """
-    n, rows = circuit.n_qubits, x.shape[0]
-    xs = dict(enumerate(_to_columns(x, n)))
-    zs = dict(enumerate(_to_columns(z, n)))
     program = inverse_program(compile_clifford_layers(circuit))
-    sign = _kernels.apply_layers(program, xs, zs, 0)
-    return (
-        _from_columns(xs.values(), rows, x.shape[1]),
-        _from_columns(zs.values(), rows, x.shape[1]),
-        _int_to_bits(sign, rows),
+    return _walk(program, circuit.n_qubits, x, z)
+
+
+def outcome_distribution(circuit: Circuit, qubits) -> "AffineOutcomeDistribution":
+    """Exact Z-basis outcome distribution of ``qubits``, in that order, on
+    ``U|0...0>`` (``U`` the Clifford ``circuit``).
+
+    One walk of the rows ``Z_q`` (:func:`heisenberg_images`).  Their ``X``
+    parts are reduced in order: a row the earlier ones span closes a
+    constraint ``u`` of ``V`` (the kernel of the ``X`` parts) — its own bit
+    plus the earlier free rows that sum to it — and its outcome is fixed,
+    ``x.u = [ω(u) = -1]`` with ``ω(u)`` the sign of the image product.  The
+    other rows are free: symbol ``j`` is the ``j``-th of them, in order.
+    So a fixed outcome's row of ``A`` is its constraint's free bits and
+    its ``b`` the sign, a free one's row of ``A`` a unit vector.  This is
+    the canonical form a forward symbolic measurement sweep produces,
+    bit for bit.
+    """
+    n, m = circuit.n_qubits, len(qubits)
+    z = _unit_rows(n, qubits)
+    x, z, sign = heisenberg_images(circuit, np.zeros_like(z), z)
+    basis: dict[int, tuple[int, int]] = {}
+    fixed, constraints = [], []
+    for i, row in enumerate(x):
+        rest, used = _reduce(int.from_bytes(row.tobytes(), "little"), 1 << i, basis)
+        if rest:
+            basis[rest.bit_length()] = (rest, used)
+        else:
+            fixed.append(i)
+            constraints.append(_int_to_bits(used, m))
+    selected = np.array(constraints, dtype=bool).reshape(len(fixed), m)
+    free = np.ones(m, dtype=bool)
+    free[fixed] = False
+    A = np.zeros((m, int(free.sum())), dtype=bool)
+    A[free] = np.eye(A.shape[1], dtype=bool)
+    A[fixed] = selected[:, free]
+    # the signs need only the rows some constraint takes
+    taken = selected.any(axis=0)
+    x_bits, z_bits = _unpack_axis1(x[taken], n), _unpack_axis1(z[taken], n)
+    b = np.zeros(m, dtype=bool)
+    b[fixed] = _product_phases(x_bits, z_bits, sign[taken], selected[:, taken]) == 2
+    return AffineOutcomeDistribution(A, b)
+
+
+def pauli_expectations(circuit: Circuit, paulis) -> list[int]:
+    """Exact ``<P>`` on ``U|0...0>`` of every Pauli, each -1, 0 or +1.
+
+    One walk of all the rows ``U† P U``: an image with an ``X`` part
+    anticommutes with a ``Z`` that stabilizes |0...0> and reads 0;
+    otherwise it is ``±Z``-type and reads its sign times the scalar ``P``
+    carries (``P = i^phase X^x Z^z`` is ``i^(phase - x.z)`` times a row).
+    Raises ``ValueError`` for a Pauli of another width, and for a
+    non-Hermitian one whose expectation would be ``±i``.
+    """
+    n = circuit.n_qubits
+    if any(pauli.n != n for pauli in paulis):
+        raise ValueError(f"Pauli width does not match the {n}-qubit circuit")
+    xs = np.array([pauli.x for pauli in paulis], dtype=bool).reshape(-1, n)
+    zs = np.array([pauli.z for pauli in paulis], dtype=bool).reshape(-1, n)
+    phases = np.array([pauli.phase for pauli in paulis], dtype=int)
+    scalar = (phases - (xs & zs).sum(axis=1)) % 4
+    x, _z, sign = heisenberg_images(
+        circuit, _pack_axis1(xs, _n_words(n)), _pack_axis1(zs, _n_words(n))
     )
+    anticommutes = x.any(axis=1)
+    if (scalar[~anticommutes] & 1).any():
+        raise ValueError("expectation of a non-Hermitian Pauli is not +/-1")
+    values = 1 - 2 * ((scalar >> 1) ^ sign)
+    return np.where(anticommutes, 0, values).tolist()
+
+
+def same_state(a: Circuit, b: Circuit) -> bool:
+    """Whether the Clifford circuits ``a`` and ``b`` prepare the same state
+    from |0...0> (up to a global phase; never at different widths).
+
+    ``A|0> = B|0>`` iff ``A† B`` fixes |0>, i.e. maps every ``Z_q`` to a
+    ``+Z``-type Pauli: the rows ``Z_q`` walk ``b``'s program and then
+    ``a``'s inverse program, ``P -> A† B P B† A``.
+    """
+    if a.n_qubits != b.n_qubits:
+        return False
+    n = a.n_qubits
+    program = compile_clifford_layers(b) + inverse_program(compile_clifford_layers(a))
+    z = _unit_rows(n, range(n))
+    x, _z, sign = _walk(program, n, np.zeros_like(z), z)
+    return not (x.any() or sign.any())
 
 
 class PauliMap:
@@ -230,18 +315,43 @@ class PauliMap:
                     f"{role} wires {list(wires)} must be distinct wires of {body!r}"
                 )
         self.inputs, self.outputs = tuple(inputs), tuple(outputs)
-        n_words = max(1, (n + 63) >> 6)
-        x = np.zeros((n + len(outputs), n_words), dtype=np.uint64)
-        z = np.zeros_like(x)
-        wires = np.arange(n)
-        z[wires, wires >> 6] = _ONE << (wires & 63).astype(np.uint64)
-        cut = np.array(self.outputs, dtype=np.intp)
-        x[n + np.arange(len(cut)), cut >> 6] = _ONE << (cut & 63).astype(np.uint64)
+        cut = _unit_rows(n, self.outputs)
+        wires = _unit_rows(n, range(n))
+        x = np.vstack([np.zeros_like(wires), cut])
+        z = np.vstack([wires, np.zeros_like(cut)])
         self.x, self.z, self.sign = heisenberg_images(body, x, z)
 
     def bits(self) -> tuple[np.ndarray, np.ndarray]:
         """The images' ``x`` and ``z`` as ``(rows, n)`` bool matrices."""
         return _unpack_axis1(self.x, self.n), _unpack_axis1(self.z, self.n)
+
+
+def _reduce(vec: int, used: int, basis: dict) -> tuple[int, int]:
+    """``vec`` reduced against ``basis`` (``{lead: (vector, used)}``,
+    vectors as Python ints), XORing into ``used`` what each vector it
+    takes sums; returns ``(remainder, used)``."""
+    while vec and vec.bit_length() in basis:
+        other, summed = basis[vec.bit_length()]
+        vec, used = vec ^ other, used ^ summed
+    return vec, used
+
+
+def _product_phases(x, z, sign, selected) -> np.ndarray:
+    """The power of ``i`` (mod 4) of ordered products of Pauli rows.
+
+    ``x`` and ``z`` (``(..., r, n)`` bool) and ``sign`` (``(..., r)``) hold
+    rows ``(-1)^sign i^(x.z) X^x Z^z``; each row of ``selected`` (``(...,
+    s, r)``) picks the rows of one product, multiplied in row order.  Each
+    row brings its own phase, and ``i^2`` per ``Z`` moved past a later
+    ``X``; a product without an ``X`` part is ``-1`` times a ``Z``-type
+    Pauli iff its power is 2.
+    """
+    x8, z8 = x.astype(np.uint8), z.astype(np.uint8)
+    phase = (x8 & z8).sum(axis=-1) + 2 * sign
+    # a uint8 product wraps modulo 256, which keeps its parity
+    swaps = np.triu(z8 @ np.swapaxes(x8, -1, -2) & 1, 1).astype(int)
+    selected = selected.astype(int)
+    return (selected * (phase[..., None, :] + 2 * (selected @ swaps))).sum(axis=-1) % 4
 
 
 def _pack_axis1(bits: np.ndarray, n_words: int) -> np.ndarray:
@@ -273,8 +383,9 @@ def _from_columns(columns, rows: int, n_words: int) -> np.ndarray:
         b"".join(column.to_bytes(stride, "little") for column in columns),
         dtype=np.uint8,
     )
+    # by the column count, not -1: no rows is a stride of zero
     bits = np.unpackbits(
-        data.reshape(-1, stride), axis=1, count=rows, bitorder="little"
+        data.reshape(len(columns), stride), axis=1, count=rows, bitorder="little"
     )
     return _pack_axis1(np.ascontiguousarray(bits.T), n_words)
 
@@ -439,10 +550,9 @@ class AffineOutcomeDistribution:
         )
 
     def to_distribution(self, max_free: int = 20) -> Distribution:
-        """Exact distribution by enumerating the ``2^k`` support points."""
-        k = self.n_free
-        if k > max_free:
-            raise ValueError(f"support of 2^{k} outcomes is too large to enumerate")
+        """Exact distribution by enumerating the ``2^k`` support points; more
+        than ``2^max_free`` raise
+        :class:`~repro.errors.ReconstructionMemoryError` before any is."""
         return self.marginal_distribution(range(self.n_bits), max_rank=max_free)
 
     def marginal_distribution(
@@ -465,360 +575,3 @@ class AffineOutcomeDistribution:
         return Distribution.from_arrays(
             len(rows), keys, np.full(len(keys), 2.0**-rank)
         )
-
-
-class Tableau:
-    """Stabilizer state of ``n`` qubits, qubit columns packed into uint64.
-
-    ``x``/``z`` have shape ``(2n, n_words)`` with ``n_words =
-    ceil(n/64)``: row ``r`` (destabilizers ``0..n-1``, stabilizers
-    ``n..2n-1``) is a packed bitvector over the qubit columns.  ``sign``
-    is one bool per row; ``sym`` packs each row's symbolic sign bits into
-    uint64 words the same way.  Padding bits past column ``n-1`` stay
-    zero by construction.
-    """
-
-    def __init__(self, n: int, max_symbols: int = 0):
-        self.n = int(n)
-        rows = 2 * self.n
-        self.n_words = max(1, (self.n + 63) >> 6)
-        # popcount rows via `bitwise_count(...) @ _ones8`: a uint8 matmul is
-        # several times faster than .sum(axis=1), and the mod-256 wraparound
-        # is harmless because every consumer reduces mod 4 or mod 2
-        self._ones8 = np.ones(self.n_words, dtype=np.uint8)
-        self.x = np.zeros((rows, self.n_words), dtype=np.uint64)
-        self.z = np.zeros((rows, self.n_words), dtype=np.uint64)
-        self.sign = np.zeros(rows, dtype=bool)
-        # symbolic sign bits: sign of row i also includes (-1)^(sym[i] . f)
-        self.sym = np.zeros((rows, (max_symbols + 63) >> 6), dtype=np.uint64)
-        self.n_symbols = 0
-        # destabilizer i = X_i ; stabilizer i = Z_i
-        i = np.arange(self.n)
-        bit = _ONE << (i & 63).astype(np.uint64)
-        self.x[i, i >> 6] = bit
-        self.z[self.n + i, i >> 6] = bit
-
-    def copy(self) -> "Tableau":
-        out = Tableau.__new__(Tableau)
-        out.n = self.n
-        out.n_words = self.n_words
-        out._ones8 = self._ones8
-        out.x = self.x.copy()
-        out.z = self.z.copy()
-        out.sign = self.sign.copy()
-        out.sym = self.sym.copy()
-        out.n_symbols = self.n_symbols
-        return out
-
-    # -- gates ----------------------------------------------------------------
-
-    def h(self, q: int) -> None:
-        w, b = q >> 6, np.uint64(q & 63)
-        mask = _ONE << b
-        xw = self.x[:, w]
-        zw = self.z[:, w]
-        self.sign ^= (xw & zw & mask) != 0
-        diff = (xw ^ zw) & mask
-        xw ^= diff
-        zw ^= diff
-
-    def s(self, q: int) -> None:
-        w, b = q >> 6, np.uint64(q & 63)
-        mask = _ONE << b
-        xw = self.x[:, w]
-        zw = self.z[:, w]
-        self.sign ^= (xw & zw & mask) != 0
-        zw ^= xw & mask
-
-    def cx(self, c: int, t: int) -> None:
-        wc, bc = c >> 6, np.uint64(c & 63)
-        wt, bt = t >> 6, np.uint64(t & 63)
-        xc = (self.x[:, wc] >> bc) & _ONE
-        zt = (self.z[:, wt] >> bt) & _ONE
-        xt = (self.x[:, wt] >> bt) & _ONE
-        zc = (self.z[:, wc] >> bc) & _ONE
-        self.sign ^= (xc & zt & (xt ^ zc ^ _ONE)) != 0
-        self.x[:, wt] ^= xc << bt
-        self.z[:, wc] ^= zt << bc
-
-    def x_gate(self, q: int) -> None:
-        self.sign ^= (self.z[:, q >> 6] & (_ONE << np.uint64(q & 63))) != 0
-
-    def z_gate(self, q: int) -> None:
-        self.sign ^= (self.x[:, q >> 6] & (_ONE << np.uint64(q & 63))) != 0
-
-    def apply_operation(self, gate, qubits: tuple[int, ...]) -> None:
-        name = gate.name
-        if name == "X":
-            self.x_gate(qubits[0])
-        elif name == "Z":
-            self.z_gate(qubits[0])
-        elif name == "H":
-            self.h(qubits[0])
-        elif name == "S":
-            self.s(qubits[0])
-        elif name == "CX":
-            self.cx(*qubits)
-        else:
-            for sub_name, wires in gate.stabilizer_decomposition():
-                sub_qubits = tuple(qubits[w] for w in wires)
-                if sub_name == "H":
-                    self.h(sub_qubits[0])
-                elif sub_name == "S":
-                    self.s(sub_qubits[0])
-                else:
-                    self.cx(*sub_qubits)
-
-    def apply_circuit(self, circuit: Circuit) -> None:
-        """Apply a Clifford circuit: one walk of its compiled gate program."""
-        if circuit.n_qubits != self.n:
-            raise ValueError("circuit width does not match tableau")
-        self.apply_layers(compile_clifford_layers(circuit))
-
-    def apply_layers(self, program) -> None:
-        """Walk a compiled gate program (:func:`compile_clifford_layers`).
-
-        The program may come from a narrower circuit: wires it does not
-        name are left alone.  Gates want columns while row products want
-        rows, so every qubit column of ``x``/``z`` and the sign vector
-        become one Python int over the ``2n`` rows for the walk (the
-        ``apply_layers`` kernel) and are packed back after it — one
-        ``packbits`` conversion each way per call.  The columns are keyed
-        by qubit, so a gate naming a qubit outside ``[0, n)`` — ``-1``
-        included — fails on its first read, and ``ValueError`` leaves the
-        tableau as it was: nothing is written back.
-        """
-        if not program:
-            return
-        x = dict(enumerate(_to_columns(self.x, self.n)))
-        z = dict(enumerate(_to_columns(self.z, self.n)))
-        try:
-            sign = _kernels.apply_layers(program, x, z, _bits_to_int(self.sign))
-        except KeyError as error:
-            raise ValueError(
-                f"a gate names qubit {error.args[0]} of a {self.n}-qubit tableau"
-            ) from None
-        rows = 2 * self.n
-        self.x = _from_columns(x.values(), rows, self.n_words)
-        self.z = _from_columns(z.values(), rows, self.n_words)
-        self.sign = _int_to_bits(sign, rows)
-
-    # -- row products -----------------------------------------------------------
-
-    def _multiply_rows_into(self, targets: np.ndarray, source: int) -> None:
-        """Row_t <- Row_s * Row_t for every t in ``targets`` (word-parallel).
-
-        Phases: with rows R = (-1)^s i^(x.z) X^x Z^z, the product phase
-        exponent (power of i) is
-            t = x1.z1 + x2.z2 + 2*(z1.x2) + 2*s1 + 2*s2
-        and the result sign is (t - x12.z12)/2 mod 2; all dot products are
-        word-wide popcounts.  For stabilizer-group products the difference
-        is always even; destabilizer rows may pick up an irrelevant
-        half-phase which we truncate (their signs are never read).
-        """
-        targets = np.asarray(targets)
-        if targets.size == 0:
-            return
-        _kernels.row_mul(self.x, self.z, self.sign, targets, source)
-        src_sym = self.sym[source]
-        if src_sym.any():
-            self.sym[targets] ^= src_sym[None, :]
-
-    # -- measurement -----------------------------------------------------------
-
-    def _grow_symbols(self) -> int:
-        if self.n_symbols == 64 * self.sym.shape[1]:
-            extra = np.zeros(
-                (2 * self.n, max(1, self.sym.shape[1])), dtype=np.uint64
-            )
-            self.sym = np.concatenate([self.sym, extra], axis=1)
-        index = self.n_symbols
-        self.n_symbols += 1
-        return index
-
-    def measure(
-        self, q: int, rng: np.random.Generator | int | None = None
-    ) -> int:
-        """Measure qubit ``q`` in the Z basis, collapsing the state."""
-        rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        result = self._measure_impl(q, symbolic=False, rng=rng)
-        return result
-
-    def measure_symbolic(self, q: int) -> tuple[np.ndarray, bool]:
-        """Measure qubit ``q`` symbolically.
-
-        Returns ``(coeffs, const)``: the outcome equals
-        ``coeffs . f XOR const`` over the symbolic free bits ``f``.  For a
-        deterministic outcome ``coeffs`` may be all-zero; for a random one a
-        fresh symbol is allocated.
-        """
-        return self._measure_impl(q, symbolic=True, rng=None)
-
-    def _measure_impl(self, q, symbolic, rng):
-        w, b = q >> 6, np.uint64(q & 63)
-        col = self.x[:, w] & (_ONE << b)
-        hits = np.flatnonzero(col)
-        # first hit at or past n is the stabilizer pivot (hits is sorted)
-        pivot_pos = int(np.searchsorted(hits, self.n))
-        if pivot_pos < hits.size:
-            p = int(hits[pivot_pos])
-            others = np.delete(hits, pivot_pos)
-            self._multiply_rows_into(others, p)
-            # destabilizer p-n <- old stabilizer p ; stabilizer p <- +/- Z_q
-            d = p - self.n
-            self.x[d] = self.x[p]
-            self.z[d] = self.z[p]
-            self.sign[d] = self.sign[p]
-            self.sym[d] = self.sym[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.z[p, w] = _ONE << b
-            self.sym[p] = 0
-            if symbolic:
-                k = self._grow_symbols()
-                self.sign[p] = False
-                self.sym[p, k >> 6] = _ONE << np.uint64(k & 63)
-                coeffs = np.zeros(self.n_symbols, dtype=bool)
-                coeffs[k] = True
-                return coeffs, False
-            outcome = int(rng.integers(2))
-            self.sign[p] = bool(outcome)
-            return outcome
-        # deterministic: the outcome is the sign of the product of the
-        # stabilizers selected by destabilizers anticommuting with Z_q
-        # (every hit is a destabilizer row here: pivot_pos == hits.size)
-        rows = hits + self.n
-        if rows.size == 0:
-            if symbolic:
-                return np.zeros(self.n_symbols, dtype=bool), False
-            return 0
-        xs = self.x[rows]
-        zs = self.z[rows]
-        syms = self.sym[rows]
-        # represent each row as i^t X^x Z^z with t = x.z + 2*sign; the
-        # selected stabilizers commute, so a pairwise tree product (with
-        # the i^(2 z_a.x_b) reordering phase) is order-independent
-        ones = self._ones8
-        t = (
-            np.bitwise_count(xs & zs) @ ones.astype(np.int64)
-            + 2 * self.sign[rows]
-        ) % 4
-        while xs.shape[0] > 1:
-            if xs.shape[0] & 1:
-                pad = np.zeros((1, xs.shape[1]), dtype=np.uint64)
-                xs = np.concatenate([xs, pad])
-                zs = np.concatenate([zs, pad])
-                syms = np.concatenate(
-                    [syms, np.zeros((1, syms.shape[1]), dtype=np.uint64)]
-                )
-                t = np.concatenate([t, [0]])
-            cross = np.bitwise_count(
-                np.ascontiguousarray(zs[0::2]) & xs[1::2]
-            ) @ ones
-            t = (t[0::2] + t[1::2] + 2 * cross) % 4
-            xs = xs[0::2] ^ xs[1::2]
-            zs = zs[0::2] ^ zs[1::2]
-            syms = syms[0::2] ^ syms[1::2]
-        # the accumulated operator is +/- Z_q (x = 0, so i^t must be +/-1)
-        sign = bool(t[0] == 2)
-        acc_sym = _unpack_bits(syms[0], self.n_symbols)
-        if symbolic:
-            return acc_sym, sign
-        if acc_sym.any():  # pragma: no cover - defensive
-            raise RuntimeError("deterministic outcome depends on unresolved symbols")
-        return int(sign)
-
-    def measure_symbolic_rows(
-        self, qubits: tuple[int, ...]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`measure_symbolic` every qubit in order, as one ``(A, b)``.
-
-        Outcome ``i`` equals ``A[i] . f XOR b[i]`` over all the symbols
-        allocated so far — by these measurements and any before them.
-        """
-        rows = []
-        consts = []
-        for q in qubits:
-            coeffs, const = self.measure_symbolic(q)
-            rows.append(coeffs)
-            consts.append(const)
-        A = np.zeros((len(qubits), self.n_symbols), dtype=bool)
-        for i, coeffs in enumerate(rows):
-            A[i, : len(coeffs)] = coeffs
-        return A, np.array(consts, dtype=bool)
-
-    def reset_symbols(self, capacity: int) -> None:
-        """Forget all symbols and make room for ``capacity`` new ones."""
-        self.n_symbols = 0
-        self.sym = np.zeros(
-            (2 * self.n, max(1, (capacity + 63) >> 6)), dtype=np.uint64
-        )
-
-    def measurement_distribution(
-        self, qubits: tuple[int, ...]
-    ) -> AffineOutcomeDistribution:
-        """Exact Z-basis outcome distribution over ``qubits``.
-
-        Collapses this tableau (work on a copy if it is still needed).
-        """
-        self.reset_symbols(len(qubits))
-        return AffineOutcomeDistribution(*self.measure_symbolic_rows(qubits))
-
-    # -- observables ------------------------------------------------------------
-
-    def expectation(self, pauli: PauliString) -> int:
-        """Exact ``<P>`` of the stabilizer state: always -1, 0, or +1.
-
-        This is the structural fact exploited by the paper's Section IX
-        optimizations.  Anticommutation parities are word-wide popcounts
-        against the packed Pauli, so the generator scan is ``O(n^2/64)``.
-        """
-        if pauli.n != self.n:
-            raise ValueError("Pauli width does not match tableau")
-        if self.n_symbols:
-            raise ValueError("expectation undefined after symbolic collapse")
-        px = _pack_bits(pauli.x, self.n_words)
-        pz = _pack_bits(pauli.z, self.n_words)
-        # anticommutation of P with each stabilizer generator
-        ones = self._ones8
-        anti = (
-            np.bitwise_count(self.x[self.n :] & pz) @ ones
-            + np.bitwise_count(self.z[self.n :] & px) @ ones
-        ) & 1
-        if anti.any():
-            return 0
-        # P (up to sign) = product of stabilizers s_i over rows whose
-        # destabilizer anticommutes with P
-        select = (
-            np.bitwise_count(self.x[: self.n] & pz) @ ones
-            + np.bitwise_count(self.z[: self.n] & px) @ ones
-        ) & 1
-        product = PauliString.identity(self.n)
-        for i in np.flatnonzero(select):
-            product = product * self._row_pauli(self.n + int(i))
-        if not (
-            np.array_equal(product.x, pauli.x) and np.array_equal(product.z, pauli.z)
-        ):
-            raise AssertionError("stabilizer reconstruction failed")
-        diff = (pauli.phase - product.phase) % 4
-        if diff == 0:
-            return 1
-        if diff == 2:
-            return -1
-        raise ValueError("expectation of a non-Hermitian Pauli is not +/-1")
-
-    def _row_pauli(self, row: int) -> PauliString:
-        c = int(np.bitwise_count(self.x[row] & self.z[row]).sum())
-        phase = (c + 2 * int(self.sign[row])) % 4
-        return PauliString(
-            _unpack_bits(self.x[row], self.n),
-            _unpack_bits(self.z[row], self.n),
-            phase,
-        )
-
-    def stabilizers(self) -> list[PauliString]:
-        """The n stabilizer generators as phase-correct Pauli strings."""
-        return [self._row_pauli(self.n + i) for i in range(self.n)]
-
-    def destabilizers(self) -> list[PauliString]:
-        return [self._row_pauli(i) for i in range(self.n)]

@@ -118,6 +118,18 @@ class TestExpectations:
         circuit = Circuit(3)  # |000>: all ZZ terms +1
         assert np.isclose(energy(circuit, h), -2.0)
 
+    def test_stabilizer_energy_is_every_term_at_once(self):
+        """The fast path walks all terms together; each equals its own
+        expectation, the identity term included."""
+        circuit = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1)
+        h = h2_hamiltonian()
+        one_by_one = sum(c * STAB.expectation(circuit, p) for c, p in h.paulis())
+        assert energy(circuit, h) == pytest.approx(one_by_one, abs=0)
+        assert np.isclose(energy(circuit, h, SV), one_by_one, atol=1e-9)
+
+    def test_stabilizer_energy_of_an_empty_hamiltonian(self):
+        assert energy(Circuit(2).append(gates.H, 0), Hamiltonian(2, ())) == 0.0
+
     def test_pauli_expectation_via_supersim(self):
         circuit = Circuit(2).append(gates.H, 0).append(gates.T, 0)
         circuit.append(gates.CX, 0, 1)

@@ -56,7 +56,6 @@ from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer import tableau as tableau_module
 from repro.stabilizer.tableau import (
     PauliMap,
-    Tableau,
     compile_clifford_layers,
     heisenberg_images,
     inverse_program,
@@ -232,18 +231,6 @@ def counting_compiles(monkeypatch) -> list:
     return compiled
 
 
-def counting_measurements(monkeypatch) -> list:
-    calls = []
-    real = Tableau.measure_symbolic
-
-    def counting(self, q):
-        calls.append(q)
-        return real(self, q)
-
-    monkeypatch.setattr(Tableau, "measure_symbolic", counting)
-    return calls
-
-
 class TestFragmentIsOneWalk:
     @pytest.mark.parametrize("qi,qo", [(0, 0), (1, 1), (2, 1), (0, 2), (3, 0)])
     def test_map_tensors_equal_the_per_variant_route(self, qi, qo):
@@ -256,14 +243,12 @@ class TestFragmentIsOneWalk:
 
         fragment = clifford_fragment(8, 1, 1)
         compiled = counting_compiles(monkeypatch)
-        measured = counting_measurements(monkeypatch)
         before = kernels.counters_snapshot()["apply_layers"][0]
         data = FragmentEvaluator().evaluate(fragment)
         assert kernels.counters_snapshot()["apply_layers"][0] - before == 1
         assert compiled == [len(fragment.circuit.ops)]
         build_window_tensors(data, [[0], [1, 2]])
         next(build_conditioned_window_tensors(data, [0], [1], [[1]]))
-        assert measured == []
         assert isinstance(data.pauli_map, PauliMap) and data.num_variants == 12
 
     def test_compiled_layers_stay_cached_on_the_variant(self):

@@ -1,9 +1,9 @@
 """The NumPy kernels against independent oracles, and kernel accounting.
 
 ``apply_layers`` is checked against explicit matrix conjugation of each
-row's Pauli, ``row_mul`` against a per-qubit product of Pauli matrices
-(both are also checked end to end against the byte-per-bit
-``ReferenceTableau`` in ``tests/test_packed_equivalence.py``); the
+row's Pauli (and end to end, through the readouts of the backward walk,
+against the byte-per-bit ``ReferenceTableau`` in
+``tests/test_packed_equivalence.py``); the
 remaining kernels are checked against plain integer, per-bit or
 per-element Python/NumPy computations.  The counters every
 :class:`~repro.kernels.Kernel` keeps are what ``SuperSimResult.timings``
@@ -192,94 +192,6 @@ def test_apply_layers_gate_matches_matrix_conjugation(name):
     _check_apply_layers(rng, program, 6, 64)
 
 
-# -- row_mul (tableau row products) -------------------------------------------
-
-
-def _pauli_product_phase():
-    """``pauli(a) @ pauli(b) = i^k pauli(a ^ b)``: table of k per (a, b)."""
-    table = {}
-    for a in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-        for b in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            prod = _pauli(*a) @ _pauli(*b)
-            ref = _pauli(a[0] ^ b[0], a[1] ^ b[1])
-            for k in range(4):
-                if np.allclose(prod, (1j**k) * ref):
-                    table[a, b] = k
-    return table
-
-
-_PHASE = _pauli_product_phase()
-
-
-def _row_bits(x, z, row, n_qubits):
-    return [
-        (int(x[row, q // 64] >> np.uint64(q % 64)) & 1,
-         int(z[row, q // 64] >> np.uint64(q % 64)) & 1)
-        for q in range(n_qubits)
-    ]
-
-
-@given(
-    seed=seeds,
-    rows=st.integers(2, 24),
-    words=st.integers(1, 3),
-)
-@settings(max_examples=40, deadline=None)
-def test_row_mul_parity(seed, rows, words):
-    rng = _rng(seed)
-    x0 = rng.integers(0, 2**63, size=(rows, words), dtype=np.uint64)
-    z0 = rng.integers(0, 2**63, size=(rows, words), dtype=np.uint64)
-    s0 = rng.integers(0, 2, size=rows).astype(bool)
-    source = int(rng.integers(0, rows))
-    others = np.array([r for r in range(rows) if r != source])
-    n_targets = int(rng.integers(1, len(others) + 1))
-    targets = rng.choice(others, size=n_targets, replace=False)
-    x, z, s = x0.copy(), z0.copy(), s0.copy()
-    rk.row_mul(x, z, s, targets, source)
-    n_qubits = 64 * words
-    src = _row_bits(x0, z0, source, n_qubits)
-    for t in targets:
-        tgt = _row_bits(x0, z0, t, n_qubits)
-        assert np.array_equal(x[t], x0[source] ^ x0[t])
-        assert np.array_equal(z[t], z0[source] ^ z0[t])
-        k = sum(_PHASE[a, b] for a, b in zip(src, tgt)) % 4
-        if k % 2 == 0:  # commuting rows: the product is a signed Pauli
-            assert s[t] == (s0[source] ^ s0[t] ^ (k == 2))
-    untouched = np.setdiff1d(np.arange(rows), targets)
-    assert np.array_equal(x[untouched], x0[untouched])
-    assert np.array_equal(s[untouched], s0[untouched])
-
-
-def _parse_row(text):
-    sign = text.startswith("-")
-    letters = text.lstrip("+-")
-    bits = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-    x = sum(bits[c][0] << q for q, c in enumerate(letters))
-    z = sum(bits[c][1] << q for q, c in enumerate(letters))
-    return x, z, sign
-
-
-@pytest.mark.parametrize(
-    "source, target, product",
-    [
-        ("XX", "ZZ", "-YY"),
-        ("YY", "XX", "-ZZ"),
-        ("ZZ", "YY", "-XX"),
-        ("XZ", "ZX", "+YY"),
-        ("-XZ", "ZX", "-YY"),
-    ],
-)
-def test_row_mul_two_qubit_products(source, target, product):
-    # hand-worked products: (XZ)(XZ) = (-iY)(-iY) = -YY and so on
-    rows = [_parse_row(source), _parse_row(target)]
-    x = np.array([[r[0]] for r in rows], dtype=np.uint64)
-    z = np.array([[r[1]] for r in rows], dtype=np.uint64)
-    s = np.array([r[2] for r in rows])
-    rk.row_mul(x, z, s, np.array([1]), 0)
-    want_x, want_z, want_s = _parse_row(product)
-    assert (int(x[1, 0]), int(z[1, 0]), bool(s[1])) == (want_x, want_z, want_s)
-
-
 # -- dense_contract (float accumulation: 1e-12) --------------------------------
 
 
@@ -306,7 +218,6 @@ class TestDispatch:
         assert rk.active_tier() == "numpy"
         assert set(rk.all_kernels()) == {
             "apply_layers",
-            "row_mul",
             "bit_gather",
             "inverse_cdf_indices",
             "dense_contract",
@@ -319,7 +230,7 @@ class TestDispatch:
         delta = rk.timings_since(snap)
         assert "bit_gather" in delta
         assert delta["bit_gather"] >= 0.0
-        assert "row_mul" not in delta
+        assert "apply_layers" not in delta
 
 
 class TestRegistry:

@@ -1,9 +1,11 @@
-"""Property tests: packed engines match the legacy reference bit-for-bit.
+"""Property tests: the fast engines match their oracles bit-for-bit.
 
-The bit-packed word-parallel tableau must be indistinguishable from the
-byte-per-bit :class:`~repro.stabilizer._reference.ReferenceTableau` — same
-generator bits, same signs, same symbolic affine form, same measurement
-outcomes for the same rng stream — and the einsum reconstruction must
+Every readout of the backward walk must be indistinguishable from the
+byte-per-bit forward :class:`~repro.stabilizer._reference.ReferenceTableau`
+— the same symbolic affine form ``(A, b)`` over any measured qubits in any
+order, the same Pauli expectations (its stabilizer generators, phases
+included, read +1), the same verdict on whether two circuits prepare one
+state — and the einsum reconstruction must
 reproduce the ``4^k`` assignment loop (the oracle in
 :mod:`repro.testing.reconstruction`) to machine precision on random cut
 placements, in the two regimes where production used to run the loop
@@ -34,109 +36,172 @@ from repro.core.tomography import (
 )
 from repro.paulis import PauliString
 from repro.stabilizer._reference import ReferenceTableau
+from repro.stabilizer import FrameSampler, NoiseModel, StabilizerSimulator
 from repro.stabilizer.tableau import (
-    Tableau,
     _compile_ops,
-    _unpack_bits,
+    _unit_rows,
+    _unpack_axis1,
+    _walk,
     compile_clifford_layers,
+    outcome_distribution,
+    pauli_expectations,
+    same_state,
 )
 from repro.testing.reconstruction import dense_tensor, loop_reconstruct_distribution
 
-# -- packed tableau vs reference ----------------------------------------------
+# -- the backward walk's readouts vs the reference tableau ---------------------
 
 
-def _random_pair(seed):
+def _reference(circuit):
+    reference = ReferenceTableau(circuit.n_qubits)
+    reference.apply_circuit(circuit)
+    return reference
+
+
+def _random_circuit(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 14))
-    circuit = random_clifford_circuit(n, int(rng.integers(1, 20)), rng)
-    packed = Tableau(n)
-    packed.apply_circuit(circuit)
-    reference = ReferenceTableau(n)
-    reference.apply_circuit(circuit)
-    return n, circuit, packed, reference, rng
+    return n, random_clifford_circuit(n, int(rng.integers(1, 20)), rng), rng
 
 
-class TestPackedTableauEquivalence:
-    @pytest.mark.parametrize("seed", range(25))
-    def test_state_bits_match(self, seed):
-        n, _, packed, reference, _ = _random_pair(seed)
-        assert np.array_equal(_unpack_bits(packed.x, n), reference.x)
-        assert np.array_equal(_unpack_bits(packed.z, n), reference.z)
-        assert np.array_equal(packed.sign, reference.sign)
+def _assert_same_form(circuit, qubits):
+    """The walk's ``(A, b)`` over ``qubits`` equals the reference tableau's
+    symbolic sweep, bit for bit (shape and dtype included)."""
+    ours = outcome_distribution(circuit, qubits)
+    theirs = _reference(circuit).measurement_distribution(tuple(qubits))
+    for got, want in ((ours.A, theirs.A), (ours.b, theirs.b)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_stabilizers_match_with_phases(self, seed):
-        _, _, packed, reference, _ = _random_pair(seed)
-        for ours, theirs in zip(
-            packed.stabilizers() + packed.destabilizers(),
-            reference.stabilizers() + reference.destabilizers(),
-        ):
-            assert ours == theirs
+
+def _assert_same_expectations(circuit, paulis):
+    reference = _reference(circuit)
+    assert pauli_expectations(circuit, paulis) == [
+        reference.expectation(pauli) for pauli in paulis
+    ]
+
+
+def _stabilizers_with_phases(circuit):
+    """The reference's generators read +1, their negatives -1."""
+    stabilizers = _reference(circuit).stabilizers()
+    negated = [PauliString(p.x, p.z, p.phase + 2) for p in stabilizers]
+    values = pauli_expectations(circuit, stabilizers + negated)
+    assert values == [1] * len(stabilizers) + [-1] * len(negated)
+
+
+@st.composite
+def measured_circuits(draw, max_qubits=130):
+    """A random Clifford circuit and a subset of its qubits in any order."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, max_qubits))
+    rng = np.random.default_rng(seed)
+    circuit = random_clifford_circuit(n, draw(st.integers(1, 12)), rng)
+    qubits = [int(q) for q in rng.permutation(n)[: draw(st.integers(0, n))]]
+    return circuit, qubits
+
+
+class TestWalkMatchesReference:
+    @given(measured_circuits())
+    @settings(max_examples=40, deadline=None)
+    def test_affine_form_bit_for_bit(self, drawn):
+        circuit, qubits = drawn
+        _assert_same_form(circuit, qubits)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_affine_distribution_bit_for_bit(self, seed):
-        n, _, packed, reference, _ = _random_pair(seed)
-        ours = packed.measurement_distribution(tuple(range(n)))
-        theirs = reference.measurement_distribution(tuple(range(n)))
-        assert np.array_equal(ours.A, theirs.A)
-        assert np.array_equal(ours.b, theirs.b)
+        n, circuit, _ = _random_circuit(seed)
+        assert np.array_equal(
+            StabilizerSimulator().affine_distribution(circuit).A,
+            _reference(circuit).measurement_distribution(tuple(range(n))).A,
+        )
+        _assert_same_form(circuit, list(range(n)))
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_measurements_match_same_rng(self, seed):
-        n, _, packed, reference, _ = _random_pair(seed)
-        ours_rng = np.random.default_rng(1000 + seed)
-        theirs_rng = np.random.default_rng(1000 + seed)
-        for q in range(n):
-            assert packed.measure(q, ours_rng) == reference.measure(
-                q, theirs_rng
-            )
+    def test_forward_walk_is_the_reference_state(self, seed):
+        """Walked forward (as ``same_state`` walks ``b``), the rows ``X_q``
+        and ``Z_q`` become ``U X_q U†`` and ``U Z_q U†``: the reference
+        tableau's destabilizers and stabilizers, bit for bit."""
+        n, circuit, _ = _random_circuit(seed)
+        units = _unit_rows(n, range(n))
+        x, z, sign = _walk(
+            compile_clifford_layers(circuit),
+            n,
+            np.vstack([units, np.zeros_like(units)]),
+            np.vstack([np.zeros_like(units), units]),
+        )
+        reference = _reference(circuit)
+        assert np.array_equal(_unpack_axis1(x, n), reference.x)
+        assert np.array_equal(_unpack_axis1(z, n), reference.z)
+        assert np.array_equal(sign, reference.sign)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_frame_reference_shots_match_same_rng(self, seed):
+        """A noiseless frame sampler draws its reference shots from the
+        walk's form: the same shots the reference tableau's form draws
+        from the same rng stream, over a measured subset."""
+        n, circuit, rng = _random_circuit(seed)
+        circuit.measure(rng.permutation(n)[: int(rng.integers(1, n + 1))])
+        theirs = _reference(circuit).measurement_distribution(circuit.measured_qubits)
+        assert np.array_equal(
+            FrameSampler(circuit, NoiseModel()).sample_bits(
+                64, np.random.default_rng(1000 + seed)
+            ),
+            theirs.sample_bits(64, np.random.default_rng(1000 + seed)),
+        )
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_stabilizers_match_with_phases(self, seed):
+        _, circuit, _ = _random_circuit(seed)
+        _stabilizers_with_phases(circuit)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_expectations_match(self, seed):
-        n, _, packed, reference, rng = _random_pair(seed)
-        for _ in range(12):
-            label = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-            pauli = PauliString.from_label(label)
-            assert packed.expectation(pauli) == reference.expectation(pauli)
+        n, circuit, rng = _random_circuit(seed)
+        labels = ["".join(rng.choice(list("IXYZ")) for _ in range(n)) for _ in range(12)]
+        _assert_same_expectations(
+            circuit, [PauliString.from_label(label) for label in labels]
+        )
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_single_gate_api_matches_layered(self, seed):
-        """Per-gate calls and fused apply_circuit agree exactly."""
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 10))
-        circuit = random_clifford_circuit(n, int(rng.integers(2, 12)), rng)
-        layered = Tableau(n)
-        layered.apply_circuit(circuit)
-        stepped = Tableau(n)
-        for op in circuit.ops:
-            stepped.apply_operation(op.gate, op.qubits)
-        assert np.array_equal(layered.x, stepped.x)
-        assert np.array_equal(layered.z, stepped.z)
-        assert np.array_equal(layered.sign, stepped.sign)
+    @pytest.mark.parametrize("seed", range(25))
+    def test_state_equality(self, seed):
+        """``same_state`` against the reference: equal iff each state's
+        generators read +1 on the other.  Half the pairs prepare one state
+        by different gates: the second circuit goes on to apply one of the
+        state's stabilizer generators, letter by letter."""
+        n, circuit, rng = _random_circuit(seed)
+        other = circuit.copy()
+        reference = _reference(circuit)
+        if seed % 2:
+            other.append(gates.X, int(rng.integers(n)))
+            other.append(gates.H, int(rng.integers(n)))
+        else:
+            stab = reference.stabilizers()[int(rng.integers(n))]
+            for q, letter in enumerate(stab.label()):
+                if letter != "I":
+                    other.append(getattr(gates, letter), q)
+        other_reference = _reference(other)
+        want = all(
+            other_reference.expectation(stab) == 1 for stab in reference.stabilizers()
+        )
+        assert same_state(circuit, other) == same_state(other, circuit) == want
+        assert same_state(circuit, circuit.copy())
 
     def test_non_clifford_rejected(self):
         circuit = Circuit(1).append(gates.T, 0)
         with pytest.raises(ValueError):
-            Tableau(1).apply_circuit(circuit)
+            StabilizerSimulator().affine_distribution(circuit)
 
-    def test_wide_tableau_crosses_word_boundaries(self):
+    def test_wide_circuit_crosses_word_boundaries(self):
         """>64 qubits exercises multi-word rows."""
         n = 130
         circuit = Circuit(n).append(gates.H, 0)
         for q in range(n - 1):
             circuit.append(gates.CX, q, q + 1)
-        packed = Tableau(n)
-        packed.apply_circuit(circuit)
-        reference = ReferenceTableau(n)
-        reference.apply_circuit(circuit)
-        assert np.array_equal(_unpack_bits(packed.x, n), reference.x)
-        ours = packed.measurement_distribution(tuple(range(n)))
-        theirs = reference.measurement_distribution(tuple(range(n)))
-        assert np.array_equal(ours.A, theirs.A)
-        assert np.array_equal(ours.b, theirs.b)
+        _assert_same_form(circuit, list(range(n)))
+        _stabilizers_with_phases(circuit)
 
 
-#: widths whose 2n rows end just before, on and just past a 64-bit word
+#: widths whose rows end just before, on and just past a 64-bit word
 EDGE_WIDTHS = (1, 31, 32, 33, 63, 64, 65, 127, 128, 129)
 
 #: every gate the walk takes through its stabilizer decomposition
@@ -148,15 +213,19 @@ DECOMPOSED_2Q = [gates.CZ, gates.CY, gates.CZPow(1.0), gates.CZPow(2.0)] + [
 ]
 
 
-def _assert_same_state(packed, reference, n):
-    assert np.array_equal(_unpack_bits(packed.x, n), reference.x)
-    assert np.array_equal(_unpack_bits(packed.z, n), reference.z)
-    assert np.array_equal(packed.sign, reference.sign)
+def _assert_same_readouts(circuit):
+    n = circuit.n_qubits
+    _assert_same_form(circuit, list(range(n)))
+    _stabilizers_with_phases(circuit)
+    rng = np.random.default_rng(n)
+    labels = ["".join(rng.choice(list("IXYZ")) for _ in range(n)) for _ in range(4)]
+    _assert_same_expectations(circuit, [PauliString.from_label(l) for l in labels])
 
 
 class TestIntColumnEdges:
-    """The walk's int columns span 2n rows: bit for bit against the
-    byte-per-bit reference at widths around the 64-bit word boundaries."""
+    """The walk's int columns span the rows a readout walks: bit for bit
+    against the byte-per-bit reference at widths around the 64-bit word
+    boundaries."""
 
     @pytest.mark.parametrize("n", EDGE_WIDTHS)
     def test_cx_ladder(self, n):
@@ -164,14 +233,7 @@ class TestIntColumnEdges:
         for q in range(n - 1):
             circuit.append(gates.CX, q, q + 1)
         circuit.append(gates.S, n - 1).append(gates.Y, 0)
-        packed, reference = Tableau(n), ReferenceTableau(n)
-        packed.apply_circuit(circuit)
-        reference.apply_circuit(circuit)
-        _assert_same_state(packed, reference, n)
-        ours = packed.measurement_distribution(tuple(range(n)))
-        theirs = reference.measurement_distribution(tuple(range(n)))
-        assert np.array_equal(ours.A, theirs.A)
-        assert np.array_equal(ours.b, theirs.b)
+        _assert_same_readouts(circuit)
 
     @pytest.mark.parametrize("n", EDGE_WIDTHS)
     def test_every_decomposed_gate(self, n):
@@ -185,26 +247,20 @@ class TestIntColumnEdges:
                 circuit.append(gate, *qubits)
                 if n > 1:  # spread the gate's effect over other rows' signs
                     circuit.append(gates.CX, qubits[0], (qubits[0] + 1) % n)
-        packed, reference = Tableau(n), ReferenceTableau(n)
-        packed.apply_circuit(circuit)
-        reference.apply_circuit(circuit)
-        _assert_same_state(packed, reference, n)
+        _assert_same_readouts(circuit)
 
     @pytest.mark.parametrize("n", EDGE_WIDTHS)
-    def test_narrow_program_on_a_wider_tableau(self, n):
-        """As the Choi sweep does: a body's program on ``n + k`` qubits,
-        the extra wires Bell-paired to the body's first ones."""
+    def test_bell_paired_ancillas(self, n):
+        """A body on ``n`` wires after ``k`` extra wires are Bell-paired to
+        its first ones: a partly measured, partly random form."""
         k = min(n, 3)
         body = random_clifford_circuit(n, 4, np.random.default_rng(n))
-        packed, reference = Tableau(n + k), ReferenceTableau(n + k)
-        for tableau in (packed, reference):
-            for ancilla, q in enumerate(range(k), start=n):
-                tableau.h(ancilla)
-                tableau.cx(ancilla, q)
-        packed.apply_layers(compile_clifford_layers(body))
-        for op in body.ops:
-            reference.apply_operation(op.gate, op.qubits)
-        _assert_same_state(packed, reference, n + k)
+        circuit = Circuit(n + k)
+        for ancilla, q in enumerate(range(k), start=n):
+            circuit.append(gates.H, ancilla).append(gates.CX, ancilla, q)
+        circuit.extend(Circuit(n + k, body.ops).ops)
+        _assert_same_readouts(circuit)
+        _assert_same_form(circuit, list(range(n + k))[::-1])
 
 
 class TestLayerCompiler:
@@ -254,9 +310,7 @@ class TestLayerCompiler:
         fresh = compile_clifford_layers(circuit)
         assert fresh is not stale
         assert fresh[0][0] == "S"
-        tableau = Tableau(1)
-        tableau.apply_circuit(circuit)
-        assert tableau.stabilizers()[0] == PauliString.from_label("Z")
+        assert StabilizerSimulator().expectation(circuit, PauliString.from_label("Z")) == 1
 
 
 # -- einsum reconstruction vs the assignment-loop oracle ----------------------

@@ -5,102 +5,58 @@ import pytest
 
 from repro.analysis import Distribution, hellinger_fidelity
 from repro.circuits import Circuit, gates, random_clifford_circuit
-from repro.circuits.circuit import Operation
 from repro.paulis import PauliString
-from repro.stabilizer import StabilizerSimulator, Tableau
+from repro.errors import ReconstructionMemoryError
+from repro.stabilizer import StabilizerSimulator
+from repro.stabilizer._reference import ReferenceTableau
 from repro.core.evaluator import FragmentData
 from repro.core.fragments import Fragment
 from repro.core.tomography import build_conditioned_fragment_tensor
-from repro.stabilizer.tableau import PauliMap, _compile_ops, compile_clifford_layers
+from repro.stabilizer.tableau import PauliMap
 from repro.statevector import StatevectorSimulator
 
 STAB = StabilizerSimulator()
 SV = StatevectorSimulator()
 
 
+def _expectations(circuit, labels):
+    return [STAB.expectation(circuit, PauliString.from_label(l)) for l in labels]
+
+
 class TestGateAction:
+    """Each gate's action, read as the expectations of the Paulis that
+    stabilize the state it prepares."""
+
     def test_initial_stabilizers(self):
-        t = Tableau(2)
-        labels = [p.label() for p in t.stabilizers()]
-        assert labels == ["ZI", "IZ"]
+        assert _expectations(Circuit(2), ["ZI", "IZ", "XI", "IX"]) == [1, 1, 0, 0]
 
     def test_h_maps_z_to_x(self):
-        t = Tableau(1)
-        t.h(0)
-        assert t.stabilizers()[0] == PauliString.from_label("X")
+        assert _expectations(Circuit(1).append(gates.H, 0), ["X", "Z"]) == [1, 0]
 
     def test_s_on_plus_gives_y_stabilizer(self):
-        t = Tableau(1)
-        t.h(0)
-        t.s(0)
-        assert t.stabilizers()[0] == PauliString.from_label("Y")
+        circuit = Circuit(1).append(gates.H, 0).append(gates.S, 0)
+        assert _expectations(circuit, ["Y", "X", "Z"]) == [1, 0, 0]
 
     def test_bell_stabilizers(self):
-        t = Tableau(2)
-        t.h(0)
-        t.cx(0, 1)
-        stabs = {p.label(): p.phase for p in t.stabilizers()}
-        assert set(stabs) == {"XX", "ZZ"}
-        assert all(phase == 0 for phase in stabs.values())
+        circuit = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1)
+        assert _expectations(circuit, ["XX", "ZZ", "YY", "ZI"]) == [1, 1, -1, 0]
 
     def test_x_gate_flips_sign(self):
-        t = Tableau(1)
-        t.x_gate(0)
-        assert t.stabilizers()[0].phase == 2  # -Z
+        assert _expectations(Circuit(1).append(gates.X, 0), ["Z"]) == [-1]
 
     def test_non_clifford_rejected(self):
         with pytest.raises(ValueError):
-            STAB.run(Circuit(1).append(gates.T, 0))
+            STAB.affine_distribution(Circuit(1).append(gates.T, 0))
 
     def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            Tableau(2).apply_circuit(Circuit(3))
+        with pytest.raises(ValueError, match="width"):
+            STAB.expectation(Circuit(3), PauliString.from_label("ZZ"))
 
-    def test_layers_of_a_narrower_circuit(self):
-        """A program runs on the wires it names; a wire past the tableau is
-        refused."""
-        body = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1).append(gates.S, 1)
-        layers = compile_clifford_layers(body)
-        wide, expected = Tableau(3), Tableau(3)
-        wide.h(2)
-        expected.h(2)
-        wide.apply_layers(layers)
-        expected.apply_circuit(Circuit(3, body.ops))
-        for got, want in ((wide.x, expected.x), (wide.z, expected.z)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(wide.sign, expected.sign)
-        with pytest.raises(ValueError, match="qubit 1 of a 1-qubit"):
-            Tableau(1).apply_layers(layers)
-
-
-    @pytest.mark.parametrize(
-        "program",
-        [
-            [("H", -1)],
-            [("H", 3)],
-            [("S", 0), ("CX", 1, -1)],
-            [("H", 1), ("CX", 3, 0)],
-            [("X", -3)],
-            _compile_ops([Operation(gates.SX, (-1,))]),
-        ],
-    )
-    def test_a_qubit_outside_the_tableau_leaves_it_untouched(self, program):
-        """Any qubit outside ``[0, n)`` is refused, negative ones too (a
-        list or a numpy fancy index would wrap them onto the last wires),
-        and the refusal comes before the tableau changes."""
-        tableau = Tableau(3)
-        tableau.h(0)
-        tableau.cx(0, 2)
-        tableau.s(1)
-        before = tableau.copy()
-        with pytest.raises(ValueError, match="of a 3-qubit tableau"):
-            tableau.apply_layers(program)
-        for got, want in (
-            (tableau.x, before.x),
-            (tableau.z, before.z),
-            (tableau.sign, before.sign),
-        ):
-            assert np.array_equal(got, want)
+    def test_non_hermitian_pauli(self):
+        """``<iZ>`` would be ``i``: refused; ``<iX>`` on |0> is 0."""
+        with pytest.raises(ValueError, match="non-Hermitian"):
+            STAB.expectation(Circuit(1), PauliString.from_label("Z", phase=1))
+        assert STAB.expectation(Circuit(1), PauliString.from_label("X", phase=1)) == 0
 
 
 class TestAgainstStatevector:
@@ -137,55 +93,64 @@ class TestAgainstStatevector:
         assert hellinger_fidelity(exact, got) > 1 - 1e-9
 
     def test_all_stabilizer_expectations_are_plus_one(self):
+        """The reference tableau's generators, phases included, read +1."""
         rng = np.random.default_rng(0)
         circuit = random_clifford_circuit(5, 6, rng)
-        tableau = STAB.run(circuit)
-        for stab in tableau.stabilizers():
-            assert tableau.expectation(stab) == 1
+        reference = ReferenceTableau(5)
+        reference.apply_circuit(circuit)
+        for stab in reference.stabilizers():
+            assert STAB.expectation(circuit, stab) == 1
 
 
 class TestMeasurement:
+    """Z-basis readouts, off the affine outcome form."""
+
     def test_deterministic_zero(self):
-        t = Tableau(1)
-        assert t.measure(0, rng=0) == 0
+        affine = STAB.affine_distribution(Circuit(1))
+        assert affine.n_free == 0 and affine.b.tolist() == [False]
 
     def test_deterministic_one(self):
-        t = Tableau(1)
-        t.h(0)
-        t.s(0)
-        t.s(0)
-        t.h(0)  # = X up to phase
-        assert t.measure(0, rng=0) == 1
-
-    def test_random_then_repeatable(self):
-        rng = np.random.default_rng(1)
-        t = Tableau(1)
-        t.h(0)
-        first = t.measure(0, rng)
-        for _ in range(5):
-            assert t.measure(0, rng) == first
+        circuit = Circuit(1)
+        for gate in (gates.H, gates.S, gates.S, gates.H):  # = X up to phase
+            circuit.append(gate, 0)
+        affine = STAB.affine_distribution(circuit)
+        assert affine.n_free == 0 and affine.b.tolist() == [True]
 
     def test_bell_correlations(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            t = Tableau(2)
-            t.h(0)
-            t.cx(0, 1)
-            a = t.measure(0, rng)
-            b = t.measure(1, rng)
-            assert a == b
+        circuit = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1)
+        bits = STAB.affine_distribution(circuit).sample_bits(200, rng=2)
+        assert np.array_equal(bits[:, 0], bits[:, 1])
+        assert 0 < bits[:, 0].sum() < 200
 
     def test_ghz_randomness(self):
-        rng = np.random.default_rng(3)
-        outcomes = set()
-        for _ in range(30):
-            t = Tableau(3)
-            t.h(0)
-            t.cx(0, 1)
-            t.cx(1, 2)
-            bits = tuple(t.measure(q, rng) for q in range(3))
-            outcomes.add(bits)
-        assert outcomes == {(0, 0, 0), (1, 1, 1)}
+        circuit = Circuit(3).append(gates.H, 0).append(gates.CX, 0, 1)
+        circuit.append(gates.CX, 1, 2)
+        bits = STAB.affine_distribution(circuit).sample_bits(30, rng=3)
+        assert {tuple(row) for row in bits.astype(int).tolist()} == {
+            (0, 0, 0),
+            (1, 1, 1),
+        }
+
+    def test_nothing_measured(self):
+        """No measured qubit: an empty form (the walk of no rows)."""
+        affine = STAB.affine_distribution(Circuit(3).append(gates.H, 0).measure([]))
+        assert affine.A.shape == (0, 0) and affine.b.shape == (0,)
+        assert affine.to_distribution().n_bits == 0
+
+    def test_too_many_free_bits_is_refused_before_enumerating(self, monkeypatch):
+        """21 free bits past ``max_free=20``: the typed refusal, before a
+        single key is enumerated."""
+        from repro.stabilizer import tableau
+
+        def enumerate_keys(*_args):
+            raise AssertionError("enumerated past the limit")
+
+        monkeypatch.setattr(tableau, "_affine_keys", enumerate_keys)
+        circuit = Circuit(21)
+        for q in range(21):
+            circuit.append(gates.H, q)
+        with pytest.raises(ReconstructionMemoryError, match="2\\^21 outcomes"):
+            STAB.probabilities(circuit)
 
 
 def _point_probability(circuit, bits) -> float:
@@ -261,3 +226,22 @@ class TestLargeScale:
         affine = STAB.affine_distribution(circuit)
         bits = affine.sample_bits(10, rng=1)
         assert bits.shape == (10, 120)
+
+
+class TestZeroRows:
+    """A walk of no rows returns empty images, not a reshape error."""
+
+    def test_heisenberg_images_of_no_rows(self):
+        from repro.stabilizer.tableau import heisenberg_images
+
+        circuit = random_clifford_circuit(70, 3, rng=0)
+        empty = np.zeros((0, 2), dtype=np.uint64)
+        x, z, sign = heisenberg_images(circuit, empty, empty)
+        assert x.shape == z.shape == (0, 2) and sign.shape == (0,)
+
+    def test_pauli_map_of_an_empty_body(self):
+        images = PauliMap(Circuit(0), [], [])
+        assert images.x.shape == images.z.shape == (0, 1)
+        assert images.sign.shape == (0,)
+        x, z = images.bits()
+        assert x.shape == z.shape == (0, 0)
