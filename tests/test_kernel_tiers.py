@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as rk
+from repro.circuits import gates
+from repro.circuits.circuit import Operation
 from repro.kernels import registry
+from repro.stabilizer.tableau import _compile_ops
 
 
 # -- strategies ---------------------------------------------------------------
@@ -190,6 +193,38 @@ def test_apply_layers_gate_matches_matrix_conjugation(name):
     rng = _rng(sorted(_GATES).index(name))
     program = _random_program(rng, 6, 6, names=(name,))
     _check_apply_layers(rng, program, 6, 64)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        [("H", -1)],
+        [("H", 3)],
+        [("S", 0), ("CX", 1, -1)],
+        [("H", 1), ("CX", 3, 0)],
+        [("X", -3)],
+        _compile_ops([Operation(gates.SX, (-1,))]),
+    ],
+)
+def test_a_qubit_outside_the_columns_is_refused(program):
+    """Any qubit the columns lack is refused, negative ones too (a list or
+    a numpy fancy index would wrap them onto the last wires), and the step
+    naming it writes nothing: the columns hold what the steps before it
+    made of them."""
+    rng = _rng(len(program))
+    x0 = {q: _random_column(rng, 8) for q in range(3)}
+    z0 = {q: _random_column(rng, 8) for q in range(3)}
+    valid = []
+    for step in program:
+        if any(not 0 <= q < 3 for q in step[1:]):
+            break
+        valid.append(step)
+    x_ok, z_ok = dict(x0), dict(z0)
+    rk.apply_layers(valid, x_ok, z_ok, 0)
+    x, z = dict(x0), dict(z0)
+    with pytest.raises(KeyError):
+        rk.apply_layers(program, x, z, 0)
+    assert (x, z) == (x_ok, z_ok)
 
 
 # -- dense_contract (float accumulation: 1e-12) --------------------------------
