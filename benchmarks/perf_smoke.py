@@ -393,13 +393,14 @@ def _recursive_61q_counts() -> dict:
     variants).  Per level, tomography must read the Clifford fragment's
     Pauli map with one GF(2) elimination (``tomography._solve_map``) —
     however many bins the frontier holds and however many variants the
-    fragment has: eliminations equal the fragment-levels, the conditioned
-    levels plus the dense builds of the top window; and once the
-    reconstruction has returned, the tensor builder
-    may still hold less than one window tensor.  Below the top window —
-    where nothing is pinned yet — every bin is contracted on its support:
-    no operand above ``4^4 * 64`` entries (a dense ``4^4 * 2^12`` one per
-    bin before fragment tensors lived on their supports).
+    fragment has.  The top window, where nothing is pinned yet, is a
+    conditioned level too (one zero-width row), so eliminations equal the
+    conditioned levels and no Clifford fragment is ever built densely;
+    once the reconstruction has returned, the tensor builder may still
+    hold less than one window tensor.  Every bin, the top window's
+    included, is contracted on its support: no operand above ``4^4 * 64``
+    entries (a dense ``4^4 * 2^12`` one before fragment tensors lived on
+    their supports).
     """
     import tracemalloc
     from unittest import mock
@@ -879,29 +880,30 @@ def main() -> int:
         streaming["recursive_61q_conditioned_levels"] > 0
         and streaming["recursive_61q_map_eliminations"]
         == streaming["recursive_61q_conditioned_levels"]
-        + streaming["recursive_61q_dense_map_builds"]
+        and streaming["recursive_61q_dense_map_builds"] == 0
     ):
         failures.append(
             "61q recursive tomography no longer reads each Clifford "
-            "fragment's map with one elimination per level: "
+            "fragment's map on its support with one elimination per level: "
             f"{streaming['recursive_61q_map_eliminations']} eliminations for "
-            f"{streaming['recursive_61q_conditioned_levels']} conditioned and "
-            f"{streaming['recursive_61q_dense_map_builds']} dense fragment-levels "
+            f"{streaming['recursive_61q_conditioned_levels']} conditioned "
+            f"fragment-levels, {streaming['recursive_61q_dense_map_builds']} "
+            "dense Clifford-fragment builds (want 0) "
             f"({streaming['recursive_61q_level_variants']} variant-levels, "
             f"{streaming['recursive_61q_windows_refined']} windows)"
         )
     if not (
         streaming["recursive_61q_contractions"]
         == streaming["recursive_61q_windows_refined"]
-        and streaming["recursive_61q_wide_contractions"] <= 1
+        and streaming["recursive_61q_wide_contractions"] == 0
     ):
         failures.append(
             "61q recursive bins are no longer contracted on their supports: "
             f"{streaming['recursive_61q_wide_contractions']} of "
             f"{streaming['recursive_61q_contractions']} contractions "
             f"({streaming['recursive_61q_windows_refined']} windows) were "
-            "handed an operand above 4^4 * 64 entries (at most the top window "
-            "may be)"
+            "handed an operand above 4^4 * 64 entries (the top window "
+            "included, none may be)"
         )
     if (
         streaming["recursive_61q_retained_bytes"]

@@ -7,8 +7,10 @@ A 61-qubit GHZ chain with one non-Clifford rotation is trivially cheap to
 
 1. ``mode="recursive"`` (auto-selected past ``max_dense_bits``): the
    dynamic-definition driver reconstructs a coarse top window, recurses
-   into the heaviest bins, and returns a calibrated top-k distribution
-   with peak memory ``O(4^k * 2^qubit_limit)``;
+   into the heaviest bins, and returns a calibrated top-k distribution.
+   Every Clifford fragment is read on its support at every level, the
+   top window included, so a contraction holds a handful of entries
+   here; ``O(4^k * 2^qubit_limit)`` bounds it;
 2. ``marginal_probabilities`` — exact marginals over small qubit windows
    straight from reduced fragment tensors, never touching the joint;
 3. the guard: asking for the dense joint raises a clear
@@ -53,7 +55,8 @@ def main() -> None:
           f"{result.reconstruction_windows} windows / "
           f"{result.reconstruction_refinements} refinements")
     print(f"peak accumulator: {result.stats.peak_window_entries} entries "
-          f"(= 2^qubit_limit, vs 2^{n} dense)")
+          f"(the product of the supports: at most 2^qubit_limit, "
+          f"vs 2^{n} dense)")
     print(f"probability mass covered by the beam: "
           f"{result.covered_probability:.12f}")
     print("top outcomes:")

@@ -242,12 +242,16 @@ class ReconstructionConfig(_Replaceable):
         marginal over ``window`` (default: the first ``qubit_limit`` kept
         qubits); ``"recursive"`` — CutQC-style dynamic definition: a
         calibrated top-k distribution at ``O(4^k · 2**qubit_limit)``
-        memory, any width; ``"auto"`` (default) — ``"full"`` while the
-        output fits ``max_dense_bits``, ``"recursive"`` beyond.
+        memory, any width, and far less when the fragments holding the
+        window are Clifford (read on their supports at every level);
+        ``"auto"`` (default) — ``"full"`` while the output fits
+        ``max_dense_bits``, ``"recursive"`` beyond.
     qubit_limit:
         Window width of the bounded-memory engines — the hard memory
         knob: no dense object larger than ``2**qubit_limit`` entries is
-        allocated in windowed/recursive modes.
+        allocated in windowed/recursive modes.  In recursive mode only a
+        non-Clifford fragment holding unpinned window qubits has a dense
+        tensor; a Clifford fragment's lives on its support.
     top_k:
         Bins refined per recursion level (and the maximum support of a
         recursive result).

@@ -56,11 +56,12 @@ masks already know them.)
 "dynamic definition"): output width is its own scale axis, so it
 reconstructs a coarse distribution over the first ``qubit_limit`` qubits,
 recurses only into the heaviest bins of positive probability (the fragment
-tensors conditioned on the bits defined so far — on their supports, a
-handful of columns each), and returns a calibrated top-k
-:class:`Distribution`.  It works level by
-level: all bins of a level pin the same qubits, so the driver hands its
-tensor callback the level's whole frontier at once
+tensors conditioned on the bits defined so far), and returns a calibrated
+top-k :class:`Distribution`.  Its tensors are on their supports, a
+handful of columns each: a Clifford fragment's at every level, the coarse
+window's included, and any fragment's once some of its bits are pinned.
+It works level by level: all bins of a level pin the same qubits, so the
+driver hands its tensor callback the level's whole frontier at once
 (``tensor_builder(window, fixed_qubits, fixed_rows)``) and pulls the bins'
 tensors from the returned iterator one at a time, contracting and dropping
 each before asking for the next.  What a level costs to prepare — one
@@ -136,11 +137,12 @@ class ReconstructionStats:
     ``refinements`` those beyond the coarse top window,
     ``peak_window_entries`` the largest accumulator any single contraction
     allocated — the product of its fragments' support sizes: ``2**kept
-    bits`` for dense tensors, a handful for a conditioned bin, never
-    ``2**total_bits`` of a wide output — and ``covered_probability`` the
-    total mass of the returned outcomes (1.0 for exact full
-    reconstructions; below 1.0 when recursive top-k truncation dropped
-    light bins).
+    bits`` for a dense tensor (full and windowed modes, and a recursive
+    window's non-Clifford fragment with nothing pinned), a handful for a
+    Clifford fragment or a conditioned bin, never ``2**total_bits`` of a
+    wide output — and ``covered_probability`` the total mass of the
+    returned outcomes (1.0 for exact full reconstructions; below 1.0 when
+    recursive top-k truncation dropped light bins).
     """
 
     terms_total: int = 0

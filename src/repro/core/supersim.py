@@ -64,6 +64,7 @@ from repro.errors import FaultReport
 from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
 from repro.core.reconstruction import (
     ReconstructionStats,
+    SupportTensor,
     check_dense_width,
     estimate_reconstruction_cost,
     output_sites,
@@ -425,18 +426,35 @@ class SuperSim:
         kept_locals)`` once per frontier bin (row of ``fixed_rows``), built
         from the already-evaluated fragment data — never over all kept
         bits at once, so tomography memory follows the window, not the
-        circuit width.  A fragment holding some of the fixed qubits streams
-        its conditioned tensors on their supports, its data conditioned
-        once for the whole level — a Clifford fragment's Pauli map with one
-        elimination (:func:`build_conditioned_window_tensors`);
-        one holding none has a single dense tensor for the level
+        circuit width.  A Clifford fragment, and any fragment holding some
+        of the fixed qubits, has its tensors on their supports, its data
+        conditioned once for the whole level — a Clifford fragment's Pauli
+        map with one elimination (:func:`build_conditioned_window_tensors`);
+        with nothing of it pinned that is one tensor, repeated for every
+        bin.  Any other fragment has a single dense tensor for the level
         (:func:`build_fragment_tensor`, which alone applies the physicality
         projection to sampled data).  Only a tensor that can come back at a
         later level is kept across levels — that of a fragment with no kept
         or fixed qubits yet, ``4**(qi+qo)`` numbers.
         """
         max_dense_bits = self.reconstruction.max_dense_bits
-        untouched: dict[int, np.ndarray] = {}
+        untouched: dict[int, np.ndarray | SupportTensor] = {}
+
+        def unpinned(fragment, data, kept):
+            if data.pauli_map is not None:
+                # no pins: one zero-width row
+                rows = np.zeros((1, 0), dtype=bool)
+                return next(
+                    build_conditioned_window_tensors(
+                        data, kept, [], rows, max_dense_bits=max_dense_bits
+                    )
+                )
+            return build_fragment_tensor(
+                data,
+                kept,
+                project=self._projects(evaluator, fragment),
+                max_dense_bits=max_dense_bits,
+            )
 
         def build(window, fixed_qubits, fixed_rows):
             column = {q: j for j, q in enumerate(fixed_qubits)}
@@ -459,12 +477,7 @@ class SuperSim:
                 else:
                     tensor = None if kept else untouched.get(fragment.index)
                     if tensor is None:
-                        tensor = build_fragment_tensor(
-                            data,
-                            kept,
-                            project=self._projects(evaluator, fragment),
-                            max_dense_bits=max_dense_bits,
-                        )
+                        tensor = unpinned(fragment, data, kept)
                         if not kept:
                             untouched[fragment.index] = tensor
                     stream = itertools.repeat(tensor)

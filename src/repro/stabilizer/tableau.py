@@ -14,7 +14,8 @@ of word ``q >> 6``).
 flat gate program in op order — native H, S, CX, X, Y, Z as themselves,
 every other Clifford gate as its cached stabilizer decomposition — kept in
 the circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
-(revalidated by op-list identity, so any mutation recompiles).
+(revalidated by op-list identity, so any mutation recompiles), and so is
+its inverse (:func:`compile_inverse_layers`).
 :func:`heisenberg_images` turns each qubit column of the rows into one
 Python int, walks the inverse program (:func:`inverse_program`) gate by
 gate on those ints — 1 to 4 big-int ops per gate, every row at once, the
@@ -162,6 +163,19 @@ def inverse_program(program) -> list[tuple]:
     return inverse
 
 
+def compile_inverse_layers(circuit: Circuit) -> list[tuple]:
+    """The gate program of a Clifford circuit's inverse
+    (:func:`inverse_program`), cached next to the forward one
+    (:func:`compile_clifford_layers`)."""
+    derived = circuit.derived()
+    program = derived.get("inverse_layers")
+    if program is None:
+        program = derived["inverse_layers"] = inverse_program(
+            compile_clifford_layers(circuit)
+        )
+    return program
+
+
 def _n_words(n: int) -> int:
     """Words per packed row of ``n`` qubits (at least one)."""
     return max(1, (n + 63) >> 6)
@@ -200,12 +214,12 @@ def heisenberg_images(
     ``(rows, ceil(n/64))`` ``uint64``.  A walk conjugates
     its rows ``P -> G P G†`` gate by gate, so walking the inverse program
     (:func:`inverse_program`) takes them to ``U† P U``: the body is
-    compiled once (:func:`compile_clifford_layers`) and walked once, one
-    ``apply_layers`` kernel call over all the rows.  Returns the images
-    ``(x, z, sign)`` packed the same way, each ``(-1)^sign i^(x.z) X^x Z^z``.
+    compiled and inverted once per circuit (:func:`compile_inverse_layers`)
+    and walked once per call, one ``apply_layers`` kernel call over all the
+    rows.  Returns the images ``(x, z, sign)`` packed the same way, each
+    ``(-1)^sign i^(x.z) X^x Z^z``.
     """
-    program = inverse_program(compile_clifford_layers(circuit))
-    return _walk(program, circuit.n_qubits, x, z)
+    return _walk(compile_inverse_layers(circuit), circuit.n_qubits, x, z)
 
 
 def outcome_distribution(circuit: Circuit, qubits) -> "AffineOutcomeDistribution":
@@ -287,7 +301,7 @@ def same_state(a: Circuit, b: Circuit) -> bool:
     if a.n_qubits != b.n_qubits:
         return False
     n = a.n_qubits
-    program = compile_clifford_layers(b) + inverse_program(compile_clifford_layers(a))
+    program = compile_clifford_layers(b) + compile_inverse_layers(a)
     z = _unit_rows(n, range(n))
     x, _z, sign = _walk(program, n, np.zeros_like(z), z)
     return not (x.any() or sign.any())

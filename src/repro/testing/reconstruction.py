@@ -14,7 +14,11 @@ tensors: one on its support is scattered into zeros first
 The batched window contraction
 (:func:`repro.core.reconstruction.reconstruct_windows`) has its oracle
 here too: :func:`loop_reconstruct_windows`, one ``reconstruct_distribution``
-call per window.
+call per window.  So has the recursive driver's level builder
+(``SuperSim._dynamic_tensor_builder``), which reads a Clifford fragment on
+its support at every level, the top window included:
+:func:`dense_unpinned_level_builder` gives every fragment nothing of which
+is pinned one dense tensor for the level.
 """
 
 from __future__ import annotations
@@ -32,6 +36,10 @@ from repro.core.reconstruction import (
     _axis_cuts,
     _output_order,
     reconstruct_distribution,
+)
+from repro.core.tomography import (
+    build_conditioned_window_tensors,
+    build_fragment_tensor,
 )
 
 
@@ -146,3 +154,45 @@ def loop_reconstruct_windows(
         )
         out.append(dist)
     return out
+
+
+def dense_unpinned_level_builder(cut_circuit: CutCircuit, fragment_data):
+    """A level builder for :func:`~repro.core.reconstruction.reconstruct_dynamic`
+    over exact ``fragment_data``: a fragment holding some of the fixed
+    qubits streams its conditioned tensors
+    (:func:`~repro.core.tomography.build_conditioned_window_tensors`), any
+    other — a Clifford one too, and every fragment of the top window — has
+    one dense tensor for the level
+    (:func:`~repro.core.tomography.build_fragment_tensor`), rebuilt at
+    every level.  No projection, no memory limit."""
+
+    def build(window, fixed_qubits, fixed_rows):
+        column = {q: j for j, q in enumerate(fixed_qubits)}
+        kept_locals = [
+            [lq for oq, lq in fragment.circuit_outputs if oq in window]
+            for fragment in cut_circuit.fragments
+        ]
+        streams = []
+        for fragment, data, kept in zip(
+            cut_circuit.fragments, fragment_data, kept_locals
+        ):
+            pinned = [
+                (lq, column[oq]) for oq, lq in fragment.circuit_outputs if oq in column
+            ]
+            if pinned:
+                streams.append(
+                    build_conditioned_window_tensors(
+                        data,
+                        kept,
+                        [lq for lq, _ in pinned],
+                        fixed_rows[:, [j for _, j in pinned]],
+                        max_dense_bits=None,
+                    )
+                )
+            else:
+                tensor = build_fragment_tensor(data, kept, max_dense_bits=None)
+                streams.append(itertools.repeat(tensor))
+        for _ in range(len(fixed_rows)):
+            yield [next(stream) for stream in streams], kept_locals
+
+    return build

@@ -5,7 +5,11 @@ one visit per variant (:func:`build_conditioned_window_tensors`), each on
 its support.  The algorithm it replaced — one ``joint`` per bin per Pauli
 combination, enumerate-then-filter on the fixed bits, a dense tensor per
 bin — lives on here as the oracle, and the builder's yield, scattered into
-zeros, must reproduce it over random Clifford fragments.
+zeros, must reproduce it over random Clifford fragments.  The recursive
+driver's level builder has a twin too: the dense top window
+(:func:`repro.testing.reconstruction.dense_unpinned_level_builder`), where
+every fragment with nothing pinned, a Clifford one included, has one dense
+tensor per level; the reconstructions must agree bit for bit.
 The regressions further down pin what the rewrite was for: cost that
 follows the window rather than the fragment's entropy, memory that
 follows one level rather than the whole recursion, typed refusals, and
@@ -42,7 +46,8 @@ from repro.core.variants import BASIS_FOR_PAULI, all_variants, variant_circuit
 from repro.errors import ReproError
 from repro.stabilizer import StabilizerSimulator
 from repro.stabilizer.tableau import AffineOutcomeDistribution, PauliMap
-from repro.testing.reconstruction import dense_tensor
+from repro.core.reconstruction import SupportTensor
+from repro.testing.reconstruction import dense_tensor, dense_unpinned_level_builder
 from repro.testing.tomography import AffineVariantData
 
 EXACT = SuperSim()
@@ -374,15 +379,24 @@ def test_over_limit_enumerations_are_refused_typed_and_at_once():
 # -- memory follows one level, not top_k x levels -----------------------------
 
 
-def _wide61():
-    circuit = Circuit(61).append(gates.H, 0)
-    for q in range(60):
+def _chain(n, rotated, opened=(0,), pairs=True):
+    """A CX chain: an H on each of ``opened``, the chain, ``XPow(1/4)`` on
+    each of ``rotated``, then (``pairs``) a CX on every even pair."""
+    circuit = Circuit(n)
+    for q in opened:
+        circuit.append(gates.H, q)
+    for q in range(n - 1):
         circuit.append(gates.CX, q, q + 1)
-    for q in (27, 33):
+    for q in rotated:
         circuit.append(gates.XPow(0.25), q)
-    for q in range(0, 60, 2):
-        circuit.append(gates.CX, q, q + 1)
+    if pairs:
+        for q in range(0, n - 1, 2):
+            circuit.append(gates.CX, q, q + 1)
     return circuit.measure_all()
+
+
+def _wide61():
+    return _chain(61, rotated=(27, 33))
 
 
 def _traced_peak(circuit, qubit_limit, top_k):
@@ -414,17 +428,132 @@ def _traced_peak(circuit, qubit_limit, top_k):
 
 def test_recursive_peak_allocation_is_a_few_window_tensors():
     circuit = _wide61()
+    _traced_peak(circuit, 10, 1)  # warm-up: the one-off caches fill here
     narrow_peak, narrow_kept, tensor, narrow_windows = _traced_peak(circuit, 10, 1)
     wide_peak, wide_kept, _, wide_windows = _traced_peak(circuit, 10, 64)
+    wider_peak, _, wider_tensor, _ = _traced_peak(circuit, 12, 64)
     # a beam of 1 vs all 8 outcomes, over 7 levels: 4x the tensors built ...
     assert wide_windows >= 4 * narrow_windows
-    # ... at the same peak: one tensor being built, one being contracted,
-    # and the contraction's own temporaries
-    assert narrow_peak < 6 * tensor
-    assert wide_peak < 6 * tensor
+    # ... and no dense window tensor at any level, the top one included:
+    # the Clifford fragment lives on its support, a few keys per bin
+    assert narrow_peak < tensor / 2
+    assert wide_peak < tensor / 2
+    # so the peak follows the supports, not 2**qubit_limit: a 4x wider
+    # window tensor, the same peak
+    assert wider_tensor == 4 * tensor
+    assert wider_peak < 1.1 * wide_peak
     # and nothing window-sized outlives the reconstruction
     assert narrow_kept < tensor / 4
     assert wide_kept < tensor / 4
+
+
+# -- the dense top window as the level builder's slow twin ---------------------
+
+
+def _split_ghz():
+    """Two GHZ halves joined through one ``XPow(1/4)`` on wire 5: the left
+    Clifford fragment holds outputs 0-4, the right one 5-11."""
+    circuit = Circuit(12).append(gates.H, 0)
+    for q in range(5):
+        circuit.append(gates.CX, q, q + 1)
+    circuit.append(gates.XPow(0.25), 5)
+    for q in range(5, 11):
+        circuit.append(gates.CX, q, q + 1)
+    return circuit.measure_all()
+
+
+def _late_t():
+    """A GHZ chain whose wire 3 ends in ``T H T``: the last T's fragment
+    is non-Clifford and holds output 3."""
+    circuit = Circuit(8).append(gates.H, 0)
+    for q in range(7):
+        circuit.append(gates.CX, q, q + 1)
+    circuit.append(gates.T, 3).append(gates.H, 3).append(gates.T, 3)
+    return circuit.measure_all()
+
+
+def _twin_runs(circuit, keep, qubit_limit, top_k):
+    """``(cut circuit, data, production run, oracle run)``, each run a
+    :func:`reconstruct_dynamic` ``(distribution, stats)``."""
+    from repro.core.reconstruction import reconstruct_dynamic
+
+    cc = EXACT.cut(circuit)
+    fragment_evaluator = EXACT._evaluator()
+    data = fragment_evaluator.evaluate_all(cc.fragments)
+    runs = [
+        reconstruct_dynamic(
+            cc, builder, keep, qubit_limit=qubit_limit, top_k=top_k
+        )
+        for builder in (
+            EXACT._dynamic_tensor_builder(cc, data, fragment_evaluator),
+            dense_unpinned_level_builder(cc, data),
+        )
+    ]
+    return cc, data, *runs
+
+
+def _level_tensors(cc, data, window, fixed_qubits=(), fixed_rows=((),)):
+    """The production builder's tensors for the first bin of one level."""
+    builder = EXACT._dynamic_tensor_builder(cc, data, EXACT._evaluator())
+    rows = np.array(fixed_rows, dtype=bool).reshape(len(fixed_rows), -1)
+    tensors, _kept = next(builder(list(window), list(fixed_qubits), rows))
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["wide31-top1", "wide31-top64", "unpinned-later", "full-support", "late-t"],
+)
+def test_level_builder_equals_the_dense_top_window(case):
+    """Reading every Clifford fragment on its support changes no bit of a
+    recursive reconstruction, only the size of its contractions."""
+    if case.startswith("wide31"):
+        circuit = _chain(31, rotated=(13, 18))
+        keep, qubit_limit, top_k = list(range(31)), 8, int(case[len("wide31-top"):])
+    elif case == "unpinned-later":
+        circuit = _split_ghz()
+        keep, qubit_limit, top_k = [0, 1, 2, 5, 3, 4, 6, 7, 8, 9, 10, 11], 3, 64
+    elif case == "full-support":
+        # |+>^8 is left alone by every CX: the support is full
+        circuit = _chain(8, rotated=(4,), opened=range(8), pairs=False)
+        keep, qubit_limit, top_k = list(range(8)), 3, 64
+    else:
+        circuit = _late_t()
+        keep, qubit_limit, top_k = [3, 0, 1, 2, 4, 5, 6, 7], 3, 64
+    cc, data, (got, got_stats), (want, want_stats) = _twin_runs(
+        circuit, keep, qubit_limit, top_k
+    )
+    assert got.keys_array.tobytes() == want.keys_array.tobytes()
+    assert got.values_array.tobytes() == want.values_array.tobytes()
+    assert got_stats.windows == want_stats.windows
+    assert got_stats.covered_probability == want_stats.covered_probability
+    assert got_stats.peak_window_entries <= want_stats.peak_window_entries
+
+    is_map = [d.pauli_map is not None for d in data]
+    top = _level_tensors(cc, data, keep[:qubit_limit])
+    # every Clifford fragment is on its support, the top window's too
+    assert all(isinstance(t, SupportTensor) for t, m in zip(top, is_map) if m)
+    if case == "unpinned-later":
+        # the second window holds output 5 of the right half, which the
+        # first window left unpinned: read on its support all the same
+        outputs = [{oq for oq, _ in f.circuit_outputs} for f in cc.fragments]
+        right = next(i for i, o in enumerate(outputs) if 5 in o and is_map[i])
+        assert not outputs[right] & set(keep[:qubit_limit])
+        tensors = _level_tensors(
+            cc, data, keep[qubit_limit : 2 * qubit_limit], keep[:qubit_limit], [[0] * 3]
+        )
+        assert isinstance(tensors[right], SupportTensor)
+    if case == "full-support":
+        (clifford,) = [t for t, m in zip(top, is_map) if m]
+        assert len(clifford.support) == 2**qubit_limit
+    if case == "late-t":
+        # the non-Clifford fragment holding output 3 stays dense
+        (late,) = [
+            i for i, f in enumerate(cc.fragments)
+            if not is_map[i] and any(oq == 3 for oq, _ in f.circuit_outputs)
+        ]
+        assert isinstance(top[late], np.ndarray)
+        assert top[late].shape[-1] == 2
 
 
 # -- one answer under every pool ----------------------------------------------

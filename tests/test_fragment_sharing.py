@@ -59,6 +59,8 @@ from repro.stabilizer.tableau import (
     compile_clifford_layers,
     heisenberg_images,
     inverse_program,
+    outcome_distribution,
+    pauli_expectations,
 )
 from repro.testing.tomography import per_variant_data
 
@@ -337,11 +339,32 @@ class TestDerivedSpace:
 
     def test_walking_keeps_only_the_compiled_body(self):
         """Nothing per variant outlives the walk: the body's derived space
-        holds its compiled program alone."""
+        holds its compiled program and that program's inverse alone."""
         fragment = clifford_fragment(6, 2, 1, seed=4)
         map_data(fragment)
         map_data(fragment)
-        assert set(fragment.circuit.derived()) == {"clifford_layers"}
+        assert set(fragment.circuit.derived()) == {"clifford_layers", "inverse_layers"}
+
+    def test_the_inverse_program_is_built_once_until_the_ops_change(
+        self, monkeypatch
+    ):
+        """Two readouts of one circuit walk one inverse program; an append
+        inverts the new program."""
+        inverted = []
+        real = tableau_module.inverse_program
+
+        def counting(program):
+            inverted.append(len(program))
+            return real(program)
+
+        monkeypatch.setattr(tableau_module, "inverse_program", counting)
+        circuit = seeded_body(6, 3, hadamards=0.5)
+        outcome_distribution(circuit, [0, 2, 4])
+        pauli_expectations(circuit, [PauliString.single(6, 1, "Z")])
+        assert inverted == [len(compile_clifford_layers(circuit))]
+        circuit.append(gates.H, 0)
+        outcome_distribution(circuit, [0])
+        assert inverted[1:] == [len(compile_clifford_layers(circuit))]
 
 
 # -- derived caches do not travel ------------------------------------------------------
