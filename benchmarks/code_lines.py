@@ -41,13 +41,18 @@ def _docstring_lines(tree: ast.AST) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """Code lines of one module's source text."""
+def code_line_numbers(source: str) -> set[int]:
+    """The numbers of the code lines of one module's source text."""
     lines: set[int] = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _NOT_CODE:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - _docstring_lines(ast.parse(source)))
+    return lines - _docstring_lines(ast.parse(source))
+
+
+def code_lines(source: str) -> int:
+    """Code lines of one module's source text."""
+    return len(code_line_numbers(source))
 
 
 def count_tree(root: Path) -> dict[Path, int]:

@@ -35,10 +35,6 @@ from repro.apps.generative import (
     refine_near_clifford,
     train_clifford,
 )
-from repro.apps.qec_matching import (
-    bit_flip_repetition_code,
-    logical_bit_flip_error_rate,
-)
 
 __all__ = [
     "HWEA",
@@ -58,6 +54,4 @@ __all__ = [
     "BornMachine",
     "train_clifford",
     "refine_near_clifford",
-    "bit_flip_repetition_code",
-    "logical_bit_flip_error_rate",
 ]

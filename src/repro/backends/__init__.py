@@ -65,12 +65,6 @@ from repro.backends.registry import (
     unregister_backend,
 )
 from repro.backends.router import BackendRouter, NoCapableBackendError
-from repro.backends.tiers import (
-    CacheTier,
-    SQLiteCacheTier,
-    TieredCache,
-    cache_key_token,
-)
 
 register_backend("stabilizer", StabilizerBackend)
 register_backend("chform", CHFormBackend)
@@ -90,10 +84,6 @@ __all__ = [
     "host_fingerprint",
     "measure_cost_scales",
     "VariantCache",
-    "CacheTier",
-    "SQLiteCacheTier",
-    "TieredCache",
-    "cache_key_token",
     "approx_result_bytes",
     "circuit_fingerprint",
     "noise_fingerprint",

@@ -138,7 +138,7 @@ class SampledVariantData(VariantData):
     ``words[i, w]`` (``uint64``) packs bit ``i`` of 64 shots: bit ``s & 63``
     of word ``s >> 6`` belongs to shot ``s``, bits past ``shots`` are zero
     (:func:`~repro.analysis.distributions.pack_shots`).  That is the layout
-    the cache, the SQLite tier and the wire carry — an eighth of a bool
+    the cache and the wire carry — an eighth of a bool
     matrix.  Single-bit histograms are popcounts on the words; everything
     else unpacks only the columns it asks for.
     """

@@ -804,7 +804,7 @@ class SuperSim:
         """Register a resource for deterministic shutdown via :meth:`close`.
 
         Anything with a ``close()`` or ``shutdown()`` method qualifies —
-        a :class:`~repro.service.client.ServiceClient`, a cache tier, an
+        a :class:`~repro.service.client.ServiceClient` or an
         externally-managed executor pool.  Resources close in reverse
         adoption order; adoption is idempotent per object.
         """
@@ -817,8 +817,8 @@ class SuperSim:
         Shuts down any live :class:`~repro.core.evaluator.SharedExecutorPool`
         (normally scoped to a sweep, but an aborted batch — e.g. a
         generator abandoned mid-iteration — can leave one behind) and
-        closes adopted resources (service client connections, cache
-        tiers).  Idempotent; the engine remains usable afterwards — the
+        closes adopted resources (service client connections, executor
+        pools).  Idempotent; the engine remains usable afterwards — the
         next run simply builds fresh pools.
         """
         handle = self._batch_executor

@@ -9,7 +9,7 @@ processes, turning the engine into a long-running shared service:
   abstraction both sides speak;
 * :mod:`repro.service.coordinator` — the asyncio coordinator: admission
   control priced by :meth:`ExecutionPlan.estimate`, a priority job
-  queue with per-worker back-pressure, the shared variant-cache tier,
+  queue with per-worker back-pressure, the shared variant cache,
   and the fold-back of streamed variant results into tomography /
   reconstruction;
 * :mod:`repro.service.requests` — the pure request ledger: what an

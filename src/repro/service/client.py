@@ -29,7 +29,7 @@ falling back to :class:`~repro.errors.ServiceError`.
 
 A client is one request at a time (the protocol is request/response per
 connection); open one client per thread for concurrency — the
-coordinator multiplexes server-side, and the shared cache tier is what
+coordinator multiplexes server-side, and the shared variant cache is what
 makes concurrent clients cheaper together than apart.
 
 The channel is self-healing: on a dropped connection the client
@@ -157,7 +157,7 @@ class ServiceClient:
         """Strip config members that must not (or cannot) cross the wire.
 
         A cache *instance* is process-local state (and holds locks pickle
-        refuses); the coordinator substitutes its shared tier regardless,
+        refuses); the coordinator substitutes its shared cache regardless,
         so the spec collapses to a plain ``True``.
         """
         if execution is None:

@@ -45,9 +45,8 @@ while the engine's own pipeline stays intact end to end:
    it lands in the request's ``SuperSimResult.faults`` — the same ledger
    local runs use.
 4. **Shared cache.**  Every request's engine is pointed at the
-   coordinator's cache tier (any
-   :class:`~repro.backends.tiers.CacheTier`), so concurrent sweeps from
-   different clients deduplicate simulation work.
+   coordinator's one :class:`~repro.backends.cache.VariantCache`, so
+   concurrent sweeps from different clients deduplicate simulation work.
 
 5. **Resilience.**  What an accepted request is owed — executed once,
    charged once, its reply kept until acknowledged or expired, across
@@ -198,8 +197,8 @@ class Coordinator:
 
     ``cache`` accepts anything :func:`~repro.backends.cache.resolve_cache`
     does — ``True`` (default: a fresh in-memory LRU), an existing
-    :class:`~repro.backends.tiers.CacheTier` (e.g. a ``TieredCache`` over
-    SQLite for durability), or ``False`` to disable sharing.
+    :class:`~repro.backends.cache.VariantCache`, or ``False`` to disable
+    sharing.
     ``quota_rate`` / ``quota_capacity`` enable admission control
     (cost units per second / burst); ``None`` admits everything.
 
@@ -297,15 +296,21 @@ class Coordinator:
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
-        bound = self._server.sockets[0].getsockname()
-        self.address = f"{bound[0]}:{bound[1]}"
         self._spawn(self._dispatch_loop())
         self._spawn(self._deadline_loop())
         if self.heartbeat_interval is not None:
             self._spawn(self._heartbeat_loop())
         if self.ticket_ttl > 0:
             self._spawn(self._gc_loop())
-        self._recover()
+        try:
+            self._recover()
+        except Exception:
+            # a journal that cannot be adopted leaves no half-started
+            # coordinator behind, and no address to connect to
+            await self._shutdown_async()
+            raise
+        bound = self._server.sockets[0].getsockname()
+        self.address = f"{bound[0]}:{bound[1]}"
         return self.address
 
     def _recover(self) -> None:
@@ -382,16 +387,15 @@ class Coordinator:
 
         def runner():
             async def body():
-                try:
-                    await self.start()
-                finally:
-                    started.set()
+                await self.start()
+                started.set()
                 await self.serve_forever()
 
             try:
                 asyncio.run(body())
-            except BaseException as exc:  # pragma: no cover - startup failure
-                failure.append(exc)
+            except BaseException as exc:
+                failure.append(exc)  # recorded before the caller wakes
+            finally:
                 started.set()
 
         self._thread = threading.Thread(
@@ -1142,12 +1146,6 @@ def main(argv=None) -> int:
     parser.add_argument("--quota-capacity", type=float, default=None)
     parser.add_argument("--max-inflight-per-worker", type=int, default=4)
     parser.add_argument(
-        "--cache-db",
-        default=None,
-        metavar="PATH",
-        help="back the shared cache tier with a SQLite file",
-    )
-    parser.add_argument(
         "--journal-db",
         default=None,
         metavar="PATH",
@@ -1182,19 +1180,12 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    cache = True
-    if args.cache_db:
-        from repro.backends.tiers import SQLiteCacheTier, TieredCache
-
-        cache = TieredCache(back=SQLiteCacheTier(args.cache_db))
-
     coordinator = Coordinator(
         host=args.host,
         port=args.port,
         quota_rate=args.quota_rate,
         quota_capacity=args.quota_capacity,
         max_inflight_per_worker=args.max_inflight_per_worker,
-        cache=cache,
         journal=args.journal_db,
         ticket_ttl=args.ticket_ttl,
         heartbeat_interval=args.heartbeat_interval or None,

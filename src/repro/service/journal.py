@@ -5,8 +5,7 @@ lose: submitted tickets (the client polls a fresh coordinator and gets
 "unknown ticket"), completed-but-unfetched results, and every tenant's
 quota bucket level (a restart would hand every tenant a free full
 burst).  :class:`CoordinatorJournal` is the storage for those — SQLite
-in WAL mode, the same durability substrate as
-:class:`~repro.backends.tiers.SQLiteCacheTier` — and nothing more:
+in WAL mode — and nothing more:
 
 * **Requests.**  One row per accepted request — its kind, tenant,
   idempotency key, pickled message and (optionally) pickled reply — in
@@ -23,14 +22,20 @@ sweep (:meth:`expire`), and ``flush`` checkpoints the WAL for a clean
 handoff on graceful drain.
 
 All methods are thread-safe (the coordinator touches the journal from
-its event loop and from request threads).
+its event loop and from request threads).  A file that is not a journal
+and a row that does not decode raise :class:`~repro.errors.ServiceError`
+naming the path or the ticket, so a coordinator refuses to start on
+either rather than serve from half a journal.
 """
 
 from __future__ import annotations
 
 import pickle
+import sqlite3
 import threading
 import time
+
+from repro.errors import ServiceError
 
 __all__ = ["CoordinatorJournal"]
 
@@ -45,11 +50,18 @@ class CoordinatorJournal:
     """
 
     def __init__(self, path):
-        import sqlite3
-
         self.path = str(path)
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(self.path, check_same_thread=False)
+        try:
+            self._create_schema()
+        except sqlite3.DatabaseError as exc:
+            self._conn.close()
+            raise ServiceError(
+                f"{self.path} is not a coordinator journal: {exc}"
+            ) from exc
+
+    def _create_schema(self) -> None:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(
@@ -155,8 +167,8 @@ class CoordinatorJournal:
                 tenant,
                 idempotency,
                 state,
-                pickle.loads(request) if request is not None else None,
-                pickle.loads(reply) if reply is not None else None,
+                _decode(request, ticket, "request"),
+                _decode(reply, ticket, "reply"),
             )
             for ticket, kind, tenant, idempotency, state, request, reply in rows
         ]
@@ -251,3 +263,15 @@ class CoordinatorJournal:
 
     def __repr__(self) -> str:
         return f"CoordinatorJournal({self.path!r})"
+
+
+def _decode(blob, ticket: str, column: str):
+    """One pickled column of a journal row, or ``None`` for SQL NULL."""
+    if blob is None:
+        return None
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:  # a payload's classes raise what they raise
+        raise ServiceError(
+            f"journaled {column} of ticket {ticket} does not decode: {exc!r}"
+        ) from exc

@@ -6,7 +6,7 @@ identical to a local ``SuperSim`` run — including under chaos that
 ``os._exit``s a worker mid-batch (the faults land in the ledger, the
 numbers never move).  Around that invariant: the wire protocol, the
 token-bucket admission control with 429-style rejections, per-worker
-back-pressure bounds, the shared variant-cache tier across clients, and
+back-pressure bounds, the shared variant cache across clients, and
 the lifecycle satellites (``SuperSim.close()``, ``CostEstimate``
 round-trips, unbound-plan pickling).
 """
@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.backends import SQLiteCacheTier, TieredCache, VariantCache
-from repro.backends.tiers import CacheTier, cache_key_token
+from repro.backends import VariantCache
 from repro.circuits import gates
 from repro.circuits.circuit import Circuit
 from repro.core import (
@@ -214,27 +213,7 @@ def test_admission_controller_isolates_tenants():
     assert AdmissionController().admit("anyone", 1e9)[0]  # disabled admits all
 
 
-# -- cache tiers -------------------------------------------------------------
-
-
-def test_sqlite_tier_lru_and_stats(tmp_path):
-    tier = SQLiteCacheTier(tmp_path / "variants.db", max_entries=2)
-    key = ("fp", ("backend",), None, ("shots", 100, 7))
-    tier.put(key, {"v": 1})
-    assert tier.get(key) == {"v": 1}
-    assert key in tier and len(tier) == 1
-    tier.put(("k2",), 2)
-    tier.get(key)  # touch: key becomes most-recent
-    tier.put(("k3",), 3)  # evicts k2, the least-recently-used
-    assert ("k2",) not in tier and key in tier
-    stats = tier.stats()
-    assert stats["evictions"] == 1 and stats["entries"] == 2
-    assert stats["bytes"] > 0 and stats["hits"] == 2 and stats["misses"] == 0
-    # durability: a fresh handle on the same file sees the entries
-    tier.close()
-    reopened = SQLiteCacheTier(tmp_path / "variants.db")
-    assert reopened.get(key) == {"v": 1}
-    reopened.close()
+# -- the shared variant cache ----------------------------------------------
 
 
 def clifford_fragment_value():
@@ -273,94 +252,6 @@ def test_the_byte_gauge_counts_the_images_of_a_fragment_value():
     cache = VariantCache()
     cache.put(key, value)
     assert cache.stats()["bytes"] >= arrays
-
-
-def test_sqlite_tier_round_trips_a_fragment_value(tmp_path):
-    key, value = clifford_fragment_value()
-    tier = SQLiteCacheTier(tmp_path / "variants.db")
-    tier.put(key, value)
-    tier.close()
-    reopened = SQLiteCacheTier(tmp_path / "variants.db")
-    got = reopened.get(key)
-    reopened.close()
-    assert type(got) is type(value)
-    assert (got.n, got.inputs, got.outputs) == (value.n, value.inputs, value.outputs)
-    for name in ("x", "z", "sign"):
-        assert getattr(got, name).tobytes() == getattr(value, name).tobytes()
-
-
-class AffineVariantData:
-    """Pickled as ``repro.core.evaluator.AffineVariantData``, the
-    per-variant Clifford class version-1 files held."""
-
-
-@pytest.mark.parametrize("version", [0, 1])
-def test_sqlite_tier_drops_rows_of_another_schema_version(
-    tmp_path, monkeypatch, version
-):
-    """A file written before shots were packed holds ``SampledVariantData``
-    pickles with ``bits`` and no ``words`` (unstamped, ``user_version`` 0);
-    one written before Clifford fragments were read off a Pauli map holds
-    a fragment job's value as a tuple of ``AffineVariantData`` (version 1,
-    a class that no longer exists).  Either is emptied at open and its
-    rows are misses, never unpickled."""
-    import sqlite3
-
-    from repro.backends import tiers
-    from repro.core.evaluator import SampledVariantData
-
-    assert version < SQLiteCacheTier.SCHEMA_VERSION
-    path = tmp_path / "variants.db"
-    key = ("fp", ("stabilizer",), None, ("shots", 8, 0))
-    if version == 0:
-        old_layout = SampledVariantData.__new__(SampledVariantData)
-        old_layout.__dict__["bits"] = np.zeros((8, 3), dtype=bool)
-    else:
-        from repro.core import evaluator
-
-        form = AffineVariantData()
-        form.__dict__["affine"] = np.zeros((4, 2), dtype=bool)
-        old_layout = (form,) * 12
-        AffineVariantData.__module__ = evaluator.__name__
-        monkeypatch.setattr(evaluator, "AffineVariantData", AffineVariantData, raising=False)
-    writer = SQLiteCacheTier(path)
-    writer.put(key, old_layout)
-    writer.close()
-    monkeypatch.undo()  # the class is gone again: such a row cannot load
-    raw = sqlite3.connect(path)
-    raw.execute(f"PRAGMA user_version = {version}")
-    raw.commit()
-    raw.close()
-
-    def refuse(_payload):
-        raise AssertionError("a row of another schema version was unpickled")
-
-    with monkeypatch.context() as patched:
-        patched.setattr(tiers.pickle, "loads", refuse)
-        reopened = SQLiteCacheTier(path)
-        assert len(reopened) == 0 and key not in reopened
-        assert reopened.get(key) is None and reopened.stats()["misses"] == 1
-        reopened.close()
-    # stamped now: what this version writes survives the next open
-    current = SQLiteCacheTier(path)
-    current.put(key, SampledVariantData.from_bits(np.ones((8, 3), dtype=bool)))
-    current.close()
-    again = SQLiteCacheTier(path)
-    assert again.get(key).bits.all() and again.get(key).shots == 8
-    again.close()
-
-
-def test_tiered_cache_promotes_and_conforms():
-    back = SQLiteCacheTier(":memory:")
-    cache = TieredCache(VariantCache(maxsize=8), back)
-    cache.put(("k",), "v")
-    cache.front.clear()  # drop the front copy only
-    assert cache.get(("k",)) == "v"  # back tier hit...
-    assert cache.front.get(("k",)) == "v"  # ...promoted forward
-    for tier in (cache, back, VariantCache()):
-        assert isinstance(tier, CacheTier)
-    assert cache_key_token(("a", 1)) == cache_key_token(("a", 1))
-    assert cache_key_token(("a", 1)) != cache_key_token(("a", 2))
 
 
 # -- bit-identity: service == local ------------------------------------------
@@ -685,11 +576,11 @@ def test_shared_cache_across_clients():
             second_result = second.run(circuit)
             after_second = second.cache_stats()
         assert first_result.distribution.probs == second_result.distribution.probs
-        # the second client's evaluation was served entirely from the tier
+        # the second client's evaluation was served entirely from the shared cache
         assert second_result.timings["cache_misses"] == 0
         assert second_result.timings["cache_hits"] > 0
         assert after_second["hits"] > after_first["hits"]
-        # concurrent clients also agree (and share the tier)
+        # concurrent clients also agree (and share the cache)
         results = {}
 
         def run_client(name):

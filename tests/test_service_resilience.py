@@ -14,7 +14,9 @@ holds throughout: the numbers never move, only the fault ledger does.
 """
 
 import os
+import pickle
 import socket
+import sqlite3
 import struct
 import subprocess
 import sys
@@ -30,7 +32,7 @@ from repro.core import (
     SamplingConfig,
     SuperSim,
 )
-from repro.errors import QuotaExceededError
+from repro.errors import QuotaExceededError, ServiceError
 from repro.service import Coordinator, CoordinatorJournal, ServiceClient
 from repro.service.protocol import backoff_delay, connect
 from repro.testing import ChaosSchedule, ChaosTransportFactory
@@ -139,6 +141,53 @@ def test_journal_roundtrip_quota_and_ttl(tmp_path):
     assert removed == 1  # t-2 (abandoned); t-3 is pending and immortal
     assert reopened.stats()["pending"] == 1
     reopened.close()
+
+
+def test_a_file_that_is_not_sqlite_is_refused_typed(tmp_path):
+    path = tmp_path / "journal.db"
+    path.write_bytes(b"not a journal, not a database\n" * 64)
+    with pytest.raises(ServiceError, match="journal.db") as raised:
+        CoordinatorJournal(path)
+    assert isinstance(raised.value.__cause__, sqlite3.DatabaseError)
+    with pytest.raises(ServiceError, match="journal.db"):
+        Coordinator(journal=path)
+
+
+def undecodable_journal(path: Path) -> None:
+    """A journal holding one pending submit whose pickled request is junk."""
+    journal = CoordinatorJournal(path)
+    journal.record_request("t-bad", "submit", "alice", {"type": "submit"})
+    journal.close()
+    raw = sqlite3.connect(path)
+    raw.execute("UPDATE requests SET request = ? WHERE ticket = 't-bad'",
+                (b"\x00junk",))
+    raw.commit()
+    raw.close()
+
+
+def test_an_undecodable_row_is_refused_typed(tmp_path):
+    path = tmp_path / "journal.db"
+    undecodable_journal(path)
+    journal = CoordinatorJournal(path)
+    with pytest.raises(ServiceError, match="t-bad") as raised:
+        journal.entries()
+    assert isinstance(raised.value.__cause__, pickle.UnpicklingError)
+    journal.close()
+
+
+def test_a_coordinator_that_cannot_adopt_its_journal_refuses_to_start(tmp_path):
+    """Recovery fails after the socket is bound: the caller gets the typed
+    error within the start wait, never an address of a dead loop."""
+    path = tmp_path / "journal.db"
+    undecodable_journal(path)
+    coordinator = Coordinator(journal=path, heartbeat_interval=None)
+    began = time.monotonic()
+    with pytest.raises(ServiceError, match="t-bad"):
+        coordinator.start_in_thread()
+    assert time.monotonic() - began < 30
+    assert coordinator.address is None
+    coordinator._thread.join(timeout=10)
+    assert not coordinator._thread.is_alive()
 
 
 def test_backoff_delay_is_jittered_and_capped():
