@@ -240,6 +240,42 @@ class TestVariantCache:
         cache.clear()
         assert cache.stats()["bytes"] == 0
 
+    def test_put_over_a_key_replaces_its_bytes(self):
+        import numpy as np
+
+        cache = VariantCache()
+        cache.put(("a",), np.zeros(4096, dtype=np.uint8))
+        cache.put(("a",), np.zeros(16, dtype=np.uint8))
+        stats = cache.stats()
+        assert stats["entries"] == 1 and stats["evictions"] == 0
+        # the first value's bytes left the gauge with it
+        assert 16 <= stats["bytes"] < 4096
+        assert len(cache.get(("a",))) == 16
+
+    def test_clear_forgets_entries_and_counters(self):
+        cache = VariantCache(maxsize=1)
+        cache.put(("a",), 1)
+        cache.put(("b",), 2)  # evicts a
+        cache.get(("a",))
+        cache.get(("b",))
+        cache.clear()
+        assert len(cache) == 0 and ("b",) not in cache
+        assert cache.stats() == {
+            "hits": 0, "misses": 0, "entries": 0, "evictions": 0, "bytes": 0
+        }
+        with pytest.raises(ValueError):
+            VariantCache(maxsize=0)
+
+    def test_resolve_cache_is_the_one_rule(self):
+        from repro.backends.cache import resolve_cache
+
+        fresh = resolve_cache(True)
+        assert isinstance(fresh, VariantCache) and len(fresh) == 0
+        assert resolve_cache(True) is not fresh  # private per call
+        assert resolve_cache(False) is None and resolve_cache(None) is None
+        shared = VariantCache(maxsize=3)
+        assert resolve_cache(shared) is shared
+
 
 class TestSuperSimIntegration:
     def test_backend_by_name_end_to_end(self):

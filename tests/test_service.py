@@ -254,6 +254,74 @@ def test_the_byte_gauge_counts_the_images_of_a_fragment_value():
     assert cache.stats()["bytes"] >= arrays
 
 
+def test_a_fragment_value_crosses_the_wire_intact():
+    """A worker ships a Clifford fragment's Pauli map back in a pickled
+    ``job_result`` frame; what the coordinator reads off the stream is
+    the same map, array for array, and caches under the same key."""
+    import asyncio
+
+    from repro.service.protocol import read_message
+
+    key, value = clifford_fragment_value()
+    frame = encode_frame({"type": "job_result", "key": key, "value": value})
+
+    async def receive():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await read_message(reader)
+
+    message = asyncio.run(receive())
+    got = message["value"]
+    assert message["key"] == key
+    assert type(got) is type(value)
+    assert (got.n, got.inputs, got.outputs) == (value.n, value.inputs, value.outputs)
+    for name in ("x", "z", "sign"):
+        assert getattr(got, name).tobytes() == getattr(value, name).tobytes()
+    cache = VariantCache()
+    cache.put(message["key"], got)
+    assert cache.get(key) is got
+
+
+def test_concurrent_clients_keep_the_shared_cache_counts_whole():
+    """The coordinator shares one ``VariantCache`` across request threads:
+    every lookup lands as exactly one hit or miss, entries never exceed
+    ``maxsize``, and the byte gauge matches the live entries."""
+    cache = VariantCache(maxsize=16)
+    lookups_per_thread, n_threads = 400, 4
+
+    def client(seed):
+        rng = np.random.default_rng(seed)
+        for k in rng.integers(0, 32, size=lookups_per_thread):
+            if cache.get((int(k),)) is None:
+                cache.put((int(k),), np.zeros(8 + int(k), dtype=np.uint8))
+
+    threads = [threading.Thread(target=client, args=(s,)) for s in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    stats = cache.stats()
+    assert stats["hits"] + stats["misses"] == lookups_per_thread * n_threads
+    assert stats["entries"] == len(cache) <= 16
+    live = VariantCache(maxsize=16)
+    for k in range(32):
+        if (k,) in cache:
+            live.put((k,), np.zeros(8 + k, dtype=np.uint8))
+    assert stats["bytes"] == live.stats()["bytes"]
+
+
+def test_the_coordinator_cli_has_no_cache_db_flag(capsys):
+    """``VariantCache`` is the one variant cache: the coordinator takes no
+    second tier on its command line."""
+    from repro.service.coordinator import main
+
+    with pytest.raises(SystemExit) as refused:
+        main(["--cache-db", "variants.db"])
+    assert refused.value.code == 2
+    assert "--cache-db" in capsys.readouterr().err
+
+
 # -- bit-identity: service == local ------------------------------------------
 
 
