@@ -46,6 +46,14 @@ def record(figure: str, **row) -> None:
         fh.write(json.dumps(row) + "\n")
 
 
+def mean_seconds(benchmark) -> float | None:
+    """The mean time of a finished ``benchmark.pedantic`` call, or ``None``
+    (``seconds: null`` in the series) under ``--benchmark-disable``, which
+    runs the case once and times nothing."""
+    stats = benchmark.stats
+    return None if stats is None else stats["mean"]
+
+
 # -- deterministic workloads (cached so every simulator sees the same circuit)
 
 

@@ -57,7 +57,9 @@ def print_figure(figure: str, title: str) -> None:
         print(f"  {name}:")
         for p in points:
             x = x_key(p)
-            line = f"    x={x:<5g} time={p['seconds']:9.3f}s"
+            seconds = p["seconds"]
+            timing = "   (untimed)" if seconds is None else f"{seconds:9.3f}s"
+            line = f"    x={x:<5g} time={timing}"
             if p.get("fidelity") is not None:
                 line += f"  fidelity={p['fidelity']:.4f}"
             if "num_cuts" in p:

@@ -19,6 +19,7 @@ from benchmarks.conftest import (
     SHOTS,
     hwea_workload,
     marginal_fidelity,
+    mean_seconds,
     record,
     reference_marginals,
 )
@@ -54,7 +55,7 @@ def test_clifford_optimizations(benchmark, config):
         "ablation_clifford_opts",
         config=config,
         n=WIDTH,
-        seconds=benchmark.stats["mean"],
+        seconds=mean_seconds(benchmark),
         fidelity=fidelity,
     )
     assert fidelity > 0.97, (config, fidelity)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import pytest
 
-from benchmarks.conftest import record
+from benchmarks.conftest import mean_seconds, record
 from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.core import CutConfig, CutStrategy, SuperSim, find_cuts
 
@@ -47,5 +47,5 @@ def test_cut_strategy(benchmark, strategy):
         strategy=strategy.value,
         n=WIDTH,
         num_cuts=len(cuts),
-        seconds=benchmark.stats["mean"],
+        seconds=mean_seconds(benchmark),
     )

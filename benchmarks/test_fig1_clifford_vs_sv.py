@@ -10,6 +10,7 @@ import pytest
 
 from benchmarks.conftest import (
     clifford_workload,
+    mean_seconds,
     record,
     run_stabilizer,
     run_statevector,
@@ -23,11 +24,11 @@ SHOTS = 10_000
 def test_stabilizer(benchmark, n):
     circuit = clifford_workload(n)
     benchmark.pedantic(lambda: run_stabilizer(circuit, SHOTS), rounds=3, iterations=1)
-    record("fig1", simulator="stabilizer", n=n, seconds=benchmark.stats["mean"])
+    record("fig1", simulator="stabilizer", n=n, seconds=mean_seconds(benchmark))
 
 
 @pytest.mark.parametrize("n", SIZES)
 def test_statevector(benchmark, n):
     circuit = clifford_workload(n)
     benchmark.pedantic(lambda: run_statevector(circuit, SHOTS), rounds=3, iterations=1)
-    record("fig1", simulator="statevector", n=n, seconds=benchmark.stats["mean"])
+    record("fig1", simulator="statevector", n=n, seconds=mean_seconds(benchmark))

@@ -15,6 +15,7 @@ from benchmarks.conftest import (
     TASKS,
     hwea_workload,
     marginal_fidelity,
+    mean_seconds,
     record,
     reference_marginals,
 )
@@ -42,7 +43,7 @@ def test_hwea_width(benchmark, sim, n):
         "fig3",
         simulator=sim,
         n=n,
-        seconds=benchmark.stats["mean"],
+        seconds=mean_seconds(benchmark),
         fidelity=fidelity,
     )
     if fidelity is not None and sim != "ext_stabilizer":

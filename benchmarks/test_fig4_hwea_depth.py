@@ -15,6 +15,7 @@ from benchmarks.conftest import (
     TASKS,
     hwea_workload,
     marginal_fidelity,
+    mean_seconds,
     record,
     reference_marginals,
 )
@@ -37,6 +38,6 @@ def test_hwea_depth(benchmark, sim, rounds):
         simulator=sim,
         rounds=rounds,
         n=WIDTH,
-        seconds=benchmark.stats["mean"],
+        seconds=mean_seconds(benchmark),
         fidelity=fidelity,
     )

@@ -8,7 +8,7 @@ the fragment structure (the "noisy" curve the paper remarks on).
 
 import pytest
 
-from benchmarks.conftest import hwea_workload, record, run_supersim
+from benchmarks.conftest import hwea_workload, mean_seconds, record, run_supersim
 
 SIZES = [50, 100, 150, 200, 250, 300]
 
@@ -21,4 +21,4 @@ def test_hwea_scale(benchmark, n):
     )
     assert marginals.shape == (n, 2)
     assert float(marginals.sum()) == pytest.approx(n, abs=1e-6)
-    record("fig5", simulator="supersim", n=n, seconds=benchmark.stats["mean"])
+    record("fig5", simulator="supersim", n=n, seconds=mean_seconds(benchmark))

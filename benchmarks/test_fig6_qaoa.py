@@ -13,6 +13,7 @@ import pytest
 from benchmarks.conftest import (
     TASKS,
     marginal_fidelity,
+    mean_seconds,
     qaoa_workload,
     record,
     reference_marginals,
@@ -41,7 +42,7 @@ def test_qaoa_width(benchmark, sim, n):
         "fig6",
         simulator=sim,
         n=n,
-        seconds=benchmark.stats["mean"],
+        seconds=mean_seconds(benchmark),
         fidelity=fidelity,
     )
     if fidelity is not None and sim != "ext_stabilizer":

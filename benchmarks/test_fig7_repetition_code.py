@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import pytest
 
-from benchmarks.conftest import SHOTS, record, repcode_workload
+from benchmarks.conftest import SHOTS, mean_seconds, record, repcode_workload
 from repro.analysis import hellinger_fidelity
 from repro.core import SamplingConfig, SuperSim
 from repro.extended_stabilizer import ExtendedStabilizerSimulator
@@ -63,7 +63,7 @@ def test_repetition_code(benchmark, sim, distance):
         simulator=sim,
         n=n,
         distance=distance,
-        seconds=benchmark.stats["mean"],
+        seconds=mean_seconds(benchmark),
         fidelity=fidelity,
     )
     if sim in ("supersim", "statevector", "mps"):

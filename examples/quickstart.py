@@ -98,9 +98,11 @@ def main() -> None:
     # survive faults instead of aborting: failed variant jobs retry with
     # capped exponential backoff (fingerprint-derived seeds make the retried
     # run bit-for-bit identical to a failure-free one), soft per-job
-    # timeouts come from the calibrated cost model, crashed process pools
-    # self-heal with poison-job quarantine, and "degrade" falls back to the
-    # next-cheapest capable backend.  Every event lands in result.faults.
+    # timeouts come from the calibrated cost model (a local run keeps a late
+    # result and records it; the service cancels and redispatches), a job
+    # that keeps crashing its worker is quarantined as poison, and
+    # "degrade" falls back to the next-cheapest capable backend.  Every
+    # event lands in result.faults.
     # The deterministic chaos harness (repro.testing.ChaosSchedule) injects
     # faults on demand — here every variant job fails once, then retries:
     chaos = ChaosSchedule(seed=5, exception_rate=1.0, fail_attempts=1)

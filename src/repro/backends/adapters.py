@@ -83,7 +83,6 @@ class CHFormBackend(Backend):
         clifford_only=True,
         max_qubits=16,
         exact=True,
-        pool="process",
     )
 
     def __init__(self, max_qubits: int = 16):
@@ -160,9 +159,7 @@ class MPSBackend(Backend):
     """Matrix-product-state simulation: wide but shallow-entanglement work."""
 
     name = "mps"
-    capabilities = Capabilities(
-        max_qubits=None, max_qubits_exact=14, exact=True, pool="process"
-    )
+    capabilities = Capabilities(max_qubits=None, max_qubits_exact=14, exact=True)
 
     def __init__(self, cutoff: float = 1e-12, max_bond: int | None = None):
         from repro.mps.simulator import MPSSimulator
@@ -194,7 +191,6 @@ class ExtendedStabilizerBackend(Backend):
         max_qubits_exact=16,
         exact=True,
         diagonal_nonclifford_only=True,
-        pool="process",
     )
 
     def __init__(

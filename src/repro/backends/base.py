@@ -6,8 +6,8 @@ cheapest simulator that can handle it; this module defines the vocabulary
 that makes the routing decision explicit instead of a hard-coded branch:
 
 * :class:`Capabilities` — a static record of what a backend can do
-  (Clifford-only?, width limits, exactness, noise support, preferred
-  worker pool);
+  (Clifford-only?, width limits, exactness, noise support, affine
+  readout);
 * :class:`CircuitFeatures` — the per-circuit facts the router scores
   against (width, Clifford-ness, T-count, entangling depth);
 * :class:`Backend` — the abstract interface every simulator adapter
@@ -35,10 +35,7 @@ class Capabilities:
 
     ``max_qubits`` limits every mode; ``max_qubits_exact`` further limits
     exact (``probabilities``) evaluation when enumeration is the only
-    readout (``None`` means the same as ``max_qubits``).  ``pool`` is the
-    executor the backend prefers for parallel variant evaluation:
-    ``"thread"`` when its kernels release the GIL (numpy), ``"process"``
-    when they are Python-bound.
+    readout (``None`` means the same as ``max_qubits``).
     """
 
     clifford_only: bool = False
@@ -48,7 +45,6 @@ class Capabilities:
     supports_noise: bool = False
     affine: bool = False
     diagonal_nonclifford_only: bool = False
-    pool: str = "thread"
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ Pipeline (paper §V):
    Clifford fragments, statevector for narrow non-Clifford ones, MPS /
    extended stabilizer / CH form where their cost models win), with the
    flattened fragment x variant job list deduplicated through a
-   content-addressed variant cache and executed on a worker pool;
+   content-addressed variant cache and executed one job at a time (or,
+   through :mod:`repro.service`, on a worker fleet);
 3. :mod:`repro.core.reconstruction` — recombine fragment tensors over the
    ``4^k`` Pauli assignments of the ``k`` cuts to build the output
    distribution of the original circuit.
@@ -22,7 +23,7 @@ routing half of 2 without simulating anything, returning a frozen
 :class:`~repro.core.plan.ExecutionPlan` that can be inspected, priced
 (``estimate()``), overridden (``with_cuts`` / ``with_backend``) and then
 ``execute()``-d; ``run()`` is the one-shot composition, and ``sweep()`` /
-``run_many()`` batch many points over a shared cache and worker pool.
+``run_many()`` batch many points over a shared variant cache.
 Configuration travels in the typed objects of :mod:`repro.core.config`.
 """
 

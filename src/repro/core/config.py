@@ -9,7 +9,7 @@ concerns explicitly and travel together through the pipeline:
 * :class:`SamplingConfig` — how non-Clifford and noisy fragment variants
   are evaluated (exact vs shots, tomography projection, noise, seeding);
 * :class:`ExecutionConfig` — where and how the work runs (forced backend,
-  router, variant cache, worker pool, reconstruction pruning) and what
+  router, variant cache, reconstruction pruning) and what
   happens when it fails (failure policy, retry budget, soft timeouts,
   crash quarantine);
 * :class:`ReconstructionConfig` — how fragment tensors recombine into the
@@ -132,11 +132,6 @@ class ExecutionConfig(_Replaceable):
         Variant caching across runs: ``True`` (default) builds a private
         :class:`~repro.backends.cache.VariantCache`, or pass a shared
         instance, or ``False``/``None`` to disable.
-    pool:
-        Worker pool kind: ``"thread"``, ``"process"``, or ``None`` to
-        follow the backends' capability hints.
-    parallel:
-        Worker count for parallel variant evaluation.
     prune_zeros:
         Section IX zero-term accounting: count the Pauli assignments with
         a (near-)zero fragment factor into ``stats.terms_skipped``, and
@@ -168,9 +163,10 @@ class ExecutionConfig(_Replaceable):
         model — ``scored_cost x timeout_safety``, floored at
         ``min_job_timeout`` — whenever the router carries measured
         ``cost_scales`` (an uncalibrated router derives no deadline:
-        its cost units are not seconds).  A job past its deadline is
-        cancelled (process pools rebuild to kill the hung worker) and
-        retried; it counts against ``max_retries`` and raises
+        its cost units are not seconds).  A local run cannot interrupt
+        a running job: it keeps the late result and records a
+        ``timeout`` fault.  The service cancels an overdue job and
+        redispatches it; that counts against ``max_retries`` and raises
         :class:`~repro.errors.JobTimeoutError` on exhaustion.
     timeout_safety:
         Safety factor between the calibrated cost prediction and the
@@ -180,7 +176,8 @@ class ExecutionConfig(_Replaceable):
         scheduler jitter.
     max_job_crashes:
         Quarantine a job as poison (:class:`~repro.errors.WorkerCrashError`)
-        after being in flight across this many worker crashes.
+        after being in flight across this many worker crashes: a service
+        worker that died, or locally the chaos harness's simulated crash.
     chaos:
         Testing hook: a :class:`~repro.testing.chaos.ChaosSchedule`
         consulted before every job attempt to deterministically inject
@@ -191,8 +188,6 @@ class ExecutionConfig(_Replaceable):
     backend: Any = None
     router: Any = None
     cache: Any = True
-    pool: str | None = None
-    parallel: int = 1
     prune_zeros: bool = True
     failure_policy: str = "raise"
     max_retries: int = 3
@@ -205,12 +200,6 @@ class ExecutionConfig(_Replaceable):
     chaos: Any = None
 
     def __post_init__(self):
-        if self.pool not in (None, "thread", "process"):
-            raise ValueError(
-                f"pool must be 'thread', 'process' or None, got {self.pool!r}"
-            )
-        if self.parallel < 1:
-            raise ValueError("parallel must be at least 1")
         if self.failure_policy not in ("raise", "retry", "degrade"):
             raise ValueError(
                 "failure_policy must be 'raise', 'retry' or 'degrade', "

@@ -17,23 +17,23 @@ its body, :meth:`Backend.pauli_map`) —
 deduplicates it through a content-addressed
 :class:`~repro.backends.cache.VariantCache` (identical variant circuits and
 fragments — common in parameter sweeps and across symmetric fragments —
-are simulated once), and executes the surviving jobs on a thread or
-process pool chosen from the backends' capability hints (§X: jobs are
-independent and parallelise trivially; numpy releases the GIL in the
-heavy kernels).
+are simulated once), and runs the surviving jobs one after another.
+The jobs are independent (§X), so they parallelise trivially; the one
+parallel executor is the distributed service
+(:mod:`repro.service`), which hands its worker fleet the same jobs
+through ``evaluate_all``'s ``job_runner``.
 
 Per-job seeds are derived from the evaluator's root seed *and* the variant
 fingerprint, never from submission order, so sampled results are
-reproducible bit-for-bit at any parallelism.
+reproducible bit-for-bit, local or service.
 
 Execution is fault tolerant.  *What happens* when a job's backend raises,
 overruns its soft deadline (derived from the calibrated cost model) or
 loses its worker is decided by one :class:`~repro.core.lifecycle.JobLifecycle`
 per job — retry with capped backoff, quarantine, degrade-mode fallback,
 typed error.  This module keeps only the *mechanics* of carrying those
-decisions out locally: the serial loop sleeps and re-runs; the
-:class:`_JobScheduler` resubmits futures, abandons or kills overdue work
-and rebuilds a broken process pool; and the local fallback is the
+decisions out locally: the job loop sleeps and re-runs, a late result is
+kept (a running job cannot be interrupted), and the local fallback is the
 next-cheapest capable backend in the router's ranking.  A retried or
 fallen-back job reuses its fingerprint-derived seed, so a run that
 survived faults is bit-for-bit identical to a clean one; the survived
@@ -42,9 +42,7 @@ faults are tallied in the evaluator's :class:`~repro.errors.FaultReport`.
 
 from __future__ import annotations
 
-import heapq
 import time
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, wait
 
 import numpy as np
 
@@ -248,7 +246,7 @@ class _Job:
     fault-tolerance layer needs (error attribution, degrade-mode fallback
     routing); ``timeout`` is the job's soft deadline in seconds
     (``None`` = none); ``attempt`` counts known prior failures and is set
-    by the scheduler before every (re)submission; ``chaos`` is the
+    by the runner before every (re)submission; ``chaos`` is the
     optional deterministic fault-injection schedule and ``in_process``
     tells the chaos harness whether a crash may be a real ``os._exit``.
     """
@@ -303,7 +301,7 @@ class _Job:
 
 
 def _execute_job(job: _Job):
-    """Simulate one job (module-level so process pools can pickle it): a
+    """Simulate one job (module-level, so service workers run it too): a
     :class:`VariantData`, or a fragment job's
     :class:`~repro.stabilizer.tableau.PauliMap` — or, from a backend
     without an affine readout, its variants' data in :func:`all_variants`
@@ -342,306 +340,6 @@ def _is_simulated_crash(exc: BaseException) -> bool:
     return isinstance(exc, SimulatedWorkerCrash)
 
 
-class SharedExecutorPool:
-    """A rebuildable thread- or process-pool handle.
-
-    The scheduler must be able to *replace* a broken or hung process pool
-    mid-run, so it never holds a bare executor: every parallel batch runs
-    on one of these handles — its own for a single run, or the one
-    ``SuperSim.sweep`` / ``run_many`` keeps alive across batch points
-    (which therefore self-heals across points too).
-    """
-
-    def __init__(self, kind: str, workers: int):
-        if kind not in ("thread", "process"):
-            raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
-        self.kind = kind
-        self.workers = max(1, int(workers))
-        self.rebuilds = 0
-        self.executor = self._make()
-
-    def _make(self):
-        if self.kind == "process":
-            from concurrent.futures import ProcessPoolExecutor
-
-            return ProcessPoolExecutor(max_workers=self.workers)
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def rebuild(self):
-        """Replace the executor (after ``BrokenProcessPool`` or a hang)."""
-        try:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass  # a broken pool may refuse a clean shutdown
-        self.executor = self._make()
-        self.rebuilds += 1
-        return self.executor
-
-    def shutdown(self, wait: bool = True) -> None:
-        self.executor.shutdown(wait=wait, cancel_futures=not wait)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"SharedExecutorPool({self.kind!r}, workers={self.workers}, "
-            f"rebuilds={self.rebuilds})"
-        )
-
-
-class _JobScheduler:
-    """Local runner: carries out each job's lifecycle decisions.
-
-    The failure *policy* lives in :mod:`repro.core.lifecycle`; this class
-    is the mechanics of obeying it in-process.  :meth:`run_serial` runs
-    jobs inline, sleeping out backoffs.  :meth:`run_parallel` submits
-    jobs individually to a :class:`SharedExecutorPool`, with in-flight
-    submissions bounded by the worker count (so a soft deadline measures
-    *run* time, not queue time), and per completed, failed or overdue
-    future asks the job's lifecycle what to do next.
-
-    A ``BrokenProcessPool`` triggers self-healing: finished results are
-    harvested, the pool is rebuilt, and every unfinished in-flight job is
-    charged one crash and resubmitted.  An overdue process-pool job can
-    only be killed by rebuilding the pool too (bystanders resubmit for
-    free); an overdue thread job is abandoned, and its thread counts as
-    busy until it returns.  :meth:`fall_back` is the
-    local degrade-mode fallback.  Determinism is untouched throughout:
-    resubmitted jobs reuse their fingerprint-derived seeds.
-    """
-
-    def __init__(
-        self,
-        ev: "FragmentEvaluator",
-        jobs: list[_Job],
-        pool: str,
-        workers: int,
-        shared: SharedExecutorPool | None = None,
-    ):
-        self.ev = ev
-        self.jobs = jobs
-        self.pool = pool
-        self.workers = max(1, int(workers))
-        self.handle = shared  # run_parallel builds a private one if None
-        self.own_handle = shared is None
-        self.results: dict[tuple, VariantData] = {}
-        self.degraded: set[tuple] = set()
-        self.lifecycles = {
-            job.key: JobLifecycle(job, ev.policy, ev.faults.events) for job in jobs
-        }
-        self.tried: dict[tuple, set[str]] = {}  # job key -> backend names
-        self.pending: list[tuple[float, int, _Job]] = []  # (ready, seq, job)
-        self.inflight: dict = {}  # future -> (job, deadline | None)
-        self.abandoned: set = set()  # overdue thread futures still running
-        self._seq = 0
-
-    def fall_back(self, lifecycle: JobLifecycle, reason: str) -> bool:
-        """Move the job to the cheapest capable backend not yet tried."""
-        job = lifecycle.job
-        tried = self.tried.setdefault(job.key, {job.backend.name})
-        try:
-            ranked = self.ev.router.ranked(
-                job.features,
-                exact=job.shots is None,
-                noisy=job.noise is not None,
-            )
-        except Exception:
-            return False
-        cand = next((b for b in ranked if b.name not in tried), None)
-        if cand is None:
-            return False
-        lifecycle.fell_back(f"{job.backend.name} -> {cand.name} after {reason}")
-        tried.add(cand.name)
-        job.backend = cand
-        # the value will come from a different backend than the cache key
-        # names: usable for this run, but never stored cross-run
-        self.degraded.add(job.key)
-        return True
-
-    def _on_exception(self, job: _Job, exc: BaseException) -> float | None:
-        lifecycle = self.lifecycles[job.key]
-        if _is_simulated_crash(exc):
-            return lifecycle.on_crash(f"{type(exc).__name__}: {exc}", self.fall_back)
-        return lifecycle.on_error(exc, self.fall_back)
-
-    # -- serial path ----------------------------------------------------------
-
-    def run_serial(self) -> dict[tuple, VariantData]:
-        for job in self.jobs:
-            lifecycle = self.lifecycles[job.key]
-            while True:
-                job.attempt = lifecycle.attempt
-                start = time.monotonic()
-                try:
-                    value = _execute_job(job)
-                except Exception as exc:
-                    delay = self._on_exception(job, exc)
-                    if delay:
-                        time.sleep(delay)
-                    continue
-                elapsed = time.monotonic() - start
-                if job.timeout is not None and elapsed > job.timeout:
-                    # serial execution cannot interrupt a running job; the
-                    # result exists, so keep it and record the miss
-                    lifecycle.record(
-                        "timeout",
-                        f"completed late: {elapsed:.3g}s > "
-                        f"{job.timeout:.3g}s soft deadline (serial)",
-                    )
-                self.results[job.key] = value
-                break
-        return self.results
-
-    # -- parallel path --------------------------------------------------------
-
-    def _push(self, job: _Job, delay: float | None = None) -> None:
-        self._seq += 1
-        ready = time.monotonic() + delay if delay else 0.0
-        heapq.heappush(self.pending, (ready, self._seq, job))
-
-    def _submit(self, job: _Job, now: float) -> None:
-        job.attempt = self.lifecycles[job.key].attempt
-        job.in_process = self.pool == "process"
-        fut = self.handle.executor.submit(_execute_job, job)
-        deadline = None if job.timeout is None else now + job.timeout
-        self.inflight[fut] = (job, deadline)
-
-    def _fill(self, now: float) -> None:
-        # bound in-flight submissions by the free workers so a deadline
-        # measures run time, not time spent queued behind other jobs: an
-        # abandoned thread job holds its worker until it returns.  One job
-        # always goes through, so threads that never return end in
-        # timeouts, not in a hang
-        self.abandoned = {fut for fut in self.abandoned if not fut.done()}
-        free = max(1, self.workers - len(self.abandoned))
-        while self.pending and len(self.inflight) < free:
-            ready, _seq, job = self.pending[0]
-            if ready > now:
-                break
-            heapq.heappop(self.pending)
-            self._submit(job, now)
-
-    def _next_wakeup(self, now: float) -> float | None:
-        """Seconds until the next retry is ready or deadline expires."""
-        candidates = []
-        if self.pending:
-            candidates.append(self.pending[0][0] - now)
-        for _job, deadline in self.inflight.values():
-            if deadline is not None:
-                candidates.append(deadline - now)
-        if not candidates:
-            return None
-        return max(0.0, min(candidates)) + 0.01
-
-    def _rebuild_pool(self, detail: str, penalize: bool) -> None:
-        """Replace the executor, harvesting and resubmitting in-flight work.
-
-        ``penalize=True`` (the pool *broke*) charges every unfinished
-        in-flight job one crash; ``penalize=False`` (we chose to rebuild,
-        e.g. to kill a hung worker) resubmits them for free.
-        """
-        survivors: list[_Job] = []
-        for fut, (job, _deadline) in list(self.inflight.items()):
-            if fut.done() and not fut.cancelled():
-                try:
-                    self.results[job.key] = fut.result()
-                    continue  # finished before the break: harvest it
-                except Exception:
-                    pass
-            survivors.append(job)
-        self.inflight.clear()
-        self.ev.faults.record("pool_rebuild", detail=detail)
-        self.handle.rebuild()
-        for job in survivors:
-            delay = None
-            if penalize:
-                delay = self.lifecycles[job.key].on_crash(detail, self.fall_back)
-            self._push(job, delay)
-
-    def _sweep_deadlines(self) -> None:
-        now = time.monotonic()
-        expired = [
-            (fut, job)
-            for fut, (job, deadline) in self.inflight.items()
-            if deadline is not None and now >= deadline and not fut.done()
-        ]
-        if not expired:
-            return
-        for fut, job in expired:
-            self.inflight.pop(fut, None)
-            if not fut.cancel() and self.pool == "thread":
-                self.abandoned.add(fut)  # a running thread cannot be stopped
-            self._push(job, self.lifecycles[job.key].on_timeout(self.fall_back))
-        if self.pool == "process":
-            # a hung process worker cannot be interrupted from here: the
-            # only way to reclaim it is to rebuild the whole pool (the
-            # innocent in-flight jobs are resubmitted without penalty)
-            self._rebuild_pool(
-                detail="rebuilt to kill a worker hung past its soft deadline",
-                penalize=False,
-            )
-
-    def _abort_cleanup(self) -> None:
-        for fut in list(self.inflight):
-            fut.cancel()
-        self.inflight.clear()
-        if self.own_handle:
-            self.handle.shutdown(wait=False)
-        elif getattr(self.handle.executor, "_broken", False):
-            # leave the shared pool usable for the caller's next batch point
-            self.handle.rebuild()
-
-    def run_parallel(self) -> dict[tuple, VariantData]:
-        if self.own_handle:
-            self.handle = SharedExecutorPool(self.pool, self.workers)
-        for job in self.jobs:
-            self._push(job)
-        try:
-            while self.pending or self.inflight:
-                now = time.monotonic()
-                self._fill(now)
-                wakeup = self._next_wakeup(now)
-                done = set()
-                if self.inflight:
-                    done, _ = wait(
-                        [*self.inflight, *self.abandoned],
-                        timeout=wakeup,
-                        return_when=FIRST_COMPLETED,
-                    )
-                elif wakeup:
-                    time.sleep(wakeup)
-                for fut in done:
-                    entry = self.inflight.pop(fut, None)
-                    if entry is None:
-                        continue
-                    job, deadline = entry
-                    try:
-                        value = fut.result()
-                    except CancelledError:
-                        self._push(job)
-                        continue
-                    except BrokenExecutor as exc:
-                        # the pool is gone: every other done future would
-                        # raise the same error, so heal once and restart
-                        # the drain loop on the fresh pool
-                        self.inflight[fut] = (job, deadline)
-                        self._rebuild_pool(
-                            detail=f"{type(exc).__name__}: {exc}", penalize=True
-                        )
-                        break
-                    except Exception as exc:
-                        self._push(job, self._on_exception(job, exc))
-                        continue
-                    self.results[job.key] = value
-                self._sweep_deadlines()
-        except BaseException:
-            self._abort_cleanup()
-            raise
-        if self.own_handle:
-            self.handle.shutdown()
-        return self.results
-
-
 def router_for(execution: ExecutionConfig) -> BackendRouter:
     """``execution.router``, or a router over the default backend pool."""
     if execution.router is not None:
@@ -666,14 +364,13 @@ class FragmentEvaluator:
     * ``execution`` (:class:`~repro.core.config.ExecutionConfig`) — the
       router (default: every built-in backend, cheapest capable one wins),
       a forced ``backend``, which wins for every fragment it can handle,
-      the worker pool, the failure policy and the soft deadlines.
+      the failure policy and the soft deadlines.
 
     ``cache`` stands in for ``execution.cache`` with a resolved
     :class:`~repro.backends.cache.VariantCache` (``SuperSim`` passes its
     long-lived one, which carries results between ``run()`` calls);
     ``assignments`` pins fragment indices to backends (a plan's routing,
-    which wins over forcing and routing); ``executor`` is a
-    :class:`SharedExecutorPool` kept alive across the points of a batch.
+    which wins over forcing and routing).
     """
 
     def __init__(
@@ -683,7 +380,6 @@ class FragmentEvaluator:
         *,
         cache: VariantCache | None = None,
         assignments: dict[int, Backend] | None = None,
-        executor: SharedExecutorPool | None = None,
     ):
         self.sampling = sampling = sampling or SamplingConfig()
         self.execution = execution = execution or ExecutionConfig()
@@ -695,10 +391,10 @@ class FragmentEvaluator:
         self.forced = get_backend(backend) if backend is not None else None
         self.policy = FaultPolicy.of(execution)
         self.assignments = dict(assignments) if assignments else {}
-        self.executor = executor
         #: faults survived across this evaluator's evaluate_all calls
         self.faults = FaultReport()
-        self._last_degraded: set[tuple] = set()
+        self._last_degraded: set[tuple] = set()  # fallen-back job keys
+        self._tried: dict[tuple, set[str]] = {}  # job key -> backend names
         self.last_stats: dict = {}
 
     # the constructor's earlier name, still called by the benchmark ledger
@@ -831,63 +527,66 @@ class FragmentEvaluator:
                     )
         return assignments, unique
 
-    def _run_jobs(self, jobs: list[_Job]) -> dict[tuple, VariantData]:
-        """Execute jobs on the pool implied by the backends' capabilities.
-
-        Python-bound backends (``capabilities.pool == "process"``: CH form,
-        MPS, extended stabilizer — interpreters loops, not GIL-releasing
-        kernels) default to a *process* pool sized by ``os.cpu_count()``
-        even when ``parallel`` was left at 1; per-variant seeds derive from
-        the root seed and the variant fingerprint, so results are
-        bit-for-bit identical at any worker count.  Numpy-kernel backends
-        keep the thread pool (and stay serial unless ``parallel`` > 1).
-        Execution goes through the :class:`_JobScheduler`.
-        """
-        if not jobs:
-            self._last_degraded = set()
-            return {}
-        import os
-
-        pool = self.execution.pool
-        if pool is None:
-            pool = (
-                "process"
-                if any(j.backend.capabilities.pool == "process" for j in jobs)
-                else "thread"
+    def _fall_back(self, lifecycle: JobLifecycle, reason: str) -> bool:
+        """Degrade-mode fallback: move the job to the cheapest capable
+        backend it has not tried yet."""
+        job = lifecycle.job
+        tried = self._tried.setdefault(job.key, {job.backend.name})
+        try:
+            ranked = self.router.ranked(
+                job.features,
+                exact=job.shots is None,
+                noisy=job.noise is not None,
             )
-        workers = self.execution.parallel
-        if workers <= 1 and pool == "process" and self.execution.pool is None:
-            # only auto-upgrade where workers fork: under a spawn start
-            # method (macOS/Windows default) a guard-less user script
-            # would re-execute itself in every worker.  allow_none avoids
-            # fixing the global start method as a library side effect.
-            import multiprocessing
-            import sys
+        except Exception:
+            return False
+        cand = next((b for b in ranked if b.name not in tried), None)
+        if cand is None:
+            return False
+        lifecycle.fell_back(f"{job.backend.name} -> {cand.name} after {reason}")
+        tried.add(cand.name)
+        job.backend = cand
+        # the value will come from a different backend than the cache key
+        # names: usable for this run, but never stored cross-run
+        self._last_degraded.add(job.key)
+        return True
 
-            method = multiprocessing.get_start_method(allow_none=True)
-            if method is None:
-                method = "fork" if sys.platform.startswith("linux") else "spawn"
-            if method == "fork":
-                workers = os.cpu_count() or 1
-        workers = min(workers, len(jobs))
-        # a long-lived pool shared across runs (sweep batches) is only
-        # taken when its kind matches the jobs' resolved pool, so
-        # process-preferring backends never silently land on threads; the
-        # in-flight bound then follows the shared pool's actual width
-        shared = self.executor
-        if shared is not None and (len(jobs) < 2 or shared.kind != pool):
-            shared = None
-        if shared is not None:
-            workers = shared.workers
-        self.last_stats["pool"] = pool
-        self.last_stats["workers"] = workers
-        scheduler = _JobScheduler(self, jobs, pool, workers, shared)
-        if shared is not None or (workers > 1 and len(jobs) > 1):
-            values = scheduler.run_parallel()
-        else:
-            values = scheduler.run_serial()
-        self._last_degraded = set(scheduler.degraded)
-        return values
+    def _run_jobs(self, jobs: list[_Job]) -> dict[tuple, VariantData]:
+        """Run the jobs one after another, each until its lifecycle settles it.
+
+        A failed attempt is handed to the job's
+        :class:`~repro.core.lifecycle.JobLifecycle`, whose answer is
+        carried out here: sleep out the backoff and run again, or run on
+        the backend :meth:`_fall_back` moved the job to.  A running job
+        cannot be interrupted, so one that overran its soft deadline keeps
+        its result and records a ``timeout`` fault.
+        """
+        self._last_degraded, self._tried = set(), {}
+        results: dict[tuple, VariantData] = {}
+        for job in jobs:
+            lifecycle = JobLifecycle(job, self.policy, self.faults.events)
+            while job.key not in results:
+                job.attempt = lifecycle.attempt
+                start = time.monotonic()
+                try:
+                    results[job.key] = _execute_job(job)
+                except Exception as exc:
+                    if _is_simulated_crash(exc):
+                        detail = f"{type(exc).__name__}: {exc}"
+                        delay = lifecycle.on_crash(detail, self._fall_back)
+                    else:
+                        delay = lifecycle.on_error(exc, self._fall_back)
+                    if delay:
+                        time.sleep(delay)
+                    continue
+                elapsed = time.monotonic() - start
+                if job.timeout is not None and elapsed > job.timeout:
+                    lifecycle.record(
+                        "timeout",
+                        f"completed late: {elapsed:.3g}s > "
+                        f"{job.timeout:.3g}s soft deadline",
+                    )
+        return results
 
     def dry_run(self, fragments: list[Fragment]) -> dict:
         """Plan the job batch without simulating anything.
@@ -917,11 +616,12 @@ class FragmentEvaluator:
     def evaluate_all(
         self, fragments: list[Fragment], job_runner=None
     ) -> list[FragmentData]:
-        """Evaluate every variant of every fragment through one batched pool.
+        """Evaluate every variant of every fragment as one batch of jobs.
 
-        The jobs of all fragments are flattened together, so parallelism is
-        not bounded by any single fragment's variant count, and the cache
-        deduplicates identical jobs both within and across calls.
+        The jobs of all fragments are flattened together, so a runner's
+        parallelism is not bounded by any single fragment's variant count,
+        and the cache deduplicates identical jobs both within and across
+        calls.
         ``last_stats`` counts variants (``jobs``) and jobs (``unique_jobs``,
         hits and misses, and per backend name the jobs it simulated).
 

@@ -11,13 +11,12 @@ attempt count.
 The module is *pure*: it keeps counters, appends
 :class:`~repro.errors.FaultEvent` records to the list it was given and
 returns or raises a decision.  It never sleeps, spawns, locks or reads a
-clock — carrying a decision out (sleep and resubmit, rebuild a pool,
-redispatch to another worker, run on the coordinator's own CPU) is the
-mechanics each runner keeps:
+clock — carrying a decision out (sleep and re-run, redispatch to another
+worker, run on the coordinator's own CPU) is the mechanics each runner
+keeps:
 
-* the evaluator's serial loop and pool scheduler
-  (:mod:`repro.core.evaluator`), whose fallback is the next-cheapest
-  capable backend;
+* the evaluator's job loop (:mod:`repro.core.evaluator`), whose fallback
+  is the next-cheapest capable backend;
 * the service coordinator (:mod:`repro.service.coordinator`), whose
   fallback is coordinator-local execution;
 * the worker-side retry loop (:mod:`repro.service.worker`), which
@@ -196,9 +195,9 @@ class JobLifecycle:
     def on_crash(self, detail: str, fall_back=None) -> float | None:
         """A worker died with the job in flight.
 
-        Attribution is heuristic (a broken pool or a lost worker takes
-        every in-flight job with it), so a job is quarantined as poison
-        only after ``max_job_crashes`` crashes.
+        Attribution is heuristic (a lost worker takes every job of its
+        in-flight frames with it), so a job is quarantined as poison only
+        after ``max_job_crashes`` crashes.
         """
         self.crashes += 1
         self.attempt += 1

@@ -19,7 +19,7 @@ deriving a variation returns a new plan:
 
 Batch work streams through :meth:`SuperSim.sweep` / ``run_many``, which
 yield :class:`SweepResult` records as each grid point completes while the
-variant cache and worker pool are shared across all points.
+variant cache is shared across all points.
 """
 
 from __future__ import annotations
@@ -172,8 +172,8 @@ class ExecutionPlan:
     def __getstate__(self):
         # a plan travels over the service wire without its engine: the
         # coordinator re-binds its own SuperSim (same configs) on arrival.
-        # The backend instances stay — they are picklable (process-pool
-        # jobs already carry them) and they ARE the plan's routing.
+        # The backend instances stay — they are picklable (service job
+        # frames already carry them) and they ARE the plan's routing.
         state = {
             f: getattr(self, f)
             for f in self.__dataclass_fields__

@@ -526,7 +526,7 @@ def reconstruct_dynamic(
                 if final or prob > 0.0:
                     candidates.append(((prefix << width) | key, prob))
         # heaviest bins first; ties broken by outcome key so seeded runs
-        # are bit-for-bit reproducible at any parallelism
+        # are bit-for-bit reproducible
         candidates.sort(key=lambda c: (-c[1], c[0]))
         frontier = candidates[:top_k]
         fixed_qubits = fixed_qubits + window

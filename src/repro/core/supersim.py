@@ -24,13 +24,13 @@ loose kwargs (:class:`~repro.core.config.CutConfig`,
 
     sim = SuperSim(
         sampling=SamplingConfig(shots=4000, seed=7),
-        execution=ExecutionConfig(backend="mps", parallel=4),
+        execution=ExecutionConfig(backend="mps", failure_policy="retry"),
     )
 
 Parameter sweeps — the dominant VQE/QAOA workload (§VII) — batch through
 :meth:`SuperSim.sweep` / :meth:`SuperSim.run_many`: planning artifacts
-(cut locations), the content-addressed variant cache and the worker pool
-are shared across all points, and results stream back as each point
+(cut locations) and the content-addressed variant cache are shared
+across all points, and results stream back as each point
 completes, so only the fragments that actually changed between points are
 re-simulated.
 """
@@ -58,7 +58,7 @@ from repro.core.config import (
     SamplingConfig,
 )
 from repro.core.cutter import plan_cuts
-from repro.core.evaluator import FragmentEvaluator, SharedExecutorPool, router_for
+from repro.core.evaluator import FragmentEvaluator, router_for
 from repro.core.fragments import Cut, CutCircuit
 from repro.errors import FaultReport
 from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
@@ -105,10 +105,9 @@ class SuperSimResult:
 
     ``faults`` is the run's :class:`~repro.errors.FaultReport` — every
     fault the engine survived on the way to this result (retries,
-    soft-timeouts, worker crashes, pool rebuilds, degrade-mode backend
-    fallbacks).  A clean run has
-    ``bool(result.faults) is False``; faults never change the numbers,
-    only how much work it took to get them.
+    soft-timeouts, worker crashes, degrade-mode backend fallbacks).  A
+    clean run has ``bool(result.faults) is False``; faults never change
+    the numbers, only how much work it took to get them.
     """
 
     distribution: Distribution
@@ -222,7 +221,7 @@ class SuperSim:
         noise, seeding.
     execution:
         An :class:`~repro.core.config.ExecutionConfig` — forced backend,
-        router, variant cache, worker pool, reconstruction pruning.
+        router, variant cache, failure policy, reconstruction pruning.
     reconstruction:
         A :class:`~repro.core.config.ReconstructionConfig` — how fragment
         tensors recombine: dense (``"full"``), exact small marginals
@@ -260,8 +259,6 @@ class SuperSim:
             configs.append(value)
         self.cut_config, self.sampling, self.execution, self.reconstruction = configs
         self.variant_cache: VariantCache | None = resolve_cache(self.execution.cache)
-        #: executor shared across batch points while a sweep is active
-        self._batch_executor: SharedExecutorPool | None = None
         self._shared_router = None
         #: override for where deduplicated variant jobs execute — the
         #: service coordinator injects its dispatcher here (see
@@ -290,7 +287,6 @@ class SuperSim:
             self.execution.replace(router=self._router()),
             cache=self.variant_cache,
             assignments=assignments,
-            executor=self._batch_executor,
         )
 
     # -- plan stage -----------------------------------------------------------
@@ -617,9 +613,8 @@ class SuperSim:
         circuit shape under many parameter points.  Each grid point is
         planned and executed with everything shareable shared — the
         variant cache (identical fragments, in particular the wide
-        Clifford bulk, are simulated once across the whole sweep), the
-        worker pool (one executor spans all points instead of one per
-        run), and with ``reuse_cuts=True`` (default) the cut locations
+        Clifford bulk, are simulated once across the whole sweep) and,
+        with ``reuse_cuts=True`` (default), the cut locations
         found for the first point (falling back to a fresh search if they
         do not transfer).
 
@@ -681,64 +676,63 @@ class SuperSim:
                         )
 
         tolerate = self.execution.failure_policy != "raise"
-        with self._batch_pool():
-            shared_cuts: list[Cut] | None = None
-            for index, params in enumerate(param_grid):
-                if index in completed:
-                    yield SweepResult(
-                        index=index, params=params, result=None, skipped=True
-                    )
-                    continue
-                degradation: str | None = None
-                try:
-                    circuit = _call_factory(circuit_factory, params)
-                    plan = None
-                    if reuse_cuts and shared_cuts:
-                        try:
-                            plan = self.plan(
-                                circuit, keep_qubits=keep_qubits, cuts=shared_cuts
-                            )
-                        except (ValueError, NoCapableBackendError) as exc:
-                            # cuts do not transfer: search afresh, and say so
-                            degradation = (
-                                "shared cut set did not transfer "
-                                f"({type(exc).__name__}: {exc}); re-planned "
-                                "from scratch"
-                            )
-                    if plan is None:
-                        plan = self.plan(circuit, keep_qubits=keep_qubits)
-                        if not shared_cuts and plan.cut_circuit.cuts:
-                            # adopt the first *non-empty* cut set: an
-                            # all-Clifford grid point finds no cuts, and an
-                            # empty set must not pin later points to uncut
-                            # whole-circuit evaluation
-                            shared_cuts = list(plan.cut_circuit.cuts)
-                    result = plan.execute()
-                except Exception as exc:
-                    if not tolerate:
-                        raise
-                    yield SweepResult(
-                        index=index, params=params, result=None, error=exc
-                    )
-                    continue
-                if degradation is not None:
-                    result.faults.record("replan", detail=degradation)
-                if checkpoint_path is not None:
-                    with checkpoint_path.open("a") as fh:
-                        fh.write(json.dumps({"index": index}) + "\n")
+        shared_cuts: list[Cut] | None = None
+        for index, params in enumerate(param_grid):
+            if index in completed:
                 yield SweepResult(
-                    index=index,
-                    params=params,
-                    result=result,
-                    degradation=degradation,
+                    index=index, params=params, result=None, skipped=True
                 )
+                continue
+            degradation: str | None = None
+            try:
+                circuit = _call_factory(circuit_factory, params)
+                plan = None
+                if reuse_cuts and shared_cuts:
+                    try:
+                        plan = self.plan(
+                            circuit, keep_qubits=keep_qubits, cuts=shared_cuts
+                        )
+                    except (ValueError, NoCapableBackendError) as exc:
+                        # cuts do not transfer: search afresh, and say so
+                        degradation = (
+                            "shared cut set did not transfer "
+                            f"({type(exc).__name__}: {exc}); re-planned "
+                            "from scratch"
+                        )
+                if plan is None:
+                    plan = self.plan(circuit, keep_qubits=keep_qubits)
+                    if not shared_cuts and plan.cut_circuit.cuts:
+                        # adopt the first *non-empty* cut set: an
+                        # all-Clifford grid point finds no cuts, and an
+                        # empty set must not pin later points to uncut
+                        # whole-circuit evaluation
+                        shared_cuts = list(plan.cut_circuit.cuts)
+                result = plan.execute()
+            except Exception as exc:
+                if not tolerate:
+                    raise
+                yield SweepResult(
+                    index=index, params=params, result=None, error=exc
+                )
+                continue
+            if degradation is not None:
+                result.faults.record("replan", detail=degradation)
+            if checkpoint_path is not None:
+                with checkpoint_path.open("a") as fh:
+                    fh.write(json.dumps({"index": index}) + "\n")
+            yield SweepResult(
+                index=index,
+                params=params,
+                result=result,
+                degradation=degradation,
+            )
 
     def run_many(
         self,
         circuits,
         keep_qubits: list[int] | None = None,
     ):
-        """Execute many circuits, sharing the cache and worker pool.
+        """Execute many circuits, sharing the variant cache.
 
         Yields one :class:`SuperSimResult` per circuit, in order, as each
         completes.  Unlike :meth:`sweep`, no structural similarity is
@@ -752,51 +746,20 @@ class SuperSim:
         the batch; the default ``"raise"`` policy propagates immediately.
         """
         tolerate = self.execution.failure_policy != "raise"
-        with self._batch_pool():
-            for index, circuit in enumerate(circuits):
-                try:
-                    yield self.plan(circuit, keep_qubits=keep_qubits).execute()
-                except Exception as exc:
-                    if not tolerate:
-                        raise
-                    warnings.warn(
-                        f"run_many circuit {index} failed after fault "
-                        f"tolerance ({type(exc).__name__}: {exc}); yielding "
-                        "None for this slot",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    yield None
-
-    def _batch_pool(self):
-        """Context: one long-lived executor spanning a whole batch.
-
-        Only engaged when ``execution.parallel > 1``; the executor kind
-        follows ``execution.pool`` (``None`` defaults to threads — the
-        built-in backends all release the GIL in their kernels).  Nested
-        batches reuse the outermost executor.  The pool is held through a
-        rebuildable :class:`~repro.core.evaluator.SharedExecutorPool`
-        handle, so the fault-tolerant scheduler can replace a broken
-        process pool mid-batch without losing the sharing.
-        """
-        import contextlib
-
-        if self.execution.parallel <= 1 or self._batch_executor is not None:
-            return contextlib.nullcontext()
-
-        kind = "process" if self.execution.pool == "process" else "thread"
-
-        @contextlib.contextmanager
-        def pool():
-            handle = SharedExecutorPool(kind, self.execution.parallel)
-            self._batch_executor = handle
+        for index, circuit in enumerate(circuits):
             try:
-                yield handle
-            finally:
-                self._batch_executor = None
-                handle.shutdown()
-
-        return pool()
+                yield self.plan(circuit, keep_qubits=keep_qubits).execute()
+            except Exception as exc:
+                if not tolerate:
+                    raise
+                warnings.warn(
+                    f"run_many circuit {index} failed after fault "
+                    f"tolerance ({type(exc).__name__}: {exc}); yielding "
+                    "None for this slot",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                yield None
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -804,27 +767,17 @@ class SuperSim:
         """Register a resource for deterministic shutdown via :meth:`close`.
 
         Anything with a ``close()`` or ``shutdown()`` method qualifies —
-        a :class:`~repro.service.client.ServiceClient` or an
-        externally-managed executor pool.  Resources close in reverse
-        adoption order; adoption is idempotent per object.
+        a :class:`~repro.service.client.ServiceClient`, say.  Resources
+        close in reverse adoption order; adoption is idempotent per object.
         """
         if not any(r is resource for r in self._owned_resources):
             self._owned_resources.append(resource)
 
     def close(self) -> None:
-        """Release everything this engine holds open, deterministically.
-
-        Shuts down any live :class:`~repro.core.evaluator.SharedExecutorPool`
-        (normally scoped to a sweep, but an aborted batch — e.g. a
-        generator abandoned mid-iteration — can leave one behind) and
-        closes adopted resources (service client connections, executor
-        pools).  Idempotent; the engine remains usable afterwards — the
-        next run simply builds fresh pools.
+        """Close the adopted resources (service client connections),
+        deterministically.  Idempotent; the engine remains usable
+        afterwards.
         """
-        handle = self._batch_executor
-        self._batch_executor = None
-        if handle is not None:
-            handle.shutdown()
         while self._owned_resources:
             resource = self._owned_resources.pop()
             closer = getattr(resource, "close", None) or getattr(

@@ -1,7 +1,7 @@
 """The error taxonomy and fault accounting of the execution engine.
 
 Before this module, a failing fragment job surfaced as whatever anonymous
-exception the worker pool re-raised — no fragment, no backend, no attempt
+exception its backend raised — no fragment, no backend, no attempt
 count, no way to tell a transient fault from a poisoned job.  The typed
 hierarchy here attaches that context:
 
@@ -11,18 +11,17 @@ hierarchy here attaches that context:
 * :class:`JobTimeoutError` — a variant exceeded its soft deadline (derived
   from the calibrated cost model, see
   :class:`~repro.core.config.ExecutionConfig`) too many times;
-* :class:`WorkerCrashError` — a worker process died (segfault, OOM kill,
-  ``BrokenProcessPool``) with this job in flight too many times, so the
-  job was quarantined as poison;
+* :class:`WorkerCrashError` — a worker process died (segfault, OOM kill)
+  with this job in flight too many times, so the job was quarantined as
+  poison;
 * :class:`ReconstructionMemoryError` — an outcome table or accumulator
   the request needs would not fit; raised before anything is allocated.
 
 Alongside the exceptions, :class:`FaultReport` is the ledger of every
-fault the engine *survived*: retries, timeouts, worker crashes, pool
-rebuilds, backend fallbacks and quarantines.  A
-run that completes returns its report as ``SuperSimResult.faults``, so
-"it worked" and "it worked after three retries and a pool rebuild" are
-distinguishable.
+fault the engine *survived*: retries, timeouts, worker crashes, backend
+fallbacks and quarantines.  A run that completes returns its report as
+``SuperSimResult.faults``, so "it worked" and "it worked after three
+retries and a fallback" are distinguishable.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ FAULT_KINDS = (
     "retry",
     "timeout",
     "crash",
-    "pool_rebuild",
     "fallback",
     "quarantine",
     "replan",
@@ -107,14 +105,12 @@ class JobTimeoutError(ReproError):
 class WorkerCrashError(ReproError):
     """A job was in flight across too many worker crashes: quarantined.
 
-    The engine cannot always attribute a crash (a ``BrokenProcessPool``
-    kills every in-flight future at once), so a job is only declared
-    poison after ``ExecutionConfig.max_job_crashes`` crashes with it in
-    flight — innocent bystanders of one crash are simply resubmitted.
-    The distributed service maps a remote worker disconnect onto the same
-    semantics: jobs in flight on a lost worker are charged one crash and
-    redistributed, and only a job that outlives ``max_job_crashes``
-    worker losses raises this.
+    The engine cannot always attribute a crash (a lost service worker
+    takes every job of its in-flight frames with it), so a job is only
+    declared poison after ``ExecutionConfig.max_job_crashes`` crashes
+    with it in flight: jobs in flight on a lost worker are charged one
+    crash and redistributed, and only a job that outlives
+    ``max_job_crashes`` worker losses raises this.
     """
 
 
@@ -203,8 +199,8 @@ class FaultReport:
 
     Truthiness reflects whether anything at all went wrong — a clean run
     reports ``bool(result.faults) is False`` — and the per-kind counters
-    (``retries``, ``timeouts``, ``crashes``, ``pool_rebuilds``,
-    ``fallbacks``, ``quarantined``, ``replans``)
+    (``retries``, ``timeouts``, ``crashes``, ``fallbacks``,
+    ``quarantined``, ``replans``)
     summarise the event list.
     """
 
@@ -252,10 +248,6 @@ class FaultReport:
         return self.count("crash")
 
     @property
-    def pool_rebuilds(self) -> int:
-        return self.count("pool_rebuild")
-
-    @property
     def fallbacks(self) -> int:
         return self.count("fallback")
 
@@ -281,7 +273,7 @@ class FaultReport:
         return iter(self.events)
 
     def summary(self) -> dict[str, int]:
-        """Non-zero per-kind counts, e.g. ``{"retry": 3, "pool_rebuild": 1}``."""
+        """Non-zero per-kind counts, e.g. ``{"retry": 3, "fallback": 1}``."""
         out: dict[str, int] = {}
         for event in self.events:
             out[event.kind] = out.get(event.kind, 0) + 1

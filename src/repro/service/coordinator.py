@@ -16,7 +16,7 @@ while the engine's own pipeline stays intact end to end:
    ``plan → evaluate → reconstruct`` pipeline on a request thread, with
    one override: the evaluator's deduplicated variant jobs are handed to
    this coordinator (``FragmentEvaluator.evaluate_all(job_runner=...)``)
-   instead of a local pool.  A batch travels in *frames*: it is dealt
+   instead of the local job loop.  A batch travels in *frames*: it is dealt
    evenly over the fleet's *lanes* (:func:`_split_frames`; a worker has
    ``min(worker slots, max_inflight_per_worker)`` lanes) and each frame
    is one ``job`` message out and one ``job_result`` message back — one
@@ -355,8 +355,8 @@ class Coordinator:
         self._server.close()
         await self._server.wait_closed()
         self._executor.shutdown(wait=False, cancel_futures=True)
-        # bounded join of request threads so no process-pool children are
-        # orphaned; joined off-loop so pending run_coroutine_threadsafe
+        # bounded join of request threads so none is orphaned; joined
+        # off-loop so pending run_coroutine_threadsafe
         # results can still flush back to the threads being joined
         threads = list(getattr(self._executor, "_threads", ()))
         if threads:
@@ -865,8 +865,8 @@ class Coordinator:
 
     @contextlib.contextmanager
     def _planned(self, msg: dict):
-        """One request's ``(context, plan)``; its engine (and any
-        coordinator-local pools it built) is released on exit."""
+        """One request's ``(context, plan)``; its engine is released on
+        exit."""
         ctx = self._make_ctx(msg)
         sim = self._build_sim(msg, ctx)
         try:

@@ -7,8 +7,8 @@ keeps more than that many of this worker's frames in flight), then
 loops: receive a ``job`` frame — a list of ``(jid, job)`` pairs of
 pickled engine :class:`~repro.core.evaluator._Job` objects and the
 request's :class:`~repro.core.lifecycle.FaultPolicy` — run its jobs in
-order through the same module-level ``_execute_job`` the local pools
-use, and answer with one ``job_result`` frame carrying each job's value
+order through the same module-level ``_execute_job`` a local run
+uses, and answer with one ``job_result`` frame carrying each job's value
 — a :class:`~repro.core.evaluator.VariantData`, or a Clifford fragment
 job's tuple of them — or the exception that ended it (shapes in :mod:`repro.service.protocol`, version 2; a welcome of
 another version is refused and not retried).
@@ -168,8 +168,8 @@ def _serve_session(transport: Transport, name: str, slots: int) -> str:
     finally:
         stop.set()
         pool.shutdown(wait=False, cancel_futures=True)
-        # bounded join so in-flight job threads (and any process-pool
-        # children a backend spawned) are not orphaned past this session
+        # bounded join so in-flight job threads are not orphaned past
+        # this session
         deadline = time.monotonic() + 5.0
         for thread in list(getattr(pool, "_threads", ())):
             thread.join(timeout=max(0.0, deadline - time.monotonic()))

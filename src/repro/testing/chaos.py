@@ -4,8 +4,8 @@ Fault-tolerance code that is only exercised by real hardware failures is
 untested code.  This module injects failures *deterministically* — from a
 seeded schedule keyed by content fingerprints, never from wall-clock or
 shared mutable state — so chaos runs are reproducible and the engine's
-headline invariant (seeded results bit-for-bit identical at any
-parallelism) can be asserted *under* injected faults, not just without
+headline invariant (seeded results bit-for-bit identical, local or
+service) can be asserted *under* injected faults, not just without
 them.
 
 Two injection points:
@@ -15,9 +15,9 @@ Two injection points:
   every job attempt.  The schedule maps ``(variant fingerprint,
   attempt)`` to an action — raise an :class:`InjectedFault`, sleep (to
   trip the soft-timeout path), or crash the worker (a *real*
-  ``os._exit`` inside process-pool workers, so ``BrokenProcessPool``
-  healing is exercised for real; a :class:`SimulatedWorkerCrash`
-  exception under threads / serial execution).  Because injections stop
+  ``os._exit`` inside a service worker process, so the coordinator's
+  crash accounting is exercised for real; a :class:`SimulatedWorkerCrash`
+  exception in a local run or on the coordinator).  Because injections stop
   after ``fail_attempts`` attempts, a retrying engine always converges —
   and, since per-variant seeds are fingerprint-derived, converges on
   bit-identical results.
@@ -36,8 +36,8 @@ Two injection points:
   the service-resilience paths — client/worker reconnect, idempotent
   resends, peer-level frame-error isolation — under reproducible faults.
 
-Everything here is picklable, so schedules travel into process-pool
-workers unchanged (the transport wrapper, which holds a live socket, is
+Everything here is picklable, so schedules travel into service workers
+unchanged (the transport wrapper, which holds a live socket, is
 the one deliberate exception).
 """
 
@@ -60,10 +60,10 @@ class InjectedFault(RuntimeError):
 class SimulatedWorkerCrash(RuntimeError):
     """A worker crash simulated where a real one is impossible.
 
-    Raised by chaos injection under thread pools and serial execution
+    Raised by chaos injection in a local run or on the coordinator
     (where ``os._exit`` would kill the interpreter, not a worker); the
-    scheduler routes it through the same crash-handling path a
-    ``BrokenProcessPool`` takes.
+    runner routes it through the same crash-handling path a lost
+    service worker takes.
     """
 
 
@@ -75,7 +75,7 @@ class ChaosSchedule:
     draw in ``[0, 1)``; the draw lands in the (disjoint) ``crash`` /
     ``exception`` / ``delay`` rate bands or in the no-fault remainder.
     The same job therefore receives the same fault on every host, in
-    every pool, on every run — and a job never flips between fault
+    every runner, on every run — and a job never flips between fault
     kinds.
 
     ``fail_attempts`` bounds injection per job: attempts at or beyond it
@@ -160,8 +160,8 @@ def perform_action(action: tuple, in_process_worker: bool = False) -> None:
     """Carry out one scheduled fault (called inside the worker).
 
     ``in_process_worker`` selects a *real* crash (``os._exit``) for the
-    crash action — only safe inside a process-pool worker, where dying
-    breaks the pool instead of the interpreter.
+    crash action — only safe inside a service worker process, whose
+    death the coordinator survives.
     """
     kind = action[0]
     if kind == "delay":
@@ -171,10 +171,8 @@ def perform_action(action: tuple, in_process_worker: bool = False) -> None:
         raise InjectedFault(action[1])
     if kind == "crash":
         if in_process_worker:
-            os._exit(17)  # a genuine worker death: the pool breaks
-        raise SimulatedWorkerCrash(
-            "simulated worker crash (thread/serial execution)"
-        )
+            os._exit(17)  # a genuine worker death
+        raise SimulatedWorkerCrash("simulated worker crash (in-process execution)")
     raise ValueError(f"unknown chaos action {action!r}")
 
 

@@ -145,15 +145,3 @@ def test_shots_and_seed_never_reach_a_clifford_fragment(shots, seed):
     exact = SuperSim().run(circuit, cuts=cuts).raw_distribution
     sim = SuperSim(sampling=SamplingConfig(shots=shots, seed=seed))
     assert _bytes(sim.run(circuit, cuts=cuts).raw_distribution) == _bytes(exact)
-
-
-@pytest.mark.parametrize("pool", ["thread", "process"])
-def test_sampled_clifford_runs_are_exact_under_every_pool(pool):
-    circuit, cuts = _cut_clifford_circuit(7, 6)
-    exact = SuperSim().run(circuit, cuts=cuts).raw_distribution
-    with SuperSim(
-        sampling=SamplingConfig(shots=300, seed=6),
-        execution=ExecutionConfig(parallel=2, pool=pool),
-    ) as sim:
-        got = sim.run(circuit, cuts=cuts).raw_distribution
-    assert _bytes(got) == _bytes(exact)

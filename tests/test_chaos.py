@@ -1,17 +1,18 @@
 """Chaos suite: the fault-tolerant engine under deterministic fault injection.
 
-The engine's headline invariant — seeded results bit-for-bit identical at
-any parallelism — must hold *under* injected faults, not just without
-them.  Every test here drives the real scheduler paths (retry/backoff,
-soft timeouts, worker-crash healing, degrade-mode backend fallback,
-per-point sweep survival) with a seeded :class:`ChaosSchedule` and
-asserts both the numbers (identical to a fault-free run) and the
-accounting (``result.faults`` explains every injected fault).
+The engine's headline invariant — seeded results bit-for-bit identical,
+local or service — must hold *under* injected faults, not just without
+them.  Every test here drives the local job loop's fault paths
+(retry/backoff, late results past a soft deadline, simulated worker
+crashes and quarantine, degrade-mode backend fallback, per-point sweep
+survival) with a seeded :class:`ChaosSchedule` and asserts both the
+numbers (identical to a fault-free run) and the accounting
+(``result.faults`` explains every injected fault).  Real worker deaths
+and redispatch are the service's, tested in ``tests/test_service.py``.
 """
 
 import multiprocessing
-import os
-import time
+import threading
 
 import pytest
 
@@ -25,25 +26,9 @@ from repro.core import (
     SuperSim,
     WorkerCrashError,
 )
+from repro.core import evaluator as evaluator_module
+from repro.errors import FaultReport
 from repro.testing import ChaosBackend, ChaosSchedule, InjectedFault
-
-#: CI's chaos leg sets REPRO_CHAOS_POOL=process to re-run this suite with
-#: process pools as the engine default, so real worker crashes and pool
-#: rebuilds are exercised on every commit; unset, tests run serially
-#: unless they pin a pool themselves.
-CHAOS_POOL = os.environ.get("REPRO_CHAOS_POOL")
-
-
-def execution(**kwargs) -> ExecutionConfig:
-    """An ExecutionConfig honouring the suite-wide pool override.
-
-    Tests that *depend* on a specific pool construct ExecutionConfig
-    directly instead.
-    """
-    if CHAOS_POOL and "pool" not in kwargs:
-        kwargs["pool"] = CHAOS_POOL
-        kwargs.setdefault("parallel", 2)
-    return ExecutionConfig(**kwargs)
 
 
 def rotated_chain(t: float, n: int = 8) -> Circuit:
@@ -64,14 +49,6 @@ def wide_chain(n: int) -> Circuit:
         circuit.append(gates.CX, q, q + 1)
     circuit.append(gates.XPow(0.25), n // 2)
     return circuit
-
-
-def assert_no_leaked_workers(grace: float = 10.0) -> None:
-    """Every worker process must exit shortly after its pool shut down."""
-    deadline = time.monotonic() + grace
-    while multiprocessing.active_children() and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert multiprocessing.active_children() == []
 
 
 class TestChaosSchedule:
@@ -126,7 +103,7 @@ class TestRetryDeterminism:
         chaos = ChaosSchedule(seed=5, exception_rate=1.0, fail_attempts=1)
         sim = SuperSim(
             sampling=SamplingConfig(shots=400, seed=11),
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="retry", chaos=chaos, retry_backoff=0.0
             ),
         )
@@ -136,7 +113,7 @@ class TestRetryDeterminism:
         assert result.faults.retries == result.cache_misses > 0
         assert result.faults.summary() == {"retry": result.cache_misses}
 
-    def test_serial_thread_process_bit_identical_under_faults(self):
+    def test_mixed_faults_leave_the_answer_bit_identical(self):
         clean = self._clean(shots=400, seed=11)
         chaos = ChaosSchedule(
             seed=5,
@@ -145,30 +122,16 @@ class TestRetryDeterminism:
             delay_seconds=0.02,
             fail_attempts=1,
         )
-        configs = [
-            ExecutionConfig(failure_policy="retry", chaos=chaos, retry_backoff=0.0),
-            ExecutionConfig(
-                failure_policy="retry",
-                chaos=chaos,
-                retry_backoff=0.0,
-                pool="thread",
-                parallel=4,
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=400, seed=11),
+            execution=ExecutionConfig(
+                failure_policy="retry", chaos=chaos, retry_backoff=0.0
             ),
-            ExecutionConfig(
-                failure_policy="retry",
-                chaos=chaos,
-                retry_backoff=0.0,
-                pool="process",
-                parallel=2,
-            ),
-        ]
-        for execution in configs:
-            sim = SuperSim(
-                sampling=SamplingConfig(shots=400, seed=11), execution=execution
-            )
-            result = sim.run(rotated_chain(0.3))
-            assert result.distribution.probs == clean.distribution.probs
-        assert_no_leaked_workers()
+        )
+        result = sim.run(rotated_chain(0.3))
+        assert result.distribution.probs == clean.distribution.probs
+        # a delay without a deadline is no fault; every raise is a retry
+        assert set(result.faults.summary()) <= {"retry"}
 
     def test_61q_recursive_run_identical_under_faults(self):
         # the paper-scale acceptance case: a 61-qubit recursive
@@ -180,7 +143,7 @@ class TestRetryDeterminism:
         chaos = ChaosSchedule(seed=7, exception_rate=1.0, fail_attempts=1)
         sim = SuperSim(
             reconstruction=rc,
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="retry", chaos=chaos, retry_backoff=0.0
             ),
         )
@@ -188,33 +151,9 @@ class TestRetryDeterminism:
         assert result.distribution.probs == clean.distribution.probs
         assert result.covered_probability == clean.covered_probability
         assert result.faults.retries == result.cache_misses > 0
-        assert_no_leaked_workers()
 
 
 class TestTimeouts:
-    def test_soft_timeout_retries_and_converges(self):
-        clean = SuperSim(sampling=SamplingConfig(shots=400, seed=11)).run(
-            rotated_chain(0.3)
-        )
-        # every job sleeps past the deadline once, then runs clean
-        chaos = ChaosSchedule(
-            seed=5, delay_rate=1.0, delay_seconds=0.5, fail_attempts=1
-        )
-        sim = SuperSim(
-            sampling=SamplingConfig(shots=400, seed=11),
-            execution=ExecutionConfig(
-                failure_policy="retry",
-                chaos=chaos,
-                retry_backoff=0.0,
-                job_timeout=0.1,
-                pool="thread",
-                parallel=4,
-            ),
-        )
-        result = sim.run(rotated_chain(0.3))
-        assert result.distribution.probs == clean.distribution.probs
-        assert result.faults.timeouts > 0
-
     def test_serial_records_accepted_late_results(self):
         chaos = ChaosSchedule(
             seed=5, delay_rate=1.0, delay_seconds=0.05, fail_attempts=1
@@ -234,48 +173,55 @@ class TestTimeouts:
         )
 
 
-class TestWorkerCrashes:
-    def test_process_pool_self_heals_after_real_crashes(self):
-        clean = SuperSim(sampling=SamplingConfig(shots=400, seed=11)).run(
-            rotated_chain(0.3)
+    def test_a_late_result_is_kept_under_the_raise_policy(self):
+        # a local run cannot cancel a job, so a missed deadline is never
+        # an error there: the result stands and the miss is on the ledger
+        sampling = SamplingConfig(shots=50, seed=3)
+        clean = SuperSim(sampling=sampling).run(rotated_chain(0.3))
+        chaos = ChaosSchedule(
+            seed=5, delay_rate=1.0, delay_seconds=0.05, fail_attempts=1
         )
-        # some workers die for real (os._exit) on their first attempt: three
-        # of the five jobs, the Clifford fragment's one among them
-        chaos = ChaosSchedule(seed=3, crash_rate=0.4, fail_attempts=1)
         sim = SuperSim(
-            sampling=SamplingConfig(shots=400, seed=11),
-            execution=ExecutionConfig(
-                failure_policy="retry",
-                chaos=chaos,
-                retry_backoff=0.0,
-                pool="process",
-                parallel=2,
-            ),
+            sampling=sampling,
+            execution=ExecutionConfig(chaos=chaos, job_timeout=0.01),
         )
         result = sim.run(rotated_chain(0.3))
         assert result.distribution.probs == clean.distribution.probs
-        assert result.faults.crashes > 0
-        assert result.faults.pool_rebuilds > 0
-        assert_no_leaked_workers()
+        assert result.faults.summary() == {"timeout": result.cache_misses}
 
-    def test_simulated_crashes_heal_on_thread_pools(self):
+    def test_a_late_result_is_cached(self):
+        chaos = ChaosSchedule(
+            seed=5, delay_rate=1.0, delay_seconds=0.05, fail_attempts=1
+        )
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=50, seed=3),
+            execution=ExecutionConfig(chaos=chaos, job_timeout=0.01),
+        )
+        first = sim.run(rotated_chain(0.3))
+        second = sim.run(rotated_chain(0.3))
+        assert first.faults.timeouts == first.cache_misses > 0
+        assert second.cache_hits == first.cache_misses
+        assert second.cache_misses == 0 and not second.faults
+        assert second.distribution.probs == first.distribution.probs
+
+
+class TestWorkerCrashes:
+    def test_simulated_crashes_are_rerun_to_the_same_answer(self):
         clean = SuperSim(sampling=SamplingConfig(shots=400, seed=11)).run(
             rotated_chain(0.3)
         )
+        # three of the five jobs crash on their first attempt, the
+        # Clifford fragment's one among them
         chaos = ChaosSchedule(seed=3, crash_rate=0.4, fail_attempts=1)
         sim = SuperSim(
             sampling=SamplingConfig(shots=400, seed=11),
             execution=ExecutionConfig(
-                failure_policy="retry",
-                chaos=chaos,
-                retry_backoff=0.0,
-                pool="thread",
-                parallel=4,
+                failure_policy="retry", chaos=chaos, retry_backoff=0.0
             ),
         )
         result = sim.run(rotated_chain(0.3))
         assert result.distribution.probs == clean.distribution.probs
-        assert result.faults.crashes > 0
+        assert result.faults.summary() == {"crash": 3}
 
     def test_poison_job_is_quarantined(self):
         # a job that crashes on *every* attempt is poison: after
@@ -297,13 +243,61 @@ class TestWorkerCrashes:
         assert excinfo.value.fragment_index is not None
         assert excinfo.value.backend is not None
 
+    def test_a_crash_fails_fast_under_the_raise_policy(self):
+        chaos = ChaosSchedule(seed=3, crash_rate=1.0, fail_attempts=1)
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=50, seed=3),
+            execution=ExecutionConfig(chaos=chaos),
+        )
+        with pytest.raises(WorkerCrashError, match="in flight") as excinfo:
+            sim.run(rotated_chain(0.3))
+        assert excinfo.value.fragment_index is not None
+        assert excinfo.value.attempts == 1
+
+    def test_a_quarantined_job_falls_back_under_degrade(self):
+        from repro.backends import BackendRouter, get_backend
+
+        # an mps backend that crashes its worker on every call: each job
+        # is quarantined after its second crash and moves to statevector
+        crashing_mps = ChaosBackend(
+            get_backend("mps"),
+            ChaosSchedule(seed=1, crash_rate=1.0, fail_attempts=10**9),
+        )
+        router = BackendRouter([crashing_mps, get_backend("statevector")])
+        sampling = SamplingConfig(shots=400, seed=11)
+        clean = SuperSim(
+            sampling=sampling, execution=ExecutionConfig(backend="statevector")
+        ).run(rotated_chain(0.3))
+        sim = SuperSim(
+            sampling=sampling,
+            execution=ExecutionConfig(
+                failure_policy="degrade",
+                backend=crashing_mps,
+                router=router,
+                max_job_crashes=1,
+                retry_backoff=0.0,
+            ),
+        )
+        result = sim.run(rotated_chain(0.3))
+        assert result.distribution.probs == clean.distribution.probs
+        jobs = result.cache_misses
+        assert result.faults.summary() == {
+            "crash": 2 * jobs,
+            "quarantine": jobs,
+            "fallback": jobs,
+        }
+        assert all(
+            "mps -> statevector after 2 worker crashes" in e.detail
+            for e in result.faults.of_kind("fallback")
+        )
+
 
 class TestRaisePolicy:
     def test_fail_fast_with_job_context(self):
         chaos = ChaosSchedule(seed=5, exception_rate=1.0)
         sim = SuperSim(
             sampling=SamplingConfig(shots=50, seed=3),
-            execution=execution(chaos=chaos),  # failure_policy="raise"
+            execution=ExecutionConfig(chaos=chaos),  # failure_policy="raise"
         )
         with pytest.raises(BackendExecutionError) as excinfo:
             sim.run(rotated_chain(0.3))
@@ -335,7 +329,7 @@ class TestDegrade:
         ).run(rotated_chain(0.3))
         sim = SuperSim(
             sampling=SamplingConfig(shots=400, seed=11),
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="degrade",
                 backend=dead_mps,
                 router=router,
@@ -374,7 +368,7 @@ class TestDegrade:
 
         monkeypatch.setattr(evaluator_module, "variant_circuit", counting)
         sim = SuperSim(
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="degrade",
                 router=router,
                 max_retries=1,
@@ -393,9 +387,8 @@ class TestDegrade:
         assert "stabilizer -> statevector" in fallback.detail
         # routed: the fragment job, and the four variants of the T fragment
         assert result.backend_usage == {"stabilizer": 1, "statevector": 4}
-        if CHAOS_POOL != "process":  # a worker process spells them out
-            # never spelled out to key the job, then one by one by the fallback
-            assert spelled_out.count(clifford) == variants
+        # never spelled out to key the job, then one by one by the fallback
+        assert spelled_out.count(clifford) == variants
         assert result.faults.retries == 1
 
     def test_fallen_back_clifford_data_conditions_variant_by_variant(self, monkeypatch):
@@ -437,7 +430,7 @@ class TestDegrade:
         clean = SuperSim(reconstruction=recursive)
         degraded = SuperSim(
             reconstruction=recursive,
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="degrade",
                 router=router,
                 max_retries=1,
@@ -470,7 +463,7 @@ class TestDegrade:
         router = BackendRouter([dead_mps, get_backend("statevector")])
         sim = SuperSim(
             sampling=SamplingConfig(shots=400, seed=11),
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="degrade",
                 backend=dead_mps,
                 router=router,
@@ -497,7 +490,7 @@ class TestDegrade:
         router = BackendRouter([dead_mps])
         sim = SuperSim(
             sampling=SamplingConfig(shots=50, seed=3),
-            execution=execution(
+            execution=ExecutionConfig(
                 failure_policy="degrade",
                 backend=dead_mps,
                 router=router,
@@ -507,6 +500,107 @@ class TestDegrade:
         )
         with pytest.raises(BackendExecutionError):
             sim.run(rotated_chain(0.3))
+
+
+class TestLocalJobLoop:
+    """The one local runner, ``FragmentEvaluator._run_jobs``: each job
+    inline, in batch order, until its lifecycle settles it."""
+
+    def _recording(self, monkeypatch):
+        executed = []
+        execute = evaluator_module._execute_job
+
+        def recording(job):
+            executed.append(job.key)
+            return execute(job)
+
+        monkeypatch.setattr(evaluator_module, "_execute_job", recording)
+        return executed
+
+    def _sleeps(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(evaluator_module.time, "sleep", sleeps.append)
+        return sleeps
+
+    def test_a_clean_batch_runs_each_job_once_in_order(self, monkeypatch):
+        executed = self._recording(monkeypatch)
+        evaluator = evaluator_module.FragmentEvaluator(SamplingConfig(shots=50, seed=3))
+        fragments = SuperSim().plan(rotated_chain(0.3)).cut_circuit.fragments
+        _, jobs = evaluator._build_jobs(fragments, 0)
+        evaluator.evaluate_all(fragments)
+        assert len(executed) == len(jobs) > 1
+        assert len(set(executed)) == len(executed)
+        # batch order: the order of the fragments, then of their variants
+        # (a job's fingerprint, unlike its seed, is the same at any root)
+        assert [key[0] for key in executed] == [key[0] for key in jobs]
+
+    def test_backoffs_are_slept_as_the_policy_says(self, monkeypatch):
+        sleeps = self._sleeps(monkeypatch)
+        chaos = ChaosSchedule(seed=5, exception_rate=1.0, fail_attempts=2)
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=50, seed=3),
+            execution=ExecutionConfig(
+                failure_policy="retry",
+                chaos=chaos,
+                retry_backoff=0.25,
+                retry_backoff_cap=0.375,
+            ),
+        )
+        result = sim.run(rotated_chain(0.3))
+        # every job fails twice, then runs clean: base, then 2x capped
+        assert sleeps == [0.25, 0.375] * result.cache_misses
+        assert result.faults.retries == 2 * result.cache_misses
+
+    def test_a_zero_backoff_never_sleeps(self, monkeypatch):
+        sleeps = self._sleeps(monkeypatch)
+        chaos = ChaosSchedule(seed=5, exception_rate=1.0, fail_attempts=3)
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=50, seed=3),
+            execution=ExecutionConfig(
+                failure_policy="retry", chaos=chaos, retry_backoff=0.0
+            ),
+        )
+        result = sim.run(rotated_chain(0.3))
+        assert result.faults.retries == 3 * result.cache_misses > 0
+        assert sleeps == []
+
+    def test_a_local_run_starts_no_thread_or_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the local job loop started a worker")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        chaos = ChaosSchedule(seed=3, crash_rate=0.4, exception_rate=0.3)
+        sim = SuperSim(
+            sampling=SamplingConfig(shots=200, seed=11),
+            execution=ExecutionConfig(
+                failure_policy="retry", chaos=chaos, retry_backoff=0.0
+            ),
+        )
+        result = sim.run(rotated_chain(0.3))
+        assert result.faults.crashes and result.faults.retries
+        list(sim.sweep(rotated_chain, [0.1, 0.2]))
+
+    def test_a_job_runner_replaces_the_local_loop(self, monkeypatch):
+        executed = self._recording(monkeypatch)
+        evaluator = evaluator_module.FragmentEvaluator(SamplingConfig(shots=50, seed=3))
+        fragments = SuperSim().plan(rotated_chain(0.3)).cut_circuit.fragments
+        handed = []
+
+        def runner(jobs, faults):
+            assert faults is evaluator.faults
+            handed.extend(jobs)
+            return {job.key: evaluator_module._execute_job(job) for job in jobs}
+
+        data = evaluator.evaluate_all(fragments, job_runner=runner)
+        assert len(data) == len(fragments)
+        # the runner ran every job; the local loop ran none of its own
+        assert len(executed) == len(handed) == evaluator.last_stats["cache_misses"]
+
+    def test_the_fault_ledger_knows_no_pool(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultReport().record("pool_rebuild")
+        assert not hasattr(FaultReport(), "pool_rebuilds")
 
 
 class TestSweepSurvival:
@@ -519,7 +613,7 @@ class TestSweepSurvival:
         chaotic = list(
             SuperSim(
                 sampling=sampling,
-                execution=execution(
+                execution=ExecutionConfig(
                     failure_policy="retry", chaos=chaos, retry_backoff=0.0
                 ),
             ).sweep(rotated_chain, self.GRID)
@@ -538,7 +632,7 @@ class TestSweepSurvival:
 
         sim = SuperSim(
             sampling=SamplingConfig(shots=100, seed=3),
-            execution=execution(failure_policy="retry"),
+            execution=ExecutionConfig(failure_policy="retry"),
         )
         points = list(sim.sweep(factory, [0.1, 0.2, 0.3]))
         assert [p.ok for p in points] == [True, False, True]
@@ -580,7 +674,7 @@ class TestSweepSurvival:
         circuits = [rotated_chain(0.1), "not a circuit", rotated_chain(0.3)]
         sim = SuperSim(
             sampling=SamplingConfig(shots=100, seed=3),
-            execution=execution(failure_policy="retry"),
+            execution=ExecutionConfig(failure_policy="retry"),
         )
         with pytest.warns(RuntimeWarning, match="run_many circuit 1"):
             results = list(sim.run_many(circuits))

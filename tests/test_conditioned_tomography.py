@@ -554,38 +554,3 @@ def test_level_builder_equals_the_dense_top_window(case):
         ]
         assert isinstance(top[late], np.ndarray)
         assert top[late].shape[-1] == 2
-
-
-# -- one answer under every pool ----------------------------------------------
-
-
-def _pool_results(circuit, sampling, reconstruction):
-    results = []
-    for parallel, pool in ((1, "thread"), (2, "thread"), (2, "process")):
-        sim = SuperSim(
-            sampling=sampling,
-            reconstruction=reconstruction,
-            execution=ExecutionConfig(parallel=parallel, pool=pool),
-        )
-        results.append(sim.run(circuit))
-        sim.close()
-    return results
-
-
-@pytest.mark.parametrize(
-    "sampling",
-    [SamplingConfig(), SamplingConfig(shots=2000, seed=5)],
-    ids=["exact", "sampled"],
-)
-def test_61q_recursive_is_bit_identical_under_every_pool(sampling):
-    reconstruction = ReconstructionConfig(qubit_limit=12, top_k=8)
-    serial, threads, processes = _pool_results(_wide61(), sampling, reconstruction)
-    assert serial.reconstruction_mode == "recursive"
-    for other in (threads, processes):
-        assert np.array_equal(
-            serial.raw_distribution.keys_array, other.raw_distribution.keys_array
-        )
-        assert np.array_equal(
-            serial.raw_distribution.values_array, other.raw_distribution.values_array
-        )
-        assert serial.covered_probability == other.covered_probability

@@ -51,12 +51,17 @@ class TestConfigObjects:
             SamplingConfig(shots=0)
         with pytest.raises(ValueError):
             SamplingConfig(noise=object())  # noise needs finite shots
-        with pytest.raises(ValueError):
-            ExecutionConfig(pool="fibers")
-        with pytest.raises(ValueError):
-            ExecutionConfig(parallel=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            ExecutionConfig(max_retries=-1)
         with pytest.raises(ValueError):
             CutConfig(max_cuts=-1)
+
+    def test_no_setting_selects_a_local_pool(self):
+        # one local execution path: parallel runs go through the service
+        names = {field.name for field in dataclasses.fields(ExecutionConfig)}
+        assert not names & {"pool", "parallel", "workers", "executor"}
+        with pytest.raises(TypeError):
+            ExecutionConfig(parallel=2)
 
     def test_supersim_rejects_non_config_arguments(self):
         # a stale positional call (the pre-pipeline signature was
@@ -86,7 +91,7 @@ class TestEvaluatorReadsConfigs:
         fragments = fragments_of(near_clifford(23))
         sampling = SamplingConfig(shots=64, seed=0)
         execution = ExecutionConfig(
-            parallel=2, failure_policy="retry", max_retries=5, retry_backoff=0.0
+            failure_policy="retry", max_retries=5, retry_backoff=0.0
         )
         evaluator = FragmentEvaluator(sampling, execution)
         assert evaluator.sampling is sampling and evaluator.execution is execution
@@ -96,7 +101,25 @@ class TestEvaluatorReadsConfigs:
         assert FragmentEvaluator(execution=ExecutionConfig(cache=False)).cache is None
         data = evaluator.evaluate_all(fragments)
         assert len(data) == len(fragments)
-        assert evaluator.last_stats["workers"] == 2
+        assert evaluator.last_stats["unique_jobs"] == evaluator.last_stats[
+            "cache_misses"
+        ] > 1
+
+    def test_last_stats_count_jobs_not_workers(self):
+        evaluator = FragmentEvaluator(SamplingConfig(shots=64, seed=0))
+        evaluator.evaluate_all(fragments_of(near_clifford(23)))
+        assert set(evaluator.last_stats) == {
+            "jobs", "unique_jobs", "cache_hits", "cache_misses", "backends", "faults"
+        }
+
+    def test_backends_declare_no_executor(self):
+        from repro.backends import available_backends, get_backend
+        from repro.backends.base import Capabilities
+
+        for name in available_backends():
+            assert not hasattr(get_backend(name).capabilities, "pool")
+        with pytest.raises(TypeError):
+            Capabilities(pool="process")
 
     def test_from_configs_is_the_constructor(self):
         cache = VariantCache()
@@ -105,9 +128,9 @@ class TestEvaluatorReadsConfigs:
         assert isinstance(evaluator, FragmentEvaluator)
         assert evaluator.cache is cache and evaluator.sampling is sampling
 
-    def test_the_constructor_takes_two_configs_and_three_objects(self):
+    def test_the_constructor_takes_two_configs_and_two_objects(self):
         params = list(inspect.signature(FragmentEvaluator).parameters)
-        assert params == ["sampling", "execution", "cache", "assignments", "executor"]
+        assert params == ["sampling", "execution", "cache", "assignments"]
         with pytest.raises(TypeError):
             FragmentEvaluator(shots=100)  # the flat-keyword constructor is gone
 
@@ -181,7 +204,7 @@ class TestConfigThreading:
         sim = SuperSim(
             cut=CutConfig(strategy=CutStrategy.GREEDY_MERGE),
             sampling=SamplingConfig(),
-            execution=ExecutionConfig(parallel=2, pool="thread"),
+            execution=ExecutionConfig(failure_policy="retry"),
         )
         assert hellinger_fidelity(expected, sim.run(c).distribution) > 1 - 1e-9
 

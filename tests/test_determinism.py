@@ -2,14 +2,15 @@
 
 Per-variant seeds are derived from the evaluator's root seed and the
 variant circuit's content fingerprint — never from submission order — so
-the guarantee must hold at any parallelism and with the cache on or off.
+the guarantee must hold whatever order the jobs run in (a service fleet
+finishes them in any order) and with the cache on or off.
 """
 
 import numpy as np
-import pytest
 
 from repro.circuits import inject_t_gates, random_clifford_circuit
 from repro.core import ExecutionConfig, SamplingConfig, SuperSim
+from repro.core.evaluator import _execute_job
 from repro.stabilizer import NoiseModel, PauliChannel
 
 
@@ -18,6 +19,20 @@ def sim(shots=None, seed=None, noise=None, **execution):
         sampling=SamplingConfig(shots=shots, seed=seed, noise=noise),
         execution=ExecutionConfig(**execution),
     )
+
+
+def reversed_order(engine: SuperSim) -> SuperSim:
+    """The engine with its jobs run last to first, through the
+    ``job_runner`` hook the service dispatches by."""
+    order = []
+
+    def runner(jobs, faults):
+        order.extend(job.key for job in jobs)
+        return {job.key: _execute_job(job) for job in reversed(jobs)}
+
+    engine._job_runner = runner
+    engine.job_order = order
+    return engine
 
 
 def workload(seed=0):
@@ -31,24 +46,35 @@ def assert_identical(a, b):
 
 
 class TestSampledDeterminism:
-    @pytest.mark.parametrize("parallel", [1, 4])
-    def test_two_runs_identical(self, parallel):
+    def test_two_runs_identical(self):
         circuit = workload()
-        first = sim(shots=400, seed=7, parallel=parallel).run(circuit)
-        second = sim(shots=400, seed=7, parallel=parallel).run(circuit)
+        first = sim(shots=400, seed=7).run(circuit)
+        second = sim(shots=400, seed=7).run(circuit)
         assert_identical(first.distribution, second.distribution)
 
-    def test_parallelism_does_not_change_the_answer(self):
+    def test_job_order_does_not_change_the_answer(self):
         circuit = workload(1)
-        serial = sim(shots=400, seed=7, parallel=1).run(circuit)
-        threaded = sim(shots=400, seed=7, parallel=4).run(circuit)
-        assert_identical(serial.distribution, threaded.distribution)
+        in_order = sim(shots=400, seed=7).run(circuit)
+        engine = reversed_order(sim(shots=400, seed=7))
+        backwards = engine.run(circuit)
+        assert len(engine.job_order) > 1
+        assert_identical(in_order.distribution, backwards.distribution)
 
-    def test_process_pool_matches_thread_pool(self):
-        circuit = workload(1)
-        threads = sim(shots=200, seed=7, parallel=2, pool="thread").run(circuit)
-        processes = sim(shots=200, seed=7, parallel=2, pool="process").run(circuit)
-        assert_identical(threads.distribution, processes.distribution)
+    def test_a_python_bound_backend_is_job_order_invariant(self):
+        # mps draws its shots in interpreter loops; its seeds are the
+        # fingerprint-derived ones all the same
+        from repro.circuits import Circuit, gates
+
+        circuit = Circuit(5).append(gates.H, 0)
+        for q in range(4):
+            circuit.append(gates.CX, q, q + 1)
+        circuit.append(gates.T, 2)
+        circuit.measure_all()
+        in_order = sim(shots=300, seed=11, backend="mps").run(circuit)
+        engine = reversed_order(sim(shots=300, seed=11, backend="mps"))
+        backwards = engine.run(circuit)
+        assert in_order.backend_usage == {"mps": len(engine.job_order)}
+        assert_identical(in_order.distribution, backwards.distribution)
 
     def test_cache_does_not_change_the_answer(self):
         circuit = workload(2)
@@ -64,12 +90,11 @@ class TestSampledDeterminism:
 
 
 class TestExactDeterminism:
-    def test_exact_mode_is_parallel_invariant(self):
+    def test_exact_mode_is_job_order_invariant(self):
         circuit = workload(4)
-        serial = sim(parallel=1).run(circuit)
-        threaded = sim(parallel=4).run(circuit)
-        for outcome, p in serial.distribution:
-            assert np.isclose(p, threaded.distribution[outcome], atol=1e-12)
+        in_order = sim().run(circuit)
+        backwards = reversed_order(sim()).run(circuit)
+        assert_identical(in_order.distribution, backwards.distribution)
 
 
 class TestNoisyDeterminism:
@@ -79,3 +104,13 @@ class TestNoisyDeterminism:
         first = sim(shots=300, seed=7, noise=noise).run(circuit)
         second = sim(shots=300, seed=7, noise=noise).run(circuit)
         assert_identical(first.distribution, second.distribution)
+
+    def test_noisy_runs_are_job_order_invariant(self):
+        # cut: Pauli-frame sampled Clifford variants beside sampled T ones
+        circuit = workload(5)
+        noise = NoiseModel(after_gate_1q=PauliChannel.depolarizing(0.01))
+        in_order = sim(shots=300, seed=7, noise=noise).run(circuit)
+        engine = reversed_order(sim(shots=300, seed=7, noise=noise))
+        backwards = engine.run(circuit)
+        assert len(engine.job_order) > 1
+        assert_identical(in_order.distribution, backwards.distribution)

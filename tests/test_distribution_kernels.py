@@ -5,7 +5,7 @@ property tests pin every hot kernel — ``marginal``,
 ``single_bit_marginals``, ``sample``, ``hellinger_fidelity`` — to a
 straightforward dict-based reference (the pre-refactor implementation) on
 random sparse distributions up to 128 bits, plus regression tests for the
-sampling hot loop and determinism of the process-pool default.
+sampling hot loop.
 """
 
 import math
@@ -236,39 +236,3 @@ class TestSamplingHotLoop:
         assert elapsed < 2.0
         dist = sim.sample(c, 4000, rng=2)
         assert set(dist.probs) == {0, 2**n - 1}
-
-
-class TestProcessPoolDefaultDeterminism:
-    """The process-pool default must reproduce serial/thread results exactly."""
-
-    def _run(self, **execution):
-        from repro.circuits import Circuit, gates
-        from repro.core import ExecutionConfig, SamplingConfig, SuperSim
-
-        c = Circuit(5).append(gates.H, 0)
-        for q in range(4):
-            c.append(gates.CX, q, q + 1)
-        c.append(gates.T, 2)
-        c.measure_all()
-        sim = SuperSim(
-            sampling=SamplingConfig(shots=300, seed=11),
-            execution=ExecutionConfig(backend="mps", **execution),
-        )
-        return sim.run(c).distribution
-
-    def test_auto_pool_matches_serial_and_threads(self):
-        auto = self._run()  # pool=None: mps resolves to the process default
-        serial = self._run(pool="thread", parallel=1)
-        threads = self._run(pool="thread", parallel=3)
-        processes = self._run(pool="process", parallel=2)
-        assert auto.probs == serial.probs
-        assert auto.probs == threads.probs
-        assert auto.probs == processes.probs
-
-    def test_python_bound_backends_resolve_to_process_pool(self):
-        from repro.backends import get_backend
-
-        for name in ("chform", "mps", "extended_stabilizer"):
-            assert get_backend(name).capabilities.pool == "process"
-        for name in ("stabilizer", "statevector"):
-            assert get_backend(name).capabilities.pool == "thread"

@@ -30,7 +30,6 @@ from repro.backends.cache import circuit_fingerprint
 from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.circuits.circuit import Operation
 from repro.core import (
-    ExecutionConfig,
     ReconstructionConfig,
     ReconstructionMemoryError,
     SamplingConfig,
@@ -407,7 +406,7 @@ class TestPickling:
         assert same_map(pickle.loads(pickle.dumps(expected)), expected)
 
     def test_a_pickled_fragment_job_still_walks_its_body_once(self, monkeypatch):
-        """What a process pool or a service worker receives: the fragment
+        """What a service worker receives: the fragment
         job, pickled.  It compiles and walks the body once (the per-variant
         jobs it replaces did so 12 times), and its map's tensors are the
         spelled-out oracle's, byte for byte."""
@@ -526,7 +525,7 @@ class TestMapTwin:
         assert_map_equals_the_per_variant_route(fragment, seed)
 
 
-# -- thread pools share the body ---------------------------------------------------------
+# -- threads share the body (as a service worker's slots do) -----------------------------
 
 
 def test_threads_sharing_one_body_agree_with_serial_results():
@@ -674,20 +673,13 @@ class TestBuildWindowTensors:
             build_window_tensors(data, [wide], max_dense_bits=21)
 
 
-# -- end to end: seeded marginals at any parallelism ---------------------------------------
+# -- end to end: the shared body against the per-variant route ------------------------------
 
 
 @pytest.fixture(scope="module")
 def hwea30():
     rng = np.random.default_rng(4)
     return HWEA(30, 3).near_clifford_instance(num_t=1, rng=rng).measure_all()
-
-
-POOLS = (
-    ExecutionConfig(parallel=1),
-    ExecutionConfig(parallel=3, pool="thread"),
-    ExecutionConfig(parallel=2, pool="process"),
-)
 
 
 def defeat_sharing(monkeypatch):
@@ -708,20 +700,20 @@ def defeat_sharing(monkeypatch):
     monkeypatch.setattr(StabilizerSimulator, "pauli_map", per_variant)
 
 
-def test_seeded_marginals_identical_across_pools(hwea30, monkeypatch):
+def test_seeded_marginals_identical_without_sharing(hwea30, monkeypatch):
     sampling = SamplingConfig(shots=600, seed=11)
     windows = [[3], [3, 17], [29], [17]]
 
-    def run(execution):
-        with SuperSim(sampling=sampling, execution=execution) as sim:
-            singles = sim.single_qubit_marginals(hwea30)
-            joint = sim.marginal_probabilities(hwea30, windows)
+    def run():
+        sim = SuperSim(sampling=sampling)
+        singles = sim.single_qubit_marginals(hwea30)
+        joint = sim.marginal_probabilities(hwea30, windows)
         return singles, joint
 
-    runs = [run(execution) for execution in POOLS]
+    runs = [run()]
     with monkeypatch.context() as patch:
         defeat_sharing(patch)
-        runs.append(run(POOLS[0]))
+        runs.append(run())
     base_singles, base_joint = runs[0]
     assert np.allclose(base_singles.sum(axis=1), 1.0)
     for singles, joint in runs[1:]:
@@ -734,7 +726,7 @@ def test_seeded_marginals_identical_across_pools(hwea30, monkeypatch):
     assert base_joint[3][1] == base_singles[17, 1]
 
 
-def test_exact_recursive_runs_identical_across_pools_and_without_sharing(monkeypatch):
+def test_exact_recursive_runs_identical_without_sharing(monkeypatch):
     """The ledger's wide-chain shape at 31q: one Clifford fragment with
     qi = qo = 2, 144 variants, every one read off the body's one map."""
     n = 31
@@ -748,14 +740,13 @@ def test_exact_recursive_runs_identical_across_pools_and_without_sharing(monkeyp
     circuit.measure_all()
     reconstruction = ReconstructionConfig(qubit_limit=8, top_k=16)
 
-    def run(execution):
-        with SuperSim(reconstruction=reconstruction, execution=execution) as sim:
-            return sim.run(circuit)
+    def run():
+        return SuperSim(reconstruction=reconstruction).run(circuit)
 
-    results = [run(execution) for execution in POOLS]
+    results = [run()]
     with monkeypatch.context() as patch:
         defeat_sharing(patch)
-        results.append(run(POOLS[0]))
+        results.append(run())
     base = results[0]
     assert base.stats.mode == "recursive"
     assert max(f.num_variants for f in base.cut_circuit.fragments) == 144

@@ -272,17 +272,6 @@ class TestSweep:
             )
             assert point.distribution.probs == independent.distribution.probs
 
-    def test_sweep_parallel_matches_serial(self):
-        parallel = SuperSim(
-            sampling=SamplingConfig(shots=200, seed=3),
-            execution=ExecutionConfig(parallel=4),
-        )
-        serial = SuperSim(sampling=SamplingConfig(shots=200, seed=3))
-        swept_parallel = list(parallel.sweep(rotated_chain, self.GRID[:4]))
-        swept_serial = list(serial.sweep(rotated_chain, self.GRID[:4]))
-        for a, b in zip(swept_parallel, swept_serial):
-            assert a.distribution.probs == b.distribution.probs
-
     def test_sweep_dict_and_tuple_params(self):
         def factory(theta, n):
             return rotated_chain(theta, n=n)
