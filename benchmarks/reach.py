@@ -6,13 +6,14 @@ real traffic, or ``benchmarks/reach_allow.txt`` says why not.
 The traffic is what the product is for: every ``examples/*.py``, the
 performance ledger at smoke scale (``benchmarks/ledger --smoke``, whose
 workload subprocesses and service workers are traced too) and the figure
-and ablation benchmarks (``pytest benchmarks``).  Each runs in its own
-process with a generated ``sitecustomize.py`` first on ``PYTHONPATH``; the
-hook (``sys.setprofile`` and ``threading.setprofile``) appends every newly
-entered code object under ``src/repro`` to a per-process file as it goes,
-so a worker that ends in ``os._exit`` or SIGKILL still counts.  Nothing
-under ``src/`` is hooked or changed.  ``PYTHONHASHSEED`` is pinned, so a
-run enters what the last one entered unless timing moved a fault path.
+and ablation benchmarks (``pytest benchmarks --benchmark-disable``, one
+untimed call per case).  Each runs in its own process with a generated
+``sitecustomize.py`` first on ``PYTHONPATH``; the hook (``sys.setprofile``
+and ``threading.setprofile``) appends every newly entered code object
+under ``src/repro`` to a per-process file as it goes, so a worker that
+ends in ``os._exit`` or SIGKILL still counts.  Nothing under ``src/`` is
+hooked or changed.  ``PYTHONHASHSEED`` is pinned, so a run enters what
+the last one entered unless timing moved a fault path.
 
 The report lists every top-level function and method (a ``def`` in a
 module body or directly in a module-level class) that nothing entered,
@@ -80,27 +81,6 @@ def _profile(frame, event, arg):
 sys.setprofile(_profile)
 threading.setprofile(_profile)
 '''
-
-#: a pytest plugin: pytest-benchmark pauses profilers around the timed call,
-#: which is the very call the figure benchmarks make
-UNPAUSE = '''\
-import pytest_benchmark.fixture
-
-
-class _KeepProfiling:
-    def __init__(self, *args, **kwargs):
-        pass
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, *exc):
-        pass
-
-
-pytest_benchmark.fixture.PauseInstrumentation = _KeepProfiling
-'''
-
 
 @dataclass(frozen=True)
 class Function:
@@ -241,11 +221,11 @@ def _traffic(ledger_out: Path) -> list[list[str]]:
     examples = sorted(str(path.relative_to(ROOT)) for path in (ROOT / "examples").glob("*.py"))
     return [[sys.executable, example] for example in examples] + [
         [sys.executable, "benchmarks/ledger", "--smoke", "--out", str(ledger_out)],
-        # the ledger's own smoke test would repeat the run above; each
-        # figure case reads its own timing, so pytest-benchmark stays on,
-        # with its profiler pause lifted
+        # the ledger's own smoke test would repeat the run above; with
+        # timing disabled each figure case runs once, and pytest-benchmark
+        # leaves the profiler alone
         [sys.executable, "-m", "pytest", "benchmarks", "-q", "-p", "no:cacheprovider",
-         "-p", "reach_unpause", "--ignore=benchmarks/ledger"],
+         "--benchmark-disable", "--ignore=benchmarks/ledger"],
     ]
 
 
@@ -256,7 +236,6 @@ def main() -> int:
         (hook_dir / "sitecustomize.py").write_text(
             HOOK.format(prefix=os.path.join(os.path.realpath(SRC / "repro"), ""))
         )
-        (hook_dir / "reach_unpause.py").write_text(UNPAUSE)
         # a fixed string hash makes the dict collisions, and so the
         # ``__eq__`` calls they cost, the same on every run
         env = dict(os.environ, PYTHONHASHSEED="0")

@@ -17,11 +17,15 @@ into one ``uint64`` key per entry; wider outcomes use the chunked-key
 scheme of :func:`pack_bit_rows_chunked` (62 bits per ``uint64`` column,
 most-significant chunk first).  The mapping-like surface (``probs``,
 ``__getitem__``, iteration over ``(outcome, p)`` pairs) is preserved on
-top of the arrays.
+top of the arrays.  Keys are never written after construction: a
+distribution supported on every outcome of its width holds the one
+read-only :func:`full_keys` array of that width, shared, and only its
+values are its own.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -140,6 +144,17 @@ def enumerated_bit_rows(n: int) -> np.ndarray:
     index = np.arange(2**n, dtype=np.uint64)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     return ((index[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
+
+
+@functools.lru_cache(maxsize=8)
+def full_keys(n_bits: int) -> np.ndarray:
+    """Every ``n_bits``-bit key in ascending order: one read-only array
+    that every distribution supported on all of them shares (only their
+    values differ), so a full ``2^n``-entry window holds half the bytes.
+    The last few widths asked for stay cached."""
+    keys = np.arange(2**n_bits, dtype=np.uint64)
+    keys.flags.writeable = False
+    return keys
 
 
 def pack_bit_cols(bits_t: np.ndarray) -> np.ndarray:
@@ -396,13 +411,21 @@ class Distribution:
         if 2**n_bits != size:
             raise ValueError("array length must be a power of 2")
         nz = np.flatnonzero(probabilities)
-        return cls.from_arrays(
-            n_bits, nz.astype(np.uint64), probabilities[nz], assume_sorted=True
-        )
+        keys = full_keys(n_bits) if len(nz) == size else nz.astype(np.uint64)
+        return cls.from_arrays(n_bits, keys, probabilities[nz], assume_sorted=True)
 
     @classmethod
     def point(cls, n_bits: int, outcome: int) -> "Distribution":
         return cls(n_bits, {outcome: 1.0})
+
+    def __getstate__(self):
+        # protocol 5 carries an array's read-only flag to the receiver: the
+        # shared full key range travels as a writeable array of its own
+        return self.n_bits, np.require(self._keys, requirements="W"), self._vals
+
+    def __setstate__(self, state) -> None:
+        self.n_bits, self._keys, self._vals = state
+        self._dict = None
 
     # -- array views ----------------------------------------------------------
 
@@ -495,6 +518,8 @@ class Distribution:
     def clipped(self) -> "Distribution":
         """Drop negative quasi-probabilities (reconstruction noise) and renormalise."""
         positive = self._vals > 0
+        if positive.all():
+            return self.normalized()
         return Distribution.from_arrays(
             self.n_bits, self._keys[positive], self._vals[positive],
             assume_sorted=True,

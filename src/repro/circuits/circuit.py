@@ -33,12 +33,13 @@ class Operation:
     __slots__ = ("gate", "qubits")
 
     def __init__(self, gate: Gate, qubits: Sequence[int]):
-        qubits = tuple(int(q) for q in qubits)
-        if len(qubits) != gate.num_qubits:
+        qubits = tuple(map(int, qubits))
+        n = len(qubits)
+        if n != gate.num_qubits:
             raise ValueError(
                 f"{gate!r} acts on {gate.num_qubits} qubits, got {qubits}"
             )
-        if len(set(qubits)) != len(qubits):
+        if (qubits[0] == qubits[1]) if n == 2 else (n > 2 and len(set(qubits)) != n):
             raise ValueError(f"repeated qubit in {qubits}")
         self.gate = gate
         self.qubits = qubits
@@ -73,7 +74,8 @@ class Circuit:
             self.ops.append(op)
 
     def _check(self, op: Operation) -> None:
-        if any(q < 0 or q >= self.n_qubits for q in op.qubits):
+        qubits = op.qubits
+        if qubits and (min(qubits) < 0 or max(qubits) >= self.n_qubits):
             raise ValueError(
                 f"operation {op!r} out of range for {self.n_qubits} qubits"
             )

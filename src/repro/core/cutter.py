@@ -2,7 +2,13 @@
 
 ``find_cuts`` parses a near-Clifford circuit and places cuts that isolate
 its non-Clifford operations from the Clifford bulk; ``cut_circuit`` splits a
-circuit along a given cut set into :class:`Fragment` objects.
+circuit along a given cut set into :class:`Fragment` objects.  Both read
+the circuit in one walk of its ops: ``find_cuts`` lists each wire's ops as
+Clifford / non-Clifford flags and cuts wherever the flag changes, and
+``cut_circuit`` gives every (op, wire) its segment id as it walks — each
+wire keeps its running op position and a pointer into its sorted cut
+positions — then joins segments by union-find over those integer ids and
+places each op by the ids it stored.
 
 The default ``ISOLATE`` strategy cuts every wire of a non-Clifford operation
 immediately before and after it, except where the wire starts or ends the
@@ -21,7 +27,6 @@ fragment can beat a minimal one).
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
 
 from repro.circuits.circuit import Circuit
 from repro.core.fragments import Cut, CutCircuit, Fragment
@@ -32,27 +37,6 @@ class CutStrategy(enum.Enum):
     ISOLATE = "isolate"
     #: isolate, then drop cuts that merely separate small Clifford tails
     GREEDY_MERGE = "greedy_merge"
-
-
-def _wire_positions(circuit: Circuit) -> list[list[int]]:
-    """Per-op, per-wire position of each op among the ops on that qubit."""
-    counters: dict[int, int] = defaultdict(int)
-    positions: list[list[int]] = []
-    for op in circuit.ops:
-        row = []
-        for q in op.qubits:
-            row.append(counters[q])
-            counters[q] += 1
-        positions.append(row)
-    return positions
-
-
-def _ops_per_qubit(circuit: Circuit) -> dict[int, int]:
-    counts: dict[int, int] = defaultdict(int)
-    for op in circuit.ops:
-        for q in op.qubits:
-            counts[q] += 1
-    return counts
 
 
 def find_cuts(
@@ -66,30 +50,21 @@ def find_cuts(
     strategy = getattr(strategy, "strategy", strategy)
     if isinstance(strategy, str):
         strategy = CutStrategy(strategy)
-    positions = _wire_positions(circuit)
-    totals = _ops_per_qubit(circuit)
-    non_clifford = [not op.gate.is_clifford for op in circuit.ops]
-
-    # classify each wire position as belonging to a Clifford or non-Clifford op
-    wire_is_ncl: dict[tuple[int, int], bool] = {}
-    for i, op in enumerate(circuit.ops):
-        for w, q in enumerate(op.qubits):
-            wire_is_ncl[(q, positions[i][w])] = non_clifford[i]
-
-    cuts: set[Cut] = set()
-    for i, op in enumerate(circuit.ops):
-        if not non_clifford[i]:
-            continue
-        for w, q in enumerate(op.qubits):
-            p = positions[i][w]
-            # cut before, unless at the wire start or preceded by another
-            # non-Clifford op (shared fragment)
-            if p > 0 and not wire_is_ncl.get((q, p - 1), False):
-                cuts.add(Cut(q, p))
-            # cut after, unless at the wire end or followed by non-Clifford
-            if p + 1 < totals[q] and not wire_is_ncl.get((q, p + 1), False):
-                cuts.add(Cut(q, p + 1))
-    result = sorted(cuts)
+    # each wire's ops in order, as "is non-Clifford" flags
+    wires: list[list[bool]] = [[] for _ in range(circuit.n_qubits)]
+    for op in circuit.ops:
+        flag = not op.gate.is_clifford
+        for q in op.qubits:
+            wires[q].append(flag)
+    # a cut sits wherever a wire passes between a Clifford and a
+    # non-Clifford op: never at a wire's ends (free boundaries), never
+    # between two non-Clifford ops (they share a fragment)
+    result = [
+        Cut(q, p)
+        for q, flags in enumerate(wires)
+        for p in range(1, len(flags))
+        if flags[p - 1] != flags[p]
+    ]
     if strategy is CutStrategy.GREEDY_MERGE:
         result = _greedy_merge(circuit, result)
     return result
@@ -148,36 +123,48 @@ def plan_cuts(
 
 
 def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
-    """Split ``circuit`` along ``cuts`` into fragments."""
-    positions = _wire_positions(circuit)
-    totals = _ops_per_qubit(circuit)
+    """Split ``circuit`` along ``cuts`` into fragments.
+
+    A wire with ``c`` cuts has ``c + 1`` segments, numbered wire by wire:
+    segment ``s`` of qubit ``q`` has id ``first[q] + s``.  One walk of the
+    ops gives every (op, wire) its segment id in O(1) — each wire keeps
+    its running op position and a pointer to its next cut position — and
+    union-find over those ids joins the segments an op spans.  Each
+    connected group is a fragment, numbered by its smallest segment id,
+    with one local qubit per segment in id order; a second walk places
+    each op by the ids the first one stored.  Every boundary list comes
+    out in ascending order.
+    """
+    n = circuit.n_qubits
     cuts = sorted(set(cuts))
-    cut_index = {cut: i for i, cut in enumerate(cuts)}
+    on_wire: list[list[int]] = [[] for _ in range(n)]
+    for cut in cuts:
+        if 0 <= cut.qubit < n:
+            on_wire[cut.qubit].append(cut.position)
+    first = [0]
+    for positions in on_wire:
+        first.append(first[-1] + len(positions) + 1)
+    # a -1 sentinel after each wire's last cut position matches no op
+    ahead = [positions + [-1] for positions in on_wire]
+    segment = first[:n]
+    position = [0] * n
+    op_segments = []
+    for op in circuit.ops:
+        ids = []
+        for q in op.qubits:
+            if position[q] == ahead[q][segment[q] - first[q]]:
+                segment[q] += 1
+            position[q] += 1
+            ids.append(segment[q])
+        op_segments.append(ids)
     for cut in cuts:
         # a cut at or beyond the final op-position on its wire separates
         # nothing from nothing — the circuit end is already a free boundary
-        if cut.position >= totals.get(cut.qubit, 0):
+        if not (0 <= cut.qubit < n and cut.position < position[cut.qubit]):
             raise ValueError(f"{cut} sits at or after the last operation on its wire")
 
-    cut_positions: dict[int, list[int]] = defaultdict(list)
-    for cut in cuts:
-        cut_positions[cut.qubit].append(cut.position)
-    for qubit in cut_positions:
-        cut_positions[qubit].sort()
-
-    def segment_of(q: int, p: int) -> int:
-        """Index of the wire segment containing op-position ``p`` on ``q``."""
-        return sum(1 for cp in cut_positions.get(q, ()) if cp <= p)
-
-    # enumerate all segments: qubit q has len(cuts_on_q) + 1 segments
-    segments: list[tuple[int, int]] = []
-    for q in range(circuit.n_qubits):
-        for s in range(len(cut_positions.get(q, ())) + 1):
-            segments.append((q, s))
-    seg_id = {seg: i for i, seg in enumerate(segments)}
-
-    # union-find over segments, joined by operations
-    parent = list(range(len(segments)))
+    # union-find over segment ids, joined by operations
+    parent = list(range(first[n]))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -185,64 +172,46 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+    for ids in op_segments:
+        if len(ids) > 1:
+            root = find(ids[0])
+            for other in ids[1:]:
+                other = find(other)
+                if other != root:
+                    parent[other] = root
 
-    for i, op in enumerate(circuit.ops):
-        ids = [seg_id[(q, segment_of(q, positions[i][w]))]
-               for w, q in enumerate(op.qubits)]
-        for other in ids[1:]:
-            union(ids[0], other)
-
-    # group segments into fragments
-    roots: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for seg in segments:
-        roots[find(seg_id[seg])].append(seg)
-    ordered_roots = sorted(roots, key=lambda r: min(roots[r]))
-
+    # a group's first insertion is at its smallest id
+    groups: dict[int, list[int]] = {}
+    for sid in range(first[n]):
+        groups.setdefault(find(sid), []).append(sid)
+    wire_of = [q for q in range(n) for _ in range(len(on_wire[q]) + 1)]
+    fragment_of = [0] * first[n]
+    local_of = [0] * first[n]
     fragments: list[Fragment] = []
-    seg_to_fragment_qubit: dict[tuple[int, int], tuple[int, int]] = {}
-    for f_index, root in enumerate(ordered_roots):
-        segs = sorted(roots[root])
-        local = {seg: i for i, seg in enumerate(segs)}
-        for seg, lq in local.items():
-            seg_to_fragment_qubit[seg] = (f_index, lq)
-        frag_circuit = Circuit(len(segs))
-        fragment = Fragment(index=f_index, circuit=frag_circuit)
-        for q, s in segs:
-            lq = local[(q, s)]
-            n_cuts_q = len(cut_positions.get(q, ()))
-            if s == 0:
+    for f_index, sids in enumerate(groups.values()):
+        fragment = Fragment(index=f_index, circuit=Circuit(len(sids)))
+        for lq, sid in enumerate(sids):
+            fragment_of[sid] = f_index
+            local_of[sid] = lq
+            q = wire_of[sid]
+            # the cuts are sorted by (qubit, position) and first[q] - q of
+            # them lie on lower wires, so segment sid opens at cut
+            # sid - q - 1 and closes at cut sid - q
+            if sid == first[q]:
                 fragment.circuit_inputs.append(lq)
             else:
-                opening = Cut(q, cut_positions[q][s - 1])
-                fragment.quantum_inputs.append((cut_index[opening], lq))
-            if s == n_cuts_q:
+                fragment.quantum_inputs.append((sid - q - 1, lq))
+            if sid == first[q + 1] - 1:
                 fragment.circuit_outputs.append((q, lq))
             else:
-                closing = Cut(q, cut_positions[q][s])
-                fragment.quantum_outputs.append((cut_index[closing], lq))
+                fragment.quantum_outputs.append((sid - q, lq))
         fragments.append(fragment)
 
     # place operations into fragment circuits (original order preserved)
-    for i, op in enumerate(circuit.ops):
-        seg = (op.qubits[0], segment_of(op.qubits[0], positions[i][0]))
-        f_index, _ = seg_to_fragment_qubit[seg]
-        fragment = fragments[f_index]
-        local_qubits = []
-        for w, q in enumerate(op.qubits):
-            f2, lq = seg_to_fragment_qubit[(q, segment_of(q, positions[i][w]))]
-            if f2 != f_index:  # pragma: no cover - union-find guarantees this
+    for op, ids in zip(circuit.ops, op_segments):
+        f_index = fragment_of[ids[0]]
+        for sid in ids:
+            if fragment_of[sid] != f_index:  # pragma: no cover - union-find guarantees this
                 raise AssertionError("operation spans fragments")
-            local_qubits.append(lq)
-        fragment.circuit.append(op.gate, *local_qubits)
-
-    # sort boundary lists for determinism
-    for fragment in fragments:
-        fragment.quantum_inputs.sort()
-        fragment.quantum_outputs.sort()
-        fragment.circuit_outputs.sort()
-        fragment.circuit_inputs.sort()
+        fragments[f_index].circuit.append(op.gate, *[local_of[sid] for sid in ids])
     return CutCircuit(original=circuit, cuts=cuts, fragments=fragments)

@@ -80,7 +80,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.analysis.distributions import Distribution, pack_keys, unpack_keys
+from repro.analysis.distributions import Distribution, full_keys, pack_keys, unpack_keys
 from repro.core.fragments import CutCircuit
 from repro.errors import ReconstructionMemoryError
 
@@ -317,7 +317,8 @@ def _outcomes(
     # sparse representation downstream
     live = np.flatnonzero(np.abs(accumulator) > threshold)
     if sparse is None:
-        keys = live.astype(np.uint64)
+        full = len(live) == len(accumulator)
+        keys = full_keys(total_bits) if full else live.astype(np.uint64)
     else:
         supports, sizes, kept_locals = sparse
         bits = np.concatenate(

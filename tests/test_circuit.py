@@ -11,6 +11,7 @@ from repro.circuits import (
     random_clifford_circuit,
     random_near_clifford_circuit,
 )
+from repro.circuits.gates import Gate
 
 
 class TestConstruction:
@@ -20,16 +21,42 @@ class TestConstruction:
         assert c.ops[1].qubits == (0, 1)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            Circuit(2).append(gates.H, 2)
+        # through append, extend and the constructor; negative and >= n
+        message = r"out of range for 2 qubits"
+        for qubit in (-1, 2, 5):
+            with pytest.raises(ValueError, match=message):
+                Circuit(2).append(gates.H, qubit)
+            with pytest.raises(ValueError, match=message):
+                Circuit(2).append(gates.CX, 0, qubit)
+            with pytest.raises(ValueError, match=message):
+                Circuit(2).extend([Operation(gates.H, (qubit,))])
+            with pytest.raises(ValueError, match=message):
+                Circuit(2, [Operation(gates.CX, (qubit, 1))])
 
     def test_repeated_qubits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"repeated qubit in \(1, 1\)"):
             Circuit(2).append(gates.CX, 1, 1)
+        ccz = Gate("CCZ", np.diag([1, 1, 1, 1, 1, 1, 1, -1]))
+        assert Circuit(3).append(ccz, 2, 0, 1).ops[0].qubits == (2, 0, 1)
+        for qubits in [(0, 1, 0), (0, 0, 1), (2, 1, 1)]:
+            with pytest.raises(ValueError, match=r"repeated qubit in \("):
+                Operation(ccz, qubits)
 
     def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"acts on 2 qubits, got \(0,\)"):
             Circuit(2).append(gates.CX, 0)
+        with pytest.raises(ValueError, match=r"acts on 1 qubits, got \(0, 1\)"):
+            Operation(gates.H, [0, 1])
+
+    def test_numpy_integer_qubits_are_stored_as_int(self):
+        c = Circuit(3).append(gates.CX, np.int64(2), np.int32(0))
+        c.append(gates.H, np.uint8(1))
+        assert c.ops[0].qubits == (2, 0)
+        assert all(type(q) is int for op in c.ops for q in op.qubits)
+
+    def test_a_zero_qubit_gate_appends(self):
+        phase = Gate("PHASE", np.array([[1j]]))
+        assert Circuit(1).append(phase).ops[0].qubits == ()
 
     def test_measure_defaults_to_all(self):
         c = Circuit(3)

@@ -156,3 +156,66 @@ class TestInformationMetrics:
             kl_divergence(Distribution.point(1, 0), Distribution.point(2, 0))
         with pytest.raises(ValueError):
             cross_entropy(Distribution.point(1, 0), Distribution.point(2, 0))
+
+
+class TestSharedKeyRange:
+    """A distribution supported on every key of its width shares one
+    read-only key array; its values stay its own."""
+
+    def test_full_distributions_share_one_read_only_key_array(self):
+        rng = np.random.default_rng(0)
+        a = Distribution.from_array(rng.random(16) + 0.01)
+        b = Distribution.from_array(rng.random(16) + 0.01)
+        assert a.keys_array is b.keys_array
+        assert a.keys_array.tolist() == list(range(16))
+        assert not a.keys_array.flags.writeable
+        with pytest.raises(ValueError):
+            a.keys_array[0] = 5
+        partial = Distribution.from_array(np.array([0.5, 0.0, 0.25, 0.25]))
+        assert partial.keys_array.tolist() == [0, 2, 3]
+        assert partial.keys_array.flags.writeable
+
+    def test_a_live_accumulator_shares_the_key_range(self):
+        from repro.core.reconstruction import _outcomes
+
+        full = _outcomes(np.full(8, 0.125), [0, 1, 2], 0.0)
+        assert full.keys_array is Distribution.from_array(np.full(8, 0.125)).keys_array
+        some = _outcomes(np.array([0.5, 0.0, 0.0, 0.5]), [0, 1], 0.0)
+        assert some.keys_array.tolist() == [0, 3]
+
+    def test_from_array_does_not_alias_the_callers_values(self):
+        probabilities = np.full(4, 0.25)
+        d = Distribution.from_array(probabilities)
+        probabilities[0] = 9.0
+        assert d[0] == 0.25
+        assert not np.shares_memory(d.values_array, probabilities)
+
+    def test_clipped_keeps_the_keys_when_nothing_is_clipped(self):
+        d = Distribution.from_array(np.array([0.2, 0.2, 0.4, 0.4]))
+        c = d.clipped()
+        assert c.keys_array is d.keys_array
+        assert np.allclose(c.values_array, [1 / 6, 1 / 6, 1 / 3, 1 / 3])
+        negative = Distribution.from_array(np.array([0.6, -0.1, 0.3, 0.2]))
+        c = negative.clipped()
+        assert c.keys_array.tolist() == [0, 2, 3]
+        assert np.allclose(c.values_array, [0.6, 0.3, 0.2] / np.float64(1.1))
+
+    def test_a_wire_round_trip_is_equal_and_writeable(self):
+        from repro.service.protocol import _HEADER, decode_payload, encode_frame
+
+        d = Distribution.from_array(np.array([0.1, 0.2, 0.3, 0.4]))
+        d.probs  # a built dict cache does not travel
+        frame = encode_frame({"distribution": d})
+        back = decode_payload(frame[0], frame[_HEADER.size :])["distribution"]
+        assert back.n_bits == d.n_bits
+        assert back.probs == d.probs
+        assert np.array_equal(back.keys_array, d.keys_array)
+        assert np.array_equal(back.values_array, d.values_array)
+        assert back.keys_array.flags.writeable and back.values_array.flags.writeable
+        assert not d.keys_array.flags.writeable
+
+    def test_zero_bits(self):
+        d = Distribution.from_array(np.ones(1))
+        assert d.n_bits == 0
+        assert len(d) == 1 and d[0] == 1.0
+        assert d.keys_array.tolist() == [0]
