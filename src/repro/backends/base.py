@@ -61,6 +61,17 @@ class CircuitFeatures:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CircuitFeatures":
+        """The features of ``circuit``, counted once per op list: kept in
+        its :meth:`~repro.circuits.circuit.Circuit.derived` space, so
+        routing, job building and cost estimates share one count."""
+        derived = circuit.derived()
+        features = derived.get("features")
+        if features is None:
+            features = derived["features"] = cls._count(circuit)
+        return features
+
+    @classmethod
+    def _count(cls, circuit: Circuit) -> "CircuitFeatures":
         t_count = 0
         two_qubit_count = 0
         nondiag = False

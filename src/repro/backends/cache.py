@@ -10,12 +10,16 @@ simulation.
 
 The fingerprint is content-addressed (SHA-256 over gate names, exact
 parameter bytes, wire indices and measured qubits), so two circuits built
-independently but identical gate-for-gate share an entry.  Eviction is LRU
-with a bounded entry count; hit/miss counters feed the engine's stats.
+independently but identical gate-for-gate share an entry.  Its byte
+stream is packed once per gate object and once per wire tuple, not once
+per op; the bytes are the same either way, and seeds derive from them.
+Eviction is LRU with a bounded entry count; hit/miss counters feed the
+engine's stats.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 import sys
@@ -60,15 +64,32 @@ def approx_result_bytes(value) -> int:
     return total
 
 
+@functools.lru_cache(maxsize=16384)
+def _qubit_bytes(qubits: tuple[int, ...]) -> bytes:
+    """An op's wires as ``<q`` words closed by ``;``, once per wire tuple."""
+    return struct.pack(f"<{len(qubits)}q", *qubits) + b";"
+
+
 def _op_bytes(ops) -> bytes:
-    """The fingerprint's byte stream for a run of operations."""
+    """The fingerprint's byte stream for a run of operations: per op its
+    gate's name and exact parameter bytes, then its wires and ``;``.
+
+    Each gate object is packed once per call, keyed by identity (the ops
+    keep it alive): keyed by equality, ``ZPow(0.0)`` would take the bytes
+    of ``ZPow(-0.0)``, an equal gate.
+    """
+    gate_bytes: dict[int, bytes] = {}
     parts = []
+    emit = parts.append
     for op in ops:
         gate = op.gate
-        parts.append(gate.name.encode())
-        parts.append(struct.pack(f"<{len(gate.params)}d", *gate.params))
-        parts.append(struct.pack(f"<{len(op.qubits)}q", *op.qubits))
-        parts.append(b";")
+        packed = gate_bytes.get(id(gate))
+        if packed is None:
+            packed = gate_bytes[id(gate)] = gate.name.encode() + struct.pack(
+                f"<{len(gate.params)}d", *gate.params
+            )
+        emit(packed)
+        emit(_qubit_bytes(op.qubits))
     return b"".join(parts)
 
 

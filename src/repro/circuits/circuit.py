@@ -44,6 +44,16 @@ class Operation:
         self.gate = gate
         self.qubits = qubits
 
+    @classmethod
+    def _trusted(cls, gate: Gate, qubits: tuple[int, ...]) -> "Operation":
+        """An operation from parts already checked — ``qubits`` a tuple of
+        ``gate.num_qubits`` distinct plain ints — built without checking
+        them again."""
+        op = object.__new__(cls)
+        op.gate = gate
+        op.qubits = qubits
+        return op
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Operation):
             return NotImplemented

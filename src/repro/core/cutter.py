@@ -8,7 +8,10 @@ Clifford / non-Clifford flags and cuts wherever the flag changes, and
 ``cut_circuit`` gives every (op, wire) its segment id as it walks — each
 wire keeps its running op position and a pointer into its sorted cut
 positions — then joins segments by union-find over those integer ids and
-places each op by the ids it stored.
+places each op by the ids it stored.  A placed op is built without
+re-validation (``Operation._trusted``): the source circuit's ops were
+checked when they were added, a local qubit is below its fragment's width
+by construction, and an op's wires lie in distinct segments.
 
 The default ``ISOLATE`` strategy cuts every wire of a non-Clifford operation
 immediately before and after it, except where the wire starts or ends the
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, Operation
 from repro.core.fragments import Cut, CutCircuit, Fragment
 
 
@@ -132,8 +135,9 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
     union-find over those ids joins the segments an op spans.  Each
     connected group is a fragment, numbered by its smallest segment id,
     with one local qubit per segment in id order; a second walk places
-    each op by the ids the first one stored.  Every boundary list comes
-    out in ascending order.
+    each op by the ids the first one stored, appending it to its
+    fragment's op list unchecked.  Every boundary list comes out in
+    ascending order.
     """
     n = circuit.n_qubits
     cuts = sorted(set(cuts))
@@ -207,11 +211,14 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
                 fragment.quantum_outputs.append((sid - q, lq))
         fragments.append(fragment)
 
-    # place operations into fragment circuits (original order preserved)
+    # place operations into fragment circuits (original order preserved),
+    # unchecked: every check would pass (see the module docstring)
+    trusted = Operation._trusted
+    bodies = [fragment.circuit.ops for fragment in fragments]
     for op, ids in zip(circuit.ops, op_segments):
         f_index = fragment_of[ids[0]]
         for sid in ids:
             if fragment_of[sid] != f_index:  # pragma: no cover - union-find guarantees this
                 raise AssertionError("operation spans fragments")
-        fragments[f_index].circuit.append(op.gate, *[local_of[sid] for sid in ids])
+        bodies[f_index].append(trusted(op.gate, tuple([local_of[sid] for sid in ids])))
     return CutCircuit(original=circuit, cuts=cuts, fragments=fragments)

@@ -12,12 +12,16 @@ component on a measured qubit flips that outcome bit.
 The reference shots come from the circuit's exact affine outcome form,
 read off its backward walk
 (:func:`~repro.stabilizer.tableau.outcome_distribution`).  Frames advance
-forward through the same gate walk: the circuit is compiled once (:func:`repro.stabilizer.tableau._compile_ops`) into one
-gate program per stretch between noise-injection points, and the
-``apply_layers`` kernel walks it over *shot-packed* int columns — column
-``q`` of ``fx`` / ``fz`` is one Python int whose bit ``s`` is shot ``s``'s
-X / Z frame bit on qubit ``q`` — ignoring the sign it returns (a frame's
-sign never matters).  An injected error XORs one shot mask into a column.
+forward through the same gate walk: the circuit is compiled once
+(:func:`repro.stabilizer.tableau._compile_ops`) into one gate program per
+stretch between noise-injection points, and the ``apply_layers`` kernel
+walks it over *shot-packed* int columns — column ``q`` of ``fx`` / ``fz``
+is one Python int whose bit ``s`` is shot ``s``'s X / Z frame bit on
+qubit ``q`` — ignoring the sign it returns (a frame's sign never
+matters).  An injected error XORs one shot mask into a column.  Each
+stretch fuses its own one-qubit runs and ends with every wire flushed, so
+an error lands after exactly the ops before its site, and the rng stream
+is that of walking one op at a time.
 
 Cost: a few big-int ops of ``shots`` bits per gate, so noisy sampling is
 barely slower than noiseless sampling — the property that makes

@@ -15,7 +15,17 @@ flat gate program in op order — native H, S, CX, X, Y, Z as themselves,
 every other Clifford gate as its cached stabilizer decomposition — kept in
 the circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
 (revalidated by op-list identity, so any mutation recompiles), and so is
-its inverse (:func:`compile_inverse_layers`).
+its inverse (:func:`compile_inverse_layers`).  The steps between two CX
+on a wire are fused: any run of one-qubit Cliffords is one of 24 group
+elements (up to phase), kept per wire as an index into a 24×24 product
+table and written out as its shortest spelling over H, S, X, Y and Z (at
+most 4 steps) when a CX touches the wire or the program ends.  The table
+is built at import by running the ``apply_layers`` kernel itself on the
+rows ``X``, ``Z`` and ``Y`` of one wire (:func:`_one_qubit_group`), so
+the fused program conjugates every row bit for bit as the spelled-out
+one; on the 200-qubit HWEA Clifford fragment (4 010 ops) it is 3 449
+steps forward and 4 196 inverse, where spelling every op out took 16 113
+and 28 213.
 :func:`heisenberg_images` turns each qubit column of the rows into one
 Python int, walks the inverse program (:func:`inverse_program`) gate by
 gate on those ints — 1 to 4 big-int ops per gate, every row at once, the
@@ -90,6 +100,8 @@ _ONE = np.uint64(1)
 # gate names the walk applies natively (every other Clifford gate goes
 # through Gate.stabilizer_decomposition into H/S/CX)
 _NATIVE_GATES = frozenset({"H", "S", "CX", "X", "Y", "Z"})
+# the steps a fused run of one-qubit gates is spelled in
+_ONE_QUBIT_STEPS = ("H", "S", "X", "Y", "Z")
 
 
 def _bits_to_int(bits: np.ndarray) -> int:
@@ -116,24 +128,98 @@ def _gate_steps(gate) -> tuple[tuple, ...]:
     return tuple((name, *wires) for name, wires in gate.stabilizer_decomposition())
 
 
+def _one_qubit_group() -> tuple[tuple, tuple, dict]:
+    """The 24 one-qubit Cliffords (up to phase), as the walk applies them.
+
+    An element is what the ``apply_layers`` kernel makes of the rows
+    ``X``, ``Z`` and ``Y`` of one wire — three-bit ``(x, z, sign)``
+    columns — which fixes what it makes of every row (a starting sign bit
+    only XORs in), so the table cannot disagree with the kernel.  Built
+    breadth-first from the identity over the steps H, S, X, Y and Z:
+    returns each element's spelling (a shortest step list, at most 4),
+    ``product[a][b]`` (the element of ``a`` then ``b``) and each step's
+    element.
+    """
+    walk = _kernels.apply_layers.impl  # uncounted: this is not a readout
+
+    def run(state, names):
+        x, z = {0: state[0]}, {0: state[1]}
+        sign = walk([(name, 0) for name in names], x, z, state[2])
+        return x[0], z[0], sign
+
+    states, spellings = [(0b101, 0b110, 0)], [()]
+    index = {states[0]: 0}
+    for state, spelling in zip(states, spellings):  # both grow: a BFS queue
+        for name in _ONE_QUBIT_STEPS:
+            successor = run(state, (name,))
+            if successor not in index:
+                index[successor] = len(states)
+                states.append(successor)
+                spellings.append(spelling + (name,))
+    product = tuple(
+        tuple(index[run(state, spelling)] for spelling in spellings)
+        for state in states
+    )
+    steps = {name: index[run(states[0], (name,))] for name in _ONE_QUBIT_STEPS}
+    return tuple(spellings), product, steps
+
+
+_SPELLINGS, _PRODUCT, _STEP_ELEMENT = _one_qubit_group()
+
+
+@functools.lru_cache(maxsize=4096)
+def _gate_element(gate) -> int | None:
+    """A one-qubit Clifford gate's element of the group table (``None``
+    for a wider gate), composed once per distinct gate from its steps."""
+    if gate.num_qubits != 1:
+        return None
+    element = 0
+    for name, _ in _gate_steps(gate):
+        element = _PRODUCT[element][_STEP_ELEMENT[name]]
+    return element
+
+
 def _compile_ops(ops) -> list[tuple]:
     """A Clifford op list as a flat gate program, in op order.
 
-    Each op becomes its gate's steps on the op's qubits: native H, S, CX,
-    X, Y and Z as themselves, any other Clifford gate as its
+    Each op stands for its gate's steps on the op's qubits: native H, S,
+    CX, X, Y and Z as themselves, any other Clifford gate as its
     ``stabilizer_decomposition()`` (looked up once per distinct gate), the
-    identity as nothing.  A step is ``(name, qubit)`` or ``("CX", control,
-    target)``.  Raises ``ValueError`` on a non-Clifford gate.
+    identity as nothing.  A run of one-qubit steps on a wire is one of the
+    24 one-qubit Cliffords: it is kept as one pending group element per
+    wire, composed by table lookup, and written out as that element's
+    shortest spelling (at most 4 steps) when a CX touches the wire and at
+    the end.  Steps on distinct wires commute, so the program conjugates
+    every Pauli row bit for bit as the spelled-out steps do.  A step is
+    ``(name, qubit)`` or ``("CX", control, target)``.  Raises
+    ``ValueError`` on a non-Clifford gate.
     """
     program: list[tuple] = []
     emit = program.append
+    # keyed by qubit, not indexed: a qubit outside the columns reaches the
+    # kernel as itself, which refuses it
+    pending: dict[int, int] = {}
+    product, spellings, step_element = _PRODUCT, _SPELLINGS, _STEP_ELEMENT
     for op in ops:
+        element = _gate_element(op.gate)
+        if element is not None:
+            q = op.qubits[0]
+            pending[q] = product[pending.get(q, 0)][element]
+            continue
         qubits = op.qubits
         for step in _gate_steps(op.gate):
             if len(step) == 2:
-                emit((step[0], qubits[step[1]]))
-            else:
-                emit((step[0], qubits[step[1]], qubits[step[2]]))
+                q = qubits[step[1]]
+                pending[q] = product[pending.get(q, 0)][step_element[step[0]]]
+                continue
+            control, target = qubits[step[1]], qubits[step[2]]
+            for q in (control, target):
+                for name in spellings[pending.pop(q, 0)]:
+                    emit((name, q))
+            emit(("CX", control, target))
+    for q, element in pending.items():
+        for name in spellings[element]:
+            emit((name, q))
     return program
 
 

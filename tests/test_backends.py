@@ -105,6 +105,33 @@ class TestFeatures:
         assert f.has_nondiagonal_nonclifford
         assert not get_backend("extended_stabilizer").can_handle(f)
 
+    def test_counted_once_per_op_list(self):
+        c = Circuit(3).append(gates.H, 0).append(gates.CX, 0, 1)
+        first = CircuitFeatures.from_circuit(c)
+        assert CircuitFeatures.from_circuit(c) is first
+        c.append(gates.T, 2)
+        again = CircuitFeatures.from_circuit(c)
+        assert again.t_count == 1 and again.num_ops == 3
+        assert again == CircuitFeatures._count(c)
+
+    def test_a_plan_counts_each_fragment_once(self, monkeypatch):
+        """Routing, job building, the cost estimate and a backend check
+        all read a fragment's features: one count serves them all."""
+        counted = []
+        count = CircuitFeatures._count.__func__
+
+        def counting(cls, circuit):
+            counted.append(id(circuit))
+            return count(cls, circuit)
+
+        monkeypatch.setattr(CircuitFeatures, "_count", classmethod(counting))
+        plan = SuperSim().plan(near_clifford(3, n=5))
+        plan.estimate()
+        plan.with_backend(0, plan.backend_names[0])
+        plan.execute()
+        fragments = [f.circuit for f in plan.cut_circuit.fragments]
+        assert sorted(counted) == sorted(id(c) for c in fragments)
+
 
 class TestRouter:
     def test_clifford_routes_to_stabilizer(self):
@@ -198,6 +225,33 @@ class TestFingerprint:
         fps = {fragment_fingerprint(body, *split) for split in splits}
         assert len(fps) == 4
         assert circuit_fingerprint(body) not in fps
+
+    def test_fingerprint_bytes_are_pinned(self):
+        """Seeds derive from fingerprints: the byte stream — parametrised
+        one- and two-qubit gates, both signs of zero, explicit
+        measurements — hashes to what it always has, whichever gate or
+        wire tuple was packed before."""
+        c = Circuit(3)
+        c.append(gates.H, 0).append(gates.ZPow(0.3), 1).append(gates.ZPow(-0.0), 2)
+        c.append(gates.ZPow(0.0), 0).append(gates.CX, 0, 2).append(gates.ZZPow(0.5), 1, 2)
+        c.append(gates.SDG, 1).measure([0, 2])
+        for _ in range(2):  # the second pass reads every memoised part
+            assert circuit_fingerprint(c) == (
+                "1c32a72299a85a320bfe6dbe30beb24ca4d25311d5e7fe94e60394e6897a12d7"
+            )
+            assert fragment_fingerprint(c, [0], [2, 1]) == (
+                "9195a20c76a91b4f6de0730adf17076ed78190479cfb3dfd87b69b8fce10073e"
+            )
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_parameters_fingerprint_apart(self, first):
+        """``0.0 == -0.0``, so equal gates need not pack equally: whichever
+        sign is fingerprinted first, the other keeps its own bytes."""
+        second = -first
+        a = circuit_fingerprint(Circuit(1).append(gates.ZPow(first), 0))
+        b = circuit_fingerprint(Circuit(1).append(gates.ZPow(second), 0))
+        assert a != b
+        assert a == circuit_fingerprint(Circuit(1).append(gates.ZPow(first), 0))
 
 
 class TestVariantCache:

@@ -202,6 +202,12 @@ def assert_same_cut(got: CutCircuit, want: CutCircuit) -> None:
         assert [(op.gate, op.qubits) for op in a.circuit.ops] == [
             (op.gate, op.qubits) for op in b.circuit.ops
         ]
+        # ops are placed unchecked: they must pass every check they skip
+        for op in a.circuit.ops:
+            assert type(op) is Operation and type(op.qubits) is tuple
+            assert all(type(q) is int for q in op.qubits)
+            assert Operation(op.gate, op.qubits) == op
+        Circuit(a.n_qubits, a.circuit.ops)
         assert a.circuit_inputs == b.circuit_inputs
         assert a.quantum_inputs == b.quantum_inputs
         assert a.quantum_outputs == b.quantum_outputs

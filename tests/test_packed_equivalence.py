@@ -43,6 +43,7 @@ from repro.stabilizer.tableau import (
     _unpack_axis1,
     _walk,
     compile_clifford_layers,
+    inverse_program,
     outcome_distribution,
     pauli_expectations,
     same_state,
@@ -266,6 +267,9 @@ class TestIntColumnEdges:
 class TestLayerCompiler:
     @pytest.mark.parametrize("seed", range(10))
     def test_program_is_each_ops_decomposition_in_order(self, seed):
+        """One-qubit runs are fused, so the steps differ; every Pauli row,
+        forward and backward, comes out bit for bit as through the
+        spelled-out decompositions."""
         rng = np.random.default_rng(seed)
         circuit = random_clifford_circuit(8, 10, rng)
         for gate in [gates.I] + DECOMPOSED_1Q + DECOMPOSED_2Q:
@@ -281,7 +285,15 @@ class TestLayerCompiler:
             expected += [
                 (step, *(op.qubits[w] for w in wires)) for step, wires in steps
             ]
-        assert _compile_ops(circuit.ops) == expected
+        program = _compile_ops(circuit.ops)
+        x = rng.integers(0, 1 << 8, size=(40, 1), dtype=np.uint64)
+        z = rng.integers(0, 1 << 8, size=(40, 1), dtype=np.uint64)
+        for fused, spelled in (
+            (program, expected),
+            (inverse_program(program), inverse_program(expected)),
+        ):
+            for got, want in zip(_walk(fused, 8, x, z), _walk(spelled, 8, x, z)):
+                np.testing.assert_array_equal(got, want)
 
     def test_non_clifford_gate_raises(self):
         circuit = Circuit(2).append(gates.H, 0).append(gates.T, 1)
