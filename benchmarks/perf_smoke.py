@@ -575,7 +575,7 @@ def bench_variant_sharing() -> dict:
     ).measure_all()
     sim = SuperSim(sampling=SamplingConfig(shots=1000, seed=0))
     fragments = sim.cut(circuit).fragments
-    body_ops = sorted(len(f.circuit.ops) for f in fragments if f.is_clifford)
+    body_ops = sorted(len(f.circuit) for f in fragments if f.is_clifford)
 
     compiled: list[int] = []
     real_compile = tableau_module._compile_ops
@@ -770,6 +770,54 @@ def bench_clifford_exact() -> dict:
     }
 
 
+def bench_unbuilt_fragment_ops() -> dict:
+    """A cold request never builds its Clifford fragment's op list — gated
+    on counts.
+
+    One sampled ``single_qubit_marginals`` of a 200q 1-T HWEA on a fresh
+    ``SuperSim``: every stage a Clifford fragment passes (Clifford check,
+    routing features, fingerprint, compile, walk) reads its body's op
+    table, so no ``Operation`` is built for it.  Counted on the cut's own
+    fragments (``plan_cuts`` spied) as the ops each Clifford body holds
+    after the request.  Counts are exact, so the gate is safe on shared
+    runners.
+    """
+    from unittest import mock
+
+    from repro.apps.hwea import HWEA
+    from repro.core import SamplingConfig, supersim
+
+    circuit = (
+        HWEA(HWEA_LADDER_QUBITS, 5)
+        .near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
+        .measure_all()
+    )
+    cuts = []
+    plan_cuts = supersim.plan_cuts
+
+    def spied(*args, **kwargs):
+        cuts.append(plan_cuts(*args, **kwargs))
+        return cuts[-1]
+
+    with mock.patch.object(supersim, "plan_cuts", spied):
+        start = time.perf_counter()
+        SuperSim(sampling=SamplingConfig(shots=5000, seed=0)).single_qubit_marginals(
+            circuit
+        )
+        seconds = time.perf_counter() - start
+    bodies = [f.circuit for cut in cuts for f in cut.fragments if f.is_clifford]
+    return {
+        "workload": (
+            f"{HWEA_LADDER_QUBITS}q 1-T HWEA single_qubit_marginals at 5000 "
+            "shots, cold: Operations built for its Clifford fragments"
+        ),
+        "clifford_fragments": len(bodies),
+        "clifford_fragment_ops": sum(len(body) for body in bodies),
+        "clifford_ops_built": sum(len(vars(body).get("ops", ())) for body in bodies),
+        "seconds": seconds,
+    }
+
+
 # the array-native data plane samples the 200q affine form at ~1.3M
 # shots/s on a quiet machine (the dict-based seed managed ~41k); the CI
 # floor is the 10x acceptance level (~600k nominal) with the 0.7 noise
@@ -795,6 +843,7 @@ def main() -> int:
         "variant_sharing": bench_variant_sharing(),
         "window_batch": bench_window_batch(),
         "clifford_exact": bench_clifford_exact(),
+        "unbuilt_fragment_ops": bench_unbuilt_fragment_ops(),
     }
     # atomic write: CI reads the artifact even if a later run is killed
     # mid-write, so stage to a tmp file and os.replace into place
@@ -981,6 +1030,14 @@ def main() -> int:
             f"Clifford fragment(s), shots on fragments "
             f"{exact['shot_fragments']} (non-Clifford: "
             f"{exact['non_clifford_fragments']})"
+        )
+    unbuilt = results["unbuilt_fragment_ops"]
+    if not (unbuilt["clifford_fragments"] > 0 and unbuilt["clifford_ops_built"] == 0):
+        failures.append(
+            f"a cold request built {unbuilt['clifford_ops_built']} Operations "
+            f"for its {unbuilt['clifford_fragments']} Clifford fragment(s) "
+            f"({unbuilt['clifford_fragment_ops']} ops): some stage walks the "
+            "op list instead of the op table"
         )
     if failures:
         print("PERF SMOKE FAILURES:", "; ".join(failures), file=sys.stderr)

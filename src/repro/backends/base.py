@@ -72,32 +72,52 @@ class CircuitFeatures:
 
     @classmethod
     def _count(cls, circuit: Circuit) -> "CircuitFeatures":
-        t_count = 0
-        two_qubit_count = 0
-        nondiag = False
+        """The features read off ``circuit``'s op table: the multi-qubit
+        ops and the non-Clifford count by gate lookup (NumPy passes on a
+        large table, walks of its column lists on a small one:
+        :attr:`~repro.circuits.circuit.OpTable.by_arrays`), the entangling
+        depth by one walk of the multi-qubit ops."""
+        table = circuit.table
+        if table.by_arrays:
+            ops = np.flatnonzero(table.arity[table.gate_index] >= 2)
+            starts = table.offsets[ops]
+            wide = list(zip(starts.tolist(), (table.offsets[ops + 1] - starts).tolist()))
+            t_count = int(np.count_nonzero(~table.clifford[table.gate_index]))
+        else:
+            gate_index = table.gate_index.tolist()
+            arity = table.arity.tolist()
+            wide = [
+                (a, arity[g])
+                for g, a in zip(gate_index, table.offsets.tolist())
+                if arity[g] >= 2
+            ]
+            t_count = sum(map((~table.clifford).tolist().__getitem__, gate_index))
+        wires = table.wires.tolist()
         level = [0] * circuit.n_qubits
-        for op in circuit.ops:
-            if op.gate.num_qubits >= 2:
-                two_qubit_count += 1
-                new = max(level[q] for q in op.qubits) + 1
-                for q in op.qubits:
-                    level[q] = new
-            if not op.gate.is_clifford:
-                t_count += 1
-                matrix = op.gate.matrix
-                if not np.allclose(
-                    matrix, np.diag(np.diag(matrix)), atol=1e-12
-                ):
-                    if op.gate.num_qubits >= 2:
-                        nondiag = True
+        for a, k in wide:
+            if k == 2:  # the common case, spelled out
+                p, q = wires[a], wires[a + 1]
+                level[p] = level[q] = max(level[p], level[q]) + 1
+                continue
+            qubits = wires[a : a + k]
+            new = max([level[q] for q in qubits]) + 1
+            for q in qubits:
+                level[q] = new
         return cls(
             n_qubits=circuit.n_qubits,
-            num_ops=len(circuit.ops),
+            num_ops=len(table),
             is_clifford=t_count == 0,
             t_count=t_count,
-            two_qubit_count=two_qubit_count,
+            two_qubit_count=len(wide),
             entangling_depth=max(level, default=0),
-            has_nondiagonal_nonclifford=nondiag,
+            has_nondiagonal_nonclifford=any(
+                not clifford
+                and gate.num_qubits >= 2
+                and not np.allclose(
+                    gate.matrix, np.diag(np.diag(gate.matrix)), atol=1e-12
+                )
+                for gate, clifford in zip(table.gates, table.clifford)
+            ),
         )
 
 

@@ -11,22 +11,25 @@ simulation.
 The fingerprint is content-addressed (SHA-256 over gate names, exact
 parameter bytes, wire indices and measured qubits), so two circuits built
 independently but identical gate-for-gate share an entry.  Its byte
-stream is packed once per gate object and once per wire tuple, not once
-per op; the bytes are the same either way, and seeds derive from them.
+stream is read off the circuit's op table, never by walking
+``Operation``s, so a fragment body born from the cutter's table is
+fingerprinted without its op list being built; the bytes are what packing
+op by op gives, and seeds derive from them.
 Eviction is LRU with a bounded entry count; hit/miss counters feed the
 engine's stats.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import struct
 import sys
 import threading
 from collections import OrderedDict
 
-from repro.circuits.circuit import Circuit
+import numpy as np
+
+from repro.circuits.circuit import Circuit, OpTable
 
 
 def approx_result_bytes(value) -> int:
@@ -64,33 +67,44 @@ def approx_result_bytes(value) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=16384)
-def _qubit_bytes(qubits: tuple[int, ...]) -> bytes:
-    """An op's wires as ``<q`` words closed by ``;``, once per wire tuple."""
-    return struct.pack(f"<{len(qubits)}q", *qubits) + b";"
+def _op_bytes(table: OpTable) -> bytes:
+    """The fingerprint's byte stream for an op table: per op its gate's
+    name and exact parameter bytes, then its wires as ``<q`` words and
+    ``;``.
 
-
-def _op_bytes(ops) -> bytes:
-    """The fingerprint's byte stream for a run of operations: per op its
-    gate's name and exact parameter bytes, then its wires and ``;``.
-
-    Each gate object is packed once per call, keyed by identity (the ops
-    keep it alive): keyed by equality, ``ZPow(0.0)`` would take the bytes
-    of ``ZPow(-0.0)``, an equal gate.
+    Read off the table's columns, never from ``Operation``s; each distinct
+    gate object's head is packed once, so ``ZPow(0.0)`` and ``ZPow(-0.0)``
+    keep their own bytes.  A large table's stream is three ranges per op
+    of one source buffer — the head, the op's wires, ``;`` — read by one
+    NumPy gather; a small one's is joined op by op from slices of its
+    packed wire column (:attr:`~repro.circuits.circuit.OpTable.by_arrays`).
     """
-    gate_bytes: dict[int, bytes] = {}
-    parts = []
-    emit = parts.append
-    for op in ops:
-        gate = op.gate
-        packed = gate_bytes.get(id(gate))
-        if packed is None:
-            packed = gate_bytes[id(gate)] = gate.name.encode() + struct.pack(
-                f"<{len(gate.params)}d", *gate.params
-            )
-        emit(packed)
-        emit(_qubit_bytes(op.qubits))
-    return b"".join(parts)
+    heads = [gate.name.encode() + gate.param_bytes for gate in table.gates]
+    wires = table.wires.tolist()
+    packed = struct.pack(f"<{len(wires)}q", *wires)
+    if not table.by_arrays:
+        bounds = table.offsets.tolist()
+        return b"".join(
+            [
+                heads[g] + packed[8 * a : 8 * b] + b";"
+                for g, a, b in zip(table.gate_index.tolist(), bounds, bounds[1:])
+            ]
+        )
+    joined = b"".join(heads)
+    source = np.frombuffer(joined + packed + b";", dtype=np.uint8)
+    head_size = np.array([len(head) for head in heads], dtype=np.int32)
+    first = np.empty((len(table), 3), dtype=np.int32)
+    size = np.empty((len(table), 3), dtype=np.int32)
+    first[:, 0] = (np.cumsum(head_size, dtype=np.int32) - head_size)[table.gate_index]
+    size[:, 0] = head_size[table.gate_index]
+    first[:, 1] = len(joined) + 8 * table.offsets[:-1]
+    size[:, 1] = 8 * np.diff(table.offsets)
+    first[:, 2] = len(source) - 1
+    size[:, 2] = 1
+    size = size.ravel()
+    at = np.repeat(first.ravel() - (np.cumsum(size, dtype=np.int32) - size), size)
+    at += np.arange(len(at), dtype=np.int32)
+    return source[at].tobytes()
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -102,7 +116,7 @@ def circuit_fingerprint(circuit: Circuit) -> str:
     """
     h = hashlib.sha256()
     h.update(struct.pack("<q", circuit.n_qubits))
-    h.update(_op_bytes(circuit.ops))
+    h.update(_op_bytes(circuit.table))
     h.update(b"|m")
     measured = circuit.measured_qubits
     h.update(struct.pack(f"<{len(measured)}q", *measured))
@@ -119,7 +133,7 @@ def fragment_fingerprint(body: Circuit, inputs, outputs) -> str:
     """
     h = hashlib.sha256(b"fragment|")
     h.update(struct.pack("<q", body.n_qubits))
-    h.update(_op_bytes(body.ops))
+    h.update(_op_bytes(body.table))
     for tag, wires in ((b"|i", inputs), (b"|o", outputs)):
         h.update(tag)
         h.update(struct.pack(f"<{len(wires)}q", *wires))

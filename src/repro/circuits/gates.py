@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -95,9 +96,13 @@ def _matrix_is_clifford(matrix: np.ndarray, num_qubits: int) -> bool:
 
 
 class Gate:
-    """An immutable quantum gate (unitary + metadata)."""
+    """An immutable quantum gate (unitary + metadata).
 
-    __slots__ = ("name", "params", "num_qubits", "_matrix", "_is_clifford")
+    Two gates are equal when their names and their params' exact bits are:
+    ``ZPow(0.0) != ZPow(-0.0)``, as their fingerprints say.
+    """
+
+    __slots__ = ("name", "params", "num_qubits", "param_bytes", "_matrix", "_is_clifford")
 
     def __init__(
         self,
@@ -114,6 +119,9 @@ class Gate:
             raise ValueError(f"gate {name!r} matrix is not unitary")
         self.name = name
         self.params = tuple(float(p) for p in params)
+        #: the params' exact IEEE bits (``<d`` each): what identity, hashing
+        #: and fingerprints compare, so ``0.0`` and ``-0.0`` stay apart
+        self.param_bytes = struct.pack(f"<{len(self.params)}d", *self.params)
         self.num_qubits = dim.bit_length() - 1
         self._matrix = matrix
         self._matrix.setflags(write=False)
@@ -199,10 +207,10 @@ class Gate:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Gate):
             return NotImplemented
-        return self.name == other.name and self.params == other.params
+        return self.name == other.name and self.param_bytes == other.param_bytes
 
     def __hash__(self) -> int:
-        return hash((self.name, self.params))
+        return hash((self.name, self.param_bytes))
 
     def __repr__(self) -> str:
         if self.params:

@@ -3,15 +3,17 @@
 ``find_cuts`` parses a near-Clifford circuit and places cuts that isolate
 its non-Clifford operations from the Clifford bulk; ``cut_circuit`` splits a
 circuit along a given cut set into :class:`Fragment` objects.  Both read
-the circuit in one walk of its ops: ``find_cuts`` lists each wire's ops as
-Clifford / non-Clifford flags and cuts wherever the flag changes, and
-``cut_circuit`` gives every (op, wire) its segment id as it walks — each
-wire keeps its running op position and a pointer into its sorted cut
-positions — then joins segments by union-find over those integer ids and
-places each op by the ids it stored.  A placed op is built without
-re-validation (``Operation._trusted``): the source circuit's ops were
-checked when they were added, a local qubit is below its fragment's width
-by construction, and an op's wires lie in distinct segments.
+the circuit's :class:`~repro.circuits.circuit.OpTable`, not its ops.
+``find_cuts`` stably sorts the (op, wire) entries by wire and cuts
+wherever a wire's Clifford flag changes.  ``cut_circuit`` gives every
+entry its segment id, joins segments by union-find over the pairs that
+multi-qubit ops span, and hands each fragment its slice of the table: by
+NumPy passes (a ``searchsorted`` against the sorted cut keys, stable sorts
+by fragment) on a large table, by walks of the column lists on a small
+one, where NumPy's per-call cost and its GIL releases would dominate.  A
+fragment body is not re-validated: the source circuit's ops were checked
+when they were added, a local qubit is below its fragment's width by
+construction, and an op's wires lie in distinct segments.
 
 The default ``ISOLATE`` strategy cuts every wire of a non-Clifford operation
 immediately before and after it, except where the wire starts or ends the
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 import enum
 
-from repro.circuits.circuit import Circuit, Operation
+import numpy as np
+
+from repro.circuits.circuit import Circuit, OpTable
 from repro.core.fragments import Cut, CutCircuit, Fragment
 
 
@@ -53,21 +57,16 @@ def find_cuts(
     strategy = getattr(strategy, "strategy", strategy)
     if isinstance(strategy, str):
         strategy = CutStrategy(strategy)
-    # each wire's ops in order, as "is non-Clifford" flags
-    wires: list[list[bool]] = [[] for _ in range(circuit.n_qubits)]
-    for op in circuit.ops:
-        flag = not op.gate.is_clifford
-        for q in op.qubits:
-            wires[q].append(flag)
+    # each wire's ops in order, as Clifford flags
+    table = circuit.table
+    order, position, _totals = _wire_positions(table, circuit.n_qubits)
+    wires = table.wires[order]
+    flags = table.clifford[table.gate_index][table.wire_ops()][order]
     # a cut sits wherever a wire passes between a Clifford and a
     # non-Clifford op: never at a wire's ends (free boundaries), never
     # between two non-Clifford ops (they share a fragment)
-    result = [
-        Cut(q, p)
-        for q, flags in enumerate(wires)
-        for p in range(1, len(flags))
-        if flags[p - 1] != flags[p]
-    ]
+    at = np.flatnonzero((wires[1:] == wires[:-1]) & (flags[1:] != flags[:-1])) + 1
+    result = [Cut(q, p) for q, p in zip(wires[at].tolist(), position[at].tolist())]
     if strategy is CutStrategy.GREEDY_MERGE:
         result = _greedy_merge(circuit, result)
     return result
@@ -129,46 +128,35 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
     """Split ``circuit`` along ``cuts`` into fragments.
 
     A wire with ``c`` cuts has ``c + 1`` segments, numbered wire by wire:
-    segment ``s`` of qubit ``q`` has id ``first[q] + s``.  One walk of the
-    ops gives every (op, wire) its segment id in O(1) — each wire keeps
-    its running op position and a pointer to its next cut position — and
-    union-find over those ids joins the segments an op spans.  Each
-    connected group is a fragment, numbered by its smallest segment id,
-    with one local qubit per segment in id order; a second walk places
-    each op by the ids the first one stored, appending it to its
-    fragment's op list unchecked.  Every boundary list comes out in
-    ascending order.
+    segment ``s`` of qubit ``q`` has id ``first[q] + s``.  Every (op,
+    wire) entry of the circuit's table gets its segment id; union-find
+    joins the segments that multi-qubit ops span.  Each connected group
+    is a fragment, numbered by its smallest segment id, with one local
+    qubit per segment in id order; every boundary list comes out in
+    ascending order.  A fragment's body is born from its slice of the
+    table (:meth:`Circuit.from_table`, op order kept, wires mapped to
+    local qubits): its ``ops`` list is built only if something reads it.
+
+    The entries' segments, the joins and the slices come from NumPy
+    passes on a large table (:func:`_array_segments`,
+    :func:`_array_joins`, :func:`_array_slices`) and from walks of the
+    column lists on a small one (:func:`_walked_segments`,
+    :func:`_walked_joins`, :func:`_walked_slices`); both give the same
+    fragments (:attr:`~repro.circuits.circuit.OpTable.by_arrays`).
     """
     n = circuit.n_qubits
     cuts = sorted(set(cuts))
-    on_wire: list[list[int]] = [[] for _ in range(n)]
-    for cut in cuts:
-        if 0 <= cut.qubit < n:
-            on_wire[cut.qubit].append(cut.position)
-    first = [0]
-    for positions in on_wire:
-        first.append(first[-1] + len(positions) + 1)
-    # a -1 sentinel after each wire's last cut position matches no op
-    ahead = [positions + [-1] for positions in on_wire]
-    segment = first[:n]
-    position = [0] * n
-    op_segments = []
-    for op in circuit.ops:
-        ids = []
-        for q in op.qubits:
-            if position[q] == ahead[q][segment[q] - first[q]]:
-                segment[q] += 1
-            position[q] += 1
-            ids.append(segment[q])
-        op_segments.append(ids)
+    table = circuit.table
+    by_arrays = table.by_arrays
+    segment, totals = (_array_segments if by_arrays else _walked_segments)(table, n, cuts)
     for cut in cuts:
         # a cut at or beyond the final op-position on its wire separates
         # nothing from nothing — the circuit end is already a free boundary
-        if not (0 <= cut.qubit < n and cut.position < position[cut.qubit]):
+        if not (0 <= cut.qubit < n and cut.position < totals[cut.qubit]):
             raise ValueError(f"{cut} sits at or after the last operation on its wire")
 
-    # union-find over segment ids, joined by operations
-    parent = list(range(first[n]))
+    # union-find over segment ids, joined by multi-qubit operations
+    parent = list(range(n + len(cuts)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -176,24 +164,27 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
             i = parent[i]
         return i
 
-    for ids in op_segments:
-        if len(ids) > 1:
-            root = find(ids[0])
-            for other in ids[1:]:
-                other = find(other)
-                if other != root:
-                    parent[other] = root
+    for a, b in (_array_joins if by_arrays else _walked_joins)(table, segment):
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
 
     # a group's first insertion is at its smallest id
     groups: dict[int, list[int]] = {}
-    for sid in range(first[n]):
+    for sid in range(len(parent)):
         groups.setdefault(find(sid), []).append(sid)
-    wire_of = [q for q in range(n) for _ in range(len(on_wire[q]) + 1)]
-    fragment_of = [0] * first[n]
-    local_of = [0] * first[n]
+    on_wire = [0] * n
+    for cut in cuts:
+        on_wire[cut.qubit] += 1
+    first = [0]
+    for count in on_wire:
+        first.append(first[-1] + count + 1)
+    wire_of = [q for q in range(n) for _ in range(on_wire[q] + 1)]
+    fragment_of = [0] * len(parent)
+    local_of = [0] * len(parent)
     fragments: list[Fragment] = []
     for f_index, sids in enumerate(groups.values()):
-        fragment = Fragment(index=f_index, circuit=Circuit(len(sids)))
+        fragment = Fragment(index=f_index, circuit=None)
         for lq, sid in enumerate(sids):
             fragment_of[sid] = f_index
             local_of[sid] = lq
@@ -210,15 +201,131 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
             else:
                 fragment.quantum_outputs.append((sid - q, lq))
         fragments.append(fragment)
-
-    # place operations into fragment circuits (original order preserved),
-    # unchecked: every check would pass (see the module docstring)
-    trusted = Operation._trusted
-    bodies = [fragment.circuit.ops for fragment in fragments]
-    for op, ids in zip(circuit.ops, op_segments):
-        f_index = fragment_of[ids[0]]
-        for sid in ids:
-            if fragment_of[sid] != f_index:  # pragma: no cover - union-find guarantees this
-                raise AssertionError("operation spans fragments")
-        bodies[f_index].append(trusted(op.gate, tuple([local_of[sid] for sid in ids])))
+    slices = (_array_slices if by_arrays else _walked_slices)(
+        table, segment, fragment_of, local_of
+    )
+    for fragment, sids, body in zip(fragments, groups.values(), slices):
+        fragment.circuit = Circuit.from_table(len(sids), body)
     return CutCircuit(original=circuit, cuts=cuts, fragments=fragments)
+
+
+def _wire_positions(table: OpTable, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (op, wire) entries of ``table`` on ``n`` wires, by wire:
+    ``order`` sorts them stably (so by op within a wire), ``position[k]``
+    is the position of entry ``order[k]`` on its wire, and ``totals`` the
+    number of ops on each wire."""
+    order = np.argsort(table.wires, kind="stable")
+    totals = np.bincount(table.wires, minlength=n)
+    first = np.cumsum(totals) - totals
+    position = np.arange(len(order)) - np.repeat(first, totals)
+    return order, position, totals
+
+
+def _array_segments(table: OpTable, n: int, cuts: list[Cut]) -> tuple[np.ndarray, list[int]]:
+    """Each entry's segment id, in op order, and each wire's op count: an
+    entry's id is its wire plus the cuts at or before it, on lower wires
+    or its own — one ``searchsorted`` against the sorted cut keys."""
+    order, position, totals = _wire_positions(table, n)
+    stride = len(position) + 1  # above every position on any wire
+    cut_keys = np.array([c.qubit * stride + c.position for c in cuts], dtype=np.int64)
+    wires = table.wires.astype(np.int64)
+    at = np.empty_like(wires)
+    at[order] = position
+    segment = np.searchsorted(cut_keys, wires * stride + at, side="right") + wires
+    return segment, totals.tolist()
+
+
+def _walked_segments(table: OpTable, n: int, cuts: list[Cut]) -> tuple[list[int], list[int]]:
+    """:func:`_array_segments` by one walk of the wire list: each wire
+    keeps its running op position and a pointer into its cut positions."""
+    on_wire: list[list[int]] = [[] for _ in range(n)]
+    for cut in cuts:
+        if 0 <= cut.qubit < n:
+            on_wire[cut.qubit].append(cut.position)
+    first = [0]
+    for positions in on_wire:
+        first.append(first[-1] + len(positions) + 1)
+    # a -1 sentinel after each wire's last cut position matches no op
+    ahead = [positions + [-1] for positions in on_wire]
+    current = first[:n]
+    position = [0] * n
+    segment = []
+    for q in table.wires.tolist():
+        if position[q] == ahead[q][current[q] - first[q]]:
+            current[q] += 1
+        position[q] += 1
+        segment.append(current[q])
+    return segment, position
+
+
+def _array_joins(table: OpTable, segment: np.ndarray):
+    """The distinct segment pairs a multi-qubit op spans (first wire's
+    segment, other wire's), by array passes (deduplicated by a dict:
+    ``np.unique`` would import ``numpy.ma``, a megabyte of resident
+    memory)."""
+    anchor = segment[table.offsets[:-1]][table.wire_ops()]
+    spans = anchor != segment
+    return dict.fromkeys(zip(anchor[spans].tolist(), segment[spans].tolist()))
+
+
+def _walked_joins(table: OpTable, segment: list[int]):
+    """:func:`_array_joins` by a walk of the ops (pairs may repeat)."""
+    bounds = table.offsets.tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        for other in segment[a + 1 : b]:
+            yield segment[a], other
+
+
+def _array_slices(
+    table: OpTable, segment: np.ndarray, fragment_of: list[int], local_of: list[int]
+) -> list[OpTable]:
+    """Each fragment's slice of ``table``, op order kept, on local wires
+    and with only the gates it uses, by stable sorts on the fragment of
+    each op and of each entry.  An op lies in the fragment of its first
+    wire's segment (union-find put all its wires there)."""
+    count = max(fragment_of, default=-1) + 1
+    op_fragment = np.array(fragment_of)[segment[table.offsets[:-1]]]
+    op_order = np.argsort(op_fragment, kind="stable")
+    op_bounds = np.searchsorted(op_fragment[op_order], np.arange(count + 1)).tolist()
+    entry_fragment = op_fragment[table.wire_ops()]
+    entry_order = np.argsort(entry_fragment, kind="stable")
+    entry_bounds = np.searchsorted(entry_fragment[entry_order], np.arange(count + 1)).tolist()
+    local = np.array(local_of, dtype=np.int32)[segment[entry_order]]
+    slices = []
+    for f in range(count):
+        gate_index = table.gate_index[op_order[op_bounds[f] : op_bounds[f + 1]]]
+        used = np.flatnonzero(np.bincount(gate_index, minlength=len(table.gates)))
+        renumber = np.zeros(len(table.gates), dtype=np.int32)
+        renumber[used] = np.arange(len(used))
+        slices.append(
+            OpTable(
+                [table.gates[g] for g in used.tolist()],
+                renumber[gate_index],
+                local[entry_bounds[f] : entry_bounds[f + 1]],
+            )
+        )
+    return slices
+
+
+def _walked_slices(
+    table: OpTable, segment: list[int], fragment_of: list[int], local_of: list[int]
+) -> list[OpTable]:
+    """:func:`_array_slices` by a walk of the ops, appending each to its
+    fragment's column lists (gates numbered by first use)."""
+    count = max(fragment_of, default=-1) + 1
+    columns: list[tuple[list, list, list, dict]] = [([], [], [0], {}) for _ in range(count)]
+    bounds = table.offsets.tolist()
+    for g, a, b in zip(table.gate_index.tolist(), bounds, bounds[1:]):
+        gate_index, wires, offsets, renumber = columns[fragment_of[segment[a]]]
+        gate_index.append(renumber.setdefault(g, len(renumber)))
+        wires += [local_of[s] for s in segment[a:b]]
+        offsets.append(len(wires))
+    return [
+        OpTable(
+            [table.gates[g] for g in renumber],
+            np.array(gate_index, dtype=np.int32),
+            np.array(wires, dtype=np.int32),
+            np.array(offsets, dtype=np.int32),
+        )
+        for gate_index, wires, offsets, renumber in columns
+    ]

@@ -12,20 +12,25 @@ of word ``q >> 6``).
 
 **Gate walk.**  :func:`compile_clifford_layers` turns a circuit into a
 flat gate program in op order — native H, S, CX, X, Y, Z as themselves,
-every other Clifford gate as its cached stabilizer decomposition — kept in
-the circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
-(revalidated by op-list identity, so any mutation recompiles), and so is
-its inverse (:func:`compile_inverse_layers`).  The steps between two CX
-on a wire are fused: any run of one-qubit Cliffords is one of 24 group
-elements (up to phase), kept per wire as an index into a 24×24 product
-table and written out as its shortest spelling over H, S, X, Y and Z (at
-most 4 steps) when a CX touches the wire or the program ends.  The table
-is built at import by running the ``apply_layers`` kernel itself on the
-rows ``X``, ``Z`` and ``Y`` of one wire (:func:`_one_qubit_group`), so
-the fused program conjugates every row bit for bit as the spelled-out
-one; on the 200-qubit HWEA Clifford fragment (4 010 ops) it is 3 449
-steps forward and 4 196 inverse, where spelling every op out took 16 113
-and 28 213.
+every other Clifford gate as its cached stabilizer decomposition — read
+off the circuit's op table (:class:`~repro.circuits.circuit.OpTable`:
+one step lookup per distinct gate, then integer columns op by op, so a
+fragment body born from the cutter's table is compiled without its
+``Operation`` list ever being built).  The program is kept in the
+circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
+(revalidated by op-list identity once ``ops`` exists, so any mutation
+recompiles), and so is its inverse (:func:`compile_inverse_layers`); the
+op table stays there only if something else derived it.  The steps
+between two CX on a wire are fused: any run of one-qubit Cliffords is one
+of 24 group elements (up to phase), kept per wire as an index into a
+24×24 product table and written out as its shortest spelling over H, S,
+X, Y and Z (at most 4 steps) when a CX touches the wire or the program
+ends.  The group table is built at import by running the
+``apply_layers`` kernel itself on the rows ``X``, ``Z`` and ``Y`` of one
+wire (:func:`_one_qubit_group`), so the fused program conjugates every
+row bit for bit as the spelled-out one; on the 200-qubit HWEA Clifford
+fragment (4 010 ops) it is 3 449 steps forward and 4 196 inverse, where
+spelling every op out took 16 113 and 28 213.
 :func:`heisenberg_images` turns each qubit column of the rows into one
 Python int, walks the inverse program (:func:`inverse_program`) gate by
 gate on those ints — 1 to 4 big-int ops per gate, every row at once, the
@@ -92,7 +97,7 @@ from repro.analysis.distributions import (
     pack_bit_rows,
     unpack_shots,
 )
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, OpTable
 from repro.errors import ReconstructionMemoryError
 
 _ONE = np.uint64(1)
@@ -180,12 +185,14 @@ def _gate_element(gate) -> int | None:
 
 
 def _compile_ops(ops) -> list[tuple]:
-    """A Clifford op list as a flat gate program, in op order.
+    """A Clifford circuit's :class:`~repro.circuits.circuit.OpTable` (or
+    op list, tabled first) as a flat gate program, in op order.
 
     Each op stands for its gate's steps on the op's qubits: native H, S,
     CX, X, Y and Z as themselves, any other Clifford gate as its
-    ``stabilizer_decomposition()`` (looked up once per distinct gate), the
-    identity as nothing.  A run of one-qubit steps on a wire is one of the
+    ``stabilizer_decomposition()``, the identity as nothing — looked up
+    once per distinct gate of the table, then read off the integer
+    columns op by op.  A run of one-qubit steps on a wire is one of the
     24 one-qubit Cliffords: it is kept as one pending group element per
     wire, composed by table lookup, and written out as that element's
     shortest spelling (at most 4 steps) when a CX touches the wire and at
@@ -194,25 +201,31 @@ def _compile_ops(ops) -> list[tuple]:
     ``(name, qubit)`` or ``("CX", control, target)``.  Raises
     ``ValueError`` on a non-Clifford gate.
     """
+    table = ops if isinstance(ops, OpTable) else OpTable.from_ops(ops)
+    if not table.clifford.all():
+        # the first non-Clifford op's gate names itself in the error
+        _gate_steps(table.gates[table.gate_index[np.argmin(table.clifford[table.gate_index])]])
+    elements = [_gate_element(gate) for gate in table.gates]
+    gate_steps = [_gate_steps(gate) for gate in table.gates]
     program: list[tuple] = []
     emit = program.append
     # keyed by qubit, not indexed: a qubit outside the columns reaches the
     # kernel as itself, which refuses it
     pending: dict[int, int] = {}
     product, spellings, step_element = _PRODUCT, _SPELLINGS, _STEP_ELEMENT
-    for op in ops:
-        element = _gate_element(op.gate)
+    wires = table.wires.tolist()
+    for g, at in zip(table.gate_index.tolist(), table.offsets.tolist()):
+        element = elements[g]
         if element is not None:
-            q = op.qubits[0]
+            q = wires[at]
             pending[q] = product[pending.get(q, 0)][element]
             continue
-        qubits = op.qubits
-        for step in _gate_steps(op.gate):
+        for step in gate_steps[g]:
             if len(step) == 2:
-                q = qubits[step[1]]
+                q = wires[at + step[1]]
                 pending[q] = product[pending.get(q, 0)][step_element[step[0]]]
                 continue
-            control, target = qubits[step[1]], qubits[step[2]]
+            control, target = wires[at + step[1]], wires[at + step[2]]
             for q in (control, target):
                 for name in spellings[pending.pop(q, 0)]:
                     emit((name, q))
@@ -233,7 +246,12 @@ def compile_clifford_layers(circuit: Circuit) -> list[tuple]:
     derived = circuit.derived()
     program = derived.get("clifford_layers")
     if program is None:
-        program = derived["clifford_layers"] = _compile_ops(circuit.ops)
+        # a table nothing else asked for is built for the compile alone:
+        # the derived space keeps the program, not a table of it
+        table = derived.get("table")
+        program = derived["clifford_layers"] = _compile_ops(
+            circuit.ops if table is None else table
+        )
     return program
 
 

@@ -67,6 +67,33 @@ class TestPowGateMemo:
         assert str(gates.ZPow(0.0).params[0]) == "0.0"
         assert str(gates.ZPow(-0.0).params[0]) == "-0.0"
 
+    def test_signed_zeros_are_different_gates(self):
+        """Gate identity is the name and the params' exact bits, as the
+        fingerprint says: ``0.0 == -0.0`` as floats, not as gates, and an
+        op on one is not an op on the other."""
+        from repro.circuits.circuit import Operation
+
+        plus, minus = gates.ZPow(0.0), gates.ZPow(-0.0)
+        assert plus != minus and not plus == minus
+        assert len({plus, minus}) == 2
+        assert {plus: "+", minus: "-"}[gates.ZPow(-0.0)] == "-"
+        fresh = gates.Gate("ZP", minus.matrix, (-0.0,))
+        assert fresh == minus and hash(fresh) == hash(minus) and fresh != plus
+        assert gates.Rz(-0.0) != gates.Rz(0.0) and gates.Rz(0.3) == gates.Rz(0.3)
+        assert gates.ZPow(0.3) != gates.XPow(0.3)
+        on_plus, on_minus = Operation(plus, (0,)), Operation(minus, (0,))
+        assert on_plus != on_minus and len({on_plus, on_minus}) == 2
+        assert Operation(fresh, (0,)) == on_minus
+        assert {on_plus: 1, on_minus: 2}[Operation(fresh, (0,))] == 2
+
+    def test_signed_zeros_keep_their_own_cached_steps(self):
+        from repro.stabilizer.tableau import _gate_element, _gate_steps
+
+        for gate in (gates.ZPow(0.0), gates.ZPow(-0.0), gates.XPow(-0.0)):
+            assert _gate_element(gate) == 0  # the identity, spelled as nothing
+        assert _gate_steps(gates.ZPow(0.0)) == _gate_steps(gates.ZPow(-0.0)) == ()
+        assert _gate_steps(gates.XPow(-0.0)) == (("H", 0), ("H", 0))
+
     @pytest.mark.parametrize("t", [0.0, 0.5, 1.5, 0.25, 0.1])
     def test_memoised_gate_equals_a_fresh_one(self, t):
         for factory in (gates.ZPow, gates.XPow, gates.YPow):
