@@ -72,26 +72,18 @@ class CircuitFeatures:
 
     @classmethod
     def _count(cls, circuit: Circuit) -> "CircuitFeatures":
-        """The features read off ``circuit``'s op table: the multi-qubit
-        ops and the non-Clifford count by gate lookup (NumPy passes on a
-        large table, walks of its column lists on a small one:
-        :attr:`~repro.circuits.circuit.OpTable.by_arrays`), the entangling
-        depth by one walk of the multi-qubit ops."""
+        """The features read off ``circuit``'s op table by walks of its
+        column lists: the multi-qubit ops and the non-Clifford count by
+        gate lookup, the entangling depth over the multi-qubit ops."""
         table = circuit.table
-        if table.by_arrays:
-            ops = np.flatnonzero(table.arity[table.gate_index] >= 2)
-            starts = table.offsets[ops]
-            wide = list(zip(starts.tolist(), (table.offsets[ops + 1] - starts).tolist()))
-            t_count = int(np.count_nonzero(~table.clifford[table.gate_index]))
-        else:
-            gate_index = table.gate_index.tolist()
-            arity = table.arity.tolist()
-            wide = [
-                (a, arity[g])
-                for g, a in zip(gate_index, table.offsets.tolist())
-                if arity[g] >= 2
-            ]
-            t_count = sum(map((~table.clifford).tolist().__getitem__, gate_index))
+        gate_index = table.gate_index.tolist()
+        arity = table.arity.tolist()
+        wide = [
+            (a, arity[g])
+            for g, a in zip(gate_index, table.offsets.tolist())
+            if arity[g] >= 2
+        ]
+        t_count = sum(map((~table.clifford).tolist().__getitem__, gate_index))
         wires = table.wires.tolist()
         level = [0] * circuit.n_qubits
         for a, k in wide:

@@ -27,8 +27,6 @@ import sys
 import threading
 from collections import OrderedDict
 
-import numpy as np
-
 from repro.circuits.circuit import Circuit, OpTable
 
 
@@ -72,39 +70,20 @@ def _op_bytes(table: OpTable) -> bytes:
     name and exact parameter bytes, then its wires as ``<q`` words and
     ``;``.
 
-    Read off the table's columns, never from ``Operation``s; each distinct
+    Read off the table's columns, never from ``Operation``s: each distinct
     gate object's head is packed once, so ``ZPow(0.0)`` and ``ZPow(-0.0)``
-    keep their own bytes.  A large table's stream is three ranges per op
-    of one source buffer — the head, the op's wires, ``;`` — read by one
-    NumPy gather; a small one's is joined op by op from slices of its
-    packed wire column (:attr:`~repro.circuits.circuit.OpTable.by_arrays`).
+    keep their own bytes, and the wire column is packed once and sliced
+    per op.
     """
     heads = [gate.name.encode() + gate.param_bytes for gate in table.gates]
     wires = table.wires.tolist()
     packed = struct.pack(f"<{len(wires)}q", *wires)
-    if not table.by_arrays:
-        bounds = table.offsets.tolist()
-        return b"".join(
-            [
-                heads[g] + packed[8 * a : 8 * b] + b";"
-                for g, a, b in zip(table.gate_index.tolist(), bounds, bounds[1:])
-            ]
-        )
-    joined = b"".join(heads)
-    source = np.frombuffer(joined + packed + b";", dtype=np.uint8)
-    head_size = np.array([len(head) for head in heads], dtype=np.int32)
-    first = np.empty((len(table), 3), dtype=np.int32)
-    size = np.empty((len(table), 3), dtype=np.int32)
-    first[:, 0] = (np.cumsum(head_size, dtype=np.int32) - head_size)[table.gate_index]
-    size[:, 0] = head_size[table.gate_index]
-    first[:, 1] = len(joined) + 8 * table.offsets[:-1]
-    size[:, 1] = 8 * np.diff(table.offsets)
-    first[:, 2] = len(source) - 1
-    size[:, 2] = 1
-    size = size.ravel()
-    at = np.repeat(first.ravel() - (np.cumsum(size, dtype=np.int32) - size), size)
-    at += np.arange(len(at), dtype=np.int32)
-    return source[at].tobytes()
+    bounds = table.offsets.tolist()
+    ops = [
+        heads[g] + packed[8 * a : 8 * b]
+        for g, a, b in zip(table.gate_index.tolist(), bounds, bounds[1:])
+    ]
+    return b";".join(ops) + b";" if ops else b""
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:

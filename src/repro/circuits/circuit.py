@@ -26,12 +26,17 @@ and is kept when ``ops`` is built.
 
 from __future__ import annotations
 
+import threading
 from operator import is_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.circuits.gates import Gate
+
+
+#: held while a table-born circuit builds its ``ops`` list
+_BUILDING = threading.Lock()
 
 
 def _same_objects(a: list, b: list) -> bool:
@@ -78,15 +83,20 @@ class Operation:
         return f"{self.gate!r}{list(self.qubits)}"
 
 
-#: a table with at least this many (op, wire) entries is read by NumPy
-#: passes, a smaller one by walking its column lists (:attr:`OpTable.
-#: by_arrays`).  On a 2-core host the 200-qubit HWEA circuit (4 011 ops,
-#: 5 006 entries) cuts in 1.6 ms by arrays and 7 ms walked, and its
-#: Clifford fragment fingerprints in 0.7 ms and 1.7 ms; the 21-op
-#: service-sweep circuit cuts in 0.1 ms walked and 0.2 ms by arrays, and
-#: the array passes' sorts and fancy indexing release the GIL, so a
-#: coordinator thread reading small tables next to busy threads waits out
-#: whole switch intervals.
+#: a table with at least this many (op, wire) entries is cut (``find_cuts``
+#: and ``cut_circuit``) by NumPy passes, a smaller one by walks of its
+#: column lists (:attr:`OpTable.by_arrays`); every other pass over a table
+#: walks its columns at any size.  Cut times on a 2-core host (HWEA
+#: circuits with two T gates, medians, arrays vs walks): 39 entries 0.16 vs
+#: 0.12 ms, 79: 0.24 vs 0.16, 183: 0.19 vs 0.40, 609: 0.28 vs 0.70, 2 007:
+#: 0.51 vs 2.0, 5 007: 1.1 vs 5.1.  Next to a busy Python thread the arrays
+#: lose at every size (5 007 entries: 159 vs 19 ms): each NumPy call that
+#: releases the GIL can wait out a whole switch interval to get it back.
+#: So this is not the crossover (between 79 and 183 entries alone): it
+#: keeps the small circuits the service plans on its threads (the
+#: service-sweep circuits, 39 and 183 entries) on walks and the 200-qubit
+#: circuits (5 007) on arrays, the two regimes timed end to end; any value
+#: from 184 to 5 007 reads the same on every benchmark workload.
 ARRAY_PASSES_FROM = 1024
 
 
@@ -148,7 +158,7 @@ class OpTable:
 
     @property
     def by_arrays(self) -> bool:
-        """Whether passes over this table run as NumPy array passes
+        """Whether this table is cut by NumPy array passes
         (``ARRAY_PASSES_FROM``)."""
         return len(self.wires) >= ARRAY_PASSES_FROM
 
@@ -174,9 +184,9 @@ class OpTable:
 class Circuit:
     """An n-qubit circuit: gate operations plus terminal measurements."""
 
-    # class-level defaults: instances unpickled without ``_derived`` (see
-    # ``__getstate__``) read it as "nothing derived"; ``_table`` is set only
-    # on a table-born circuit whose ``ops`` were never read
+    # class-level defaults: an appended circuit unpickled without
+    # ``_derived`` (see ``__getstate__``) reads it as "nothing derived";
+    # ``_table`` is set only on a table-born circuit, and stays set
     _derived: "tuple[list[Operation] | None, dict] | None" = None
     _table: OpTable | None = None
 
@@ -199,20 +209,26 @@ class Circuit:
         out.n_qubits = n_qubits
         out._measured = None
         out._table = table
+        out._derived = (None, {"table": table})
         return out
 
     def __getattr__(self, name: str):
         # reached only when ``name`` is not set: ``ops`` of a table-born
-        # circuit is built on first read, keeping what was derived so far
-        table = self._table
+        # circuit is built on first read, once, under a lock (other
+        # threads may miss ``ops`` meanwhile and wait here).  The derived
+        # space is re-snapshotted before ``ops`` is published, so
+        # ``derived()`` never sees the new list without its snapshot.
+        table = self.__dict__.get("_table")
         if name != "ops" or table is None:
             raise AttributeError(
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
-        ops = self.__dict__.setdefault("ops", table.operations())
-        held = self._derived
-        self._derived = (list(ops), {"table": table} if held is None else held[1])
-        self.__dict__.pop("_table", None)
+        with _BUILDING:
+            ops = self.__dict__.get("ops")
+            if ops is None:
+                ops = table.operations()
+                self._derived = (list(ops), self._derived[1])
+                self.ops = ops
         return ops
 
     def _check(self, op: Operation) -> None:
@@ -252,12 +268,9 @@ class Circuit:
         assignment; concurrent callers may then compute a value twice but
         never see it half-built.
         """
+        ops = self.__dict__.get("ops")  # read before the snapshot: see __getattr__
         held = self._derived
-        ops = self.__dict__.get("ops")
-        if ops is None:
-            if held is None:
-                held = self._derived = (None, {"table": self._table})
-        elif held is None or held[0] is None or not _same_objects(held[0], ops):
+        if ops is not None and (held is None or not _same_objects(held[0], ops)):
             held = self._derived = (list(ops), {})
         return held[1]
 
@@ -272,10 +285,18 @@ class Circuit:
 
     def __getstate__(self) -> dict:
         # what was derived from the ops is rebuilt on demand: it does not
-        # travel (a table-born circuit travels as its table)
+        # travel (a table-born circuit travels as its table until its ops
+        # are built, then as its ops)
         state = self.__dict__.copy()
         state.pop("_derived", None)
+        if "ops" in state:
+            state.pop("_table", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if "ops" not in state:
+            self._derived = (None, {"table": self._table})
 
     def measure(self, qubits: Sequence[int]) -> "Circuit":
         """Mark qubits as terminally measured (computational basis)."""

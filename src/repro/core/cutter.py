@@ -4,13 +4,15 @@
 its non-Clifford operations from the Clifford bulk; ``cut_circuit`` splits a
 circuit along a given cut set into :class:`Fragment` objects.  Both read
 the circuit's :class:`~repro.circuits.circuit.OpTable`, not its ops.
-``find_cuts`` stably sorts the (op, wire) entries by wire and cuts
-wherever a wire's Clifford flag changes.  ``cut_circuit`` gives every
-entry its segment id, joins segments by union-find over the pairs that
-multi-qubit ops span, and hands each fragment its slice of the table: by
-NumPy passes (a ``searchsorted`` against the sorted cut keys, stable sorts
-by fragment) on a large table, by walks of the column lists on a small
-one, where NumPy's per-call cost and its GIL releases would dominate.  A
+``find_cuts`` cuts wherever a wire's Clifford flag changes.
+``cut_circuit`` gives every (op, wire) entry its segment id, joins
+segments by union-find over the pairs that multi-qubit ops span, and
+hands each fragment its slice of the table.  Both run as NumPy passes (a
+stable sort of the entries by wire, a ``searchsorted`` against the sorted
+cut keys, stable sorts by fragment) on a large table and as walks of the
+column lists on a small one, where NumPy's per-call cost and its GIL
+releases would dominate
+(:data:`~repro.circuits.circuit.ARRAY_PASSES_FROM` says where and why).  A
 fragment body is not re-validated: the source circuit's ops were checked
 when they were added, a local qubit is below its fragment's width by
 construction, and an op's wires lie in distinct segments.
@@ -57,19 +59,44 @@ def find_cuts(
     strategy = getattr(strategy, "strategy", strategy)
     if isinstance(strategy, str):
         strategy = CutStrategy(strategy)
-    # each wire's ops in order, as Clifford flags
-    table = circuit.table
-    order, position, _totals = _wire_positions(table, circuit.n_qubits)
-    wires = table.wires[order]
-    flags = table.clifford[table.gate_index][table.wire_ops()][order]
     # a cut sits wherever a wire passes between a Clifford and a
     # non-Clifford op: never at a wire's ends (free boundaries), never
     # between two non-Clifford ops (they share a fragment)
-    at = np.flatnonzero((wires[1:] == wires[:-1]) & (flags[1:] != flags[:-1])) + 1
-    result = [Cut(q, p) for q, p in zip(wires[at].tolist(), position[at].tolist())]
+    table = circuit.table
+    places = _array_cuts if table.by_arrays else _walked_cuts
+    result = [Cut(q, p) for q, p in places(table, circuit.n_qubits)]
     if strategy is CutStrategy.GREEDY_MERGE:
         result = _greedy_merge(circuit, result)
     return result
+
+
+def _array_cuts(table: OpTable, n: int):
+    """The (wire, position) of each cut, by one stable sort of the (op,
+    wire) entries by wire: each wire's ops in order, as Clifford flags."""
+    order, position, _totals = _wire_positions(table, n)
+    wires = table.wires[order]
+    flags = table.clifford[table.gate_index][table.wire_ops()][order]
+    at = np.flatnonzero((wires[1:] == wires[:-1]) & (flags[1:] != flags[:-1])) + 1
+    return zip(wires[at].tolist(), position[at].tolist())
+
+
+def _walked_cuts(table: OpTable, n: int):
+    """:func:`_array_cuts` by one walk of the ops: each wire keeps its op
+    count and its last op's Clifford flag."""
+    clifford = table.clifford.tolist()
+    wires = table.wires.tolist()
+    bounds = table.offsets.tolist()
+    last = [None] * n
+    position = [0] * n
+    places = []
+    for g, a, b in zip(table.gate_index.tolist(), bounds, bounds[1:]):
+        flag = clifford[g]
+        for q in wires[a:b]:
+            if last[q] is not None and last[q] != flag:
+                places.append((q, position[q]))
+            last[q] = flag
+            position[q] += 1
+    return sorted(places)
 
 
 def _greedy_merge(circuit: Circuit, cuts: list[Cut]) -> list[Cut]:
@@ -142,7 +169,8 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
     :func:`_array_joins`, :func:`_array_slices`) and from walks of the
     column lists on a small one (:func:`_walked_segments`,
     :func:`_walked_joins`, :func:`_walked_slices`); both give the same
-    fragments (:attr:`~repro.circuits.circuit.OpTable.by_arrays`).
+    fragment tables, column for column
+    (:attr:`~repro.circuits.circuit.OpTable.by_arrays`).
     """
     n = circuit.n_qubits
     cuts = sorted(set(cuts))
@@ -280,9 +308,10 @@ def _array_slices(
     table: OpTable, segment: np.ndarray, fragment_of: list[int], local_of: list[int]
 ) -> list[OpTable]:
     """Each fragment's slice of ``table``, op order kept, on local wires
-    and with only the gates it uses, by stable sorts on the fragment of
-    each op and of each entry.  An op lies in the fragment of its first
-    wire's segment (union-find put all its wires there)."""
+    and with only the gates it uses (numbered by first use), by stable
+    sorts on the fragment of each op and of each entry.  An op lies in the
+    fragment of its first wire's segment (union-find put all its wires
+    there)."""
     count = max(fragment_of, default=-1) + 1
     op_fragment = np.array(fragment_of)[segment[table.offsets[:-1]]]
     op_order = np.argsort(op_fragment, kind="stable")
@@ -294,12 +323,12 @@ def _array_slices(
     slices = []
     for f in range(count):
         gate_index = table.gate_index[op_order[op_bounds[f] : op_bounds[f + 1]]]
-        used = np.flatnonzero(np.bincount(gate_index, minlength=len(table.gates)))
+        used = list(dict.fromkeys(gate_index.tolist()))  # by first use
         renumber = np.zeros(len(table.gates), dtype=np.int32)
         renumber[used] = np.arange(len(used))
         slices.append(
             OpTable(
-                [table.gates[g] for g in used.tolist()],
+                [table.gates[g] for g in used],
                 renumber[gate_index],
                 local[entry_bounds[f] : entry_bounds[f + 1]],
             )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import time
 from unittest import mock
 
 import numpy as np
@@ -275,27 +276,24 @@ class TestTableTwins:
 
 @pytest.mark.parametrize("threshold", [0, 10**9], ids=["arrays", "walks"])
 class TestBothPasses:
-    """A large table is cut and fingerprinted by NumPy passes, a small one
-    by walks of its column lists: each pass, forced onto every draw,
-    splits and packs as the twins and raises their errors."""
+    """A large table is cut by NumPy passes, a small one by walks of its
+    column lists: each pass, forced onto every draw, finds and splits as
+    the twins and raises their errors."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_cuts_split_as_the_twin(self, threshold, data):
         circuit = data.draw(table_circuits())
         with mock.patch.object(circuit_module, "ARRAY_PASSES_FROM", threshold):
-            assert _table_bytes(circuit) == reference_op_bytes(circuit.ops)
-            assert CircuitFeatures._count(circuit) == reference_count(circuit)
-            for cuts in (find_cuts(circuit), data.draw(valid_cut_sets(circuit))):
+            found = find_cuts(circuit)
+            assert found == reference_find_cuts(circuit)
+            for cuts in (found, data.draw(valid_cut_sets(circuit))):
                 got = cut_circuit(circuit, cuts)
                 want = reference_cut_circuit(circuit, cuts)
                 for fragment, twin in zip(got.fragments, want.fragments):
                     assert fragment_fingerprint(
                         fragment.circuit, *fragment.cut_wires
                     ) == reference_fragment_fingerprint(twin.circuit, *twin.cut_wires)
-                    assert CircuitFeatures._count(fragment.circuit) == reference_count(
-                        twin.circuit
-                    )
                 assert_same_cut(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -322,11 +320,36 @@ class TestBothPasses:
         from repro.apps.hwea import HWEA
 
         circuit = HWEA(60, 5).near_clifford_instance(num_t=3, rng=np.random.default_rng(4))
-        cuts = find_cuts(circuit)
         with mock.patch.object(circuit_module, "ARRAY_PASSES_FROM", threshold):
-            assert _table_bytes(circuit) == reference_op_bytes(circuit.ops)
-            assert CircuitFeatures._count(circuit) == reference_count(circuit)
+            cuts = find_cuts(circuit)
+            assert cuts == reference_find_cuts(circuit)
             assert_same_cut(cut_circuit(circuit, cuts), reference_cut_circuit(circuit, cuts))
+
+
+def _columns(table: OpTable) -> tuple:
+    return (
+        [id(gate) for gate in table.gates],
+        table.gate_index.tolist(),
+        table.offsets.tolist(),
+        table.wires.tolist(),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_both_passes_slice_the_same_tables(data):
+    """Arrays and walks hand every fragment the same table, column for
+    column, its gates numbered by first use."""
+    circuit = data.draw(table_circuits())
+    cuts = data.draw(valid_cut_sets(circuit))
+    bodies = []
+    for threshold in (0, 10**9):
+        with mock.patch.object(circuit_module, "ARRAY_PASSES_FROM", threshold):
+            bodies.append([f.circuit.table for f in cut_circuit(circuit, cuts).fragments])
+    arrays, walks = bodies
+    assert [_columns(t) for t in arrays] == [_columns(t) for t in walks]
+    for table in arrays:
+        assert list(dict.fromkeys(table.gate_index.tolist())) == list(range(len(table.gates)))
 
 
 def _table_bytes(circuit: Circuit) -> bytes:
@@ -421,6 +444,37 @@ class TestTableBornBodies:
         )
         body.append(gates.T, 0)
         assert not body.is_clifford and CircuitFeatures.from_circuit(body).t_count == 1
+
+    def test_threads_reading_the_ops_at_once_share_one_build(self):
+        import threading
+
+        body = _table_born_fragment().circuit
+        table = body.table
+        builds = []
+        build = OpTable.operations
+
+        def slow_build(self):
+            builds.append(self)
+            time.sleep(0.02)  # hold the build open while the others arrive
+            return build(self)
+
+        start = threading.Barrier(6)
+        seen = []
+
+        def read():
+            start.wait()
+            seen.append(body.ops)
+
+        with mock.patch.object(OpTable, "operations", slow_build):
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        assert len(seen) == 6 and all(ops is seen[0] for ops in seen)
+        assert builds == [table]
+        # what was derived before the build is kept with the new list
+        assert body.derived()["table"] is table and body.table is table
 
     def test_a_copy_shares_the_table_and_builds_its_own_ops(self):
         body = _table_born_fragment().circuit
