@@ -676,7 +676,8 @@ def bench_window_batch() -> dict:
             SuperSim().single_qubit_marginals(circuit)
 
     def per_window(cut_circuit, tensors, _layouts, **kwargs):
-        return loop_reconstruct_windows(cut_circuit, tensors, windows, **kwargs)
+        marginals = loop_reconstruct_windows(cut_circuit, tensors, windows, **kwargs)
+        return marginals, reconstruction.ReconstructionStats()
 
     def oracle():
         with (

@@ -7,14 +7,16 @@ middle, then walks the pipeline explicitly:
 2. ``estimate()`` — price the plan as a zero-simulation dry run;
 3. ``execute()`` — evaluate fragment variants, reconstruct, validate
    against exact statevector simulation;
-4. run again — the variant cache turns the repeat into dictionary lookups.
+4. run again — the variant cache turns the repeat into dictionary lookups;
+5. a windows readout — marginals over a few qubit windows, the same plan →
+   execute path with its own faults and stage timings.
 
 Run:  python examples/quickstart.py
 """
 
 from repro.analysis import hellinger_fidelity
 from repro.circuits import Circuit, gates, inject_t_gates
-from repro.core import ExecutionConfig, SamplingConfig, SuperSim
+from repro.core import ExecutionConfig, Readout, SamplingConfig, SuperSim
 from repro.statevector import StatevectorSimulator
 from repro.testing import ChaosSchedule
 
@@ -60,6 +62,23 @@ def main() -> None:
     print(f"second run: {again.cache_hits} cache hits, "
           f"{again.cache_misses} misses "
           f"(evaluate {again.timings['evaluate'] * 1e3:.2f} ms)")
+
+    # --- stage 5: a readout — what the plan reconstructs ---------------------
+    # marginal_probabilities / sparse_probabilities / probability_of are a
+    # plan with a windows / sparse / point readout, so each query is priced,
+    # timed and fault-reported like run()
+    windows = [[0], [5, 6], [10, 11, 2]]
+    marginal_plan = sim.plan(circuit, readout=Readout("windows", windows=windows))
+    print(f"\nwindows readout priced at the widest window: reconstruction "
+          f"~{marginal_plan.estimate().reconstruction_cost:.3g}")
+    marginal_result = marginal_plan.execute()
+    for window, marginal in zip(windows, marginal_result.marginals):
+        probs = {f"{k:0{len(window)}b}": round(v, 4) for k, v in marginal}
+        print(f"  marginal over {window}: {probs}")
+    print(f"  faults: {marginal_result.faults.summary() or 'none'}")
+    print("  timings: " + ", ".join(
+        f"{stage} {marginal_result.timings[stage] * 1e3:.2f} ms"
+        for stage in ("cut", "evaluate", "tomography", "reconstruct")))
 
     # --- validate against the dense reference -------------------------------
     reference = StatevectorSimulator().probabilities(circuit)

@@ -515,15 +515,20 @@ class Distribution:
             self.n_bits, self._keys, self._vals / total, assume_sorted=True
         )
 
-    def clipped(self) -> "Distribution":
-        """Drop negative quasi-probabilities (reconstruction noise) and renormalise."""
+    def positive(self) -> "Distribution":
+        """Drop negative quasi-probabilities (reconstruction noise) and
+        zeros, without renormalising."""
         positive = self._vals > 0
         if positive.all():
-            return self.normalized()
+            return self
         return Distribution.from_arrays(
             self.n_bits, self._keys[positive], self._vals[positive],
             assume_sorted=True,
-        ).normalized()
+        )
+
+    def clipped(self) -> "Distribution":
+        """Drop negative quasi-probabilities (reconstruction noise) and renormalise."""
+        return self.positive().normalized()
 
     def marginal(self, keep: Iterable[int]) -> "Distribution":
         """Marginalise onto bit positions ``keep`` (in the given order)."""

@@ -22,7 +22,8 @@ whose staged API mirrors the pipeline: ``plan()`` performs steps 1 and the
 routing half of 2 without simulating anything, returning a frozen
 :class:`~repro.core.plan.ExecutionPlan` that can be inspected, priced
 (``estimate()``), overridden (``with_cuts`` / ``with_backend``) and then
-``execute()``-d; ``run()`` is the one-shot composition, and ``sweep()`` /
+``execute()``-d — its :class:`~repro.core.plan.Readout` says what it
+reconstructs; ``run()`` is the one-shot composition, and ``sweep()`` /
 ``run_many()`` batch many points over a shared variant cache.
 Configuration travels in the typed objects of :mod:`repro.core.config`.
 """
@@ -35,7 +36,8 @@ from repro.core.config import (
 )
 from repro.core.cutter import Cut, CutStrategy, cut_circuit, find_cuts, plan_cuts
 from repro.core.fragments import CutCircuit, Fragment
-from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
+from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan
+from repro.core.plan import Readout, SweepResult
 from repro.core.supersim import SuperSim, SuperSimResult
 from repro.errors import (
     BackendExecutionError,
@@ -63,6 +65,7 @@ __all__ = [
     "SuperSim",
     "SuperSimResult",
     "ExecutionPlan",
+    "Readout",
     "CostEstimate",
     "FragmentPlan",
     "SweepResult",

@@ -17,6 +17,11 @@ deriving a variation returns a new plan:
   reconstruct stages and return a
   :class:`~repro.core.supersim.SuperSimResult`.
 
+What a plan reconstructs is its :class:`Readout` — the distribution over
+``keep_qubits`` by default, else a list of marginal windows, a sparse
+distribution or one outcome's probability — so every query is planned,
+priced, timed and fault-reported the same way.
+
 Batch work streams through :meth:`SuperSim.sweep` / ``run_many``, which
 yield :class:`SweepResult` records as each grid point completes while the
 variant cache is shared across all points.
@@ -148,6 +153,33 @@ class CostEstimate:
 
 
 @dataclass(frozen=True)
+class Readout:
+    """What a plan reconstructs, besides the default distribution.
+
+    * ``Readout("windows", windows=[[0, 1], [2]])`` — one marginal per
+      qubit window (each window sets its marginal's bit order), every
+      window reconstructed exactly at any circuit width;
+    * ``Readout("sparse", max_support=...)`` — the distribution over
+      ``keep_qubits`` with every fragment tensor on its support, refused
+      before contracting when the supports' product exceeds
+      ``max_support``;
+    * ``Readout("point", bits=[0, 1, ...])`` — the probability of one
+      outcome of ``keep_qubits`` (bits ``0``/``1`` or ``"0"``/``"1"``).
+
+    ``readout=None`` (the default) is the distribution over
+    ``keep_qubits``, reconstructed as the
+    :class:`~repro.core.config.ReconstructionConfig` says: ``full``,
+    ``recursive``, or for ``mode="windowed"`` a one-window readout.
+    ``SuperSim.plan`` checks a readout before anything is cut.
+    """
+
+    kind: str  # "windows" | "sparse" | "point"; "full" | "recursive" resolved
+    windows: tuple[tuple[int, ...], ...] = ()
+    max_support: int = 1_000_000
+    bits: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
 class ExecutionPlan:
     """A frozen record of every pipeline decision, ready to execute.
 
@@ -155,11 +187,26 @@ class ExecutionPlan:
     Override hooks (``with_cuts``, ``with_backend``) return *new* plans —
     an existing plan is never mutated, so plans can be shared, compared
     and re-executed safely.
+
+    ``readout`` is what :meth:`execute` reconstructs (:class:`Readout`;
+    ``None`` is the distribution over ``keep_qubits``).  Every readout is
+    evaluated once and reconstructed by the engine built for it, and each
+    keeps the negative-mass rule it has always had:
+
+    * the distribution in ``full`` mode, the windows (a windowed config's
+      one window included) and the sparse distribution are ``clipped()``
+      — negative quasi-probabilities zeroed and the rest renormalised;
+    * a ``recursive`` distribution drops its negative values and is not
+      renormalised — the mass top-k truncation lost is real information
+      (``stats.covered_probability``);
+    * a point is the raw contraction, nothing pruned or clipped, however
+      small.
     """
 
     circuit: Circuit = field(repr=False)
     cut_circuit: CutCircuit
     keep_qubits: tuple[int, ...]
+    readout: Readout | None
     backend_names: tuple[str, ...]
     fragment_modes: tuple[str, ...] = field(repr=False)
     planning_seconds: float = field(repr=False, compare=False)
@@ -230,6 +277,10 @@ class ExecutionPlan:
         by the router's calibration constants when present, times the
         fragment's variant count.  In exact mode the dry run also
         fingerprints every job against the attached cache to predict hits.
+        The recombination is charged by the readout's output width: the
+        kept qubits (by config, as ``execute()`` picks the engine), the
+        widest window, the kept qubits of a sparse readout (an upper
+        bound), or no bits for a point.
         """
         return self._require_sim()._estimate_plan(self)
 
@@ -243,9 +294,8 @@ class ExecutionPlan:
         fragment of the old cut set) does not carry over — apply
         ``with_cuts`` first, then pin backends on the resulting plan.
         """
-        return self._require_sim().plan(
-            self.circuit, keep_qubits=list(self.keep_qubits), cuts=list(cuts)
-        )
+        sim = self._require_sim()
+        return sim.plan(self.circuit, list(self.keep_qubits), list(cuts), self.readout)
 
     def with_backend(self, fragment_index: int, backend) -> "ExecutionPlan":
         """A new plan with one fragment pinned to ``backend`` (name or instance).

@@ -36,21 +36,21 @@ below :data:`ZERO_THRESHOLD` are dropped and the rest go to
 full the accumulator already *is* the dense distribution and the
 permutation is a reshape/transpose; that is the only run-time choice, and
 it is read off the tensors.  Many windows at once
-(:func:`reconstruct_windows`, what ``SuperSim.marginal_probabilities``
-asks for) are the same contraction with a batch axis: the windows whose
-fragment tensors have the same shapes are contracted together, along the
+(:func:`reconstruct_windows`, what a plan's windows readout asks for)
+are the same contraction with a batch axis: the windows whose fragment
+tensors have the same shapes are contracted together, along the
 one-window path, each pairwise step one batched ``np.matmul``, and only
 the per-window tail (:func:`_outcomes`) runs once per window — bit for
 bit what one contraction per window gives.
 
 The Section IX zero-term optimization is accounting here, not a second
 engine: Pauli slices whose magnitude is (near) zero — guaranteed for many
-Pauli observables of stabilizer states — are flagged fragment-wise
-(:func:`_nonzero_masks`) and the assignments they kill counted by one
-indicator contraction (:func:`_count_survivors`) into
-``stats.terms_skipped``.  (Should a shape ever need the pruning *speed*,
-slice each cut axis to its live Pauli indices before the einsum — the
-masks already know them.)
+Pauli observables of stabilizer states — are flagged fragment-wise and
+the assignments they kill counted by one indicator contraction
+(:func:`_count_survivors`) into ``stats.terms_skipped``, per window when
+many are batched.  (Should a shape ever need the pruning *speed*, slice
+each cut axis to its live Pauli indices before the einsum — the masks
+already know them.)
 
 :func:`reconstruct_dynamic` is the one driver on top (CutQC-style
 "dynamic definition"): output width is its own scale axis, so it
@@ -200,27 +200,26 @@ def _output_order(fragments, kept_locals, keep_qubits) -> list[int]:
     return [concat_qubits.index(q) for q in keep_qubits]
 
 
-def _nonzero_masks(tensors: list[np.ndarray]) -> list[np.ndarray]:
-    """Per fragment: boolean indicator over cut-axis combos of live slices."""
-    return [
-        np.max(np.abs(tensor), axis=-1, initial=0.0) > ZERO_THRESHOLD
-        for tensor in tensors
-    ]
-
-
-def _count_survivors(masks: list[np.ndarray], axis_cuts: list[list[int]]) -> int:
+def _count_survivors(
+    tensors: list[np.ndarray], axis_cuts: list[list[int]], k: int, batch: int = 0
+) -> np.ndarray:
     """Number of Pauli assignments with every fragment slice nonzero.
 
-    One einsum over the 0/1 indicator tensors — the same contraction as
-    the reconstruction itself, but over tiny ``4^axes`` masks.
+    A fragment's slice is live when some entry's magnitude exceeds
+    :data:`ZERO_THRESHOLD`; one einsum over the 0/1 indicator tensors —
+    the same contraction as the reconstruction itself, but over tiny
+    ``4^axes`` masks, and accounting rather than a kernel call — counts
+    the assignments.  With ``batch`` every tensor carries a leading axis
+    of one slice per window, and the count comes back per window.
     """
+    lead = [k] if batch else []
     operands: list = []
-    for mask, cuts in zip(masks, axis_cuts):
-        operands.append(mask.astype(np.float64))
-        operands.append(list(cuts))
-    operands.append([])
+    for tensor, cuts in zip(tensors, axis_cuts):
+        live = (np.abs(tensor) > ZERO_THRESHOLD).any(axis=-1)
+        operands += [live.astype(np.float64), lead + list(cuts)]
+    operands.append(lead)
     path = _cached_einsum_path(operands)
-    return int(round(float(_kernels.dense_contract(operands, path))))
+    return np.rint(np.einsum(*operands, optimize=path)).astype(np.int64)
 
 
 def output_sites(cut_circuit: CutCircuit) -> dict[int, tuple[int, int, int]]:
@@ -381,8 +380,7 @@ def reconstruct_distribution(
     stats.peak_window_entries = math.prod(sizes)
 
     if prune_zeros:
-        masks = _nonzero_masks(values)
-        stats.terms_skipped = stats.terms_total - _count_survivors(masks, axis_cuts)
+        stats.terms_skipped = 4**k - int(_count_survivors(values, axis_cuts, k))
     accumulator = _dense_einsum(values, axis_cuts, k)
     accumulator /= 2.0**k
     distribution = _outcomes(
@@ -400,7 +398,7 @@ def reconstruct_windows(
     layouts: list[tuple[list[list[int]], list[int]]],
     prune_zeros: bool = True,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
-) -> list[Distribution]:
+) -> tuple[list[Distribution], ReconstructionStats]:
     """:func:`reconstruct_distribution` for many windows, batched.
 
     ``tensors[f][w]`` is fragment ``f``'s dense tensor for window ``w``
@@ -414,30 +412,42 @@ def reconstruct_windows(
     just its tail — its output order, the :data:`ZERO_THRESHOLD` cut and its
     :class:`Distribution` (:func:`_outcomes`) — and every distribution is
     bit for bit what :func:`reconstruct_distribution` returns for that
-    window alone.  No statistics are kept.
+    window alone.  The statistics count the batched contractions run
+    (``windows``), the largest one window's accumulator
+    (``peak_window_entries``) and the most Pauli assignments any window
+    found dead (``terms_skipped``), in mode ``windowed``; of one window
+    they are what :func:`reconstruct_distribution` reports for it.
     """
     k = cut_circuit.num_cuts
     axis_cuts = _axis_cuts(cut_circuit.fragments)
     threshold = ZERO_THRESHOLD if prune_zeros else 0.0
+    stats = ReconstructionStats(terms_total=4**k, mode="windowed")
     groups: dict[tuple, list[int]] = {}
     for w in range(len(layouts)):
         groups.setdefault(tuple(t[w].shape for t in tensors), []).append(w)
     out: list[Distribution] = [None] * len(layouts)  # type: ignore[list-item]
     for members in groups.values():
+        batch = len(members)
         check_dense_width(len(layouts[members[0]][1]), max_dense_bits)
         operands = []
         for of_fragment in tensors:
             first = of_fragment[members[0]]
             if all(of_fragment[w] is first for w in members):
-                operands.append(np.broadcast_to(first, (len(members),) + first.shape))
+                operands.append(np.broadcast_to(first, (batch,) + first.shape))
             else:
                 operands.append(np.stack([of_fragment[w] for w in members]))
+        stats.windows += 1
+        entries = math.prod(op.shape[-1] for op in operands)
+        stats.peak_window_entries = max(stats.peak_window_entries, entries)
+        if prune_zeros:
+            alive = _count_survivors(operands, axis_cuts, k, batch)
+            stats.terms_skipped = max(stats.terms_skipped, 4**k - int(alive.min()))
         # a group whose every tensor is shared may come back as a
         # read-only broadcast view: divide into a new array
-        accumulators = _dense_einsum(operands, axis_cuts, k, len(members)) / 2.0**k
+        accumulators = _dense_einsum(operands, axis_cuts, k, batch) / 2.0**k
         for w, accumulator in zip(members, accumulators):
             out[w] = _outcomes(accumulator, layouts[w][1], threshold)
-    return out
+    return out, stats
 
 
 def reconstruct_dynamic(

@@ -16,9 +16,24 @@ overridden, and finally executed::
     result.distribution               # reconstructed output distribution
     result.timings                    # per-stage wall-clock breakdown
 
+What a plan reconstructs is its :class:`~repro.core.plan.Readout`: by
+default the distribution over ``keep_qubits``; else marginal windows, a
+sparse distribution or one outcome's probability.  Every query goes
+through ``plan()`` and one execute path — evaluated once, then
+reconstructed by the readout's engine — so every result carries its
+``faults``, stage ``timings`` and ``stats`` (the negative-mass rule of
+each readout is in :class:`~repro.core.plan.ExecutionPlan`)::
+
+    plan = sim.plan(circuit, readout=Readout("windows", windows=[[0], [1, 2]]))
+    plan.estimate()                   # priced at the widest window
+    result = plan.execute()
+    result.marginals                  # one Distribution per window
+
 ``run(circuit)`` is simply ``plan(circuit).execute()`` — the one-shot path
-stays one line.  Configuration travels in three typed objects instead of
-loose kwargs (:class:`~repro.core.config.CutConfig`,
+stays one line, and ``marginal_probabilities`` / ``sparse_probabilities``
+/ ``probability_of`` are a plan with a readout, unwrapped.  Configuration
+travels in three typed objects instead of loose kwargs
+(:class:`~repro.core.config.CutConfig`,
 :class:`~repro.core.config.SamplingConfig`,
 :class:`~repro.core.config.ExecutionConfig`)::
 
@@ -42,7 +57,7 @@ import math
 import numbers
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,8 +76,15 @@ from repro.core.cutter import plan_cuts
 from repro.core.evaluator import FragmentEvaluator, router_for
 from repro.core.fragments import Cut, CutCircuit
 from repro.errors import FaultReport
-from repro.core.plan import CostEstimate, ExecutionPlan, FragmentPlan, SweepResult
+from repro.core.plan import (
+    CostEstimate,
+    ExecutionPlan,
+    FragmentPlan,
+    Readout,
+    SweepResult,
+)
 from repro.core.reconstruction import (
+    DEFAULT_MAX_DENSE_BITS,
     ReconstructionStats,
     SupportTensor,
     check_dense_width,
@@ -108,15 +130,21 @@ class SuperSimResult:
     soft-timeouts, worker crashes, degrade-mode backend fallbacks).  A
     clean run has ``bool(result.faults) is False``; faults never change
     the numbers, only how much work it took to get them.
+
+    A windows readout fills ``marginals``, one distribution per window;
+    ``distribution`` (and ``raw_distribution``, before the negative-mass
+    rule) is then its one window's marginal, or ``None`` for several.
+    A point readout's ``distribution`` has the one zero-bit outcome.
     """
 
-    distribution: Distribution
+    distribution: Distribution | None
     cut_circuit: CutCircuit
     stats: ReconstructionStats
     timings: dict[str, float] = field(default_factory=dict)
     raw_distribution: Distribution | None = None
     backend_usage: dict[str, int] = field(default_factory=dict)
     faults: FaultReport = field(default_factory=FaultReport)
+    marginals: list[Distribution] | None = None
 
     def __post_init__(self):
         for stage in STAGES:
@@ -281,12 +309,14 @@ class SuperSim:
             self._shared_router = router_for(self.execution)
         return self._shared_router
 
-    def _evaluator(self, assignments=None) -> FragmentEvaluator:
+    def _evaluator(self, plan: ExecutionPlan | None = None) -> FragmentEvaluator:
+        """An evaluator of this sim's configs, held to a plan's routing."""
+        pinned = zip(plan.cut_circuit.fragments, plan._backends) if plan else ()
         return FragmentEvaluator(
             self.sampling,
             self.execution.replace(router=self._router()),
             cache=self.variant_cache,
-            assignments=assignments,
+            assignments={f.index: b for f, b in pinned},
         )
 
     # -- plan stage -----------------------------------------------------------
@@ -296,33 +326,28 @@ class SuperSim:
         circuit: Circuit,
         keep_qubits: list[int] | None = None,
         cuts: list[Cut] | None = None,
+        readout: Readout | None = None,
     ) -> ExecutionPlan:
         """Stage 1: cut the circuit and route fragments — no simulation.
 
         The returned :class:`~repro.core.plan.ExecutionPlan` records the
         cut circuit, each fragment's enumerated variant count, the backend
-        the router assigned it, and the evaluation mode; inspect it, price
-        it with ``estimate()``, override it with ``with_cuts(...)`` /
-        ``with_backend(...)``, then ``execute()``.
+        the router assigned it, the evaluation mode and the ``readout`` —
+        what ``execute()`` reconstructs (:class:`~repro.core.plan.Readout`;
+        ``None``: the distribution over ``keep_qubits``); inspect it,
+        price it with ``estimate()``, override it with ``with_cuts(...)``
+        / ``with_backend(...)``, then ``execute()``.
 
-        An explicit ``keep_qubits`` and a windowed run's window are
-        checked here, before anything is cut (:func:`_check_qubits`).
+        An explicit ``keep_qubits``, the readout's windows or bits and a
+        windowed run's window are checked here, before anything is cut
+        (:func:`_check_qubits`).
         """
         if keep_qubits is None:
             keep_qubits = list(circuit.measured_qubits)
         else:
             keep_qubits = list(keep_qubits)
-            what = f"keep_qubits {keep_qubits}"
-            _check_qubits(keep_qubits, circuit.n_qubits, what)
-        mode = self._resolve_reconstruction_mode(keep_qubits)
-        if mode == "recursive" and not keep_qubits:
-            raise ValueError("recursive reconstruction needs a kept qubit")
-        if mode == "windowed":
-            window = self._window(keep_qubits)
-            _check_windows([window], circuit.n_qubits)
-            unknown = [q for q in window if q not in keep_qubits]
-            if unknown:
-                raise ValueError(f"window qubits {unknown} are not in keep_qubits")
+            _check_qubits(keep_qubits, circuit.n_qubits, f"keep_qubits {keep_qubits}")
+        checked = self._readout(readout, keep_qubits, circuit.n_qubits)
         start = time.perf_counter()
         cc = self.cut(circuit, cuts)
         evaluator = self._evaluator()
@@ -333,6 +358,7 @@ class SuperSim:
             circuit=circuit,
             cut_circuit=cc,
             keep_qubits=tuple(keep_qubits),
+            readout=None if readout is None else checked,
             backend_names=tuple(b.name for b in backends),
             fragment_modes=tuple(modes),
             planning_seconds=planning_seconds,
@@ -342,10 +368,7 @@ class SuperSim:
 
     def _estimate_plan(self, plan: ExecutionPlan) -> CostEstimate:
         """Dry-run pricing of a plan (see :meth:`ExecutionPlan.estimate`)."""
-        assignments = {
-            f.index: b for f, b in zip(plan.cut_circuit.fragments, plan._backends)
-        }
-        evaluator = self._evaluator(assignments=assignments)
+        evaluator = self._evaluator(plan)
         router = evaluator.router
         fragment_plans = []
         total = 0.0
@@ -371,12 +394,22 @@ class SuperSim:
             )
         stats = evaluator.dry_run(plan.cut_circuit.fragments)
         rc = self.reconstruction
+        # the distribution by config, else a dense pass over the readout's
+        # widest output: a window, the kept qubits of a sparse readout (an
+        # upper bound), no bits for a point
+        readout, width, mode = plan.readout, len(plan.keep_qubits), rc.mode
+        if readout is not None:
+            mode = "full"
+            if readout.kind == "windows":
+                width = max(map(len, readout.windows), default=0)
+            elif readout.kind == "point":
+                width = 0
         reconstruction_cost = estimate_reconstruction_cost(
             plan.num_cuts,
-            len(plan.keep_qubits),
+            width,
             qubit_limit=rc.qubit_limit,
             top_k=rc.top_k,
-            mode=rc.mode,
+            mode=mode,
         )
         return CostEstimate(
             fragments=tuple(fragment_plans),
@@ -398,21 +431,51 @@ class SuperSim:
         already, and clipping its eigenvalues would only add rounding."""
         return self.sampling.tomography and evaluator.mode(fragment) != "exact"
 
-    def _resolve_reconstruction_mode(self, keep_qubits) -> str:
-        """The engine ``execute()`` will run for this output width."""
-        mode = self.reconstruction.mode
-        if mode == "auto":
-            wide = len(keep_qubits) > self.reconstruction.max_dense_bits
-            return "recursive" if wide else "full"
-        return mode
+    def _readout(self, readout, keep_qubits: list, n_qubits: int) -> Readout:
+        """A plan's readout, checked before anything is cut and returned
+        with its windows and bits as tuples (bits as ints).
 
-    def _window(self, keep_qubits) -> list:
-        """The qubits a windowed run reconstructs: ``window``, or the first
-        ``qubit_limit`` kept qubits."""
-        window = self.reconstruction.window
-        if window is None:
-            window = keep_qubits[: self.reconstruction.qubit_limit]
-        return list(window)
+        ``None`` is the distribution over ``keep_qubits`` by config: kind
+        ``full`` or ``recursive`` (``auto``: recursive past
+        ``max_dense_bits``), or under ``mode="windowed"`` a one-window
+        readout of ``window`` (default: the first ``qubit_limit`` kept
+        qubits), which must be kept qubits.
+        """
+        if readout is None:
+            rc = self.reconstruction
+            mode = rc.mode
+            if mode == "auto":
+                mode = "recursive" if len(keep_qubits) > rc.max_dense_bits else "full"
+            if mode == "recursive" and not keep_qubits:
+                raise ValueError("recursive reconstruction needs a kept qubit")
+            if mode != "windowed":
+                return Readout(mode)
+            first = keep_qubits[: rc.qubit_limit]
+            window = list(first if rc.window is None else rc.window)
+            _check_windows([window], n_qubits)
+            unknown = [q for q in window if q not in keep_qubits]
+            if unknown:
+                raise ValueError(f"window qubits {unknown} are not in keep_qubits")
+            return Readout("windows", windows=(tuple(window),))
+        if readout.kind == "windows":
+            windows = [list(w) for w in readout.windows]
+            _check_windows(windows, n_qubits)
+            return replace(readout, windows=tuple(tuple(w) for w in windows))
+        if readout.kind == "point":
+            bits = list(readout.bits)
+            if len(bits) != len(keep_qubits):
+                raise ValueError("bitstring length does not match measured qubits")
+            # an integer 0 or 1 (bools and numpy integers too) or a '0'/'1'
+            # character: int() would truncate 0.9 to a silent 0
+            if not all(
+                (isinstance(b, numbers.Integral) and b in (0, 1)) or b in ("0", "1")
+                for b in bits
+            ):
+                raise ValueError(f"outcome bits must be 0 or 1, got {bits!r}")
+            return replace(readout, bits=tuple(int(b) for b in bits))
+        if readout.kind != "sparse":
+            raise ValueError(f"unknown readout kind {readout.kind!r}")
+        return readout
 
     def _dynamic_tensor_builder(self, cc: CutCircuit, fragment_data, evaluator):
         """The per-level tensor callback of
@@ -484,23 +547,25 @@ class SuperSim:
         return build
 
     def _execute_plan(self, plan: ExecutionPlan) -> SuperSimResult:
-        """Stages 2–4: evaluate variants, build tensors, reconstruct.
+        """Stages 2–4: evaluate variants once, build the readout's tensors,
+        reconstruct.
 
-        The reconstruction engine follows ``self.reconstruction`` (see
-        :class:`~repro.core.config.ReconstructionConfig`): dense full
-        reconstruction under ``max_dense_bits``, the windowed exact
-        marginal, or the recursive dynamic-definition driver for wide
-        outputs.  In recursive mode tomography happens per window/bin
-        inside the reconstruct stage (conditioned tensors cannot be built
-        up front), so ``timings["tomography"]`` reads 0.0 there.
+        Dispatches on the plan's readout (:meth:`_readout`): the dense
+        ``full`` reconstruction under ``max_dense_bits``, the ``recursive``
+        dynamic-definition driver for wide outputs, batched ``windows``,
+        the on-support ``sparse`` contraction, or one ``point``.  In
+        recursive mode tomography happens per window/bin inside the
+        reconstruct stage (conditioned tensors cannot be built up front),
+        so ``timings["tomography"]`` reads 0.0 there.
         """
         cc = plan.cut_circuit
+        keep = list(plan.keep_qubits)
+        readout = plan.readout or self._readout(None, keep, plan.circuit.n_qubits)
         timings: dict[str, float] = {"cut": plan.planning_seconds}
         kernel_snapshot = _kernels.counters_snapshot()
-        assignments = {f.index: b for f, b in zip(cc.fragments, plan._backends)}
 
         start = time.perf_counter()
-        evaluator = self._evaluator(assignments=assignments)
+        evaluator = self._evaluator(plan)
         fragment_data = evaluator.evaluate_all(
             cc.fragments, job_runner=self._job_runner
         )
@@ -509,80 +574,114 @@ class SuperSim:
         timings["cache_misses"] = float(evaluator.last_stats.get("cache_misses", 0))
 
         rc = self.reconstruction
-        mode = self._resolve_reconstruction_mode(plan.keep_qubits)
-
-        if mode == "recursive":
-            timings["tomography"] = 0.0
-            start = time.perf_counter()
+        prune_zeros = self.execution.prune_zeros
+        start = time.perf_counter()
+        if readout.kind == "recursive":
             builder = self._dynamic_tensor_builder(cc, fragment_data, evaluator)
             raw, stats = reconstruct_dynamic(
                 cc,
                 builder,
-                list(plan.keep_qubits),
+                keep,
                 qubit_limit=rc.qubit_limit,
                 top_k=rc.top_k,
-                prune_zeros=self.execution.prune_zeros,
+                prune_zeros=prune_zeros,
             )
-            timings["reconstruct"] = time.perf_counter() - start
-            # calibrated top-k: drop negative quasi-probability noise but
-            # do NOT renormalise — the missing mass is real information
-            # (stats.covered_probability reports it)
-            positive = raw.values_array > 0
-            cleaned = Distribution.from_arrays(
-                raw.n_bits,
-                raw.keys_array[positive],
-                raw.values_array[positive],
-                assume_sorted=True,
-            )
-        else:
-            if mode == "windowed":
-                target_qubits = self._window(plan.keep_qubits)
-            else:
-                # guard BEFORE tomography: on wide circuits the per-fragment
-                # dense tensors (2**kept_bits per variant) blow up first,
-                # long before the final accumulator would
-                check_dense_width(len(plan.keep_qubits), rc.max_dense_bits)
-                target_qubits = list(plan.keep_qubits)
-
-            start = time.perf_counter()
-            kept_locals = _kept_locals(cc, target_qubits)
+            raws = [raw]
+        elif readout.kind == "windows":
+            sites, n_fragments = output_sites(cc), len(cc.fragments)
+            layouts = [window_layout(sites, n_fragments, w) for w in readout.windows]
             tensors = [
-                build_fragment_tensor(
+                build_window_tensors(
                     data,
-                    kept,
+                    [kept_locals[f] for kept_locals, _order in layouts],
                     project=self._projects(evaluator, data.fragment),
                     max_dense_bits=rc.max_dense_bits,
                 )
-                for data, kept in zip(fragment_data, kept_locals)
+                for f, data in enumerate(fragment_data)
             ]
             timings["tomography"] = time.perf_counter() - start
-
+            start = time.perf_counter()
+            raws, stats = reconstruct_windows(
+                cc,
+                tensors,
+                layouts,
+                prune_zeros=prune_zeros,
+                max_dense_bits=rc.max_dense_bits,
+            )
+        else:
+            max_dense_bits = rc.max_dense_bits if readout.kind == "full" else None
+            kept_locals = _kept_locals(cc, keep)
+            if readout.kind == "full":
+                # guard BEFORE tomography: on wide circuits the per-fragment
+                # dense tensors (2**kept_bits per variant) blow up first,
+                # long before the final accumulator would
+                check_dense_width(len(keep), max_dense_bits)
+                tensors = [
+                    build_fragment_tensor(
+                        data,
+                        kept,
+                        project=self._projects(evaluator, data.fragment),
+                        max_dense_bits=max_dense_bits,
+                    )
+                    for data, kept in zip(fragment_data, kept_locals)
+                ]
+            else:  # sparse, or a point: every kept qubit pinned, no window
+                point = readout.kind == "point"
+                bit_of = dict(zip(keep, readout.bits))
+                tensors = [
+                    build_conditioned_fragment_tensor(
+                        data,
+                        [] if point else kept,
+                        {
+                            lq: bit_of[oq]
+                            for oq, lq in data.fragment.circuit_outputs
+                            if oq in bit_of
+                        },
+                        # a sparse readout bounds its supports' product
+                        max_dense_bits=DEFAULT_MAX_DENSE_BITS if point else None,
+                    )
+                    for data, kept in zip(fragment_data, kept_locals)
+                ]
+                if math.prod(len(t.support) for t in tensors) > readout.max_support:
+                    raise ValueError(
+                        "sparse reconstruction support exceeded max_support; "
+                        "use marginal reconstruction for dense outputs"
+                    )
+                if point:
+                    kept_locals, keep, prune_zeros = [[] for _ in tensors], [], False
+            timings["tomography"] = time.perf_counter() - start
             start = time.perf_counter()
             raw, stats = reconstruct_distribution(
                 cc,
                 tensors,
                 kept_locals,
-                target_qubits,
-                prune_zeros=self.execution.prune_zeros,
-                max_dense_bits=rc.max_dense_bits,
+                keep,
+                prune_zeros=prune_zeros,
+                max_dense_bits=max_dense_bits,
             )
-            if mode == "windowed":
-                stats.mode = "windowed"
-            timings["reconstruct"] = time.perf_counter() - start
-            cleaned = raw.clipped() if len(raw) else raw
+            raws = [raw]
+        timings["reconstruct"] = time.perf_counter() - start
+
+        # the negative-mass rule of each readout (see ExecutionPlan)
+        if readout.kind == "recursive":
+            cleaned = [raw.positive()]
+        elif readout.kind == "point":
+            cleaned = raws
+        else:
+            cleaned = [dist.clipped() if len(dist) else dist for dist in raws]
 
         for name, secs in _kernels.timings_since(kernel_snapshot).items():
             timings[f"kernel.{name}"] = secs
-        faults = FaultReport()
-        faults.extend(evaluator.faults)
+        one = len(raws) == 1
         return SuperSimResult(
-            distribution=cleaned,
+            distribution=cleaned[0] if one else None,
             cut_circuit=cc,
             stats=stats,
             timings=timings,
-            raw_distribution=raw,
+            raw_distribution=raws[0] if one else None,
             backend_usage=dict(evaluator.last_stats.get("backends", {})),
-            faults=faults,
+            faults=FaultReport(list(evaluator.faults.events)),
+            marginals=cleaned if readout.kind == "windows" else None,
         )
 
     # -- main entry points --------------------------------------------------------
@@ -804,10 +903,11 @@ class SuperSim:
     ) -> Distribution:
         """Full-distribution reconstruction for sparse outputs at any width.
 
-        Avoids the dense ``2^n`` accumulator: every fragment tensor is built
-        on its support (:func:`build_conditioned_fragment_tensor` with
-        nothing pinned) and the contraction runs over the product of the
-        supports, so cost scales with the actual support of the output
+        A plan with a sparse readout (:class:`~repro.core.plan.Readout`).
+        It avoids the dense ``2^n`` accumulator: every fragment tensor is
+        built on its support (:func:`build_conditioned_fragment_tensor`
+        with nothing pinned) and the contraction runs over the product of
+        the supports, so cost scales with the actual support of the output
         distribution (e.g. the repetition-code benchmark at 41 qubits)
         rather than with ``2^n``.  A product above ``max_support`` raises
         ``ValueError`` before anything is contracted (dense outputs should
@@ -815,34 +915,8 @@ class SuperSim:
         explicit ``keep_qubits`` is checked before anything is cut
         (:func:`_check_qubits`).
         """
-        if keep_qubits is None:
-            keep_qubits = list(circuit.measured_qubits)
-        else:
-            keep_qubits = list(keep_qubits)
-            _check_qubits(keep_qubits, circuit.n_qubits, f"keep_qubits {keep_qubits}")
-        cc = self.cut(circuit)
-        fragment_data = self._evaluator().evaluate_all(
-            cc.fragments, job_runner=self._job_runner
-        )
-        kept_locals = _kept_locals(cc, keep_qubits)
-        tensors = [
-            build_conditioned_fragment_tensor(data, kept, {}, max_dense_bits=None)
-            for data, kept in zip(fragment_data, kept_locals)
-        ]
-        if math.prod(len(tensor.support) for tensor in tensors) > max_support:
-            raise ValueError(
-                "sparse reconstruction support exceeded max_support; "
-                "use marginal reconstruction for dense outputs"
-            )
-        dist, _stats = reconstruct_distribution(
-            cc,
-            tensors,
-            kept_locals,
-            keep_qubits,
-            prune_zeros=self.execution.prune_zeros,
-            max_dense_bits=None,
-        )
-        return dist.clipped() if len(dist) else dist
+        readout = Readout("sparse", max_support=max_support)
+        return self.plan(circuit, keep_qubits, readout=readout).execute().distribution
 
     def marginal_probabilities(
         self,
@@ -852,6 +926,7 @@ class SuperSim:
     ) -> list[Distribution]:
         """Marginals over several qubit windows, one evaluation pass.
 
+        A plan with a windows readout (:class:`~repro.core.plan.Readout`).
         ``windows`` is an iterable of qubit-index sequences (each defines
         the bit order of its marginal; a qubit appears at most once in a
         window).  Fragments are evaluated once and each fragment's tensors
@@ -866,33 +941,8 @@ class SuperSim:
         otherwise (Clifford fragments are exact in every mode).  This is
         the primitive QAOA edge scoring and per-qubit readout ride on.
         """
-        windows = [list(w) for w in windows]
-        _check_windows(windows, circuit.n_qubits)
-        cc = self.cut(circuit, cuts)
-        evaluator = self._evaluator()
-        fragment_data = evaluator.evaluate_all(
-            cc.fragments, job_runner=self._job_runner
-        )
-        max_dense_bits = self.reconstruction.max_dense_bits
-        sites = output_sites(cc)
-        layouts = [window_layout(sites, len(cc.fragments), w) for w in windows]
-        tensors = [
-            build_window_tensors(
-                data,
-                [kept_locals[f] for kept_locals, _order in layouts],
-                project=self._projects(evaluator, data.fragment),
-                max_dense_bits=max_dense_bits,
-            )
-            for f, data in enumerate(fragment_data)
-        ]
-        marginals = reconstruct_windows(
-            cc,
-            tensors,
-            layouts,
-            prune_zeros=self.execution.prune_zeros,
-            max_dense_bits=max_dense_bits,
-        )
-        return [dist.clipped() if len(dist) else dist for dist in marginals]
+        readout = Readout("windows", windows=windows)
+        return self.plan(circuit, cuts=cuts, readout=readout).execute().marginals
 
     def single_qubit_marginals(self, circuit: Circuit) -> np.ndarray:
         """Per-qubit marginals at any width (the 300-qubit mode).
@@ -903,13 +953,9 @@ class SuperSim:
         built.  Exact in exact mode; with ``shots`` set, estimates from
         the sampled non-Clifford variants.
         """
-        qubits = list(circuit.measured_qubits)
-        out = np.zeros((len(qubits), 2))
-        marginals = self.marginal_probabilities(circuit, [[q] for q in qubits])
-        for row, dist in enumerate(marginals):
-            out[row, 0] = dist[0]
-            out[row, 1] = dist[1]
-        return out
+        windows = [[q] for q in circuit.measured_qubits]
+        marginals = self.marginal_probabilities(circuit, windows)
+        return np.array([[dist[0], dist[1]] for dist in marginals]).reshape(-1, 2)
 
     def expectation(self, circuit: Circuit, pauli) -> float:
         """``<P>`` of the circuit's output state at any width.
@@ -926,44 +972,13 @@ class SuperSim:
     def probability_of(self, circuit: Circuit, outcome_bits) -> float:
         """Strong simulation: the probability of one bitstring.
 
-        Each fragment's tensor is built at the fixed outcome only — every
+        A plan with a point readout (:class:`~repro.core.plan.Readout`):
+        each fragment's tensor is built at the fixed outcome only — every
         kept qubit pinned, an empty window: for a Clifford fragment one
         point query of its Pauli map, one GF(2) elimination — so the
         cost is one ``4^k`` contraction of scalars at *any* circuit width:
         the paper's §V-C claim that single-bitstring probabilities come
         "to machine precision without added computational overheads".
         """
-        qubits = list(circuit.measured_qubits)
-        outcome_bits = list(outcome_bits)
-        if len(outcome_bits) != len(qubits):
-            raise ValueError("bitstring length does not match measured qubits")
-        # an integer 0 or 1 (bools and numpy integers too) or a '0'/'1'
-        # character: int() would truncate 0.9 to a silent 0
-        if not all(
-            (isinstance(b, numbers.Integral) and b in (0, 1)) or b in ("0", "1")
-            for b in outcome_bits
-        ):
-            raise ValueError(f"outcome bits must be 0 or 1, got {outcome_bits!r}")
-        outcome_bits = [int(b) for b in outcome_bits]
-        bit_of = dict(zip(qubits, outcome_bits))
-        cc = self.cut(circuit)
-        fragment_data = self._evaluator().evaluate_all(
-            cc.fragments, job_runner=self._job_runner
-        )
-        tensors = [
-            build_conditioned_fragment_tensor(
-                data,
-                [],
-                {
-                    lq: bit_of[oq]
-                    for oq, lq in data.fragment.circuit_outputs
-                    if oq in bit_of
-                },
-            )
-            for data in fragment_data
-        ]
-        # nothing is pruned: the one entry is the answer, however small
-        point, _stats = reconstruct_distribution(
-            cc, tensors, [[] for _ in tensors], [], prune_zeros=False
-        )
-        return point[0]
+        readout = Readout("point", bits=outcome_bits)
+        return self.plan(circuit, readout=readout).execute().distribution[0]

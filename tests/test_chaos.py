@@ -22,6 +22,7 @@ from repro.core import (
     BackendExecutionError,
     ExecutionConfig,
     ReconstructionConfig,
+    Readout,
     SamplingConfig,
     SuperSim,
     WorkerCrashError,
@@ -290,6 +291,66 @@ class TestWorkerCrashes:
             "mps -> statevector after 2 worker crashes" in e.detail
             for e in result.faults.of_kind("fallback")
         )
+
+
+def _crashing_mps_sim(sampling) -> SuperSim:
+    """An mps backend that crashes its worker on every call, forced under
+    degrade: each job is quarantined after its second crash and moves to
+    statevector."""
+    from repro.backends import BackendRouter, get_backend
+
+    crashing_mps = ChaosBackend(
+        get_backend("mps"),
+        ChaosSchedule(seed=1, crash_rate=1.0, fail_attempts=10**9),
+    )
+    return SuperSim(
+        sampling=sampling,
+        execution=ExecutionConfig(
+            failure_policy="degrade",
+            backend=crashing_mps,
+            router=BackendRouter([crashing_mps, get_backend("statevector")]),
+            max_job_crashes=1,
+            retry_backoff=0.0,
+        ),
+    )
+
+
+class TestEveryReadoutReportsItsFaults:
+    """A windows, sparse or point readout is a plan like ``run()``'s: it
+    reports the same crashes, quarantines and fallbacks, and returns what
+    a clean statevector-forced sim returns."""
+
+    @pytest.mark.parametrize(
+        "readout",
+        [
+            Readout("windows", windows=[[4], [0, 7], [5, 3, 4]]),
+            Readout("sparse"),
+            Readout("point", bits=[0, 1, 1, 0, 1, 0, 0, 1]),
+        ],
+        ids=lambda readout: readout.kind,
+    )
+    def test_quarantined_jobs_fall_back(self, readout):
+        circuit = rotated_chain(0.3)
+        sampling = SamplingConfig(shots=400, seed=11)
+        ran = _crashing_mps_sim(sampling).run(circuit)
+        result = _crashing_mps_sim(sampling).plan(circuit, readout=readout).execute()
+        jobs = result.cache_misses
+        assert jobs
+        assert result.faults.summary() == ran.faults.summary() == {
+            "crash": 2 * jobs,
+            "quarantine": jobs,
+            "fallback": jobs,
+        }
+        clean = SuperSim(
+            sampling=sampling, execution=ExecutionConfig(backend="statevector")
+        )
+        want = clean.plan(circuit, readout=readout).execute()
+        if readout.kind == "windows":
+            assert [m.probs for m in result.marginals] == [
+                m.probs for m in want.marginals
+            ]
+        else:
+            assert result.distribution.probs == want.distribution.probs
 
 
 class TestRaisePolicy:

@@ -22,6 +22,8 @@ from repro.core import (
     CostEstimate,
     ExecutionConfig,
     ExecutionPlan,
+    Readout,
+    ReconstructionConfig,
     SamplingConfig,
     SuperSim,
     SweepResult,
@@ -353,3 +355,113 @@ class TestTimingsAlwaysComplete:
         assert result.timings["evaluate"] == 0.0
         assert result.timings["reconstruct"] == 0.0
         assert result.timings["cut"] == 1.0
+
+
+class TestReadouts:
+    """Every readout is a plan: timed stage by stage, with statistics, and
+    priced by its own output width."""
+
+    WINDOWS = [[0], [3], [1, 5], [6, 2], [7, 0, 4]]
+
+    def test_every_readout_times_its_stages(self):
+        circuit = ghz_with_t()
+        sampling = SamplingConfig(shots=500, seed=3)
+        readouts = {
+            "full": (ReconstructionConfig(), None),
+            "recursive": (ReconstructionConfig(mode="recursive", qubit_limit=3), None),
+            "windowed": (ReconstructionConfig(mode="windowed", qubit_limit=3), None),
+            "windows": (None, Readout("windows", windows=self.WINDOWS)),
+            "sparse": (None, Readout("sparse")),
+            "point": (None, Readout("point", bits=[1] * 8)),
+        }
+        for name, (config, readout) in readouts.items():
+            sim = SuperSim(sampling=sampling, reconstruction=config)
+            result = sim.plan(circuit, readout=readout).execute()
+            assert result.faults.summary() == {}, name
+            assert result.timings["cut"] > 0 and result.timings["evaluate"] > 0
+            assert result.timings["reconstruct"] > 0, name
+            # the recursive driver builds its tensors inside reconstruct
+            assert (result.timings["tomography"] > 0) == (name != "recursive"), name
+
+    def test_windows_readout_keeps_statistics(self):
+        import repro.kernels as rk
+
+        circuit = ghz_with_t()
+        sim = SuperSim()
+        plan = sim.plan(circuit, readout=Readout("windows", windows=self.WINDOWS))
+        before = rk.counters_snapshot()["dense_contract"][0]
+        result = plan.execute()
+        contractions = rk.counters_snapshot()["dense_contract"][0] - before
+        stats = result.stats
+        assert stats.mode == result.reconstruction_mode == "windowed"
+        assert stats.windows == contractions < len(self.WINDOWS)
+        assert stats.terms_total == 4**plan.num_cuts
+        # all of a window's tensors are dense over its kept bits
+        assert stats.peak_window_entries == 2 ** max(map(len, self.WINDOWS))
+        # the most dead Pauli assignments of any one window
+        alone = [
+            sim.plan(circuit, readout=Readout("windows", windows=[w])).execute()
+            for w in self.WINDOWS
+        ]
+        assert stats.terms_skipped == max(r.stats.terms_skipped for r in alone)
+        assert len({r.stats.terms_skipped for r in alone}) > 1
+        assert result.distribution is None and len(result.marginals) == 5
+
+    def test_plan_checks_the_readout_before_cutting(self, monkeypatch):
+        from repro.core import supersim
+
+        circuit = ghz_with_t()
+        sim = SuperSim()
+        plan = sim.plan(circuit, readout=Readout("windows", windows=[(1, 2)]))
+        assert plan.readout.windows == ((1, 2),)
+        assert plan.with_cuts(plan.cut_circuit.cuts).readout == plan.readout
+
+        def no_cutting(*args):
+            raise AssertionError("cut before the readout was checked")
+
+        monkeypatch.setattr(supersim, "plan_cuts", no_cutting)
+        for readout, message in [
+            (Readout("full"), "unknown readout kind 'full'"),
+            (Readout("windows", windows=[[1], []]), "empty marginal window"),
+            (Readout("point", bits=[0, 1]), "bitstring length does not match"),
+            (Readout("point", bits=[0.5] * 8), "outcome bits must be 0 or 1"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                sim.plan(circuit, readout=readout)
+
+    def test_estimate_prices_the_readout(self):
+        from repro.core.reconstruction import estimate_reconstruction_cost
+
+        circuit = ghz_with_t()
+        keep = [0, 2, 3, 5, 6]
+        configs = [
+            ReconstructionConfig(),
+            ReconstructionConfig(mode="recursive", qubit_limit=2),
+            ReconstructionConfig(mode="windowed", qubit_limit=4),
+            ReconstructionConfig(mode="windowed", window=(5, 0)),
+        ]
+        for rc in configs:
+            sim = SuperSim(reconstruction=rc)
+            default = sim.plan(circuit, keep_qubits=keep).estimate()
+            k = default.num_cuts
+            # no readout: the config's engine over the kept width, as ever
+            assert default.reconstruction_cost == estimate_reconstruction_cost(
+                k, len(keep), qubit_limit=rc.qubit_limit, top_k=rc.top_k, mode=rc.mode
+            )
+            for readout, width in [
+                (Readout("windows", windows=[[1], [4, 7, 2], [3, 6]]), 3),
+                (Readout("sparse"), len(keep)),
+                (Readout("point", bits=[0] * len(keep)), 0),
+            ]:
+                plan = sim.plan(circuit, keep_qubits=keep, readout=readout)
+                priced = plan.estimate()
+                cost = estimate_reconstruction_cost(k, width, mode="full")
+                assert priced.reconstruction_cost == cost
+                assert priced.total_cost == pytest.approx(
+                    default.total_cost - default.reconstruction_cost + cost
+                )
+                assert dataclasses.replace(
+                    priced, total_cost=0.0, reconstruction_cost=0.0
+                ) == dataclasses.replace(
+                    default, total_cost=0.0, reconstruction_cost=0.0
+                )

@@ -127,8 +127,9 @@ class TestBatchedContraction:
         ]
         shapes = {tuple(t[w].shape for t in tensors) for w in range(len(windows))}
         before = rk.counters_snapshot()["dense_contract"][0]
-        got = reconstruction.reconstruct_windows(cc, tensors, layouts)
+        got, stats = reconstruction.reconstruct_windows(cc, tensors, layouts)
         assert rk.counters_snapshot()["dense_contract"][0] - before == len(shapes)
+        assert stats.windows == len(shapes)
         assert len(shapes) < len(windows)
         for dist, reference in zip(got, loop_reconstruct_windows(cc, tensors, windows)):
             assert _same_bytes(dist, reference)
@@ -263,7 +264,7 @@ class TestMaxDenseBits:
         ]
         with pytest.raises(ReconstructionMemoryError, match="limit: 1 bits"):
             reconstruction.reconstruct_windows(cc, tensors, layouts, max_dense_bits=1)
-        (dist,) = reconstruction.reconstruct_windows(
+        (dist,), _stats = reconstruction.reconstruct_windows(
             cc, tensors, layouts, max_dense_bits=2
         )
         assert dist.n_bits == 2
