@@ -643,7 +643,10 @@ def bench_window_batch() -> dict:
 
     from repro.apps.hwea import HWEA
     from repro.core import SamplingConfig, reconstruction, supersim
-    from repro.testing.reconstruction import loop_reconstruct_windows
+    from repro.testing.reconstruction import (
+        loop_reconstruct_windows,
+        per_window_clipped,
+    )
 
     circuit = (
         HWEA(100, 5).near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
@@ -675,16 +678,24 @@ def bench_window_batch() -> dict:
         with _counting_map_eliminations(eliminations):
             SuperSim().single_qubit_marginals(circuit)
 
-    def per_window(cut_circuit, tensors, _layouts, **kwargs):
-        marginals = loop_reconstruct_windows(cut_circuit, tensors, windows, **kwargs)
-        return marginals, reconstruction.ReconstructionStats()
-
     def oracle():
+        seen = {}
+
+        def spied(cut_circuit, tensors, layouts, **kwargs):
+            seen.update(cut_circuit=cut_circuit, tensors=tensors, kwargs=kwargs)
+            return batched(cut_circuit, tensors, layouts, **kwargs)
+
         with (
-            mock.patch.object(supersim, "reconstruct_windows", per_window),
+            mock.patch.object(supersim, "reconstruct_windows", spied),
             _per_variant_route(),
         ):
-            return SuperSim().single_qubit_marginals(circuit)
+            SuperSim().single_qubit_marginals(circuit)
+        marginals = per_window_clipped(
+            loop_reconstruct_windows(
+                seen["cut_circuit"], seen["tensors"], windows, **seen["kwargs"]
+            )
+        )
+        return np.array([[dist[0], dist[1]] for dist in marginals])
 
     def run():
         return SuperSim().single_qubit_marginals(circuit)
@@ -819,6 +830,69 @@ def bench_unbuilt_fragment_ops() -> dict:
     }
 
 
+def bench_window_rows() -> dict:
+    """A windows readout stays arrays after tomography — gated on counts.
+
+    One sampled ``single_qubit_marginals`` of a 200q 1-T HWEA on a fresh
+    ``SuperSim``: from the moment ``reconstruct_windows`` is entered to
+    the returned ``(n, 2)`` array, the reconstruction, the negative-mass
+    rule and the unwrap build no :class:`Distribution` (each window's row
+    of its width's array is read directly), so the count cannot grow with
+    the 200 windows.  Constructions are counted at the two doors every
+    ``Distribution`` comes through (``__init__`` and ``from_arrays``).
+    Counts are exact, so the gate is safe on shared runners.
+    """
+    from unittest import mock
+
+    from repro.analysis.distributions import Distribution
+    from repro.apps.hwea import HWEA
+    from repro.core import SamplingConfig, supersim
+
+    circuit = (
+        HWEA(HWEA_LADDER_QUBITS, 5)
+        .near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
+        .measure_all()
+    )
+    built = [0]
+    at_reconstruct: list[int] = []
+    init, from_arrays = Distribution.__init__, Distribution.from_arrays.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted_from_arrays(cls, *args, **kwargs):
+        built[0] += 1
+        return from_arrays(cls, *args, **kwargs)
+
+    reconstruct_windows = supersim.reconstruct_windows
+
+    def spied(*args, **kwargs):
+        at_reconstruct.append(built[0])
+        return reconstruct_windows(*args, **kwargs)
+
+    with (
+        mock.patch.object(Distribution, "__init__", counted_init),
+        mock.patch.object(
+            Distribution, "from_arrays", classmethod(counted_from_arrays)
+        ),
+        mock.patch.object(supersim, "reconstruct_windows", spied),
+    ):
+        marginals = SuperSim(
+            sampling=SamplingConfig(shots=5000, seed=0)
+        ).single_qubit_marginals(circuit)
+    return {
+        "workload": (
+            f"{HWEA_LADDER_QUBITS}q 1-T HWEA single_qubit_marginals at 5000 "
+            "shots, cold: Distributions built after tomography"
+        ),
+        "windows": len(marginals),
+        "reconstruct_calls": len(at_reconstruct),
+        "distributions_built": built[0],
+        "distributions_after_tomography": built[0] - at_reconstruct[0],
+    }
+
+
 # the array-native data plane samples the 200q affine form at ~1.3M
 # shots/s on a quiet machine (the dict-based seed managed ~41k); the CI
 # floor is the 10x acceptance level (~600k nominal) with the 0.7 noise
@@ -845,6 +919,7 @@ def main() -> int:
         "window_batch": bench_window_batch(),
         "clifford_exact": bench_clifford_exact(),
         "unbuilt_fragment_ops": bench_unbuilt_fragment_ops(),
+        "window_rows": bench_window_rows(),
     }
     # atomic write: CI reads the artifact even if a later run is killed
     # mid-write, so stage to a tmp file and os.replace into place
@@ -1039,6 +1114,17 @@ def main() -> int:
             f"for its {unbuilt['clifford_fragments']} Clifford fragment(s) "
             f"({unbuilt['clifford_fragment_ops']} ops): some stage walks the "
             "op list instead of the op table"
+        )
+    rows = results["window_rows"]
+    if not (
+        rows["reconstruct_calls"] == 1 and rows["distributions_after_tomography"] == 0
+    ):
+        failures.append(
+            f"a cold {rows['windows']}-window single_qubit_marginals built "
+            f"{rows['distributions_after_tomography']} Distributions after "
+            f"tomography (want 0) in {rows['reconstruct_calls']} "
+            "reconstruct_windows calls (want 1): the windows readout no "
+            "longer stays rows"
         )
     if failures:
         print("PERF SMOKE FAILURES:", "; ".join(failures), file=sys.stderr)

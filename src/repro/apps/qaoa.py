@@ -154,17 +154,21 @@ def expected_cut_from_marginals(
     fragment-evaluation pass — unlike
     :func:`expected_cut_from_correlations`, which re-runs the pipeline
     per edge.  Cost scales with edges x 4-entry windows, never
-    ``2**n``, so this is the QAOA scorer for wide cut circuits.
+    ``2**n``, so this is the QAOA scorer for wide cut circuits.  It reads
+    the windows readout's ``(edges, 4)`` rows
+    (:meth:`~repro.core.reconstruction.WindowMarginals.array`) and builds
+    no per-edge ``Distribution``.
     """
+    from repro.core.plan import Readout
+
     if sim is None:
         from repro.core.supersim import SuperSim
 
         sim = SuperSim()
     edges = list(couplings.items())
-    marginals = sim.marginal_probabilities(
-        circuit, [(i, j) for (i, j), _w in edges]
-    )
+    readout = Readout("windows", windows=[(i, j) for (i, j), _w in edges])
+    marginals = sim.plan(circuit, readout=readout).execute().marginals
     total = 0.0
-    for ((_i, _j), w), dist in zip(edges, marginals):
-        total += w * (dist[0b01] + dist[0b10])
+    for ((_i, _j), w), row in zip(edges, marginals.array(2).tolist()):
+        total += w * (row[0b01] + row[0b10])
     return total

@@ -196,6 +196,8 @@ class ExecutionPlan:
     * the distribution in ``full`` mode, the windows (a windowed config's
       one window included) and the sparse distribution are ``clipped()``
       — negative quasi-probabilities zeroed and the rest renormalised;
+      the windows all at once, as rows
+      (:meth:`~repro.core.reconstruction.WindowMarginals.clipped`);
     * a ``recursive`` distribution drops its negative values and is not
       renormalised — the mass top-k truncation lost is real information
       (``stats.covered_probability``);
@@ -279,8 +281,9 @@ class ExecutionPlan:
         fingerprints every job against the attached cache to predict hits.
         The recombination is charged by the readout's output width: the
         kept qubits (by config, as ``execute()`` picks the engine), the
-        widest window, the kept qubits of a sparse readout (an upper
-        bound), or no bits for a point.
+        widest window (a windowed config's one window too), the kept
+        qubits of a sparse readout (an upper bound), or no bits for a
+        point.
         """
         return self._require_sim()._estimate_plan(self)
 

@@ -39,9 +39,12 @@ it is read off the tensors.  Many windows at once
 (:func:`reconstruct_windows`, what a plan's windows readout asks for)
 are the same contraction with a batch axis: the windows whose fragment
 tensors have the same shapes are contracted together, along the
-one-window path, each pairwise step one batched ``np.matmul``, and only
-the per-window tail (:func:`_outcomes`) runs once per window — bit for
-bit what one contraction per window gives.
+one-window path, each pairwise step one batched ``np.matmul`` — bit for
+bit what one contraction per window gives.  Their answer stays arrays,
+one ``(windows, 2**width)`` array of rows per window width
+(:class:`WindowMarginals`), and so does the negative-mass rule
+(:meth:`WindowMarginals.clipped`): a window's :class:`Distribution` is
+built from its row only when someone reads it.
 
 The Section IX zero-term optimization is accounting here, not a second
 engine: Pauli slices whose magnitude is (near) zero — guaranteed for many
@@ -74,6 +77,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -392,14 +396,79 @@ def reconstruct_distribution(
     return distribution, stats
 
 
+class WindowMarginals(Sequence):
+    """Marginals of many windows, each window width's rows one array.
+
+    ``rows[width]`` is a ``(windows of that width, 2**width)`` array, its
+    rows in request order: row ``i`` is that width's ``i``-th window's
+    marginal in the window's bit order (the column index is the outcome
+    key), zero where the distribution has no outcome.  ``index[w]`` is
+    window ``w``'s ``(width, row)``.  As a sequence it holds one
+    :class:`Distribution` per window, each built from its row on first
+    read (:meth:`Distribution.from_array`) and kept, so code that reads
+    the rows (:meth:`array`) builds none.
+    """
+
+    def __init__(self, rows: dict[int, np.ndarray], index: list[tuple[int, int]]):
+        self.rows = rows
+        self.index = index
+        self._built: list[Distribution | None] = [None] * len(index)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, w: int) -> Distribution:
+        dist = self._built[w]
+        if dist is None:
+            width, row = self.index[w]
+            dist = self._built[w] = Distribution.from_array(self.rows[width][row])
+        return dist
+
+    def array(self, width: int) -> np.ndarray:
+        """The ``(windows, 2**width)`` rows of windows all ``width`` qubits
+        wide, in request order (a copy)."""
+        if set(self.rows) - {width}:
+            raise ValueError(f"not every window is {width} qubits wide")
+        return self.rows.get(width, np.zeros((0, 2**width))).copy()
+
+    def clipped(self) -> WindowMarginals:
+        """:meth:`Distribution.clipped` of every window, row by row at once;
+        an empty window stays empty.
+
+        Entries at or below zero become zeros and the rest are divided by
+        their total, summed as :meth:`Distribution.total` sums them: over
+        the positive entries alone, in ascending key order.  A row sum with
+        zeros in their place is the same float only below 8 entries (NumPy
+        sums 8 or more pairwise, in blocks that the zeros would shift), so
+        windows of 3 or more qubits sum their positive entries row by row.
+        A window with entries but none positive raises, as
+        :meth:`Distribution.normalized` does.
+        """
+        out = {}
+        for width, rows in self.rows.items():
+            positive = rows > 0
+            if width <= 2:
+                totals = np.where(positive, rows, 0.0).sum(axis=1)
+            else:
+                totals = np.array(
+                    [row[keep].sum() for row, keep in zip(rows, positive)]
+                )
+            empty = ~rows.any(axis=1)
+            if (totals[~empty] <= 0).any():
+                raise ValueError("cannot normalise an all-zero distribution")
+            totals[empty] = 1.0
+            out[width] = np.where(positive, rows / totals[:, None], 0.0)
+        return WindowMarginals(out, self.index)
+
+
 def reconstruct_windows(
     cut_circuit: CutCircuit,
     tensors: list[list[np.ndarray]],
     layouts: list[tuple[list[list[int]], list[int]]],
     prune_zeros: bool = True,
     max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
-) -> tuple[list[Distribution], ReconstructionStats]:
-    """:func:`reconstruct_distribution` for many windows, batched.
+) -> tuple[WindowMarginals, ReconstructionStats]:
+    """:func:`reconstruct_distribution` for many windows, batched, as rows.
 
     ``tensors[f][w]`` is fragment ``f``'s dense tensor for window ``w``
     (what :func:`~repro.core.tomography.build_window_tensors` returns, one
@@ -408,12 +477,15 @@ def reconstruct_windows(
     tensors have the same shapes in every fragment form a group, and each
     group is one contraction (:func:`_dense_einsum` with a batch axis):
     a fragment whose tensor is one array for the whole group is broadcast
-    over the batch, only the others are stacked.  Each window then keeps
-    just its tail — its output order, the :data:`ZERO_THRESHOLD` cut and its
-    :class:`Distribution` (:func:`_outcomes`) — and every distribution is
-    bit for bit what :func:`reconstruct_distribution` returns for that
-    window alone.  The statistics count the batched contractions run
-    (``windows``), the largest one window's accumulator
+    over the batch, only the others are stacked.  The group's accumulator
+    stays one ``(windows, 2**width)`` array: its rows go to the window bit
+    order with one transpose per distinct ``order`` and into their
+    width's rows of the returned :class:`WindowMarginals`, and entries at
+    or below :data:`ZERO_THRESHOLD` (under ``prune_zeros``; else exact
+    zeros) become ``0.0``.  No :class:`Distribution` is built: window
+    ``w``'s, when read, is bit for bit what :func:`reconstruct_distribution`
+    returns for that window alone.  The statistics count the batched
+    contractions run (``windows``), the largest one window's accumulator
     (``peak_window_entries``) and the most Pauli assignments any window
     found dead (``terms_skipped``), in mode ``windowed``; of one window
     they are what :func:`reconstruct_distribution` reports for it.
@@ -425,10 +497,18 @@ def reconstruct_windows(
     groups: dict[tuple, list[int]] = {}
     for w in range(len(layouts)):
         groups.setdefault(tuple(t[w].shape for t in tensors), []).append(w)
-    out: list[Distribution] = [None] * len(layouts)  # type: ignore[list-item]
+    # each window's (width, row): request order within its width
+    index: list[tuple[int, int]] = []
+    per_width: dict[int, int] = {}
+    for _kept, order in layouts:
+        width = len(order)
+        per_width[width] = per_width.get(width, 0) + 1
+        index.append((width, per_width[width] - 1))
+    rows = {width: np.empty((count, 2**width)) for width, count in per_width.items()}
     for members in groups.values():
         batch = len(members)
-        check_dense_width(len(layouts[members[0]][1]), max_dense_bits)
+        width = len(layouts[members[0]][1])
+        check_dense_width(width, max_dense_bits)
         operands = []
         for of_fragment in tensors:
             first = of_fragment[members[0]]
@@ -445,9 +525,18 @@ def reconstruct_windows(
         # a group whose every tensor is shared may come back as a
         # read-only broadcast view: divide into a new array
         accumulators = _dense_einsum(operands, axis_cuts, k, batch) / 2.0**k
-        for w, accumulator in zip(members, accumulators):
-            out[w] = _outcomes(accumulator, layouts[w][1], threshold)
-    return out, stats
+        by_order: dict[tuple, list[int]] = {}
+        for i, w in enumerate(members):
+            by_order.setdefault(tuple(layouts[w][1]), []).append(i)
+        for order, picks in by_order.items():
+            block = accumulators[picks].reshape((len(picks),) + (2,) * width)
+            block = block.transpose([0] + [1 + o for o in order])
+            rows[width][[index[members[i]][1] for i in picks]] = block.reshape(
+                len(picks), -1
+            )
+    for width, of_width in rows.items():
+        rows[width] = np.where(np.abs(of_width) > threshold, of_width, 0.0)
+    return WindowMarginals(rows, index), stats
 
 
 def reconstruct_dynamic(

@@ -87,6 +87,7 @@ from repro.core.reconstruction import (
     DEFAULT_MAX_DENSE_BITS,
     ReconstructionStats,
     SupportTensor,
+    WindowMarginals,
     check_dense_width,
     estimate_reconstruction_cost,
     output_sites,
@@ -131,7 +132,11 @@ class SuperSimResult:
     clean run has ``bool(result.faults) is False``; faults never change
     the numbers, only how much work it took to get them.
 
-    A windows readout fills ``marginals``, one distribution per window;
+    A windows readout fills ``marginals``, a
+    :class:`~repro.core.reconstruction.WindowMarginals`: the clipped
+    marginals as one array of rows per window width
+    (``marginals.array(width)`` when they share one), each window's
+    :class:`Distribution` built from its row when first read.
     ``distribution`` (and ``raw_distribution``, before the negative-mass
     rule) is then its one window's marginal, or ``None`` for several.
     A point readout's ``distribution`` has the one zero-bit outcome.
@@ -144,7 +149,7 @@ class SuperSimResult:
     raw_distribution: Distribution | None = None
     backend_usage: dict[str, int] = field(default_factory=dict)
     faults: FaultReport = field(default_factory=FaultReport)
-    marginals: list[Distribution] | None = None
+    marginals: WindowMarginals | None = None
 
     def __post_init__(self):
         for stage in STAGES:
@@ -395,10 +400,13 @@ class SuperSim:
         stats = evaluator.dry_run(plan.cut_circuit.fragments)
         rc = self.reconstruction
         # the distribution by config, else a dense pass over the readout's
-        # widest output: a window, the kept qubits of a sparse readout (an
-        # upper bound), no bits for a point
-        readout, width, mode = plan.readout, len(plan.keep_qubits), rc.mode
-        if readout is not None:
+        # widest output: a window (a windowed config's one window too), the
+        # kept qubits of a sparse readout (an upper bound), no bits for a
+        # point
+        keep = list(plan.keep_qubits)
+        readout = plan.readout or self._readout(None, keep, plan.circuit.n_qubits)
+        width, mode = len(keep), rc.mode
+        if readout.kind not in ("full", "recursive"):
             mode = "full"
             if readout.kind == "windows":
                 width = max(map(len, readout.windows), default=0)
@@ -586,7 +594,6 @@ class SuperSim:
                 top_k=rc.top_k,
                 prune_zeros=prune_zeros,
             )
-            raws = [raw]
         elif readout.kind == "windows":
             sites, n_fragments = output_sites(cc), len(cc.fragments)
             layouts = [window_layout(sites, n_fragments, w) for w in readout.windows]
@@ -601,7 +608,7 @@ class SuperSim:
             ]
             timings["tomography"] = time.perf_counter() - start
             start = time.perf_counter()
-            raws, stats = reconstruct_windows(
+            raw_windows, stats = reconstruct_windows(
                 cc,
                 tensors,
                 layouts,
@@ -659,29 +666,33 @@ class SuperSim:
                 prune_zeros=prune_zeros,
                 max_dense_bits=max_dense_bits,
             )
-            raws = [raw]
         timings["reconstruct"] = time.perf_counter() - start
 
         # the negative-mass rule of each readout (see ExecutionPlan)
-        if readout.kind == "recursive":
-            cleaned = [raw.positive()]
+        marginals = None
+        if readout.kind == "windows":
+            marginals = raw_windows.clipped()
+            one = len(marginals) == 1
+            distribution = marginals[0] if one else None
+            raw = raw_windows[0] if one else None
+        elif readout.kind == "recursive":
+            distribution = raw.positive()
         elif readout.kind == "point":
-            cleaned = raws
+            distribution = raw
         else:
-            cleaned = [dist.clipped() if len(dist) else dist for dist in raws]
+            distribution = raw.clipped() if len(raw) else raw
 
         for name, secs in _kernels.timings_since(kernel_snapshot).items():
             timings[f"kernel.{name}"] = secs
-        one = len(raws) == 1
         return SuperSimResult(
-            distribution=cleaned[0] if one else None,
+            distribution=distribution,
             cut_circuit=cc,
             stats=stats,
             timings=timings,
-            raw_distribution=raws[0] if one else None,
+            raw_distribution=raw,
             backend_usage=dict(evaluator.last_stats.get("backends", {})),
             faults=FaultReport(list(evaluator.faults.events)),
-            marginals=cleaned if readout.kind == "windows" else None,
+            marginals=marginals,
         )
 
     # -- main entry points --------------------------------------------------------
@@ -942,20 +953,22 @@ class SuperSim:
         the primitive QAOA edge scoring and per-qubit readout ride on.
         """
         readout = Readout("windows", windows=windows)
-        return self.plan(circuit, cuts=cuts, readout=readout).execute().marginals
+        return list(self.plan(circuit, cuts=cuts, readout=readout).execute().marginals)
 
     def single_qubit_marginals(self, circuit: Circuit) -> np.ndarray:
         """Per-qubit marginals at any width (the 300-qubit mode).
 
         Fragments are evaluated once and all the single-qubit windows are
-        reconstructed in a few batched contractions
-        (:meth:`marginal_probabilities`), so no ``2^n`` object is ever
-        built.  Exact in exact mode; with ``shots`` set, estimates from
-        the sampled non-Clifford variants.
+        reconstructed in a few batched contractions (a windows readout,
+        as :meth:`marginal_probabilities` plans it), so no ``2^n`` object
+        is ever built; the ``(n, 2)`` answer is the readout's rows
+        (:meth:`~repro.core.reconstruction.WindowMarginals.array`), no
+        :class:`Distribution` in between.  Exact in exact mode; with
+        ``shots`` set, estimates from the sampled non-Clifford variants.
         """
         windows = [[q] for q in circuit.measured_qubits]
-        marginals = self.marginal_probabilities(circuit, windows)
-        return np.array([[dist[0], dist[1]] for dist in marginals]).reshape(-1, 2)
+        readout = Readout("windows", windows=windows)
+        return self.plan(circuit, readout=readout).execute().marginals.array(1)
 
     def expectation(self, circuit: Circuit, pauli) -> float:
         """``<P>`` of the circuit's output state at any width.

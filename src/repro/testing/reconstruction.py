@@ -12,9 +12,14 @@ tensors: one on its support is scattered into zeros first
 (:func:`dense_tensor`).
 
 The batched window contraction
-(:func:`repro.core.reconstruction.reconstruct_windows`) has its oracle
+(:func:`repro.core.reconstruction.reconstruct_windows`) has its oracles
 here too: :func:`loop_reconstruct_windows`, one ``reconstruct_distribution``
-call per window.  So has the recursive driver's level builder
+call per window, and :func:`per_window_reconstruct_windows`, the batched
+contraction with the per-window tail it had before its answer became
+rows (one :class:`Distribution` per window, and
+:func:`per_window_clipped` for the negative-mass rule) — what
+:class:`~repro.core.reconstruction.WindowMarginals` must equal byte for
+byte.  So has the recursive driver's level builder
 (``SuperSim._dynamic_tensor_builder``), which reads a Clifford fragment on
 its support at every level, the top window included:
 :func:`dense_unpinned_level_builder` gives every fragment nothing of which
@@ -24,6 +29,7 @@ is pinned one dense tensor for the level.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -31,10 +37,15 @@ from repro.analysis.distributions import Distribution
 from repro.core.fragments import CutCircuit
 from repro.core.reconstruction import (
     DEFAULT_MAX_DENSE_BITS,
+    ZERO_THRESHOLD,
     ReconstructionStats,
     SupportTensor,
     _axis_cuts,
+    _count_survivors,
+    _dense_einsum,
+    _outcomes,
     _output_order,
+    check_dense_width,
     reconstruct_distribution,
 )
 from repro.core.tomography import (
@@ -154,6 +165,55 @@ def loop_reconstruct_windows(
         )
         out.append(dist)
     return out
+
+
+def per_window_reconstruct_windows(
+    cut_circuit: CutCircuit,
+    tensors: list[list[np.ndarray]],
+    layouts: list[tuple[list[list[int]], list[int]]],
+    prune_zeros: bool = True,
+    max_dense_bits: int | None = DEFAULT_MAX_DENSE_BITS,
+) -> tuple[list[Distribution], ReconstructionStats]:
+    """:func:`~repro.core.reconstruction.reconstruct_windows` with a
+    per-window tail: the same batched contraction per window shape, then
+    one :func:`~repro.core.reconstruction._outcomes` call — one
+    :class:`Distribution` — per window."""
+    k = cut_circuit.num_cuts
+    axis_cuts = _axis_cuts(cut_circuit.fragments)
+    threshold = ZERO_THRESHOLD if prune_zeros else 0.0
+    stats = ReconstructionStats(terms_total=4**k, mode="windowed")
+    groups: dict[tuple, list[int]] = {}
+    for w in range(len(layouts)):
+        groups.setdefault(tuple(t[w].shape for t in tensors), []).append(w)
+    out: list[Distribution] = [None] * len(layouts)  # type: ignore[list-item]
+    for members in groups.values():
+        batch = len(members)
+        check_dense_width(len(layouts[members[0]][1]), max_dense_bits)
+        operands = []
+        for of_fragment in tensors:
+            first = of_fragment[members[0]]
+            if all(of_fragment[w] is first for w in members):
+                operands.append(np.broadcast_to(first, (batch,) + first.shape))
+            else:
+                operands.append(np.stack([of_fragment[w] for w in members]))
+        stats.windows += 1
+        entries = math.prod(op.shape[-1] for op in operands)
+        stats.peak_window_entries = max(stats.peak_window_entries, entries)
+        if prune_zeros:
+            alive = _count_survivors(operands, axis_cuts, k, batch)
+            stats.terms_skipped = max(stats.terms_skipped, 4**k - int(alive.min()))
+        # a group whose every tensor is shared may come back as a
+        # read-only broadcast view: divide into a new array
+        accumulators = _dense_einsum(operands, axis_cuts, k, batch) / 2.0**k
+        for w, accumulator in zip(members, accumulators):
+            out[w] = _outcomes(accumulator, layouts[w][1], threshold)
+    return out, stats
+
+
+def per_window_clipped(marginals: list[Distribution]) -> list[Distribution]:
+    """The windows readout's negative-mass rule, window by window:
+    :meth:`Distribution.clipped`, an empty window left empty."""
+    return [dist.clipped() if len(dist) else dist for dist in marginals]
 
 
 def dense_unpinned_level_builder(cut_circuit: CutCircuit, fragment_data):

@@ -434,20 +434,27 @@ class TestReadouts:
 
         circuit = ghz_with_t()
         keep = [0, 2, 3, 5, 6]
+        # (config, the dense width of its windowed run's one window)
         configs = [
-            ReconstructionConfig(),
-            ReconstructionConfig(mode="recursive", qubit_limit=2),
-            ReconstructionConfig(mode="windowed", qubit_limit=4),
-            ReconstructionConfig(mode="windowed", window=(5, 0)),
+            (ReconstructionConfig(), None),
+            (ReconstructionConfig(mode="recursive", qubit_limit=2), None),
+            (ReconstructionConfig(mode="windowed", qubit_limit=4), 4),
+            (ReconstructionConfig(mode="windowed", window=(5, 0)), 2),
         ]
-        for rc in configs:
+        for rc, window_width in configs:
             sim = SuperSim(reconstruction=rc)
             default = sim.plan(circuit, keep_qubits=keep).estimate()
             k = default.num_cuts
-            # no readout: the config's engine over the kept width, as ever
-            assert default.reconstruction_cost == estimate_reconstruction_cost(
-                k, len(keep), qubit_limit=rc.qubit_limit, top_k=rc.top_k, mode=rc.mode
-            )
+            # no readout: the config's engine over the kept width, or a
+            # windowed config's one window, priced at the window it runs
+            if window_width is None:
+                want = estimate_reconstruction_cost(
+                    k, len(keep), qubit_limit=rc.qubit_limit, top_k=rc.top_k,
+                    mode=rc.mode,
+                )
+            else:
+                want = estimate_reconstruction_cost(k, window_width, mode="full")
+            assert default.reconstruction_cost == want
             for readout, width in [
                 (Readout("windows", windows=[[1], [4, 7, 2], [3, 6]]), 3),
                 (Readout("sparse"), len(keep)),

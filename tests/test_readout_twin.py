@@ -7,9 +7,14 @@ each with its own tensor builder and engine call.  They are now one
 earlier bodies, kept verbatim apart from ``self`` becoming ``sim`` (and
 ``reconstruct_windows`` returning its statistics beside the marginals),
 and every wrapper must return exactly their bytes: keys, values and, for
-the windowed run, the raw distribution and the statistics too.  These
-outputs are floats, which ``tests/differential/digests.json`` does not
-pin.
+the windowed run, the raw distribution and the statistics too.  A windows
+readout's answer is rows now (``WindowMarginals``), so its oracles run the
+per-window tail it replaced
+(``repro.testing.reconstruction.per_window_reconstruct_windows`` and
+``per_window_clipped``), and ``single_qubit_marginals`` and the QAOA edge
+scorer, which read the rows, must equal the ``Distribution`` reads they
+replaced.  These outputs are floats, which
+``tests/differential/digests.json`` does not pin.
 """
 
 import math
@@ -19,12 +24,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.qaoa import expected_cut_from_marginals, near_clifford_qaoa, sk_model
 from repro.circuits import gates, inject_t_gates, random_clifford_circuit
-from repro.core import ReconstructionConfig, SamplingConfig, SuperSim
+from repro.core import ExecutionConfig, ReconstructionConfig, SamplingConfig, SuperSim
 from repro.core.reconstruction import (
     output_sites,
     reconstruct_distribution,
-    reconstruct_windows,
     window_layout,
 )
 from repro.core.supersim import _check_qubits, _check_windows, _kept_locals
@@ -32,6 +37,10 @@ from repro.core.tomography import (
     build_conditioned_fragment_tensor,
     build_fragment_tensor,
     build_window_tensors,
+)
+from repro.testing.reconstruction import (
+    per_window_clipped,
+    per_window_reconstruct_windows,
 )
 
 
@@ -84,14 +93,31 @@ def oracle_marginal_probabilities(sim, circuit, windows, cuts=None):
         )
         for f, data in enumerate(fragment_data)
     ]
-    marginals, _stats = reconstruct_windows(
+    marginals, _stats = per_window_reconstruct_windows(
         cc,
         tensors,
         layouts,
         prune_zeros=sim.execution.prune_zeros,
         max_dense_bits=max_dense_bits,
     )
-    return [dist.clipped() if len(dist) else dist for dist in marginals]
+    return per_window_clipped(marginals)
+
+
+def oracle_single_qubit_marginals(sim, circuit):
+    windows = [[q] for q in circuit.measured_qubits]
+    marginals = oracle_marginal_probabilities(sim, circuit, windows)
+    return np.array([[dist[0], dist[1]] for dist in marginals]).reshape(-1, 2)
+
+
+def oracle_expected_cut_from_marginals(couplings, circuit, sim):
+    edges = list(couplings.items())
+    marginals = sim.marginal_probabilities(
+        circuit, [(i, j) for (i, j), _w in edges]
+    )
+    total = 0.0
+    for ((_i, _j), w), dist in zip(edges, marginals):
+        total += w * (dist[0b01] + dist[0b10])
+    return total
 
 
 def oracle_probability_of(sim, circuit, outcome_bits):
@@ -174,6 +200,14 @@ def _sampling(seed, shots, tomography):
     return SamplingConfig(shots=shots, tomography=tomography, seed=seed)
 
 
+def _sim(seed, shots, tomography, prune=True, **configs):
+    return SuperSim(
+        sampling=_sampling(seed, shots, tomography),
+        execution=ExecutionConfig(prune_zeros=prune),
+        **configs,
+    )
+
+
 def _same_bytes(got, want) -> bool:
     return (
         got.n_bits == want.n_bits
@@ -190,22 +224,53 @@ _CASES = dict(
 
 
 class TestQueriesEqualTheirOracles:
-    @given(**_CASES)
-    @settings(max_examples=25, deadline=None)
-    def test_marginal_probabilities(self, seed, shots, tomography):
+    @given(**_CASES, prune=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_marginal_probabilities(self, seed, shots, tomography, prune):
+        # widths 1-4: a window of 8 or more outcomes is where summing a row
+        # with zeros in place of its dropped entries would drift
         circuit, rng = _near_clifford(seed)
         qubits = list(circuit.measured_qubits)
         windows = [
-            [int(q) for q in rng.choice(qubits, int(rng.integers(1, 4)), replace=False)]
-            for _ in range(int(rng.integers(1, 6)))
+            [
+                int(q)
+                for q in rng.choice(
+                    qubits, int(rng.integers(1, min(4, len(qubits)) + 1)), replace=False
+                )
+            ]
+            for _ in range(int(rng.integers(1, 7)))
         ]
-        sampling = _sampling(seed, shots, tomography)
-        got = SuperSim(sampling=sampling).marginal_probabilities(circuit, windows)
+        got = _sim(seed, shots, tomography, prune).marginal_probabilities(
+            circuit, windows
+        )
         want = oracle_marginal_probabilities(
-            SuperSim(sampling=sampling), circuit, windows
+            _sim(seed, shots, tomography, prune), circuit, windows
         )
         assert len(got) == len(want)
         assert all(_same_bytes(g, w) for g, w in zip(got, want))
+
+    @given(**_CASES, prune=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_single_qubit_marginals(self, seed, shots, tomography, prune):
+        circuit, _rng = _near_clifford(seed)
+        got = _sim(seed, shots, tomography, prune).single_qubit_marginals(circuit)
+        want = oracle_single_qubit_marginals(
+            _sim(seed, shots, tomography, prune), circuit
+        )
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 10_000), shots=st.sampled_from([None, 300]))
+    @settings(max_examples=15, deadline=None)
+    def test_qaoa_edge_scorer(self, seed, shots):
+        n = 4 + seed % 4
+        circuit = near_clifford_qaoa(n, num_t=1 + seed % 2, rng=seed).measure_all()
+        couplings = sk_model(n, seed)
+        got = expected_cut_from_marginals(couplings, circuit, _sim(seed, shots, False))
+        want = oracle_expected_cut_from_marginals(
+            couplings, circuit, _sim(seed, shots, False)
+        )
+        assert type(got) is type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @given(**_CASES)
     @settings(max_examples=25, deadline=None)
@@ -231,22 +296,23 @@ class TestQueriesEqualTheirOracles:
         want = oracle_probability_of(SuperSim(sampling=sampling), circuit, bits)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
-    @given(**_CASES, default_window=st.booleans())
-    @settings(max_examples=25, deadline=None)
-    def test_windowed_run(self, seed, shots, tomography, default_window):
+    @given(**_CASES, default_window=st.booleans(), prune=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_windowed_run(self, seed, shots, tomography, default_window, prune):
         circuit, rng = _near_clifford(seed)
         qubits = list(circuit.measured_qubits)
-        width = int(rng.integers(1, min(3, len(qubits)) + 1))
+        width = int(rng.integers(1, min(4, len(qubits)) + 1))
         window = [int(q) for q in rng.choice(qubits, width, replace=False)]
         windowed = ReconstructionConfig(
             mode="windowed",
             window=None if default_window else tuple(window),
             qubit_limit=width,
         )
-        sampling = _sampling(seed, shots, tomography)
-        got = SuperSim(sampling=sampling, reconstruction=windowed).run(circuit)
+        got = _sim(seed, shots, tomography, prune, reconstruction=windowed).run(
+            circuit
+        )
         distribution, raw, stats = oracle_windowed_run(
-            SuperSim(sampling=sampling, reconstruction=windowed), circuit
+            _sim(seed, shots, tomography, prune, reconstruction=windowed), circuit
         )
         assert _same_bytes(got.distribution, distribution)
         assert _same_bytes(got.raw_distribution, raw)

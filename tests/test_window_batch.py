@@ -4,8 +4,13 @@
 shaped windows once (``reconstruct_windows``), checked here against its
 oracle — the per-window loop
 (``repro.testing.reconstruction.loop_reconstruct_windows``) — byte for
-byte.  The windows and kept qubits are validated before anything is cut,
-and the configured ``max_dense_bits`` reaches the batched contraction.
+byte.  Its answer is rows, one array per window width
+(``WindowMarginals``), with the negative-mass rule applied to whole arrays
+(``WindowMarginals.clipped``): both are checked against the per-window
+tail they replaced (``per_window_reconstruct_windows`` and
+``per_window_clipped``), rows and built distributions alike.  The windows
+and kept qubits are validated before anything is cut, and the configured
+``max_dense_bits`` reaches the batched contraction.
 """
 
 from unittest import mock
@@ -27,7 +32,11 @@ from repro.core import (
 from repro.core import reconstruction, supersim
 from repro.core.evaluator import FragmentEvaluator
 from repro.core.tomography import build_window_tensors
-from repro.testing.reconstruction import loop_reconstruct_windows
+from repro.testing.reconstruction import (
+    loop_reconstruct_windows,
+    per_window_clipped,
+    per_window_reconstruct_windows,
+)
 
 
 def _readout_t_circuit(seed: int):
@@ -133,6 +142,139 @@ class TestBatchedContraction:
         assert len(shapes) < len(windows)
         for dist, reference in zip(got, loop_reconstruct_windows(cc, tensors, windows)):
             assert _same_bytes(dist, reference)
+
+
+def _window_case(seed: int, shots, prune: bool):
+    """``(cc, tensors, layouts)`` of 2-8 windows of widths 1-4 over a
+    random near-Clifford circuit, with the cut, evaluation and tomography
+    of ``SuperSim.marginal_probabilities``."""
+    circuit, rng = _readout_t_circuit(seed)
+    sim = SuperSim(
+        sampling=SamplingConfig(shots=shots, seed=seed),
+        execution=ExecutionConfig(prune_zeros=prune),
+    )
+    cc = sim.cut(circuit)
+    qubits = list(circuit.measured_qubits)
+    windows = [
+        [int(q) for q in rng.choice(qubits, width, replace=False)]
+        for width in rng.integers(1, min(4, len(qubits)) + 1, int(rng.integers(2, 9)))
+    ]
+    data = sim._evaluator().evaluate_all(cc.fragments)
+    sites = reconstruction.output_sites(cc)
+    layouts = [
+        reconstruction.window_layout(sites, len(cc.fragments), w) for w in windows
+    ]
+    tensors = [
+        build_window_tensors(d, [kept[f] for kept, _order in layouts])
+        for f, d in enumerate(data)
+    ]
+    return cc, tensors, layouts, rng
+
+
+def _assert_rows_twin(got, want):
+    """``WindowMarginals`` ``got`` holds, row for row and built
+    distribution for distribution, the per-window ``want``."""
+    assert len(got) == len(want)
+    for w, dist in enumerate(want):
+        width, row = got.index[w]
+        assert got.rows[width][row].tobytes() == dist.to_array().tobytes()
+        assert _same_bytes(got[w], dist)
+        assert got[w] is got[w]
+
+
+class TestWindowRowsTwin:
+    """``reconstruct_windows`` rows and ``WindowMarginals.clipped`` against
+    the per-window tail they replaced, on the live windows and on windows
+    whose tensors were made empty, noisy (negative entries) or negated
+    (no positive entry: the negative-mass rule must raise as it did)."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        shots=st.sampled_from([None, 300]),
+        prune=st.booleans(),
+        edits=st.lists(
+            st.sampled_from(["keep", "empty", "noisy", "negated"]),
+            min_size=8,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_per_window_tail(self, seed, shots, prune, edits):
+        cc, tensors, layouts, rng = _window_case(seed, shots, prune)
+        for w, edit in zip(range(len(layouts)), edits):
+            of_fragment = tensors[int(rng.integers(len(tensors)))]
+            tensor = of_fragment[w]
+            if edit == "empty":
+                of_fragment[w] = np.zeros_like(tensor)
+            elif edit == "noisy":
+                of_fragment[w] = tensor + rng.normal(0.0, 0.3, tensor.shape)
+            elif edit == "negated":
+                of_fragment[w] = -tensor
+        got, stats = reconstruction.reconstruct_windows(
+            cc, tensors, layouts, prune_zeros=prune
+        )
+        want, want_stats = per_window_reconstruct_windows(
+            cc, tensors, layouts, prune_zeros=prune
+        )
+        assert stats == want_stats
+        _assert_rows_twin(got, want)
+        try:
+            clipped = per_window_clipped(want)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=str(exc)):
+                got.clipped()
+        else:
+            _assert_rows_twin(got.clipped(), clipped)
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_empty_and_non_positive_windows(self, prune):
+        cc, tensors, layouts, _rng = _window_case(5, None, prune)
+        of_fragment = tensors[0]
+        of_fragment[0] = np.zeros_like(of_fragment[0])
+        got, _stats = reconstruction.reconstruct_windows(
+            cc, tensors, layouts, prune_zeros=prune
+        )
+        want, _stats = per_window_reconstruct_windows(
+            cc, tensors, layouts, prune_zeros=prune
+        )
+        width, row = got.index[0]
+        assert len(want[0]) == 0 and not got.rows[width][row].any()
+        _assert_rows_twin(got.clipped(), per_window_clipped(want))
+        if not prune:
+            return  # a negated exact marginal keeps its rounding as positives
+        # an exact marginal, negated: every entry at or below the threshold
+        of_fragment[1] = -of_fragment[1]
+        got, _stats = reconstruction.reconstruct_windows(
+            cc, tensors, layouts, prune_zeros=prune
+        )
+        want, _stats = per_window_reconstruct_windows(
+            cc, tensors, layouts, prune_zeros=prune
+        )
+        message = "cannot normalise an all-zero distribution"
+        with pytest.raises(ValueError, match=message):
+            per_window_clipped(want)
+        with pytest.raises(ValueError, match=message):
+            got.clipped()
+
+    def test_array_is_the_rows_of_one_width(self):
+        cc, tensors, layouts, _rng = _window_case(5, None, True)
+        got, _stats = reconstruction.reconstruct_windows(cc, tensors, layouts)
+        widths = {len(order) for _kept, order in layouts}
+        for width in range(1, 5):
+            if widths - {width}:
+                with pytest.raises(ValueError, match=f"is {width} qubits wide"):
+                    got.array(width)
+        width = len(layouts[0][1])
+        one, _stats = reconstruction.reconstruct_windows(
+            cc, [[t[0]] * 3 for t in tensors], [layouts[0]] * 3
+        )
+        array = one.array(width)
+        assert array.shape == (3, 2**width)
+        assert array.tobytes() == np.stack([d.to_array() for d in one]).tobytes()
+        array[:] = 7.0
+        assert not (one.array(width) == 7.0).any()
+        none, _stats = reconstruction.reconstruct_windows(cc, tensors, [])
+        assert none.array(2).shape == (0, 4)
 
 
 class TestWindowedRunTwin:
