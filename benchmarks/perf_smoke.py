@@ -397,16 +397,18 @@ def _recursive_61q_counts() -> dict:
     conditioned level too (one zero-width row), so eliminations equal the
     conditioned levels and no Clifford fragment is ever built densely;
     once the reconstruction has returned, the tensor builder may still
-    hold less than one window tensor.  Every bin, the top window's
-    included, is contracted on its support: no operand above ``4^4 * 64``
-    entries (a dense ``4^4 * 2^12`` one before fragment tensors lived on
-    their supports).
+    hold less than one window tensor.  A level's bins are contracted in
+    batches, one per level and group of equal operand shapes — strictly
+    fewer contractions than refined bins — and every bin, the top
+    window's included, on its support: no bin's slice of an operand above
+    ``4^4 * 64`` entries (a dense ``4^4 * 2^12`` one before fragment
+    tensors lived on their supports).
     """
     import tracemalloc
     from unittest import mock
 
     from repro.core import reconstruction, supersim
-    from repro.core.reconstruction import SupportTensor, reconstruct_dynamic
+    from repro.core.reconstruction import reconstruct_dynamic
 
     qubit_limit, top_k = 12, 64
     wide = Circuit(61).append(gates.H, 0)
@@ -422,20 +424,39 @@ def _recursive_61q_counts() -> dict:
     data = fragment_evaluator.evaluate_all(cc.fragments)
 
     counts = dict.fromkeys(
-        ("levels", "variants", "dense_map_builds", "contractions", "wide_contractions"),
+        (
+            "levels",
+            "variants",
+            "dense_map_builds",
+            "shape_groups",
+            "contractions",
+            "wide_contractions",
+        ),
         0,
     )
     level_builder = supersim.build_conditioned_window_tensors
     dense_builder = supersim.build_fragment_tensor
-    contract = reconstruction.reconstruct_distribution
+    contract = reconstruction._dense_einsum
 
-    def counted_contraction(cut_circuit, tensors, *args, **kwargs):
-        largest = max(
-            (t.values if isinstance(t, SupportTensor) else t).size for t in tensors
-        )
+    def counted_contraction(tensors, axis_cuts, k, batch=0):
+        # the largest operand one bin contributes: a batch's slice
+        largest = max((t[0] if batch else t).size for t in tensors)
         counts["contractions"] += 1
         counts["wide_contractions"] += largest > 4**4 * 64
-        return contract(cut_circuit, tensors, *args, **kwargs)
+        return contract(tensors, axis_cuts, k, batch)
+
+    def grouped(build):
+        """``build``, counting each level's distinct bin operand shapes."""
+
+        def level(window, fixed_qubits, fixed_rows):
+            shapes = set()
+            for tensors, kept_locals in build(window, fixed_qubits, fixed_rows):
+                shape = tuple(getattr(t, "values", t).shape for t in tensors)
+                counts["shape_groups"] += shape not in shapes
+                shapes.add(shape)
+                yield tensors, kept_locals
+
+        return level
 
     def counted_level(fragment_data, *args, **kwargs):
         counts["levels"] += 1
@@ -451,11 +472,9 @@ def _recursive_61q_counts() -> dict:
         mock.patch.object(supersim, "build_conditioned_window_tensors", counted_level),
         mock.patch.object(supersim, "build_fragment_tensor", counted_dense),
         _counting_map_eliminations(eliminations),
-        mock.patch.object(
-            reconstruction, "reconstruct_distribution", counted_contraction
-        ),
+        mock.patch.object(reconstruction, "_dense_einsum", counted_contraction),
     ):
-        builder = sim._dynamic_tensor_builder(cc, data, fragment_evaluator)
+        builder = grouped(sim._dynamic_tensor_builder(cc, data, fragment_evaluator))
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
@@ -475,6 +494,7 @@ def _recursive_61q_counts() -> dict:
         "recursive_61q_dense_map_builds": counts["dense_map_builds"],
         "recursive_61q_map_eliminations": len(eliminations),
         "recursive_61q_windows_refined": stats.windows,
+        "recursive_61q_shape_groups": counts["shape_groups"],
         "recursive_61q_contractions": counts["contractions"],
         "recursive_61q_wide_contractions": counts["wide_contractions"],
         "recursive_61q_peak_accumulator_entries": stats.peak_window_entries,
@@ -1019,15 +1039,22 @@ def main() -> int:
         )
     if not (
         streaming["recursive_61q_contractions"]
-        == streaming["recursive_61q_windows_refined"]
-        and streaming["recursive_61q_wide_contractions"] == 0
+        == streaming["recursive_61q_shape_groups"]
+        < streaming["recursive_61q_windows_refined"]
     ):
+        failures.append(
+            "61q recursive levels are no longer contracted one batch per "
+            f"level and shape group: {streaming['recursive_61q_contractions']} "
+            f"contractions for {streaming['recursive_61q_shape_groups']} "
+            f"level shape groups and {streaming['recursive_61q_windows_refined']} "
+            "refined bins (want contractions == groups < bins)"
+        )
+    if streaming["recursive_61q_wide_contractions"] != 0:
         failures.append(
             "61q recursive bins are no longer contracted on their supports: "
             f"{streaming['recursive_61q_wide_contractions']} of "
-            f"{streaming['recursive_61q_contractions']} contractions "
-            f"({streaming['recursive_61q_windows_refined']} windows) were "
-            "handed an operand above 4^4 * 64 entries (the top window "
+            f"{streaming['recursive_61q_contractions']} contractions were "
+            "handed a bin operand above 4^4 * 64 entries (the top window "
             "included, none may be)"
         )
     if (

@@ -65,9 +65,12 @@ class CostEstimate:
     router (``BackendRouter(cost_scales=measure_cost_scales(...))``) its
     units are approximately wall-clock seconds on this machine.
     ``reconstruction_cost`` charges the recombination stage by output
-    width — ``min(4^k · 2**width, recursive window cost)``, matching the
-    engine ``execute()`` would actually pick — so quotes for wide
-    circuits no longer pretend the ``2**width`` accumulator is free.
+    width, for the engine ``execute()`` actually runs — ``4^k · 2**width``
+    dense, the recursive window cost past ``max_dense_bits``, ``4^k ·
+    min(2**width, max_support)`` on supports
+    (:func:`~repro.core.reconstruction.estimate_reconstruction_cost`) — so
+    quotes for wide circuits do not pretend the ``2**width`` accumulator
+    is free.
     ``unique_variants`` counts the deduplicated jobs (a noiseless Clifford
     fragment is one job for all its variants) and ``cached_variants`` those
     the shared cache would satisfy without simulating (``None`` when
@@ -282,8 +285,8 @@ class ExecutionPlan:
         The recombination is charged by the readout's output width: the
         kept qubits (by config, as ``execute()`` picks the engine), the
         widest window (a windowed config's one window too), the kept
-        qubits of a sparse readout (an upper bound), or no bits for a
-        point.
+        qubits of a sparse readout (its accumulator at most
+        ``max_support`` entries), or no bits for a point.
         """
         return self._require_sim()._estimate_plan(self)
 

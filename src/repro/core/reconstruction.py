@@ -66,10 +66,15 @@ window's included, and any fragment's once some of its bits are pinned.
 It works level by level: all bins of a level pin the same qubits, so the
 driver hands its tensor callback the level's whole frontier at once
 (``tensor_builder(window, fixed_qubits, fixed_rows)``) and pulls the bins'
-tensors from the returned iterator one at a time, contracting and dropping
-each before asking for the next.  What a level costs to prepare — one
-visit per fragment variant — is the callback's business; the driver never
-holds more than one bin's tensors.
+tensors from the returned iterator in chunks of at most
+:data:`_BATCH_ENTRIES` entries, contracting each chunk's bins of equal
+operand shapes as one batch (the windows readout's batched contraction)
+and dropping them before asking for more.  The frontier is a bit matrix,
+one row per bin: the next one is read off the accumulator rows as arrays
+and cut to the ``top_k`` heaviest, and a :class:`Distribution` is built
+once, of the last level.  What a level costs to prepare — one visit per
+fragment variant — is the callback's business; the driver never holds
+more than a chunk's tensors.
 """
 
 from __future__ import annotations
@@ -100,6 +105,11 @@ ZERO_THRESHOLD = 1e-12
 #: only used to rank dense vs recursive cost in estimates, so the
 #: absolute scale matters less than both modes sharing it
 _SECONDS_PER_TERM_ENTRY = 2e-9
+
+#: operand and accumulator entries the recursive driver contracts in one
+#: chunk of a level's bins (a larger bin is a chunk of its own): 0.5 MiB
+#: of float64
+_BATCH_ENTRIES = 2**16
 
 
 def check_dense_width(total_bits: int, max_dense_bits: int | None) -> None:
@@ -137,12 +147,16 @@ class ReconstructionStats:
     ``terms_total`` is ``4^k`` and ``terms_skipped`` how many of those
     Pauli assignments §IX zero-pruning found dead (the most of any bin in
     recursive mode).  ``mode`` is what ran (``full`` / ``windowed`` /
-    ``recursive``), ``windows`` counts contractions (one per refined bin),
-    ``refinements`` those beyond the coarse top window,
-    ``peak_window_entries`` the largest accumulator any single contraction
-    allocated — the product of its fragments' support sizes: ``2**kept
-    bits`` for a dense tensor (full and windowed modes, and a recursive
-    window's non-Clifford fragment with nothing pinned), a handful for a
+    ``recursive``), ``windows`` counts what was reconstructed — the one
+    window of a full reconstruction, the batched window shapes of a
+    windowed one, the refined bins of a recursive one (the coarse top
+    window included; a level's bins are contracted in batches, so that is
+    not the number of contractions) — ``refinements`` the refined bins
+    beyond the coarse top window, ``peak_window_entries`` the largest
+    accumulator any single window or bin needed — the product of its
+    fragments' support sizes: ``2**kept bits`` for a dense tensor (full
+    and windowed modes, and a recursive window's non-Clifford fragment
+    with nothing pinned), a handful for a
     Clifford fragment or a conditioned bin, never ``2**total_bits`` of a
     wide output — and ``covered_probability`` the total mass of the
     returned outcomes (1.0 for exact full reconstructions; below 1.0 when
@@ -298,6 +312,29 @@ def _dense_einsum(
     return result.reshape((batch, -1) if batch else -1)
 
 
+def _entry_bits(supports, picks, kept_locals, rows=None) -> np.ndarray:
+    """The outcome bits of accumulator entries: their fragments' support
+    keys side by side, fragment by fragment.
+
+    ``picks[f]`` holds each entry's index into fragment ``f``'s support,
+    which is ``None`` when full (the index is the key).  With ``rows`` the
+    supports are stacked one per bin and entry ``i`` reads bin
+    ``rows[i]``'s.
+    """
+    return np.concatenate(
+        [
+            unpack_keys(
+                pick.astype(np.uint64)
+                if support is None
+                else support[pick] if rows is None else support[rows, pick],
+                len(kept),
+            )
+            for support, pick, kept in zip(supports, picks, kept_locals)
+        ],
+        axis=1,
+    )
+
+
 def _outcomes(
     accumulator: np.ndarray, order: list[int], threshold: float, sparse=None
 ) -> Distribution:
@@ -324,18 +361,7 @@ def _outcomes(
         keys = full_keys(total_bits) if full else live.astype(np.uint64)
     else:
         supports, sizes, kept_locals = sparse
-        bits = np.concatenate(
-            [
-                unpack_keys(
-                    pick.astype(np.uint64) if support is None else support[pick],
-                    len(kl),
-                )
-                for support, pick, kl in zip(
-                    supports, np.unravel_index(live, sizes), kept_locals
-                )
-            ],
-            axis=1,
-        )
+        bits = _entry_bits(supports, np.unravel_index(live, sizes), kept_locals)
         keys = pack_keys(bits[:, order])
     return Distribution.from_arrays(
         total_bits, keys, accumulator[live], assume_sorted=sparse is None
@@ -362,9 +388,8 @@ def reconstruct_distribution(
 
     ``max_dense_bits`` guards the ``2**total_bits`` accumulator of full
     supports: wider requests raise :class:`ReconstructionMemoryError` up
-    front instead of dying in allocation.  Pass ``None`` to disable (the
-    recursive driver does, its windows being small by construction).
-    Callers contracting smaller supports bound their product themselves
+    front instead of dying in allocation.  Pass ``None`` to disable:
+    callers contracting smaller supports bound their product themselves
     (``SuperSim.sparse_probabilities(max_support=...)``).
     """
     fragments = cut_circuit.fragments
@@ -394,6 +419,19 @@ def reconstruct_distribution(
         None if full else (supports, sizes, kept_locals),
     )
     return distribution, stats
+
+
+def _values(tensor: np.ndarray | SupportTensor) -> np.ndarray:
+    """A fragment tensor's values (a bare array is its own)."""
+    return tensor.values if isinstance(tensor, SupportTensor) else tensor
+
+
+def _batch(arrays: list[np.ndarray]) -> np.ndarray:
+    """``arrays`` along a new leading axis: the first broadcast when they
+    are all one object, else stacked."""
+    if all(array is arrays[0] for array in arrays):
+        return np.broadcast_to(arrays[0], (len(arrays),) + arrays[0].shape)
+    return np.stack(arrays)
 
 
 class WindowMarginals(Sequence):
@@ -509,13 +547,7 @@ def reconstruct_windows(
         batch = len(members)
         width = len(layouts[members[0]][1])
         check_dense_width(width, max_dense_bits)
-        operands = []
-        for of_fragment in tensors:
-            first = of_fragment[members[0]]
-            if all(of_fragment[w] is first for w in members):
-                operands.append(np.broadcast_to(first, (batch,) + first.shape))
-            else:
-                operands.append(np.stack([of_fragment[w] for w in members]))
+        operands = [_batch([of[w] for w in members]) for of in tensors]
         stats.windows += 1
         entries = math.prod(op.shape[-1] for op in operands)
         stats.peak_window_entries = max(stats.peak_window_entries, entries)
@@ -537,6 +569,70 @@ def reconstruct_windows(
     for width, of_width in rows.items():
         rows[width] = np.where(np.abs(of_width) > threshold, of_width, 0.0)
     return WindowMarginals(rows, index), stats
+
+
+def _level_chunks(bins):
+    """A level's ``(bin, tensors, kept_locals)`` items, pulled into lists
+    whose operands and accumulators hold at most :data:`_BATCH_ENTRIES`
+    entries together (a bin larger than that is a list of its own)."""
+    chunk: list = []
+    held = 0
+    for item in bins:
+        values = [_values(t) for t in item[1]]
+        entries = sum(v.size for v in values) + math.prod(v.shape[-1] for v in values)
+        if chunk and held + entries > _BATCH_ENTRIES:
+            yield chunk
+            chunk, held = [], 0
+        chunk.append(item)
+        held += entries
+    if chunk:
+        yield chunk
+
+
+def _refine_bins(cut_circuit, window, chunk, prune_zeros, positive, stats):
+    """Contract a chunk of one level's bins, one batched contraction per
+    group of bins whose tensors have equal shapes in every fragment (as
+    :func:`reconstruct_windows` does), and return each group's surviving
+    accumulator entries as ``(bin, window bits, probability)`` arrays:
+    entries above :data:`ZERO_THRESHOLD` (under ``prune_zeros``; else
+    nonzero ones) and, if ``positive``, above zero."""
+    fragments = cut_circuit.fragments
+    k = cut_circuit.num_cuts
+    axis_cuts = _axis_cuts(fragments)
+    threshold = ZERO_THRESHOLD if prune_zeros else 0.0
+    groups: dict[tuple, list] = {}
+    for item in chunk:
+        _bin, tensors, kept_locals = item
+        shapes = tuple(_values(t).shape for t in tensors)
+        groups.setdefault((shapes, tuple(map(tuple, kept_locals))), []).append(item)
+    found = []
+    for (shapes, kept_locals), members in groups.items():
+        batch = len(members)
+        operands, supports = [], []
+        for f, kept in enumerate(kept_locals):
+            tensors = [item[1][f] for item in members]
+            operands.append(_batch([_values(t) for t in tensors]))
+            # a full support's column index is its key
+            full = shapes[f][-1] == 2 ** len(kept)
+            supports.append(None if full else _batch([t.support for t in tensors]))
+        sizes = [shape[-1] for shape in shapes]
+        stats.windows += batch
+        stats.peak_window_entries = max(stats.peak_window_entries, math.prod(sizes))
+        if prune_zeros:
+            alive = _count_survivors(operands, axis_cuts, k, batch)
+            stats.terms_skipped = max(stats.terms_skipped, 4**k - int(alive.min()))
+        # a group whose every tensor is shared may come back as a
+        # read-only broadcast view: divide into a new array
+        accumulators = _dense_einsum(operands, axis_cuts, k, batch) / 2.0**k
+        live = np.abs(accumulators) > threshold
+        if positive:
+            live &= accumulators > 0.0
+        row, entry = np.nonzero(live)
+        bits = _entry_bits(supports, np.unravel_index(entry, sizes), kept_locals, row)
+        order = _output_order(fragments, kept_locals, window)
+        bins = np.array([item[0] for item in members], dtype=np.intp)
+        found.append((bins[row], bits[:, order], accumulators[row, entry]))
+    return found
 
 
 def reconstruct_dynamic(
@@ -567,9 +663,21 @@ def reconstruct_dynamic(
     that yields, in row order, ``(tensors, kept_locals)`` for the window
     with that row's bits pinned — on their supports, where a pinned fragment
     has few outcomes left (see ``SuperSim._dynamic_tensor_builder``).
-    The driver consumes it lazily, one bin at a time, so a builder that
-    yields as it goes keeps tomography memory at one bin's tensors rather
-    than a level's — let alone ``2**total_bits``.
+
+    A level is contracted in batches, not bin by bin: the driver pulls
+    bins until they hold :data:`_BATCH_ENTRIES` operand and accumulator
+    entries (or the level ends), and the bins of such a chunk whose
+    tensors have equal shapes are stacked and contracted at once
+    (:func:`_dense_einsum` with a batch axis) — bit for bit each bin's own
+    contraction.  A fragment whose tensor is one object for every bin of
+    the batch is broadcast, not stacked.  So the driver holds at most a
+    chunk's tensors, about ``_BATCH_ENTRIES`` entries or a single bin's
+    where one bin is larger, and a builder that yields as it goes keeps
+    tomography memory at that rather than a level's — let alone
+    ``2**total_bits``.  The next frontier is read off the accumulator
+    rows as arrays: each entry's bits are its bin's row followed by its
+    fragments' support keys placed in window order; no
+    :class:`Distribution` is built before the last level.
 
     To define fewer qubits, pass fewer: a prefix of ``keep_qubits``
     reconstructs the same coarse levels.
@@ -589,54 +697,51 @@ def reconstruct_dynamic(
         raise ValueError("top_k must be at least 1")
     windows = [keep[i : i + qubit_limit] for i in range(0, len(keep), qubit_limit)]
 
-    k = cut_circuit.num_cuts
-    stats = ReconstructionStats(terms_total=4**k, mode="recursive")
-    # frontier bins: (prefix key over the bits defined so far, exact joint
-    # probability of the bin)
-    frontier: list[tuple[int, float]] = [(0, 1.0)]
+    stats = ReconstructionStats(terms_total=4**cut_circuit.num_cuts, mode="recursive")
+    # the frontier: one row per bin, its bits over the qubits defined so
+    # far, and each bin's exact joint probability
+    rows = np.zeros((1, 0), dtype=bool)
+    probs = np.ones(1)
     fixed_qubits: list[int] = []
     for level, window in enumerate(windows):
         final = level == len(windows) - 1
-        width = len(window)
-        n_fixed = len(fixed_qubits)
-        fixed_rows = np.array(
-            [
-                [(prefix >> (n_fixed - 1 - j)) & 1 for j in range(n_fixed)]
-                for prefix, _prob in frontier
-            ],
-            dtype=bool,
+        level_tensors = tensor_builder(window, fixed_qubits, rows)
+        bins = (
+            (b, tensors, kept_locals)
+            for b, (tensors, kept_locals) in zip(range(len(rows)), level_tensors)
         )
-        candidates: list[tuple[int, float]] = []
-        level_tensors = tensor_builder(window, fixed_qubits, fixed_rows)
-        for (prefix, _prob), (tensors, kept_locals) in zip(frontier, level_tensors):
-            dist, sub = reconstruct_distribution(
-                cut_circuit,
-                tensors,
-                kept_locals,
-                window,
-                prune_zeros=prune_zeros,
-                max_dense_bits=None,
+        found = [
+            group
+            for chunk in _level_chunks(bins)
+            for group in _refine_bins(
+                cut_circuit, window, chunk, prune_zeros, not final, stats
             )
-            stats.windows += 1
-            stats.terms_skipped = max(stats.terms_skipped, sub.terms_skipped)
-            stats.peak_window_entries = max(
-                stats.peak_window_entries, sub.peak_window_entries
-            )
-            for key, prob in zip(dist.key_ints(), dist.values_array.tolist()):
-                if final or prob > 0.0:
-                    candidates.append(((prefix << width) | key, prob))
+        ]
+        picked, bits, probs = (np.concatenate(parts) for parts in zip(*found))
+        rows = np.hstack([rows[picked], bits])
+        keys = pack_keys(rows)
         # heaviest bins first; ties broken by outcome key so seeded runs
         # are bit-for-bit reproducible
-        candidates.sort(key=lambda c: (-c[1], c[0]))
-        frontier = candidates[:top_k]
+        columns = (keys,) if keys.ndim == 1 else tuple(keys.T[::-1])
+        heaviest = np.lexsort(columns + (-probs,))[:top_k]
+        rows, probs = rows[heaviest], probs[heaviest]
         fixed_qubits = fixed_qubits + window
-        if not frontier:
+        if not len(rows):
             break
     stats.refinements = max(stats.windows - 1, 0)
 
-    probs = dict(frontier)
-    stats.covered_probability = float(sum(probs.values()))
-    return Distribution(len(keep), probs), stats
+    # summed as floats in frontier order, heaviest first
+    stats.covered_probability = float(sum(probs.tolist()))
+    if not len(rows):  # maybe before the last level
+        rows = np.zeros((0, len(keep)), dtype=bool)
+    return Distribution.from_arrays(len(keep), pack_keys(rows), probs), stats
+
+
+def auto_mode(total_bits: int, max_dense_bits: int = DEFAULT_MAX_DENSE_BITS) -> str:
+    """The engine ``mode="auto"`` runs for an output ``total_bits`` wide:
+    dense (``"full"``) while it fits ``max_dense_bits``, ``"recursive"``
+    beyond.  The one rule: ``execute()`` and the estimate both ask it."""
+    return "recursive" if total_bits > max_dense_bits else "full"
 
 
 def estimate_reconstruction_cost(
@@ -646,27 +751,30 @@ def estimate_reconstruction_cost(
     qubit_limit: int = 16,
     top_k: int = 64,
     mode: str = "auto",
+    max_support: int = 1_000_000,
 ) -> float:
     """Predicted seconds of the recombination stage (output-width aware).
 
     Dense work is ``4^k · 2**total_bits`` accumulator updates; recursive
     work is one coarse window plus up to ``top_k`` refinements per
-    remaining level at ``4^k · 2**qubit_limit`` each.  ``"auto"`` charges
-    the cheaper of the two — the same choice ``execute()`` makes — so
-    ``ExecutionPlan.estimate()`` stays honest for wide circuits instead
-    of silently quoting an impossible dense pass.
+    remaining level at ``4^k · 2**qubit_limit`` each; a ``"sparse"``
+    contraction's accumulator is the product of its supports, which the
+    readout bounds by ``max_support``: ``4^k · min(2**total_bits,
+    max_support)``.  ``"auto"`` charges the engine ``execute()`` runs
+    (:func:`auto_mode`), so ``ExecutionPlan.estimate()`` stays honest for
+    wide circuits instead of quoting an impossible dense pass.
     """
+    if mode == "auto":
+        mode = auto_mode(total_bits)
     terms = 4.0**num_cuts
     window_bits = min(qubit_limit, total_bits)
-    dense = terms * 2.0**total_bits
-    levels = max(1, -(-total_bits // qubit_limit))
-    recursive = (1 + (levels - 1) * top_k) * terms * 2.0**window_bits
     if mode == "full":
-        units = dense
+        units = terms * 2.0**total_bits
     elif mode == "windowed":
         units = terms * 2.0**window_bits
-    elif mode == "recursive":
-        units = recursive
+    elif mode == "sparse":
+        units = terms * min(2.0**total_bits, max_support)
     else:
-        units = min(dense, recursive)
+        levels = max(1, -(-total_bits // qubit_limit))
+        units = (1 + (levels - 1) * top_k) * terms * 2.0**window_bits
     return units * _SECONDS_PER_TERM_ENTRY

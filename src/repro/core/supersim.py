@@ -88,6 +88,7 @@ from repro.core.reconstruction import (
     ReconstructionStats,
     SupportTensor,
     WindowMarginals,
+    auto_mode,
     check_dense_width,
     estimate_reconstruction_cost,
     output_sites,
@@ -399,25 +400,24 @@ class SuperSim:
             )
         stats = evaluator.dry_run(plan.cut_circuit.fragments)
         rc = self.reconstruction
-        # the distribution by config, else a dense pass over the readout's
-        # widest output: a window (a windowed config's one window too), the
-        # kept qubits of a sparse readout (an upper bound), no bits for a
-        # point
+        # the engine the readout runs (the config's, auto resolved as
+        # execute() resolves it), over the kept qubits; else a dense pass
+        # over the widest window (a windowed config's one window too), or
+        # over no bits for a point
         keep = list(plan.keep_qubits)
         readout = plan.readout or self._readout(None, keep, plan.circuit.n_qubits)
-        width, mode = len(keep), rc.mode
-        if readout.kind not in ("full", "recursive"):
-            mode = "full"
-            if readout.kind == "windows":
-                width = max(map(len, readout.windows), default=0)
-            elif readout.kind == "point":
-                width = 0
+        width, mode = len(keep), readout.kind
+        if readout.kind == "windows":
+            width, mode = max(map(len, readout.windows), default=0), "full"
+        elif readout.kind == "point":
+            width, mode = 0, "full"
         reconstruction_cost = estimate_reconstruction_cost(
             plan.num_cuts,
             width,
             qubit_limit=rc.qubit_limit,
             top_k=rc.top_k,
             mode=mode,
+            max_support=readout.max_support,
         )
         return CostEstimate(
             fragments=tuple(fragment_plans),
@@ -453,7 +453,7 @@ class SuperSim:
             rc = self.reconstruction
             mode = rc.mode
             if mode == "auto":
-                mode = "recursive" if len(keep_qubits) > rc.max_dense_bits else "full"
+                mode = auto_mode(len(keep_qubits), rc.max_dense_bits)
             if mode == "recursive" and not keep_qubits:
                 raise ValueError("recursive reconstruction needs a kept qubit")
             if mode != "windowed":

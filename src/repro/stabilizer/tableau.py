@@ -463,13 +463,21 @@ def _product_phases(x, z, sign, selected) -> np.ndarray:
     row brings its own phase, and ``i^2`` per ``Z`` moved past a later
     ``X``; a product without an ``X`` part is ``-1`` times a ``Z``-type
     Pauli iff its power is 2.
+
+    Every product is a uint8 einsum: NumPy's own integer loops, which
+    never call BLAS (so no BLAS thread pool wakes) and run the selection
+    products about four times faster than its integer matmul.  A uint8
+    sum wraps modulo 256, which keeps what is read of it: the parity of
+    ``z @ xᵀ`` and of ``selected @ swaps``, and the phase sum modulo 4.
     """
-    x8, z8 = x.astype(np.uint8), z.astype(np.uint8)
-    phase = (x8 & z8).sum(axis=-1) + 2 * sign
-    # a uint8 product wraps modulo 256, which keeps its parity
-    swaps = np.triu(z8 @ np.swapaxes(x8, -1, -2) & 1, 1).astype(int)
-    selected = selected.astype(int)
-    return (selected * (phase[..., None, :] + 2 * (selected @ swaps))).sum(axis=-1) % 4
+    x8, z8 = x.view(np.uint8), z.view(np.uint8)
+    chosen = selected.astype(np.uint8)
+    phase = ((x8 & z8).sum(axis=-1, dtype=np.int64) + 2 * sign.astype(np.int64)) % 4
+    swaps = np.triu(np.einsum("...rn,...cn->...rc", z8, x8) & 1, 1)
+    moved = np.einsum("...sr,...rc->...sc", chosen, swaps) & 1
+    crossed = np.einsum("...sr,...sr->...s", chosen, moved)
+    powers = np.einsum("...sr,...r->...s", chosen, phase.astype(np.uint8)) + 2 * crossed
+    return powers.astype(np.int64) % 4
 
 
 def _pack_axis1(bits: np.ndarray, n_words: int) -> np.ndarray:

@@ -19,7 +19,16 @@ contraction with the per-window tail it had before its answer became
 rows (one :class:`Distribution` per window, and
 :func:`per_window_clipped` for the negative-mass rule) — what
 :class:`~repro.core.reconstruction.WindowMarginals` must equal byte for
-byte.  So has the recursive driver's level builder
+byte.
+
+So has the recursive driver
+(:func:`repro.core.reconstruction.reconstruct_dynamic`), which contracts
+each level's bins in equal-shape batches and reads the next frontier off
+the accumulator rows as arrays: :func:`per_bin_reconstruct_dynamic` is
+the driver it replaced, one ``reconstruct_distribution`` call and one
+:class:`Distribution` per frontier bin, whose output and every
+:class:`~repro.core.reconstruction.ReconstructionStats` field the batched
+driver must equal byte for byte.  And so has its level builder
 (``SuperSim._dynamic_tensor_builder``), which reads a Clifford fragment on
 its support at every level, the top window included:
 :func:`dense_unpinned_level_builder` gives every fragment nothing of which
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -214,6 +224,85 @@ def per_window_clipped(marginals: list[Distribution]) -> list[Distribution]:
     """The windows readout's negative-mass rule, window by window:
     :meth:`Distribution.clipped`, an empty window left empty."""
     return [dist.clipped() if len(dist) else dist for dist in marginals]
+
+
+def per_bin_reconstruct_dynamic(
+    cut_circuit: CutCircuit,
+    tensor_builder,
+    keep_qubits: list[int],
+    *,
+    qubit_limit: int = 16,
+    top_k: int = 64,
+    prune_zeros: bool = True,
+) -> tuple[Distribution, ReconstructionStats]:
+    """:func:`~repro.core.reconstruction.reconstruct_dynamic` bin by bin:
+    one :func:`~repro.core.reconstruction.reconstruct_distribution` call —
+    one contraction, one :class:`Distribution` — per frontier bin, pulled
+    from the builder one at a time, and the next frontier built from the
+    bins' outcomes as Python ``(key, probability)`` pairs."""
+    keep = list(keep_qubits)
+    if any(
+        isinstance(q, bool) or not isinstance(q, numbers.Integral) for q in keep
+    ):
+        raise ValueError(f"keep_qubits must be integers, got {keep!r}")
+    if len(set(keep)) != len(keep):
+        raise ValueError("keep_qubits contains duplicates")
+    if not keep:
+        raise ValueError("keep_qubits must not be empty")
+    if qubit_limit < 1:
+        raise ValueError("qubit_limit must be at least 1")
+    if top_k < 1:
+        raise ValueError("top_k must be at least 1")
+    windows = [keep[i : i + qubit_limit] for i in range(0, len(keep), qubit_limit)]
+
+    k = cut_circuit.num_cuts
+    stats = ReconstructionStats(terms_total=4**k, mode="recursive")
+    # frontier bins: (prefix key over the bits defined so far, exact joint
+    # probability of the bin)
+    frontier: list[tuple[int, float]] = [(0, 1.0)]
+    fixed_qubits: list[int] = []
+    for level, window in enumerate(windows):
+        final = level == len(windows) - 1
+        width = len(window)
+        n_fixed = len(fixed_qubits)
+        fixed_rows = np.array(
+            [
+                [(prefix >> (n_fixed - 1 - j)) & 1 for j in range(n_fixed)]
+                for prefix, _prob in frontier
+            ],
+            dtype=bool,
+        )
+        candidates: list[tuple[int, float]] = []
+        level_tensors = tensor_builder(window, fixed_qubits, fixed_rows)
+        for (prefix, _prob), (tensors, kept_locals) in zip(frontier, level_tensors):
+            dist, sub = reconstruct_distribution(
+                cut_circuit,
+                tensors,
+                kept_locals,
+                window,
+                prune_zeros=prune_zeros,
+                max_dense_bits=None,
+            )
+            stats.windows += 1
+            stats.terms_skipped = max(stats.terms_skipped, sub.terms_skipped)
+            stats.peak_window_entries = max(
+                stats.peak_window_entries, sub.peak_window_entries
+            )
+            for key, prob in zip(dist.key_ints(), dist.values_array.tolist()):
+                if final or prob > 0.0:
+                    candidates.append(((prefix << width) | key, prob))
+        # heaviest bins first; ties broken by outcome key so seeded runs
+        # are bit-for-bit reproducible
+        candidates.sort(key=lambda c: (-c[1], c[0]))
+        frontier = candidates[:top_k]
+        fixed_qubits = fixed_qubits + window
+        if not frontier:
+            break
+    stats.refinements = max(stats.windows - 1, 0)
+
+    probs = dict(frontier)
+    stats.covered_probability = float(sum(probs.values()))
+    return Distribution(len(keep), probs), stats
 
 
 def dense_unpinned_level_builder(cut_circuit: CutCircuit, fragment_data):

@@ -448,21 +448,32 @@ class TestReadouts:
             # no readout: the config's engine over the kept width, or a
             # windowed config's one window, priced at the window it runs
             if window_width is None:
+                # auto runs dense at 5 bits, as execute() does
                 want = estimate_reconstruction_cost(
                     k, len(keep), qubit_limit=rc.qubit_limit, top_k=rc.top_k,
-                    mode=rc.mode,
+                    mode="full" if rc.mode == "auto" else rc.mode,
                 )
             else:
                 want = estimate_reconstruction_cost(k, window_width, mode="full")
             assert default.reconstruction_cost == want
-            for readout, width in [
-                (Readout("windows", windows=[[1], [4, 7, 2], [3, 6]]), 3),
-                (Readout("sparse"), len(keep)),
-                (Readout("point", bits=[0] * len(keep)), 0),
+            for readout, cost in [
+                (
+                    Readout("windows", windows=[[1], [4, 7, 2], [3, 6]]),
+                    estimate_reconstruction_cost(k, 3, mode="full"),
+                ),
+                (
+                    Readout("sparse", max_support=20),
+                    estimate_reconstruction_cost(
+                        k, len(keep), mode="sparse", max_support=20
+                    ),
+                ),
+                (
+                    Readout("point", bits=[0] * len(keep)),
+                    estimate_reconstruction_cost(k, 0, mode="full"),
+                ),
             ]:
                 plan = sim.plan(circuit, keep_qubits=keep, readout=readout)
                 priced = plan.estimate()
-                cost = estimate_reconstruction_cost(k, width, mode="full")
                 assert priced.reconstruction_cost == cost
                 assert priced.total_cost == pytest.approx(
                     default.total_cost - default.reconstruction_cost + cost
@@ -472,3 +483,46 @@ class TestReadouts:
                 ) == dataclasses.replace(
                     default, total_cost=0.0, reconstruction_cost=0.0
                 )
+
+    def test_auto_quote_prices_the_engine_execute_runs(self):
+        """A 24-qubit 1-T circuit fits ``max_dense_bits``: auto runs dense
+        and is quoted dense (not the cheaper recursive pass); with the
+        limit below 24 bits it runs recursive and is quoted recursive."""
+        from repro.core.reconstruction import estimate_reconstruction_cost
+
+        rng = np.random.default_rng(0)
+        circuit = inject_t_gates(random_clifford_circuit(24, 3, rng), 1, rng)
+        dense = SuperSim().plan(circuit)
+        k = dense.num_cuts
+        assert k > 0
+        assert dense.estimate().reconstruction_cost == estimate_reconstruction_cost(
+            k, 24, mode="full"
+        )
+        assert dense.estimate().reconstruction_cost > estimate_reconstruction_cost(
+            k, 24, mode="recursive"
+        )
+        rc = ReconstructionConfig(max_dense_bits=20)
+        narrow = SuperSim(reconstruction=rc).plan(circuit)
+        assert narrow.estimate().reconstruction_cost == estimate_reconstruction_cost(
+            k, 24, qubit_limit=rc.qubit_limit, top_k=rc.top_k, mode="recursive"
+        )
+        assert narrow.execute().stats.mode == "recursive"
+
+    def test_sparse_quote_is_bounded_by_max_support(self):
+        """A 41-qubit sparse readout's accumulator holds at most
+        ``max_support`` entries, not ``2**41``."""
+        from repro.core.reconstruction import estimate_reconstruction_cost
+
+        circuit = Circuit(41).append(gates.H, 0)
+        for q in range(40):
+            circuit.append(gates.CX, q, q + 1)
+        circuit.append(gates.XPow(0.25), 20)
+        plan = SuperSim().plan(circuit.measure_all(), readout=Readout("sparse"))
+        k = plan.num_cuts
+        quote = plan.estimate().reconstruction_cost
+        assert quote == estimate_reconstruction_cost(
+            k, 41, mode="sparse", max_support=1_000_000
+        )
+        assert quote == pytest.approx(4.0**k * 1e6 * 2e-9)
+        assert quote < estimate_reconstruction_cost(k, 41, mode="full") / 1e5
+        assert len(plan.execute().distribution) <= 1_000_000
