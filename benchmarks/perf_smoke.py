@@ -803,36 +803,50 @@ def bench_clifford_exact() -> dict:
 
 
 def bench_unbuilt_fragment_ops() -> dict:
-    """A cold request never builds its Clifford fragment's op list — gated
-    on counts.
+    """A cold request builds no ``Operation`` object — gated on counts.
 
-    One sampled ``single_qubit_marginals`` of a 200q 1-T HWEA on a fresh
-    ``SuperSim``: every stage a Clifford fragment passes (Clifford check,
-    routing features, fingerprint, compile, walk) reads its body's op
-    table, so no ``Operation`` is built for it.  Counted on the cut's own
-    fragments (``plan_cuts`` spied) as the ops each Clifford body holds
-    after the request.  Counts are exact, so the gate is safe on shared
+    From ``HWEA(200, 5).near_clifford_instance`` (1 T) through one sampled
+    ``single_qubit_marginals`` on a fresh ``SuperSim``: the factory's
+    appends and the T insert write the circuit's columns, and every stage
+    (cut, Clifford check, routing features, fingerprint, compile, walk)
+    reads its op table or a fragment body's, so nothing builds an
+    ``Operation``.  Counted by spying ``Operation.__init__`` and
+    ``Operation._trusted``; the cut's own fragments are counted by spying
+    ``plan_cuts``.  Counts are exact, so the gate is safe on shared
     runners.
     """
     from unittest import mock
 
     from repro.apps.hwea import HWEA
+    from repro.circuits.circuit import Operation
     from repro.core import SamplingConfig, supersim
 
-    circuit = (
-        HWEA(HWEA_LADDER_QUBITS, 5)
-        .near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
-        .measure_all()
-    )
     cuts = []
     plan_cuts = supersim.plan_cuts
+    built = []
+    init, trusted = Operation.__init__, Operation._trusted.__func__
 
     def spied(*args, **kwargs):
         cuts.append(plan_cuts(*args, **kwargs))
         return cuts[-1]
 
-    with mock.patch.object(supersim, "plan_cuts", spied):
+    def counted_init(self, gate, qubits):
+        built.append(gate)
+        init(self, gate, qubits)
+
+    def counted_trusted(cls, gate, qubits):
+        built.append(gate)
+        return trusted(cls, gate, qubits)
+
+    with mock.patch.object(supersim, "plan_cuts", spied), mock.patch.object(
+        Operation, "__init__", counted_init
+    ), mock.patch.object(Operation, "_trusted", classmethod(counted_trusted)):
         start = time.perf_counter()
+        circuit = (
+            HWEA(HWEA_LADDER_QUBITS, 5)
+            .near_clifford_instance(num_t=1, rng=np.random.default_rng(0))
+            .measure_all()
+        )
         SuperSim(sampling=SamplingConfig(shots=5000, seed=0)).single_qubit_marginals(
             circuit
         )
@@ -840,12 +854,13 @@ def bench_unbuilt_fragment_ops() -> dict:
     bodies = [f.circuit for cut in cuts for f in cut.fragments if f.is_clifford]
     return {
         "workload": (
-            f"{HWEA_LADDER_QUBITS}q 1-T HWEA single_qubit_marginals at 5000 "
-            "shots, cold: Operations built for its Clifford fragments"
+            f"{HWEA_LADDER_QUBITS}q 1-T HWEA, built and then read by "
+            "single_qubit_marginals at 5000 shots, cold: Operations built"
         ),
+        "circuit_ops": len(circuit),
         "clifford_fragments": len(bodies),
         "clifford_fragment_ops": sum(len(body) for body in bodies),
-        "clifford_ops_built": sum(len(vars(body).get("ops", ())) for body in bodies),
+        "operations_built": len(built),
         "seconds": seconds,
     }
 
@@ -1135,11 +1150,12 @@ def main() -> int:
             f"{exact['non_clifford_fragments']})"
         )
     unbuilt = results["unbuilt_fragment_ops"]
-    if not (unbuilt["clifford_fragments"] > 0 and unbuilt["clifford_ops_built"] == 0):
+    if not (unbuilt["clifford_fragments"] > 0 and unbuilt["operations_built"] == 0):
         failures.append(
-            f"a cold request built {unbuilt['clifford_ops_built']} Operations "
-            f"for its {unbuilt['clifford_fragments']} Clifford fragment(s) "
-            f"({unbuilt['clifford_fragment_ops']} ops): some stage walks the "
+            f"building a {unbuilt['circuit_ops']}-op circuit and a cold request on "
+            f"it built {unbuilt['operations_built']} Operations (Clifford "
+            f"fragments: {unbuilt['clifford_fragments']}, "
+            f"{unbuilt['clifford_fragment_ops']} ops): some stage walks an "
             "op list instead of the op table"
         )
     rows = results["window_rows"]

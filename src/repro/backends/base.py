@@ -61,7 +61,7 @@ class CircuitFeatures:
 
     @classmethod
     def from_circuit(cls, circuit: Circuit) -> "CircuitFeatures":
-        """The features of ``circuit``, counted once per op list: kept in
+        """The features of ``circuit``, counted once per op count: kept in
         its :meth:`~repro.circuits.circuit.Circuit.derived` space, so
         routing, job building and cost estimates share one count."""
         derived = circuit.derived()

@@ -12,8 +12,7 @@ The fingerprint is content-addressed (SHA-256 over gate names, exact
 parameter bytes, wire indices and measured qubits), so two circuits built
 independently but identical gate-for-gate share an entry.  Its byte
 stream is read off the circuit's op table, never by walking
-``Operation``s, so a fragment body born from the cutter's table is
-fingerprinted without its op list being built; the bytes are what packing
+``Operation``s, so fingerprinting builds none; the bytes are what packing
 op by op gives, and seeds derive from them.
 Eviction is LRU with a bounded entry count; hit/miss counters feed the
 engine's stats.

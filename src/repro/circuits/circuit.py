@@ -1,33 +1,31 @@
 """Quantum circuit intermediate representation.
 
-A :class:`Circuit` is an ordered list of gate :class:`Operation`s on integer
-qubits ``0 .. n-1``, plus an optional set of *terminally measured* qubits
-(computational basis).  Terminal-only measurement matches the circuit-cutting
-model of the paper: circuit outputs are always measured in the Z basis, and
-mid-circuit measurement never occurs inside fragments.
+A :class:`Circuit` is an ordered sequence of gate :class:`Operation`s on
+integer qubits ``0 .. n-1``, plus an optional set of *terminally measured*
+qubits (computational basis).  Terminal-only measurement matches the
+circuit-cutting model of the paper: circuit outputs are always measured in
+the Z basis, and mid-circuit measurement never occurs inside fragments.
 
-Every pass over a circuit's gates — Clifford detection, the cut, the
-compiled gate program, the fingerprint, the routing features — reads its
-:class:`OpTable`: the ops as columns (a gate index per op and every op's
-wires in CSR form), the way Stim keeps a circuit as flat gate and target
-buffers.  A circuit built by ``append`` keeps its ``ops`` list as the
-truth and derives the table from it in one walk (:attr:`Circuit.table`).
-A circuit born from a table (:meth:`Circuit.from_table`, what the cutter
-makes of each fragment body) has no op list until something reads
-``ops``: it is built then, once, and from there on ``ops`` is the truth.
+A circuit *is* its op table, the way Stim keeps a circuit as flat gate and
+target buffers: each distinct gate object once (in order of first use), a
+gate index per op and every op's wires in CSR form.  ``append`` and
+``extend`` check each op and write it straight into these columns; a
+circuit born from a table (:meth:`Circuit.from_table`, what the cutter
+makes of each fragment body) takes the table's columns.  Every pass over
+the gates — Clifford detection, the cut, the compiled gate program, the
+fingerprint, the routing features — reads the columns as an
+:class:`OpTable` (:attr:`Circuit.table`); :meth:`Circuit.pairs` walks
+them as ``(gate, qubits)`` pairs.  ``ops`` is a read-only tuple of
+:class:`Operation`s built from the columns only when something reads it.
 
-:meth:`Circuit.derived` is a scratch dict for values computed from ``ops``
-alone (the table, Clifford-ness, a compiled gate program), emptied by any
-mutation of ``ops``; it re-validates by element identity (Operations are
-immutable) and is not pickled.  A table-born circuit whose ``ops`` were
-never read has nothing to mutate: its derived space starts with its table
-and is kept when ``ops`` is built.
+Ops are only ever added, so :meth:`Circuit.derived`, a scratch dict for
+values computed from the ops alone (the table, Clifford-ness, a compiled
+gate program), is keyed by the op count: any append empties it.  It is
+not pickled; the columns are.
 """
 
 from __future__ import annotations
 
-import threading
-from operator import is_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,13 +33,16 @@ import numpy as np
 from repro.circuits.gates import Gate
 
 
-#: held while a table-born circuit builds its ``ops`` list
-_BUILDING = threading.Lock()
-
-
-def _same_objects(a: list, b: list) -> bool:
-    """Element-by-element identity of two lists."""
-    return len(a) == len(b) and all(map(is_, a, b))
+def _checked(gate: Gate, qubits: Sequence[int]) -> tuple[int, ...]:
+    """``qubits`` as a tuple of plain ints, checked to be
+    ``gate.num_qubits`` distinct wires."""
+    qubits = tuple(map(int, qubits))
+    n = len(qubits)
+    if n != gate.num_qubits:
+        raise ValueError(f"{gate!r} acts on {gate.num_qubits} qubits, got {qubits}")
+    if (qubits[0] == qubits[1]) if n == 2 else (n > 2 and len(set(qubits)) != n):
+        raise ValueError(f"repeated qubit in {qubits}")
+    return qubits
 
 
 class Operation:
@@ -50,16 +51,8 @@ class Operation:
     __slots__ = ("gate", "qubits")
 
     def __init__(self, gate: Gate, qubits: Sequence[int]):
-        qubits = tuple(map(int, qubits))
-        n = len(qubits)
-        if n != gate.num_qubits:
-            raise ValueError(
-                f"{gate!r} acts on {gate.num_qubits} qubits, got {qubits}"
-            )
-        if (qubits[0] == qubits[1]) if n == 2 else (n > 2 and len(set(qubits)) != n):
-            raise ValueError(f"repeated qubit in {qubits}")
         self.gate = gate
-        self.qubits = qubits
+        self.qubits = _checked(gate, qubits)
 
     @classmethod
     def _trusted(cls, gate: Gate, qubits: tuple[int, ...]) -> "Operation":
@@ -130,28 +123,13 @@ class OpTable:
         self.offsets = offsets
 
     @classmethod
-    def from_ops(cls, ops: Iterable[Operation]) -> "OpTable":
-        """The table of an op list, in one walk."""
-        index: dict[int, int] = {}
-        gates: list[Gate] = []
-        gate_index: list[int] = []
-        wires: list[int] = []
-        offsets = [0]
-        for op in ops:
-            gate = op.gate
-            i = index.get(id(gate))
-            if i is None:
-                i = index[id(gate)] = len(gates)
-                gates.append(gate)
-            gate_index.append(i)
-            wires += op.qubits
-            offsets.append(len(wires))
-        return cls(
-            gates,
-            np.array(gate_index, dtype=np.int32),
-            np.array(wires, dtype=np.int32),
-            np.array(offsets, dtype=np.int32),
-        )
+    def by_first_use(cls, gates, gate_index, wires, offsets=None) -> "OpTable":
+        """The table of these columns with only the ``gates`` that
+        ``gate_index`` uses, renumbered by first use."""
+        used = list(dict.fromkeys(gate_index.tolist()))
+        renumber = np.zeros(len(gates), dtype=np.int32)
+        renumber[used] = np.arange(len(used))
+        return cls([gates[g] for g in used], renumber[gate_index], wires, offsets)
 
     def __len__(self) -> int:
         return len(self.gate_index)
@@ -168,135 +146,120 @@ class OpTable:
             np.arange(len(self.gate_index), dtype=np.int32), np.diff(self.offsets)
         )
 
-    def operations(self) -> list[Operation]:
-        """The ops the table holds, built unchecked (they were checked
-        when the table's source was built)."""
-        trusted = Operation._trusted
-        gates = self.gates
-        wires = self.wires.tolist()
-        bounds = self.offsets.tolist()
-        return [
-            trusted(gates[g], tuple(wires[a:b]))
-            for g, a, b in zip(self.gate_index.tolist(), bounds, bounds[1:])
-        ]
-
 
 class Circuit:
     """An n-qubit circuit: gate operations plus terminal measurements."""
-
-    # class-level defaults: an appended circuit unpickled without
-    # ``_derived`` (see ``__getstate__``) reads it as "nothing derived";
-    # ``_table`` is set only on a table-born circuit, and stays set
-    _derived: "tuple[list[Operation] | None, dict] | None" = None
-    _table: OpTable | None = None
 
     def __init__(self, n_qubits: int, operations: Iterable[Operation] = ()):
         if n_qubits < 0:
             raise ValueError("n_qubits must be non-negative")
         self.n_qubits = int(n_qubits)
-        self.ops: list[Operation] = []
         self._measured: tuple[int, ...] | None = None
-        for op in operations:
-            self._check(op)
-            self.ops.append(op)
+        self._hold([], [], [], [0])
+        self.extend(operations)
+
+    def _hold(self, gates, gate_index, wires, offsets, derived=None) -> None:
+        """Take these column lists (:class:`OpTable`'s columns) as the
+        ops, and ``derived`` as what is derived from them."""
+        self._gates: list[Gate] = gates
+        self._gate_of = {id(gate): i for i, gate in enumerate(gates)}
+        self._gate_index: list[int] = gate_index
+        self._wires: list[int] = wires
+        self._offsets: list[int] = offsets
+        self._derived = (len(gate_index), derived or {})
 
     @classmethod
     def from_table(cls, n_qubits: int, table: OpTable) -> "Circuit":
         """A circuit holding ``table``'s ops on ``n_qubits`` wires, unchecked
-        (every wire must be below ``n_qubits``); its ``ops`` list is built
-        from the table when first read."""
-        out = object.__new__(cls)
-        out.n_qubits = n_qubits
-        out._measured = None
-        out._table = table
-        out._derived = (None, {"table": table})
+        (every wire must be below ``n_qubits``); ``table`` is its table."""
+        out = cls(n_qubits)
+        columns = (table.gate_index, table.wires, table.offsets)
+        out._hold(list(table.gates), *(c.tolist() for c in columns), {"table": table})
         return out
-
-    def __getattr__(self, name: str):
-        # reached only when ``name`` is not set: ``ops`` of a table-born
-        # circuit is built on first read, once, under a lock (other
-        # threads may miss ``ops`` meanwhile and wait here).  The derived
-        # space is re-snapshotted before ``ops`` is published, so
-        # ``derived()`` never sees the new list without its snapshot.
-        table = self.__dict__.get("_table")
-        if name != "ops" or table is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        with _BUILDING:
-            ops = self.__dict__.get("ops")
-            if ops is None:
-                ops = table.operations()
-                self._derived = (list(ops), self._derived[1])
-                self.ops = ops
-        return ops
-
-    def _check(self, op: Operation) -> None:
-        qubits = op.qubits
-        if qubits and (min(qubits) < 0 or max(qubits) >= self.n_qubits):
-            raise ValueError(
-                f"operation {op!r} out of range for {self.n_qubits} qubits"
-            )
 
     # -- construction ------------------------------------------------------
 
     def append(self, gate: Gate, *qubits: int) -> "Circuit":
         """Append ``gate`` on ``qubits``; returns self for chaining."""
-        op = Operation(gate, qubits)
-        self._check(op)
-        self.ops.append(op)
+        qubits = _checked(gate, qubits)
+        if qubits and (min(qubits) < 0 or max(qubits) >= self.n_qubits):
+            raise ValueError(
+                f"operation {gate!r}{list(qubits)} out of range "
+                f"for {self.n_qubits} qubits"
+            )
+        index = self._gate_of.get(id(gate))
+        if index is None:
+            index = self._gate_of[id(gate)] = len(self._gates)
+            self._gates.append(gate)
+        self._gate_index.append(index)
+        self._wires += qubits
+        self._offsets.append(len(self._wires))
         return self
 
     def extend(self, ops: Iterable[Operation]) -> "Circuit":
         for op in ops:
-            self._check(op)
-            self.ops.append(op)
+            self.append(op.gate, *op.qubits)
         return self
 
     # -- shared derived work ---------------------------------------------------
 
     def derived(self) -> dict:
-        """Scratch space for values computed from ``ops`` alone.
+        """Scratch space for values computed from the ops alone.
 
-        Holds a snapshot of the op list next to the values and
-        re-validates it by element identity on every call: Operations are
-        immutable and the snapshot keeps the old objects alive, so any
-        mutation of ``ops`` — append, insert, in-place replacement —
-        hands back a fresh, empty dict.  A table-born circuit whose
-        ``ops`` were never read has nothing to re-validate: its dict
-        starts with ``"table"``.  Store finished values with one
-        assignment; concurrent callers may then compute a value twice but
-        never see it half-built.
+        Ops are only ever added, so the dict is kept until the op count
+        changes and then handed back fresh and empty.  A table-born
+        circuit's dict starts with ``"table"``.  Store finished values with
+        one assignment; concurrent callers may then compute a value twice
+        but never see it half-built.
         """
-        ops = self.__dict__.get("ops")  # read before the snapshot: see __getattr__
-        held = self._derived
-        if ops is not None and (held is None or not _same_objects(held[0], ops)):
-            held = self._derived = (list(ops), {})
-        return held[1]
+        count, values = self._derived
+        if count != len(self._gate_index):
+            values = {}
+            self._derived = (len(self._gate_index), values)
+        return values
 
     @property
     def table(self) -> OpTable:
-        """The ops as an :class:`OpTable`, derived once per op list."""
+        """The ops as an :class:`OpTable`: the columns as arrays, built once
+        per op count."""
         derived = self.derived()
         table = derived.get("table")
         if table is None:
-            table = derived["table"] = OpTable.from_ops(self.ops)
+            columns = (self._gate_index, self._wires, self._offsets)
+            table = derived["table"] = OpTable(
+                self._gates, *(np.array(c, dtype=np.int32) for c in columns)
+            )
         return table
 
-    def __getstate__(self) -> dict:
-        # what was derived from the ops is rebuilt on demand: it does not
-        # travel (a table-born circuit travels as its table until its ops
-        # are built, then as its ops)
-        state = self.__dict__.copy()
-        state.pop("_derived", None)
-        if "ops" in state:
-            state.pop("_table", None)
-        return state
+    def pairs(self) -> Iterator[tuple[Gate, tuple[int, ...]]]:
+        """Each op as a ``(gate, qubits)`` pair, read off the columns
+        without building an ``Operation``."""
+        gates, wires, bounds = self._gates, self._wires, self._offsets
+        for g, a, b in zip(self._gate_index, bounds, bounds[1:]):
+            yield gates[g], tuple(wires[a:b])
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if "ops" not in state:
-            self._derived = (None, {"table": self._table})
+    @property
+    def ops(self) -> tuple[Operation, ...]:
+        """The ops as a read-only tuple of ``Operation``s, built unchecked
+        (they were checked when added) on first read, once per op count:
+        readers racing on one build all get the tuple stored first."""
+        derived = self.derived()
+        ops = derived.get("ops")
+        if ops is None:
+            trusted = Operation._trusted
+            built = tuple(trusted(gate, qubits) for gate, qubits in self.pairs())
+            ops = derived.setdefault("ops", built)
+        return ops
+
+    def __getstate__(self) -> tuple:
+        # what was derived from the ops is rebuilt on demand: only the
+        # columns travel
+        columns = (self._gates, self._gate_index, self._wires, self._offsets)
+        return (self.n_qubits, self._measured, *columns)
+
+    def __setstate__(self, state: tuple) -> None:
+        self.n_qubits, self._measured, *columns = state
+        self._hold(*columns)
 
     def measure(self, qubits: Sequence[int]) -> "Circuit":
         """Mark qubits as terminally measured (computational basis)."""
@@ -325,8 +288,7 @@ class Circuit:
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
-        ops = self.__dict__.get("ops")
-        return len(self._table if ops is None else ops)
+        return len(self._gate_index)
 
     def __iter__(self) -> Iterator[Operation]:
         return iter(self.ops)
@@ -375,11 +337,10 @@ class Circuit:
     # -- transformations -----------------------------------------------------
 
     def copy(self) -> "Circuit":
-        if "ops" in self.__dict__:
-            out = Circuit(self.n_qubits, self.ops)
-        else:  # the table is never written: share it
-            out = Circuit.from_table(self.n_qubits, self._table)
+        out = Circuit(self.n_qubits)
         out._measured = self._measured
+        columns = (self._gates, self._gate_index, self._wires, self._offsets)
+        out._hold(*map(list, columns))
         return out
 
     def __add__(self, other: "Circuit") -> "Circuit":

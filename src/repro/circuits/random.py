@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.circuits import gates
-from repro.circuits.circuit import Circuit
+from repro.circuits.circuit import Circuit, OpTable
 
 _ONE_QUBIT_POOL = gates.ONE_QUBIT_CLIFFORD_GATES
 _TWO_QUBIT_POOL = (gates.CX, gates.CZ, gates.SWAP, gates.CY)
@@ -60,21 +60,26 @@ def inject_t_gates(
 
     This is the paper's benchmark construction: a Clifford base circuit with
     "one randomly injected T gate" (Figs. 3-7).  The insertion point is a
-    uniformly random (position, qubit) pair.
+    uniformly random (position, qubit) pair, drawn in that order for each
+    gate, on the circuit with the gates before it inserted.  The result is
+    built from the source's table columns, the inserts written into them.
     """
     rng = _as_rng(rng)
-    out = circuit.copy()
+    table = circuit.table
+    index, wires, offsets = table.gate_index, table.wires, table.offsets
+    pool = table.gates + (gates.T,)  # by_first_use drops an unused T
+    t = next(i for i, gate in enumerate(pool) if gate is gates.T)
     for _ in range(count):
-        position = int(rng.integers(len(out.ops) + 1))
-        qubit = int(rng.integers(out.n_qubits))
-        out.ops.insert(position, _t_operation(qubit))
+        position = int(rng.integers(len(index) + 1))
+        qubit = int(rng.integers(circuit.n_qubits))
+        index = np.insert(index, position, t)
+        wires = np.insert(wires, offsets[position], qubit)
+        offsets = np.concatenate([offsets[: position + 1], offsets[position:] + 1])
+    body = OpTable.by_first_use(pool, index, wires, offsets)
+    out = Circuit.from_table(circuit.n_qubits, body)
+    if circuit.has_explicit_measurements:
+        out.measure(circuit.measured_qubits)
     return out
-
-
-def _t_operation(qubit: int):
-    from repro.circuits.circuit import Operation
-
-    return Operation(gates.T, (qubit,))
 
 
 def random_near_clifford_circuit(

@@ -162,7 +162,7 @@ def cut_circuit(circuit: Circuit, cuts: list[Cut]) -> CutCircuit:
     qubit per segment in id order; every boundary list comes out in
     ascending order.  A fragment's body is born from its slice of the
     table (:meth:`Circuit.from_table`, op order kept, wires mapped to
-    local qubits): its ``ops`` list is built only if something reads it.
+    local qubits).
 
     The entries' segments, the joins and the slices come from NumPy
     passes on a large table (:func:`_array_segments`,
@@ -322,14 +322,10 @@ def _array_slices(
     local = np.array(local_of, dtype=np.int32)[segment[entry_order]]
     slices = []
     for f in range(count):
-        gate_index = table.gate_index[op_order[op_bounds[f] : op_bounds[f + 1]]]
-        used = list(dict.fromkeys(gate_index.tolist()))  # by first use
-        renumber = np.zeros(len(table.gates), dtype=np.int32)
-        renumber[used] = np.arange(len(used))
         slices.append(
-            OpTable(
-                [table.gates[g] for g in used],
-                renumber[gate_index],
+            OpTable.by_first_use(
+                table.gates,
+                table.gate_index[op_order[op_bounds[f] : op_bounds[f + 1]]],
                 local[entry_bounds[f] : entry_bounds[f + 1]],
             )
         )

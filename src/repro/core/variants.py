@@ -96,7 +96,8 @@ def variant_circuit(
     for (cut, lq), prep in zip(fragment.quantum_inputs, preps):
         for op_gates in _PREP_OPS[prep]:
             circuit.append(op_gates[0], lq)
-    circuit.extend(fragment.circuit.ops)
+    for gate, qubits in fragment.circuit.pairs():
+        circuit.append(gate, *qubits)
     for (cut, lq), basis in zip(fragment.quantum_outputs, bases):
         for op_gates in _BASIS_OPS[basis]:
             circuit.append(op_gates[0], lq)

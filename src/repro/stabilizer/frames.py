@@ -59,15 +59,15 @@ class FrameSampler:
         inject_at: dict[int, list] = {}
         for index, channel, qubits in noise.locations(circuit):
             inject_at.setdefault(index, []).append((channel, qubits))
-        ops = circuit.ops
         self._segments: list[tuple[list, list]] = []
         start = 0
         for index in sorted(inject_at):
-            end = min(index + 1, len(ops))
-            self._segments.append((_compile_ops(ops[start:end]), inject_at[index]))
+            end = min(index + 1, len(circuit))
+            program = _compile_ops(circuit[start:end].table)
+            self._segments.append((program, inject_at[index]))
             start = end
-        if start < len(ops):
-            self._segments.append((_compile_ops(ops[start:]), []))
+        if start < len(circuit):
+            self._segments.append((_compile_ops(circuit[start:].table), []))
 
     def sample_bits(
         self, shots: int, rng: np.random.Generator | int | None = None

@@ -14,13 +14,11 @@ of word ``q >> 6``).
 flat gate program in op order — native H, S, CX, X, Y, Z as themselves,
 every other Clifford gate as its cached stabilizer decomposition — read
 off the circuit's op table (:class:`~repro.circuits.circuit.OpTable`:
-one step lookup per distinct gate, then integer columns op by op, so a
-fragment body born from the cutter's table is compiled without its
-``Operation`` list ever being built).  The program is kept in the
-circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space
-(revalidated by op-list identity once ``ops`` exists, so any mutation
-recompiles), and so is its inverse (:func:`compile_inverse_layers`); the
-op table stays there only if something else derived it.  The steps
+one step lookup per distinct gate, then integer columns op by op, so
+compiling builds no ``Operation``).  The program is kept in the
+circuit's :meth:`~repro.circuits.circuit.Circuit.derived` space next
+to the table (both kept until an op is appended), and so is its inverse
+(:func:`compile_inverse_layers`).  The steps
 between two CX on a wire are fused: any run of one-qubit Cliffords is one
 of 24 group elements (up to phase), kept per wire as an index into a
 24×24 product table and written out as its shortest spelling over H, S,
@@ -184,9 +182,9 @@ def _gate_element(gate) -> int | None:
     return element
 
 
-def _compile_ops(ops) -> list[tuple]:
-    """A Clifford circuit's :class:`~repro.circuits.circuit.OpTable` (or
-    op list, tabled first) as a flat gate program, in op order.
+def _compile_ops(table: OpTable) -> list[tuple]:
+    """A Clifford circuit's :class:`~repro.circuits.circuit.OpTable` as a
+    flat gate program, in op order.
 
     Each op stands for its gate's steps on the op's qubits: native H, S,
     CX, X, Y and Z as themselves, any other Clifford gate as its
@@ -201,7 +199,6 @@ def _compile_ops(ops) -> list[tuple]:
     ``(name, qubit)`` or ``("CX", control, target)``.  Raises
     ``ValueError`` on a non-Clifford gate.
     """
-    table = ops if isinstance(ops, OpTable) else OpTable.from_ops(ops)
     if not table.clifford.all():
         # the first non-Clifford op's gate names itself in the error
         _gate_steps(table.gates[table.gate_index[np.argmin(table.clifford[table.gate_index])]])
@@ -237,21 +234,14 @@ def _compile_ops(ops) -> list[tuple]:
 
 
 def compile_clifford_layers(circuit: Circuit) -> list[tuple]:
-    """The gate program of a Clifford circuit, cached on the circuit.
-
-    The cache is the circuit's :meth:`Circuit.derived` space, so any
-    mutation of ``circuit.ops`` — append, insert, or in-place replacement
-    — is detected and triggers recompilation.
+    """The gate program of a Clifford circuit, compiled from its table and
+    cached in its :meth:`Circuit.derived` space: an appended op makes the
+    next call compile again.
     """
     derived = circuit.derived()
     program = derived.get("clifford_layers")
     if program is None:
-        # a table nothing else asked for is built for the compile alone:
-        # the derived space keeps the program, not a table of it
-        table = derived.get("table")
-        program = derived["clifford_layers"] = _compile_ops(
-            circuit.ops if table is None else table
-        )
+        program = derived["clifford_layers"] = _compile_ops(circuit.table)
     return program
 
 

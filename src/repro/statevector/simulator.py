@@ -38,8 +38,8 @@ class StatevectorSimulator:
             psi[(0,) * n] = 1.0
         else:
             psi = np.asarray(initial_state, dtype=complex).reshape((2,) * n).copy()
-        for op in circuit.ops:
-            psi = apply_matrix_to_axes(psi, op.gate.matrix, op.qubits)
+        for gate, qubits in circuit.pairs():
+            psi = apply_matrix_to_axes(psi, gate.matrix, qubits)
         return psi.reshape(-1)
 
     def probabilities(self, circuit: Circuit) -> Distribution:

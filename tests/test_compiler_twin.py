@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit, gates
+from repro.circuits.circuit import Operation
 from repro.stabilizer import FrameSampler, NoiseModel, PauliChannel
 from repro.stabilizer import frames as frames_module
 from repro.stabilizer.tableau import _compile_ops, _walk, inverse_program
@@ -111,7 +112,7 @@ def longest_one_qubit_run(program) -> int:
 @settings(max_examples=60, deadline=None)
 def test_forward_and_inverse_walks_match_the_twin(drawn):
     circuit, seed = drawn
-    fused, reference = _compile_ops(circuit.ops), reference_compile_ops(circuit.ops)
+    fused, reference = _compile_ops(circuit.table), reference_compile_ops(circuit.ops)
     n = circuit.n_qubits
     assert_same_walk(fused, reference, n, seed)
     assert_same_walk(inverse_program(fused), inverse_program(reference), n, seed + 1)
@@ -121,7 +122,7 @@ def test_forward_and_inverse_walks_match_the_twin(drawn):
 @settings(max_examples=60, deadline=None)
 def test_runs_fuse_to_at_most_four_steps(drawn):
     circuit, _seed = drawn
-    fused, reference = _compile_ops(circuit.ops), reference_compile_ops(circuit.ops)
+    fused, reference = _compile_ops(circuit.table), reference_compile_ops(circuit.ops)
     assert longest_one_qubit_run(fused) <= 4
     assert len(fused) <= len(reference)
     # CX steps are kept as they are, in order
@@ -138,7 +139,16 @@ def test_frame_sampler_shots_match_the_twin(drawn, noisy_1q):
         before_measure=PauliChannel.bit_flip(0.05),
     )
     fused = FrameSampler(circuit, noise).sample_bits(200, rng=seed)
-    with mock.patch.object(frames_module, "_compile_ops", reference_compile_ops):
+
+    def reference_compile(table):
+        wires, bounds = table.wires.tolist(), table.offsets.tolist()
+        gate_index = table.gate_index.tolist()
+        return reference_compile_ops(
+            Operation(table.gates[g], wires[a:b])
+            for g, a, b in zip(gate_index, bounds, bounds[1:])
+        )
+
+    with mock.patch.object(frames_module, "_compile_ops", reference_compile):
         reference = FrameSampler(circuit, noise).sample_bits(200, rng=seed)
     np.testing.assert_array_equal(fused, reference)
 
@@ -151,7 +161,7 @@ def test_a_long_run_is_one_short_spelling():
     for _ in range(40):
         circuit.append(ONE_QUBIT[rng.integers(len(ONE_QUBIT))], 0)
     circuit.append(gates.CX, 1, 0)
-    fused = _compile_ops(circuit.ops)
+    fused = _compile_ops(circuit.table)
     assert fused[0] == ("CX", 0, 1) and fused[-1] == ("CX", 1, 0)
     assert len(fused) <= 6
     assert_same_walk(fused, reference_compile_ops(circuit.ops), 2, 7)
@@ -161,4 +171,4 @@ def test_a_run_back_to_the_identity_is_nothing():
     circuit = Circuit(1)
     for gate in (gates.H, gates.S, gates.S, gates.H, gates.X, gates.I):
         circuit.append(gate, 0)
-    assert _compile_ops(circuit.ops) == []
+    assert _compile_ops(circuit.table) == []

@@ -172,14 +172,15 @@ def near_clifford_circuits(draw):
     circuit = random_near_clifford_circuit(
         n, depth, count, rng=draw(st.integers(0, 2**32 - 1))
     )
-    for i, op in enumerate(circuit.ops):
+    ops = list(circuit.ops)
+    for i, op in enumerate(ops):
         if not op.gate.is_clifford and draw(st.booleans()):
             q = op.qubits[0]
             other = draw(st.integers(0, n - 2))
             other += other >= q
             gate = draw(st.sampled_from(_TWO_QUBIT_NON_CLIFFORD))
-            circuit.ops[i] = Operation(gate, (q, other))
-    return circuit
+            ops[i] = Operation(gate, (q, other))
+    return Circuit(n, ops)
 
 
 @st.composite

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import Distribution
 from repro.apps.hwea import HWEA
-from repro.backends.cache import circuit_fingerprint
+from repro.backends.cache import circuit_fingerprint, fragment_fingerprint
 from repro.circuits import Circuit, gates, random_clifford_circuit
 from repro.circuits.circuit import Operation
 from repro.core import (
@@ -306,29 +306,45 @@ class TestFragmentIsOneWalk:
 
 
 class TestDerivedSpace:
-    def test_derived_space_is_emptied_by_mutation(self):
+    def test_derived_space_is_emptied_by_an_append(self):
         circuit = Circuit(2).append(gates.H, 0)
         circuit.derived()["x"] = 1
         assert circuit.derived() == {"x": 1}
         circuit.append(gates.CX, 0, 1)
         assert circuit.derived() == {}
-        circuit.derived()["x"] = 2
-        circuit.ops[0] = Operation(gates.S, (0,))
-        assert circuit.derived() == {}
+
+    def test_a_circuit_differing_in_one_op_compiles_apart(self):
+        circuit = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1)
+        other = Circuit(2).append(gates.S, 0).append(gates.CX, 0, 1)
+        assert compile_clifford_layers(other) != compile_clifford_layers(circuit)
+        assert circuit_fingerprint(other) != circuit_fingerprint(circuit)
 
     def test_is_clifford_is_remembered_until_the_ops_change(self):
         circuit = Circuit(2).append(gates.H, 0)
         assert circuit.is_clifford and circuit.derived()["is_clifford"] is True
         circuit.append(gates.T, 1)
         assert not circuit.is_clifford and circuit.derived()["is_clifford"] is False
-        circuit.ops[1] = Operation(gates.S, (1,))
-        assert circuit.is_clifford
+        other = Circuit(2).append(gates.H, 0).append(gates.S, 1)
+        assert other.is_clifford
+        assert circuit_fingerprint(other) != circuit_fingerprint(circuit)
 
-    def test_a_mutated_body_is_recompiled(self):
+    def test_a_body_differing_in_one_op_maps_apart(self):
         fragment = clifford_fragment(6, 1, 1, seed=5)
-        map_data(fragment)
-        fragment.circuit.ops[3] = Operation(gates.S, (2,))
-        assert_map_equals_the_per_variant_route(fragment)
+        program = compile_clifford_layers(fragment.circuit)
+        ops = list(fragment.circuit.ops)
+        ops[3] = Operation(gates.S, (2,))
+        other = Fragment(
+            index=0,
+            circuit=Circuit(6, ops),
+            quantum_inputs=fragment.quantum_inputs,
+            quantum_outputs=fragment.quantum_outputs,
+            circuit_outputs=fragment.circuit_outputs,
+        )
+        assert compile_clifford_layers(other.circuit) != program
+        assert fragment_fingerprint(other.circuit, *other.cut_wires) != (
+            fragment_fingerprint(fragment.circuit, *fragment.cut_wires)
+        )
+        assert_map_equals_the_per_variant_route(other)
 
     def test_an_appended_body_is_recompiled(self):
         fragment = clifford_fragment(6, 1, 1, seed=5)
@@ -338,11 +354,16 @@ class TestDerivedSpace:
 
     def test_walking_keeps_only_the_compiled_body(self):
         """Nothing per variant outlives the walk: the body's derived space
-        holds its compiled program and that program's inverse alone."""
+        holds its table, its compiled program and that program's inverse
+        alone."""
         fragment = clifford_fragment(6, 2, 1, seed=4)
         map_data(fragment)
         map_data(fragment)
-        assert set(fragment.circuit.derived()) == {"clifford_layers", "inverse_layers"}
+        assert set(fragment.circuit.derived()) == {
+            "table",
+            "clifford_layers",
+            "inverse_layers",
+        }
 
     def test_the_inverse_program_is_built_once_until_the_ops_change(
         self, monkeypatch

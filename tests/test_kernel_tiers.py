@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import repro.kernels as rk
 from repro.circuits import gates
-from repro.circuits.circuit import Operation
+from repro.circuits.circuit import OpTable
 from repro.kernels import registry
 from repro.stabilizer.tableau import _compile_ops
 
@@ -203,7 +203,7 @@ def test_apply_layers_gate_matches_matrix_conjugation(name):
         [("S", 0), ("CX", 1, -1)],
         [("H", 1), ("CX", 3, 0)],
         [("X", -3)],
-        _compile_ops([Operation(gates.SX, (-1,))]),
+        _compile_ops(OpTable([gates.SX], np.zeros(1, np.int32), np.int32([-1]))),
     ],
 )
 def test_a_qubit_outside_the_columns_is_refused(program):

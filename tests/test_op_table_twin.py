@@ -10,8 +10,11 @@ op (``reference_fused_compile``).  Next to the cutter's twin
 (``tests/test_cutter_twin.py``) they must agree with the table on every
 draw: fingerprints byte for byte, features, Clifford-ness, fragments and
 compiled programs — and a fragment body born from the table must give all
-of that before its ``ops`` list is ever built, and then build the twin's
-ops, op for op.
+of that without building an ``Operation``, and then give the twin's ops,
+op for op.  A circuit is its columns: op-by-op appends, ``inject_t_gates``
+and a pickle round trip must write the table an op list walked into
+columns gives (``reference_table``, once ``OpTable.from_ops``), the
+injection as inserts into an op list (``reference_inject_t_gates``).
 
 The draws are ``random_near_clifford_circuit`` circuits with a constructed
 3-qubit gate, signed-zero parameters, distinct gate objects that are equal
@@ -20,7 +23,9 @@ by value, and idle wires mixed in.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import pickle
 import struct
 import time
 from unittest import mock
@@ -32,7 +37,14 @@ from hypothesis import strategies as st
 
 from repro.backends.base import CircuitFeatures
 from repro.backends.cache import circuit_fingerprint, fragment_fingerprint
-from repro.circuits import Circuit, gates, random_near_clifford_circuit
+from repro.apps.hwea import HWEA
+from repro.circuits import (
+    Circuit,
+    gates,
+    inject_t_gates,
+    random_clifford_circuit,
+    random_near_clifford_circuit,
+)
 from repro.circuits.circuit import Operation, OpTable
 from repro.circuits import circuit as circuit_module
 from repro.core import Cut, cut_circuit, find_cuts
@@ -75,6 +87,62 @@ def reference_op_bytes(ops) -> bytes:
         parts.append(packed)
         parts.append(struct.pack(f"<{len(op.qubits)}q", *op.qubits) + b";")
     return b"".join(parts)
+
+
+def reference_table(ops) -> OpTable:
+    """The table of an op list, in one walk: each distinct gate object
+    once, numbered by first use."""
+    index: dict[int, int] = {}
+    gates_used: list = []
+    gate_index: list[int] = []
+    wires: list[int] = []
+    offsets = [0]
+    for op in ops:
+        i = index.get(id(op.gate))
+        if i is None:
+            i = index[id(op.gate)] = len(gates_used)
+            gates_used.append(op.gate)
+        gate_index.append(i)
+        wires += op.qubits
+        offsets.append(len(wires))
+    return OpTable(
+        gates_used,
+        np.array(gate_index, dtype=np.int32),
+        np.array(wires, dtype=np.int32),
+        np.array(offsets, dtype=np.int32),
+    )
+
+
+def reference_inject_t_gates(circuit: Circuit, count: int, rng) -> list[Operation]:
+    """``inject_t_gates`` as inserts into a copy of the op list: per gate a
+    position, then a qubit, drawn on the ops so far."""
+    ops = list(circuit.ops)
+    for _ in range(count):
+        position = int(rng.integers(len(ops) + 1))
+        qubit = int(rng.integers(circuit.n_qubits))
+        ops.insert(position, Operation(gates.T, (qubit,)))
+    return ops
+
+
+@contextlib.contextmanager
+def operations_built():
+    """The gates of the ``Operation`` objects built inside the block,
+    checked (``__init__``) or not (``_trusted``)."""
+    built = []
+    init, trusted = Operation.__init__, Operation._trusted.__func__
+
+    def counted_init(self, gate, qubits):
+        built.append(gate)
+        init(self, gate, qubits)
+
+    def counted_trusted(cls, gate, qubits):
+        built.append(gate)
+        return trusted(cls, gate, qubits)
+
+    with mock.patch.object(Operation, "__init__", counted_init), mock.patch.object(
+        Operation, "_trusted", classmethod(counted_trusted)
+    ):
+        yield built
 
 
 def reference_circuit_fingerprint(circuit: Circuit) -> str:
@@ -218,7 +286,7 @@ def test_a_table_covers_what_the_draws_promise():
     assert table.arity.tolist() == [1] * 6 + [3]
     assert table.offsets.tolist() == list(range(7)) + [9]
     assert np.bincount(table.wires, minlength=5).tolist() == [1, 6, 1, 1, 0]
-    assert [op.qubits for op in table.operations()] == [op.qubits for op in circuit.ops]
+    assert [op.qubits for op in circuit.ops] == [(1,)] * 6 + [(0, 2, 3)]
 
 
 class TestTableTwins:
@@ -237,7 +305,6 @@ class TestTableTwins:
     @given(clifford_circuits())
     def test_the_fused_program_is_the_op_walks(self, circuit):
         assert _compile_ops(circuit.table) == reference_fused_compile(circuit.ops)
-        assert _compile_ops(circuit.ops) == reference_fused_compile(circuit.ops)
 
     @settings(max_examples=80, deadline=None)
     @given(table_circuits())
@@ -250,12 +317,13 @@ class TestTableTwins:
         for fragment, twin in zip(got, want):
             body = fragment.circuit
             # everything the cold path reads, off the table alone
-            fingerprint = fragment_fingerprint(body, *fragment.cut_wires)
-            features = CircuitFeatures.from_circuit(body)
-            clifford = fragment.is_clifford
-            program = compile_clifford_layers(body) if clifford else None
+            with operations_built() as built:
+                fingerprint = fragment_fingerprint(body, *fragment.cut_wires)
+                features = CircuitFeatures.from_circuit(body)
+                clifford = fragment.is_clifford
+                program = compile_clifford_layers(body) if clifford else None
             assert len(body) == len(twin.circuit)
-            assert "ops" not in vars(body)
+            assert built == []
             assert fingerprint == reference_fragment_fingerprint(
                 twin.circuit, *twin.cut_wires
             )
@@ -365,23 +433,82 @@ def test_an_empty_table():
     assert _table_bytes(circuit) == b"" and _compile_ops(table) == []
     assert circuit.is_clifford and circuit.non_clifford_indices == []
     assert CircuitFeatures._count(circuit) == reference_count(circuit)
-    assert OpTable.from_ops([]).operations() == []
+    assert circuit.ops == tuple(circuit.pairs()) == ()
 
 
-# -- table-born bodies on the wire and under mutation ------------------------------
+# -- appends, injections and pickles write the twin's table ---------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_circuits())
+def test_appends_write_the_table_the_op_walk_gives(circuit):
+    """Op-by-op appends give ``reference_table``'s columns, gate for gate
+    by identity."""
+    appended = Circuit(circuit.n_qubits)
+    for op in circuit.ops:
+        appended.append(op.gate, *op.qubits)
+    assert _columns(appended.table) == _columns(reference_table(circuit.ops))
+    assert _columns(circuit.table) == _columns(reference_table(circuit.ops))
+
+
+def test_a_200q_hwea_is_appended_as_the_op_walk_gives():
+    hwea = HWEA(200, 5)
+    rng = np.random.default_rng(3)
+    circuit = hwea.circuit(rng.integers(0, 4, hwea.num_parameters) * 0.5 + 0.25)
+    assert len(circuit) > 4000
+    assert _columns(circuit.table) == _columns(reference_table(circuit.ops))
+    injected = hwea.near_clifford_instance(num_t=2, rng=np.random.default_rng(0))
+    assert _columns(injected.table) == _columns(reference_table(injected.ops))
+
+
+def test_injected_t_gates_are_the_inserted_ops():
+    """Over seeds 0-49, on HWEA and random Clifford bases (some already
+    holding a T, some measured), ``inject_t_gates`` gives the table of
+    the op list with each T inserted, column for column."""
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            base = HWEA(4 + seed % 5, 2).random_clifford_instance(rng)
+        else:
+            base = random_clifford_circuit(2 + seed % 7, 1 + seed % 5, rng)
+        if seed % 5 == 0:
+            base.append(gates.T, 0)
+        if seed % 3 == 0:
+            base.measure([0, 1])
+        count = seed % 4
+        got = inject_t_gates(base, count, np.random.default_rng(seed))
+        want = reference_inject_t_gates(base, count, np.random.default_rng(seed))
+        assert _columns(got.table) == _columns(reference_table(want)), seed
+        assert got.measured_qubits == base.measured_qubits
 
 
 def _table_born_fragment():
     """The widest fragment of a cut 12q near-Clifford circuit, its body
-    born from the cutter's table and its ops never read."""
+    born from the cutter's table."""
     circuit = random_near_clifford_circuit(12, 4, 2, rng=7)
     fragment = max(cut_circuit(circuit, find_cuts(circuit)).fragments, key=len_of)
-    assert fragment.is_clifford and "ops" not in vars(fragment.circuit)
+    assert fragment.is_clifford
     return fragment
 
 
 def len_of(fragment) -> int:
     return len(fragment.circuit)
+
+
+@pytest.mark.parametrize("born", ["appended", "table"])
+@pytest.mark.parametrize("ops_read", [False, True], ids=["ops-unread", "ops-read"])
+def test_a_pickle_round_trip_keeps_the_bytes_and_builds_nothing(born, ops_read):
+    body = _table_born_fragment().circuit
+    if born == "appended":
+        body = Circuit(body.n_qubits, body.ops)
+    if ops_read:
+        body.ops
+    want = _table_bytes(body)
+    with operations_built() as built:
+        clone = pickle.loads(pickle.dumps(body))
+        got = _table_bytes(clone)
+    assert built == [] and got == want
+    assert _columns(clone.table)[1:] == _columns(body.table)[1:]
 
 
 def _same_body(got, fragment) -> None:
@@ -400,17 +527,18 @@ class TestTableBornBodies:
         from repro.service.protocol import encode_frame, read_message
 
         fragment = _table_born_fragment()
-        frame = encode_frame({"type": "job", "fragment": fragment})
-        assert "ops" not in vars(fragment.circuit)
 
-        async def receive():
+        async def receive(frame):
             reader = asyncio.StreamReader()
             reader.feed_data(frame)
             reader.feed_eof()
             return await read_message(reader)
 
-        got = asyncio.run(receive())["fragment"]
-        assert "ops" not in vars(got.circuit) and "table" in got.circuit.derived()
+        with operations_built() as built:
+            frame = encode_frame({"type": "job", "fragment": fragment})
+            got = asyncio.run(receive(frame))["fragment"]
+            compile_clifford_layers(got.circuit)
+        assert built == []
         _same_body(got, fragment)
 
     def test_a_body_survives_the_journal_unbuilt(self, tmp_path):
@@ -419,44 +547,48 @@ class TestTableBornBodies:
         fragment = _table_born_fragment()
         journal = CoordinatorJournal(tmp_path / "journal.db")
         try:
-            journal.record_request("t1", "run", "tenant", {"fragment": fragment})
-            journal.record_reply("t1", {"fragment": fragment})
-            (entry,) = journal.entries()
+            with operations_built() as built:
+                journal.record_request("t1", "run", "tenant", {"fragment": fragment})
+                journal.record_reply("t1", {"fragment": fragment})
+                (entry,) = journal.entries()
         finally:
             journal.close()
-        assert "ops" not in vars(fragment.circuit)
+        assert built == []
         for got in (entry[5]["fragment"], entry[6]["fragment"]):
             _same_body(got, fragment)
 
-    def test_replacing_an_op_after_the_ops_are_read_recompiles(self):
+    def test_a_body_differing_in_one_op_compiles_apart(self):
         fragment = _table_born_fragment()
         body = fragment.circuit
         program = compile_clifford_layers(body)
         features = CircuitFeatures.from_circuit(body)
-        ops = body.ops  # built now; from here on the list is the truth
+        ops = list(body.ops)  # reading the ops keeps what was derived
         assert compile_clifford_layers(body) is program
         assert CircuitFeatures.from_circuit(body) is features
-        ops[0] = Operation(gates.H, ops[0].qubits[:1])
-        fresh = compile_clifford_layers(body)
-        assert fresh is not program and fresh == reference_fused_compile(ops)
-        assert fragment_fingerprint(body, *fragment.cut_wires) == (
-            reference_fragment_fingerprint(body, *fragment.cut_wires)
+        gate = gates.S if ops[0].gate is gates.H else gates.H
+        ops[0] = Operation(gate, ops[0].qubits[:1])
+        other = Circuit(body.n_qubits, ops)
+        fresh = compile_clifford_layers(other)
+        assert fresh != program and fresh == reference_fused_compile(ops)
+        assert fragment_fingerprint(other, *fragment.cut_wires) != (
+            fragment_fingerprint(body, *fragment.cut_wires)
+        )
+        assert fragment_fingerprint(other, *fragment.cut_wires) == (
+            reference_fragment_fingerprint(other, *fragment.cut_wires)
         )
         body.append(gates.T, 0)
         assert not body.is_clifford and CircuitFeatures.from_circuit(body).t_count == 1
 
-    def test_threads_reading_the_ops_at_once_share_one_build(self):
+    def test_threads_reading_the_ops_at_once_share_one_tuple(self):
         import threading
 
         body = _table_born_fragment().circuit
         table = body.table
-        builds = []
-        build = OpTable.operations
+        pairs = Circuit.pairs
 
-        def slow_build(self):
-            builds.append(self)
+        def slow_pairs(self):
             time.sleep(0.02)  # hold the build open while the others arrive
-            return build(self)
+            return pairs(self)
 
         start = threading.Barrier(6)
         seen = []
@@ -465,20 +597,29 @@ class TestTableBornBodies:
             start.wait()
             seen.append(body.ops)
 
-        with mock.patch.object(OpTable, "operations", slow_build):
+        with mock.patch.object(Circuit, "pairs", slow_pairs):
             threads = [threading.Thread(target=read) for _ in range(6)]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
         assert len(seen) == 6 and all(ops is seen[0] for ops in seen)
-        assert builds == [table]
-        # what was derived before the build is kept with the new list
-        assert body.derived()["table"] is table and body.table is table
+        assert body.ops is seen[0]
+        # what was derived before the build is kept with the tuple
+        assert body.table is table
 
-    def test_a_copy_shares_the_table_and_builds_its_own_ops(self):
+    def test_the_ops_are_read_only(self):
+        body = _table_born_fragment().circuit
+        assert type(body.ops) is tuple
+        with pytest.raises(TypeError):
+            body.ops[0] = Operation(gates.H, (0,))
+        with pytest.raises(AttributeError):
+            body.ops = ()
+
+    def test_a_copy_holds_the_same_columns_and_grows_alone(self):
         body = _table_born_fragment().circuit
         twin = body.copy()
-        assert twin.table is body.table and "ops" not in vars(twin)
+        assert _columns(twin.table) == _columns(body.table)
         twin.append(gates.H, 0)
-        assert len(twin) == len(body) + 1 and "ops" not in vars(body)
+        assert len(twin) == len(body) + 1 and len(body.table) == len(body)

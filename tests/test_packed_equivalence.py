@@ -285,7 +285,7 @@ class TestLayerCompiler:
             expected += [
                 (step, *(op.qubits[w] for w in wires)) for step, wires in steps
             ]
-        program = _compile_ops(circuit.ops)
+        program = _compile_ops(circuit.table)
         x = rng.integers(0, 1 << 8, size=(40, 1), dtype=np.uint64)
         z = rng.integers(0, 1 << 8, size=(40, 1), dtype=np.uint64)
         for fused, spelled in (
@@ -298,7 +298,7 @@ class TestLayerCompiler:
     def test_non_clifford_gate_raises(self):
         circuit = Circuit(2).append(gates.H, 0).append(gates.T, 1)
         with pytest.raises(ValueError, match="non-Clifford"):
-            _compile_ops(circuit.ops)
+            _compile_ops(circuit.table)
 
     def test_cache_invalidates_on_append(self):
         circuit = Circuit(2).append(gates.H, 0)
@@ -312,17 +312,18 @@ class TestLayerCompiler:
         circuit = Circuit(2).append(gates.H, 0).append(gates.CX, 0, 1)
         assert compile_clifford_layers(circuit) is compile_clifford_layers(circuit)
 
-    def test_cache_invalidates_on_inplace_replacement(self):
-        """Same-length in-place op mutation must not reuse stale layers."""
-        from repro.circuits.circuit import Operation
+    def test_circuits_differing_in_one_op_compile_apart(self):
+        """Two circuits of one length that differ in one op get their own
+        programs and fingerprints."""
+        from repro.backends.cache import circuit_fingerprint
 
         circuit = Circuit(1).append(gates.H, 0)
+        other = Circuit(1).append(gates.S, 0)
         stale = compile_clifford_layers(circuit)
-        circuit.ops[0] = Operation(gates.S, (0,))
-        fresh = compile_clifford_layers(circuit)
-        assert fresh is not stale
-        assert fresh[0][0] == "S"
-        assert StabilizerSimulator().expectation(circuit, PauliString.from_label("Z")) == 1
+        fresh = compile_clifford_layers(other)
+        assert fresh != stale and fresh[0][0] == "S"
+        assert circuit_fingerprint(other) != circuit_fingerprint(circuit)
+        assert StabilizerSimulator().expectation(other, PauliString.from_label("Z")) == 1
 
 
 # -- einsum reconstruction vs the assignment-loop oracle ----------------------
